@@ -7,16 +7,16 @@
 // replaying arrive() with the original timestamps.
 //
 // Why this is invisible to the simulation: arrive() only appends to the
-// port's staged queue — a frame completing the wire at `done` becomes
-// consumer-visible at done + RxLatency, and staging earlier or later (as
+// port's RX queue — a frame completing the wire at `done` becomes
+// consumer-visible at done + RxLatency, and queueing it earlier or later (as
 // long as it is before visibility) changes nothing. Conservative
 // synchronization guarantees exactly that: the receiver's window edge never
 // exceeds senderClock + TxLatency + RxLatency, while a frame pushed when the
 // sender's clock read c completes the wire strictly after c + TxLatency
 // (serialization time > 0), so every drained frame is still in its
-// pre-visibility flight when it lands in staged. FIFO order per wire
-// preserves the staged queue's sort (wire completions are monotonic per
-// sender — the busyUntil ratchet).
+// pre-visibility flight when it lands in the queue. FIFO order per wire
+// preserves the queue's sort (wire completions are monotonic per sender —
+// the busyUntil ratchet).
 package nic
 
 import (

@@ -2,18 +2,17 @@
 //
 // A Port paces transmission at line rate (including preamble and inter-frame
 // gap), queues frames in a bounded TX ring, delivers them to the peer port
-// after the serialization delay, and stages arrivals into a bounded RX
-// descriptor ring from which a consumer polls bursts. Frames that arrive
-// while the RX ring is full are dropped and counted, exactly like the
-// paper's saturated 82599 ports. Ports optionally timestamp frames in
-// hardware (the Intel 82599 PTP feature MoonGen uses) and can deliver
-// moderated interrupts to an IRQ-driven consumer (the netmap/VALE mode).
+// after the serialization delay, and queues arrivals toward a bounded RX
+// descriptor ring from which a consumer polls bursts. Frames that find the
+// RX ring full are dropped and counted, exactly like the paper's saturated
+// 82599 ports. Ports optionally timestamp frames in hardware (the Intel
+// 82599 PTP feature MoonGen uses) and can deliver moderated interrupts to
+// an IRQ-driven consumer (the netmap/VALE mode).
 //
-// The TX occupancy window, the staged-arrival queue, and the RX descriptor
-// ring are all consumed from the front at packet rate; they are kept as
-// head-indexed slices with amortized compaction so dequeuing is O(1) per
-// frame instead of a memmove of everything still queued (which profiled as
-// the single hottest call in saturating runs).
+// A frame crosses the receive side through one queue: arrive appends it,
+// materialize moves a watermark over it once it is visible, RxBurst copies
+// it out. The TX occupancy window is a fixed ring of TxRing completion
+// times. Both are O(1) per frame.
 package nic
 
 import (
@@ -52,12 +51,6 @@ const (
 // "use the default").
 const NoLatency units.Time = -1
 
-type arrival struct {
-	at    units.Time // when the frame becomes visible (PHY + RxLatency)
-	stamp units.Time // PHY arrival (hardware RX timestamp)
-	buf   *pkt.Buf
-}
-
 // Counters exposes a port's packet accounting.
 type Counters struct {
 	TxPackets, TxBytes int64
@@ -66,8 +59,8 @@ type Counters struct {
 	RxDropsFull        int64 // frames lost to a full RX ring
 }
 
-// compactAt is the consumed-prefix length that triggers copying a
-// head-indexed queue back to its slice front (amortized O(1) per element).
+// compactAt is the consumed-prefix length that triggers copying the
+// head-indexed RX queue back to its slice front (amortized O(1) per frame).
 const compactAt = 256
 
 // Port is one physical Ethernet port.
@@ -79,18 +72,24 @@ type Port struct {
 	// by the partitioned engine and the peer lives on another goroutine.
 	out *Handoff
 
-	// TX pacing state: doneTimes[doneHead:] holds the wire-completion
-	// times of queued frames (FIFO); busyUntil is when the wire frees up.
-	doneTimes []units.Time
-	doneHead  int
-	busyUntil units.Time
+	// TX pacing state: txDone is a ring of TxRing wire-completion times,
+	// the txLen queued frames starting at txHead (FIFO); busyUntil is when
+	// the wire frees up.
+	txDone        []units.Time
+	txHead, txLen int
+	busyUntil     units.Time
+	// wireLen/wireTime memoize the last frame length's serialization time
+	// (a 128-bit division; streams are mostly one size).
+	wireLen  int
+	wireTime units.Time
 
-	// RX state: staged[stagedHead:] holds frames in flight / not yet
-	// visible; ring[ringHead:] is the descriptor ring the consumer drains.
-	staged     []arrival
-	stagedHead int
-	ring       []*pkt.Buf
-	ringHead   int
+	// RX state: rxq[rxHead:] holds every frame sent to this port and not
+	// yet polled, in arrival order, each carrying its PHY arrival time in
+	// Ingress. rxq[rxHead:rxVis] is the descriptor ring the consumer
+	// drains — rxCount frames, and nil where an arrival found it full;
+	// rxq[rxVis:] is in flight or not yet looked at.
+	rxq                    []*pkt.Buf
+	rxHead, rxVis, rxCount int
 
 	// Interrupt binding.
 	irq      *cpu.IRQCore
@@ -121,7 +120,7 @@ func NewPort(cfg Config) *Port {
 	} else if cfg.TxLatency < 0 {
 		cfg.TxLatency = 0
 	}
-	return &Port{cfg: cfg}
+	return &Port{cfg: cfg, txDone: make([]units.Time, cfg.TxRing), wireLen: -1}
 }
 
 // Connect wires two ports back to back (full duplex).
@@ -168,10 +167,10 @@ func (p *Port) ReArm(now units.Time) {
 	}
 	p.irqArmed = false
 	switch {
-	case len(p.ring) > p.ringHead:
+	case p.rxCount > 0:
 		p.scheduleIRQ(now)
-	case len(p.staged) > p.stagedHead:
-		earliest := p.staged[p.stagedHead].at
+	case len(p.rxq) > p.rxVis:
+		earliest := p.rxq[p.rxVis].Ingress + p.cfg.RxLatency
 		if earliest < now {
 			earliest = now
 		}
@@ -181,27 +180,20 @@ func (p *Port) ReArm(now units.Time) {
 
 // purgeTx drops completed frames from the TX occupancy window.
 func (p *Port) purgeTx(now units.Time) {
-	dt := p.doneTimes
-	h := p.doneHead
-	for h < len(dt) && dt[h] <= now {
-		h++
+	h, n := p.txHead, p.txLen
+	for n > 0 && p.txDone[h] <= now {
+		n--
+		if h++; h == len(p.txDone) {
+			h = 0
+		}
 	}
-	switch {
-	case h == len(dt):
-		p.doneTimes = dt[:0]
-		p.doneHead = 0
-	case h >= compactAt && h*2 >= len(dt):
-		p.doneTimes = dt[:copy(dt, dt[h:])]
-		p.doneHead = 0
-	default:
-		p.doneHead = h
-	}
+	p.txHead, p.txLen = h, n
 }
 
 // TxFree returns the number of free TX descriptors at time now.
 func (p *Port) TxFree(now units.Time) int {
 	p.purgeTx(now)
-	return p.cfg.TxRing - (len(p.doneTimes) - p.doneHead)
+	return len(p.txDone) - p.txLen
 }
 
 // Send enqueues one frame for transmission at time now. On success the port
@@ -223,7 +215,7 @@ func (p *Port) SendAt(at units.Time, b *pkt.Buf) bool {
 		panic(fmt.Sprintf("nic: port %s not connected", p.cfg.Name))
 	}
 	p.purgeTx(at)
-	if len(p.doneTimes)-p.doneHead >= p.cfg.TxRing {
+	if p.txLen == len(p.txDone) {
 		p.Stats.TxDropsFull++
 		return false
 	}
@@ -231,9 +223,17 @@ func (p *Port) SendAt(at units.Time, b *pkt.Buf) bool {
 	if p.busyUntil > start {
 		start = p.busyUntil
 	}
-	done := start + p.cfg.Rate.WireTime(b.Len())
+	if n := b.Len(); n != p.wireLen {
+		p.wireLen, p.wireTime = n, p.cfg.Rate.WireTime(n)
+	}
+	done := start + p.wireTime
 	p.busyUntil = done
-	p.doneTimes = append(p.doneTimes, done)
+	tail := p.txHead + p.txLen
+	if tail >= len(p.txDone) {
+		tail -= len(p.txDone)
+	}
+	p.txDone[tail] = done
+	p.txLen++
 	p.Stats.TxPackets++
 	p.Stats.TxBytes += int64(b.Len())
 	if p.cfg.HWTimestamp && b.Probe && b.TxStamp == 0 {
@@ -252,41 +252,33 @@ func (p *Port) SendAt(at units.Time, b *pkt.Buf) bool {
 // wire — the natural pacing point for a saturating generator.
 func (p *Port) BusyUntil() units.Time { return p.busyUntil }
 
-// arrive stages an inbound frame hitting the PHY at time at; it becomes
-// visible to the consumer after the descriptor path delay.
+// arrive queues an inbound frame hitting the PHY at time at — its hardware
+// RX timestamp; it becomes visible to the consumer after the descriptor
+// path delay.
 func (p *Port) arrive(at units.Time, b *pkt.Buf) {
-	avail := at + p.cfg.RxLatency
-	p.staged = append(p.staged, arrival{at: avail, stamp: at, buf: b})
-	p.scheduleIRQ(avail)
+	b.Ingress = at
+	p.rxq = append(p.rxq, b)
+	p.scheduleIRQ(at + p.cfg.RxLatency)
 }
 
-// materialize moves arrivals that completed by now into the RX ring,
-// dropping (and freeing) those that find it full.
+// materialize advances the visible watermark over the arrivals that
+// completed by now. Ring occupancy is judged here, when the consumer looks,
+// in arrival order: an arrival that finds RxRing frames waiting is dropped —
+// freed, and left behind in the queue as a nil entry for RxBurst to skip.
 func (p *Port) materialize(now units.Time) {
-	st := p.staged
-	h := p.stagedHead
-	for h < len(st) && st[h].at <= now {
-		a := st[h]
-		st[h] = arrival{}
-		h++
-		if len(p.ring)-p.ringHead >= p.cfg.RxRing {
-			p.Stats.RxDropsFull++
-			a.buf.Free()
+	q := p.rxq
+	due := now - p.cfg.RxLatency
+	v, count := p.rxVis, p.rxCount
+	for ; v < len(q) && q[v].Ingress <= due; v++ {
+		if count < p.cfg.RxRing {
+			count++
 			continue
 		}
-		a.buf.Ingress = a.stamp
-		p.ring = append(p.ring, a.buf)
+		p.Stats.RxDropsFull++
+		q[v].Free()
+		q[v] = nil
 	}
-	switch {
-	case h == len(st):
-		p.staged = st[:0]
-		p.stagedHead = 0
-	case h >= compactAt && h*2 >= len(st):
-		p.staged = st[:copy(st, st[h:])]
-		p.stagedHead = 0
-	default:
-		p.stagedHead = h
-	}
+	p.rxVis, p.rxCount = v, count
 }
 
 // RxBurst moves up to len(out) received frames to out, returning the count.
@@ -294,30 +286,31 @@ func (p *Port) materialize(now units.Time) {
 // accounting: the consuming device driver model charges for the burst.
 func (p *Port) RxBurst(now units.Time, out []*pkt.Buf) int {
 	p.materialize(now)
-	n := copy(out, p.ring[p.ringHead:])
-	if n > 0 {
-		for j := p.ringHead; j < p.ringHead+n; j++ {
-			p.ring[j] = nil
-		}
-		p.ringHead += n
-		switch {
-		case p.ringHead == len(p.ring):
-			p.ring = p.ring[:0]
-			p.ringHead = 0
-		case p.ringHead >= compactAt && p.ringHead*2 >= len(p.ring):
-			p.ring = p.ring[:copy(p.ring, p.ring[p.ringHead:])]
-			p.ringHead = 0
-		}
-		for _, b := range out[:n] {
-			p.Stats.RxPackets++
+	q, h, n := p.rxq, p.rxHead, 0
+	for ; h < p.rxVis && n < len(out); h++ {
+		if b := q[h]; b != nil {
+			q[h] = nil
+			out[n] = b
+			n++
 			p.Stats.RxBytes += int64(b.Len())
 		}
 	}
+	p.Stats.RxPackets += int64(n)
+	p.rxCount -= n
+	switch {
+	case h == len(q):
+		p.rxq = q[:0]
+		h, p.rxVis = 0, 0
+	case h >= compactAt && h*2 >= len(q):
+		p.rxq = q[:copy(q, q[h:])]
+		h, p.rxVis = 0, p.rxVis-h
+	}
+	p.rxHead = h
 	return n
 }
 
 // RxPending returns how many frames are ready to be polled at time now.
 func (p *Port) RxPending(now units.Time) int {
 	p.materialize(now)
-	return len(p.ring) - p.ringHead
+	return p.rxCount
 }

@@ -46,7 +46,7 @@ func NewWriter(w io.Writer) (*Writer, error) {
 
 // WritePacket records one frame at the given simulated time.
 func (pw *Writer) WritePacket(at units.Time, b *pkt.Buf) error {
-	data := b.Bytes()
+	data := b.View()
 	capLen := len(data)
 	if capLen > pw.snapLen {
 		capLen = pw.snapLen

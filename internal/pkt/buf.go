@@ -5,16 +5,23 @@
 // for eventually freeing it (or handing it off). Copies — the expensive
 // operation that vhost-user imposes and ptnet avoids — are always explicit.
 //
-// # Lazy materialization
+// # Lazy backing
 //
 // Synthetic generator frames are identical per (FrameSpec, flow), so a Buf
-// can carry a shared *Template instead of materialized bytes: Bytes()
-// builds the contents on first use with a single copy, and CopyFrom/Clone
-// on an unmaterialized buffer moves only metadata. Simulated cycle cost is
-// charged by the components exactly as before — host bytes moving (or not)
-// is invisible to the simulation. Anything that inspects or edits real
-// bytes (probe stamping, pcap capture, header-parsing switches) goes
-// through Bytes() and therefore transparently forces materialization.
+// can carry a shared *Template instead of bytes of its own, and a pool
+// buffer owns no byte storage at all until somebody writes to it: Get,
+// SetTemplate, SetLen, View on a template-backed frame, and CopyFrom/Clone
+// from an unbacked source move only metadata. Bytes() — the accessor for
+// anything that edits real bytes (probe stamping, header rewrites) —
+// attaches backing from the pool's data slabs on first use and copies the
+// template image in; the backing then stays with the buffer across
+// Free/Get. Read-only inspection goes through View(). Simulated cycle cost
+// is charged by the components exactly as before — host bytes moving (or
+// not) is invisible to the simulation.
+//
+// A buffer with neither template nor backing has never been written and
+// reads as zeros (fresh backing is zeroed); a recycled backed buffer reads
+// whatever its previous owner left, as a DPDK mbuf would.
 package pkt
 
 import (
@@ -26,7 +33,7 @@ import (
 
 // Buf is one packet buffer plus simulation metadata.
 type Buf struct {
-	data []byte // backing storage, fixed capacity
+	data []byte // backing storage (pool.bufSize bytes), nil until first written
 	len  int    // frame length
 
 	// tmpl, when non-nil, is the frame image this buffer logically
@@ -55,50 +62,52 @@ type Buf struct {
 	nextFree *Buf
 }
 
-// Bytes returns the frame contents, materializing them first if the buffer
-// is template-backed.
+// Bytes returns the frame contents for reading and writing, attaching
+// backing storage and copying the template image in first where needed.
 func (b *Buf) Bytes() []byte {
-	if b.tmpl != nil {
+	if b.tmpl != nil || b.data == nil {
 		b.materialize()
 	}
 	return b.data[:b.len]
 }
 
 // View returns the frame contents for read-only inspection without forcing
-// materialization: a template-backed buffer exposes the shared image
-// directly. Callers must not write through the returned slice — header
-// parsing, MAC learning, and flow-key extraction belong here; rewrites go
-// through Bytes(). (A buffer whose logical length outgrew its template
-// image falls back to materializing, so the zero-extension is visible.)
+// backing: a template-backed buffer exposes the shared image directly.
+// Callers must not write through the returned slice — header parsing, MAC
+// learning, and flow-key extraction belong here; rewrites go through
+// Bytes(). (A buffer whose logical length outgrew its template image, or
+// that has neither template nor backing, falls back to materializing, so
+// the zero-extension is real.)
 func (b *Buf) View() []byte {
-	if b.tmpl != nil {
-		if b.len <= len(b.tmpl.data) {
-			return b.tmpl.data[:b.len]
-		}
-		b.materialize()
+	if b.tmpl != nil && b.len <= len(b.tmpl.data) {
+		return b.tmpl.data[:b.len]
 	}
-	return b.data[:b.len]
+	return b.Bytes()
 }
 
 // Template returns the shared frame image backing b, or nil once the
 // buffer has been materialized.
 func (b *Buf) Template() *Template { return b.tmpl }
 
-// materialize copies the template image into the buffer (one memcpy; the
-// template is pre-serialized). Lengths can disagree only after an explicit
-// SetLen on a lazy buffer; the image is truncated or zero-extended to
-// match, mirroring what Build-then-SetLen would have produced.
+// materialize gives the buffer bytes of its own: backing storage if it has
+// none yet, then the template image (one memcpy; the template is
+// pre-serialized). Lengths can disagree only after an explicit SetLen on a
+// lazy buffer; the image is truncated or zero-extended to match, mirroring
+// what Build-then-SetLen would have produced.
 func (b *Buf) materialize() {
-	t := b.tmpl
-	b.tmpl = nil
-	n := copy(b.data[:b.len], t.data)
-	for i := n; i < b.len; i++ {
-		b.data[i] = 0
+	if b.data == nil && b.pool != nil { // a pool-less buffer has capacity 0
+		b.data = b.pool.backing()
+	}
+	if t := b.tmpl; t != nil {
+		b.tmpl = nil
+		n := copy(b.data[:b.len], t.data)
+		clear(b.data[n:b.len])
 	}
 }
 
-// Materialized reports whether the frame's bytes are backed by real
-// storage (false while the buffer only references a Template).
+// Materialized reports whether the frame's contents are the buffer's own
+// (false while it only references a Template). An unwritten buffer counts:
+// its contents are zeros that no storage holds yet.
 func (b *Buf) Materialized() bool { return b.tmpl == nil }
 
 // SetTemplate makes b a metadata-only frame whose logical contents are t's
@@ -111,27 +120,39 @@ func (b *Buf) SetTemplate(t *Template) {
 // Len returns the frame length in bytes.
 func (b *Buf) Len() int { return b.len }
 
-// SetLen resizes the frame within the buffer's capacity.
+// SetLen resizes the frame within the buffer's capacity — the pool's buffer
+// size, whether or not backing is attached yet.
 func (b *Buf) SetLen(n int) {
-	if n < 0 || n > cap(b.data) {
-		panic(fmt.Sprintf("pkt: SetLen(%d) outside capacity %d", n, cap(b.data)))
+	if n < 0 || n > b.capacity() {
+		panic(fmt.Sprintf("pkt: SetLen(%d) outside capacity %d", n, b.capacity()))
 	}
-	b.data = b.data[:cap(b.data)]
 	b.len = n
+}
+
+func (b *Buf) capacity() int {
+	if b.pool == nil {
+		return 0
+	}
+	return b.pool.bufSize
 }
 
 // CopyFrom replaces b's contents and metadata with src's. This is the
 // primitive behind vhost-user's per-packet copies. If src is still
 // template-backed, only the template reference moves — the simulated copy
 // cost is charged by the caller either way; host bytes are not part of the
-// simulation.
+// simulation. Real bytes move only from a source that has some: an
+// unwritten source (no template, no backing) leaves b an all-zero frame
+// without attaching storage to either side.
 func (b *Buf) CopyFrom(src *Buf) {
 	b.SetLen(src.len)
-	if src.tmpl != nil {
-		b.tmpl = src.tmpl
-	} else {
-		b.tmpl = nil
+	b.tmpl = src.tmpl
+	switch {
+	case src.tmpl != nil: // only the reference moved
+	case src.data != nil:
+		b.materialize()
 		copy(b.data[:src.len], src.data[:src.len])
+	case b.data != nil:
+		clear(b.data[:src.len])
 	}
 	b.Seq = src.Seq
 	b.Probe = src.Probe
@@ -197,14 +218,16 @@ func (t *Template) Derive(edit func(data []byte)) *Template {
 
 // Pool is a free list of equal-capacity buffers. It grows on demand so that
 // component buffering limits (rings) — not the pool — bound memory use.
-// Growth carves buffers out of slab allocations (DPDK mempool style) so
+// Growth carves buffer headers, and separately the backing of those buffers
+// that are ever written, out of slab allocations (DPDK mempool style) so
 // warming a pool to its high-water mark costs a handful of allocations,
-// not one per buffer.
+// not one per buffer — and no bytes for frames nobody writes.
 type Pool struct {
 	free    []*Buf
 	bufSize int
 	live    int // checked-out buffers
 	total   int // ever allocated
+	backed  int // buffers given backing from slabData
 
 	slabData []byte // unclaimed backing storage
 	slabBufs []Buf  // unclaimed headers
@@ -219,8 +242,13 @@ type Pool struct {
 	remote atomic.Pointer[Buf]
 }
 
-// slabCount is how many buffers each slab allocation provides.
-const slabCount = 256
+// slabCount is how many buffers each slab allocation provides. Data slabs
+// ramp up to it geometrically from minDataSlab: most pools back only the
+// occasional probe frame, some back every buffer.
+const (
+	slabCount   = 256
+	minDataSlab = 16
+)
 
 // NewPool returns a pool of buffers with the given capacity each.
 func NewPool(bufSize int) *Pool {
@@ -245,13 +273,10 @@ func (p *Pool) Get(frameLen int) *Buf {
 		p.free = p.free[:n-1]
 	} else {
 		if len(p.slabBufs) == 0 {
-			p.slabData = make([]byte, slabCount*p.bufSize)
 			p.slabBufs = make([]Buf, slabCount)
 		}
 		b = &p.slabBufs[0]
 		p.slabBufs = p.slabBufs[1:]
-		b.data = p.slabData[:p.bufSize:p.bufSize]
-		p.slabData = p.slabData[p.bufSize:]
 		b.pool = p
 		p.total++
 	}
@@ -265,6 +290,24 @@ func (p *Pool) Get(frameLen int) *Buf {
 	b.Ingress = 0
 	b.AvailAt = 0
 	return b
+}
+
+// backing returns bufSize bytes of zeroed storage for a buffer's first
+// write, carved from a data slab as large as everything carved before it
+// (within [minDataSlab, slabCount] buffers). A buffer of a shared pool may
+// be materialized by a goroutine that does not own the pool, which must not
+// touch the slab state: those buffers get an allocation each.
+func (p *Pool) backing() []byte {
+	if p.shared {
+		return make([]byte, p.bufSize)
+	}
+	if len(p.slabData) == 0 {
+		p.slabData = make([]byte, min(max(p.backed, minDataSlab), slabCount)*p.bufSize)
+	}
+	d := p.slabData[:p.bufSize:p.bufSize]
+	p.slabData = p.slabData[p.bufSize:]
+	p.backed++
+	return d
 }
 
 // Clone returns a pool buffer holding a copy of src (metadata-only if src

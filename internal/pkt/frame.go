@@ -23,7 +23,7 @@ const MinProbeFrameLen = EthHdrLen + IPv4HdrLen + UDPHdrLen + probeLen
 func (s FrameSpec) Build(b *Buf) {
 	b.SetLen(s.FrameLen)
 	b.tmpl = nil // overwriting: the old image is irrelevant
-	s.buildInto(b.data[:s.FrameLen])
+	s.buildInto(b.Bytes())
 }
 
 // Template pre-serializes the frame image for flow index `flow` (0 for
@@ -88,7 +88,7 @@ func MarkProbe(b *Buf, seq uint64, tx units.Time) {
 // ProbeInfo extracts the probe sequence and TX timestamp from a frame, if it
 // carries the probe marker.
 func ProbeInfo(b *Buf) (seq uint64, tx units.Time, ok bool) {
-	p := b.Bytes()
+	p := b.View()
 	if len(p) < probeOffset+probeLen {
 		return 0, 0, false
 	}

@@ -2,6 +2,7 @@ package pkt
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 )
 
@@ -202,7 +203,7 @@ func TestViewDoesNotMaterialize(t *testing.T) {
 	b := p.Get(64)
 	b.SetTemplate(spec.Template(0))
 	v := b.View()
-	if b.Materialized() {
+	if b.Materialized() || b.data != nil {
 		t.Fatal("View materialized the buffer")
 	}
 	if !bytes.Equal(v, spec.Template(0).Image()) {
@@ -219,6 +220,9 @@ func TestViewDoesNotMaterialize(t *testing.T) {
 	}
 	if !long.Materialized() {
 		t.Fatal("oversized View did not materialize")
+	}
+	if !bytes.Equal(lv[:64], spec.Template(0).Image()) || !bytes.Equal(lv[64:], make([]byte, 1518-64)) {
+		t.Fatal("oversized View is not the zero-extended image")
 	}
 	b.Free()
 	long.Free()
@@ -241,5 +245,189 @@ func TestTemplateDerive(t *testing.T) {
 	}
 	if !bytes.Equal(d.Image()[EthHdrLen:], parent.Image()[EthHdrLen:]) {
 		t.Fatal("derived image diverged beyond the edit")
+	}
+}
+
+// TestTemplateTrafficAttachesNoBacking pins the point of lazy backing: the
+// whole life of a template-backed frame — Get, SetTemplate, the vhost
+// CopyFrom, Clone, read-only View and ProbeInfo, Free — over a warm pool
+// attaches no storage to any buffer and allocates nothing.
+func TestTemplateTrafficAttachesNoBacking(t *testing.T) {
+	p := NewPool(2048)
+	tmpl := lazySpec(64).Template(0)
+	const inFlight = 64
+	var held [inFlight]*Buf
+	cycle := func() {
+		for i := range held {
+			b := p.Get(64)
+			b.SetTemplate(tmpl)
+			held[i] = b
+		}
+		for _, src := range held {
+			dst := p.Get(src.Len())
+			dst.CopyFrom(src)
+			c := p.Clone(dst)
+			if _, _, ok := ProbeInfo(c); ok || len(c.View()) != 64 {
+				t.Fatal("template frame misread")
+			}
+			c.Free()
+			dst.Free()
+			src.Free()
+		}
+	}
+	cycle() // warm the pool to its high-water mark
+	if avg := testing.AllocsPerRun(10000/inFlight, cycle); avg != 0 {
+		t.Fatalf("template-only traffic allocates %.2f times per %d frames", avg, inFlight)
+	}
+	if p.backed != 0 || p.slabData != nil {
+		t.Fatalf("template-only traffic carved backing for %d buffers", p.backed)
+	}
+	for _, b := range p.free {
+		if b.data != nil {
+			t.Fatal("a template-only buffer holds backing")
+		}
+	}
+}
+
+// TestMaterializeAfterReuse checks that backing stays with a buffer across
+// Free/Get and that a later materialization over it returns the new
+// template's image, truncated or zero-extended to the frame length, with
+// nothing of the previous frame showing through.
+func TestMaterializeAfterReuse(t *testing.T) {
+	p := NewPool(2048)
+	b := p.Get(1518)
+	b.SetTemplate(lazySpec(1518).Template(0))
+	for i, v := range b.Bytes() { // dirty the whole backing
+		b.Bytes()[i] = v | 0x80
+	}
+	b.Free()
+
+	img := lazySpec(64).Template(3).Image()
+	for _, n := range []int{64, 40, 200} {
+		b = p.Get(64)
+		b.SetTemplate(lazySpec(64).Template(3))
+		b.SetLen(n)
+		got := b.Bytes()
+		if len(got) != n {
+			t.Fatalf("len %d: got %dB", n, len(got))
+		}
+		want := make([]byte, n)
+		copy(want, img)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("len %d: materialized bytes are not the truncated/zero-extended image", n)
+		}
+		b.Free()
+	}
+	if p.backed != 1 || p.Allocated() != 1 {
+		t.Fatalf("reuse carved backing %d times for %d buffers", p.backed, p.Allocated())
+	}
+}
+
+// TestAllBackedPoolAllocations bounds the other extreme: a pool whose every
+// buffer is written pays ceil(n/256) data slabs plus the five-slab ramp
+// below 256 buffers, on top of the header slabs and the pool itself — never
+// an allocation per buffer.
+func TestAllBackedPoolAllocations(t *testing.T) {
+	const n = 1000
+	var held [n]*Buf
+	avg := testing.AllocsPerRun(5, func() {
+		p := NewPool(2048)
+		for i := range held {
+			held[i] = p.Get(64)
+			held[i].Bytes()[0] = 1
+		}
+	})
+	slabs := (n + slabCount - 1) / slabCount
+	if limit := float64(1 + slabs + slabs + 5); avg > limit {
+		t.Fatalf("%d written buffers cost %.0f allocations, want <= %.0f", n, avg, limit)
+	}
+}
+
+// TestUnwrittenBufferEdges pins what lazy backing defines for a buffer that
+// has neither template nor backing: it is an all-zero frame of its length.
+func TestUnwrittenBufferEdges(t *testing.T) {
+	p := NewPool(256)
+
+	// Copying from it moves no bytes and attaches nothing...
+	src := p.Get(64)
+	src.Seq = 9
+	dst := p.Clone(src)
+	if src.data != nil || dst.data != nil || dst.Seq != 9 || dst.Len() != 64 {
+		t.Fatal("clone of an unwritten buffer attached backing or lost metadata")
+	}
+	// ...and over a destination with stale bytes it reads back as zeros.
+	dirty := p.Get(64)
+	for i := range dirty.Bytes() {
+		dirty.Bytes()[i] = 0xAB
+	}
+	dirty.CopyFrom(src)
+	if !bytes.Equal(dirty.Bytes(), make([]byte, 64)) {
+		t.Fatal("copy of an unwritten buffer left stale bytes")
+	}
+
+	// SetLen is bounded by the pool's buffer size with or without backing.
+	src.SetLen(256)
+	if src.data != nil {
+		t.Fatal("SetLen attached backing")
+	}
+	if got := src.View(); len(got) != 256 || !bytes.Equal(got, make([]byte, 256)) {
+		t.Fatal("grown unwritten buffer is not 256 zero bytes")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("SetLen past the pool buffer size did not panic")
+			}
+		}()
+		p.Get(64).SetLen(257)
+	}()
+
+	// Trim(0) lets go of the data slab it has not finished carving.
+	if p.slabData == nil {
+		t.Fatal("expected a partly carved data slab")
+	}
+	src.Free()
+	dst.Free()
+	dirty.Free()
+	p.Trim(0)
+	if p.slabData != nil || p.slabBufs != nil || p.Idle() != 0 {
+		t.Fatal("Trim(0) kept slabs")
+	}
+	b := p.Get(64)
+	if b.Bytes()[0] != 0 {
+		t.Fatal("pool unusable after Trim(0)")
+	}
+}
+
+// TestSharedPoolBackingOffOwner runs the parallel engine's case under the
+// race detector: buffers of a shared pool are written and freed by
+// goroutines that do not own it, which must leave the owner's slab state
+// alone.
+func TestSharedPoolBackingOffOwner(t *testing.T) {
+	p := NewPool(2048)
+	p.MarkShared()
+	tmpl := lazySpec(64).Template(0)
+	const workers, each = 4, 64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		bufs := make([]*Buf, each)
+		for i := range bufs {
+			bufs[i] = p.Get(64)
+			bufs[i].SetTemplate(tmpl)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, b := range bufs {
+				b.Bytes()[EthHdrLen] = 0xFF
+				b.Free()
+			}
+		}()
+		p.Get(64).Free() // the owner keeps using the pool meanwhile
+	}
+	wg.Wait()
+	p.Reclaim()
+	if p.Live() != 0 || p.backed != 0 || p.slabData != nil {
+		t.Fatalf("live=%d backed=%d after foreign materialization", p.Live(), p.backed)
 	}
 }

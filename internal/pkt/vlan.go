@@ -34,10 +34,10 @@ func PushVLAN(b *Buf, id uint16) {
 // PopVLAN removes the outer 802.1Q tag, if present, and reports whether it
 // did.
 func PopVLAN(b *Buf) bool {
-	data := b.Bytes()
-	if _, ok := VLANID(data); !ok {
+	if _, ok := VLANID(b.View()); !ok {
 		return false
 	}
+	data := b.Bytes()
 	copy(data[12:], data[12+VLANTagLen:])
 	b.SetLen(b.Len() - VLANTagLen)
 	return true

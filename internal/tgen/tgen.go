@@ -64,6 +64,12 @@ type Generator struct {
 	seq       uint64
 	nextProbe units.Time
 	nextDue   units.Time // rate-mode pacing
+	gap       units.Time // rate-mode inter-frame time
+	// txCredit is a lower bound on the port's free TX descriptors: only
+	// this generator sends on the port and frames only ever leave the
+	// ring, so room seen once stays until spent and the ring is asked
+	// again only when the credit runs out.
+	txCredit int
 
 	// tmpls caches one pre-serialized frame image per (frameLen, flow);
 	// emitted buffers reference it lazily instead of being built. The
@@ -89,6 +95,9 @@ func NewGenerator(s *sim.Scheduler, cfg Config) *Generator {
 		cfg.Burst = DefaultBurst
 	}
 	g := &Generator{cfg: cfg, sched: s}
+	if cfg.Rate > 0 {
+		g.gap = cfg.Rate.WireTime(cfg.Spec.FrameLen)
+	}
 	if cfg.ZipfSkew > 0 && cfg.Flows > 1 && cfg.RNG != nil {
 		g.zipfCDF = zipfCDF(cfg.Flows, cfg.ZipfSkew)
 	}
@@ -154,9 +163,12 @@ func (g *Generator) template(frameLen, flow int) *pkt.Template {
 // g.seq+1 and must not change.
 func (g *Generator) emitOne(at units.Time) bool {
 	port := g.cfg.Port
-	if port.TxFree(at) == 0 {
-		return false
+	if g.txCredit == 0 {
+		if g.txCredit = port.TxFree(at); g.txCredit == 0 {
+			return false
+		}
 	}
+	g.txCredit--
 	frameLen := g.cfg.Spec.FrameLen
 	if g.cfg.IMIX {
 		frameLen = imixSizes[g.seq%uint64(len(imixSizes))]
@@ -225,7 +237,7 @@ func (g *Generator) Step(now units.Time) (units.Time, bool) {
 			break
 		}
 		g.emitOne(due)
-		g.nextDue += g.cfg.Rate.WireTime(g.cfg.Spec.FrameLen)
+		g.nextDue += g.gap
 		if g.nextDue <= due {
 			g.nextDue = due + units.Nanosecond
 		}
@@ -247,6 +259,8 @@ type Sink struct {
 	Hist stats.Histogram
 	// Capture, when set, observes every consumed frame (pcap dumps).
 	Capture func(at units.Time, b *pkt.Buf)
+
+	scratch [256]*pkt.Buf // receive staging, reused across polls
 }
 
 // SinkPollInterval is how often the sink drains its port; with a 4096-deep
@@ -265,7 +279,7 @@ func (k *Sink) Start(at units.Time) { k.sched.WakeAt(k.task, at) }
 
 // Step implements sim.Actor.
 func (k *Sink) Step(now units.Time) (units.Time, bool) {
-	var burst [256]*pkt.Buf
+	burst := &k.scratch
 	for {
 		n := k.Port.RxBurst(now, burst[:])
 		if n == 0 {
