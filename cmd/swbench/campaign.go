@@ -58,7 +58,6 @@ func campaignCmd(args []string) error {
 	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
 	quick := fs.Bool("quick", false, "short simulation windows")
 	workers := fs.Int("workers", 0, "worker pool size (0 = all cores, 1 = serial)")
-	simWorkers := fs.Int("sim-workers", 0, "goroutines per simulation (conservative parallel DES; 0/1 = sequential)")
 	timeout := fs.Duration("timeout", 0, "per-cell wall-clock timeout (0 = unlimited)")
 	cacheDir := fs.String("cache-dir", "", "content-addressed result cache directory")
 	cacheURL := fs.String("cache", "", "shared cache server URL (fleet-wide result dedup)")
@@ -81,7 +80,7 @@ func campaignCmd(args []string) error {
 		}
 	}()
 
-	o := suiteOpts(*quick, *simWorkers)
+	o := suiteOpts(*quick)
 	c, err := swbench.BuiltinCampaign(name, o)
 	if err != nil {
 		return err

@@ -25,7 +25,7 @@ import (
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: swbench <list|run|rplus|figure|table|all> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: swbench <list|run|topo|rplus|ndr|windows|figure|table|all|campaign|worker|serve-cache|cache|bench> [flags]")
 	fmt.Fprintln(os.Stderr, "  swbench list")
 	fmt.Fprintln(os.Stderr, "  swbench run -switch vpp -scenario p2p|p2v|v2v|loopback [-size N] [-bidir] [-chain N] [-rate-gbps G] [-latency]")
 	fmt.Fprintln(os.Stderr, "              [-cores N -dispatch rss|rtc [-rss-policy roundrobin|flowhash]]  # multi-core data plane")
@@ -125,7 +125,6 @@ func runCmd(args []string) error {
 	fs.IntVar(&cfg.Flows, "flows", 1, "number of synthetic flows")
 	fs.Float64Var(&cfg.ZipfSkew, "zipf", 0, "Zipf flow-popularity skew (0 = round-robin flows)")
 	fs.Float64Var(&cfg.RuleUpdateRate, "rule-update-rate", 0, "mid-run rule installs+revokes per simulated second (0 = off)")
-	fs.IntVar(&cfg.SimWorkers, "sim-workers", 0, "goroutines per simulation (conservative parallel DES; 0/1 = sequential)")
 	fs.BoolVar(&cfg.Containers, "containers", false, "host VNFs in containers instead of VMs")
 	fs.StringVar(&cfg.CapturePath, "pcap", "", "dump delivered frames to this pcap file")
 	fs.BoolVar(&cfg.IMIX, "imix", false, "classic IMIX frame-size mix instead of -size")
@@ -188,12 +187,11 @@ func rplusCmd(args []string) error {
 	return nil
 }
 
-func suiteFlags(fs *flag.FlagSet) (*bool, *bool, *int, *int, *profiler) {
+func suiteFlags(fs *flag.FlagSet) (*bool, *bool, *int, *profiler) {
 	quick := fs.Bool("quick", false, "short simulation windows")
 	compare := fs.Bool("compare", false, "show the paper's values alongside")
 	workers := fs.Int("workers", 0, "worker pool size (0 = all cores, 1 = serial)")
-	simWorkers := fs.Int("sim-workers", 0, "goroutines per simulation (conservative parallel DES; 0/1 = sequential)")
-	return quick, compare, workers, simWorkers, addProfileFlags(fs)
+	return quick, compare, workers, addProfileFlags(fs)
 }
 
 // fabricFlags adds the fleet flags shared by the figure/table/all verbs.
@@ -215,18 +213,12 @@ func profiled(p *profiler, fn func() error) error {
 	return err
 }
 
-func opts(quick bool) swbench.RunOpts {
+// suiteOpts maps the shared -quick flag to its simulation windows.
+func suiteOpts(quick bool) swbench.RunOpts {
 	if quick {
 		return swbench.Quick
 	}
 	return swbench.Full
-}
-
-// suiteOpts merges the shared suite flags into RunOpts.
-func suiteOpts(quick bool, simWorkers int) swbench.RunOpts {
-	o := opts(quick)
-	o.SimWorkers = simWorkers
-	return o
 }
 
 func figureCmd(args []string) error {
@@ -235,7 +227,7 @@ func figureCmd(args []string) error {
 	}
 	id := args[0]
 	fs := flag.NewFlagSet("figure", flag.ExitOnError)
-	quick, compare, workers, simWorkers, prof := suiteFlags(fs)
+	quick, compare, workers, prof := suiteFlags(fs)
 	fabricAddr, cacheURL := fabricFlags(fs)
 	csvPath := fs.String("csv", "", "also write the figure data as CSV to this path")
 	if err := fs.Parse(args[1:]); err != nil {
@@ -248,9 +240,9 @@ func figureCmd(args []string) error {
 	defer closeRunner()
 	return profiled(prof, func() error {
 		if *csvPath != "" {
-			return figureCSV(r, id, suiteOpts(*quick, *simWorkers), *csvPath)
+			return figureCSV(r, id, suiteOpts(*quick), *csvPath)
 		}
-		return renderFigure(r, id, suiteOpts(*quick, *simWorkers), *compare)
+		return renderFigure(r, id, suiteOpts(*quick), *compare)
 	})
 }
 
@@ -385,7 +377,7 @@ func tableCmd(args []string) error {
 	}
 	id := args[0]
 	fs := flag.NewFlagSet("table", flag.ExitOnError)
-	quick, compare, workers, simWorkers, prof := suiteFlags(fs)
+	quick, compare, workers, prof := suiteFlags(fs)
 	fabricAddr, cacheURL := fabricFlags(fs)
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
@@ -396,7 +388,7 @@ func tableCmd(args []string) error {
 	}
 	defer closeRunner()
 	return profiled(prof, func() error {
-		return renderTable(r, id, suiteOpts(*quick, *simWorkers), *compare)
+		return renderTable(r, id, suiteOpts(*quick), *compare)
 	})
 }
 
@@ -428,7 +420,7 @@ func renderTable(r swbench.Runner, id string, o swbench.RunOpts, compare bool) e
 
 func allCmd(args []string) error {
 	fs := flag.NewFlagSet("all", flag.ExitOnError)
-	quick, compare, workers, simWorkers, prof := suiteFlags(fs)
+	quick, compare, workers, prof := suiteFlags(fs)
 	fabricAddr, cacheURL := fabricFlags(fs)
 	cacheDir := fs.String("cache-dir", "", "content-addressed result cache directory")
 	progress := fs.Bool("progress", false, "stream per-cell progress to stderr")
@@ -440,7 +432,7 @@ func allCmd(args []string) error {
 		return err
 	}
 	defer closeRunner()
-	o := suiteOpts(*quick, *simWorkers)
+	o := suiteOpts(*quick)
 	return profiled(prof, func() error {
 		for _, id := range []string{"1", "2"} {
 			if err := renderTable(r, id, o, *compare); err != nil {

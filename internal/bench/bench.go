@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -38,27 +37,13 @@ type Cell struct {
 // paper measures for every switch), the two multi-core dispatch paths
 // (4-core RSS and the 4-core RTC pipeline), which stress the fleet
 // fan-out, demux, and handoff-ring machinery, and the long-service-chain
-// cell (bidirectional 8-VNF loopback — the worst sequential case). The
-// "-swN" variants rerun a base cell on the conservative-parallel engine
-// with N simulation workers; their simulation observables must be
-// bit-identical to the base cell, and the interesting number is the
-// wall-clock speedup (recorded by Run as SpeedupVsSequential).
+// cell (bidirectional 8-VNF loopback).
 func Cells(o core.RunOpts) []Cell {
 	mk := func(name string, cfg core.Config) Cell {
 		return Cell{Name: name, Cfg: o.Apply(cfg)}
 	}
-	parallel := func(base Cell, workers int) Cell {
-		cfg := base.Cfg
-		cfg.SimWorkers = workers
-		return Cell{Name: fmt.Sprintf("%s-sw%d", base.Name, workers), Cfg: cfg}
-	}
-	p2p := mk("p2p-64B", core.Config{Switch: "vpp", Scenario: core.P2P, FrameLen: 64})
-	rtc := mk("rtc-chain-4core", core.Config{Switch: "vpp", Scenario: core.Loopback, Chain: 2,
-		FrameLen: 64, Flows: 64, SUTCores: 4, Dispatch: core.DispatchRTC})
-	chain8 := mk("chain-8-64B", core.Config{Switch: "vpp", Scenario: core.Loopback, Chain: 8,
-		FrameLen: 64, Bidir: true})
 	return []Cell{
-		p2p,
+		mk("p2p-64B", core.Config{Switch: "vpp", Scenario: core.P2P, FrameLen: 64}),
 		// Per-switch p2p stress cells (p2p-64B is the VPP member of the
 		// set): these are switch-bound — host time goes to the dataplane
 		// model, not the guest path — so they isolate switch-layer
@@ -79,11 +64,10 @@ func Cells(o core.RunOpts) []Cell {
 		mk("p2p-64B-4core", core.Config{Switch: "vpp", Scenario: core.P2P, FrameLen: 64,
 			Bidir: true, Flows: 64, SUTCores: 4,
 			Dispatch: core.DispatchRSS, RSSPolicy: core.RSSFlowHash}),
-		rtc,
-		chain8,
-		parallel(p2p, 3),
-		parallel(rtc, 3),
-		parallel(chain8, 3),
+		mk("rtc-chain-4core", core.Config{Switch: "vpp", Scenario: core.Loopback, Chain: 2,
+			FrameLen: 64, Flows: 64, SUTCores: 4, Dispatch: core.DispatchRTC}),
+		mk("chain-8-64B", core.Config{Switch: "vpp", Scenario: core.Loopback, Chain: 8,
+			FrameLen: 64, Bidir: true}),
 	}
 }
 
@@ -98,20 +82,10 @@ type CellResult struct {
 	Gbps       float64 `json:"gbps"`
 	Drops      int64   `json:"drops"`
 
-	// Engine shape: requested simulation workers and the partition
-	// count the run actually used (1 = sequential engine; a request can
-	// fall back when the topology has no positive-lookahead cut).
-	SimWorkers    int `json:"sim_workers"`
-	SimPartitions int `json:"sim_partitions"`
-
 	// Host-side timing (best of Repeats runs).
 	WallSeconds  float64 `json:"wall_seconds"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	SimPktPerSec float64 `json:"sim_pkt_per_sec"`
-
-	// SpeedupVsSequential is baseWall / thisWall for "-swN" variant
-	// cells whose sequential base ran in the same report (0 otherwise).
-	SpeedupVsSequential float64 `json:"speedup_vs_sequential,omitempty"`
 
 	// HostSpeedupVsPrev is referenceWall / thisWall when the run also
 	// measured the previous hot-path behaviour — the per-frame reference
@@ -195,41 +169,7 @@ func Run(opts Options) (*Report, error) {
 	if len(opts.Cells) > 0 && selected != len(opts.Cells) {
 		return nil, fmt.Errorf("bench: cell filter %v matched %d of %d names", opts.Cells, selected, len(opts.Cells))
 	}
-	if err := linkParallelVariants(rep); err != nil {
-		return nil, err
-	}
 	return rep, nil
-}
-
-// linkParallelVariants pairs every "-swN" cell with its sequential base:
-// the simulation observables must be bit-identical (the engines may only
-// differ in wall clock) and the speedup is recorded on the variant.
-func linkParallelVariants(rep *Report) error {
-	base := map[string]CellResult{}
-	for _, c := range rep.Cells {
-		base[c.Name] = c
-	}
-	for i := range rep.Cells {
-		c := &rep.Cells[i]
-		cut := strings.LastIndex(c.Name, "-sw")
-		if cut < 0 {
-			continue
-		}
-		b, ok := base[c.Name[:cut]]
-		if !ok {
-			continue // filtered run without the base cell
-		}
-		if c.SimPackets != b.SimPackets || c.Steps != b.Steps || c.Gbps != b.Gbps || c.Drops != b.Drops {
-			return fmt.Errorf("%w: cell %s (sequential %d pkts / %d steps / %.3f Gbps / %d drops, parallel %d / %d / %.3f / %d)",
-				ErrOutputsDiverged, c.Name,
-				b.SimPackets, b.Steps, b.Gbps, b.Drops,
-				c.SimPackets, c.Steps, c.Gbps, c.Drops)
-		}
-		if c.WallSeconds > 0 {
-			c.SpeedupVsSequential = b.WallSeconds / c.WallSeconds
-		}
-	}
-	return nil
 }
 
 func runCell(cell Cell, repeats int, memoBaseline bool) (CellResult, error) {
@@ -250,11 +190,6 @@ func runCell(cell Cell, repeats int, memoBaseline bool) (CellResult, error) {
 			cr.Steps = res.Steps
 			cr.Gbps = res.Gbps
 			cr.Drops = res.Drops
-			cr.SimWorkers = cell.Cfg.SimWorkers
-			cr.SimPartitions = res.SimPartitions
-			if cr.SimPartitions == 0 {
-				cr.SimPartitions = 1 // sequential engine
-			}
 			cr.WallSeconds = wall.Seconds()
 		} else {
 			// Determinism cross-check between repeats of one build.

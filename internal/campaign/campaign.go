@@ -264,23 +264,6 @@ func (o *Orchestrator) Run(c Campaign) (*Report, error) {
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	workers := o.opts.Workers
-	// Oversubscription guard: cells running the conservative-parallel
-	// engine each occupy up to SimWorkers goroutines, so the campaign
-	// pool is clamped to keep workers × sim-workers within GOMAXPROCS —
-	// oversubscribing makes the lookahead loops spin against each other
-	// and is strictly slower. Results are unaffected (spec-order output
-	// is pool-size independent by construction).
-	maxSim := 1
-	for i := range c.Specs {
-		if sw := c.Specs[i].Cfg.SimWorkers; sw > maxSim {
-			maxSim = sw
-		}
-	}
-	if maxSim > 1 && workers*maxSim > runtime.GOMAXPROCS(0) {
-		if workers = runtime.GOMAXPROCS(0) / maxSim; workers < 1 {
-			workers = 1
-		}
-	}
 	if workers > len(c.Specs) && len(c.Specs) > 0 {
 		workers = len(c.Specs)
 	}

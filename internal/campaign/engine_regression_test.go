@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/switches/switchdef"
 	"repro/internal/units"
 )
 
@@ -98,15 +99,23 @@ func TestEngineOutputMatchesSeedPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig4a grid is too slow for -short")
 	}
-	resultsHash, keysHash := fig4aDigests(t)
-	if os.Getenv("SWBENCH_PRINT_DIGESTS") != "" {
-		t.Logf("fig4a results digest: %s", resultsHash)
-		t.Logf("fig4a cache-key digest: %s", keysHash)
-	}
-	if resultsHash != goldenFig4aResultsHash {
-		t.Errorf("fig4a results digest = %s, want %s (engine output diverged from the seed path)", resultsHash, goldenFig4aResultsHash)
-	}
-	if keysHash != goldenFig4aKeysHash {
-		t.Errorf("fig4a cache-key digest = %s, want %s (campaign cache addressing changed)", keysHash, goldenFig4aKeysHash)
+	// Classification memoization on, then force-disabled (the per-frame
+	// reference path): the digests must not see the difference.
+	for _, memo := range []string{"on", "off"} {
+		t.Run("memo="+memo, func(t *testing.T) {
+			prev := switchdef.SetMemoDisabled(memo == "off")
+			defer switchdef.SetMemoDisabled(prev)
+			resultsHash, keysHash := fig4aDigests(t)
+			if os.Getenv("SWBENCH_PRINT_DIGESTS") != "" {
+				t.Logf("fig4a results digest: %s", resultsHash)
+				t.Logf("fig4a cache-key digest: %s", keysHash)
+			}
+			if resultsHash != goldenFig4aResultsHash {
+				t.Errorf("fig4a results digest = %s, want %s (engine output diverged from the seed path)", resultsHash, goldenFig4aResultsHash)
+			}
+			if keysHash != goldenFig4aKeysHash {
+				t.Errorf("fig4a cache-key digest = %s, want %s (campaign cache addressing changed)", keysHash, goldenFig4aKeysHash)
+			}
+		})
 	}
 }

@@ -15,8 +15,6 @@ import (
 // the SUT (and everything it drives) on NUMA node 0, MoonGen TX/RX on
 // node 1 behind the physical wires.
 func (tb *testbed) wire() error {
-	// build() already compiled and stored the graph (it needs it for
-	// partition discovery before any endpoint is registered).
 	return topo.Compile(tb.graph, newAssembler(tb))
 }
 
@@ -99,13 +97,13 @@ func (a *assembler) Monitor(name string, at int) error {
 
 // Controller implements topo.Assembler: the control-plane actor programs
 // the switch facade directly (multi-core runs broadcast through the
-// fleet), stepping on the SUT partition's scheduler. With no update rate
-// configured it stays idle — a declared controller with nothing to do.
+// fleet). With no update rate configured it stays idle — a declared
+// controller with nothing to do.
 func (a *assembler) Controller(name string) error {
 	if a.tb.cfg.RuleUpdateRate <= 0 {
 		return nil
 	}
-	c := newRuleController(a.tb.schedOf(a.tb.partOf(name)), name, a.tb.sw, a.tb.cfg.RuleUpdateRate)
+	c := newRuleController(a.tb.sched, name, a.tb.sw, a.tb.cfg.RuleUpdateRate)
 	c.Start(0)
 	a.tb.controller = c
 	return nil

@@ -138,17 +138,6 @@ type Config struct {
 	// CapturePath, when set, dumps every frame delivered to the first
 	// measurement endpoint into a pcap file (tcpdump/Wireshark-readable).
 	CapturePath string
-
-	// SimWorkers runs the simulation itself on up to this many goroutines
-	// using conservative parallel DES: the actor graph is partitioned at
-	// wire boundaries (internal/topo.Partition) and each partition
-	// advances within its lookahead window (internal/sim
-	// PartitionedScheduler). 0 or 1 selects the sequential engine.
-	// Outputs are bit-identical either way, so the field is excluded
-	// from JSON: golden Result digests and campaign cache keys must not
-	// depend on which engine produced them (a cached sequential result
-	// is equally valid for a parallel request).
-	SimWorkers int `json:"-"`
 }
 
 // Dispatch modes and RSS policies (see internal/multicore).
@@ -244,9 +233,6 @@ func (cfg Config) Validate() error {
 		if c.Scenario == Custom && c.Topology != nil && !c.Topology.HasController() {
 			errs = append(errs, errors.New("core: RuleUpdateRate needs a controller node in the custom topology"))
 		}
-	}
-	if c.SimWorkers < 0 {
-		errs = append(errs, fmt.Errorf("core: SimWorkers must be non-negative (got %d)", c.SimWorkers))
 	}
 	switch c.Dispatch {
 	case "":
@@ -392,14 +378,11 @@ type Result struct {
 	// during the window — OvS's first cache tier overflowing under flow
 	// diversity. Zero for switches without an EMC.
 	EMCEvictions int64 `json:",omitempty"`
-	// Steps is the scheduler step count (determinism fingerprint). It is
-	// engine-independent: the partitioned engine dispatches the same
-	// events and sums per-partition counts.
+	// Steps is the scheduler step count (determinism fingerprint).
 	Steps uint64
-	// SimPartitions is how many partitions the parallel engine ran on;
-	// 0 means the sequential engine (also what a JSON round trip yields:
-	// the field is diagnostics only, excluded from JSON for the same
-	// reason Config.SimWorkers is — digests must not see the engine).
+	// SimPartitions is never set and always 0: the partitioned engine that
+	// filled it is gone. The field stays only because benchmark/pass_test.go
+	// names it; it goes with that line.
 	SimPartitions int `json:"-"`
 }
 

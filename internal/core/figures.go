@@ -20,9 +20,6 @@ var FrameSizes = []int{64, 256, 1024}
 type RunOpts struct {
 	Duration, Warmup units.Time
 	Seed             uint64
-	// SimWorkers forwards Config.SimWorkers to every measurement (the
-	// conservative-parallel engine; 0 keeps the sequential default).
-	SimWorkers int
 }
 
 // Quick is a fast profile for tests and demos.
@@ -40,9 +37,6 @@ func (o RunOpts) apply(cfg Config) Config {
 	}
 	if o.Seed != 0 {
 		cfg.Seed = o.Seed
-	}
-	if o.SimWorkers != 0 {
-		cfg.SimWorkers = o.SimWorkers
 	}
 	return cfg
 }

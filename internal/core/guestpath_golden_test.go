@@ -1,15 +1,8 @@
 package core
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"testing"
+import "repro/internal/units"
 
-	"repro/internal/units"
-)
-
-// TestGuestPathGoldenDigests pins full Result JSON digests for the
+// guestPathGoldens pins full Result JSON digests for the
 // virtio/vhost data-plane scenarios (p2v, v2v, loopback) across the
 // switches that exercise every guest-side actor: the vhost burst
 // crossings, the guest generator and l2fwd VNF, the ptnet path, and the
@@ -17,11 +10,9 @@ import (
 // the fig4a campaign golden: any change to the fast path that shifts a
 // charged cycle, a timestamp, or a drop shows up here as a digest
 // mismatch. Re-pin only with an argued equivalence (see DESIGN.md §3.3).
-func TestGuestPathGoldenDigests(t *testing.T) {
-	cases := []struct {
-		cfg    Config
-		digest string
-	}{
+// TestPinnedGoldens runs the table.
+func guestPathGoldens() []goldenCell {
+	return []goldenCell{
 		{Config{Switch: "vpp", Scenario: P2V, FrameLen: 64}, "ea7585bb3974810c0ae06cc1ff2b27f8"},
 		{Config{Switch: "snabb", Scenario: P2V, FrameLen: 1024, Bidir: true}, "bae4f3dea8501b04da08c71ff660852a"},
 		{Config{Switch: "vpp", Scenario: V2V, FrameLen: 64}, "ed5442a6088be0e4cb4809d01ad69672"},
@@ -30,23 +21,5 @@ func TestGuestPathGoldenDigests(t *testing.T) {
 		{Config{Switch: "vpp", Scenario: Loopback, Chain: 4, FrameLen: 64}, "e7979e2b67320861df5ae5c5c5e14aaa"},
 		{Config{Switch: "vale", Scenario: Loopback, Chain: 2, FrameLen: 64}, "d4e10b4b84738c3f85352573647de49f"},
 		{Config{Switch: "vpp", Scenario: V2V, FrameLen: 64, LatencyTopology: true, Rate: units.Gbps, ProbeEvery: 20 * units.Microsecond}, "57050451eebd1ea9d1980e92fbe01124"},
-	}
-	for _, tc := range cases {
-		cfg := tc.cfg
-		cfg.Duration = 2 * units.Millisecond
-		cfg.Warmup = units.Millisecond
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%+v: %v", tc.cfg, err)
-		}
-		blob, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := sha256.Sum256(blob)
-		if got := hex.EncodeToString(h[:16]); got != tc.digest {
-			t.Errorf("%s/%v: guest-path digest %s, want %s (guest data plane diverged)",
-				tc.cfg.Switch, tc.cfg.Scenario, got, tc.digest)
-		}
 	}
 }

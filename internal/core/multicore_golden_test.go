@@ -19,18 +19,16 @@ func resultDigest(t *testing.T, res Result) string {
 	return hex.EncodeToString(h[:16])
 }
 
-// TestMultiCoreGoldenDigests pins full Result JSON digests for the
+// multiCoreGoldens pins full Result JSON digests for the
 // multi-core dispatch paths: RSS under both steering policies and the
 // RTC pipeline, with the NUMA boundary crossed by the 16-core case.
-// These are the multi-core counterpart of TestGuestPathGoldenDigests:
+// These are the multi-core counterpart of guestPathGoldens:
 // any change to the fleet fan-out, the demux/handoff rings, the steer
 // and remote taxes, or per-core accounting shows up here as a digest
 // mismatch. Re-pin only with an argued equivalence (see DESIGN.md §3.3).
-func TestMultiCoreGoldenDigests(t *testing.T) {
-	cases := []struct {
-		cfg    Config
-		digest string
-	}{
+// TestPinnedGoldens runs the table.
+func multiCoreGoldens() []goldenCell {
+	return []goldenCell{
 		{Config{Switch: "vpp", Scenario: P2P, FrameLen: 64, Bidir: true, SUTCores: 2}, "9606ad8900076a88214c1d88e8d84f19"},
 		{Config{Switch: "ovs", Scenario: P2P, FrameLen: 64, Bidir: true, Flows: 64,
 			SUTCores: 4, Dispatch: DispatchRSS, RSSPolicy: RSSFlowHash}, "145925ef8cc95e458a37e745dccb2988"},
@@ -40,23 +38,6 @@ func TestMultiCoreGoldenDigests(t *testing.T) {
 			SUTCores: 4, Dispatch: DispatchRSS, RSSPolicy: RSSFlowHash}, "f42c686be10634810d28ba1ec2323a6a"},
 		{Config{Switch: "ovs", Scenario: P2P, FrameLen: 1500, Bidir: true, Flows: 64,
 			SUTCores: 16, Dispatch: DispatchRSS, RSSPolicy: RSSFlowHash}, "a49f950d4b8b45419e9c9f57677571e9"},
-	}
-	for _, tc := range cases {
-		cfg := tc.cfg
-		cfg.Duration = 2 * units.Millisecond
-		cfg.Warmup = units.Millisecond
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%+v: %v", tc.cfg, err)
-		}
-		if got := resultDigest(t, res); got != tc.digest {
-			t.Errorf("%s/%s/%d-core: digest %s, want %s (multi-core data plane diverged)",
-				tc.cfg.Switch, cfg.Dispatch, cfg.SUTCores, got, tc.digest)
-		}
-		if res.EffectiveCores == 0 || len(res.Cores) != res.EffectiveCores {
-			t.Errorf("%s: EffectiveCores=%d with %d per-core records",
-				tc.cfg.Switch, res.EffectiveCores, len(res.Cores))
-		}
 	}
 }
 

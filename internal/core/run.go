@@ -30,7 +30,7 @@ func Run(cfg Config) (Result, error) {
 
 	// Warmup: caches fill, MAC tables learn, JIT traces compile, queues
 	// reach steady state.
-	tb.run(cfg.Warmup)
+	tb.sched.RunUntil(cfg.Warmup)
 
 	// Snapshot counters and reset latency histograms at window start.
 	snaps := make([]stats.Counter, len(tb.dirRx))
@@ -65,14 +65,14 @@ func Run(cfg Config) (Result, error) {
 		evict0 = ec.EMCEvictionCount()
 	}
 
-	tb.run(cfg.Warmup + cfg.Duration)
+	tb.sched.RunUntil(cfg.Warmup + cfg.Duration)
 
 	if tb.controller != nil && tb.controller.Err != nil {
 		return Result{}, tb.controller.Err
 	}
 
 	// Collect.
-	res := Result{Config: cfg, Display: tb.info.Display, Steps: tb.steps(), SimPartitions: tb.partitions()}
+	res := Result{Config: cfg, Display: tb.info.Display, Steps: tb.sched.Steps()}
 	for i, fn := range tb.dirRx {
 		d := fn().Sub(snaps[i])
 		dir := DirResult{

@@ -59,17 +59,9 @@ func orOne(v ...float64) float64 {
 type testbed struct {
 	cfg   Config
 	info  switchdef.Info
-	sched *sim.Scheduler // partition 0 (SUT side); == scheds[0]
+	sched *sim.Scheduler
 	rng   *sim.RNG
 	model *cost.Model
-
-	// Conservative-parallel engine state (SimWorkers > 1 with a usable
-	// wire cut): one scheduler per partition plus the coordinating
-	// runner. par == nil means sequential — every helper below
-	// degenerates to tb.sched and the single shared pools.
-	scheds []*sim.Scheduler
-	cut    *topo.Cut
-	par    *sim.PartitionedScheduler
 
 	sw        switchdef.Switch
 	fleet     *multicore.Fleet // non-nil when SUTCores > 1 (then sw == fleet)
@@ -79,22 +71,13 @@ type testbed struct {
 	portCount int
 
 	hostPool *pkt.Pool
-	// genPools holds one generator pool per partition: generators on
-	// different partitions allocate concurrently, so they cannot share a
-	// free list. Sequential runs use a single entry (partition 0),
-	// preserving the old one-pool-for-all-generators behaviour. Which Go
-	// allocation backs a frame's bytes is not simulation state, so the
-	// split cannot move any output.
-	genPools map[int]*pkt.Pool
+	genPool  *pkt.Pool // shared by every NIC generator
 	// pools tracks every packet pool the testbed created so Run can
 	// release their free lists once the measurement is collected: a
 	// saturating cell's pools grow to the high-water mark of in-flight
 	// frames, and a campaign holds many cells' worth of testbeds between
 	// GC cycles.
 	pools []*pkt.Pool
-	// poolParts records which partition owns each pool (missing = 0);
-	// the owner runs its Reclaim hook at every dispatch window.
-	poolParts map[*pkt.Pool]int
 
 	gens     []*tgen.Generator
 	sinks    []*tgen.Sink
@@ -124,70 +107,10 @@ func (tb *testbed) newPool(bufSize int) *pkt.Pool {
 
 // releasePools drops every pool's free list so the GC can reclaim the
 // cell's buffer high-water mark as soon as the measurement is done.
-// Single-threaded by the time it runs (all partition workers joined);
-// Trim reclaims remotely freed buffers first.
 func (tb *testbed) releasePools() {
 	for _, p := range tb.pools {
 		p.Trim(0)
 	}
-}
-
-// partOf returns the partition holding the named topology node.
-func (tb *testbed) partOf(name string) int {
-	if tb.cut == nil {
-		return 0
-	}
-	return tb.cut.Of[name]
-}
-
-// schedOf returns the scheduler driving the given partition.
-func (tb *testbed) schedOf(part int) *sim.Scheduler {
-	if tb.par == nil {
-		return tb.sched
-	}
-	return tb.scheds[part]
-}
-
-// genPoolOf returns (creating on first use) the generator pool owned by
-// the given partition.
-func (tb *testbed) genPoolOf(part int) *pkt.Pool {
-	if p, ok := tb.genPools[part]; ok {
-		return p
-	}
-	p := tb.newPool(bufSize)
-	tb.genPools[part] = p
-	if part != 0 {
-		tb.poolParts[p] = part
-	}
-	return p
-}
-
-// run advances the whole simulation to time to on whichever engine the
-// testbed was built for.
-func (tb *testbed) run(to units.Time) {
-	if tb.par != nil {
-		tb.par.RunUntil(to)
-	} else {
-		tb.sched.RunUntil(to)
-	}
-}
-
-// steps returns the dispatched-step count aggregated across partitions.
-func (tb *testbed) steps() uint64 {
-	if tb.par != nil {
-		return tb.par.Steps()
-	}
-	return tb.sched.Steps()
-}
-
-// partitions returns how many partitions the parallel engine runs on, or
-// 0 for the sequential engine (keeping sequential Results bit-equal to
-// their JSON round trip — the campaign cache relies on that).
-func (tb *testbed) partitions() int {
-	if tb.par != nil {
-		return tb.par.Parts()
-	}
-	return 0
 }
 
 // sutPorts tracks what was attached to the switch, in port-index order.
@@ -213,40 +136,19 @@ func build(cfg Config) (*testbed, error) {
 	}
 
 	tb := &testbed{
-		cfg:       cfg,
-		info:      info,
-		rng:       sim.NewRNG(cfg.Seed),
-		model:     cost.Default(),
-		genPools:  make(map[int]*pkt.Pool),
-		poolParts: make(map[*pkt.Pool]int),
+		cfg:   cfg,
+		info:  info,
+		sched: sim.NewScheduler(),
+		rng:   sim.NewRNG(cfg.Seed),
+		model: cost.Default(),
 	}
-
-	// Partition discovery must precede assembly: endpoints are registered
-	// on their partition's scheduler as they are wired. Interrupt-mode
-	// switches (VALE) are excluded — a cut wire cannot deliver the IRQ
-	// side effects arrive() charges at send time — and graphs without a
-	// phys wire (v2v) have no positive-lookahead edge; both fall back to
-	// the sequential engine.
-	g, err := cfg.Graph()
+	tb.graph, err = cfg.Graph()
 	if err != nil {
 		return nil, err
 	}
-	tb.graph = g
-	parts := 1
-	if cfg.SimWorkers > 1 && info.IOMode == switchdef.PollMode {
-		tb.cut = topo.Partition(g, cfg.SimWorkers)
-		parts = tb.cut.Parts
-	}
-	tb.scheds = make([]*sim.Scheduler, parts)
-	for i := range tb.scheds {
-		tb.scheds[i] = sim.NewScheduler()
-	}
-	tb.sched = tb.scheds[0]
-	if parts > 1 {
-		tb.par = sim.NewPartitioned(tb.scheds)
-	}
 
 	tb.hostPool = tb.newPool(bufSize)
+	tb.genPool = tb.newPool(bufSize)
 
 	if cfg.SUTCores > 1 {
 		if info.IOMode == switchdef.InterruptMode {
@@ -295,17 +197,6 @@ func build(cfg Config) (*testbed, error) {
 
 	if err := tb.wire(); err != nil {
 		return nil, err
-	}
-
-	if tb.par != nil {
-		// Buffers routinely cross the cut (frames travel, sinks free on
-		// the far side), so every pool takes the shared-free path; each
-		// owner reclaims its remote returns at its window edges.
-		for _, p := range tb.pools {
-			p.MarkShared()
-			part := tb.poolParts[p]
-			tb.par.OnWindow(part, p.Reclaim)
-		}
 	}
 
 	if info.IOMode == switchdef.PollMode {
@@ -360,9 +251,6 @@ func (tb *testbed) addPhysPair(name string) (*sutPort, *nic.Port) {
 	if tb.sutIRQ != nil {
 		sutNIC.BindIRQ(tb.sutIRQ)
 	}
-	if part := tb.partOf(name); part != 0 {
-		tb.cutWire(sutNIC, genNIC, part)
-	}
 	tb.dropFns = append(tb.dropFns,
 		func() int64 { return sutNIC.Stats.RxDropsFull + sutNIC.Stats.TxDropsFull },
 		func() int64 { return genNIC.Stats.RxDropsFull + genNIC.Stats.TxDropsFull },
@@ -382,22 +270,6 @@ func (tb *testbed) addPhysPair(name string) (*sutPort, *nic.Port) {
 		nicPort: sutNIC,
 	}
 	return sp, genNIC
-}
-
-// cutWire severs the phys wire between a SUT NIC and its generator-side
-// NIC into two cross-partition handoff queues — both directions, always:
-// the wire is the partition boundary, and cutting only the loaded
-// direction would leave the other partition without an inbound clock
-// bound, letting it race arbitrarily far ahead and flood the queues. Each
-// direction's lookahead (TxLatency + RxLatency) becomes the receiver's
-// window bound; each receiver drains its queue at its window edges.
-func (tb *testbed) cutWire(sutNIC, genNIC *nic.Port, genPart int) {
-	toSUT := nic.CutWire(genNIC, 0)
-	toGen := nic.CutWire(sutNIC, 0)
-	tb.par.Link(genPart, 0, nic.WireLookahead(genNIC))
-	tb.par.Link(0, genPart, nic.WireLookahead(sutNIC))
-	tb.par.OnWindow(0, toSUT.Drain)
-	tb.par.OnWindow(genPart, toGen.Drain)
 }
 
 // addGuestIf creates one guest interface pair (host DevPort + guest NetIf)
@@ -454,15 +326,12 @@ func (tb *testbed) frameSpec(in, out int) pkt.FrameSpec {
 	}
 }
 
-// nicGenerator starts a MoonGen TX thread on a generator NIC port. The
-// actor registers on its topology node's partition (the generator side of
-// its phys pair's wire) and draws frames from that partition's pool.
+// nicGenerator starts a MoonGen TX thread on a generator NIC port.
 func (tb *testbed) nicGenerator(name string, port *nic.Port, spec pkt.FrameSpec, probes bool) *tgen.Generator {
-	part := tb.partOf(name)
 	cfg := tgen.Config{
 		Name:  name,
 		Port:  port,
-		Pool:  tb.genPoolOf(part),
+		Pool:  tb.genPool,
 		Spec:  spec,
 		Rate:  tb.cfg.Rate,
 		Flows: tb.cfg.Flows,
@@ -475,17 +344,16 @@ func (tb *testbed) nicGenerator(name string, port *nic.Port, spec pkt.FrameSpec,
 	if probes && tb.cfg.ProbeEvery > 0 {
 		cfg.ProbeEvery = tb.cfg.ProbeEvery
 	}
-	g := tgen.NewGenerator(tb.schedOf(part), cfg)
+	g := tgen.NewGenerator(tb.sched, cfg)
 	g.Start(0)
 	tb.gens = append(tb.gens, g)
 	return g
 }
 
 // nicSink starts a MoonGen RX / monitor thread on a generator NIC port and
-// registers it as the delivery endpoint of one direction; like the
-// generator, it runs on its node's partition.
+// registers it as the delivery endpoint of one direction.
 func (tb *testbed) nicSink(name string, port *nic.Port) *tgen.Sink {
-	s := tgen.NewSink(tb.schedOf(tb.partOf(name)), name, port)
+	s := tgen.NewSink(tb.sched, name, port)
 	s.Start(0)
 	tb.sinks = append(tb.sinks, s)
 	tb.dirRx = append(tb.dirRx, func() stats.Counter { return s.Rx })

@@ -33,7 +33,7 @@ func RunWindows(cfg Config, n int) ([]WindowPoint, Result, error) {
 
 	// Unlike Run, no warmup is skipped by default here unless requested:
 	// the transient is the point. Honour cfg.Warmup as a lead-in.
-	tb.run(cfg.Warmup)
+	tb.sched.RunUntil(cfg.Warmup)
 
 	window := cfg.Duration / units.Time(n)
 	points := make([]WindowPoint, 0, n)
@@ -49,7 +49,7 @@ func RunWindows(cfg Config, n int) ([]WindowPoint, Result, error) {
 	prev := startSnap
 	for w := 0; w < n; w++ {
 		end := cfg.Warmup + units.Time(w+1)*window
-		tb.run(end)
+		tb.sched.RunUntil(end)
 		cur := snap()
 		var pkts, bytes int64
 		for i := range cur {
@@ -66,7 +66,7 @@ func RunWindows(cfg Config, n int) ([]WindowPoint, Result, error) {
 	}
 
 	// Aggregate result over the full measured span.
-	res := Result{Config: cfg, Display: tb.info.Display, Steps: tb.steps(), SimPartitions: tb.partitions()}
+	res := Result{Config: cfg, Display: tb.info.Display, Steps: tb.sched.Steps()}
 	final := snap()
 	for i := range final {
 		d := final[i].Sub(startSnap[i])

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -203,20 +200,15 @@ func TestLoopbackWiringMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestScenarioResultsMatchLegacyEngine pins full Result JSON digests for
+// legacyEngineGoldens pins full Result JSON digests for
 // a grid covering every scenario variant (uni/bidir, reversed, latency
 // topology, containers, ptnet chains, multi-core). The goldens were
 // captured on the legacy wire*-function engine immediately before the
 // graph-compiler refactor: matching them proves the compiler is
 // behavior-preserving bit-for-bit, not just structurally.
-func TestScenarioResultsMatchLegacyEngine(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full grid is slow for -short")
-	}
-	cases := []struct {
-		cfg    Config
-		digest string
-	}{
+// TestPinnedGoldens runs the table (skipped under -short).
+func legacyEngineGoldens() []goldenCell {
+	return []goldenCell{
 		{Config{Switch: "vpp", Scenario: P2P}, "fc71da34ccde934cd9be7b23096ad4f5"},
 		{Config{Switch: "vpp", Scenario: P2P, Bidir: true, ProbeEvery: 40 * units.Microsecond}, "6ce9d14f855c6120b4b13863d62080e3"},
 		{Config{Switch: "bess", Scenario: P2V}, "a04e1922b3b62dea8921add2caab4012"},
@@ -233,23 +225,5 @@ func TestScenarioResultsMatchLegacyEngine(t *testing.T) {
 		// Re-pinned when multi-core dispatch moved from shared-state port
 		// sharding to per-core switch instances (internal/multicore).
 		{Config{Switch: "vpp", Scenario: P2P, SUTCores: 2, Bidir: true}, "9606ad8900076a88214c1d88e8d84f19"},
-	}
-	for _, tc := range cases {
-		cfg := tc.cfg
-		cfg.Duration = 2 * units.Millisecond
-		cfg.Warmup = units.Millisecond
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%+v: %v", tc.cfg, err)
-		}
-		blob, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := sha256.Sum256(blob)
-		if got := hex.EncodeToString(h[:16]); got != tc.digest {
-			t.Errorf("%s/%v: result digest %s, want %s (compiled wiring diverged from legacy)",
-				tc.cfg.Switch, tc.cfg.Scenario, got, tc.digest)
-		}
 	}
 }

@@ -67,10 +67,6 @@ const compactAt = 256
 type Port struct {
 	cfg  Config
 	peer *Port
-	// out, when non-nil, replaces direct peer delivery with a
-	// cross-partition handoff queue (see CutWire): the wire has been cut
-	// by the partitioned engine and the peer lives on another goroutine.
-	out *Handoff
 
 	// TX pacing state: txDone is a ring of TxRing wire-completion times,
 	// the txLen queued frames starting at txHead (FIFO); busyUntil is when
@@ -240,11 +236,7 @@ func (p *Port) SendAt(at units.Time, b *pkt.Buf) bool {
 		// The NIC stamps the probe as the frame hits the wire.
 		b.TxStamp = done
 	}
-	if p.out != nil {
-		p.out.push(done, b)
-	} else {
-		p.peer.arrive(done, b)
-	}
+	p.peer.arrive(done, b)
 	return true
 }
 

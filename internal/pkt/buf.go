@@ -57,9 +57,6 @@ type Buf struct {
 
 	pool   *Pool
 	inPool bool
-	// nextFree links buffers on a shared pool's remote free stack
-	// (see Pool.MarkShared); nil whenever the buffer is checked out.
-	nextFree *Buf
 }
 
 // Bytes returns the frame contents for reading and writing, attaching
@@ -178,9 +175,9 @@ type Template struct {
 	id   uint64
 }
 
-// templateIDs hands out process-unique template identities. Atomic so
-// templates may be built from any partition goroutine; the counter's order
-// is irrelevant — only uniqueness matters.
+// templateIDs hands out process-unique template identities. Atomic because
+// campaign workers build templates for different cells concurrently; the
+// counter's order is irrelevant — only uniqueness matters.
 var templateIDs atomic.Uint64
 
 // NewTemplate wraps data (which the caller must never mutate afterwards)
@@ -231,15 +228,6 @@ type Pool struct {
 
 	slabData []byte // unclaimed backing storage
 	slabBufs []Buf  // unclaimed headers
-
-	// shared marks a pool whose buffers may be freed from goroutines
-	// other than the owner's (partitioned runs: a generator-side sink
-	// frees frames the SUT partition's pool allocated, and vice versa).
-	// Frees then route through remote — a lock-free Treiber stack —
-	// which only the owning partition empties (Reclaim). Sequential
-	// pools never set it and pay nothing.
-	shared bool
-	remote atomic.Pointer[Buf]
 }
 
 // slabCount is how many buffers each slab allocation provides. Data slabs
@@ -262,9 +250,6 @@ func NewPool(bufSize int) *Pool {
 func (p *Pool) Get(frameLen int) *Buf {
 	if frameLen > p.bufSize {
 		panic(fmt.Sprintf("pkt: frame %dB exceeds pool buffer size %dB", frameLen, p.bufSize))
-	}
-	if len(p.free) == 0 {
-		p.Reclaim() // cheaper than growing if remote frees are waiting
 	}
 	var b *Buf
 	if n := len(p.free); n > 0 {
@@ -294,13 +279,8 @@ func (p *Pool) Get(frameLen int) *Buf {
 
 // backing returns bufSize bytes of zeroed storage for a buffer's first
 // write, carved from a data slab as large as everything carved before it
-// (within [minDataSlab, slabCount] buffers). A buffer of a shared pool may
-// be materialized by a goroutine that does not own the pool, which must not
-// touch the slab state: those buffers get an allocation each.
+// (within [minDataSlab, slabCount] buffers).
 func (p *Pool) backing() []byte {
-	if p.shared {
-		return make([]byte, p.bufSize)
-	}
 	if len(p.slabData) == 0 {
 		p.slabData = make([]byte, min(max(p.backed, minDataSlab), slabCount)*p.bufSize)
 	}
@@ -324,44 +304,8 @@ func (p *Pool) put(b *Buf) {
 	}
 	b.inPool = true
 	b.tmpl = nil // drop the template reference while parked
-	if p.shared {
-		// Possibly-foreign free: park on the remote stack; the owner
-		// folds it back into the free list at its next Reclaim.
-		for {
-			head := p.remote.Load()
-			b.nextFree = head
-			if p.remote.CompareAndSwap(head, b) {
-				return
-			}
-		}
-	}
 	p.live--
 	p.free = append(p.free, b)
-}
-
-// MarkShared flags the pool as freed-from-anywhere: put() routes through a
-// lock-free return stack instead of the (owner-only) free list. The
-// partitioned engine marks every pool, since frames allocated on one side
-// of a cut are routinely freed on the other. One-way door by design — the
-// flag is only ever set before concurrent execution starts.
-func (p *Pool) MarkShared() { p.shared = true }
-
-// Reclaim folds remotely freed buffers back into the free list. Owner-only:
-// the partitioned engine calls it at every dispatch-window edge, when the
-// free list runs dry in Get, and before Trim. Between a remote free and the
-// next Reclaim, Live overcounts by the buffers still parked on the stack.
-func (p *Pool) Reclaim() {
-	if !p.shared {
-		return
-	}
-	b := p.remote.Swap(nil)
-	for b != nil {
-		next := b.nextFree
-		b.nextFree = nil
-		p.live--
-		p.free = append(p.free, b)
-		b = next
-	}
 }
 
 // Trim releases free-list buffers beyond max, letting the GC reclaim their
@@ -369,7 +313,6 @@ func (p *Pool) Reclaim() {
 // allocated (its high-water mark) for the life of the pool; callers that
 // finish a measurement release the pool with Trim(0).
 func (p *Pool) Trim(max int) {
-	p.Reclaim()
 	if max < 0 {
 		max = 0
 	}
@@ -386,7 +329,8 @@ func (p *Pool) Trim(max int) {
 	}
 }
 
-// Live returns the number of buffers currently checked out.
+// Live returns the number of buffers currently checked out. The count is
+// exact at every instant: Get and Free update it in place.
 func (p *Pool) Live() int { return p.live }
 
 // Allocated returns the number of buffers ever created by the pool.

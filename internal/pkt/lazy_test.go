@@ -2,7 +2,6 @@ package pkt
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 )
 
@@ -396,38 +395,5 @@ func TestUnwrittenBufferEdges(t *testing.T) {
 	b := p.Get(64)
 	if b.Bytes()[0] != 0 {
 		t.Fatal("pool unusable after Trim(0)")
-	}
-}
-
-// TestSharedPoolBackingOffOwner runs the parallel engine's case under the
-// race detector: buffers of a shared pool are written and freed by
-// goroutines that do not own it, which must leave the owner's slab state
-// alone.
-func TestSharedPoolBackingOffOwner(t *testing.T) {
-	p := NewPool(2048)
-	p.MarkShared()
-	tmpl := lazySpec(64).Template(0)
-	const workers, each = 4, 64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		bufs := make([]*Buf, each)
-		for i := range bufs {
-			bufs[i] = p.Get(64)
-			bufs[i].SetTemplate(tmpl)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, b := range bufs {
-				b.Bytes()[EthHdrLen] = 0xFF
-				b.Free()
-			}
-		}()
-		p.Get(64).Free() // the owner keeps using the pool meanwhile
-	}
-	wg.Wait()
-	p.Reclaim()
-	if p.Live() != 0 || p.backed != 0 || p.slabData != nil {
-		t.Fatalf("live=%d backed=%d after foreign materialization", p.Live(), p.backed)
 	}
 }

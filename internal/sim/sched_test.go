@@ -257,6 +257,78 @@ func TestFastPathCountsHits(t *testing.T) {
 	}
 }
 
+// TestRunUntilDeadline: inside RunUntil, Deadline() reports the bound of
+// that call (the batched rate-mode generators stamp work against it), it
+// reads zero again outside, and the clock is left at the bound.
+func TestRunUntilDeadline(t *testing.T) {
+	s := NewScheduler()
+	var seen units.Time
+	probe := StepFunc(func(now units.Time) (units.Time, bool) {
+		seen = s.Deadline()
+		return 0, false
+	})
+	s.WakeAt(s.Register("probe", probe), 10*units.Nanosecond)
+	s.RunUntil(50 * units.Nanosecond)
+	if seen != 50*units.Nanosecond {
+		t.Errorf("Deadline inside RunUntil = %v, want the bound %v", seen, 50*units.Nanosecond)
+	}
+	if s.Deadline() != 0 {
+		t.Errorf("Deadline outside RunUntil = %v, want 0", s.Deadline())
+	}
+	if s.Now() != 50*units.Nanosecond {
+		t.Errorf("clock after RunUntil = %v, want the bound", s.Now())
+	}
+}
+
+// TestRunUntilPhasesEquivalence: reaching a horizon through many consecutive
+// RunUntil calls (the testbed's warm-up / window / sub-window phases)
+// produces the same step times, step count and final clock as one RunUntil
+// — the reference — wherever the phase bounds fall.
+func TestRunUntilPhasesEquivalence(t *testing.T) {
+	const horizon = units.Microsecond
+	run := func(phase units.Time) (*tick, *tick, *Scheduler) {
+		s := NewScheduler()
+		a := &tick{interval: 3 * units.Nanosecond, limit: 100}
+		b := &tick{interval: 7 * units.Nanosecond, limit: 40}
+		s.WakeAt(s.Register("a", a), 0)
+		s.WakeAt(s.Register("b", b), 0)
+		for bound := phase; bound < horizon; bound += phase {
+			s.RunUntil(bound)
+		}
+		s.RunUntil(horizon)
+		return a, b, s
+	}
+
+	refA, refB, refS := run(horizon) // one phase: a single RunUntil
+	// Phase widths chosen to land bounds both between and exactly on event
+	// times (3ns and 7ns grids): the inclusive bound must not double- or
+	// zero-count a boundary event.
+	for _, phase := range []units.Time{units.Nanosecond, 3 * units.Nanosecond,
+		7 * units.Nanosecond, 21 * units.Nanosecond, 100 * units.Nanosecond} {
+		a, b, s := run(phase)
+		if len(a.times) != len(refA.times) || len(b.times) != len(refB.times) {
+			t.Fatalf("phase %v: step counts a=%d b=%d, want a=%d b=%d",
+				phase, len(a.times), len(b.times), len(refA.times), len(refB.times))
+		}
+		for i := range a.times {
+			if a.times[i] != refA.times[i] {
+				t.Fatalf("phase %v: a step %d at %v, want %v", phase, i, a.times[i], refA.times[i])
+			}
+		}
+		for i := range b.times {
+			if b.times[i] != refB.times[i] {
+				t.Fatalf("phase %v: b step %d at %v, want %v", phase, i, b.times[i], refB.times[i])
+			}
+		}
+		if s.Now() != refS.Now() {
+			t.Errorf("phase %v: clock %v, want %v", phase, s.Now(), refS.Now())
+		}
+		if s.Steps() != refS.Steps() {
+			t.Errorf("phase %v: steps %d, want %d", phase, s.Steps(), refS.Steps())
+		}
+	}
+}
+
 // BenchmarkSchedulerChurn measures raw dispatch throughput: many actors
 // perpetually rescheduling at staggered offsets (worst case for the heap:
 // every step displaces the minimum).

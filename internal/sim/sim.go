@@ -83,7 +83,8 @@ func (s *Scheduler) Now() units.Time { return s.now }
 func (s *Scheduler) Steps() uint64 { return s.steps }
 
 // FastPathHits returns how many steps skipped the heap via the run-next
-// fast path (engine diagnostics).
+// fast path (engine diagnostics). Like Steps it is a pure function of the
+// schedule and the RunUntil bounds, so it repeats exactly run to run.
 func (s *Scheduler) FastPathHits() uint64 { return s.fastHits }
 
 // Deadline returns the bound of the RunUntil call currently executing
@@ -123,31 +124,10 @@ func (s *Scheduler) WakeAt(t *Task, at units.Time) {
 // the next step would occur after deadline. The clock is left at the last
 // dispatched step (or at deadline if nothing ran at/after it).
 func (s *Scheduler) RunUntil(deadline units.Time) {
-	s.RunUntilSlice(deadline, deadline)
-}
-
-// RunUntilSlice dispatches steps in timestamp order up to edge, while
-// reporting horizon through Deadline(). It is the partitioned engine's
-// inner loop: a partition executes one lookahead window at a time
-// (edge = its conservative safe bound) within a user-level phase
-// (horizon = the RunUntil bound the sequential engine would have used).
-// Keeping Deadline() at the phase bound is what makes window slicing
-// invisible to actors: the batched rate-mode generators stamp work
-// against Deadline(), so slicing at edges must not shrink their batches —
-// that would change the dispatch count (Result.Steps, a pinned
-// determinism fingerprint) even though the traffic would not move.
-//
-// Slicing cannot reorder dispatches: every pending event with when <=
-// edge runs in this slice, and an event dispatched in a later slice has
-// when > edge, so anything it schedules lands at >= its own when > edge —
-// no later slice can create work for an earlier one. The sliced dispatch
-// sequence is therefore identical to one RunUntil(horizon), wherever the
-// edges fall.
-func (s *Scheduler) RunUntilSlice(edge, horizon units.Time) {
-	s.deadline = horizon
+	s.deadline = deadline
 	for len(s.queue) > 0 {
 		next := s.queue[0]
-		if next.when > edge {
+		if next.when > deadline {
 			break
 		}
 		s.queue.popMin()
@@ -171,7 +151,7 @@ func (s *Scheduler) RunUntilSlice(edge, horizon units.Time) {
 			// exact dispatch order: the task must precede the heap minimum
 			// under (when, seq), be within the deadline, and not have been
 			// re-queued by its own side effects mid-step.
-			if !next.scheduled && when <= edge {
+			if !next.scheduled && when <= deadline {
 				if len(s.queue) == 0 || (when < s.queue[0].when || (when == s.queue[0].when && next.seq < s.queue[0].seq)) {
 					next.when = when
 					s.fastHits++
@@ -183,8 +163,8 @@ func (s *Scheduler) RunUntilSlice(edge, horizon units.Time) {
 		}
 	}
 	s.deadline = 0
-	if s.now < edge {
-		s.now = edge
+	if s.now < deadline {
+		s.now = deadline
 	}
 }
 

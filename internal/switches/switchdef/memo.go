@@ -9,8 +9,9 @@ import (
 // every switch data plane, routing all frames through the per-frame
 // reference path. It lives outside Config on purpose: the knob is a
 // host-execution-strategy choice with bit-identical simulated outputs, so
-// it must not perturb campaign cache keys. CI's switch-path divergence
-// check reruns the pinned goldens with it set.
+// it must not perturb campaign cache keys. core's TestPinnedGoldens and
+// campaign's TestEngineOutputMatchesSeedPath run the pinned goldens with
+// it set and unset.
 var noMemo atomic.Bool
 
 func init() {
