@@ -1,51 +1,43 @@
 // Command swbench runs the paper's benchmarking methodology from the
-// command line.
-//
-// Usage:
-//
-//	swbench list                         # switches + taxonomy
-//	swbench run -switch vpp -scenario p2p [-size 64] [-bidir] [-chain N]
-//	            [-rate-gbps 5] [-latency] [-duration-ms 20]
-//	swbench rplus -switch vpp -scenario loopback -chain 2
-//	swbench figure 1|4a|4b|4c|5|6|scaling|churn [-quick] [-compare] [-workers N]
-//	swbench table 1|2|3|4|5 [-quick] [-compare] [-workers N]
-//	swbench all [-quick] [-compare] [-workers N]   # every figure and table
-//	swbench campaign list
-//	swbench campaign <name> [-quick] [-workers N] [-timeout D]
-//	         [-cache-dir P] [-artifacts F] [-resume] [-bench-out F]
+// command line; run it without arguments for the verbs and their flags.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	swbench "repro"
 )
 
+func usageText() string {
+	return `usage: swbench <list|run|topo|rplus|ndr|windows|figure|table|all|campaign|worker|serve-cache|cache> [flags]
+  swbench list
+  swbench run -switch vpp -scenario p2p|p2v|v2v|loopback [-size N] [-bidir] [-chain N] [-rate-gbps G] [-latency]
+              [-cores N -dispatch rss|rtc [-rss-policy roundrobin|flowhash]]  # multi-core data plane
+  swbench run -switch vpp -topology graph.json          # custom topology as the scenario
+  swbench topo [-file graph.json | -scenario p2p [-chain N] [-bidir] [-reversed] [-latency-topology]]
+               [-format json|dot] [-validate]           # compile and print a topology
+  swbench rplus -switch vpp -scenario p2p
+  swbench ndr -switch vpp -scenario p2p [-loss-tolerance N]
+  swbench windows -switch snabb -n 10      # windowed time series
+  swbench figure ` + figureIDs("|") + ` [-quick] [-compare] [-workers N]
+  swbench table 1|2|3|4|5 [-quick] [-compare] [-workers N]
+  swbench all [-quick] [-compare] [-workers N]
+  swbench campaign list | <name> [-quick] [-workers N] [-timeout D] [-cache-dir P] [-artifacts F] [-resume]
+                 [-fabric host:port] [-cache URL] [-manifest F]   # distributed fleet execution
+  swbench worker -join host:port [-cache URL] [-cache-dir P] [-id S] [-batch N]   # join a campaign fleet
+  swbench serve-cache -dir P [-listen host:port]   # export a result cache to the fleet
+  swbench cache stats -dir P | -url U
+  swbench cache prune -dir P -max-bytes N          # oldest-accessed-first eviction
+  (figure, table, and all also take -fabric and -cache; plus -cpuprofile F and -memprofile F)
+`
+}
+
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: swbench <list|run|topo|rplus|ndr|windows|figure|table|all|campaign|worker|serve-cache|cache|bench> [flags]")
-	fmt.Fprintln(os.Stderr, "  swbench list")
-	fmt.Fprintln(os.Stderr, "  swbench run -switch vpp -scenario p2p|p2v|v2v|loopback [-size N] [-bidir] [-chain N] [-rate-gbps G] [-latency]")
-	fmt.Fprintln(os.Stderr, "              [-cores N -dispatch rss|rtc [-rss-policy roundrobin|flowhash]]  # multi-core data plane")
-	fmt.Fprintln(os.Stderr, "  swbench run -switch vpp -topology graph.json          # custom topology as the scenario")
-	fmt.Fprintln(os.Stderr, "  swbench topo [-file graph.json | -scenario p2p [-chain N] [-bidir] [-reversed] [-latency-topology]]")
-	fmt.Fprintln(os.Stderr, "               [-format json|dot] [-validate]           # compile and print a topology")
-	fmt.Fprintln(os.Stderr, "  swbench rplus -switch vpp -scenario p2p")
-	fmt.Fprintln(os.Stderr, "  swbench ndr -switch vpp -scenario p2p [-loss-tolerance N]")
-	fmt.Fprintln(os.Stderr, "  swbench windows -switch snabb -n 10      # windowed time series")
-	fmt.Fprintln(os.Stderr, "  swbench figure 1|4a|4b|4c|5|6|scaling|churn [-quick] [-compare] [-workers N]")
-	fmt.Fprintln(os.Stderr, "  swbench table 1|2|3|4|5 [-quick] [-compare] [-workers N]")
-	fmt.Fprintln(os.Stderr, "  swbench all [-quick] [-compare] [-workers N]")
-	fmt.Fprintln(os.Stderr, "  swbench campaign list | <name> [-quick] [-workers N] [-timeout D] [-cache-dir P] [-artifacts F] [-resume] [-bench-out F]")
-	fmt.Fprintln(os.Stderr, "                 [-fabric host:port] [-cache URL] [-manifest F]   # distributed fleet execution")
-	fmt.Fprintln(os.Stderr, "  swbench worker -join host:port [-cache URL] [-cache-dir P] [-id S] [-batch N]   # join a campaign fleet")
-	fmt.Fprintln(os.Stderr, "  swbench serve-cache -dir P [-listen host:port]   # export a result cache to the fleet")
-	fmt.Fprintln(os.Stderr, "  swbench cache stats -dir P | -url U")
-	fmt.Fprintln(os.Stderr, "  swbench cache prune -dir P -max-bytes N          # oldest-accessed-first eviction")
-	fmt.Fprintln(os.Stderr, "  swbench bench [-quick] [-repeats N] [-out F] [-baseline F]   # engine host-speed cells")
-	fmt.Fprintln(os.Stderr, "  (figure, table, and all also take -fabric and -cache; plus -cpuprofile F and -memprofile F)")
+	fmt.Fprint(os.Stderr, usageText())
 	os.Exit(2)
 }
 
@@ -81,8 +73,6 @@ func main() {
 		err = serveCacheCmd(os.Args[2:])
 	case "cache":
 		err = cacheCmd(os.Args[2:])
-	case "bench":
-		err = benchCmd(os.Args[2:])
 	default:
 		usage()
 	}
@@ -221,9 +211,71 @@ func suiteOpts(quick bool) swbench.RunOpts {
 	return swbench.Full
 }
 
+// figureFamily is one `swbench figure <id>` family: run executes its grid
+// on a runner, render prints the outcome as text and csv writes it for
+// plotting. The usage text, the figure verb and `all` share this table.
+type figureFamily struct {
+	id     string
+	run    func(r swbench.Runner, o swbench.RunOpts) (any, error)
+	render func(w io.Writer, data any, compare bool)
+	csv    func(w io.Writer, data any) error
+}
+
+// family erases a figure family's result type T, so families with
+// different result types sit in one table.
+func family[T any](id string,
+	run func(swbench.Runner, swbench.RunOpts) (T, error),
+	render func(io.Writer, T, bool),
+	csv func(io.Writer, T) error) figureFamily {
+	return figureFamily{
+		id:     id,
+		run:    func(r swbench.Runner, o swbench.RunOpts) (any, error) { return run(r, o) },
+		render: func(w io.Writer, data any, compare bool) { render(w, data.(T), compare) },
+		csv:    func(w io.Writer, data any) error { return csv(w, data.(T)) },
+	}
+}
+
+// throughput is the family of one of the paper's throughput figures.
+func throughput(id string) figureFamily {
+	return family(id,
+		func(r swbench.Runner, o swbench.RunOpts) (*swbench.Figure, error) { return swbench.FigureOn(r, id, o) },
+		swbench.RenderFigure, swbench.WriteFigureCSV)
+}
+
+var figureFamilies = []figureFamily{
+	family("1", swbench.Figure1On,
+		func(w io.Writer, pts []swbench.Figure1Point, _ bool) { swbench.RenderFigure1(w, pts) },
+		swbench.WriteFigure1CSV),
+	throughput("4a"), throughput("4b"), throughput("4c"), throughput("5"), throughput("6"),
+	family("scaling", swbench.FigureScalingOn,
+		func(w io.Writer, fig *swbench.ScalingFigure, _ bool) { swbench.RenderScalingFigure(w, fig) },
+		swbench.WriteScalingCSV),
+	family("churn", swbench.FigureChurnOn,
+		func(w io.Writer, fig *swbench.ChurnFigure, _ bool) { swbench.RenderChurnFigure(w, fig) },
+		swbench.WriteChurnCSV),
+}
+
+// figureIDs joins the figure ids in table order.
+func figureIDs(sep string) string {
+	ids := make([]string, len(figureFamilies))
+	for i, f := range figureFamilies {
+		ids[i] = f.id
+	}
+	return strings.Join(ids, sep)
+}
+
+func lookupFigure(id string) (figureFamily, error) {
+	for _, f := range figureFamilies {
+		if f.id == id {
+			return f, nil
+		}
+	}
+	return figureFamily{}, fmt.Errorf("unknown figure %q (want %s)", id, figureIDs(", "))
+}
+
 func figureCmd(args []string) error {
 	if len(args) < 1 {
-		return fmt.Errorf("figure needs an id: 1, 4a, 4b, 4c, 5, 6, scaling, churn")
+		return fmt.Errorf("figure needs an id: %s", figureIDs(", "))
 	}
 	id := args[0]
 	fs := flag.NewFlagSet("figure", flag.ExitOnError)
@@ -247,51 +299,23 @@ func figureCmd(args []string) error {
 }
 
 func figureCSV(r swbench.Runner, id string, o swbench.RunOpts, path string) error {
+	fam, err := lookupFigure(id)
+	if err != nil {
+		return err
+	}
+	data, err := fam.run(r, o)
+	if err != nil {
+		return err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if id == "1" {
-		pts, err := swbench.Figure1On(r, o)
-		if err != nil {
-			return err
-		}
-		return swbench.WriteFigure1CSV(f, pts)
-	}
-	if id == "scaling" {
-		fig, err := swbench.FigureScalingOn(r, o)
-		if err != nil {
-			return err
-		}
-		return swbench.WriteScalingCSV(f, fig)
-	}
-	if id == "churn" {
-		fig, err := swbench.FigureChurnOn(r, o)
-		if err != nil {
-			return err
-		}
-		return swbench.WriteChurnCSV(f, fig)
-	}
-	var fig *swbench.Figure
-	switch id {
-	case "4a":
-		fig, err = swbench.Figure4aOn(r, o)
-	case "4b":
-		fig, err = swbench.Figure4bOn(r, o)
-	case "4c":
-		fig, err = swbench.Figure4cOn(r, o)
-	case "5":
-		fig, err = swbench.Figure5On(r, o)
-	case "6":
-		fig, err = swbench.Figure6On(r, o)
-	default:
-		return fmt.Errorf("unknown figure %q", id)
-	}
-	if err != nil {
+	if err := fam.csv(f, data); err != nil {
+		f.Close()
 		return err
 	}
-	return swbench.WriteFigureCSV(f, fig)
+	return f.Close()
 }
 
 func windowsCmd(args []string) error {
@@ -325,50 +349,16 @@ func windowsCmd(args []string) error {
 }
 
 func renderFigure(r swbench.Runner, id string, o swbench.RunOpts, compare bool) error {
-	switch id {
-	case "1":
-		pts, err := swbench.Figure1On(r, o)
-		if err != nil {
-			return err
-		}
-		swbench.RenderFigure1(os.Stdout, pts)
-		return nil
-	case "scaling":
-		fig, err := swbench.FigureScalingOn(r, o)
-		if err != nil {
-			return err
-		}
-		swbench.RenderScalingFigure(os.Stdout, fig)
-		return nil
-	case "churn":
-		fig, err := swbench.FigureChurnOn(r, o)
-		if err != nil {
-			return err
-		}
-		swbench.RenderChurnFigure(os.Stdout, fig)
-		return nil
-	case "4a", "4b", "4c", "5", "6":
-		var fig *swbench.Figure
-		var err error
-		switch id {
-		case "4a":
-			fig, err = swbench.Figure4aOn(r, o)
-		case "4b":
-			fig, err = swbench.Figure4bOn(r, o)
-		case "4c":
-			fig, err = swbench.Figure4cOn(r, o)
-		case "5":
-			fig, err = swbench.Figure5On(r, o)
-		case "6":
-			fig, err = swbench.Figure6On(r, o)
-		}
-		if err != nil {
-			return err
-		}
-		swbench.RenderFigure(os.Stdout, fig, compare)
-		return nil
+	fam, err := lookupFigure(id)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("unknown figure %q", id)
+	data, err := fam.run(r, o)
+	if err != nil {
+		return err
+	}
+	fam.render(os.Stdout, data, compare)
+	return nil
 }
 
 func tableCmd(args []string) error {

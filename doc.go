@@ -27,12 +27,13 @@
 //	fmt.Printf("%.2f Gbps\n", res.Gbps)
 //
 // Every figure and table of the paper's evaluation can be regenerated via
-// Figure1, Figure4a/4b/4c, Figure5, Figure6, Table3, and Table4, or from
-// the command line with cmd/swbench. The *On variants (Figure4aOn,
-// Table3On, ...) take a Runner, so whole experiment grids can fan out
-// over a worker pool: NewOrchestrator builds one with bounded
-// parallelism, a content-addressed result cache (OpenResultCache),
-// per-cell panic isolation and timeouts, and a progress event stream,
-// while preserving bit-identical deterministic output. See DESIGN.md for
-// the system inventory and EXPERIMENTS.md for measured-vs-paper results.
+// Figure1, FigureOn (throughput figures "4a", "4b", "4c", "5", "6"),
+// Table3, and Table4, or from the command line with cmd/swbench. The *On
+// functions (FigureOn, Figure1On, Table3On, ...) take a Runner, so whole
+// experiment grids can fan out over a worker pool: NewOrchestrator builds
+// one with bounded parallelism, a content-addressed result cache
+// (OpenResultCache), per-cell panic isolation and timeouts, and a progress
+// event stream, while preserving bit-identical deterministic output;
+// SerialRunner{} runs the cells one after another. See DESIGN.md for the
+// system inventory and EXPERIMENTS.md for measured-vs-paper results.
 package swbench

@@ -113,6 +113,9 @@ func throughputFigureOn(r Runner, id, title string, scn ScenarioKind, chains []i
 
 var bothDirs = []bool{false, true}
 
+// Chains is the loopback chain-length sweep (§5.2: 1 to 5 VNFs).
+var Chains = []int{1, 2, 3, 4, 5}
+
 // figureGrids maps throughput figure ids to their grids.
 var figureGrids = map[string]struct {
 	Title  string
@@ -145,39 +148,6 @@ func FigureOn(r Runner, id string, o RunOpts) (*Figure, error) {
 	}
 	return throughputFigureOn(r, id, g.Title, g.Scn, g.Chains, g.Dirs, o)
 }
-
-// Figure4a reproduces the p2p throughput figure (uni + bidir × frame sizes).
-func Figure4a(o RunOpts) (*Figure, error) { return Figure4aOn(SerialRunner{}, o) }
-
-// Figure4aOn is Figure4a on an explicit runner.
-func Figure4aOn(r Runner, o RunOpts) (*Figure, error) { return FigureOn(r, "4a", o) }
-
-// Figure4b reproduces the p2v throughput figure.
-func Figure4b(o RunOpts) (*Figure, error) { return Figure4bOn(SerialRunner{}, o) }
-
-// Figure4bOn is Figure4b on an explicit runner.
-func Figure4bOn(r Runner, o RunOpts) (*Figure, error) { return FigureOn(r, "4b", o) }
-
-// Figure4c reproduces the v2v throughput figure.
-func Figure4c(o RunOpts) (*Figure, error) { return Figure4cOn(SerialRunner{}, o) }
-
-// Figure4cOn is Figure4c on an explicit runner.
-func Figure4cOn(r Runner, o RunOpts) (*Figure, error) { return FigureOn(r, "4c", o) }
-
-// Chains is the loopback chain-length sweep (§5.2: 1 to 5 VNFs).
-var Chains = []int{1, 2, 3, 4, 5}
-
-// Figure5 reproduces the unidirectional loopback throughput figure.
-func Figure5(o RunOpts) (*Figure, error) { return Figure5On(SerialRunner{}, o) }
-
-// Figure5On is Figure5 on an explicit runner.
-func Figure5On(r Runner, o RunOpts) (*Figure, error) { return FigureOn(r, "5", o) }
-
-// Figure6 reproduces the bidirectional loopback throughput figure.
-func Figure6(o RunOpts) (*Figure, error) { return Figure6On(SerialRunner{}, o) }
-
-// Figure6On is Figure6 on an explicit runner.
-func Figure6On(r Runner, o RunOpts) (*Figure, error) { return FigureOn(r, "6", o) }
 
 // Figure1Point is one switch's dot on the paper's opening scatter plots:
 // bidirectional p2p 64B throughput vs. RTT at 0.95·R⁺.

@@ -38,7 +38,7 @@ func TestFigureStructureAndRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	fig, err := Figure4a(quickOpts)
+	fig, err := FigureOn(SerialRunner{}, "4a", quickOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestFigure5MarksBESSUnsupported(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	fig, err := Figure5(quickOpts)
+	fig, err := FigureOn(SerialRunner{}, "5", quickOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,67 +14,97 @@ type emcEvictioner interface {
 // Run executes one measurement: assemble the testbed, run the warmup,
 // then measure over the configured window.
 func Run(cfg Config) (Result, error) {
-	tb, err := build(cfg)
+	m, err := warmUp(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	cfg = tb.cfg // defaults applied
+	m.tb.sched.RunUntil(m.tb.cfg.Warmup + m.tb.cfg.Duration)
+	return m.collect()
+}
 
-	if cfg.CapturePath != "" {
-		stop, err := tb.attachCapture(cfg.CapturePath)
-		if err != nil {
-			return Result{}, err
+// measurement is a testbed past its warmup, with every counter the Result
+// reports as it stood at the start of the measurement window. The counters
+// accumulate from time zero, so window totals must be deltas — otherwise
+// warmup-phase drops (queues filling, MAC tables learning) pollute the
+// measurement the way warmup frames would pollute RxPackets.
+type measurement struct {
+	tb          *testbed
+	stopCapture func() // nil without Config.CapturePath
+
+	rx                 []stats.Counter
+	drops, copies      int64
+	busy, idle         []units.Cycles
+	updates, evictions int64
+}
+
+// warmUp assembles cfg's testbed, runs the warmup — caches fill, MAC
+// tables learn, JIT traces compile, queues reach steady state — and opens
+// the measurement window: counters snapshotted, latency histograms reset.
+// The caller advances the scheduler over the window, then calls collect.
+func warmUp(cfg Config) (measurement, error) {
+	tb, err := build(cfg)
+	if err != nil {
+		return measurement{}, err
+	}
+	m := measurement{tb: tb}
+	if tb.cfg.CapturePath != "" {
+		if m.stopCapture, err = tb.attachCapture(tb.cfg.CapturePath); err != nil {
+			return measurement{}, err
 		}
-		defer stop()
 	}
 
-	// Warmup: caches fill, MAC tables learn, JIT traces compile, queues
-	// reach steady state.
-	tb.sched.RunUntil(cfg.Warmup)
+	tb.sched.RunUntil(tb.cfg.Warmup)
 
-	// Snapshot counters and reset latency histograms at window start.
-	snaps := make([]stats.Counter, len(tb.dirRx))
-	for i, fn := range tb.dirRx {
-		snaps[i] = fn()
-	}
+	m.rx = tb.rxCounters()
 	for _, h := range tb.hists {
 		h.Reset()
 	}
-	// Loss and copy counters accumulate from time zero, so window totals
-	// must be deltas — otherwise warmup-phase drops (queues filling, MAC
-	// tables learning) pollute the measurement the way warmup frames
-	// would pollute RxPackets.
-	drop0 := make([]int64, len(tb.dropFns))
-	for i, fn := range tb.dropFns {
-		drop0[i] = fn()
-	}
-	copy0 := make([]int64, len(tb.copyFns))
-	for i, fn := range tb.copyFns {
-		copy0[i] = fn()
-	}
-	busy0 := make([]units.Cycles, len(tb.sutPolls))
-	idle0 := make([]units.Cycles, len(tb.sutPolls))
+	m.drops, m.copies = sum(tb.dropFns), sum(tb.copyFns)
+	m.busy = make([]units.Cycles, len(tb.sutPolls))
+	m.idle = make([]units.Cycles, len(tb.sutPolls))
 	for i, c := range tb.sutPolls {
-		busy0[i], idle0[i] = c.Busy, c.Idle
+		m.busy[i], m.idle[i] = c.Busy, c.Idle
 	}
-	var updates0, evict0 int64
 	if tb.controller != nil {
-		updates0 = tb.controller.Updates()
+		m.updates = tb.controller.Updates()
 	}
 	if ec, ok := tb.sw.(emcEvictioner); ok {
-		evict0 = ec.EMCEvictionCount()
+		m.evictions = ec.EMCEvictionCount()
 	}
+	return m, nil
+}
 
-	tb.sched.RunUntil(cfg.Warmup + cfg.Duration)
+// rxCounters reads every direction's delivered-traffic counter.
+func (tb *testbed) rxCounters() []stats.Counter {
+	out := make([]stats.Counter, len(tb.dirRx))
+	for i, fn := range tb.dirRx {
+		out[i] = fn()
+	}
+	return out
+}
 
+// sum totals a set of the testbed's counter readers (dropFns, copyFns).
+func sum(fns []func() int64) (n int64) {
+	for _, fn := range fns {
+		n += fn()
+	}
+	return n
+}
+
+// collect closes the measurement window at the scheduler's current time:
+// everything since warmUp, as a Result over cfg.Duration.
+func (m measurement) collect() (Result, error) {
+	tb, cfg := m.tb, m.tb.cfg
+	if m.stopCapture != nil {
+		defer m.stopCapture()
+	}
 	if tb.controller != nil && tb.controller.Err != nil {
 		return Result{}, tb.controller.Err
 	}
 
-	// Collect.
 	res := Result{Config: cfg, Display: tb.info.Display, Steps: tb.sched.Steps()}
 	for i, fn := range tb.dirRx {
-		d := fn().Sub(snaps[i])
+		d := fn().Sub(m.rx[i])
 		dir := DirResult{
 			RxPackets: d.Packets,
 			RxBytes:   d.Bytes,
@@ -98,22 +128,18 @@ func Run(cfg Config) (Result, error) {
 		merged.Merge(h)
 	}
 	res.Latency = merged.Summarize()
-	for i, fn := range tb.dropFns {
-		res.Drops += fn() - drop0[i]
-	}
-	for i, fn := range tb.copyFns {
-		res.HostCopies += fn() - copy0[i]
-	}
+	res.Drops = sum(tb.dropFns) - m.drops
+	res.HostCopies = sum(tb.copyFns) - m.copies
 	if tb.controller != nil {
-		res.RuleUpdates = tb.controller.Updates() - updates0
+		res.RuleUpdates = tb.controller.Updates() - m.updates
 	}
 	if ec, ok := tb.sw.(emcEvictioner); ok {
-		res.EMCEvictions = ec.EMCEvictionCount() - evict0
+		res.EMCEvictions = ec.EMCEvictionCount() - m.evictions
 	}
 	var busy, idle units.Cycles
 	for i, c := range tb.sutPolls {
-		busy += c.Busy - busy0[i]
-		idle += c.Idle - idle0[i]
+		busy += c.Busy - m.busy[i]
+		idle += c.Idle - m.idle[i]
 	}
 	if busy+idle > 0 {
 		res.SUTBusyFrac = float64(busy) / float64(busy+idle)
@@ -121,7 +147,7 @@ func Run(cfg Config) (Result, error) {
 	if cfg.SUTCores > 1 {
 		res.EffectiveCores = len(tb.sutPolls)
 		for i, c := range tb.sutPolls {
-			b, id := c.Busy-busy0[i], c.Idle-idle0[i]
+			b, id := c.Busy-m.busy[i], c.Idle-m.idle[i]
 			cu := CoreUtil{Name: c.Name()}
 			if b+id > 0 {
 				cu.BusyFrac = float64(b) / float64(b+id)

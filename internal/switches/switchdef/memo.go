@@ -25,6 +25,7 @@ func init() {
 // per poll.
 func MemoDisabled() bool { return noMemo.Load() }
 
-// SetMemoDisabled overrides the memoization kill switch (equivalence tests
-// and the bench baseline pass), returning the previous value.
+// SetMemoDisabled overrides the memoization kill switch for the equivalence
+// tests, returning the previous value. (A benchmark run measures the
+// reference path with SWBENCH_NO_MEMO=1 in its environment.)
 func SetMemoDisabled(v bool) bool { return noMemo.Swap(v) }

@@ -194,21 +194,6 @@ var (
 // Figure1 reproduces the scatter data of the paper's Fig. 1.
 func Figure1(o RunOpts) ([]Figure1Point, error) { return core.Figure1(o) }
 
-// Figure4a reproduces p2p throughput (Fig. 4a).
-func Figure4a(o RunOpts) (*Figure, error) { return core.Figure4a(o) }
-
-// Figure4b reproduces p2v throughput (Fig. 4b).
-func Figure4b(o RunOpts) (*Figure, error) { return core.Figure4b(o) }
-
-// Figure4c reproduces v2v throughput (Fig. 4c).
-func Figure4c(o RunOpts) (*Figure, error) { return core.Figure4c(o) }
-
-// Figure5 reproduces unidirectional loopback throughput (Fig. 5).
-func Figure5(o RunOpts) (*Figure, error) { return core.Figure5(o) }
-
-// Figure6 reproduces bidirectional loopback throughput (Fig. 6).
-func Figure6(o RunOpts) (*Figure, error) { return core.Figure6(o) }
-
 // Table3 reproduces the RTT latency table.
 func Table3(o RunOpts) ([]Table3Cell, error) { return core.Table3(o) }
 
@@ -388,20 +373,10 @@ func WriteCampaignArtifacts(w io.Writer, rep *CampaignReport) error {
 // Figure1On is Figure1 on an explicit runner.
 func Figure1On(r Runner, o RunOpts) ([]Figure1Point, error) { return core.Figure1On(r, o) }
 
-// Figure4aOn is Figure4a on an explicit runner.
-func Figure4aOn(r Runner, o RunOpts) (*Figure, error) { return core.Figure4aOn(r, o) }
-
-// Figure4bOn is Figure4b on an explicit runner.
-func Figure4bOn(r Runner, o RunOpts) (*Figure, error) { return core.Figure4bOn(r, o) }
-
-// Figure4cOn is Figure4c on an explicit runner.
-func Figure4cOn(r Runner, o RunOpts) (*Figure, error) { return core.Figure4cOn(r, o) }
-
-// Figure5On is Figure5 on an explicit runner.
-func Figure5On(r Runner, o RunOpts) (*Figure, error) { return core.Figure5On(r, o) }
-
-// Figure6On is Figure6 on an explicit runner.
-func Figure6On(r Runner, o RunOpts) (*Figure, error) { return core.Figure6On(r, o) }
+// FigureOn reproduces throughput figure id ("4a", "4b", "4c", "5" or "6":
+// p2p, p2v, v2v, and uni-/bidirectional loopback chains) on runner r;
+// SerialRunner{} is the paper's one-cell-at-a-time methodology.
+func FigureOn(r Runner, id string, o RunOpts) (*Figure, error) { return core.FigureOn(r, id, o) }
 
 // Table3On is Table3 on an explicit runner.
 func Table3On(r Runner, o RunOpts) ([]Table3Cell, error) { return core.Table3On(r, o) }
