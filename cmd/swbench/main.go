@@ -5,7 +5,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -23,8 +22,8 @@ func usageText() string {
   swbench rplus -switch vpp -scenario p2p
   swbench ndr -switch vpp -scenario p2p [-loss-tolerance N]
   swbench windows -switch snabb -n 10      # windowed time series
-  swbench figure ` + figureIDs("|") + ` [-quick] [-compare] [-workers N]
-  swbench table 1|2|3|4|5 [-quick] [-compare] [-workers N]
+  swbench figure ` + experimentIDs("figure", "|") + ` [-quick] [-compare] [-workers N]
+  swbench table ` + experimentIDs("table", "|") + ` [-quick] [-compare] [-workers N]
   swbench all [-quick] [-compare] [-workers N]
   swbench campaign list | <name> [-quick] [-workers N] [-timeout D] [-cache-dir P] [-artifacts F] [-resume]
                  [-fabric host:port] [-cache URL] [-manifest F]   # distributed fleet execution
@@ -59,10 +58,8 @@ func main() {
 		err = ndrCmd(os.Args[2:])
 	case "windows":
 		err = windowsCmd(os.Args[2:])
-	case "figure":
-		err = figureCmd(os.Args[2:])
-	case "table":
-		err = tableCmd(os.Args[2:])
+	case "figure", "table":
+		err = experimentCmd(os.Args[1], os.Args[2:])
 	case "all":
 		err = allCmd(os.Args[2:])
 	case "campaign":
@@ -211,77 +208,41 @@ func suiteOpts(quick bool) swbench.RunOpts {
 	return swbench.Full
 }
 
-// figureFamily is one `swbench figure <id>` family: run executes its grid
-// on a runner, render prints the outcome as text and csv writes it for
-// plotting. The usage text, the figure verb and `all` share this table.
-type figureFamily struct {
-	id     string
-	run    func(r swbench.Runner, o swbench.RunOpts) (any, error)
-	render func(w io.Writer, data any, compare bool)
-	csv    func(w io.Writer, data any) error
-}
-
-// family erases a figure family's result type T, so families with
-// different result types sit in one table.
-func family[T any](id string,
-	run func(swbench.Runner, swbench.RunOpts) (T, error),
-	render func(io.Writer, T, bool),
-	csv func(io.Writer, T) error) figureFamily {
-	return figureFamily{
-		id:     id,
-		run:    func(r swbench.Runner, o swbench.RunOpts) (any, error) { return run(r, o) },
-		render: func(w io.Writer, data any, compare bool) { render(w, data.(T), compare) },
-		csv:    func(w io.Writer, data any) error { return csv(w, data.(T)) },
-	}
-}
-
-// throughput is the family of one of the paper's throughput figures.
-func throughput(id string) figureFamily {
-	return family(id,
-		func(r swbench.Runner, o swbench.RunOpts) (*swbench.Figure, error) { return swbench.FigureOn(r, id, o) },
-		swbench.RenderFigure, swbench.WriteFigureCSV)
-}
-
-var figureFamilies = []figureFamily{
-	family("1", swbench.Figure1On,
-		func(w io.Writer, pts []swbench.Figure1Point, _ bool) { swbench.RenderFigure1(w, pts) },
-		swbench.WriteFigure1CSV),
-	throughput("4a"), throughput("4b"), throughput("4c"), throughput("5"), throughput("6"),
-	family("scaling", swbench.FigureScalingOn,
-		func(w io.Writer, fig *swbench.ScalingFigure, _ bool) { swbench.RenderScalingFigure(w, fig) },
-		swbench.WriteScalingCSV),
-	family("churn", swbench.FigureChurnOn,
-		func(w io.Writer, fig *swbench.ChurnFigure, _ bool) { swbench.RenderChurnFigure(w, fig) },
-		swbench.WriteChurnCSV),
-}
-
-// figureIDs joins the figure ids in table order.
-func figureIDs(sep string) string {
-	ids := make([]string, len(figureFamilies))
-	for i, f := range figureFamilies {
-		ids[i] = f.id
+// experimentIDs joins the ids of one kind ("figure" or "table") of
+// experiment, in registry order.
+func experimentIDs(kind, sep string) string {
+	var ids []string
+	for _, e := range swbench.Experiments() {
+		if e.Kind == kind {
+			ids = append(ids, e.ID)
+		}
 	}
 	return strings.Join(ids, sep)
 }
 
-func lookupFigure(id string) (figureFamily, error) {
-	for _, f := range figureFamilies {
-		if f.id == id {
-			return f, nil
+func lookupExperiment(kind, id string) (swbench.Experiment, error) {
+	for _, e := range swbench.Experiments() {
+		if e.Kind == kind && e.ID == id {
+			return e, nil
 		}
 	}
-	return figureFamily{}, fmt.Errorf("unknown figure %q (want %s)", id, figureIDs(", "))
+	return swbench.Experiment{}, fmt.Errorf("unknown %s %q (want %s)", kind, id, experimentIDs(kind, ", "))
 }
 
-func figureCmd(args []string) error {
+// experimentCmd is the figure and table verbs: run one registry entry and
+// print it, or — figures only — write its data as CSV.
+func experimentCmd(kind string, args []string) error {
 	if len(args) < 1 {
-		return fmt.Errorf("figure needs an id: %s", figureIDs(", "))
+		return fmt.Errorf("%s needs an id: %s", kind, experimentIDs(kind, ", "))
 	}
 	id := args[0]
-	fs := flag.NewFlagSet("figure", flag.ExitOnError)
+	fs := flag.NewFlagSet(kind, flag.ExitOnError)
 	quick, compare, workers, prof := suiteFlags(fs)
 	fabricAddr, cacheURL := fabricFlags(fs)
-	csvPath := fs.String("csv", "", "also write the figure data as CSV to this path")
+	csvPath := new(string)
+	if kind == "figure" {
+		csvPath = fs.String("csv", "", "also write the figure data as CSV to this path")
+	}
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
@@ -291,27 +252,30 @@ func figureCmd(args []string) error {
 	}
 	defer closeRunner()
 	return profiled(prof, func() error {
-		if *csvPath != "" {
-			return figureCSV(r, id, suiteOpts(*quick), *csvPath)
+		e, err := lookupExperiment(kind, id)
+		if err != nil {
+			return err
 		}
-		return renderFigure(r, id, suiteOpts(*quick), *compare)
+		return runExperiment(e, r, suiteOpts(*quick), *compare, *csvPath)
 	})
 }
 
-func figureCSV(r swbench.Runner, id string, o swbench.RunOpts, path string) error {
-	fam, err := lookupFigure(id)
+// runExperiment runs one registry entry on r and prints it to standard
+// output, or writes its CSV form to csvPath when that is set.
+func runExperiment(e swbench.Experiment, r swbench.Runner, o swbench.RunOpts, compare bool, csvPath string) error {
+	rep, err := e.Run(r, o)
 	if err != nil {
 		return err
 	}
-	data, err := fam.run(r, o)
+	if csvPath == "" {
+		rep.Render(os.Stdout, compare)
+		return nil
+	}
+	f, err := os.Create(csvPath)
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fam.csv(f, data); err != nil {
+	if err := rep.CSV(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -348,66 +312,6 @@ func windowsCmd(args []string) error {
 	return nil
 }
 
-func renderFigure(r swbench.Runner, id string, o swbench.RunOpts, compare bool) error {
-	fam, err := lookupFigure(id)
-	if err != nil {
-		return err
-	}
-	data, err := fam.run(r, o)
-	if err != nil {
-		return err
-	}
-	fam.render(os.Stdout, data, compare)
-	return nil
-}
-
-func tableCmd(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("table needs an id: 1, 2, 3, 4, 5")
-	}
-	id := args[0]
-	fs := flag.NewFlagSet("table", flag.ExitOnError)
-	quick, compare, workers, prof := suiteFlags(fs)
-	fabricAddr, cacheURL := fabricFlags(fs)
-	if err := fs.Parse(args[1:]); err != nil {
-		return err
-	}
-	r, closeRunner, err := newRunner(*workers, "", false, *fabricAddr, *cacheURL)
-	if err != nil {
-		return err
-	}
-	defer closeRunner()
-	return profiled(prof, func() error {
-		return renderTable(r, id, suiteOpts(*quick), *compare)
-	})
-}
-
-func renderTable(r swbench.Runner, id string, o swbench.RunOpts, compare bool) error {
-	switch id {
-	case "1":
-		swbench.RenderTable1(os.Stdout)
-	case "2":
-		swbench.RenderTable2(os.Stdout)
-	case "3":
-		cells, err := swbench.Table3On(r, o)
-		if err != nil {
-			return err
-		}
-		swbench.RenderTable3(os.Stdout, cells, compare)
-	case "4":
-		rows, err := swbench.Table4On(r, o)
-		if err != nil {
-			return err
-		}
-		swbench.RenderTable4(os.Stdout, rows, compare)
-	case "5":
-		swbench.RenderTable5(os.Stdout)
-	default:
-		return fmt.Errorf("unknown table %q", id)
-	}
-	return nil
-}
-
 func allCmd(args []string) error {
 	fs := flag.NewFlagSet("all", flag.ExitOnError)
 	quick, compare, workers, prof := suiteFlags(fs)
@@ -424,20 +328,11 @@ func allCmd(args []string) error {
 	defer closeRunner()
 	o := suiteOpts(*quick)
 	return profiled(prof, func() error {
-		for _, id := range []string{"1", "2"} {
-			if err := renderTable(r, id, o, *compare); err != nil {
-				return err
+		for _, e := range swbench.Experiments() {
+			if e.Extension {
+				continue
 			}
-			fmt.Println()
-		}
-		for _, id := range []string{"1", "4a", "4b", "4c", "5", "6"} {
-			if err := renderFigure(r, id, o, *compare); err != nil {
-				return err
-			}
-			fmt.Println()
-		}
-		for _, id := range []string{"3", "4", "5"} {
-			if err := renderTable(r, id, o, *compare); err != nil {
+			if err := runExperiment(e, r, o, *compare, ""); err != nil {
 				return err
 			}
 			fmt.Println()

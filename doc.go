@@ -26,14 +26,20 @@
 //	if err != nil { ... }
 //	fmt.Printf("%.2f Gbps\n", res.Gbps)
 //
-// Every figure and table of the paper's evaluation can be regenerated via
-// Figure1, FigureOn (throughput figures "4a", "4b", "4c", "5", "6"),
-// Table3, and Table4, or from the command line with cmd/swbench. The *On
-// functions (FigureOn, Figure1On, Table3On, ...) take a Runner, so whole
-// experiment grids can fan out over a worker pool: NewOrchestrator builds
-// one with bounded parallelism, a content-addressed result cache
-// (OpenResultCache), per-cell panic isolation and timeouts, and a progress
-// event stream, while preserving bit-identical deterministic output;
-// SerialRunner{} runs the cells one after another. See DESIGN.md for the
-// system inventory and EXPERIMENTS.md for measured-vs-paper results.
+// Every figure and table of the paper's evaluation, and the scaling and
+// churn extensions, sit in one ordered registry, Experiments: each entry
+// runs on a Runner and reports as text and CSV, and cmd/swbench's figure,
+// table and all verbs are lookups in it. The grid figures ("4a", "4b", "4c",
+// "5", "6", "scaling", "churn") are also one call each — FigureOn, with
+// RenderFigure and WriteFigureCSV — and Figure1On, Table3On and Table4On run
+// the three R⁺-relative experiments. All take a Runner, so whole experiment
+// grids can fan out over a worker pool: NewOrchestrator builds one with
+// bounded parallelism, a content-addressed result cache (OpenResultCache),
+// per-cell panic isolation and timeouts, and a progress event stream, while
+// preserving bit-identical deterministic output; SerialRunner{} runs the
+// cells one after another — the paper's methodology. Beyond that the façade
+// exports Run/RunWindows, the R⁺ and NDR methodology, named campaigns and
+// the distributed fabric, the topology IR, and the switch contract and rule
+// surface for custom SUTs. See DESIGN.md for the system inventory and
+// EXPERIMENTS.md for measured-vs-paper results.
 package swbench

@@ -12,37 +12,56 @@ import (
 // builtinDef builds one named campaign's spec list.
 type builtinDef struct {
 	desc  string
-	specs func(o core.RunOpts) ([]Spec, error)
+	specs func(o core.RunOpts) []Spec
 }
 
-func figureCampaign(id string) func(o core.RunOpts) ([]Spec, error) {
-	return func(o core.RunOpts) ([]Spec, error) {
-		cfgs, err := core.FigureSpecs(id, o)
-		if err != nil {
-			return nil, err
+// runnableOnce names cfgs as campaign cells under prefix, each runnable
+// cell once: an experiment's grid may hold cells its switch cannot run (the
+// figure prints those as "-") and repeat cells that two curves share, while
+// a campaign measures what can be measured, exactly once.
+func runnableOnce(prefix string, cfgs []core.Config) []Spec {
+	specs := make([]Spec, 0, len(cfgs))
+	seen := make(map[string]bool, len(cfgs))
+	for _, cfg := range cfgs {
+		if info, err := switchdef.Lookup(cfg.Switch); err == nil {
+			if cfg.SUTCores > 1 && info.IOMode == switchdef.InterruptMode {
+				continue
+			}
+			if cfg.RuleUpdateRate > 0 && !info.RuntimeRules {
+				continue
+			}
 		}
-		return prefixed("fig"+id, cfgs), nil
-	}
-}
-
-func prefixed(prefix string, cfgs []core.Config) []Spec {
-	specs := make([]Spec, len(cfgs))
-	for i, cfg := range cfgs {
-		specs[i] = Spec{ID: prefix + "/" + AutoID(cfg), Cfg: cfg}
+		id := prefix + "/" + AutoID(cfg)
+		if seen[id] {
+			continue
+		}
+		seen[id] = true
+		specs = append(specs, Spec{ID: id, Cfg: cfg})
 	}
 	return specs
 }
 
+// experimentCampaign is the campaign name of a registry entry: fig4a … fig6
+// and table4 for the paper's experiments, the bare id for an extension.
+func experimentCampaign(e core.Experiment) string {
+	switch {
+	case e.Extension:
+		return e.ID
+	case e.Kind == "figure":
+		return "fig" + e.ID
+	}
+	return e.Kind + e.ID
+}
+
+// experimentSpecs is the campaign of a registry entry with a flat grid.
+func experimentSpecs(e core.Experiment, o core.RunOpts) []Spec {
+	return runnableOnce(experimentCampaign(e), e.Specs(o))
+}
+
+// builtins starts as the two composite campaigns; init adds one campaign
+// per registry entry with a flat grid.
 var builtins = map[string]builtinDef{
-	"fig4a": {"p2p throughput grid (Fig. 4a)", figureCampaign("4a")},
-	"fig4b": {"p2v throughput grid (Fig. 4b)", figureCampaign("4b")},
-	"fig4c": {"v2v throughput grid (Fig. 4c)", figureCampaign("4c")},
-	"fig5":  {"unidirectional loopback chain sweep (Fig. 5)", figureCampaign("5")},
-	"fig6":  {"bidirectional loopback chain sweep (Fig. 6)", figureCampaign("6")},
-	"table4": {"v2v software-timestamped latency (Table 4)", func(o core.RunOpts) ([]Spec, error) {
-		return prefixed("table4", core.Table4Specs(o)), nil
-	}},
-	"rplus": {"saturating R+ grid: every switch x scenario", func(o core.RunOpts) ([]Spec, error) {
+	"rplus": {"saturating R+ grid: every switch x scenario", func(o core.RunOpts) []Spec {
 		var cfgs []core.Config
 		for _, name := range core.Switches {
 			for _, scn := range []core.ScenarioKind{core.P2P, core.P2V, core.V2V} {
@@ -54,70 +73,25 @@ var builtins = map[string]builtinDef{
 				})))
 			}
 		}
-		return prefixed("rplus", cfgs), nil
+		return runnableOnce("rplus", cfgs)
 	}},
-	"scaling": {"multi-core scaling curves: cores x dispatch x size x switch", func(o core.RunOpts) ([]Spec, error) {
-		// The figure grid repeats the shared 1-core cells once per
-		// dispatch mode, and includes multi-core cells for switches
-		// that cannot run them (the figure renders those as "-"); a
-		// campaign measures each runnable cell exactly once.
-		var cfgs []core.Config
-		for _, cfg := range core.ScalingSpecs(o) {
-			if cfg.SUTCores > 1 {
-				if info, err := switchdef.Lookup(cfg.Switch); err == nil && info.IOMode == switchdef.InterruptMode {
-					continue
-				}
-			}
-			cfgs = append(cfgs, cfg)
-		}
-		specs := prefixed("scaling", cfgs)
-		seen := make(map[string]bool, len(specs))
-		var out []Spec
-		for _, s := range specs {
-			if seen[s.ID] {
-				continue
-			}
-			seen[s.ID] = true
-			out = append(out, s)
-		}
-		return out, nil
-	}},
-	"churn": {"cache-churn grid: flow mix x update rate x flows x switch", func(o core.RunOpts) ([]Spec, error) {
-		// The figure grid includes rule-update cells for switches that
-		// cannot take runtime rule edits (rendered as "-"); a campaign
-		// measures each runnable cell exactly once.
-		var cfgs []core.Config
-		for _, cfg := range core.ChurnSpecs(o) {
-			if cfg.RuleUpdateRate > 0 {
-				if info, err := switchdef.Lookup(cfg.Switch); err == nil && !info.RuntimeRules {
-					continue
-				}
-			}
-			cfgs = append(cfgs, cfg)
-		}
-		specs := prefixed("churn", cfgs)
-		seen := make(map[string]bool, len(specs))
-		var out []Spec
-		for _, s := range specs {
-			if seen[s.ID] {
-				continue
-			}
-			seen[s.ID] = true
-			out = append(out, s)
-		}
-		return out, nil
-	}},
-	"throughput": {"every throughput figure grid (Figs. 4a-c, 5, 6)", func(o core.RunOpts) ([]Spec, error) {
+	"throughput": {"every throughput figure grid (Figs. 4a-c, 5, 6)", func(o core.RunOpts) []Spec {
 		var specs []Spec
-		for _, id := range []string{"4a", "4b", "4c", "5", "6"} {
-			s, err := figureCampaign(id)(o)
-			if err != nil {
-				return nil, err
+		for _, e := range core.Experiments {
+			if e.Kind == "figure" && !e.Extension && e.Specs != nil {
+				specs = append(specs, experimentSpecs(e, o)...)
 			}
-			specs = append(specs, s...)
 		}
-		return specs, nil
+		return specs
 	}},
+}
+
+func init() {
+	for _, e := range core.Experiments {
+		if e.Specs != nil {
+			builtins[experimentCampaign(e)] = builtinDef{e.Title, func(o core.RunOpts) []Spec { return experimentSpecs(e, o) }}
+		}
+	}
 }
 
 // Builtin returns the named campaign with o applied to every spec.
@@ -127,11 +101,7 @@ func Builtin(name string, o core.RunOpts) (Campaign, error) {
 		return Campaign{}, fmt.Errorf("campaign: unknown campaign %q (have %s)",
 			name, strings.Join(BuiltinNames(), ", "))
 	}
-	specs, err := def.specs(o)
-	if err != nil {
-		return Campaign{}, err
-	}
-	return Campaign{Name: name, Specs: specs}, nil
+	return Campaign{Name: name, Specs: def.specs(o)}, nil
 }
 
 // BuiltinNames lists the registered campaign names, sorted.

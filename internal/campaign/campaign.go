@@ -172,8 +172,8 @@ type Report struct {
 	Wall time.Duration
 	// CacheHits counts cells served from the cache.
 	CacheHits int
-	// Failed counts cells with a non-nil error (ErrChainTooLong is a
-	// legitimate per-switch limit, not a failure).
+	// Failed counts cells with a non-nil error (a core.Unsupported
+	// per-switch limit is not a failure).
 	Failed int
 }
 
@@ -184,7 +184,7 @@ func (r *Report) Err() error {
 	}
 	var ids []string
 	for _, o := range r.Outcomes {
-		if cellFailed(o.Err) {
+		if CellFailed(o.Err) {
 			ids = append(ids, o.Spec.ID)
 		}
 	}
@@ -192,13 +192,11 @@ func (r *Report) Err() error {
 		r.Name, r.Failed, len(r.Outcomes), strings.Join(ids, ", "))
 }
 
-func cellFailed(err error) bool { return CellFailed(err) }
-
-// CellFailed reports whether a cell error is a real failure.
-// ErrChainTooLong is a legitimate per-switch limit the figures render as
-// "-", not a failure; everything else (panics, timeouts, hard errors) is.
+// CellFailed reports whether a cell error is a real failure. The
+// per-switch limits the figures render as "-" (core.Unsupported) are not;
+// everything else (panics, timeouts, hard errors) is.
 func CellFailed(err error) bool {
-	return err != nil && !errors.Is(err, core.ErrChainTooLong)
+	return err != nil && !core.Unsupported(err)
 }
 
 // WorkerCounts aggregates completed cells per executor identity — the
@@ -253,7 +251,7 @@ func (o *Orchestrator) Run(c Campaign) (*Report, error) {
 		mu.Unlock()
 		typ := EventFinished
 		switch {
-		case cellFailed(out.Err):
+		case CellFailed(out.Err):
 			typ = EventFailed
 		case out.Cached:
 			typ = EventCached
@@ -309,7 +307,7 @@ feed:
 		if out.Cached {
 			rep.CacheHits++
 		}
-		if cellFailed(out.Err) {
+		if CellFailed(out.Err) {
 			rep.Failed++
 		}
 	}

@@ -2,7 +2,9 @@ package campaign
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -182,6 +184,38 @@ func TestEventsStream(t *testing.T) {
 	}
 }
 
+// TestUnsupportedCellsAreNotFailures: a figure routed through the
+// orchestrator holds cells its switch cannot run; every per-switch limit
+// the figure prints as "-" finishes, none fails.
+func TestUnsupportedCellsAreNotFailures(t *testing.T) {
+	grid, err := core.FigureSpecs("churn", core.RunOpts{Duration: 200 * units.Microsecond, Warmup: 100 * units.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var row []core.Config // the 10k-updates/s row of Snabb, which has no runtime rules
+	for _, cfg := range grid {
+		if cfg.Switch == "snabb" && cfg.ZipfSkew == 0 && cfg.RuleUpdateRate == 10000 {
+			row = append(row, cfg)
+		}
+	}
+	var mu sync.Mutex
+	counts := map[EventType]int{}
+	o := New(context.Background(), Options{Workers: 2, Events: func(ev Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		counts[ev.Type]++
+	}})
+	outs := o.RunAll(row)
+	for i, out := range outs {
+		if !errors.Is(out.Err, core.ErrNoRuntimeRules) {
+			t.Errorf("cell %d: err = %v, want ErrNoRuntimeRules", i, out.Err)
+		}
+	}
+	if len(row) != len(core.ChurnFlowCounts) || counts[EventFinished] != len(row) || counts[EventFailed] != 0 {
+		t.Errorf("%d cells: events %v, want every cell finished and none failed", len(row), counts)
+	}
+}
+
 func TestRunAllImplementsRunner(t *testing.T) {
 	var _ core.Runner = (*Orchestrator)(nil)
 	o := New(context.Background(), Options{Workers: 4})
@@ -197,7 +231,31 @@ func TestRunAllImplementsRunner(t *testing.T) {
 	}
 }
 
+// builtinRecord is every named campaign's cell count at core.Quick and the
+// first 8 bytes of the SHA-256 of its newline-joined spec IDs, recorded
+// through the hand-written per-campaign builders that preceded the
+// experiment registry: deriving the campaigns from the registry must keep
+// every name, every cell and the cell order.
+var builtinRecord = map[string]struct {
+	cells int
+	ids   string
+}{
+	"churn":      {120, "69d4700d3f3d8b62"},
+	"fig4a":      {42, "45e644fa097c4311"},
+	"fig4b":      {42, "61aef62d94c87efa"},
+	"fig4c":      {42, "11517e68cd1a5ee3"},
+	"fig5":       {105, "89261ac45b86159f"},
+	"fig6":       {105, "640129021a52074a"},
+	"rplus":      {56, "7d639d3fd58b0049"},
+	"scaling":    {110, "982afb89aac2f227"},
+	"table4":     {7, "d964102c941321fd"},
+	"throughput": {336, "099e7ce4f5049af0"},
+}
+
 func TestBuiltinCampaigns(t *testing.T) {
+	if names := BuiltinNames(); len(names) != len(builtinRecord) {
+		t.Errorf("campaigns %v, want the %d recorded ones", names, len(builtinRecord))
+	}
 	for _, name := range BuiltinNames() {
 		c, err := Builtin(name, core.Quick)
 		if err != nil {
@@ -207,7 +265,8 @@ func TestBuiltinCampaigns(t *testing.T) {
 			t.Fatalf("%s: empty campaign", name)
 		}
 		seen := map[string]bool{}
-		for _, s := range c.Specs {
+		ids := make([]string, len(c.Specs))
+		for i, s := range c.Specs {
 			if s.ID == "" {
 				t.Fatalf("%s: spec without ID", name)
 			}
@@ -215,9 +274,19 @@ func TestBuiltinCampaigns(t *testing.T) {
 				t.Fatalf("%s: duplicate spec ID %s", name, s.ID)
 			}
 			seen[s.ID] = true
+			ids[i] = s.ID
 		}
 		if BuiltinDescription(name) == "" {
 			t.Fatalf("%s: no description", name)
+		}
+		want, ok := builtinRecord[name]
+		if !ok {
+			t.Errorf("%s: campaign is not in the record", name)
+			continue
+		}
+		sum := sha256.Sum256([]byte(strings.Join(ids, "\n")))
+		if got := fmt.Sprintf("%x", sum[:8]); len(c.Specs) != want.cells || got != want.ids {
+			t.Errorf("%s: %d cells, spec-ID hash %s; recorded %d, %s", name, len(c.Specs), got, want.cells, want.ids)
 		}
 	}
 	if _, err := Builtin("nope", core.Quick); err == nil {

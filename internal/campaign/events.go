@@ -10,7 +10,7 @@ const (
 	// EventStarted fires when a worker picks a cell up.
 	EventStarted EventType = iota
 	// EventFinished fires when a cell's simulation completes (including
-	// ErrChainTooLong cells — an expected per-switch limit).
+	// core.Unsupported cells — an expected per-switch limit).
 	EventFinished
 	// EventCached fires when the result cache answers without running.
 	EventCached

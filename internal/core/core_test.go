@@ -302,7 +302,7 @@ func TestLoopbackLowLoadBatchingInflation(t *testing.T) {
 }
 
 func TestVALEBestV2VLatency(t *testing.T) {
-	rows, err := Table4(Quick)
+	rows, err := Table4On(SerialRunner{}, Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestFigure1NegativeCorrelation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	pts, err := Figure1(RunOpts{Duration: 3 * units.Millisecond, Warmup: 2 * units.Millisecond})
+	pts, err := Figure1On(SerialRunner{}, RunOpts{Duration: 3 * units.Millisecond, Warmup: 2 * units.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

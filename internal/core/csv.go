@@ -8,148 +8,68 @@ import (
 
 // CSV exports, for plotting the reproduced figures with external tools.
 
-// WriteFigureCSV emits a throughput figure as CSV with the columns
+// WriteFigureCSV emits a grid figure as CSV, one row per point in grid
+// order, with its family's columns — for the throughput figures
 // switch,scenario,chain,bidir,frame_bytes,gbps,mpps,unsupported.
 func WriteFigureCSV(w io.Writer, fig *Figure) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"switch", "scenario", "chain", "bidir", "frame_bytes", "gbps", "mpps", "unsupported"}); err != nil {
+	f, err := lookupGrid(fig.ID)
+	if err != nil {
 		return err
 	}
-	for _, pt := range fig.Pts {
-		rec := []string{
-			pt.Switch,
-			fig.Scenario.String(),
-			fmt.Sprint(pt.Chain),
-			fmt.Sprint(pt.Bidir),
-			fmt.Sprint(pt.FrameLen),
-			fmt.Sprintf("%.4f", pt.Gbps),
-			fmt.Sprintf("%.4f", pt.Mpps),
-			fmt.Sprint(pt.Unsupported),
+	header := make([]string, len(f.csv))
+	for j, col := range f.csv {
+		header[j] = col.name
+	}
+	rows := append(make([][]string, 0, 1+len(fig.Pts)), header)
+	for i := range fig.Pts {
+		row := make([]string, len(f.csv))
+		for j, col := range f.csv {
+			row[j] = col.value(&fig.Pts[i])
 		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
+		rows = append(rows, row)
 	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteChurnCSV emits the cache-churn family as CSV with the columns
-// switch,zipf_skew,update_rate,flows,gbps,mpps,mean_rtt_us,rule_updates,
-// emc_evictions,unsupported.
-func WriteChurnCSV(w io.Writer, fig *ChurnFigure) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"switch", "zipf_skew", "update_rate", "flows", "gbps", "mpps", "mean_rtt_us", "rule_updates", "emc_evictions", "unsupported"}); err != nil {
-		return err
-	}
-	for _, c := range fig.Curves {
-		for _, pt := range c.Points {
-			rec := []string{
-				c.Switch,
-				fmt.Sprintf("%g", c.ZipfSkew),
-				fmt.Sprintf("%g", c.UpdateRate),
-				fmt.Sprint(pt.Flows),
-				fmt.Sprintf("%.4f", pt.Gbps),
-				fmt.Sprintf("%.4f", pt.Mpps),
-				fmt.Sprintf("%.2f", pt.MeanLatencyUs),
-				fmt.Sprint(pt.RuleUpdates),
-				fmt.Sprint(pt.EMCEvictions),
-				fmt.Sprint(pt.Unsupported),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteScalingCSV emits the scaling-curve family as CSV with the columns
-// switch,dispatch,frame_bytes,cores,effective_cores,gbps,mpps,unsupported.
-func WriteScalingCSV(w io.Writer, fig *ScalingFigure) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"switch", "dispatch", "frame_bytes", "cores", "effective_cores", "gbps", "mpps", "unsupported"}); err != nil {
-		return err
-	}
-	for _, c := range fig.Curves {
-		for _, pt := range c.Points {
-			rec := []string{
-				c.Switch,
-				c.Dispatch,
-				fmt.Sprint(c.FrameLen),
-				fmt.Sprint(pt.Cores),
-				fmt.Sprint(pt.EffectiveCores),
-				fmt.Sprintf("%.4f", pt.Gbps),
-				fmt.Sprintf("%.4f", pt.Mpps),
-				fmt.Sprint(pt.Unsupported),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(rows)
 }
 
 // WriteFigure1CSV emits the scatter data with the columns
 // switch,gbps,mean_us,std_us.
 func WriteFigure1CSV(w io.Writer, pts []Figure1Point) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"switch", "gbps", "mean_us", "std_us"}); err != nil {
-		return err
-	}
+	rows := [][]string{{"switch", "gbps", "mean_us", "std_us"}}
 	for _, p := range pts {
-		if err := cw.Write([]string{p.Switch,
+		rows = append(rows, []string{p.Switch,
 			fmt.Sprintf("%.4f", p.Gbps),
 			fmt.Sprintf("%.2f", p.MeanUs),
-			fmt.Sprintf("%.2f", p.StdUs)}); err != nil {
-			return err
-		}
+			fmt.Sprintf("%.2f", p.StdUs)})
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(rows)
 }
 
 // WriteTable3CSV emits the latency table with the columns
 // switch,scenario,load,mean_us.
 func WriteTable3CSV(w io.Writer, cells []Table3Cell) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"switch", "scenario", "load", "mean_us"}); err != nil {
-		return err
-	}
+	rows := [][]string{{"switch", "scenario", "load", "mean_us"}}
 	for _, c := range cells {
 		if c.Unsupported {
 			continue
 		}
 		for i, load := range Table3Loads {
-			if err := cw.Write([]string{c.Switch, c.Scenario,
+			rows = append(rows, []string{c.Switch, c.Scenario,
 				fmt.Sprintf("%.2f", load),
-				fmt.Sprintf("%.2f", c.MeanUs[i])}); err != nil {
-				return err
-			}
+				fmt.Sprintf("%.2f", c.MeanUs[i])})
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(rows)
 }
 
 // WriteWindowsCSV emits a RunWindows series with the columns
 // start_us,gbps,mpps.
 func WriteWindowsCSV(w io.Writer, pts []WindowPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"start_us", "gbps", "mpps"}); err != nil {
-		return err
-	}
+	rows := [][]string{{"start_us", "gbps", "mpps"}}
 	for _, p := range pts {
-		if err := cw.Write([]string{
+		rows = append(rows, []string{
 			fmt.Sprintf("%.1f", p.Start.Microseconds()),
 			fmt.Sprintf("%.4f", p.Gbps),
-			fmt.Sprintf("%.4f", p.Mpps)}); err != nil {
-			return err
-		}
+			fmt.Sprintf("%.4f", p.Mpps)})
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(rows)
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 
+	"repro/internal/pkt"
+	"repro/internal/switches/switchdef"
 	"repro/internal/units"
 )
 
@@ -66,6 +68,37 @@ func TestMultiFlowStressesOvSCaches(t *testing.T) {
 	vmany := quickRun(t, Config{Switch: "vpp", Scenario: P2P, Flows: 20000})
 	if vmany.Gbps < vone.Gbps*0.95 {
 		t.Fatalf("vpp multi-flow dropped: %.2f vs %.2f", vmany.Gbps, vone.Gbps)
+	}
+}
+
+// TestMultiFlowKeepsLearningSwitchForwarding: spreading traffic over flows
+// must not change what a learning bridge forwards. The flow index once went
+// into the source MAC bytes that tell SUT-port addresses apart, so flow 1
+// entering port 0 carried the frame's own destination as its source; VALE
+// learned the destination on the ingress port and dropped everything.
+func TestMultiFlowKeepsLearningSwitchForwarding(t *testing.T) {
+	within2pct := func(a, b float64) bool { return a > 0 && b > 0 && a/b < 1.02 && b/a < 1.02 }
+	one := quickRun(t, Config{Switch: "vale", Scenario: P2P, Flows: 1})
+	for _, flows := range []int{2, 64} {
+		res := quickRun(t, Config{Switch: "vale", Scenario: P2P, Flows: flows})
+		if !within2pct(res.Gbps, one.Gbps) {
+			t.Errorf("vale p2p over %d flows = %.2f Gbps, single-flow %.2f", flows, res.Gbps, one.Gbps)
+		}
+	}
+	bidir := quickRun(t, Config{Switch: "vale", Scenario: P2P, Flows: 64, Bidir: true})
+	if !within2pct(bidir.Dirs[0].Gbps, bidir.Dirs[1].Gbps) {
+		t.Errorf("vale bidirectional over 64 flows: directions %.2f / %.2f Gbps", bidir.Dirs[0].Gbps, bidir.Dirs[1].Gbps)
+	}
+	tb := &testbed{cfg: Config{FrameLen: 64}}
+	for in := 0; in < 4; in++ {
+		spec := tb.frameSpec(in, in^1)
+		for flow := 0; flow < 1<<16; flow++ {
+			src := pkt.EthSrc(spec.Template(flow).Image())
+			port := int(src[4])<<8 | int(src[5])
+			if src == switchdef.PortMAC(port) && (flow != 0 || port != in) {
+				t.Fatalf("flow %d entering port %d carries source MAC %v, the address of SUT port %d", flow, in, src, port)
+			}
+		}
 	}
 }
 

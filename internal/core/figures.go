@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/stats"
@@ -44,21 +43,32 @@ func (o RunOpts) apply(cfg Config) Config {
 // Apply merges the options into a config, exported for campaign builders.
 func (o RunOpts) Apply(cfg Config) Config { return o.apply(cfg) }
 
-// ThroughputPoint is one bar of a throughput figure.
+// ThroughputPoint is one point of a grid figure: a bar of a throughput
+// figure, or a point of a scaling or churn curve.
 type ThroughputPoint struct {
 	Switch   string
-	Display  string
 	FrameLen int
 	Chain    int // loopback only
 	Bidir    bool
+	// Dispatch is the curve a scaling point lies on. Config cannot say: a
+	// curve's 1-core point is the paper's single-core methodology, which
+	// has no dispatch dimension.
+	Dispatch string
 	Gbps     float64
 	Mpps     float64
 	// Unsupported marks configurations the switch cannot run (BESS with
-	// more than 3 VMs); the paper renders these as missing bars.
+	// more than 3 VMs, VALE on several cores, rule updates on a
+	// fixed-function switch); the paper renders these as missing bars.
 	Unsupported bool
+	// Config is the cell's canonical config and Result its measurement
+	// (zero when Unsupported): the axes and metrics a family reports
+	// beyond the fields above — and the switch's display name — are read
+	// from these.
+	Config Config
+	Result Result
 }
 
-// Figure is a reproduced throughput figure: a series of points.
+// Figure is a reproduced grid figure: a series of points.
 type Figure struct {
 	ID       string
 	Title    string
@@ -66,49 +76,41 @@ type Figure struct {
 	Pts      []ThroughputPoint
 }
 
-// throughputSpecs enumerates the measurement grid of one throughput figure
-// in the paper's rendering order (chain, direction, frame size, switch).
-func throughputSpecs(scn ScenarioKind, chains []int, dirs []bool, o RunOpts) []Config {
-	var specs []Config
-	for _, chain := range chains {
-		for _, bidir := range dirs {
-			for _, size := range FrameSizes {
-				for _, name := range Switches {
-					specs = append(specs, o.apply(Config{
-						Switch: name, Scenario: scn, Chain: chain,
-						FrameLen: size, Bidir: bidir,
-					}))
-				}
-			}
-		}
-	}
-	return specs
+// gridFamily is one grid figure as data: what to measure and how its points
+// read as text and as CSV. FigureSpecs, FigureOn, RenderFigure and
+// WriteFigureCSV serve every family through this table.
+type gridFamily struct {
+	id, title string
+	header    string // first line of the text rendering
+	scenario  ScenarioKind
+	extension bool // beyond the paper's evaluation; `swbench all` skips it
+	// points enumerates the grid in campaign and CSV order, each point
+	// holding the Config to run and any coordinate Config cannot express.
+	points func(o RunOpts) []ThroughputPoint
+	// caption names the table a point belongs to and column its column
+	// there; rows are switches. Tables, columns and rows render in
+	// first-seen order.
+	caption, column func(pt *ThroughputPoint) string
+	// cell formats a supported point, right-aligned to width.
+	cell  func(pt *ThroughputPoint) string
+	width int
+	// paper, if set, is the paper's value for a point under -compare.
+	paper func(pt *ThroughputPoint) (float64, bool)
+	csv   []csvColumn
 }
 
-func throughputFigureOn(r Runner, id, title string, scn ScenarioKind, chains []int, dirs []bool, o RunOpts) (*Figure, error) {
-	fig := &Figure{ID: id, Title: title, Scenario: scn}
-	specs := throughputSpecs(scn, chains, dirs, o)
-	outs := r.RunAll(specs)
-	if err := firstErr(outs); err != nil {
-		return nil, err
+// csvColumn is one column of a family's CSV form.
+type csvColumn struct {
+	name  string
+	value func(pt *ThroughputPoint) string
+}
+
+func pointConfigs(pts []ThroughputPoint) []Config {
+	specs := make([]Config, len(pts))
+	for i := range pts {
+		specs[i] = pts[i].Config
 	}
-	for i, cfg := range specs {
-		info, err := switchdef.Lookup(cfg.Switch)
-		if err != nil {
-			return nil, err
-		}
-		pt := ThroughputPoint{
-			Switch: cfg.Switch, Display: info.Display,
-			FrameLen: cfg.FrameLen, Chain: cfg.Chain, Bidir: cfg.Bidir,
-		}
-		if errors.Is(outs[i].Err, ErrChainTooLong) {
-			pt.Unsupported = true
-		} else {
-			pt.Gbps, pt.Mpps = outs[i].Result.Gbps, outs[i].Result.Mpps
-		}
-		fig.Pts = append(fig.Pts, pt)
-	}
-	return fig, nil
+	return specs
 }
 
 var bothDirs = []bool{false, true}
@@ -116,37 +118,123 @@ var bothDirs = []bool{false, true}
 // Chains is the loopback chain-length sweep (§5.2: 1 to 5 VNFs).
 var Chains = []int{1, 2, 3, 4, 5}
 
-// figureGrids maps throughput figure ids to their grids.
-var figureGrids = map[string]struct {
-	Title  string
-	Scn    ScenarioKind
-	Chains []int
-	Dirs   []bool
-}{
-	"4a": {"Throughput in physical-to-physical (p2p)", P2P, []int{1}, bothDirs},
-	"4b": {"Throughput in physical-to-virtual (p2v)", P2V, []int{1}, bothDirs},
-	"4c": {"Throughput in virtual-to-virtual (v2v)", V2V, []int{1}, bothDirs},
-	"5":  {"Unidirectional throughput of loopback", Loopback, Chains, []bool{false}},
-	"6":  {"Bidirectional throughput of loopback", Loopback, Chains, []bool{true}},
+// throughputFamily is one of the paper's throughput figures: scenario scn
+// over chains × directions × frame sizes × switches, in the paper's
+// rendering order.
+func throughputFamily(id, title string, scn ScenarioKind, chains []int, dirs []bool) *gridFamily {
+	return &gridFamily{
+		id: id, title: title, scenario: scn,
+		header: fmt.Sprintf("Figure %s: %s (Gbps)", id, title),
+		points: func(o RunOpts) []ThroughputPoint {
+			pts := make([]ThroughputPoint, 0, len(chains)*len(dirs)*len(FrameSizes)*len(Switches))
+			for _, chain := range chains {
+				for _, bidir := range dirs {
+					for _, size := range FrameSizes {
+						for _, name := range Switches {
+							pts = append(pts, ThroughputPoint{Config: o.apply(Config{
+								Switch: name, Scenario: scn, Chain: chain,
+								FrameLen: size, Bidir: bidir,
+							})})
+						}
+					}
+				}
+			}
+			return pts
+		},
+		caption: func(pt *ThroughputPoint) string {
+			dir := "unidirectional"
+			if pt.Bidir {
+				dir = "bidirectional"
+			}
+			if scn == Loopback {
+				return fmt.Sprintf("%s, %d-VNF chain", dir, pt.Chain)
+			}
+			return dir
+		},
+		column: func(pt *ThroughputPoint) string { return fmt.Sprintf("%dB", pt.FrameLen) },
+		cell:   gbpsCell, width: 8,
+		paper: func(pt *ThroughputPoint) (float64, bool) { return PaperThroughputFor(scn, *pt) },
+		csv: []csvColumn{
+			colSwitch,
+			{"scenario", func(*ThroughputPoint) string { return scn.String() }},
+			{"chain", func(pt *ThroughputPoint) string { return fmt.Sprint(pt.Chain) }},
+			{"bidir", func(pt *ThroughputPoint) string { return fmt.Sprint(pt.Bidir) }},
+			colFrameBytes, colGbps, colMpps, colUnsupported,
+		},
+	}
 }
 
-// FigureSpecs returns the flat measurement grid behind throughput figure
-// id ("4a", "4b", "4c", "5", "6") — the spec set a campaign executes.
+func gbpsCell(pt *ThroughputPoint) string { return fmt.Sprintf("%.2f", pt.Gbps) }
+
+// CSV columns more than one family reports.
+var (
+	colSwitch      = csvColumn{"switch", func(pt *ThroughputPoint) string { return pt.Switch }}
+	colFrameBytes  = csvColumn{"frame_bytes", func(pt *ThroughputPoint) string { return fmt.Sprint(pt.FrameLen) }}
+	colGbps        = csvColumn{"gbps", func(pt *ThroughputPoint) string { return fmt.Sprintf("%.4f", pt.Gbps) }}
+	colMpps        = csvColumn{"mpps", func(pt *ThroughputPoint) string { return fmt.Sprintf("%.4f", pt.Mpps) }}
+	colUnsupported = csvColumn{"unsupported", func(pt *ThroughputPoint) string { return fmt.Sprint(pt.Unsupported) }}
+)
+
+// gridFamilies lists every grid figure: the paper's throughput figures in
+// its order, then the extensions.
+var gridFamilies = []*gridFamily{
+	throughputFamily("4a", "Throughput in physical-to-physical (p2p)", P2P, []int{1}, bothDirs),
+	throughputFamily("4b", "Throughput in physical-to-virtual (p2v)", P2V, []int{1}, bothDirs),
+	throughputFamily("4c", "Throughput in virtual-to-virtual (v2v)", V2V, []int{1}, bothDirs),
+	throughputFamily("5", "Unidirectional throughput of loopback", Loopback, Chains, []bool{false}),
+	throughputFamily("6", "Bidirectional throughput of loopback", Loopback, Chains, []bool{true}),
+	scalingFamily,
+	churnFamily,
+}
+
+func lookupGrid(id string) (*gridFamily, error) {
+	for _, f := range gridFamilies {
+		if f.id == id {
+			return f, nil
+		}
+	}
+	return nil, fmt.Errorf("core: no grid figure %q", id)
+}
+
+// FigureSpecs returns the flat measurement grid behind grid figure id
+// ("4a", "4b", "4c", "5", "6", "scaling", "churn") — the spec set a
+// campaign executes.
 func FigureSpecs(id string, o RunOpts) ([]Config, error) {
-	g, ok := figureGrids[id]
-	if !ok {
-		return nil, fmt.Errorf("core: no spec grid for figure %q", id)
+	f, err := lookupGrid(id)
+	if err != nil {
+		return nil, err
 	}
-	return throughputSpecs(g.Scn, g.Chains, g.Dirs, o), nil
+	return pointConfigs(f.points(o)), nil
 }
 
-// FigureOn reproduces throughput figure id on runner r.
+// FigureOn reproduces grid figure id on runner r.
 func FigureOn(r Runner, id string, o RunOpts) (*Figure, error) {
-	g, ok := figureGrids[id]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown throughput figure %q", id)
+	f, err := lookupGrid(id)
+	if err != nil {
+		return nil, err
 	}
-	return throughputFigureOn(r, id, g.Title, g.Scn, g.Chains, g.Dirs, o)
+	return f.run(r, o)
+}
+
+func (f *gridFamily) run(r Runner, o RunOpts) (*Figure, error) {
+	pts := f.points(o)
+	outs := r.RunAll(pointConfigs(pts))
+	if err := firstErr(outs); err != nil {
+		return nil, err
+	}
+	for i := range pts {
+		pt := &pts[i]
+		pt.Config = pt.Config.Canonical()
+		pt.Switch, pt.FrameLen = pt.Config.Switch, pt.Config.FrameLen
+		pt.Chain, pt.Bidir = pt.Config.Chain, pt.Config.Bidir
+		if Unsupported(outs[i].Err) {
+			pt.Unsupported = true
+			continue
+		}
+		pt.Result = outs[i].Result
+		pt.Gbps, pt.Mpps = pt.Result.Gbps, pt.Result.Mpps
+	}
+	return &Figure{ID: f.id, Title: f.title, Scenario: f.scenario, Pts: pts}, nil
 }
 
 // Figure1Point is one switch's dot on the paper's opening scatter plots:
@@ -159,10 +247,8 @@ type Figure1Point struct {
 	StdUs   float64
 }
 
-// Figure1 reproduces the scatter data of Fig. 1 (both panels share it).
-func Figure1(o RunOpts) ([]Figure1Point, error) { return Figure1On(SerialRunner{}, o) }
-
-// Figure1On is Figure1 on an explicit runner. It runs two waves: first the
+// Figure1On reproduces the scatter data of Fig. 1 (both panels share it)
+// on runner r. It runs two waves: first the
 // saturating bidirectional p2p runs (one per switch, all independent),
 // then the latency runs at 95% of each measured rate.
 func Figure1On(r Runner, o RunOpts) ([]Figure1Point, error) {
@@ -225,12 +311,9 @@ type Table3Cell struct {
 	Unsupported bool
 }
 
-// Table3 reproduces the RTT latency table.
-func Table3(o RunOpts) ([]Table3Cell, error) { return Table3On(SerialRunner{}, o) }
-
-// Table3On is Table3 on an explicit runner. Wave one runs every cell's
-// saturating R⁺ estimation; wave two fans out the three rate-controlled
-// latency runs per supported cell.
+// Table3On reproduces the RTT latency table on runner r. Wave one runs
+// every cell's saturating R⁺ estimation; wave two fans out the three
+// rate-controlled latency runs per supported cell.
 func Table3On(r Runner, o RunOpts) ([]Table3Cell, error) {
 	type cellDef struct {
 		cfg  Config
@@ -261,7 +344,7 @@ func Table3On(r Runner, o RunOpts) ([]Table3Cell, error) {
 	var refs []latRef
 	rps := make([]float64, len(cells))
 	for i, c := range cells {
-		if errors.Is(satOuts[i].Err, ErrChainTooLong) {
+		if Unsupported(satOuts[i].Err) {
 			cells[i].cell.Unsupported = true
 			continue
 		}
@@ -314,10 +397,7 @@ func Table4Specs(o RunOpts) []Config {
 	return specs
 }
 
-// Table4 reproduces the v2v latency table.
-func Table4(o RunOpts) ([]Table4Row, error) { return Table4On(SerialRunner{}, o) }
-
-// Table4On is Table4 on an explicit runner.
+// Table4On reproduces the v2v latency table on runner r.
 func Table4On(r Runner, o RunOpts) ([]Table4Row, error) {
 	specs := Table4Specs(o)
 	outs := r.RunAll(specs)

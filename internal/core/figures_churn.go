@@ -1,9 +1,8 @@
 package core
 
 import (
-	"errors"
+	"fmt"
 
-	"repro/internal/switches/switchdef"
 	"repro/internal/units"
 )
 
@@ -38,111 +37,52 @@ var ChurnSkews = []float64{0, 1.1}
 // stalls show up as RTT inflation too.
 const churnProbeEvery = 100 * units.Microsecond
 
-// ChurnPoint is one (switch, skew, rate, flows) measurement.
-type ChurnPoint struct {
-	Flows int
-	Gbps  float64
-	Mpps  float64
-	// MeanLatencyUs is the mean probe RTT under saturation.
-	MeanLatencyUs float64
-	// RuleUpdates and EMCEvictions echo the Result's control-plane and
-	// cache-pressure counters for the measurement window.
-	RuleUpdates  int64
-	EMCEvictions int64
-	// Unsupported marks switches that cannot take runtime rule updates
-	// (Snabb, BESS, VALE) in cells with a non-zero update rate.
-	Unsupported bool
-}
-
-// ChurnCurve is one line of the churn figure: a switch under one flow
-// mix and one rule-update rate, across the flow-count sweep.
-type ChurnCurve struct {
-	Switch     string
-	Display    string
-	ZipfSkew   float64
-	UpdateRate float64
-	Points     []ChurnPoint
-}
-
-// ChurnFigure is the cache-churn figure family.
-type ChurnFigure struct {
-	Curves []ChurnCurve
-}
-
-// churnConfig builds the cell config for one point. A rate-0 skew-0 cell
-// carries no churn dimension at all: it differs from the paper's p2p
-// methodology only by its flow count and probes.
-func churnConfig(name string, skew, rate float64, flows int, o RunOpts) Config {
-	cfg := Config{
-		Switch: name, Scenario: P2P, FrameLen: 64,
-		Flows: flows, ZipfSkew: skew, RuleUpdateRate: rate,
-		ProbeEvery: churnProbeEvery,
-	}
-	return o.apply(cfg)
-}
-
-// ChurnSpecs returns the flat measurement grid behind the churn figure —
-// the spec set a campaign executes.
-func ChurnSpecs(o RunOpts) []Config {
-	var specs []Config
-	for _, skew := range ChurnSkews {
-		for _, rate := range ChurnUpdateRates {
-			for _, name := range Switches {
-				for _, flows := range ChurnFlowCounts {
-					specs = append(specs, churnConfig(name, skew, rate, flows, o))
-				}
-			}
-		}
-	}
-	return specs
-}
-
-// FigureChurn reproduces the cache-churn figure family (throughput and
-// latency vs. active-flow count and rule-update rate, every switch).
-func FigureChurn(o RunOpts) (*ChurnFigure, error) {
-	return FigureChurnOn(SerialRunner{}, o)
-}
-
-// FigureChurnOn is FigureChurn on an explicit runner.
-func FigureChurnOn(r Runner, o RunOpts) (*ChurnFigure, error) {
-	specs := ChurnSpecs(o)
-	outs := r.RunAll(specs)
-	if err := firstErr(outs); err != nil {
-		return nil, err
-	}
-	fig := &ChurnFigure{}
-	i := 0
-	for _, skew := range ChurnSkews {
-		for _, rate := range ChurnUpdateRates {
-			for _, name := range Switches {
-				info, err := switchdef.Lookup(name)
-				if err != nil {
-					return nil, err
-				}
-				curve := ChurnCurve{
-					Switch: name, Display: info.Display,
-					ZipfSkew: skew, UpdateRate: rate,
-				}
-				for _, flows := range ChurnFlowCounts {
-					out := outs[i]
-					i++
-					pt := ChurnPoint{Flows: flows}
-					switch {
-					case errors.Is(out.Err, ErrNoRuntimeRules):
-						pt.Unsupported = true
-					case out.Err != nil:
-						return nil, out.Err
-					default:
-						pt.Gbps, pt.Mpps = out.Result.Gbps, out.Result.Mpps
-						pt.MeanLatencyUs = out.Result.Latency.MeanUs
-						pt.RuleUpdates = out.Result.RuleUpdates
-						pt.EMCEvictions = out.Result.EMCEvictions
+// churnFamily is the cache-churn family: throughput and mean probe RTT
+// vs. active-flow count, one table per flow mix and rule-update rate. A
+// rate-0 skew-0 cell carries no churn dimension at all: it differs from
+// the paper's p2p methodology only by its flow count and probes.
+var churnFamily = &gridFamily{
+	id: "churn", title: "p2p 64B throughput and RTT vs. active flows and rule-update rate",
+	header:   "Churn: p2p 64B throughput (Gbps) / mean RTT (us) vs. active flows and rule-update rate",
+	scenario: P2P, extension: true,
+	points: func(o RunOpts) []ThroughputPoint {
+		pts := make([]ThroughputPoint, 0, len(ChurnSkews)*len(ChurnUpdateRates)*len(Switches)*len(ChurnFlowCounts))
+		for _, skew := range ChurnSkews {
+			for _, rate := range ChurnUpdateRates {
+				for _, name := range Switches {
+					for _, flows := range ChurnFlowCounts {
+						pts = append(pts, ThroughputPoint{Config: o.apply(Config{
+							Switch: name, Scenario: P2P, FrameLen: 64,
+							Flows: flows, ZipfSkew: skew, RuleUpdateRate: rate,
+							ProbeEvery: churnProbeEvery,
+						})})
 					}
-					curve.Points = append(curve.Points, pt)
 				}
-				fig.Curves = append(fig.Curves, curve)
 			}
 		}
-	}
-	return fig, nil
+		return pts
+	},
+	caption: func(pt *ThroughputPoint) string {
+		mix := "round-robin flows"
+		if pt.Config.ZipfSkew > 0 {
+			mix = fmt.Sprintf("zipf(%.1f) flows", pt.Config.ZipfSkew)
+		}
+		return fmt.Sprintf("%s, %.0f rule updates/s", mix, pt.Config.RuleUpdateRate)
+	},
+	column: func(pt *ThroughputPoint) string { return fmt.Sprintf("%df", pt.Config.Flows) },
+	cell: func(pt *ThroughputPoint) string {
+		return fmt.Sprintf("%7.2f/%6.1fu", pt.Gbps, pt.Result.Latency.MeanUs)
+	},
+	width: 15,
+	csv: []csvColumn{
+		colSwitch,
+		{"zipf_skew", func(pt *ThroughputPoint) string { return fmt.Sprintf("%g", pt.Config.ZipfSkew) }},
+		{"update_rate", func(pt *ThroughputPoint) string { return fmt.Sprintf("%g", pt.Config.RuleUpdateRate) }},
+		{"flows", func(pt *ThroughputPoint) string { return fmt.Sprint(pt.Config.Flows) }},
+		colGbps, colMpps,
+		{"mean_rtt_us", func(pt *ThroughputPoint) string { return fmt.Sprintf("%.2f", pt.Result.Latency.MeanUs) }},
+		{"rule_updates", func(pt *ThroughputPoint) string { return fmt.Sprint(pt.Result.RuleUpdates) }},
+		{"emc_evictions", func(pt *ThroughputPoint) string { return fmt.Sprint(pt.Result.EMCEvictions) }},
+		colUnsupported,
+	},
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"errors"
-
-	"repro/internal/switches/switchdef"
-)
+import "fmt"
 
 // The scaling experiment follows the journal extension of the paper: the
 // multi-core future work of §6, measured as throughput-vs-cores curves.
@@ -29,33 +25,6 @@ var ScalingDispatches = []string{DispatchRSS, DispatchRTC}
 // ScalingFlows is the flow count of every scaling cell.
 const ScalingFlows = 64
 
-// ScalingPoint is one (switch, dispatch, size, cores) measurement.
-type ScalingPoint struct {
-	Cores int
-	// EffectiveCores is how many cores carried the data plane (echoed
-	// from the Result; equals Cores unless queues ran short).
-	EffectiveCores int
-	Gbps           float64
-	Mpps           float64
-	// Unsupported marks switches that cannot run multi-core (VALE).
-	Unsupported bool
-}
-
-// ScalingCurve is one line of the scaling figure: a switch under one
-// dispatch mode at one frame size, across the core sweep.
-type ScalingCurve struct {
-	Switch   string
-	Display  string
-	Dispatch string
-	FrameLen int
-	Points   []ScalingPoint
-}
-
-// ScalingFigure is the reproduced scaling-curve family.
-type ScalingFigure struct {
-	Curves []ScalingCurve
-}
-
 // scalingConfig builds the cell config for one point. A single-core
 // point carries no dispatch dimension: it is the paper's methodology,
 // byte-identical to the calibrated baseline (and shared by both curves).
@@ -75,70 +44,46 @@ func scalingConfig(name string, dispatch string, size, cores int, o RunOpts) Con
 	return o.apply(cfg)
 }
 
-// ScalingSpecs returns the flat measurement grid behind the scaling
-// figure — the spec set a campaign executes. Shared 1-core cells repeat
-// across dispatch modes; content-addressed caches collapse them.
-func ScalingSpecs(o RunOpts) []Config {
-	var specs []Config
-	for _, d := range ScalingDispatches {
-		for _, size := range ScalingSizes {
-			for _, name := range Switches {
-				for _, n := range ScalingCores {
-					specs = append(specs, scalingConfig(name, d, size, n, o))
-				}
-			}
-		}
-	}
-	return specs
-}
-
-// FigureScaling reproduces the scaling-curve family (throughput vs. SUT
-// cores, every switch, RSS and RTC dispatch, 64B and 1500B frames).
-func FigureScaling(o RunOpts) (*ScalingFigure, error) {
-	return FigureScalingOn(SerialRunner{}, o)
-}
-
-// FigureScalingOn is FigureScaling on an explicit runner.
-func FigureScalingOn(r Runner, o RunOpts) (*ScalingFigure, error) {
-	specs := ScalingSpecs(o)
-	outs := r.RunAll(specs)
-	if err := firstErr(outs); err != nil {
-		return nil, err
-	}
-	fig := &ScalingFigure{}
-	i := 0
-	for _, d := range ScalingDispatches {
-		for _, size := range ScalingSizes {
-			for _, name := range Switches {
-				info, err := switchdef.Lookup(name)
-				if err != nil {
-					return nil, err
-				}
-				curve := ScalingCurve{
-					Switch: name, Display: info.Display,
-					Dispatch: d, FrameLen: size,
-				}
-				for _, n := range ScalingCores {
-					out := outs[i]
-					i++
-					pt := ScalingPoint{Cores: n}
-					switch {
-					case errors.Is(out.Err, ErrNoMultiCore):
-						pt.Unsupported = true
-					case out.Err != nil:
-						return nil, out.Err
-					default:
-						pt.Gbps, pt.Mpps = out.Result.Gbps, out.Result.Mpps
-						pt.EffectiveCores = out.Result.EffectiveCores
-						if pt.EffectiveCores == 0 {
-							pt.EffectiveCores = n // single-core point
-						}
+// scalingFamily is the scaling-curve family: throughput vs. SUT cores,
+// every switch, RSS and RTC dispatch, 64B and 1500B frames. Shared 1-core
+// cells repeat across dispatch modes; content-addressed caches collapse
+// them. Interrupt-mode VALE has no multi-core points (ErrNoMultiCore).
+var scalingFamily = &gridFamily{
+	id: "scaling", title: "bidirectional p2p throughput vs. SUT cores",
+	header:   "Scaling: bidirectional p2p throughput vs. SUT cores (Gbps)",
+	scenario: P2P, extension: true,
+	points: func(o RunOpts) []ThroughputPoint {
+		pts := make([]ThroughputPoint, 0, len(ScalingDispatches)*len(ScalingSizes)*len(Switches)*len(ScalingCores))
+		for _, d := range ScalingDispatches {
+			for _, size := range ScalingSizes {
+				for _, name := range Switches {
+					for _, n := range ScalingCores {
+						pts = append(pts, ThroughputPoint{Dispatch: d, Config: scalingConfig(name, d, size, n, o)})
 					}
-					curve.Points = append(curve.Points, pt)
 				}
-				fig.Curves = append(fig.Curves, curve)
 			}
 		}
-	}
-	return fig, nil
+		return pts
+	},
+	caption: func(pt *ThroughputPoint) string {
+		return fmt.Sprintf("%s dispatch, %dB frames", pt.Dispatch, pt.FrameLen)
+	},
+	column: func(pt *ThroughputPoint) string { return fmt.Sprintf("%d-c", pt.Config.SUTCores) },
+	cell:   gbpsCell, width: 8,
+	csv: []csvColumn{
+		colSwitch,
+		{"dispatch", func(pt *ThroughputPoint) string { return pt.Dispatch }},
+		colFrameBytes,
+		{"cores", func(pt *ThroughputPoint) string { return fmt.Sprint(pt.Config.SUTCores) }},
+		{"effective_cores", func(pt *ThroughputPoint) string {
+			// How many cores carried the data plane: fewer than asked
+			// for when queues ran short. A single-core Result reports 0.
+			n := pt.Result.EffectiveCores
+			if n == 0 && !pt.Unsupported {
+				n = pt.Config.SUTCores
+			}
+			return fmt.Sprint(n)
+		}},
+		colGbps, colMpps, colUnsupported,
+	},
 }

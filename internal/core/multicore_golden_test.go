@@ -31,13 +31,13 @@ func multiCoreGoldens() []goldenCell {
 	return []goldenCell{
 		{Config{Switch: "vpp", Scenario: P2P, FrameLen: 64, Bidir: true, SUTCores: 2}, "9606ad8900076a88214c1d88e8d84f19"},
 		{Config{Switch: "ovs", Scenario: P2P, FrameLen: 64, Bidir: true, Flows: 64,
-			SUTCores: 4, Dispatch: DispatchRSS, RSSPolicy: RSSFlowHash}, "145925ef8cc95e458a37e745dccb2988"},
+			SUTCores: 4, Dispatch: DispatchRSS, RSSPolicy: RSSFlowHash}, "fab857c63d4e8be743e72bd24e04490c"},
 		{Config{Switch: "vpp", Scenario: P2P, FrameLen: 64, Bidir: true, Flows: 64,
 			SUTCores: 4, Dispatch: DispatchRTC}, "c2660b6f055c1bf654be77e12c3d23bf"},
 		{Config{Switch: "fastclick", Scenario: Loopback, Chain: 2, FrameLen: 64,
 			SUTCores: 4, Dispatch: DispatchRSS, RSSPolicy: RSSFlowHash}, "f42c686be10634810d28ba1ec2323a6a"},
 		{Config{Switch: "ovs", Scenario: P2P, FrameLen: 1500, Bidir: true, Flows: 64,
-			SUTCores: 16, Dispatch: DispatchRSS, RSSPolicy: RSSFlowHash}, "a49f950d4b8b45419e9c9f57677571e9"},
+			SUTCores: 16, Dispatch: DispatchRSS, RSSPolicy: RSSFlowHash}, "1fcfd9a9bc3e7d3ada1d0e60241b3191"},
 	}
 }
 

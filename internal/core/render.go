@@ -11,110 +11,68 @@ import (
 // This file renders experiments as fixed-width text tables — the output of
 // the swbench CLI and the source of EXPERIMENTS.md.
 
-// RenderFigure writes a throughput figure as one table per (direction ×
-// chain) group, columns = frame sizes, rows = switches. With compare=true a
-// "paper" column is added where the paper's prose states a value.
+// RenderFigure writes a grid figure as one captioned table per group of
+// its family's outer axes (direction × chain, dispatch × frame size, flow
+// mix × update rate), columns = the x-axis, rows = switches, "-" where the
+// switch cannot run the cell. With compare=true a "paper" column is added
+// where the paper's prose states a value.
 func RenderFigure(w io.Writer, fig *Figure, compare bool) {
-	fmt.Fprintf(w, "Figure %s: %s (Gbps)\n", fig.ID, fig.Title)
-	type groupKey struct {
-		chain int
-		bidir bool
+	f, err := lookupGrid(fig.ID)
+	if err != nil {
+		fmt.Fprintln(w, err)
+		return
 	}
-	groups := map[groupKey]map[string]map[int]ThroughputPoint{}
-	var order []groupKey
-	for _, pt := range fig.Pts {
-		k := groupKey{pt.Chain, pt.Bidir}
-		if groups[k] == nil {
-			groups[k] = map[string]map[int]ThroughputPoint{}
-			order = append(order, k)
-		}
-		if groups[k][pt.Switch] == nil {
-			groups[k][pt.Switch] = map[int]ThroughputPoint{}
-		}
-		groups[k][pt.Switch][pt.FrameLen] = pt
+	compare = compare && f.paper != nil
+	type cellKey struct{ row, col string }
+	type table struct {
+		caption    string
+		rows, cols []string
+		cells      map[cellKey]*ThroughputPoint
 	}
-	for _, k := range order {
-		dir := "unidirectional"
-		if k.bidir {
-			dir = "bidirectional"
+	var tables []*table
+	byCaption := map[string]*table{}
+	for i := range fig.Pts {
+		pt := &fig.Pts[i]
+		caption := f.caption(pt)
+		t := byCaption[caption]
+		if t == nil {
+			t = &table{caption: caption, cells: map[cellKey]*ThroughputPoint{}}
+			byCaption[caption] = t
+			tables = append(tables, t)
 		}
-		if fig.Scenario == Loopback {
-			fmt.Fprintf(w, "\n  %s, %d-VNF chain:\n", dir, k.chain)
-		} else {
-			fmt.Fprintf(w, "\n  %s:\n", dir)
-		}
+		t.rows = appendNew(t.rows, pt.Switch)
+		col := f.column(pt)
+		t.cols = appendNew(t.cols, col)
+		t.cells[cellKey{pt.Switch, col}] = pt
+	}
+	fmt.Fprintln(w, f.header)
+	for _, t := range tables {
+		fmt.Fprintf(w, "\n  %s:\n", t.caption)
 		fmt.Fprintf(w, "  %-10s", "switch")
-		for _, size := range FrameSizes {
-			fmt.Fprintf(w, " %7dB", size)
+		for _, col := range t.cols {
+			fmt.Fprintf(w, " %*s", f.width, col)
 			if compare {
 				fmt.Fprintf(w, " %9s", "(paper)")
 			}
 		}
 		fmt.Fprintln(w)
-		for _, name := range Switches {
-			fmt.Fprintf(w, "  %-10s", name)
-			for _, size := range FrameSizes {
-				pt, ok := groups[k][name][size]
-				switch {
-				case !ok || pt.Unsupported:
-					fmt.Fprintf(w, " %8s", "-")
-				default:
-					fmt.Fprintf(w, " %8.2f", pt.Gbps)
-				}
-				if compare {
-					if ref, has := PaperThroughputFor(fig.Scenario, pt); has {
-						fmt.Fprintf(w, " %9.2f", ref)
-					} else {
-						fmt.Fprintf(w, " %9s", "")
+		for _, row := range t.rows {
+			fmt.Fprintf(w, "  %-10s", row)
+			for _, col := range t.cols {
+				text, ref := "-", ""
+				if pt := t.cells[cellKey{row, col}]; pt != nil {
+					if !pt.Unsupported {
+						text = f.cell(pt)
+					}
+					if compare {
+						if v, ok := f.paper(pt); ok {
+							ref = fmt.Sprintf("%.2f", v)
+						}
 					}
 				}
-			}
-			fmt.Fprintln(w)
-		}
-	}
-}
-
-// RenderChurnFigure writes the cache-churn family as one table per
-// (flow mix × update rate) group, columns = active-flow counts, rows =
-// switches; each cell is throughput with mean probe RTT alongside.
-func RenderChurnFigure(w io.Writer, fig *ChurnFigure) {
-	fmt.Fprintln(w, "Churn: p2p 64B throughput (Gbps) / mean RTT (us) vs. active flows and rule-update rate")
-	type groupKey struct {
-		skew float64
-		rate float64
-	}
-	groups := map[groupKey]map[string]ChurnCurve{}
-	var order []groupKey
-	for _, c := range fig.Curves {
-		k := groupKey{c.ZipfSkew, c.UpdateRate}
-		if groups[k] == nil {
-			groups[k] = map[string]ChurnCurve{}
-			order = append(order, k)
-		}
-		groups[k][c.Switch] = c
-	}
-	for _, k := range order {
-		mix := "round-robin flows"
-		if k.skew > 0 {
-			mix = fmt.Sprintf("zipf(%.1f) flows", k.skew)
-		}
-		fmt.Fprintf(w, "\n  %s, %.0f rule updates/s:\n", mix, k.rate)
-		fmt.Fprintf(w, "  %-10s", "switch")
-		for _, n := range ChurnFlowCounts {
-			fmt.Fprintf(w, " %14df", n)
-		}
-		fmt.Fprintln(w)
-		for _, name := range Switches {
-			c, ok := groups[k][name]
-			if !ok {
-				continue
-			}
-			fmt.Fprintf(w, "  %-10s", name)
-			for _, pt := range c.Points {
-				if pt.Unsupported {
-					fmt.Fprintf(w, " %15s", "-")
-				} else {
-					fmt.Fprintf(w, " %7.2f/%6.1fu", pt.Gbps, pt.MeanLatencyUs)
+				fmt.Fprintf(w, " %*s", f.width, text)
+				if compare {
+					fmt.Fprintf(w, " %9s", ref)
 				}
 			}
 			fmt.Fprintln(w)
@@ -122,47 +80,14 @@ func RenderChurnFigure(w io.Writer, fig *ChurnFigure) {
 	}
 }
 
-// RenderScalingFigure writes the scaling-curve family as one table per
-// (dispatch × frame size) group, columns = core counts, rows = switches.
-func RenderScalingFigure(w io.Writer, fig *ScalingFigure) {
-	fmt.Fprintln(w, "Scaling: bidirectional p2p throughput vs. SUT cores (Gbps)")
-	type groupKey struct {
-		dispatch string
-		frameLen int
-	}
-	groups := map[groupKey]map[string]ScalingCurve{}
-	var order []groupKey
-	for _, c := range fig.Curves {
-		k := groupKey{c.Dispatch, c.FrameLen}
-		if groups[k] == nil {
-			groups[k] = map[string]ScalingCurve{}
-			order = append(order, k)
-		}
-		groups[k][c.Switch] = c
-	}
-	for _, k := range order {
-		fmt.Fprintf(w, "\n  %s dispatch, %dB frames:\n", k.dispatch, k.frameLen)
-		fmt.Fprintf(w, "  %-10s", "switch")
-		for _, n := range ScalingCores {
-			fmt.Fprintf(w, " %6d-c", n)
-		}
-		fmt.Fprintln(w)
-		for _, name := range Switches {
-			c, ok := groups[k][name]
-			if !ok {
-				continue
-			}
-			fmt.Fprintf(w, "  %-10s", name)
-			for _, pt := range c.Points {
-				if pt.Unsupported {
-					fmt.Fprintf(w, " %8s", "-")
-				} else {
-					fmt.Fprintf(w, " %8.2f", pt.Gbps)
-				}
-			}
-			fmt.Fprintln(w)
+// appendNew appends s unless list already holds it.
+func appendNew(list []string, s string) []string {
+	for _, have := range list {
+		if have == s {
+			return list
 		}
 	}
+	return append(list, s)
 }
 
 // RenderFigure1 writes the scatter data of Fig. 1.
@@ -220,16 +145,7 @@ func RenderTable3(w io.Writer, cells []Table3Cell, compare bool) {
 		}
 		byScenario[c.Scenario][c.Switch] = c
 	}
-	// Dedup preserve first-seen order.
-	seen := map[string]bool{}
-	var ordered []string
-	for _, s := range scenarios {
-		if !seen[s] {
-			seen[s] = true
-			ordered = append(ordered, s)
-		}
-	}
-	for _, scn := range ordered {
+	for _, scn := range scenarios {
 		fmt.Fprintf(w, "\n  %s (loads 0.10 / 0.50 / 0.99 · R⁺):\n", scn)
 		for _, name := range Switches {
 			c, ok := byScenario[scn][name]

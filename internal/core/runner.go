@@ -35,12 +35,19 @@ func (SerialRunner) RunAll(specs []Config) []SpecOutcome {
 // content-addressed result caches key on.
 func (cfg Config) Canonical() Config { return cfg.withDefaults() }
 
-// firstErr returns the first hard error in outs, if any. ErrChainTooLong
-// and ErrNoMultiCore are not failures: the suites render those cells as
-// missing bars ("-"), matching the paper.
+// Unsupported reports whether err is one of the per-switch limits the paper
+// prints as "-" rather than a failure: a chain longer than the switch can
+// host (ErrChainTooLong), several cores under an interrupt-driven switch
+// (ErrNoMultiCore), rule updates on a fixed-function one (ErrNoRuntimeRules).
+func Unsupported(err error) bool {
+	return errors.Is(err, ErrChainTooLong) || errors.Is(err, ErrNoMultiCore) || errors.Is(err, ErrNoRuntimeRules)
+}
+
+// firstErr returns the first hard error in outs, if any; the suites render
+// Unsupported cells as missing bars.
 func firstErr(outs []SpecOutcome) error {
 	for _, o := range outs {
-		if o.Err != nil && !errors.Is(o.Err, ErrChainTooLong) && !errors.Is(o.Err, ErrNoMultiCore) && !errors.Is(o.Err, ErrNoRuntimeRules) {
+		if o.Err != nil && !Unsupported(o.Err) {
 			return o.Err
 		}
 	}

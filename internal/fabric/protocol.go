@@ -64,9 +64,9 @@ type Completion struct {
 }
 
 // The wire error kinds. Sentinel identity must survive the HTTP hop:
-// campaign.CellFailed and the figure renderers distinguish
-// ErrChainTooLong (a legitimate per-switch limit) from real failures
-// with errors.Is, which a bare string cannot satisfy.
+// campaign.CellFailed and the figure suites tell the per-switch limits
+// (core.Unsupported) from real failures with errors.Is, which a bare
+// string cannot satisfy.
 const (
 	errKindChainTooLong   = "chain_too_long"
 	errKindNoMultiCore    = "no_multicore"

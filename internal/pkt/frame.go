@@ -101,8 +101,11 @@ func ProbeInfo(b *Buf) (seq uint64, tx units.Time, ok bool) {
 }
 
 // PatchFlow rewrites an already-built frame to belong to flow index i of a
-// multi-flow stream: the source MAC's low bytes and the UDP source port are
-// offset by i. (The IPv4 header checksum does not cover either field, and
+// multi-flow stream: bytes 2–3 of the source MAC and the UDP source port
+// are offset by i. The MAC's low bytes stay the ingress port's index: they
+// are what tells one SUT-port address (switchdef.PortMAC) from another, so
+// a flow index added there turns the source into the frame's own
+// destination and a learning bridge drops it. (The IPv4 header checksum does not cover either field, and
 // the generators leave the UDP checksum zero, so no recomputation is
 // needed.)
 func PatchFlow(b *Buf, spec FrameSpec, i int) {
@@ -111,8 +114,8 @@ func PatchFlow(b *Buf, spec FrameSpec, i int) {
 
 func patchFlowBytes(p []byte, spec FrameSpec, i int) {
 	mac := spec.SrcMAC
-	mac[4] += byte(i >> 8)
-	mac[5] += byte(i)
+	mac[2] += byte(i >> 8)
+	mac[3] += byte(i)
 	SetEthSrc(p, mac)
 	binary.BigEndian.PutUint16(p[EthHdrLen+IPv4HdrLen:], spec.SrcPort+uint16(i))
 }

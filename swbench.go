@@ -159,29 +159,29 @@ func LatencyProfile(cfg Config, loads []float64) ([]LatencyPoint, error) {
 
 // Experiment suites regenerating the paper's figures and tables.
 type (
-	// Figure is a reproduced throughput figure.
+	// Figure is a reproduced grid figure (throughput, scaling, churn).
 	Figure = core.Figure
 	// Figure1Point is one dot of the paper's opening scatter plot.
 	Figure1Point = core.Figure1Point
-	// ThroughputPoint is one bar of a throughput figure.
+	// ThroughputPoint is one point of a grid figure.
 	ThroughputPoint = core.ThroughputPoint
 	// Table3Cell is one (switch, scenario) latency group of Table 3.
 	Table3Cell = core.Table3Cell
 	// Table4Row is one switch's v2v RTT (Table 4).
 	Table4Row = core.Table4Row
-	// ScalingFigure is the multi-core scaling-curve family.
-	ScalingFigure = core.ScalingFigure
-	// ScalingCurve is one line of the scaling figure.
-	ScalingCurve = core.ScalingCurve
-	// ScalingPoint is one (switch, dispatch, size, cores) measurement.
-	ScalingPoint = core.ScalingPoint
-	// ChurnFigure is the cache-churn figure family.
-	ChurnFigure = core.ChurnFigure
-	// ChurnCurve is one line of the churn figure.
-	ChurnCurve = core.ChurnCurve
-	// ChurnPoint is one (switch, skew, rate, flows) measurement.
-	ChurnPoint = core.ChurnPoint
+	// Experiment is one entry of the evaluation registry.
+	Experiment = core.Experiment
+	// ExperimentReport is a completed experiment: Render prints it as
+	// text, CSV writes its data.
+	ExperimentReport = core.Report
 )
+
+// Experiments returns the evaluation registry: every figure and table in
+// the paper's order (Tables 1–2, Fig. 1, Figs. 4a–6, Tables 3–5), then the
+// scaling and churn extensions. Each entry runs on any Runner and reports
+// as text and CSV; cmd/swbench's figure, table and all verbs are a lookup
+// in this table.
+func Experiments() []Experiment { return append([]Experiment(nil), core.Experiments...) }
 
 // Run profiles.
 var (
@@ -191,37 +191,12 @@ var (
 	Full = core.Full
 )
 
-// Figure1 reproduces the scatter data of the paper's Fig. 1.
-func Figure1(o RunOpts) ([]Figure1Point, error) { return core.Figure1(o) }
-
-// Table3 reproduces the RTT latency table.
-func Table3(o RunOpts) ([]Table3Cell, error) { return core.Table3(o) }
-
-// Table4 reproduces the v2v latency table.
-func Table4(o RunOpts) ([]Table4Row, error) { return core.Table4(o) }
-
-// FigureScaling reproduces the multi-core scaling curves (throughput vs.
-// SUT cores, RSS and RTC dispatch, 64B and 1500B frames).
-func FigureScaling(o RunOpts) (*ScalingFigure, error) { return core.FigureScaling(o) }
-
-// ScalingSpecs returns the flat measurement grid behind the scaling
-// figure.
-func ScalingSpecs(o RunOpts) []Config { return core.ScalingSpecs(o) }
-
-// FigureChurn reproduces the cache-churn figure family (throughput and
-// latency vs. active-flow count and rule-update rate, every switch).
-func FigureChurn(o RunOpts) (*ChurnFigure, error) { return core.FigureChurn(o) }
-
-// ChurnSpecs returns the flat measurement grid behind the churn figure.
-func ChurnSpecs(o RunOpts) []Config { return core.ChurnSpecs(o) }
-
 // Campaign orchestration: every figure and table decomposes into
 // independent deterministic simulations, and a Runner executes such a
 // batch — serially (SerialRunner, the paper's original methodology) or
 // fanned out over a bounded worker pool with a content-addressed result
-// cache (NewOrchestrator). The *On suite variants below run their
-// experiment grids through an explicit runner; the plain variants above
-// stay serial.
+// cache (NewOrchestrator). The *On suite functions below and every
+// Experiment run their grids through an explicit runner.
 type (
 	// Runner executes a batch of independent measurement specs.
 	Runner = core.Runner
@@ -370,29 +345,21 @@ func WriteCampaignArtifacts(w io.Writer, rep *CampaignReport) error {
 	return campaign.WriteArtifacts(w, rep)
 }
 
-// Figure1On is Figure1 on an explicit runner.
+// Figure1On reproduces the scatter data of the paper's Fig. 1 on runner r.
 func Figure1On(r Runner, o RunOpts) ([]Figure1Point, error) { return core.Figure1On(r, o) }
 
-// FigureOn reproduces throughput figure id ("4a", "4b", "4c", "5" or "6":
-// p2p, p2v, v2v, and uni-/bidirectional loopback chains) on runner r;
-// SerialRunner{} is the paper's one-cell-at-a-time methodology.
+// FigureOn reproduces grid figure id — "4a", "4b", "4c", "5", "6" (p2p,
+// p2v, v2v, and uni-/bidirectional loopback chains), "scaling" (throughput
+// vs. SUT cores) or "churn" (throughput and RTT vs. active flows and
+// rule-update rate) — on runner r; SerialRunner{} is the paper's
+// one-cell-at-a-time methodology.
 func FigureOn(r Runner, id string, o RunOpts) (*Figure, error) { return core.FigureOn(r, id, o) }
 
-// Table3On is Table3 on an explicit runner.
+// Table3On reproduces the RTT latency table on runner r.
 func Table3On(r Runner, o RunOpts) ([]Table3Cell, error) { return core.Table3On(r, o) }
 
-// Table4On is Table4 on an explicit runner.
+// Table4On reproduces the v2v latency table on runner r.
 func Table4On(r Runner, o RunOpts) ([]Table4Row, error) { return core.Table4On(r, o) }
-
-// FigureScalingOn is FigureScaling on an explicit runner.
-func FigureScalingOn(r Runner, o RunOpts) (*ScalingFigure, error) {
-	return core.FigureScalingOn(r, o)
-}
-
-// FigureChurnOn is FigureChurn on an explicit runner.
-func FigureChurnOn(r Runner, o RunOpts) (*ChurnFigure, error) {
-	return core.FigureChurnOn(r, o)
-}
 
 // Renderers (text tables; also the source of EXPERIMENTS.md).
 func RenderFigure(w io.Writer, fig *Figure, compare bool) { core.RenderFigure(w, fig, compare) }
@@ -405,16 +372,12 @@ func RenderTable3(w io.Writer, cells []Table3Cell, compare bool) {
 func RenderTable4(w io.Writer, rows []Table4Row, compare bool) { core.RenderTable4(w, rows, compare) }
 func RenderTable5(w io.Writer)                                 { core.RenderTable5(w) }
 func RenderResult(w io.Writer, res Result)                     { core.RenderResult(w, res) }
-func RenderScalingFigure(w io.Writer, fig *ScalingFigure)      { core.RenderScalingFigure(w, fig) }
-func RenderChurnFigure(w io.Writer, fig *ChurnFigure)          { core.RenderChurnFigure(w, fig) }
 
 // CSV exports, for plotting with external tools.
 func WriteFigureCSV(w io.Writer, fig *Figure) error         { return core.WriteFigureCSV(w, fig) }
 func WriteFigure1CSV(w io.Writer, pts []Figure1Point) error { return core.WriteFigure1CSV(w, pts) }
 func WriteTable3CSV(w io.Writer, cells []Table3Cell) error  { return core.WriteTable3CSV(w, cells) }
 func WriteWindowsCSV(w io.Writer, pts []WindowPoint) error  { return core.WriteWindowsCSV(w, pts) }
-func WriteScalingCSV(w io.Writer, fig *ScalingFigure) error { return core.WriteScalingCSV(w, fig) }
-func WriteChurnCSV(w io.Writer, fig *ChurnFigure) error     { return core.WriteChurnCSV(w, fig) }
 
 // Extension point: implement and register your own switch data plane, then
 // benchmark it with the same methodology (see examples/customswitch).
