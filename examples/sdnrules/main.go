@@ -6,9 +6,9 @@
 // The rules are typed values (switchdef.Rule), not ovs-ofctl strings: the
 // same Install/Revoke/Snapshot surface the mid-run rule controller, the
 // multi-core fleet, and every reprogrammable switch share. OvS lowers
-// each rule into its OpenFlow table and synthesizes the canonical
-// add-flow text, so DumpFlows output is indistinguishable from
-// string-installed rules.
+// each rule into its OpenFlow table; the example prints each rule's Key —
+// the (priority, match) identity Revoke addresses it by — beside the
+// table entry's hit counter.
 //
 // The accompanying churn.json runs the same idea under the benchmark
 // harness — a p2p topology with a controller node editing rules mid-run:
@@ -66,11 +66,9 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	// Each typed rule lowered into the OpenFlow table, echoed as the
-	// canonical ovs-ofctl text OvS synthesizes for it.
 	fmt.Printf("installed rules (Snapshot reports %d):\n", len(sw.Snapshot()))
-	for _, r := range sw.Rules() {
-		fmt.Println("  ovs-ofctl add-flow", r.Text)
+	for _, r := range sw.Snapshot() {
+		fmt.Println(" ", r.Key())
 	}
 
 	m := switchtest.Meter(env)
@@ -110,9 +108,12 @@ func main() {
 	switchtest.PollUntilIdle(sw, m, 2)
 	report(sw, ports)
 
+	// Rules and Snapshot are both in install order, so entry i of the
+	// OpenFlow table is typed rule i.
 	fmt.Println("\nper-rule hit counters:")
-	for _, r := range sw.Rules() {
-		fmt.Printf("  %6d  %s\n", r.Hits, r.Text)
+	snap := sw.Snapshot()
+	for i, r := range sw.Rules() {
+		fmt.Printf("  %6d  %s\n", r.Hits, snap[i].Key())
 	}
 
 	runTopology()

@@ -161,9 +161,6 @@ func (mt *Meter) Charge(c units.Cycles) {
 	mt.acc += c
 }
 
-// ChargeCopy adds the price of copying n bytes.
-func (mt *Meter) ChargeCopy(n int) { mt.Charge(mt.Model.CopyCost(n)) }
-
 // ChargeNoisy adds c cycles plus a one-sided noise term: c·frac·Exp(1).
 // Exponential noise gives the heavy(ish) tail that distinguishes unstable
 // pipelines (t4p4s) from stable ones (VPP) in the paper's 0.99·R⁺ rows.

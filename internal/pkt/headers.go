@@ -14,35 +14,6 @@ func (m MAC) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
 }
 
-// ParseMAC parses a colon-separated hardware address.
-func ParseMAC(s string) (MAC, error) {
-	var m MAC
-	if len(s) != 17 {
-		return m, fmt.Errorf("pkt: bad MAC %q", s)
-	}
-	for i := 0; i < 6; i++ {
-		var b byte
-		for j := 0; j < 2; j++ {
-			c := s[i*3+j]
-			switch {
-			case c >= '0' && c <= '9':
-				b = b<<4 | (c - '0')
-			case c >= 'a' && c <= 'f':
-				b = b<<4 | (c - 'a' + 10)
-			case c >= 'A' && c <= 'F':
-				b = b<<4 | (c - 'A' + 10)
-			default:
-				return MAC{}, fmt.Errorf("pkt: bad MAC %q", s)
-			}
-		}
-		if i < 5 && s[i*3+2] != ':' {
-			return MAC{}, fmt.Errorf("pkt: bad MAC %q", s)
-		}
-		m[i] = b
-	}
-	return m, nil
-}
-
 // IsBroadcast reports whether m is ff:ff:ff:ff:ff:ff.
 func (m MAC) IsBroadcast() bool {
 	return m == MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}

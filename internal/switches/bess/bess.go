@@ -4,17 +4,16 @@
 // module/gate pipeline.
 //
 // The paper's configurations hook ports with PMDPort and link
-// QueueInc → QueueOut modules; this package exposes the same builder
-// vocabulary. BESS's p2p dominance (16 Gbps bidirectional at 64B) comes
-// from how little work its modules do — essentially statistics collection.
+// QueueInc → QueueOut modules; this package exposes the same two modules
+// and builder vocabulary. BESS's p2p dominance (16 Gbps bidirectional at
+// 64B) comes from how little work its modules do — essentially statistics
+// collection.
 // Its QEMU incompatibility (paper footnote 5) is enforced as a 3-VNF cap on
 // loopback chains.
 package bess
 
 import (
 	"fmt"
-
-	"repro/internal/sim"
 
 	"repro/internal/cost"
 	"repro/internal/pkt"
@@ -30,15 +29,13 @@ const (
 	taskFixed  = 30 // scheduler dispatch per task run
 	qincPerPkt = 31 // QueueInc bookkeeping + stats
 	qoutPerPkt = 32 // QueueOut
-	sinkPerPkt = 4
 	jitterFrac = 0.015
 )
 
 // Module is a BESS pipeline module.
 type Module interface {
 	Name() string
-	// ProcessBatch consumes the batch; pass-through modules forward via
-	// their output gate.
+	// ProcessBatch consumes the batch a module's input gate receives.
 	ProcessBatch(sw *Switch, now units.Time, m *cost.Meter, batch []*pkt.Buf)
 	setOGate(dst Module) error
 }
@@ -63,7 +60,6 @@ func (b *baseModule) setOGate(dst Module) error {
 type Switch struct {
 	switchdef.NoRuntimeRules
 
-	env   switchdef.Env
 	ports []switchdef.DevPort
 
 	modules map[string]Module
@@ -94,8 +90,8 @@ var info = switchdef.Info{
 }
 
 // New returns an empty BESS daemon.
-func New(env switchdef.Env) *Switch {
-	return &Switch{env: env, modules: map[string]Module{}}
+func New(switchdef.Env) *Switch {
+	return &Switch{modules: map[string]Module{}}
 }
 
 // Info implements switchdef.Switch.
@@ -145,20 +141,8 @@ func (sw *Switch) NewQueueOut(name string, port int) (*QueueOut, error) {
 	return q, nil
 }
 
-// NewSink creates a module that frees everything it receives.
-func (sw *Switch) NewSink(name string) (*Sink, error) {
-	s := &Sink{baseModule: baseModule{name: name}}
-	if _, err := sw.register(s); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // Connect links src's output gate to dst (the builder's "->").
 func (sw *Switch) Connect(src, dst Module) error { return src.setOGate(dst) }
-
-// Module returns a module by name.
-func (sw *Switch) Module(name string) Module { return sw.modules[name] }
 
 func (sw *Switch) rebuildWheel() {
 	sw.wheel = sw.wheel[:0]
@@ -266,144 +250,6 @@ func (q *QueueOut) ProcessBatch(sw *Switch, now units.Time, m *cost.Meter, batch
 	sw.Dropped += int64(len(batch) - sent)
 }
 
-// Sink frees batches (bessctl's Sink()).
-type Sink struct {
-	baseModule
-	Packets int64
-}
-
-// ProcessBatch implements Module.
-func (s *Sink) ProcessBatch(sw *Switch, now units.Time, m *cost.Meter, batch []*pkt.Buf) {
-	m.Charge(units.Cycles(len(batch)) * sinkPerPkt)
-	for _, b := range batch {
-		b.Free()
-	}
-	s.Packets += int64(len(batch))
-	sw.Dropped += int64(len(batch))
-}
-
 func init() {
 	switchdef.Register(info, func(env switchdef.Env) switchdef.Switch { return New(env) })
-}
-
-// Measure samples per-packet one-way latency from probe timestamps — the
-// bessctl Measure() module used to build latency dashboards.
-type Measure struct {
-	baseModule
-	Samples int64
-	SumUs   float64
-}
-
-// NewMeasure creates a pass-through latency measurement module.
-func (sw *Switch) NewMeasure(name string) (*Measure, error) {
-	mod := &Measure{baseModule: baseModule{name: name}}
-	if _, err := sw.register(mod); err != nil {
-		return nil, err
-	}
-	return mod, nil
-}
-
-// ProcessBatch implements Module.
-func (mod *Measure) ProcessBatch(sw *Switch, now units.Time, m *cost.Meter, batch []*pkt.Buf) {
-	m.Charge(units.Cycles(len(batch)) * 6)
-	for _, b := range batch {
-		if b.Probe && b.TxStamp > 0 {
-			mod.Samples++
-			mod.SumUs += (now - b.TxStamp).Microseconds()
-		}
-	}
-	if mod.ogate != nil {
-		mod.ogate.ProcessBatch(sw, now, m, batch)
-		return
-	}
-	for _, b := range batch {
-		b.Free()
-	}
-	sw.Dropped += int64(len(batch))
-}
-
-// MeanUs returns the average measured one-way latency.
-func (mod *Measure) MeanUs() float64 {
-	if mod.Samples == 0 {
-		return 0
-	}
-	return mod.SumUs / float64(mod.Samples)
-}
-
-// RandomSplit forwards each packet to one of its gates pseudo-randomly with
-// the configured weights (bessctl RandomSplit()).
-type RandomSplit struct {
-	baseModule
-	gates   []Module
-	weights []float64
-	total   float64
-	rng     *sim.RNG
-}
-
-// NewRandomSplit creates a splitter with one weight per output gate.
-func (sw *Switch) NewRandomSplit(name string, weights []float64) (*RandomSplit, error) {
-	if len(weights) == 0 {
-		return nil, fmt.Errorf("bess: RandomSplit needs weights")
-	}
-	total := 0.0
-	for _, w := range weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("bess: RandomSplit weights must be positive")
-		}
-		total += w
-	}
-	mod := &RandomSplit{
-		baseModule: baseModule{name: name},
-		gates:      make([]Module, len(weights)),
-		weights:    weights,
-		total:      total,
-		rng:        sw.env.RNG.Derive("bess-split-" + name),
-	}
-	if _, err := sw.register(mod); err != nil {
-		return nil, err
-	}
-	return mod, nil
-}
-
-// ConnectGate wires output gate i to dst.
-func (mod *RandomSplit) ConnectGate(i int, dst Module) error {
-	if i < 0 || i >= len(mod.gates) {
-		return fmt.Errorf("bess: RandomSplit has no gate %d", i)
-	}
-	if mod.gates[i] != nil {
-		return fmt.Errorf("bess: gate %d already connected", i)
-	}
-	mod.gates[i] = dst
-	return nil
-}
-
-// ProcessBatch implements Module.
-func (mod *RandomSplit) ProcessBatch(sw *Switch, now units.Time, m *cost.Meter, batch []*pkt.Buf) {
-	m.Charge(units.Cycles(len(batch)) * 10)
-	groups := make([][]*pkt.Buf, len(mod.gates))
-	for _, b := range batch {
-		r := mod.rng.Float64() * mod.total
-		gi := 0
-		for i, w := range mod.weights {
-			if r < w {
-				gi = i
-				break
-			}
-			r -= w
-		}
-		groups[gi] = append(groups[gi], b)
-	}
-	for i, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		if mod.gates[i] == nil {
-			for _, b := range g {
-				b.Free()
-			}
-			sw.Dropped += int64(len(g))
-			continue
-		}
-		mod.gates[i].ProcessBatch(sw, now, m, g)
-	}
 }

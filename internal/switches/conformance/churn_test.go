@@ -44,12 +44,7 @@ func churnDigestCore(name string, seed uint64) (string, error) {
 	s := &sut{sw: sw, env: env, in: switchtest.NewFakePort("in"), out: switchtest.NewFakePort("out")}
 	sw.AddPort(s.in)
 	sw.AddPort(s.out)
-	if fc, ok := sw.(interface{ Configure(string) error }); ok && name == "fastclick" {
-		err = fc.Configure(fastclickConfig)
-	} else {
-		err = sw.CrossConnect(0, 1)
-	}
-	if err != nil {
+	if err := sw.CrossConnect(0, 1); err != nil {
 		return "", err
 	}
 	s.m = switchtest.Meter(env)

@@ -12,9 +12,8 @@ import (
 	"repro/internal/switches/switchtest"
 	"repro/internal/units"
 
-	"repro/internal/switches/fastclick"
-
 	_ "repro/internal/switches/bess"
+	_ "repro/internal/switches/fastclick"
 	_ "repro/internal/switches/ovs"
 	_ "repro/internal/switches/snabb"
 	_ "repro/internal/switches/t4p4s"
@@ -22,8 +21,8 @@ import (
 	_ "repro/internal/switches/vpp"
 )
 
-// sut is one switch under test: two fake ports connected through the
-// switch's native configuration mechanism, with a dedicated meter.
+// sut is one switch under test: two fake ports cross-connected, with a
+// dedicated meter.
 type sut struct {
 	sw      switchdef.Switch
 	env     switchdef.Env
@@ -31,17 +30,6 @@ type sut struct {
 	m       *cost.Meter
 	now     units.Time
 }
-
-// fastclickConfig routes port 0 through an EtherMirror and a Classifier —
-// the two memoizing FastClick elements — instead of the plain CrossConnect
-// patch, so the equivalence suite exercises its template caches.
-const fastclickConfig = `
-	cl :: Classifier(12/0800, -);
-	FromDPDKDevice(0) -> EtherMirror -> cl;
-	cl[0] -> ToDPDKDevice(1);
-	cl[1] -> Discard;
-	FromDPDKDevice(1) -> ToDPDKDevice(0);
-`
 
 func newSUT(tb testing.TB, name string) *sut {
 	tb.Helper()
@@ -53,12 +41,7 @@ func newSUT(tb testing.TB, name string) *sut {
 	s := &sut{sw: sw, env: env, in: switchtest.NewFakePort("in"), out: switchtest.NewFakePort("out")}
 	sw.AddPort(s.in)
 	sw.AddPort(s.out)
-	if fc, ok := sw.(*fastclick.Switch); ok {
-		err = fc.Configure(fastclickConfig)
-	} else {
-		err = sw.CrossConnect(0, 1)
-	}
-	if err != nil {
+	if err := sw.CrossConnect(0, 1); err != nil {
 		tb.Fatal(err)
 	}
 	s.m = switchtest.Meter(env)

@@ -2,19 +2,15 @@
 // router rebuilt around DPDK, full-push batch processing, and
 // run-to-completion scheduling.
 //
-// The data plane is a genuine element graph built from a Click-language
-// configuration (see lang.go). The paper's scenarios use
-// FromDPDKDevice(n) -> ToDPDKDevice(m) pairs; richer elements (Counter,
-// EtherMirror, Classifier, Queue, Discard) are provided for custom
-// configurations. Per Table 2 the NIC descriptor rings are raised to 4096.
+// The data plane is the element graph the paper's configurations write:
+// FromDPDKDevice(n) -> ToDPDKDevice(m) pairs, one per in_port → output
+// rule (program.go), plus a Classifier-style dl_dst drop stage at the
+// sources while drop rules are installed. Per Table 2 the NIC descriptor
+// rings are raised to 4096.
 package fastclick
 
 import (
-	"fmt"
-	"strconv"
-
 	"repro/internal/cost"
-	"repro/internal/flowtab"
 	"repro/internal/pkt"
 	"repro/internal/switches/switchdef"
 	"repro/internal/units"
@@ -29,45 +25,10 @@ const (
 	elemBatchFixed = 18 // per element per batch
 	fromPerPkt     = 48 // FromDPDKDevice: mbuf to Packet conversion, anno init
 	toPerPkt       = 52 // ToDPDKDevice: batch to mbuf, tx queueing
-	mirrorPerPkt   = 24
-	counterPerPkt  = 6
-	classifyPerPkt = 20
-	queuePerPkt    = 10
+	classifyPerPkt = 20 // dl_dst drop-stage pattern check
 	vhostExtra     = 25 // extra per-packet toll on vhost-user devices
 	jitterFrac     = 0.02
 )
-
-// Element is a Click element: it receives a batch on its single input and
-// pushes to its outputs.
-type Element interface {
-	Class() string
-	Push(sw *Switch, now units.Time, m *cost.Meter, batch []*pkt.Buf)
-	// connect wires output port n to dst.
-	connect(n int, dst Element) error
-}
-
-// base provides output wiring shared by elements.
-type base struct {
-	outs []Element
-}
-
-func (b *base) connect(n int, dst Element) error {
-	for len(b.outs) <= n {
-		b.outs = append(b.outs, nil)
-	}
-	if b.outs[n] != nil {
-		return fmt.Errorf("fastclick: output %d already connected", n)
-	}
-	b.outs[n] = dst
-	return nil
-}
-
-func (b *base) out(n int) Element {
-	if n < len(b.outs) {
-		return b.outs[n]
-	}
-	return nil
-}
 
 // Switch is a FastClick instance.
 type Switch struct {
@@ -76,14 +37,13 @@ type Switch struct {
 	// costs one heap allocation per poll.
 	rxScratch [Burst]*pkt.Buf
 
-	env   switchdef.Env
 	ports []switchdef.DevPort
 
-	elems   map[string]Element
+	// sources holds one FromDPDKDevice per wired input port and toDevs
+	// every ToDPDKDevice, each in the order Install created them: Poll
+	// walks both in that order, so it is part of the cycle schedule.
 	sources []*fromDevice
-	queues  []*queueElem
 	toDevs  []*toDevice
-	anon    int
 
 	// Runtime rule state (program.go): dropMAC is the dl_dst drop set
 	// applied Classifier-style at every source while non-empty; prog
@@ -115,9 +75,7 @@ var info = switchdef.Info{
 }
 
 // New returns an unconfigured FastClick instance.
-func New(env switchdef.Env) *Switch {
-	return &Switch{env: env, elems: map[string]Element{}}
-}
+func New(switchdef.Env) *Switch { return &Switch{} }
 
 // Info implements switchdef.Switch.
 func (sw *Switch) Info() switchdef.Info { return info }
@@ -130,10 +88,8 @@ func (sw *Switch) AddPort(p switchdef.DevPort) int {
 
 // CrossConnect implements switchdef.Switch as a canned rule program: each
 // in_port → output rule is lowered by Install into a
-// FromDPDKDevice/ToDPDKDevice configuration fragment, exactly the pairs the
-// paper's appendix writes by hand. The element instantiation order (and so
-// the anonymous element naming sequence) matches the old two-statement
-// configuration.
+// FromDPDKDevice -> ToDPDKDevice pair, exactly the pairs the paper's
+// appendix writes by hand.
 func (sw *Switch) CrossConnect(a, b int) error {
 	for _, r := range switchdef.CrossConnectRules(a, b) {
 		if err := sw.Install(r); err != nil {
@@ -143,137 +99,10 @@ func (sw *Switch) CrossConnect(a, b int) error {
 	return nil
 }
 
-// Configure parses and instantiates a Click configuration, adding to any
-// existing graph.
-func (sw *Switch) Configure(src string) error {
-	stmts, err := parseConfig(src)
-	if err != nil {
-		return err
-	}
-	// First pass: declarations.
-	for _, s := range stmts {
-		if s.decl != nil {
-			if _, dup := sw.elems[s.decl.name]; dup {
-				return fmt.Errorf("fastclick: duplicate element %q", s.decl.name)
-			}
-			e, err := sw.build(s.decl.class, s.decl.args)
-			if err != nil {
-				return err
-			}
-			sw.elems[s.decl.name] = e
-		}
-	}
-	// Second pass: chains (which may declare inline).
-	for _, s := range stmts {
-		var prev Element
-		var prevPort int
-		for _, pe := range s.chain {
-			e, err := sw.resolve(pe)
-			if err != nil {
-				return err
-			}
-			if prev != nil {
-				if err := prev.connect(prevPort, e); err != nil {
-					return err
-				}
-			}
-			prev, prevPort = e, pe.outPort
-		}
-	}
-	return nil
-}
-
-func (sw *Switch) resolve(pe *parsedElem) (Element, error) {
-	if pe.class == "" {
-		e, ok := sw.elems[pe.name]
-		if !ok {
-			return nil, fmt.Errorf("fastclick: undeclared element %q", pe.name)
-		}
-		return e, nil
-	}
-	e, err := sw.build(pe.class, pe.args)
-	if err != nil {
-		return nil, err
-	}
-	name := pe.name
-	if name == "" {
-		name = fmt.Sprintf("%s@%d", pe.class, sw.anon)
-		sw.anon++
-	} else if _, dup := sw.elems[name]; dup {
-		return nil, fmt.Errorf("fastclick: duplicate element %q", name)
-	}
-	sw.elems[name] = e
-	return e, nil
-}
-
-func (sw *Switch) port(arg string) (switchdef.DevPort, int, error) {
-	n, err := strconv.Atoi(arg)
-	if err != nil || n < 0 || n >= len(sw.ports) {
-		return nil, 0, fmt.Errorf("fastclick: bad device %q", arg)
-	}
-	return sw.ports[n], n, nil
-}
-
-func (sw *Switch) build(class string, args []string) (Element, error) {
-	switch class {
-	case "FromDPDKDevice":
-		if len(args) < 1 {
-			return nil, fmt.Errorf("fastclick: FromDPDKDevice needs a device")
-		}
-		p, _, err := sw.port(args[0])
-		if err != nil {
-			return nil, err
-		}
-		e := &fromDevice{dev: p}
-		sw.sources = append(sw.sources, e)
-		return e, nil
-	case "ToDPDKDevice":
-		if len(args) < 1 {
-			return nil, fmt.Errorf("fastclick: ToDPDKDevice needs a device")
-		}
-		p, _, err := sw.port(args[0])
-		if err != nil {
-			return nil, err
-		}
-		td := &toDevice{sw: sw, dev: p}
-		sw.toDevs = append(sw.toDevs, td)
-		return td, nil
-	case "EtherMirror":
-		return &etherMirror{}, nil
-	case "Counter":
-		return &counterElem{}, nil
-	case "Discard":
-		return &discardElem{sw: sw}, nil
-	case "Queue":
-		capacity := 1000
-		if len(args) >= 1 {
-			n, err := strconv.Atoi(args[0])
-			if err != nil || n <= 0 {
-				return nil, fmt.Errorf("fastclick: bad Queue capacity %q", args[0])
-			}
-			capacity = n
-		}
-		q := &queueElem{capacity: capacity}
-		sw.queues = append(sw.queues, q)
-		return q, nil
-	case "Classifier":
-		return newClassifier(args)
-	default:
-		e, err := sw.buildExtra(class, args)
-		if err == errUnknownClass {
-			return nil, fmt.Errorf("fastclick: unknown element class %q", class)
-		}
-		return e, err
-	}
-}
-
-// Element returns a configured element by name (for tests and examples).
-func (sw *Switch) Element(name string) Element { return sw.elems[name] }
-
-// Poll implements switchdef.Switch: pull one batch from every source, then
-// drain queues (full-push run-to-completion). Multi-core runs give each
-// core its own Switch instance (private classifier/element state) — see
-// internal/multicore.
+// Poll implements switchdef.Switch: pull one batch from every source and
+// push it to its device (full-push run-to-completion), then flush staged
+// vhost batches whose drain timer expired. Multi-core runs give each core
+// its own Switch instance (private element state) — see internal/multicore.
 func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 	burst := &sw.rxScratch
 	did := false
@@ -295,54 +124,24 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 				continue
 			}
 		}
-		// Push the RX scratch slice directly: the element graph consumes
-		// batches synchronously and no element retains its input slice
-		// (toDevice and queueElem copy elements into their own storage),
-		// so the per-poll batch allocation the copy used to pay is gone.
-		if next := src.out(0); next != nil {
-			next.Push(sw, now, m, burst[:n])
-		} else {
-			for _, b := range burst[:n] {
-				b.Free()
-			}
-			sw.Dropped += int64(n)
-		}
+		// Push the RX scratch slice directly: toDevice consumes the batch
+		// synchronously and copies what it stages into its own storage.
+		src.out.push(sw, now, m, burst[:n])
 	}
 	for ti := range sw.toDevs {
 		if sw.toDevs[ti].flushStale(sw, now, m) {
 			did = true
 		}
 	}
-	for qi := range sw.queues {
-		q := sw.queues[qi]
-		if len(q.buf) == 0 {
-			continue
-		}
-		did = true
-		batch := q.buf
-		q.buf = nil
-		m.Charge(elemBatchFixed + units.Cycles(len(batch))*queuePerPkt)
-		if next := q.out(0); next != nil {
-			next.Push(sw, now, m, batch)
-		} else {
-			for _, b := range batch {
-				b.Free()
-			}
-			sw.Dropped += int64(len(batch))
-		}
-	}
 	return did
 }
 
-// fromDevice is FromDPDKDevice: the batch source.
+// fromDevice is FromDPDKDevice: the batch source of one input port,
+// wired to the ToDPDKDevice its in_port rule names.
 type fromDevice struct {
-	base
-	dev switchdef.DevPort
-}
-
-func (e *fromDevice) Class() string { return "FromDPDKDevice" }
-func (e *fromDevice) Push(sw *Switch, now units.Time, m *cost.Meter, batch []*pkt.Buf) {
-	panic("fastclick: FromDPDKDevice cannot receive")
+	port int
+	dev  switchdef.DevPort
+	out  *toDevice
 }
 
 // toDevice is ToDPDKDevice: the transmit sink. Toward vhost-user devices
@@ -351,8 +150,6 @@ func (e *fromDevice) Push(sw *Switch, now units.Time, m *cost.Meter, batch []*pk
 // FastClick's low-load loopback latency roughly doubles everyone else's in
 // Table 3 while its p2p low-load latency stays small).
 type toDevice struct {
-	base
-	sw  *Switch
 	dev switchdef.DevPort
 
 	stage []*pkt.Buf
@@ -364,8 +161,7 @@ const (
 	vhostTxDrain = 28 * units.Microsecond
 )
 
-func (e *toDevice) Class() string { return "ToDPDKDevice" }
-func (e *toDevice) Push(sw *Switch, now units.Time, m *cost.Meter, batch []*pkt.Buf) {
+func (e *toDevice) push(sw *Switch, now units.Time, m *cost.Meter, batch []*pkt.Buf) {
 	per := units.Cycles(toPerPkt)
 	if e.dev.Kind() == switchdef.VhostKind {
 		per += vhostExtra
@@ -397,232 +193,6 @@ func (e *toDevice) flushStale(sw *Switch, now units.Time, m *cost.Meter) bool {
 	sent := e.dev.TxBurst(now, m, batch)
 	sw.Forwarded += int64(sent)
 	sw.Dropped += int64(len(batch) - sent)
-	return true
-}
-
-// etherMirror swaps Ethernet source and destination. Template-backed frames
-// stay lazy: the swap is applied once per distinct input template via
-// Derive, and subsequent frames just repoint at the mirrored image instead
-// of materializing.
-type etherMirror struct {
-	base
-	derived map[*pkt.Template]*pkt.Template
-}
-
-func mirrorEdit(data []byte) {
-	src, dst := pkt.EthSrc(data), pkt.EthDst(data)
-	pkt.SetEthSrc(data, dst)
-	pkt.SetEthDst(data, src)
-}
-
-func (e *etherMirror) Class() string { return "EtherMirror" }
-func (e *etherMirror) Push(sw *Switch, now units.Time, m *cost.Meter, batch []*pkt.Buf) {
-	m.Charge(elemBatchFixed + units.Cycles(len(batch))*mirrorPerPkt)
-	noMemo := switchdef.MemoDisabled()
-	for _, b := range batch {
-		if t := b.Template(); t != nil && b.Len() == t.Len() && !noMemo {
-			d, ok := e.derived[t]
-			if !ok {
-				d = t.Derive(mirrorEdit)
-				if e.derived == nil {
-					e.derived = map[*pkt.Template]*pkt.Template{}
-				}
-				e.derived[t] = d
-			}
-			b.SetTemplate(d)
-			continue
-		}
-		mirrorEdit(b.Bytes())
-	}
-	if next := e.out(0); next != nil {
-		next.Push(sw, now, m, batch)
-		return
-	}
-	for _, b := range batch {
-		b.Free()
-	}
-	sw.Dropped += int64(len(batch))
-}
-
-// counterElem counts packets and bytes.
-type counterElem struct {
-	base
-	Packets, Bytes int64
-}
-
-func (e *counterElem) Class() string { return "Counter" }
-func (e *counterElem) Push(sw *Switch, now units.Time, m *cost.Meter, batch []*pkt.Buf) {
-	m.Charge(elemBatchFixed + units.Cycles(len(batch))*counterPerPkt)
-	for _, b := range batch {
-		e.Packets++
-		e.Bytes += int64(b.Len())
-	}
-	if next := e.out(0); next != nil {
-		next.Push(sw, now, m, batch)
-		return
-	}
-	for _, b := range batch {
-		b.Free()
-	}
-	sw.Dropped += int64(len(batch))
-}
-
-// discardElem frees everything.
-type discardElem struct {
-	base
-	sw *Switch
-}
-
-func (e *discardElem) Class() string { return "Discard" }
-func (e *discardElem) Push(sw *Switch, now units.Time, m *cost.Meter, batch []*pkt.Buf) {
-	for _, b := range batch {
-		b.Free()
-	}
-	sw.Dropped += int64(len(batch))
-}
-
-// queueElem buffers packets; its output is drained by the poll loop.
-type queueElem struct {
-	base
-	capacity int
-	buf      []*pkt.Buf
-	Drops    int64
-}
-
-func (e *queueElem) Class() string { return "Queue" }
-func (e *queueElem) Push(sw *Switch, now units.Time, m *cost.Meter, batch []*pkt.Buf) {
-	m.Charge(elemBatchFixed + units.Cycles(len(batch))*queuePerPkt)
-	for _, b := range batch {
-		if len(e.buf) >= e.capacity {
-			b.Free()
-			e.Drops++
-			sw.Dropped++
-			continue
-		}
-		e.buf = append(e.buf, b)
-	}
-}
-
-// classifier dispatches by byte patterns "offset/hexvalue", with "-" as the
-// catch-all, e.g. Classifier(12/0800, 12/0806, -). Patterns are immutable
-// after construction, so the matched output index is memoized per packet
-// template (-1 records "no pattern matched"); groups is the per-output
-// grouping scratch, reused across pushes.
-type classifier struct {
-	base
-	pats   []classPattern
-	memo   *flowtab.Map[uint64, int]
-	groups [][]*pkt.Buf
-}
-
-type classPattern struct {
-	offset   int
-	value    []byte
-	catchAll bool
-}
-
-func newClassifier(args []string) (*classifier, error) {
-	if len(args) == 0 {
-		return nil, fmt.Errorf("fastclick: Classifier needs patterns")
-	}
-	c := &classifier{memo: flowtab.NewMap[uint64, int](16)}
-	for _, a := range args {
-		if a == "-" {
-			c.pats = append(c.pats, classPattern{catchAll: true})
-			continue
-		}
-		var off int
-		var hexv string
-		if _, err := fmt.Sscanf(a, "%d/%s", &off, &hexv); err != nil {
-			return nil, fmt.Errorf("fastclick: bad Classifier pattern %q", a)
-		}
-		if len(hexv)%2 != 0 {
-			return nil, fmt.Errorf("fastclick: odd hex in pattern %q", a)
-		}
-		val := make([]byte, len(hexv)/2)
-		for i := 0; i < len(val); i++ {
-			n, err := strconv.ParseUint(hexv[2*i:2*i+2], 16, 8)
-			if err != nil {
-				return nil, fmt.Errorf("fastclick: bad hex in pattern %q", a)
-			}
-			val[i] = byte(n)
-		}
-		c.pats = append(c.pats, classPattern{offset: off, value: val})
-	}
-	return c, nil
-}
-
-func (e *classifier) Class() string { return "Classifier" }
-
-// match returns the index of the first matching pattern, or -1.
-func (e *classifier) match(b *pkt.Buf) int {
-	for i, p := range e.pats {
-		if p.catchAll || matchAt(b.View(), p.offset, p.value) {
-			return i
-		}
-	}
-	return -1
-}
-
-func (e *classifier) Push(sw *Switch, now units.Time, m *cost.Meter, batch []*pkt.Buf) {
-	m.Charge(elemBatchFixed + units.Cycles(len(batch))*classifyPerPkt)
-	// Group per output to preserve batching. The scratch is detached from
-	// the element while in use so a re-entrant Push (a configuration loop)
-	// falls back to a fresh allocation instead of clobbering it.
-	groups := e.groups
-	e.groups = nil
-	if cap(groups) < len(e.pats) {
-		groups = make([][]*pkt.Buf, len(e.pats))
-	}
-	groups = groups[:len(e.pats)]
-	noMemo := switchdef.MemoDisabled()
-	for _, b := range batch {
-		var idx int
-		if t := b.Template(); t != nil && !noMemo {
-			id := t.ID()
-			var ok bool
-			if idx, ok = e.memo.Get(flowtab.HashUint64(id), id); !ok {
-				idx = e.match(b)
-				e.memo.Put(flowtab.HashUint64(id), id, idx)
-			}
-		} else {
-			idx = e.match(b)
-		}
-		if idx < 0 {
-			b.Free()
-			sw.Dropped++
-			continue
-		}
-		groups[idx] = append(groups[idx], b)
-	}
-	for i, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		if next := e.out(i); next != nil {
-			next.Push(sw, now, m, g)
-			continue
-		}
-		for _, b := range g {
-			b.Free()
-		}
-		sw.Dropped += int64(len(g))
-	}
-	for i := range groups {
-		groups[i] = groups[i][:0]
-	}
-	e.groups = groups
-}
-
-func matchAt(b []byte, off int, val []byte) bool {
-	if off+len(val) > len(b) {
-		return false
-	}
-	for i, v := range val {
-		if b[off+i] != v {
-			return false
-		}
-	}
 	return true
 }
 

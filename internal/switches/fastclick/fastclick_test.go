@@ -21,80 +21,6 @@ func newSUT(t *testing.T, ports int) (*Switch, []*switchtest.FakePort, switchdef
 	return sw, fps, env
 }
 
-func TestParseDeclarationAndChain(t *testing.T) {
-	stmts, err := parseConfig(`
-		// a declaration
-		c0 :: Counter;
-		FromDPDKDevice(0) -> c0 -> ToDPDKDevice(1);
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stmts) != 2 {
-		t.Fatalf("stmts = %d", len(stmts))
-	}
-	if stmts[0].decl == nil || stmts[0].decl.name != "c0" || stmts[0].decl.class != "Counter" {
-		t.Fatalf("decl = %+v", stmts[0].decl)
-	}
-	chain := stmts[1].chain
-	if len(chain) != 3 || chain[0].class != "FromDPDKDevice" || chain[0].args[0] != "0" {
-		t.Fatalf("chain = %+v", chain)
-	}
-	if chain[1].name != "c0" || chain[1].class != "" {
-		t.Fatalf("reference = %+v", chain[1])
-	}
-}
-
-func TestParseOutputPorts(t *testing.T) {
-	stmts, err := parseConfig(`cl :: Classifier(12/0800, -); cl[1] -> Discard`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stmts[1].chain[0].outPort != 1 {
-		t.Fatalf("outPort = %d", stmts[1].chain[0].outPort)
-	}
-}
-
-func TestParseInputPortZeroOnly(t *testing.T) {
-	if _, err := parseConfig("a -> [0]b"); err != nil {
-		t.Fatalf("input port 0 rejected: %v", err)
-	}
-	if _, err := parseConfig("a -> [1]b"); err == nil {
-		t.Fatal("input port 1 accepted")
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	for _, cfg := range []string{
-		"FromDPDKDevice(0",   // unbalanced
-		"-> ToDPDKDevice(1)", // empty head
-		"x[zz] -> Discard",   // bad port
-		"lonely",             // neither decl nor chain
-	} {
-		if _, err := parseConfig(cfg); err == nil {
-			t.Errorf("parseConfig(%q) accepted", cfg)
-		}
-	}
-}
-
-func TestConfigureErrors(t *testing.T) {
-	sw, _, _ := newSUT(t, 1)
-	for _, cfg := range []string{
-		"FromDPDKDevice(7) -> Discard",     // missing device
-		"FromDPDKDevice(0) -> Nonsense(1)", // unknown class
-		"c :: Counter; c :: Counter",       // duplicate
-		"FromDPDKDevice(0) -> undeclared",  // unresolved name
-		"q :: Queue(-5)",                   // bad capacity
-		"cl :: Classifier(nothex/zz)",      // bad pattern
-	} {
-		sw2, _, _ := newSUT(t, 1)
-		if err := sw2.Configure(cfg); err == nil {
-			t.Errorf("Configure(%q) accepted", cfg)
-		}
-	}
-	_ = sw
-}
-
 func TestCrossConnectForwards(t *testing.T) {
 	sw, fps, env := newSUT(t, 2)
 	if err := sw.CrossConnect(0, 1); err != nil {
@@ -109,92 +35,85 @@ func TestCrossConnectForwards(t *testing.T) {
 	}
 }
 
-func TestEtherMirrorSwapsAddresses(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
-	err := sw.Configure("FromDPDKDevice(0) -> EtherMirror -> ToDPDKDevice(1)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, dst := pkt.MAC{1, 1, 1, 1, 1, 1}, pkt.MAC{2, 2, 2, 2, 2, 2}
-	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, src, dst, 64))
-	m := switchtest.Meter(env)
-	switchtest.PollUntilIdle(sw, m, 0)
-	if len(fps[1].Out) != 1 {
-		t.Fatal("no output")
-	}
-	got := fps[1].Out[0].Bytes()
-	if pkt.EthSrc(got) != dst || pkt.EthDst(got) != src {
-		t.Fatalf("addresses not mirrored: src=%v dst=%v", pkt.EthSrc(got), pkt.EthDst(got))
-	}
-}
-
-func TestCounterCounts(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
-	err := sw.Configure("cnt :: Counter; FromDPDKDevice(0) -> cnt -> ToDPDKDevice(1)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 128))
-	}
-	m := switchtest.Meter(env)
-	switchtest.PollUntilIdle(sw, m, 0)
-	cnt := sw.Element("cnt").(*counterElem)
-	if cnt.Packets != 5 || cnt.Bytes != 640 {
-		t.Fatalf("counter = %d pkts %d bytes", cnt.Packets, cnt.Bytes)
-	}
-}
-
-func TestClassifierDispatch(t *testing.T) {
+// TestReinstallReplacesWiring pins the Programmer contract for wiring
+// rules: re-installing an in_port rule replaces it in place, so frames
+// follow the new output and Snapshot holds one rule.
+func TestReinstallReplacesWiring(t *testing.T) {
 	sw, fps, env := newSUT(t, 3)
-	// IPv4 (ethertype 0x0800 at offset 12) to port 1, rest to port 2.
-	err := sw.Configure(`
-		cl :: Classifier(12/0800, -);
-		FromDPDKDevice(0) -> cl;
-		cl[0] -> ToDPDKDevice(1);
-		cl[1] -> ToDPDKDevice(2);
-	`)
-	if err != nil {
-		t.Fatal(err)
+	wire := func(out int) switchdef.Rule {
+		return switchdef.Rule{
+			Match:   switchdef.Match{Fields: switchdef.FInPort, InPort: 0},
+			Actions: []switchdef.RuleAction{{Kind: switchdef.RuleOutput, Port: out}},
+		}
 	}
-	ipv4 := switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64)
-	arp := switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64)
-	arp.Bytes()[12], arp.Bytes()[13] = 0x08, 0x06
-	fps[0].In = append(fps[0].In, ipv4, arp)
-	m := switchtest.Meter(env)
-	switchtest.PollUntilIdle(sw, m, 0)
-	if len(fps[1].Out) != 1 || len(fps[2].Out) != 1 {
-		t.Fatalf("classifier outputs = %d, %d", len(fps[1].Out), len(fps[2].Out))
+	for _, out := range []int{1, 2} {
+		if err := sw.Install(wire(out)); err != nil {
+			t.Fatal(err)
+		}
 	}
-}
-
-func TestQueueBuffersAndOverflows(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
-	err := sw.Configure("q :: Queue(4); FromDPDKDevice(0) -> q -> ToDPDKDevice(1)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := sw.Element("q").(*queueElem)
-	m := switchtest.Meter(env)
-	// One poll pushes the batch into the queue; capacity 4 of 6 survive.
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 3; i++ {
 		fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64))
 	}
+	m := switchtest.Meter(env)
 	switchtest.PollUntilIdle(sw, m, 0)
-	if q.Drops != 2 {
-		t.Fatalf("queue drops = %d", q.Drops)
+	if len(fps[1].Out) != 0 || len(fps[2].Out) != 3 {
+		t.Fatalf("outputs: port1=%d port2=%d, want 0 and 3", len(fps[1].Out), len(fps[2].Out))
 	}
-	if len(fps[1].Out) != 4 {
-		t.Fatalf("delivered = %d", len(fps[1].Out))
+	if snap := sw.Snapshot(); len(snap) != 1 || snap[0].Actions[0].Port != 2 {
+		t.Fatalf("snapshot = %+v, want the one rule to port 2", snap)
+	}
+}
+
+// dropDst is the typed dl_dst → drop rule that feeds the Classifier-style
+// drop stage.
+func dropDst(mac pkt.MAC) switchdef.Rule {
+	return switchdef.Rule{
+		Match:   switchdef.Match{Fields: switchdef.FEthDst, EthDst: mac},
+		Actions: []switchdef.RuleAction{{Kind: switchdef.RuleDrop}},
+	}
+}
+
+// TestClassifierDispatch: the drop stage splits each RX batch by dl_dst —
+// listed destinations are discarded, the rest reach ToDPDKDevice — and a
+// Revoke lets the destination through again.
+func TestClassifierDispatch(t *testing.T) {
+	sw, fps, env := newSUT(t, 2)
+	if err := sw.CrossConnect(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	blocked := pkt.MAC{2, 0, 0, 0, 0, 0x99}
+	if err := sw.Install(dropDst(blocked)); err != nil {
+		t.Fatal(err)
+	}
+	src := pkt.MAC{2, 0, 0, 0, 0, 1}
+	fps[0].In = append(fps[0].In,
+		switchtest.Frame(env.Pool, src, pkt.MAC{2, 0, 0, 0, 0, 2}, 64),
+		switchtest.Frame(env.Pool, src, blocked, 64))
+	m := switchtest.Meter(env)
+	switchtest.PollUntilIdle(sw, m, 0)
+	if len(fps[1].Out) != 1 || pkt.EthDst(fps[1].Out[0].Bytes()) == blocked {
+		t.Fatalf("classifier passed %d frames", len(fps[1].Out))
+	}
+	if err := sw.Revoke(dropDst(blocked)); err != nil {
+		t.Fatal(err)
+	}
+	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, src, blocked, 64))
+	switchtest.PollUntilIdle(sw, m, 1)
+	if len(fps[1].Out) != 2 {
+		t.Fatalf("revoked drop still applied: out = %d", len(fps[1].Out))
 	}
 }
 
 func TestDiscardFrees(t *testing.T) {
-	sw, fps, env := newSUT(t, 1)
-	if err := sw.Configure("FromDPDKDevice(0) -> Discard"); err != nil {
+	sw, fps, env := newSUT(t, 2)
+	if err := sw.CrossConnect(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64))
+	dst := pkt.MAC{2, 0, 0, 0, 0, 2}
+	if err := sw.Install(dropDst(dst)); err != nil {
+		t.Fatal(err)
+	}
+	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, dst, 64))
 	m := switchtest.Meter(env)
 	switchtest.PollUntilIdle(sw, m, 0)
 	if env.Pool.Live() != 0 {
@@ -216,80 +135,5 @@ func TestInfoRingTuning(t *testing.T) {
 	}
 	if info.SelfContained {
 		t.Fatal("FastClick is modular")
-	}
-}
-
-func TestTeeDuplicates(t *testing.T) {
-	sw, fps, env := newSUT(t, 3)
-	err := sw.Configure(`
-		t :: Tee(2);
-		FromDPDKDevice(0) -> t;
-		t[0] -> ToDPDKDevice(1);
-		t[1] -> ToDPDKDevice(2);
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64))
-	m := switchtest.Meter(env)
-	switchtest.PollUntilIdle(sw, m, 0)
-	if len(fps[1].Out) != 1 || len(fps[2].Out) != 1 {
-		t.Fatalf("tee outputs = %d, %d", len(fps[1].Out), len(fps[2].Out))
-	}
-	if fps[1].Out[0] == fps[2].Out[0] {
-		t.Fatal("tee shared one buffer")
-	}
-}
-
-func TestStripUnstripRoundTrip(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
-	err := sw.Configure("FromDPDKDevice(0) -> Strip(14) -> Unstrip(14) -> ToDPDKDevice(1)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64)
-	fps[0].In = append(fps[0].In, f)
-	m := switchtest.Meter(env)
-	switchtest.PollUntilIdle(sw, m, 0)
-	if len(fps[1].Out) != 1 {
-		t.Fatal("no output")
-	}
-	out := fps[1].Out[0]
-	if out.Len() != 64 {
-		t.Fatalf("len = %d", out.Len())
-	}
-	// The Ethernet header was zero-filled by Unstrip, the IP payload kept.
-	if _, err := pkt.ParseIPv4(out.Bytes()[pkt.EthHdrLen:]); err != nil {
-		t.Fatalf("inner payload lost: %v", err)
-	}
-}
-
-func TestVLANEncapDecap(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
-	err := sw.Configure("FromDPDKDevice(0) -> VLANEncap(42) -> VLANDecap -> ToDPDKDevice(1)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64))
-	m := switchtest.Meter(env)
-	switchtest.PollUntilIdle(sw, m, 0)
-	if len(fps[1].Out) != 1 || fps[1].Out[0].Len() != 64 {
-		t.Fatal("encap/decap did not round trip")
-	}
-}
-
-func TestExtraElementErrors(t *testing.T) {
-	for _, cfg := range []string{
-		"t :: Tee(0)",
-		"s :: Strip(-1)",
-		"s :: Strip(a)",
-		"u :: Unstrip(x)",
-		"v :: VLANEncap(9999)",
-		"v :: VLANEncap()",
-	} {
-		sw2, _, _ := newSUT(t, 1)
-		if err := sw2.Configure(cfg); err == nil {
-			t.Errorf("Configure(%q) accepted", cfg)
-		}
 	}
 }

@@ -10,16 +10,13 @@ import (
 )
 
 // FastClick's Programmer lowers typed rules onto two surfaces. An
-// in_port → output rule becomes a Click configuration fragment
-// (FromDPDKDevice -> ToDPDKDevice), the same text a user would write; the
-// element graph is push-wired, so such rules cannot be revoked once
-// installed. A dl_dst → drop rule joins a Classifier-style drop set that
-// every source applies to its RX batch while the set is non-empty, which
-// is how runtime churn reaches the data plane without rebuilding the
-// graph. Classifier memo tables and EtherMirror derived-template caches
-// carry no generation counters, so every Install/Revoke resets them
-// directly — the memoized and unmemoized paths must stay bit-identical
-// across reprogramming.
+// in_port → output rule becomes a FromDPDKDevice -> ToDPDKDevice pair,
+// the configuration a user would write; the element graph is push-wired,
+// so such rules cannot be revoked once installed. A dl_dst → drop rule
+// joins a Classifier-style drop set that every source applies to its RX
+// batch while the set is non-empty, which is how runtime churn reaches the
+// data plane without rebuilding the graph. No element memoizes anything,
+// so reprogramming has no cache to invalidate.
 
 // Install implements switchdef.Programmer.
 func (sw *Switch) Install(r switchdef.Rule) error {
@@ -29,9 +26,7 @@ func (sw *Switch) Install(r switchdef.Rule) error {
 	switch {
 	case r.Match.Fields == switchdef.FInPort &&
 		len(r.Actions) == 1 && r.Actions[0].Kind == switchdef.RuleOutput:
-		frag := fmt.Sprintf("FromDPDKDevice(%d) -> ToDPDKDevice(%d);",
-			r.Match.InPort, r.Actions[0].Port)
-		if err := sw.Configure(frag); err != nil {
+		if err := sw.wire(r.Match.InPort, r.Actions[0].Port); err != nil {
 			return err
 		}
 	case r.Match.Fields == switchdef.FEthDst &&
@@ -44,7 +39,29 @@ func (sw *Switch) Install(r switchdef.Rule) error {
 		return fmt.Errorf("fastclick: unsupported rule (want in_port→output or dl_dst→drop)")
 	}
 	sw.prog.Put(r)
-	sw.resetMemos()
+	return nil
+}
+
+// wire lowers in_port → output: a new ToDPDKDevice on the output port, fed
+// by the input port's FromDPDKDevice. Re-installing a port's rule replaces
+// it in place, as Programmer requires: the port keeps its one source,
+// re-pointed at the new device, while the old device stays in toDevs to
+// flush whatever it already staged.
+func (sw *Switch) wire(in, out int) error {
+	for _, p := range []int{in, out} {
+		if p < 0 || p >= len(sw.ports) {
+			return fmt.Errorf("fastclick: no device %d", p)
+		}
+	}
+	td := &toDevice{dev: sw.ports[out]}
+	sw.toDevs = append(sw.toDevs, td)
+	for _, src := range sw.sources {
+		if src.port == in {
+			src.out = td
+			return nil
+		}
+	}
+	sw.sources = append(sw.sources, &fromDevice{port: in, dev: sw.ports[in], out: td})
 	return nil
 }
 
@@ -58,26 +75,11 @@ func (sw *Switch) Revoke(r switchdef.Rule) error {
 	}
 	delete(sw.dropMAC, r.Match.EthDst)
 	sw.prog.Delete(r)
-	sw.resetMemos()
 	return nil
 }
 
 // Snapshot implements switchdef.Programmer.
 func (sw *Switch) Snapshot() []switchdef.Rule { return sw.prog.Snapshot() }
-
-// resetMemos retires every per-template cache in the element graph. These
-// caches have no generation counter (patterns are immutable between
-// reconfigurations), so reprogramming must clear them in place.
-func (sw *Switch) resetMemos() {
-	for _, e := range sw.elems {
-		switch el := e.(type) {
-		case *classifier:
-			el.memo.Reset()
-		case *etherMirror:
-			el.derived = nil
-		}
-	}
-}
 
 // filterDrops applies the installed dl_dst drop set to an RX batch,
 // compacting survivors in place. The charge mirrors a Classifier stage:

@@ -31,9 +31,7 @@ func emcOverflowRun(t *testing.T) string {
 	in, out := switchtest.NewFakePort("in"), switchtest.NewFakePort("out")
 	sw.AddPort(in)
 	sw.AddPort(out)
-	if err := sw.AddFlow("in_port=0,actions=output:1"); err != nil {
-		t.Fatal(err)
-	}
+	install(t, sw, rule(0, inPort(0), output(1)))
 	m := switchtest.Meter(env)
 	now := units.Time(0)
 	const flows = EMCCapacity + EMCCapacity/4

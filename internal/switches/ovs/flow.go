@@ -2,9 +2,6 @@ package ovs
 
 import (
 	"encoding/binary"
-	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/pkt"
 )
@@ -73,18 +70,15 @@ var fieldSpans = map[string]fieldSpan{
 	"tp_dst":   {29, 2},
 }
 
-// ActionKind enumerates supported OpenFlow actions.
+// ActionKind enumerates the OpenFlow actions typed rules lower into.
 type ActionKind int
 
 // Supported actions.
 const (
 	ActOutput ActionKind = iota
 	ActDrop
-	ActNormal // L2-learning switch behaviour
 	ActModDlDst
 	ActModDlSrc
-	ActModVlanVid // tag (or retag) with Port as the VLAN ID
-	ActStripVlan
 )
 
 // Action is one flow action.
@@ -100,7 +94,6 @@ type Rule struct {
 	Match    packedKey // pre-masked match values
 	Mask     mask
 	Actions  []Action
-	Text     string // original add-flow text
 	// seq is the installation order; among equal priorities the earlier
 	// rule wins (OpenFlow leaves overlapping equal-priority matches
 	// undefined; the datapath must still be deterministic).
@@ -119,159 +112,6 @@ func (r *Rule) beats(other *Rule) bool {
 		return r.Priority > other.Priority
 	}
 	return r.seq < other.seq
-}
-
-// parseFlow parses an ovs-ofctl add-flow string such as
-//
-//	priority=100,in_port=1,dl_dst=02:00:00:00:00:02,actions=output:2
-//	in_port=2,actions=mod_dl_dst:02:00:00:00:00:01,output:1
-//	actions=NORMAL
-func parseFlow(s string) (*Rule, error) {
-	r := &Rule{Priority: 32768, Text: s} // OpenFlow default priority
-	ai := strings.Index(s, "actions=")
-	if ai < 0 {
-		return nil, fmt.Errorf("ovs: flow %q has no actions", s)
-	}
-	matchPart := strings.TrimSuffix(strings.TrimSpace(s[:ai]), ",")
-	actPart := s[ai+len("actions="):]
-
-	var key FlowKey
-	packed := key.pack()
-	if matchPart != "" {
-		for _, kv := range strings.Split(matchPart, ",") {
-			kv = strings.TrimSpace(kv)
-			if kv == "" {
-				continue
-			}
-			eq := strings.Index(kv, "=")
-			if eq < 0 {
-				return nil, fmt.Errorf("ovs: bad match %q", kv)
-			}
-			name, val := kv[:eq], kv[eq+1:]
-			if name == "priority" {
-				p, err := strconv.Atoi(val)
-				if err != nil {
-					return nil, fmt.Errorf("ovs: bad priority %q", val)
-				}
-				r.Priority = p
-				continue
-			}
-			span, ok := fieldSpans[name]
-			if !ok {
-				return nil, fmt.Errorf("ovs: unsupported match field %q", name)
-			}
-			raw, err := parseFieldValue(name, val)
-			if err != nil {
-				return nil, err
-			}
-			copy(packed[span.off:span.off+span.len], raw)
-			for i := span.off; i < span.off+span.len; i++ {
-				r.Mask[i] = 0xff
-			}
-		}
-	}
-	r.Match = mask(r.Mask).apply(packed)
-
-	for _, a := range strings.Split(actPart, ",") {
-		a = strings.TrimSpace(a)
-		if a == "" {
-			continue
-		}
-		act, err := parseAction(a)
-		if err != nil {
-			return nil, err
-		}
-		r.Actions = append(r.Actions, act)
-	}
-	if len(r.Actions) == 0 {
-		return nil, fmt.Errorf("ovs: flow %q has empty actions", s)
-	}
-	return r, nil
-}
-
-func parseFieldValue(name, val string) ([]byte, error) {
-	switch name {
-	case "in_port", "dl_type", "tp_src", "tp_dst", "dl_vlan":
-		base := 10
-		v := val
-		if strings.HasPrefix(val, "0x") {
-			base, v = 16, val[2:]
-		}
-		n, err := strconv.ParseUint(v, base, 16)
-		if err != nil {
-			return nil, fmt.Errorf("ovs: bad %s value %q", name, val)
-		}
-		if name == "dl_vlan" {
-			// Stored as VID+1 so untagged (0) is distinguishable.
-			n++
-		}
-		out := make([]byte, 2)
-		binary.BigEndian.PutUint16(out, uint16(n))
-		return out, nil
-	case "dl_src", "dl_dst":
-		m, err := pkt.ParseMAC(val)
-		if err != nil {
-			return nil, err
-		}
-		return m[:], nil
-	case "nw_src", "nw_dst":
-		parts := strings.Split(val, ".")
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("ovs: bad IPv4 %q", val)
-		}
-		out := make([]byte, 4)
-		for i, p := range parts {
-			n, err := strconv.ParseUint(p, 10, 8)
-			if err != nil {
-				return nil, fmt.Errorf("ovs: bad IPv4 %q", val)
-			}
-			out[i] = byte(n)
-		}
-		return out, nil
-	case "nw_proto":
-		n, err := strconv.ParseUint(val, 10, 8)
-		if err != nil {
-			return nil, fmt.Errorf("ovs: bad nw_proto %q", val)
-		}
-		return []byte{byte(n)}, nil
-	}
-	return nil, fmt.Errorf("ovs: unsupported field %q", name)
-}
-
-func parseAction(a string) (Action, error) {
-	switch {
-	case a == "drop":
-		return Action{Kind: ActDrop}, nil
-	case a == "NORMAL" || a == "normal":
-		return Action{Kind: ActNormal}, nil
-	case strings.HasPrefix(a, "output:"):
-		n, err := strconv.Atoi(a[len("output:"):])
-		if err != nil || n < 0 {
-			return Action{}, fmt.Errorf("ovs: bad output %q", a)
-		}
-		return Action{Kind: ActOutput, Port: n}, nil
-	case strings.HasPrefix(a, "mod_dl_dst:"):
-		m, err := pkt.ParseMAC(a[len("mod_dl_dst:"):])
-		if err != nil {
-			return Action{}, err
-		}
-		return Action{Kind: ActModDlDst, MAC: m}, nil
-	case strings.HasPrefix(a, "mod_dl_src:"):
-		m, err := pkt.ParseMAC(a[len("mod_dl_src:"):])
-		if err != nil {
-			return Action{}, err
-		}
-		return Action{Kind: ActModDlSrc, MAC: m}, nil
-	case strings.HasPrefix(a, "mod_vlan_vid:"):
-		n, err := strconv.ParseUint(a[len("mod_vlan_vid:"):], 10, 12)
-		if err != nil {
-			return Action{}, fmt.Errorf("ovs: bad VLAN id %q", a)
-		}
-		return Action{Kind: ActModVlanVid, Port: int(n)}, nil
-	case a == "strip_vlan":
-		return Action{Kind: ActStripVlan}, nil
-	}
-	return Action{}, fmt.Errorf("ovs: unsupported action %q", a)
 }
 
 // extractKey builds the FlowKey for a frame received on inPort.

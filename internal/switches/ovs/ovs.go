@@ -10,7 +10,8 @@
 //  3. the slow path — the full OpenFlow table, after which megaflow and
 //     EMC entries are installed.
 //
-// Rules are installed with an ovs-ofctl–style add-flow parser (flow.go).
+// Rules arrive as typed switchdef.Rule values through Install (program.go),
+// lowered into the OpenFlow table the three tiers cache.
 // The paper's p2p result (8.05 Gbps at 64B) reflects the match/action
 // pipeline tax even when the EMC hits on every packet of a single flow.
 package ovs
@@ -18,11 +19,9 @@ package ovs
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/cost"
 	"repro/internal/flowtab"
-	"repro/internal/l2"
 	"repro/internal/pkt"
 	"repro/internal/sim"
 	"repro/internal/switches/switchdef"
@@ -128,8 +127,7 @@ type Switch struct {
 	// could have decided the packet — so cached decisions can never
 	// shadow a higher-priority rule (OvS's correctness invariant).
 	mega      *flowtab.Map[packedKey, megaEntry]
-	megaMasks []mask       // distinct installed megaflow masks
-	mac       *l2.MACTable // for the NORMAL action
+	megaMasks []mask // distinct installed megaflow masks
 	nextRev   units.Time
 	hasVhost  bool
 	noEMC     bool
@@ -178,7 +176,6 @@ func New(env switchdef.Env) *Switch {
 		emc:  flowtab.NewCache[packedKey, *Rule](EMCCapacity),
 		mega: flowtab.NewMap[packedKey, megaEntry](64),
 		memo: flowtab.NewMap[memoKey, memoEntry](16),
-		mac:  l2.NewMACTable(4096, 0),
 	}
 }
 
@@ -193,31 +190,6 @@ func (sw *Switch) AddPort(p switchdef.DevPort) int {
 		sw.hasVhost = true
 	}
 	return len(sw.ports) - 1
-}
-
-// AddFlow installs one rule from ovs-ofctl add-flow syntax.
-func (sw *Switch) AddFlow(flow string) error {
-	r, err := parseFlow(flow)
-	if err != nil {
-		return err
-	}
-	for _, a := range r.Actions {
-		if a.Kind == ActOutput && a.Port >= len(sw.ports) {
-			return fmt.Errorf("ovs: flow %q outputs to missing port %d", flow, a.Port)
-		}
-	}
-	r.seq = len(sw.rules)
-	sw.rules = append(sw.rules, r)
-	sw.rebuildGroups()
-	sw.invalidateCaches()
-	return nil
-}
-
-// DelFlows clears the flow table (ovs-ofctl del-flows).
-func (sw *Switch) DelFlows() {
-	sw.rules = nil
-	sw.groups = nil
-	sw.invalidateCaches()
 }
 
 func (sw *Switch) invalidateCaches() {
@@ -416,7 +388,7 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 				sw.Dropped++
 				continue
 			}
-			sw.apply(now, m, b, i, key, rule)
+			sw.apply(m, b, rule)
 		}
 	}
 	for i := range sw.ports {
@@ -450,17 +422,14 @@ func (sw *Switch) replayMemo(now units.Time, m *cost.Meter, b *pkt.Buf, inPort i
 		return
 	}
 	e.rule.Hits++
-	// apply never reads the key except for ActNormal, which recordMemo
-	// refuses to memoize (MAC learning is a per-frame side effect).
-	sw.apply(now, m, b, inPort, FlowKey{}, e.rule)
+	sw.apply(m, b, e.rule)
 }
 
 // recordMemo captures what the reference path will do for the *next* frame
 // of this (template, in_port), given the caches classify just left behind.
-// Rules with a NORMAL action are never memoized: MAC learning must see
-// every frame. The entry stays valid while cacheGen is unchanged.
+// The entry stays valid while cacheGen is unchanged.
 func (sw *Switch) recordMemo(t *pkt.Template, inPort int, key FlowKey, rule *Rule) {
-	e := memoEntry{gen: sw.cacheGen}
+	e := memoEntry{gen: sw.cacheGen, rule: rule}
 	switch {
 	case rule == nil:
 		// Repeat frames re-walk every tier and drop.
@@ -470,57 +439,41 @@ func (sw *Switch) recordMemo(t *pkt.Template, inPort int, key FlowKey, rule *Rul
 		}
 		e.cycles += units.Cycles(len(sw.megaMasks)) * (sw.env.Model.HashLookup + megaflowExtra)
 		e.cycles += slowPathCost
-	case ruleMemoizable(rule):
-		e.rule = rule
+	case !sw.noEMC:
+		// classify just installed (or refreshed) the EMC entry, so the
+		// next frame is an EMC hit.
 		full := key.pack()
-		if !sw.noEMC {
-			// classify just installed (or refreshed) the EMC entry, so
-			// the next frame is an EMC hit.
-			if r, ok := sw.emc.Get(keyHash(&full), full); !ok || r != rule {
-				return
-			}
-			e.kind = memoEMCHit
-			e.cycles = sw.env.Model.HashLookup + emcHitPerPkt
-		} else {
-			// EMC disabled: the next frame re-walks the megaflow masks
-			// in order until the installed entry hits.
-			found := false
-			for _, mk := range sw.megaMasks {
-				e.cycles += sw.env.Model.HashLookup + megaflowExtra
-				masked := mk.apply(full)
-				if me, ok := sw.mega.Get(keyHash(&masked), masked); ok && me.mk == mk {
-					if me.rule != rule {
-						return
-					}
-					found = true
-					break
-				}
-			}
-			if !found {
-				return
-			}
-			e.kind = memoMegaHit
+		if r, ok := sw.emc.Get(keyHash(&full), full); !ok || r != rule {
+			return
 		}
+		e.kind = memoEMCHit
+		e.cycles = sw.env.Model.HashLookup + emcHitPerPkt
 	default:
-		return
+		// EMC disabled: the next frame re-walks the megaflow masks in
+		// order until the installed entry hits.
+		full := key.pack()
+		found := false
+		for _, mk := range sw.megaMasks {
+			e.cycles += sw.env.Model.HashLookup + megaflowExtra
+			masked := mk.apply(full)
+			if me, ok := sw.mega.Get(keyHash(&masked), masked); ok && me.mk == mk {
+				if me.rule != rule {
+					return
+				}
+				found = true
+				break
+			}
+		}
+		if !found {
+			return
+		}
+		e.kind = memoMegaHit
 	}
 	k := memoKey{tmpl: t.ID(), port: int32(inPort)}
 	sw.memo.Put(memoHash(k), k, e)
 }
 
-// ruleMemoizable reports whether a rule's actions are a pure function of
-// (template, in_port) — everything except NORMAL, whose MAC learn/lookup
-// must run per frame.
-func ruleMemoizable(r *Rule) bool {
-	for _, a := range r.Actions {
-		if a.Kind == ActNormal {
-			return false
-		}
-	}
-	return true
-}
-
-func (sw *Switch) apply(now units.Time, m *cost.Meter, b *pkt.Buf, inPort int, key FlowKey, r *Rule) {
+func (sw *Switch) apply(m *cost.Meter, b *pkt.Buf, r *Rule) {
 	m.Charge(applyPerPkt)
 	out := -1
 	for _, a := range r.Actions {
@@ -535,31 +488,6 @@ func (sw *Switch) apply(now units.Time, m *cost.Meter, b *pkt.Buf, inPort int, k
 			pkt.SetEthDst(b.Bytes(), a.MAC)
 		case ActModDlSrc:
 			pkt.SetEthSrc(b.Bytes(), a.MAC)
-		case ActModVlanVid:
-			pkt.PopVLAN(b)
-			pkt.PushVLAN(b, uint16(a.Port))
-			m.Charge(20)
-		case ActStripVlan:
-			pkt.PopVLAN(b)
-			m.Charge(12)
-		case ActNormal:
-			sw.mac.Learn(key.EthSrc, inPort, now)
-			m.Charge(2 * m.Model.HashLookup)
-			if p, ok := sw.mac.Lookup(key.EthDst, now); ok && p != inPort {
-				out = p
-			} else {
-				// Flood.
-				for p := range sw.ports {
-					if p == inPort {
-						continue
-					}
-					clone := sw.env.Pool.Clone(b)
-					m.ChargeCopy(b.Len())
-					sw.txStage[p] = append(sw.txStage[p], clone)
-				}
-				b.Free()
-				return
-			}
 		}
 	}
 	if out < 0 || out >= len(sw.ports) {
@@ -570,18 +498,9 @@ func (sw *Switch) apply(now units.Time, m *cost.Meter, b *pkt.Buf, inPort int, k
 	sw.txStage[out] = append(sw.txStage[out], b)
 }
 
-// Rules returns the installed rules (for tests and the CLI).
+// Rules returns the installed rules in install order, the order Snapshot
+// reports them in.
 func (sw *Switch) Rules() []*Rule { return sw.rules }
-
-// DumpFlows renders the flow table in ovs-ofctl dump-flows style: one line
-// per rule with its hit counter.
-func (sw *Switch) DumpFlows() string {
-	var b strings.Builder
-	for _, r := range sw.rules {
-		fmt.Fprintf(&b, "n_packets=%d, priority=%d, %s\n", r.Hits, r.Priority, r.Text)
-	}
-	return b.String()
-}
 
 func init() {
 	switchdef.Register(info, func(env switchdef.Env) switchdef.Switch { return New(env) })

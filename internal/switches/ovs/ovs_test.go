@@ -1,13 +1,12 @@
 package ovs
 
 import (
-	"fmt"
-	"repro/internal/sim"
-	"strings"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/pkt"
+	"repro/internal/sim"
 	"repro/internal/switches/switchdef"
 	"repro/internal/switches/switchtest"
 )
@@ -24,71 +23,24 @@ func newSUT(t *testing.T, ports int) (*Switch, []*switchtest.FakePort, switchdef
 	return sw, fps, env
 }
 
-func TestParseFlowBasics(t *testing.T) {
-	r, err := parseFlow("priority=100,in_port=1,dl_dst=02:00:00:00:00:02,actions=output:2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Priority != 100 || len(r.Actions) != 1 || r.Actions[0].Kind != ActOutput || r.Actions[0].Port != 2 {
-		t.Fatalf("rule = %+v", r)
-	}
-	r2, err := parseFlow("actions=NORMAL")
-	if err != nil || r2.Actions[0].Kind != ActNormal {
-		t.Fatalf("NORMAL: %+v, %v", r2, err)
-	}
-	r3, err := parseFlow("in_port=2,actions=mod_dl_dst:02:00:00:00:00:01,output:1")
-	if err != nil || len(r3.Actions) != 2 || r3.Actions[0].Kind != ActModDlDst {
-		t.Fatalf("mod_dl_dst: %+v, %v", r3, err)
-	}
+// rule builds a typed rule; priority 0 means the OpenFlow default.
+func rule(prio int, m switchdef.Match, acts ...switchdef.RuleAction) switchdef.Rule {
+	return switchdef.Rule{Priority: prio, Match: m, Actions: acts}
 }
 
-func TestParseFlowFields(t *testing.T) {
-	r, err := parseFlow("dl_type=0x0800,nw_src=10.0.0.1,nw_proto=17,tp_dst=2000,actions=drop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The mask must cover exactly the named fields.
-	named := 0
-	for _, f := range []string{"dl_type", "nw_src", "nw_proto", "tp_dst"} {
-		span := fieldSpans[f]
-		for i := span.off; i < span.off+span.len; i++ {
-			if r.Mask[i] != 0xff {
-				t.Fatalf("field %s not masked", f)
-			}
-			named++
-		}
-	}
-	for i, m := range r.Mask {
-		if m == 0 {
-			continue
-		}
-		in := false
-		for _, f := range []string{"dl_type", "nw_src", "nw_proto", "tp_dst"} {
-			span := fieldSpans[f]
-			if i >= span.off && i < span.off+span.len {
-				in = true
-			}
-		}
-		if !in {
-			t.Fatalf("unexpected mask byte at %d", i)
-		}
-	}
+func output(port int) switchdef.RuleAction {
+	return switchdef.RuleAction{Kind: switchdef.RuleOutput, Port: port}
 }
 
-func TestParseFlowErrors(t *testing.T) {
-	for _, s := range []string{
-		"in_port=1",                  // no actions
-		"bogus=3,actions=drop",       // unknown field
-		"in_port=x,actions=drop",     // bad value
-		"actions=output:-2",          // bad port
-		"actions=teleport",           // unknown action
-		"actions=",                   // empty
-		"nw_src=10.0.0,actions=drop", // bad IP
-		"dl_dst=zz,actions=drop",     // bad MAC
-		"priority=abc,actions=drop",  // bad priority
-	} {
-		if _, err := parseFlow(s); err == nil {
-			t.Errorf("parseFlow(%q) accepted", s)
+func inPort(p int) switchdef.Match {
+	return switchdef.Match{Fields: switchdef.FInPort, InPort: p}
+}
+
+func install(t *testing.T, sw *Switch, rules ...switchdef.Rule) {
+	t.Helper()
+	for _, r := range rules {
+		if err := sw.Install(r); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -119,9 +71,7 @@ func TestCrossConnectForwardsAndCaches(t *testing.T) {
 func TestMegaflowHitAfterEMCMiss(t *testing.T) {
 	sw, fps, env := newSUT(t, 2)
 	// Wildcard rule on in_port only: different flows share a megaflow.
-	if err := sw.AddFlow("in_port=0,actions=output:1"); err != nil {
-		t.Fatal(err)
-	}
+	install(t, sw, rule(0, inPort(0), output(1)))
 	m := switchtest.Meter(env)
 	// Two different source MACs: both miss the EMC initially; the second
 	// hits the megaflow installed by the first.
@@ -139,12 +89,9 @@ func TestMegaflowHitAfterEMCMiss(t *testing.T) {
 
 func TestPriorityWins(t *testing.T) {
 	sw, fps, env := newSUT(t, 3)
-	if err := sw.AddFlow("priority=1,in_port=0,actions=output:1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.AddFlow("priority=10,in_port=0,dl_dst=02:00:00:00:00:99,actions=output:2"); err != nil {
-		t.Fatal(err)
-	}
+	install(t, sw,
+		rule(1, inPort(0), output(1)),
+		rule(10, switchdef.Match{Fields: switchdef.FInPort | switchdef.FEthDst, InPort: 0, EthDst: pkt.MAC{2, 0, 0, 0, 0, 0x99}}, output(2)))
 	m := switchtest.Meter(env)
 	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 0x99}, 64))
 	switchtest.PollUntilIdle(sw, m, 0)
@@ -155,9 +102,7 @@ func TestPriorityWins(t *testing.T) {
 
 func TestNoMatchDrops(t *testing.T) {
 	sw, fps, env := newSUT(t, 2)
-	if err := sw.AddFlow("in_port=1,actions=output:0"); err != nil {
-		t.Fatal(err)
-	}
+	install(t, sw, rule(0, inPort(1), output(0)))
 	m := switchtest.Meter(env)
 	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64))
 	switchtest.PollUntilIdle(sw, m, 0)
@@ -171,12 +116,11 @@ func TestNoMatchDrops(t *testing.T) {
 
 func TestDropActionAndModDl(t *testing.T) {
 	sw, fps, env := newSUT(t, 2)
-	if err := sw.AddFlow("in_port=0,dl_type=0x0806,actions=drop"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.AddFlow("priority=1,in_port=0,actions=mod_dl_src:aa:aa:aa:aa:aa:aa,output:1"); err != nil {
-		t.Fatal(err)
-	}
+	want := pkt.MAC{0xaa, 0xaa, 0xaa, 0xaa, 0xaa, 0xaa}
+	install(t, sw,
+		rule(0, switchdef.Match{Fields: switchdef.FInPort | switchdef.FEthType, InPort: 0, EthType: 0x0806},
+			switchdef.RuleAction{Kind: switchdef.RuleDrop}),
+		rule(1, inPort(0), switchdef.RuleAction{Kind: switchdef.RuleSetEthSrc, MAC: want}, output(1)))
 	arp := switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64)
 	arp.Bytes()[12], arp.Bytes()[13] = 0x08, 0x06
 	ip := switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64)
@@ -186,49 +130,85 @@ func TestDropActionAndModDl(t *testing.T) {
 	if len(fps[1].Out) != 1 {
 		t.Fatalf("out = %d", len(fps[1].Out))
 	}
-	want, _ := pkt.ParseMAC("aa:aa:aa:aa:aa:aa")
 	if pkt.EthSrc(fps[1].Out[0].Bytes()) != want {
-		t.Fatal("mod_dl_src not applied")
+		t.Fatal("set-eth-src not applied")
 	}
 }
 
-func TestNormalActionLearnsAndFloods(t *testing.T) {
-	sw, fps, env := newSUT(t, 3)
-	if err := sw.AddFlow("actions=NORMAL"); err != nil {
-		t.Fatal(err)
-	}
-	m := switchtest.Meter(env)
-	a, b := pkt.MAC{2, 0, 0, 0, 0, 0xa}, pkt.MAC{2, 0, 0, 0, 0, 0xb}
-	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, a, b, 64))
-	switchtest.PollUntilIdle(sw, m, 0)
-	if len(fps[1].Out) != 1 || len(fps[2].Out) != 1 {
-		t.Fatalf("flood = %d, %d", len(fps[1].Out), len(fps[2].Out))
-	}
-	fps[1].In = append(fps[1].In, switchtest.Frame(env.Pool, b, a, 64))
-	switchtest.PollUntilIdle(sw, m, 1)
-	if len(fps[0].Out) != 1 || len(fps[2].Out) != 1 {
-		t.Fatalf("unicast after learn = %d, %d", len(fps[0].Out), len(fps[2].Out))
-	}
-}
-
+// TestAddFlowValidatesOutputPort: Install is the add-flow of the typed
+// control plane and keeps ovs-ofctl's check that outputs name real ports.
 func TestAddFlowValidatesOutputPort(t *testing.T) {
 	sw, _, _ := newSUT(t, 2)
-	if err := sw.AddFlow("in_port=0,actions=output:9"); err == nil {
-		t.Fatal("flow to missing port accepted")
+	if err := sw.Install(rule(0, inPort(0), output(9))); err == nil {
+		t.Fatal("rule to missing port accepted")
+	}
+	if len(sw.Rules()) != 0 || len(sw.Snapshot()) != 0 {
+		t.Fatal("rejected rule was recorded")
 	}
 }
 
+// TestDelFlowsInvalidatesCaches: Revoke is the del-flows of the typed
+// control plane; no EMC or megaflow entry may outlive the rule it cached.
 func TestDelFlowsInvalidatesCaches(t *testing.T) {
 	sw, fps, env := newSUT(t, 2)
 	_ = sw.CrossConnect(0, 1)
 	m := switchtest.Meter(env)
 	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64))
 	switchtest.PollUntilIdle(sw, m, 0)
-	sw.DelFlows()
+	if err := sw.Revoke(rule(0, inPort(0), output(1))); err != nil {
+		t.Fatal(err)
+	}
 	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64))
 	switchtest.PollUntilIdle(sw, m, 1)
 	if sw.NoMatch != 1 {
-		t.Fatalf("stale cache served after del-flows: nomatch=%d", sw.NoMatch)
+		t.Fatalf("stale cache served after revoke: nomatch=%d", sw.NoMatch)
+	}
+}
+
+// TestParseFlowFields: lowering a typed match must mask exactly the
+// fieldSpans of the fields it names, and nothing else.
+func TestParseFlowFields(t *testing.T) {
+	r, err := lowerRule(rule(0, switchdef.Match{
+		Fields:  switchdef.FEthType | switchdef.FIPSrc | switchdef.FIPProto | switchdef.FL4Dst,
+		EthType: 0x0800, IPSrc: [4]byte{10, 0, 0, 1}, IPProto: 17, L4Dst: 2000,
+	}, switchdef.RuleAction{Kind: switchdef.RuleDrop}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := []string{"dl_type", "nw_src", "nw_proto", "tp_dst"}
+	inNamed := func(i int) bool {
+		for _, f := range named {
+			span := fieldSpans[f]
+			if i >= span.off && i < span.off+span.len {
+				return true
+			}
+		}
+		return false
+	}
+	for i, m := range r.Mask {
+		if want := inNamed(i); (m == 0xff) != want {
+			t.Fatalf("mask byte %d = %#x, named field: %v", i, m, want)
+		}
+	}
+}
+
+// TestDumpFlows: the flow dump is Rules' hit counters beside Snapshot's
+// typed rules, both in install order.
+func TestDumpFlows(t *testing.T) {
+	sw, fps, env := newSUT(t, 2)
+	_ = sw.CrossConnect(0, 1)
+	m := switchtest.Meter(env)
+	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64))
+	switchtest.PollUntilIdle(sw, m, 0)
+	rules, snap := sw.Rules(), sw.Snapshot()
+	if len(rules) != 2 || len(snap) != 2 {
+		t.Fatalf("rules = %d, snapshot = %d", len(rules), len(snap))
+	}
+	if snap[0].Key() != rule(0, inPort(0), output(1)).Key() || rules[0].Hits != 1 {
+		t.Fatalf("entry 0: %s hits=%d", snap[0].Key(), rules[0].Hits)
+	}
+	if snap[1].Key() != rule(0, inPort(1), output(0)).Key() || rules[1].Hits != 0 {
+		t.Fatalf("entry 1: %s hits=%d", snap[1].Key(), rules[1].Hits)
 	}
 }
 
@@ -245,17 +225,6 @@ func TestPropertyMaskIdempotent(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRuleTextPreserved(t *testing.T) {
-	sw, _, _ := newSUT(t, 2)
-	const text = "in_port=0,actions=output:1"
-	if err := sw.AddFlow(text); err != nil {
-		t.Fatal(err)
-	}
-	if got := sw.Rules()[0].Text; got != text {
-		t.Fatalf("rule text = %q", got)
 	}
 }
 
@@ -277,53 +246,25 @@ func TestSetEMCDisabled(t *testing.T) {
 	}
 }
 
-func TestVLANTagUntagPipeline(t *testing.T) {
-	// Access port 0 tags into VLAN 100 toward trunk port 1; the reverse
-	// direction untags — a classic OvS deployment.
-	sw, fps, env := newSUT(t, 2)
-	if err := sw.AddFlow("in_port=0,actions=mod_vlan_vid:100,output:1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.AddFlow("in_port=1,dl_vlan=100,actions=strip_vlan,output:0"); err != nil {
-		t.Fatal(err)
-	}
-	m := switchtest.Meter(env)
-	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64))
-	switchtest.PollUntilIdle(sw, m, 0)
-	if len(fps[1].Out) != 1 {
-		t.Fatalf("tagged out = %d", len(fps[1].Out))
-	}
-	tagged := fps[1].Out[0]
-	if id, ok := pkt.VLANID(tagged.Bytes()); !ok || id != 100 {
-		t.Fatalf("vlan = %d, %v", id, ok)
-	}
-	if tagged.Len() != 68 {
-		t.Fatalf("tagged len = %d", tagged.Len())
-	}
-	// Send it back in on the trunk: it must be untagged on egress.
-	fps[1].In = append(fps[1].In, env.Pool.Clone(tagged))
-	switchtest.PollUntilIdle(sw, m, 1)
-	if len(fps[0].Out) != 1 {
-		t.Fatalf("untagged out = %d", len(fps[0].Out))
-	}
-	if _, ok := pkt.VLANID(fps[0].Out[0].Bytes()); ok {
-		t.Fatal("tag not stripped")
-	}
-	if fps[0].Out[0].Len() != 64 {
-		t.Fatalf("untagged len = %d", fps[0].Out[0].Len())
-	}
+// vlanFrame builds a 64 B frame and inserts an 802.1Q tag after the MACs.
+func vlanFrame(env switchdef.Env, vid uint16) *pkt.Buf {
+	b := switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64)
+	b.SetLen(64 + pkt.VLANTagLen)
+	data := b.Bytes()
+	copy(data[12+pkt.VLANTagLen:], data[12:64])
+	binary.BigEndian.PutUint16(data[12:], pkt.EtherTypeVLAN)
+	binary.BigEndian.PutUint16(data[14:], vid)
+	return b
 }
 
 func TestVLANMatchDistinguishesTags(t *testing.T) {
 	sw, fps, env := newSUT(t, 3)
-	_ = sw.AddFlow("in_port=0,dl_vlan=10,actions=output:1")
-	_ = sw.AddFlow("in_port=0,dl_vlan=20,actions=output:2")
-	m := switchtest.Meter(env)
-	for _, vid := range []uint16{10, 20} {
-		f := switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64)
-		pkt.PushVLAN(f, vid)
-		fps[0].In = append(fps[0].In, f)
+	vlan := func(vid uint16) switchdef.Match {
+		return switchdef.Match{Fields: switchdef.FInPort | switchdef.FVLAN, InPort: 0, VLAN: vid}
 	}
+	install(t, sw, rule(0, vlan(10), output(1)), rule(0, vlan(20), output(2)))
+	m := switchtest.Meter(env)
+	fps[0].In = append(fps[0].In, vlanFrame(env, 10), vlanFrame(env, 20))
 	// Untagged frame matches neither rule.
 	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64))
 	switchtest.PollUntilIdle(sw, m, 0)
@@ -335,30 +276,15 @@ func TestVLANMatchDistinguishesTags(t *testing.T) {
 	}
 }
 
-func TestDumpFlows(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
-	_ = sw.CrossConnect(0, 1)
-	m := switchtest.Meter(env)
-	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64))
-	switchtest.PollUntilIdle(sw, m, 0)
-	dump := sw.DumpFlows()
-	if !strings.Contains(dump, "n_packets=1") || !strings.Contains(dump, "in_port=0,actions=output:1") {
-		t.Fatalf("dump = %q", dump)
-	}
-}
-
 // TestMegaflowDoesNotShadowHigherPriority is the unwildcarding regression:
 // a cached low-priority decision must never swallow packets that the full
 // table would give to a higher-priority rule with a different mask.
 func TestMegaflowDoesNotShadowHigherPriority(t *testing.T) {
 	sw, fps, env := newSUT(t, 3)
-	special, _ := pkt.ParseMAC("02:00:00:00:00:99")
-	if err := sw.AddFlow("priority=10,dl_dst=02:00:00:00:00:99,actions=output:2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.AddFlow("priority=1,in_port=0,actions=output:1"); err != nil {
-		t.Fatal(err)
-	}
+	special := pkt.MAC{2, 0, 0, 0, 0, 0x99}
+	install(t, sw,
+		rule(10, switchdef.Match{Fields: switchdef.FEthDst, EthDst: special}, output(2)),
+		rule(1, inPort(0), output(1)))
 	m := switchtest.Meter(env)
 	// First: an ordinary packet takes the low-priority port rule and
 	// installs a megaflow.
@@ -388,11 +314,12 @@ func refClassify(rules []*Rule, full packedKey) *Rule {
 	return best
 }
 
-// TestPropertyCachedClassifierMatchesReference drives random rule sets and
-// packet sequences through the full three-tier pipeline and checks every
-// decision against the reference classifier — caches must be transparent.
+// TestPropertyCachedClassifierMatchesReference drives random typed rule
+// programs and packet sequences through the full three-tier pipeline and
+// checks every decision against the reference classifier — caches must be
+// transparent.
 func TestPropertyCachedClassifierMatchesReference(t *testing.T) {
-	fields := []string{"in_port", "dl_dst", "dl_src", "tp_dst", "nw_proto"}
+	fields := []switchdef.FieldSet{switchdef.FInPort, switchdef.FEthDst, switchdef.FEthSrc, switchdef.FL4Dst, switchdef.FIPProto}
 	f := func(seed uint64) bool {
 		rng := sim.NewRNG(seed)
 		env := switchtest.Env()
@@ -403,26 +330,26 @@ func TestPropertyCachedClassifierMatchesReference(t *testing.T) {
 		// Random rules over random field subsets.
 		nRules := 1 + rng.Intn(8)
 		for i := 0; i < nRules; i++ {
-			flow := fmt.Sprintf("priority=%d", rng.Intn(20))
+			var m switchdef.Match
 			for _, fd := range fields {
 				if !rng.Bernoulli(0.4) {
 					continue
 				}
+				m.Fields |= fd
 				switch fd {
-				case "in_port":
-					flow += fmt.Sprintf(",in_port=%d", rng.Intn(3))
-				case "dl_dst":
-					flow += fmt.Sprintf(",dl_dst=02:00:00:00:00:%02x", rng.Intn(4))
-				case "dl_src":
-					flow += fmt.Sprintf(",dl_src=02:00:00:00:01:%02x", rng.Intn(4))
-				case "tp_dst":
-					flow += fmt.Sprintf(",tp_dst=%d", 2000+rng.Intn(3))
-				case "nw_proto":
-					flow += ",nw_proto=17"
+				case switchdef.FInPort:
+					m.InPort = rng.Intn(3)
+				case switchdef.FEthDst:
+					m.EthDst = pkt.MAC{2, 0, 0, 0, 0, byte(rng.Intn(4))}
+				case switchdef.FEthSrc:
+					m.EthSrc = pkt.MAC{2, 0, 0, 0, 1, byte(rng.Intn(4))}
+				case switchdef.FL4Dst:
+					m.L4Dst = uint16(2000 + rng.Intn(3))
+				case switchdef.FIPProto:
+					m.IPProto = 17
 				}
 			}
-			flow += fmt.Sprintf(",actions=output:%d", rng.Intn(4))
-			if err := sw.AddFlow(flow); err != nil {
+			if err := sw.Install(rule(1+rng.Intn(20), m, output(rng.Intn(4)))); err != nil {
 				return false
 			}
 		}

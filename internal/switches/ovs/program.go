@@ -3,15 +3,12 @@ package ovs
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"repro/internal/switches/switchdef"
 )
 
-// OvS's Programmer lowers typed rules into the same OpenFlow table
-// AddFlow strings feed: each typed match field packs into its fieldSpan,
-// actions map one-to-one, and the canonical ovs-ofctl text is synthesized
-// so DumpFlows output is indistinguishable from string-installed rules.
+// OvS's Programmer lowers typed rules into its OpenFlow table: each typed
+// match field packs into its fieldSpan and actions map one-to-one.
 // Install and Revoke run the full rebuildGroups + invalidateCaches
 // sequence, so cacheGen advances and every recorded charge script (memo)
 // is retired — the PR 7 invalidation invariant.
@@ -47,7 +44,7 @@ func lowerRule(r switchdef.Rule) (*Rule, error) {
 		set("dl_type", u16(m.EthType))
 	}
 	if m.Fields&switchdef.FVLAN != 0 {
-		set("dl_vlan", u16(m.VLAN+1)) // stored as VID+1, like the parser
+		set("dl_vlan", u16(m.VLAN+1)) // stored as VID+1, like extractKey
 	}
 	if m.Fields&switchdef.FIPSrc != 0 {
 		set("nw_src", m.IPSrc[:])
@@ -83,63 +80,7 @@ func lowerRule(r switchdef.Rule) (*Rule, error) {
 	if len(out.Actions) == 0 {
 		return nil, fmt.Errorf("ovs: rule has no actions")
 	}
-	out.Text = ruleText(r)
 	return out, nil
-}
-
-// ruleText renders the canonical ovs-ofctl add-flow text of a typed rule
-// (match fields in fieldSpan order, then the action list).
-func ruleText(r switchdef.Rule) string {
-	var parts []string
-	if p := r.EffectivePriority(); p != 32768 {
-		parts = append(parts, fmt.Sprintf("priority=%d", p))
-	}
-	m := r.Match
-	if m.Fields&switchdef.FInPort != 0 {
-		parts = append(parts, fmt.Sprintf("in_port=%d", m.InPort))
-	}
-	if m.Fields&switchdef.FEthDst != 0 {
-		parts = append(parts, "dl_dst="+m.EthDst.String())
-	}
-	if m.Fields&switchdef.FEthSrc != 0 {
-		parts = append(parts, "dl_src="+m.EthSrc.String())
-	}
-	if m.Fields&switchdef.FEthType != 0 {
-		parts = append(parts, fmt.Sprintf("dl_type=0x%04x", m.EthType))
-	}
-	if m.Fields&switchdef.FVLAN != 0 {
-		parts = append(parts, fmt.Sprintf("dl_vlan=%d", m.VLAN))
-	}
-	if m.Fields&switchdef.FIPSrc != 0 {
-		parts = append(parts, fmt.Sprintf("nw_src=%d.%d.%d.%d", m.IPSrc[0], m.IPSrc[1], m.IPSrc[2], m.IPSrc[3]))
-	}
-	if m.Fields&switchdef.FIPDst != 0 {
-		parts = append(parts, fmt.Sprintf("nw_dst=%d.%d.%d.%d", m.IPDst[0], m.IPDst[1], m.IPDst[2], m.IPDst[3]))
-	}
-	if m.Fields&switchdef.FIPProto != 0 {
-		parts = append(parts, fmt.Sprintf("nw_proto=%d", m.IPProto))
-	}
-	if m.Fields&switchdef.FL4Src != 0 {
-		parts = append(parts, fmt.Sprintf("tp_src=%d", m.L4Src))
-	}
-	if m.Fields&switchdef.FL4Dst != 0 {
-		parts = append(parts, fmt.Sprintf("tp_dst=%d", m.L4Dst))
-	}
-	var acts []string
-	for _, a := range r.Actions {
-		switch a.Kind {
-		case switchdef.RuleOutput:
-			acts = append(acts, fmt.Sprintf("output:%d", a.Port))
-		case switchdef.RuleDrop:
-			acts = append(acts, "drop")
-		case switchdef.RuleSetEthDst:
-			acts = append(acts, "mod_dl_dst:"+a.MAC.String())
-		case switchdef.RuleSetEthSrc:
-			acts = append(acts, "mod_dl_src:"+a.MAC.String())
-		}
-	}
-	parts = append(parts, "actions="+strings.Join(acts, ","))
-	return strings.Join(parts, ",")
 }
 
 // Install implements switchdef.Programmer: lower the typed rule into the
@@ -184,7 +125,7 @@ func (sw *Switch) Revoke(r switchdef.Rule) error {
 	}
 	old := sw.findRule(lowered)
 	if old == nil {
-		return fmt.Errorf("ovs: revoke of absent rule %q", lowered.Text)
+		return fmt.Errorf("ovs: revoke of absent rule %q", r.Key())
 	}
 	for i, existing := range sw.rules {
 		if existing == old {
@@ -199,8 +140,7 @@ func (sw *Switch) Revoke(r switchdef.Rule) error {
 }
 
 // Snapshot implements switchdef.Programmer: the typed rules installed
-// through Install, in install order. Rules fed through raw AddFlow
-// strings live below the typed surface and are not echoed.
+// through Install, in install order.
 func (sw *Switch) Snapshot() []switchdef.Rule { return sw.prog.Snapshot() }
 
 // EMCEvictionCount reports live EMC replacements (the testbed collects it

@@ -2,8 +2,9 @@
 // engine in which "apps" connected by links process packets in engine
 // "breaths".
 //
-// Each breath pulls packets from source apps into links, then runs push
-// apps in configuration order. Two Snabb signatures are modelled
+// Each breath has every NIC app pull packets from its device into its
+// output link, then every NIC app push its input link to its device, in
+// configuration order. Two Snabb signatures are modelled
 // explicitly:
 //
 //   - LuaJIT warmup: per-packet cost starts high and decays as hot traces
@@ -58,24 +59,6 @@ const (
 	breathFullLoad = 32 // breaths at least this full run back to back
 )
 
-// App is a Snabb app. Source apps implement Pull; processing apps
-// implement Push.
-type App interface {
-	Name() string
-}
-
-// Puller pulls new packets into output links (NIC receive).
-type Puller interface {
-	App
-	Pull(sw *Switch, now units.Time, m *cost.Meter) int
-}
-
-// Pusher consumes packets from input links (NIC transmit, forwarding).
-type Pusher interface {
-	App
-	Push(sw *Switch, now units.Time, m *cost.Meter) int
-}
-
 // Link is a Snabb inter-app link.
 type Link struct {
 	Name string
@@ -91,7 +74,7 @@ type Switch struct {
 	env   switchdef.Env
 	ports []switchdef.DevPort
 
-	apps  []App
+	apps  []*NICApp
 	links []*Link
 
 	now     units.Time
@@ -162,11 +145,11 @@ func (sw *Switch) NewLink(name string) *Link {
 // AddNICApp creates the paired rx/tx app for a port (config.app with a
 // driver): the returned app pulls from the port into out and pushes from
 // in to the port. Either link may be nil.
-func (sw *Switch) AddNICApp(name string, port int, out, in *Link) (*NICApp, error) {
+func (sw *Switch) AddNICApp(port int, out, in *Link) (*NICApp, error) {
 	if port < 0 || port >= len(sw.ports) {
 		return nil, fmt.Errorf("snabb: no port %d", port)
 	}
-	a := &NICApp{name: name, dev: sw.ports[port], out: out, in: in}
+	a := &NICApp{dev: sw.ports[port], out: out, in: in}
 	sw.apps = append(sw.apps, a)
 	return a, nil
 }
@@ -179,10 +162,10 @@ func (sw *Switch) AddNICApp(name string, port int, out, in *Link) (*NICApp, erro
 func (sw *Switch) CrossConnect(a, b int) error {
 	ab := sw.NewLink(fmt.Sprintf("nic%d.tx -> nic%d.rx", a, b))
 	ba := sw.NewLink(fmt.Sprintf("nic%d.tx -> nic%d.rx", b, a))
-	if _, err := sw.AddNICApp(fmt.Sprintf("nic%d", a), a, ab, ba); err != nil {
+	if _, err := sw.AddNICApp(a, ab, ba); err != nil {
 		return err
 	}
-	if _, err := sw.AddNICApp(fmt.Sprintf("nic%d", b), b, ba, ab); err != nil {
+	if _, err := sw.AddNICApp(b, ba, ab); err != nil {
 		return err
 	}
 	return nil
@@ -204,14 +187,10 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 	m.Charge(breathFixed)
 	worked := 0
 	for _, a := range sw.apps {
-		if p, ok := a.(Puller); ok {
-			worked += p.Pull(sw, now, m)
-		}
+		worked += a.Pull(sw, now, m)
 	}
 	for _, a := range sw.apps {
-		if p, ok := a.(Pusher); ok {
-			worked += p.Push(sw, now, m)
-		}
+		worked += a.Push(sw, now, m)
 	}
 	if worked == 0 {
 		// Engine sleeps between idle breaths.
@@ -230,17 +209,13 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 type NICApp struct {
 	scratch [PullBatch]*pkt.Buf // staging, reused across breaths
 
-	name    string
 	dev     switchdef.DevPort
 	out, in *Link
 
 	Rx, Tx int64
 }
 
-// Name implements App.
-func (a *NICApp) Name() string { return a.name }
-
-// Pull implements Puller: device → out link.
+// Pull moves frames device → out link.
 func (a *NICApp) Pull(sw *Switch, now units.Time, m *cost.Meter) int {
 	if a.out == nil {
 		return 0
@@ -269,7 +244,7 @@ func (a *NICApp) Pull(sw *Switch, now units.Time, m *cost.Meter) int {
 	return n
 }
 
-// Push implements Pusher: in link → device.
+// Push moves frames in link → device.
 func (a *NICApp) Push(sw *Switch, now units.Time, m *cost.Meter) int {
 	if a.in == nil {
 		return 0
@@ -291,65 +266,6 @@ func (a *NICApp) Push(sw *Switch, now units.Time, m *cost.Meter) int {
 	return n
 }
 
-// Apps returns the configured apps.
-func (sw *Switch) Apps() []App { return sw.apps }
-
 func init() {
 	switchdef.Register(info, func(env switchdef.Env) switchdef.Switch { return New(env) })
-}
-
-// FilterApp is a push app dropping frames whose EtherType is not allowed —
-// a minimal example of composing network functions from Snabb apps
-// (config.app with a filter module).
-type FilterApp struct {
-	scratch [PullBatch]*pkt.Buf // staging, reused across breaths
-
-	name    string
-	in, out *Link
-	allow   map[uint16]bool
-
-	Passed, Dropped int64
-}
-
-const filterPerPkt = 14
-
-// AddFilterApp inserts a filter between two links, allowing only the given
-// EtherTypes.
-func (sw *Switch) AddFilterApp(name string, in, out *Link, allow ...uint16) *FilterApp {
-	a := &FilterApp{name: name, in: in, out: out, allow: map[uint16]bool{}}
-	for _, et := range allow {
-		a.allow[et] = true
-	}
-	sw.apps = append(sw.apps, a)
-	return a
-}
-
-// Name implements App.
-func (a *FilterApp) Name() string { return a.name }
-
-// Push implements Pusher: drain the input link, filter, forward.
-func (a *FilterApp) Push(sw *Switch, now units.Time, m *cost.Meter) int {
-	burst := &a.scratch
-	n := a.in.Ring.DrainTo(burst[:])
-	if n == 0 {
-		return 0
-	}
-	sw.chargeApp(m, filterPerPkt+linkPerPkt, n)
-	for _, b := range burst[:n] {
-		eth, err := pkt.ParseEth(b.View())
-		if err != nil || !a.allow[eth.EtherType] {
-			b.Free()
-			a.Dropped++
-			sw.Dropped++
-			continue
-		}
-		if !a.out.Ring.Push(b) {
-			b.Free()
-			a.Dropped++
-			sw.Dropped++
-			continue
-		}
-		a.Passed++
-	}
-	return n
 }

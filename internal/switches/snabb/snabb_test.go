@@ -29,8 +29,8 @@ func TestCrossConnectBreathFlow(t *testing.T) {
 	if err := sw.CrossConnect(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if len(sw.Apps()) != 2 {
-		t.Fatalf("apps = %d", len(sw.Apps()))
+	if len(sw.apps) != 2 {
+		t.Fatalf("apps = %d", len(sw.apps))
 	}
 	fps[0].In = append(fps[0].In, frame(env))
 	fps[1].In = append(fps[1].In, frame(env))
@@ -130,7 +130,7 @@ func TestLinkBackpressure(t *testing.T) {
 
 func TestAddNICAppErrors(t *testing.T) {
 	sw, _, _ := newSUT(t, 1)
-	if _, err := sw.AddNICApp("x", 9, nil, nil); err == nil {
+	if _, err := sw.AddNICApp(9, nil, nil); err == nil {
 		t.Fatal("bad port accepted")
 	}
 }
@@ -146,44 +146,5 @@ func TestInfoTaxonomy(t *testing.T) {
 	}
 	if info.VhostEnqScale == 0 || info.VhostDeqScale == 0 {
 		t.Fatal("Snabb's own vhost implementation must price directions differently")
-	}
-}
-
-func TestFilterApp(t *testing.T) {
-	env := switchtest.Env()
-	sw := New(env)
-	fin := switchtest.NewFakePort("in")
-	fout := switchtest.NewFakePort("out")
-	sw.AddPort(fin)
-	sw.AddPort(fout)
-	// nic0 → filter(IPv4 only) → nic1.
-	aToF := sw.NewLink("nic0 -> filter")
-	fToB := sw.NewLink("filter -> nic1")
-	if _, err := sw.AddNICApp("nic0", 0, aToF, nil); err != nil {
-		t.Fatal(err)
-	}
-	sw.AddFilterApp("filter", aToF, fToB, pkt.EtherTypeIPv4)
-	if _, err := sw.AddNICApp("nic1", 1, nil, fToB); err != nil {
-		t.Fatal(err)
-	}
-
-	ipv4 := frame(env)
-	arp := frame(env)
-	arp.Bytes()[12], arp.Bytes()[13] = 0x08, 0x06
-	fin.In = append(fin.In, ipv4, arp)
-	m := switchtest.Meter(env)
-	// Two breaths: apps run in configuration order, so the filter's push
-	// may see the link only on the breath after the pull.
-	sw.Poll(0, m)
-	sw.Poll(1, m)
-	if len(fout.Out) != 1 {
-		t.Fatalf("out = %d", len(fout.Out))
-	}
-	filter := sw.Apps()[1].(*FilterApp)
-	if filter.Passed != 1 || filter.Dropped != 1 {
-		t.Fatalf("passed=%d dropped=%d", filter.Passed, filter.Dropped)
-	}
-	if env.Pool.Live() != 1 { // only the delivered frame lives
-		t.Fatalf("live = %d", env.Pool.Live())
 	}
 }

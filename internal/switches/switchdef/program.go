@@ -3,14 +3,14 @@
 //
 // The paper configures each switch through its native surface — OpenFlow
 // rule strings for OvS, match/action table entries for t4p4s, Click
-// configuration programs for FastClick, CLI patch commands for VPP — and
-// the harness historically drove those surfaces directly. Programmer
-// hoists them behind one OpenFlow-style Install/Revoke/Snapshot contract
-// (the vocabulary BOFUSS-style softswitches standardize) over a typed Rule
-// value, so controllers, fleets, and examples program every data plane the
-// same way while each switch lowers rules into its own structures (and
-// bumps its memo-generation counters, keeping PR 7's recorded charge
-// scripts correct under churn).
+// configuration programs for FastClick, CLI patch commands for VPP. The
+// simulated switches have no such text front-ends: Programmer is their one
+// rule surface, an OpenFlow-style Install/Revoke/Snapshot contract (the
+// vocabulary BOFUSS-style softswitches standardize) over a typed Rule
+// value. Controllers, fleets, examples and CrossConnect program every data
+// plane the same way while each switch lowers rules straight into its own
+// structures (and bumps its memo-generation counters, keeping PR 7's
+// recorded charge scripts correct under churn).
 package switchdef
 
 import (
@@ -70,9 +70,9 @@ type RuleActionKind int
 // Rule action kinds.
 const (
 	RuleOutput    RuleActionKind = iota // forward to Port
-	RuleDrop                           // discard
-	RuleSetEthDst                      // rewrite destination MAC, then continue
-	RuleSetEthSrc                      // rewrite source MAC, then continue
+	RuleDrop                            // discard
+	RuleSetEthDst                       // rewrite destination MAC, then continue
+	RuleSetEthSrc                       // rewrite source MAC, then continue
 )
 
 // RuleAction is one action of a rule's action list.

@@ -10,9 +10,9 @@ import (
 // table: the vocabulary a compiled P4 pipeline exposes at runtime is its
 // table-entry API, so only destination-MAC-exact matches are expressible,
 // and rules carry no priority (an exact table has no overlap to order).
-// Every Install/Revoke bumps the table's version counter, which tabVer()
-// folds into the memo validity check — recorded pipeline traversals are
-// retired the moment the program changes.
+// Every Install/Revoke bumps the table's version counter, which the memo
+// validity check reads — recorded pipeline traversals are retired the
+// moment the table changes.
 
 // lowerRule maps a typed rule onto a dmac-table entry.
 func lowerRule(r switchdef.Rule) (key [6]byte, e Entry, err error) {
@@ -48,7 +48,7 @@ func (sw *Switch) Install(r switchdef.Rule) error {
 			return fmt.Errorf("t4p4s: no port %d", e.Port)
 		}
 	}
-	sw.tables[0].Add(key[:], e)
+	sw.dmac.Add(key[:], e)
 	sw.prog.Put(r)
 	return nil
 }
@@ -59,7 +59,7 @@ func (sw *Switch) Revoke(r switchdef.Rule) error {
 	if err != nil {
 		return err
 	}
-	if !sw.tables[0].Remove(key[:]) {
+	if !sw.dmac.Remove(key[:]) {
 		return fmt.Errorf("t4p4s: revoke of absent dmac entry %v", r.Match.EthDst)
 	}
 	sw.prog.Delete(r)

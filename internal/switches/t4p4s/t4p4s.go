@@ -1,12 +1,12 @@
 // Package t4p4s models t4p4s (commit b1161b2): a platform-independent P4
 // software switch whose compiler turns P4 programs into a DPDK data plane.
 //
-// The pipeline is the real P4 shape: a programmable header parser, a
-// sequence of match/action tables (exact or LPM keys over parsed fields),
-// and a deparser that serializes modified headers back into the frame.
-// The packaged program is the paper's l2fwd: one exact table keyed on the
-// destination MAC whose action forwards to a port (Table 2's tuning —
-// "remove source MAC learning phase" — is why no smac table is installed).
+// The pipeline is the real P4 shape: a header parser, a match/action
+// table, and a deparser that serializes modified headers back into the
+// frame. The program is the paper's l2fwd: one exact table keyed on the
+// destination MAC whose action forwards to a port, optionally rewriting
+// the MAC (Table 2's tuning — "remove source MAC learning phase" — is why
+// no smac table is installed).
 //
 // Two t4p4s findings from the paper are in the cost model: every packet
 // pays the parse/deparse + hardware-abstraction-layer tax (it never
@@ -15,8 +15,6 @@
 package t4p4s
 
 import (
-	"fmt"
-
 	"repro/internal/cost"
 	"repro/internal/flowtab"
 	"repro/internal/pkt"
@@ -38,134 +36,6 @@ const (
 	jitterFrac       = 0.25 // unstable pipeline (paper Table 3)
 )
 
-// FieldID selects a parsed header field usable as a table key.
-type FieldID int
-
-// Supported key fields.
-const (
-	FieldEthDst FieldID = iota
-	FieldEthSrc
-	FieldEthType
-	FieldIPSrc
-	FieldIPDst
-	FieldIPProto
-	FieldL4Src
-	FieldL4Dst
-)
-
-// parsedHeaders is the result of the parser stage.
-type parsedHeaders struct {
-	eth     pkt.EthHdr
-	ip      pkt.IPv4Hdr
-	udp     pkt.UDPHdr
-	hasIP   bool
-	hasL4   bool
-	ethDirt bool // headers modified; deparser must write back
-}
-
-// appendKey appends the table's concatenated key fields to dst (a reused
-// scratch buffer), replacing the old per-frame string build that cost two
-// heap allocations per table per packet.
-func (t *Table) appendKey(dst []byte, h *parsedHeaders) []byte {
-	for _, f := range t.Key {
-		switch f {
-		case FieldEthDst:
-			dst = append(dst, h.eth.Dst[:]...)
-		case FieldEthSrc:
-			dst = append(dst, h.eth.Src[:]...)
-		case FieldEthType:
-			dst = append(dst, byte(h.eth.EtherType>>8), byte(h.eth.EtherType))
-		case FieldIPSrc:
-			dst = append(dst, h.ip.Src[:]...)
-		case FieldIPDst:
-			dst = append(dst, h.ip.Dst[:]...)
-		case FieldIPProto:
-			dst = append(dst, h.ip.Proto)
-		case FieldL4Src:
-			dst = append(dst, byte(h.udp.SrcPort>>8), byte(h.udp.SrcPort))
-		case FieldL4Dst:
-			dst = append(dst, byte(h.udp.DstPort>>8), byte(h.udp.DstPort))
-		default:
-			panic("t4p4s: unknown field")
-		}
-	}
-	return dst
-}
-
-// ActionID selects a table action.
-type ActionID int
-
-// Supported actions.
-const (
-	ActForward ActionID = iota // send to Port
-	ActDrop
-	ActSetDstMAC // rewrite dl_dst to MAC, then continue
-	ActNoAction  // P4 NoAction: continue to the next table
-)
-
-// Entry is a table entry's action data.
-type Entry struct {
-	Action ActionID
-	Port   int
-	MAC    pkt.MAC
-}
-
-// Table is one match/action table (exact by default; see SetKind for LPM
-// and ternary). Exact entries live in an open-addressed byte-keyed map;
-// keyBuf is the per-lookup key scratch (each lcore owns its tables, so a
-// single scratch per table is race-free). version counts output-visible
-// mutations and invalidates memoized pipeline traversals.
-type Table struct {
-	Name    string
-	Key     []FieldID
-	kind    MatchKind
-	entries *flowtab.ByteMap[Entry]
-	lpm     []lpmEntry
-	tern    []ternEntry
-	Default Entry
-
-	// shadow mirrors the exact-match entries by key string: the arena
-	// ByteMap has no delete, so Remove rebuilds it from this ledger.
-	shadow map[string]Entry
-
-	keyBuf  []byte
-	version uint64
-
-	Hits, Misses int64
-}
-
-// NewTable creates an exact-match table with a default (miss) entry.
-func NewTable(name string, key []FieldID, def Entry) *Table {
-	return &Table{Name: name, Key: key, entries: flowtab.NewByteMap[Entry](8), Default: def}
-}
-
-// Add installs an entry keyed by the concatenated field values.
-func (t *Table) Add(keyBytes []byte, e Entry) {
-	t.entries.Put(keyBytes, e)
-	if t.shadow == nil {
-		t.shadow = make(map[string]Entry)
-	}
-	t.shadow[string(keyBytes)] = e
-	t.version++
-}
-
-// Remove deletes an exact entry, reporting whether it was present. The
-// backing ByteMap is arena-allocated with no per-key delete, so the table
-// is rebuilt from the shadow ledger; probe layout is not observable (the
-// lookup charge is flat), so the rebuild order cannot move any output.
-func (t *Table) Remove(keyBytes []byte) bool {
-	if _, ok := t.shadow[string(keyBytes)]; !ok {
-		return false
-	}
-	delete(t.shadow, string(keyBytes))
-	t.entries = flowtab.NewByteMap[Entry](8)
-	for k, e := range t.shadow {
-		t.entries.Put([]byte(k), e)
-	}
-	t.version++
-	return true
-}
-
 // Switch is a t4p4s instance running a compiled P4 program.
 type Switch struct {
 	// rxScratch is the receive staging array, reused across polls: a
@@ -173,21 +43,19 @@ type Switch struct {
 	// costs one heap allocation per poll.
 	rxScratch [Burst]*pkt.Buf
 
-	env    switchdef.Env
-	ports  []switchdef.DevPort
-	tables []*Table
+	env   switchdef.Env
+	ports []switchdef.DevPort
+	dmac  *Table
 
 	txStage [][]*pkt.Buf
 	txFirst []units.Time
 
 	// memo caches the full pipeline traversal per packet template: the
-	// match/action stages read only frame bytes, so every frame sharing a
+	// match/action stage reads only frame bytes, so every frame sharing a
 	// template takes the same path and charges the same deterministic table
 	// cycles (the parse and deparse draws stay per-frame). Entries carry
-	// the program and table generations they were recorded under.
-	memo        *flowtab.Map[uint64, t4Memo]
-	progGen     uint64
-	bumpScratch []*int64
+	// the table version they were recorded under.
+	memo *flowtab.Map[uint64, t4Memo]
 
 	// prog tracks the typed rules installed through the Programmer
 	// surface (program.go), backing Snapshot.
@@ -199,32 +67,20 @@ type Switch struct {
 
 // t4Memo outcome kinds.
 const (
-	t4Forward          uint8 = iota + 1
-	t4DropNoDeparse          // dropped before the deparser draw (parse error or ActDrop)
-	t4DropAfterDeparse       // deparsed, then no valid output port
+	t4Forward       uint8 = iota + 1
+	t4DropNoDeparse       // dropped before the deparser draw (parse error or ActDrop)
 )
 
 // t4Memo is one recorded pipeline traversal: the deterministic table
-// cycles to charge in one batch, the hit/miss counters to bump, and the
-// outcome. Frames whose traversal rewrites the packet (ActSetDstMAC) are
-// never memoized.
+// cycles to charge, the hit/miss counter to bump (nil when the parser
+// dropped the frame before the table), and the outcome. Frames whose
+// traversal rewrites the packet (ActSetDstMAC) are never memoized.
 type t4Memo struct {
-	prog   uint64
 	tabVer uint64
 	cycles units.Cycles
-	bump   []*int64
+	bump   *int64
 	out    int32
 	kind   uint8
-}
-
-// tabVer sums the tables' mutation counters; any Add/AddLPM/AddTernary/
-// SetKind bumps it, invalidating recorded traversals.
-func (sw *Switch) tabVer() uint64 {
-	var v uint64
-	for _, t := range sw.tables {
-		v += t.version
-	}
-	return v
 }
 
 // The t4p4s HAL buffers transmissions aggressively: frames leave when a
@@ -263,11 +119,13 @@ var info = switchdef.Info{
 }
 
 // New returns a t4p4s instance loaded with the l2fwd program (an empty
-// dmac table; entries are installed by CrossConnect or AddL2Entry).
+// dmac table; entries are installed by CrossConnect or Install).
 func New(env switchdef.Env) *Switch {
-	sw := &Switch{env: env, memo: flowtab.NewMap[uint64, t4Memo](16)}
-	sw.tables = append(sw.tables, NewTable("dmac", []FieldID{FieldEthDst}, Entry{Action: ActDrop}))
-	return sw
+	return &Switch{
+		env:  env,
+		dmac: NewTable("dmac", Entry{Action: ActDrop}),
+		memo: flowtab.NewMap[uint64, t4Memo](16),
+	}
 }
 
 // Info implements switchdef.Switch.
@@ -279,18 +137,6 @@ func (sw *Switch) AddPort(p switchdef.DevPort) int {
 	sw.txStage = append(sw.txStage, nil)
 	sw.txFirst = append(sw.txFirst, 0)
 	return len(sw.ports) - 1
-}
-
-// Tables returns the program's tables.
-func (sw *Switch) Tables() []*Table { return sw.tables }
-
-// AddL2Entry installs dmac → forward(port).
-func (sw *Switch) AddL2Entry(mac pkt.MAC, port int) error {
-	if port < 0 || port >= len(sw.ports) {
-		return fmt.Errorf("t4p4s: no port %d", port)
-	}
-	sw.tables[0].Add(mac[:], Entry{Action: ActForward, Port: port})
-	return nil
 }
 
 // CrossConnect implements switchdef.Switch as the canned MAC-vocabulary
@@ -308,7 +154,7 @@ func (sw *Switch) CrossConnect(a, b int) error {
 
 // Poll implements switchdef.Switch: one lcore iteration over every
 // attached port. Multi-core runs give each lcore its own Switch instance
-// (private match/action tables) — see internal/multicore.
+// (a private dmac table) — see internal/multicore.
 func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 	burst := &sw.rxScratch
 	// now is constant for the whole poll, so the pipeline modulation
@@ -358,105 +204,69 @@ func (sw *Switch) process(now units.Time, m *cost.Meter, b *pkt.Buf, pf float64)
 	parseCost := cost.ScaleBy(pf, parseFixed+halPerPkt+perByte)
 
 	var memoID uint64
-	var tabVer uint64
 	recording := false
 	if !switchdef.MemoDisabled() {
 		if t := b.Template(); t != nil {
 			memoID = t.ID()
-			tabVer = sw.tabVer()
-			if e, ok := sw.memo.Get(flowtab.HashUint64(memoID), memoID); ok &&
-				e.prog == sw.progGen && e.tabVer == tabVer {
+			if e, ok := sw.memo.Get(flowtab.HashUint64(memoID), memoID); ok && e.tabVer == sw.dmac.version {
 				sw.replayMemo(now, m, b, &e, parseCost)
 				return
 			}
 			recording = true
-			sw.bumpScratch = sw.bumpScratch[:0]
 		}
 	}
-	rec := t4Memo{prog: sw.progGen, tabVer: tabVer}
+	rec := t4Memo{tabVer: sw.dmac.version}
 
 	// Parser (read-only; the deparser materializes if it must write).
-	data := b.View()
-	var h parsedHeaders
-	var err error
-	h.eth, err = pkt.ParseEth(data)
+	eth, err := pkt.ParseEth(b.View())
 	m.ChargeNoisy(parseCost, jitterFrac)
 	if err != nil {
 		if recording {
 			rec.kind = t4DropNoDeparse
-			sw.commitMemo(memoID, rec)
+			sw.memo.Put(flowtab.HashUint64(memoID), memoID, rec)
 		}
 		b.Free()
 		sw.Dropped++
 		return
 	}
-	if h.eth.EtherType == pkt.EtherTypeIPv4 && len(data) >= pkt.EthHdrLen+pkt.IPv4HdrLen {
-		if ip, e := pkt.ParseIPv4(data[pkt.EthHdrLen:]); e == nil {
-			h.ip, h.hasIP = ip, true
-			if ip.Proto == pkt.ProtoUDP {
-				if udp, e := pkt.ParseUDP(data[pkt.EthHdrLen+pkt.IPv4HdrLen:]); e == nil {
-					h.udp, h.hasL4 = udp, true
-				}
-			}
-		}
-	}
 
-	// Match/action stages.
-	out := -1
-	for _, t := range sw.tables {
-		m.Charge(m.Model.HashLookup + tablePerLookup)
-		t.keyBuf = t.appendKey(t.keyBuf[:0], &h)
-		e, hit := t.lookup(t.keyBuf)
+	// Match/action stage: the dmac table.
+	t := sw.dmac
+	m.Charge(m.Model.HashLookup + tablePerLookup)
+	e, hit := t.lookup(eth.Dst[:])
+	rec.cycles = m.Model.HashLookup + tablePerLookup
+	rec.bump = &t.Misses
+	if hit {
+		rec.bump = &t.Hits
+	}
+	out := e.Port
+	dirty := false
+	switch e.Action {
+	case ActDrop:
 		if recording {
-			rec.cycles += m.Model.HashLookup + tablePerLookup
-			if hit {
-				sw.bumpScratch = append(sw.bumpScratch, &t.Hits)
-			} else {
-				sw.bumpScratch = append(sw.bumpScratch, &t.Misses)
-			}
+			rec.kind = t4DropNoDeparse
+			sw.memo.Put(flowtab.HashUint64(memoID), memoID, rec)
 		}
-		switch e.Action {
-		case ActDrop:
-			if recording {
-				rec.kind = t4DropNoDeparse
-				sw.commitMemo(memoID, rec)
-			}
-			b.Free()
-			sw.Dropped++
-			return
-		case ActForward:
-			out = e.Port
-		case ActSetDstMAC:
-			h.eth.Dst = e.MAC
-			h.ethDirt = true
-			// The deparser will rewrite the frame bytes, detaching it
-			// from its template: this traversal is not replayable.
-			recording = false
-			if e.Port >= 0 {
-				out = e.Port
-			}
-		case ActNoAction:
-		}
+		b.Free()
+		sw.Dropped++
+		return
+	case ActSetDstMAC:
+		eth.Dst = e.MAC
+		dirty = true
+		// The deparser will rewrite the frame bytes, detaching it from its
+		// template: this traversal is not replayable.
+		recording = false
 	}
 
 	// Deparser.
 	m.ChargeNoisy(deparseFixed, jitterFrac)
-	if h.ethDirt {
-		h.eth.Put(b.Bytes())
-	}
-	if out < 0 || out >= len(sw.ports) {
-		if recording {
-			rec.kind = t4DropAfterDeparse
-			sw.commitMemo(memoID, rec)
-		}
-		b.Free()
-		sw.Dropped++
-		return
+	if dirty {
+		eth.Put(b.Bytes())
 	}
 	if recording {
 		rec.kind = t4Forward
 		rec.out = int32(out)
-		sw.commitMemo(memoID, rec)
+		sw.memo.Put(flowtab.HashUint64(memoID), memoID, rec)
 	}
 	if len(sw.txStage[out]) == 0 {
 		sw.txFirst[out] = now
@@ -464,20 +274,15 @@ func (sw *Switch) process(now units.Time, m *cost.Meter, b *pkt.Buf, pf float64)
 	sw.txStage[out] = append(sw.txStage[out], b)
 }
 
-func (sw *Switch) commitMemo(id uint64, e t4Memo) {
-	e.bump = append([]*int64(nil), sw.bumpScratch...)
-	sw.memo.Put(flowtab.HashUint64(id), id, e)
-}
-
 // replayMemo re-runs a recorded traversal: the per-frame parse draw, the
-// batched deterministic table charges, the counter bumps, and — only for
-// traversals that reached the deparser — the per-frame deparse draw. The
+// deterministic table charge, the counter bump, and — only for traversals
+// that reached the deparser — the per-frame deparse draw. The
 // charge and RNG-draw sequence is identical to the reference path's.
 func (sw *Switch) replayMemo(now units.Time, m *cost.Meter, b *pkt.Buf, e *t4Memo, parseCost units.Cycles) {
 	m.ChargeNoisy(parseCost, jitterFrac)
 	m.Charge(e.cycles)
-	for _, c := range e.bump {
-		*c++
+	if e.bump != nil {
+		*e.bump++
 	}
 	if e.kind == t4DropNoDeparse {
 		b.Free()
@@ -485,11 +290,6 @@ func (sw *Switch) replayMemo(now units.Time, m *cost.Meter, b *pkt.Buf, e *t4Mem
 		return
 	}
 	m.ChargeNoisy(deparseFixed, jitterFrac)
-	if e.kind == t4DropAfterDeparse {
-		b.Free()
-		sw.Dropped++
-		return
-	}
 	out := int(e.out)
 	if len(sw.txStage[out]) == 0 {
 		sw.txFirst[out] = now

@@ -45,8 +45,8 @@ func TestL2FwdProgramForwardsByDstMAC(t *testing.T) {
 	if len(fps[1].Out) != 1 || len(fps[0].Out) != 1 {
 		t.Fatalf("outputs = %d, %d", len(fps[0].Out), len(fps[1].Out))
 	}
-	if sw.Tables()[0].Hits != 2 {
-		t.Fatalf("table hits = %d", sw.Tables()[0].Hits)
+	if sw.dmac.Hits != 2 {
+		t.Fatalf("table hits = %d", sw.dmac.Hits)
 	}
 }
 
@@ -58,8 +58,8 @@ func TestDefaultActionDropsUnknownMAC(t *testing.T) {
 	if len(fps[1].Out) != 0 || sw.Dropped != 1 {
 		t.Fatalf("out=%d dropped=%d", len(fps[1].Out), sw.Dropped)
 	}
-	if sw.Tables()[0].Misses != 1 {
-		t.Fatalf("misses = %d", sw.Tables()[0].Misses)
+	if sw.dmac.Misses != 1 {
+		t.Fatalf("misses = %d", sw.dmac.Misses)
 	}
 	if env.Pool.Live() != 0 {
 		t.Fatal("leaked buffer")
@@ -69,14 +69,20 @@ func TestDefaultActionDropsUnknownMAC(t *testing.T) {
 func TestSetDstMACAction(t *testing.T) {
 	sw, fps, env := newSUT(t, 2)
 	_ = sw.CrossConnect(0, 1)
-	// Extend the program: a second table rewriting dst MAC for frames to
-	// port 1, then forwarding happens via the first table.
-	rewrite := NewTable("rewrite", []FieldID{FieldEthDst}, Entry{Action: ActForward, Port: -1})
+	// Replace the port-1 entry with one that rewrites the destination MAC
+	// before forwarding.
 	newMAC := pkt.MAC{0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff}
 	target := switchdef.PortMAC(1)
-	rewrite.Add(target[:], Entry{Action: ActSetDstMAC, MAC: newMAC, Port: -1})
-	// Rebuild table order: dmac first decides output, then rewrite.
-	sw.tables = append(sw.tables, rewrite)
+	err := sw.Install(switchdef.Rule{
+		Match: switchdef.Match{Fields: switchdef.FEthDst, EthDst: target},
+		Actions: []switchdef.RuleAction{
+			{Kind: switchdef.RuleSetEthDst, MAC: newMAC},
+			{Kind: switchdef.RuleOutput, Port: 1},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, switchdef.PortMAC(0), target, 64))
 	drain(sw, env)
 	if len(fps[1].Out) != 1 {
@@ -127,19 +133,58 @@ func TestMalformedFrameDropped(t *testing.T) {
 	}
 }
 
+// TestProgramOnTestbedPorts: dmac entries installed by hand against the
+// testbed's PortMAC convention must forward, and must be exactly the
+// program CrossConnect installs implicitly.
+func TestProgramOnTestbedPorts(t *testing.T) {
+	sw, fps, env := newSUT(t, 2)
+	for _, p := range []int{1, 0} {
+		err := sw.Install(switchdef.Rule{
+			Match:   switchdef.Match{Fields: switchdef.FEthDst, EthDst: switchdef.PortMAC(p)},
+			Actions: []switchdef.RuleAction{{Kind: switchdef.RuleOutput, Port: p}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, switchdef.PortMAC(0), switchdef.PortMAC(1), 64))
+	drain(sw, env)
+	if len(fps[1].Out) != 1 {
+		t.Fatalf("out = %d", len(fps[1].Out))
+	}
+	implicit, _, _ := newSUT(t, 2)
+	if err := implicit.CrossConnect(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	got, want := sw.Snapshot(), implicit.Snapshot()
+	if len(got) != len(want) {
+		t.Fatalf("snapshot = %d rules, CrossConnect installs %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Key() != want[i].Key() {
+			t.Fatalf("rule %d = %s, CrossConnect installs %s", i, got[i].Key(), want[i].Key())
+		}
+	}
+}
+
+// TestAddL2EntryValidation: a dmac entry must forward to a real port.
 func TestAddL2EntryValidation(t *testing.T) {
 	sw, _, _ := newSUT(t, 1)
-	if err := sw.AddL2Entry(pkt.MAC{1}, 5); err == nil {
+	err := sw.Install(switchdef.Rule{
+		Match:   switchdef.Match{Fields: switchdef.FEthDst, EthDst: pkt.MAC{1}},
+		Actions: []switchdef.RuleAction{{Kind: switchdef.RuleOutput, Port: 5}},
+	})
+	if err == nil {
 		t.Fatal("bad port accepted")
 	}
 }
 
 func TestTuningNoSourceMACLearning(t *testing.T) {
-	// Table 2: "Remove source MAC learning phase" — the program must have
-	// exactly one table (dmac), no smac.
+	// Table 2: "Remove source MAC learning phase" — the program's one
+	// table is dmac, no smac.
 	sw, _, _ := newSUT(t, 0)
-	if len(sw.Tables()) != 1 || sw.Tables()[0].Name != "dmac" {
-		t.Fatalf("tables = %+v", sw.Tables())
+	if sw.dmac.Name != "dmac" {
+		t.Fatalf("table = %q", sw.dmac.Name)
 	}
 	if sw.Info().Tuning == "" {
 		t.Fatal("tuning note missing")

@@ -1,425 +1,84 @@
 package t4p4s
 
 import (
-	"encoding/hex"
-	"fmt"
-	"strconv"
-	"strings"
-
+	"repro/internal/flowtab"
 	"repro/internal/pkt"
 )
 
-// This file adds the remaining P4 match kinds — longest-prefix match and
-// ternary — and a compact textual program format standing in for the P4
-// source that t4p4s's compiler consumes. The benchmark scenarios only use
-// the exact-match l2fwd program, but a P4 switch without LPM/ternary would
-// not deserve the name (and the sdn examples exercise them).
+// ActionID selects a table action.
+type ActionID int
 
-// MatchKind selects a table's matching discipline.
-type MatchKind int
-
-// Match kinds.
+// Supported actions.
 const (
-	MatchExact MatchKind = iota
-	MatchLPM
-	MatchTernary
+	ActForward   ActionID = iota // send to Port
+	ActDrop                      // discard
+	ActSetDstMAC                 // rewrite dl_dst to MAC, then send to Port
 )
 
-// String names the kind.
-func (k MatchKind) String() string {
-	switch k {
-	case MatchExact:
-		return "exact"
-	case MatchLPM:
-		return "lpm"
-	case MatchTernary:
-		return "ternary"
+// Entry is a table entry's action data.
+type Entry struct {
+	Action ActionID
+	Port   int
+	MAC    pkt.MAC
+}
+
+// Table is the l2fwd program's exact-match table keyed on the destination
+// MAC. Entries live in an open-addressed byte-keyed map. version counts
+// output-visible mutations and invalidates memoized pipeline traversals.
+type Table struct {
+	Name    string
+	entries *flowtab.ByteMap[Entry]
+	Default Entry
+
+	// shadow mirrors the entries by key string: the arena ByteMap has no
+	// delete, so Remove rebuilds it from this ledger.
+	shadow map[string]Entry
+
+	version uint64
+
+	Hits, Misses int64
+}
+
+// NewTable creates an exact-match table with a default (miss) entry.
+func NewTable(name string, def Entry) *Table {
+	return &Table{Name: name, entries: flowtab.NewByteMap[Entry](8), Default: def}
+}
+
+// Add installs an entry keyed by the destination MAC bytes.
+func (t *Table) Add(keyBytes []byte, e Entry) {
+	t.entries.Put(keyBytes, e)
+	if t.shadow == nil {
+		t.shadow = make(map[string]Entry)
 	}
-	return fmt.Sprintf("MatchKind(%d)", int(k))
-}
-
-// lpmEntry and ternEntry extend Table for the non-exact kinds.
-type lpmEntry struct {
-	value []byte
-	plen  int
-	entry Entry
-}
-
-type ternEntry struct {
-	value, mask []byte
-	priority    int
-	entry       Entry
-}
-
-// SetKind switches the table's matching discipline (before entries are
-// added).
-func (t *Table) SetKind(k MatchKind) *Table {
-	t.kind = k
+	t.shadow[string(keyBytes)] = e
 	t.version++
-	return t
 }
 
-// Kind returns the table's matching discipline.
-func (t *Table) Kind() MatchKind { return t.kind }
-
-// AddLPM installs an LPM entry: keyBytes masked to plen bits.
-func (t *Table) AddLPM(keyBytes []byte, plen int, e Entry) error {
-	if t.kind != MatchLPM {
-		return fmt.Errorf("t4p4s: table %s is %v, not lpm", t.Name, t.kind)
+// Remove deletes an entry, reporting whether it was present. The backing
+// ByteMap is arena-allocated with no per-key delete, so the table is
+// rebuilt from the shadow ledger; probe layout is not observable (the
+// lookup charge is flat), so the rebuild order cannot move any output.
+func (t *Table) Remove(keyBytes []byte) bool {
+	if _, ok := t.shadow[string(keyBytes)]; !ok {
+		return false
 	}
-	if plen < 0 || plen > len(keyBytes)*8 {
-		return fmt.Errorf("t4p4s: bad prefix length %d", plen)
+	delete(t.shadow, string(keyBytes))
+	t.entries = flowtab.NewByteMap[Entry](8)
+	for k, e := range t.shadow {
+		t.entries.Put([]byte(k), e)
 	}
-	v := append([]byte(nil), keyBytes...)
-	maskBits(v, plen)
-	t.lpm = append(t.lpm, lpmEntry{value: v, plen: plen, entry: e})
 	t.version++
-	return nil
+	return true
 }
 
-// AddTernary installs a ternary entry with an explicit mask and priority
-// (higher wins).
-func (t *Table) AddTernary(value, mask []byte, priority int, e Entry) error {
-	if t.kind != MatchTernary {
-		return fmt.Errorf("t4p4s: table %s is %v, not ternary", t.Name, t.kind)
-	}
-	if len(value) != len(mask) {
-		return fmt.Errorf("t4p4s: value/mask length mismatch")
-	}
-	v := append([]byte(nil), value...)
-	m := append([]byte(nil), mask...)
-	for i := range v {
-		v[i] &= m[i]
-	}
-	t.tern = append(t.tern, ternEntry{value: v, mask: m, priority: priority, entry: e})
-	t.version++
-	return nil
-}
-
-func maskBits(b []byte, plen int) {
-	for i := range b {
-		switch {
-		case plen >= 8:
-			plen -= 8
-		case plen <= 0:
-			b[i] = 0
-		default:
-			b[i] &= byte(0xff << (8 - plen))
-			plen = 0
-		}
-	}
-}
-
-// lookup resolves the entry for the given key bytes under the table's kind.
-// The second result reports whether an installed entry matched (false means
-// the default entry was returned).
+// lookup resolves the entry for the given key bytes. The second result
+// reports whether an installed entry matched (false means the default
+// entry was returned).
 func (t *Table) lookup(key []byte) (Entry, bool) {
-	switch t.kind {
-	case MatchExact:
-		if e, ok := t.entries.Get(key); ok {
-			t.Hits++
-			return e, true
-		}
-	case MatchLPM:
-		best, bestLen := Entry{}, -1
-		for _, le := range t.lpm {
-			if len(le.value) != len(key) {
-				continue
-			}
-			if prefixMatch(key, le.value, le.plen) && le.plen > bestLen {
-				best, bestLen = le.entry, le.plen
-			}
-		}
-		if bestLen >= 0 {
-			t.Hits++
-			return best, true
-		}
-	case MatchTernary:
-		var best *ternEntry
-		for i := range t.tern {
-			te := &t.tern[i]
-			if len(te.value) != len(key) {
-				continue
-			}
-			if ternMatch(key, te.value, te.mask) && (best == nil || te.priority > best.priority) {
-				best = te
-			}
-		}
-		if best != nil {
-			t.Hits++
-			return best.entry, true
-		}
+	if e, ok := t.entries.Get(key); ok {
+		t.Hits++
+		return e, true
 	}
 	t.Misses++
 	return t.Default, false
-}
-
-func prefixMatch(key, value []byte, plen int) bool {
-	for i := 0; i < len(key) && plen > 0; i++ {
-		if plen >= 8 {
-			if key[i] != value[i] {
-				return false
-			}
-			plen -= 8
-			continue
-		}
-		m := byte(0xff << (8 - plen))
-		return key[i]&m == value[i]
-	}
-	return true
-}
-
-func ternMatch(key, value, mask []byte) bool {
-	for i := range key {
-		if key[i]&mask[i] != value[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// fieldByName maps the program format's field names.
-var fieldByName = map[string]FieldID{
-	"eth.dst":  FieldEthDst,
-	"eth.src":  FieldEthSrc,
-	"eth.type": FieldEthType,
-	"ip.src":   FieldIPSrc,
-	"ip.dst":   FieldIPDst,
-	"ip.proto": FieldIPProto,
-	"l4.src":   FieldL4Src,
-	"l4.dst":   FieldL4Dst,
-}
-
-// LoadProgram replaces the switch's pipeline with the given program text, a
-// compact stand-in for compiled P4:
-//
-//	# comment
-//	table dmac exact eth.dst
-//	default dmac drop
-//	entry dmac 02:00:00:00:00:01 forward 0
-//	table lpm4 lpm ip.dst
-//	entry lpm4 10.1.0.0/16 setdmac 02:00:00:00:00:02 forward 1
-//	table acl ternary l4.dst
-//	entry acl 0x0050/0xffff 10 drop
-//
-// Entries for ternary tables carry value/mask in hex plus a priority.
-func (sw *Switch) LoadProgram(src string) error {
-	var tables []*Table
-	byName := map[string]*Table{}
-	for lineNo, raw := range strings.Split(src, "\n") {
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		f := strings.Fields(line)
-		fail := func(format string, args ...any) error {
-			return fmt.Errorf("t4p4s: line %d: %s", lineNo+1, fmt.Sprintf(format, args...))
-		}
-		switch f[0] {
-		case "table":
-			if len(f) != 4 {
-				return fail("want 'table <name> <kind> <field>'")
-			}
-			field, ok := fieldByName[f[3]]
-			if !ok {
-				return fail("unknown field %q", f[3])
-			}
-			var kind MatchKind
-			switch f[2] {
-			case "exact":
-				kind = MatchExact
-			case "lpm":
-				kind = MatchLPM
-			case "ternary":
-				kind = MatchTernary
-			default:
-				return fail("unknown match kind %q", f[2])
-			}
-			if _, dup := byName[f[1]]; dup {
-				return fail("duplicate table %q", f[1])
-			}
-			// Program tables default to P4's NoAction (misses fall
-			// through to the next table); override with "default".
-			tb := NewTable(f[1], []FieldID{field}, Entry{Action: ActNoAction}).SetKind(kind)
-			byName[f[1]] = tb
-			tables = append(tables, tb)
-		case "default":
-			if len(f) < 3 {
-				return fail("want 'default <table> <action>'")
-			}
-			tb, ok := byName[f[1]]
-			if !ok {
-				return fail("unknown table %q", f[1])
-			}
-			e, err := sw.parseAction(f[2:])
-			if err != nil {
-				return fail("%v", err)
-			}
-			tb.Default = e
-		case "entry":
-			if len(f) < 4 {
-				return fail("want 'entry <table> <key> <action>'")
-			}
-			tb, ok := byName[f[1]]
-			if !ok {
-				return fail("unknown table %q", f[1])
-			}
-			if err := sw.addProgramEntry(tb, f[2], f[3:]); err != nil {
-				return fail("%v", err)
-			}
-		default:
-			return fail("unknown directive %q", f[0])
-		}
-	}
-	if len(tables) == 0 {
-		return fmt.Errorf("t4p4s: empty program")
-	}
-	sw.tables = tables
-	// Fresh tables restart their version counters at whatever the
-	// directives above left them; the program generation disambiguates.
-	sw.progGen++
-	return nil
-}
-
-func (sw *Switch) addProgramEntry(tb *Table, key string, action []string) error {
-	switch tb.Kind() {
-	case MatchExact:
-		kb, err := parseKeyBytes(tb.Key[0], key)
-		if err != nil {
-			return err
-		}
-		e, err := sw.parseAction(action)
-		if err != nil {
-			return err
-		}
-		tb.Add(kb, e)
-		return nil
-	case MatchLPM:
-		slash := strings.IndexByte(key, '/')
-		if slash < 0 {
-			return fmt.Errorf("lpm key %q needs /plen", key)
-		}
-		kb, err := parseKeyBytes(tb.Key[0], key[:slash])
-		if err != nil {
-			return err
-		}
-		plen, err := strconv.Atoi(key[slash+1:])
-		if err != nil {
-			return err
-		}
-		e, err := sw.parseAction(action)
-		if err != nil {
-			return err
-		}
-		return tb.AddLPM(kb, plen, e)
-	case MatchTernary:
-		slash := strings.IndexByte(key, '/')
-		if slash < 0 {
-			return fmt.Errorf("ternary key %q needs value/mask", key)
-		}
-		value, err := parseHexBytes(key[:slash])
-		if err != nil {
-			return err
-		}
-		mask, err := parseHexBytes(key[slash+1:])
-		if err != nil {
-			return err
-		}
-		if len(action) < 2 {
-			return fmt.Errorf("ternary entry needs '<priority> <action>'")
-		}
-		prio, err := strconv.Atoi(action[0])
-		if err != nil {
-			return fmt.Errorf("bad priority %q", action[0])
-		}
-		e, err := sw.parseAction(action[1:])
-		if err != nil {
-			return err
-		}
-		return tb.AddTernary(value, mask, prio, e)
-	}
-	return fmt.Errorf("unsupported table kind")
-}
-
-// parseAction handles: "drop" | "forward N" | "setdmac MAC [forward N]".
-func (sw *Switch) parseAction(f []string) (Entry, error) {
-	switch f[0] {
-	case "drop":
-		return Entry{Action: ActDrop}, nil
-	case "noaction":
-		return Entry{Action: ActNoAction}, nil
-	case "forward":
-		if len(f) != 2 {
-			return Entry{}, fmt.Errorf("forward needs a port")
-		}
-		port, err := strconv.Atoi(f[1])
-		if err != nil || port < 0 || port >= len(sw.ports) {
-			return Entry{}, fmt.Errorf("bad port %q", f[1])
-		}
-		return Entry{Action: ActForward, Port: port}, nil
-	case "setdmac":
-		if len(f) < 2 {
-			return Entry{}, fmt.Errorf("setdmac needs a MAC")
-		}
-		mac, err := pkt.ParseMAC(f[1])
-		if err != nil {
-			return Entry{}, err
-		}
-		e := Entry{Action: ActSetDstMAC, MAC: mac, Port: -1}
-		if len(f) == 4 && f[2] == "forward" {
-			port, err := strconv.Atoi(f[3])
-			if err != nil || port < 0 || port >= len(sw.ports) {
-				return Entry{}, fmt.Errorf("bad port %q", f[3])
-			}
-			e.Port = port
-		}
-		return e, nil
-	}
-	return Entry{}, fmt.Errorf("unknown action %q", f[0])
-}
-
-func parseKeyBytes(field FieldID, s string) ([]byte, error) {
-	switch field {
-	case FieldEthDst, FieldEthSrc:
-		m, err := pkt.ParseMAC(s)
-		if err != nil {
-			return nil, err
-		}
-		return m[:], nil
-	case FieldIPSrc, FieldIPDst:
-		parts := strings.Split(s, ".")
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("bad IPv4 %q", s)
-		}
-		out := make([]byte, 4)
-		for i, p := range parts {
-			n, err := strconv.ParseUint(p, 10, 8)
-			if err != nil {
-				return nil, fmt.Errorf("bad IPv4 %q", s)
-			}
-			out[i] = byte(n)
-		}
-		return out, nil
-	case FieldEthType, FieldL4Src, FieldL4Dst:
-		n, err := strconv.ParseUint(strings.TrimPrefix(s, "0x"), 16, 16)
-		if err != nil {
-			return nil, fmt.Errorf("bad 16-bit value %q", s)
-		}
-		return []byte{byte(n >> 8), byte(n)}, nil
-	case FieldIPProto:
-		n, err := strconv.ParseUint(s, 10, 8)
-		if err != nil {
-			return nil, fmt.Errorf("bad proto %q", s)
-		}
-		return []byte{byte(n)}, nil
-	}
-	return nil, fmt.Errorf("unsupported field")
-}
-
-func parseHexBytes(s string) ([]byte, error) {
-	s = strings.TrimPrefix(s, "0x")
-	if len(s)%2 == 1 {
-		s = "0" + s
-	}
-	return hex.DecodeString(s)
 }

@@ -22,8 +22,6 @@ package vale
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/cost"
 	"repro/internal/l2"
@@ -247,81 +245,4 @@ func (br *Bridge) MACTable() *l2.MACTable { return br.mac }
 
 func init() {
 	switchdef.Register(info, func(env switchdef.Env) switchdef.Switch { return New(env) })
-}
-
-// ValeCtl executes a vale-ctl command string, the tool the paper's appendix
-// configures VALE with:
-//
-//	vale-ctl -a vale0:p2   (attach switch port 2 to bridge vale0)
-//	vale-ctl -n v0         (a no-op here: virtual ports are created by the
-//	                        testbed, but the syntax is accepted)
-func (sw *Switch) ValeCtl(cmd string) error {
-	f := strings.Fields(strings.TrimPrefix(strings.TrimSpace(cmd), "vale-ctl"))
-	if len(f) != 2 {
-		return fmt.Errorf("vale: bad vale-ctl command %q", cmd)
-	}
-	switch f[0] {
-	case "-a":
-		bridge, port, err := splitBridgePort(f[1])
-		if err != nil {
-			return err
-		}
-		for _, br := range sw.bridges {
-			if br.Name == bridge {
-				for _, q := range br.ports {
-					if q == port {
-						return fmt.Errorf("vale: port %d already attached to %s", port, bridge)
-					}
-				}
-				for _, other := range sw.bridges {
-					for _, q := range other.ports {
-						if q == port {
-							return fmt.Errorf("vale: port %d already in bridge %s", port, other.Name)
-						}
-					}
-				}
-				if port < 0 || port >= len(sw.ports) {
-					return fmt.Errorf("vale: no port %d", port)
-				}
-				br.ports = append(br.ports, port)
-				return nil
-			}
-		}
-		_, err = sw.NewBridge(bridge, port)
-		return err
-	case "-n":
-		return nil // virtual port creation is the testbed's job
-	case "-d":
-		bridge, port, err := splitBridgePort(f[1])
-		if err != nil {
-			return err
-		}
-		for _, br := range sw.bridges {
-			if br.Name != bridge {
-				continue
-			}
-			for i, q := range br.ports {
-				if q == port {
-					br.ports = append(br.ports[:i], br.ports[i+1:]...)
-					return nil
-				}
-			}
-		}
-		return fmt.Errorf("vale: port %d not attached to %s", port, bridge)
-	}
-	return fmt.Errorf("vale: unsupported vale-ctl flag %q", f[0])
-}
-
-// splitBridgePort parses "vale0:p2" (or "vale0:2") into (bridge, port).
-func splitBridgePort(s string) (string, int, error) {
-	colon := strings.IndexByte(s, ':')
-	if colon <= 0 {
-		return "", 0, fmt.Errorf("vale: bad bridge:port %q", s)
-	}
-	portStr := strings.TrimPrefix(s[colon+1:], "p")
-	port, err := strconv.Atoi(portStr)
-	if err != nil {
-		return "", 0, fmt.Errorf("vale: bad port in %q", s)
-	}
-	return s[:colon], port, nil
 }

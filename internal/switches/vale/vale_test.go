@@ -156,56 +156,3 @@ func TestInfoTaxonomy(t *testing.T) {
 		t.Fatal("Table 2 tuning note missing")
 	}
 }
-
-func TestValeCtl(t *testing.T) {
-	sw, fps, env := newSUT(t, 3)
-	for _, cmd := range []string{
-		"vale-ctl -n v0",
-		"vale-ctl -a vale0:p0",
-		"vale-ctl -a vale0:p1",
-		"-a vale1:p2", // bare form without the binary name
-	} {
-		if err := sw.ValeCtl(cmd); err != nil {
-			t.Fatalf("ValeCtl(%q): %v", cmd, err)
-		}
-	}
-	if len(sw.Bridges()) != 2 {
-		t.Fatalf("bridges = %d", len(sw.Bridges()))
-	}
-	// vale0 forwards between p0 and p1.
-	m := switchtest.Meter(env)
-	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64))
-	switchtest.PollUntilIdle(sw, m, 0)
-	if len(fps[1].Out) != 1 || len(fps[2].Out) != 0 {
-		t.Fatalf("out = %d, %d", len(fps[1].Out), len(fps[2].Out))
-	}
-	// Detach and verify traffic stops.
-	if err := sw.ValeCtl("vale-ctl -d vale0:p1"); err != nil {
-		t.Fatal(err)
-	}
-	fps[1].Out = nil
-	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64))
-	switchtest.PollUntilIdle(sw, m, 1)
-	if len(fps[1].Out) != 0 {
-		t.Fatal("detached port still receives")
-	}
-}
-
-func TestValeCtlErrors(t *testing.T) {
-	sw, _, _ := newSUT(t, 2)
-	_ = sw.ValeCtl("-a vale0:p0")
-	for _, cmd := range []string{
-		"",
-		"-a",
-		"-a vale0p1",
-		"-a vale0:px",
-		"-a vale0:p9",
-		"-a vale0:p0", // duplicate
-		"-d vale0:p1", // not attached
-		"-z vale0:p1",
-	} {
-		if err := sw.ValeCtl(cmd); err == nil {
-			t.Errorf("ValeCtl(%q) accepted", cmd)
-		}
-	}
-}

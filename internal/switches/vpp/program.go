@@ -8,10 +8,10 @@ import (
 )
 
 // VPP's Programmer lowers typed rules onto its two runtime-configurable
-// surfaces: in_port → output rules become l2patch entries (the CLI's
-// "test l2patch rx portN tx portM"), and destination-MAC drop rules
-// become a feature-arc drop list consulted on the patch path only while
-// non-empty. VPP has no classification memo, so no generation counter is
+// surfaces: in_port → output rules become l2patch entries (what the
+// paper's "test l2patch rx portN tx portM" sets), and destination-MAC
+// drop rules become a feature-arc drop list consulted on the patch path
+// only while non-empty. VPP has no classification memo, so no generation counter is
 // needed — the patch table and ACL are read per dispatch.
 
 // Install implements switchdef.Programmer.

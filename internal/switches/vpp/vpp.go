@@ -2,20 +2,18 @@
 // processes packets in vectors through a forwarding graph.
 //
 // The data plane here is a real graph: dpdk-input pulls bursts from the
-// attached devices and hands per-port vectors to either the l2-patch node
-// (the paper's p2p/p2v/v2v configuration: "test l2patch rx port0 tx port1")
-// or to the ethernet-input → l2-learn → l2-fwd learning-bridge path, ending
-// at interface-output. Vector processing amortizes per-node fixed costs over
-// up to 256 packets, which is exactly why VPP stays fast under load and why
-// its low-load latency is batch-bound.
+// attached devices and hands per-port vectors to the l2-patch node (the
+// paper's p2p/p2v/v2v configuration: "test l2patch rx port0 tx port1"),
+// which feeds interface-output; unpatched ports and ACL drops end at
+// error-drop. Vector processing amortizes per-node fixed costs over up to
+// 256 packets, which is exactly why VPP stays fast under load and why its
+// low-load latency is batch-bound.
 package vpp
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/cost"
-	"repro/internal/l2"
 	"repro/internal/pkt"
 	"repro/internal/switches/switchdef"
 	"repro/internal/units"
@@ -31,8 +29,6 @@ const (
 	nodeFixed      = 35 // per node visit per vector
 	inputPerPkt    = 28 // dpdk-input bookkeeping, beyond PMD costs
 	patchPerPkt    = 52 // l2-patch rewrite + validation work
-	ethInputPerPkt = 26 // header parse + classification
-	l2fwdPerPkt    = 18 // beyond the MAC table hash probes
 	outputPerPkt   = 29 // interface-output buffering
 	aclPerPkt      = 14 // l2patch runtime drop-list check, beyond the hash probe
 	costJitterFrac = 0.02
@@ -43,8 +39,8 @@ const (
 // Node is one graph node.
 type Node interface {
 	Name() string
-	// Process handles a vector arriving with the given context (port
-	// index for port-scoped nodes; adjacency index for ip4-rewrite).
+	// Process handles a vector arriving with the given context (the
+	// port index).
 	Process(sw *Switch, now units.Time, m *cost.Meter, ctx int, v []*pkt.Buf)
 }
 
@@ -52,14 +48,8 @@ type Node interface {
 // an array with these instead of hashing a (name, ctx) map key.
 const (
 	nodeL2Patch = iota
-	nodeEthInput
-	nodeL2Learn
-	nodeL2Fwd
 	nodeOutput
 	nodeDrop
-	nodeIP4Input
-	nodeIP4Lookup
-	nodeIP4Rewrite
 	numNodes
 )
 
@@ -78,7 +68,6 @@ type Switch struct {
 	// costs one heap allocation per poll.
 	rxScratch [VectorSize]*pkt.Buf
 
-	env   switchdef.Env
 	ports []switchdef.DevPort
 
 	nodes [numNodes]Node
@@ -96,10 +85,7 @@ type Switch struct {
 	// visits, every poll.
 	vecFree [][]*pkt.Buf
 
-	patchTo  []int // l2patch: rx port -> tx port (-1 = none)
-	bridgeOn []bool
-	mac      *l2.MACTable
-	l3       *ip4State
+	patchTo []int // l2patch: rx port -> tx port (-1 = none)
 
 	// acl is the runtime drop list on the l2patch path (program.go): a
 	// feature-arc-style dl_dst filter consulted only while non-empty, so
@@ -116,21 +102,12 @@ type Switch struct {
 }
 
 // New returns an unconfigured VPP instance.
-func New(env switchdef.Env) *Switch {
-	sw := &Switch{
-		env: env,
-		mac: l2.NewMACTable(1024, 0),
-	}
+func New(switchdef.Env) *Switch {
+	sw := &Switch{}
 	sw.nodes = [numNodes]Node{
-		nodeL2Patch:    patchNode{},
-		nodeEthInput:   ethInputNode{},
-		nodeL2Learn:    l2LearnNode{},
-		nodeL2Fwd:      l2FwdNode{},
-		nodeOutput:     outputNode{},
-		nodeDrop:       dropNode{},
-		nodeIP4Input:   ip4InputNode{},
-		nodeIP4Lookup:  ip4LookupNode{},
-		nodeIP4Rewrite: ip4RewriteNode{},
+		nodeL2Patch: patchNode{},
+		nodeOutput:  outputNode{},
+		nodeDrop:    dropNode{},
 	}
 	return sw
 }
@@ -160,7 +137,6 @@ func (sw *Switch) AddPort(p switchdef.DevPort) int {
 	sw.ports = append(sw.ports, p)
 	sw.txStage = append(sw.txStage, nil)
 	sw.patchTo = append(sw.patchTo, -1)
-	sw.bridgeOn = append(sw.bridgeOn, false)
 	return len(sw.ports) - 1
 }
 
@@ -187,43 +163,6 @@ func (sw *Switch) checkPort(i int) error {
 		return fmt.Errorf("vpp: no port %d", i)
 	}
 	return nil
-}
-
-// CLI executes a small subset of the VPP command line:
-//
-//	test l2patch rx portA tx portB
-//	set interface l2 bridge portA
-func (sw *Switch) CLI(cmd string) error {
-	f := strings.Fields(cmd)
-	if len(f) == 6 && f[0] == "test" && f[1] == "l2patch" && f[2] == "rx" && f[4] == "tx" {
-		var rx, tx int
-		if _, err := fmt.Sscanf(f[3], "port%d", &rx); err != nil {
-			return fmt.Errorf("vpp: bad rx %q", f[3])
-		}
-		if _, err := fmt.Sscanf(f[5], "port%d", &tx); err != nil {
-			return fmt.Errorf("vpp: bad tx %q", f[5])
-		}
-		if e := sw.checkPort(rx); e != nil {
-			return e
-		}
-		if e := sw.checkPort(tx); e != nil {
-			return e
-		}
-		sw.patchTo[rx] = tx
-		return nil
-	}
-	if len(f) == 5 && f[0] == "set" && f[1] == "interface" && f[2] == "l2" && f[3] == "bridge" {
-		var p int
-		if _, err := fmt.Sscanf(f[4], "port%d", &p); err != nil {
-			return fmt.Errorf("vpp: bad port %q", f[4])
-		}
-		if e := sw.checkPort(p); e != nil {
-			return e
-		}
-		sw.bridgeOn[p] = true
-		return nil
-	}
-	return sw.ipCLI(f)
 }
 
 // getVec returns a recycled (empty) vector for a dispatch frame.
@@ -292,14 +231,9 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 			m.Charge(units.Cycles(n) * vhostRxPenalty)
 		}
 		v := burst[:n]
-		switch {
-		case sw.patchTo[i] >= 0:
+		if sw.patchTo[i] >= 0 {
 			sw.enqueue(nodeL2Patch, i, v)
-		case sw.bridgeOn[i]:
-			sw.enqueue(nodeEthInput, i, v)
-		case sw.l3 != nil && sw.l3.enabled[i]:
-			sw.enqueue(nodeIP4Input, i, v)
-		default:
+		} else {
 			sw.enqueue(nodeDrop, i, v)
 		}
 	}
@@ -360,71 +294,6 @@ func (patchNode) Process(sw *Switch, now units.Time, m *cost.Meter, ctx int, v [
 	sw.enqueue(nodeOutput, sw.patchTo[ctx], v)
 }
 
-type ethInputNode struct{}
-
-func (ethInputNode) Name() string { return "ethernet-input" }
-func (ethInputNode) Process(sw *Switch, now units.Time, m *cost.Meter, ctx int, v []*pkt.Buf) {
-	m.ChargeNoisy(nodeFixed+units.Cycles(len(v))*ethInputPerPkt, costJitterFrac)
-	keep := v[:0]
-	for _, b := range v {
-		if _, err := pkt.ParseEth(b.View()); err != nil {
-			sw.enqueue1(nodeDrop, ctx, b)
-			continue
-		}
-		keep = append(keep, b)
-	}
-	if len(keep) > 0 {
-		sw.enqueue(nodeL2Learn, ctx, keep)
-	}
-}
-
-type l2LearnNode struct{}
-
-func (l2LearnNode) Name() string { return "l2-learn" }
-func (l2LearnNode) Process(sw *Switch, now units.Time, m *cost.Meter, ctx int, v []*pkt.Buf) {
-	m.Charge(nodeFixed + units.Cycles(len(v))*m.Model.HashLookup)
-	for _, b := range v {
-		sw.mac.Learn(pkt.EthSrc(b.View()), ctx, now)
-	}
-	sw.enqueue(nodeL2Fwd, ctx, v)
-}
-
-type l2FwdNode struct{}
-
-func (l2FwdNode) Name() string { return "l2-fwd" }
-func (l2FwdNode) Process(sw *Switch, now units.Time, m *cost.Meter, ctx int, v []*pkt.Buf) {
-	m.Charge(nodeFixed + units.Cycles(len(v))*(m.Model.HashLookup+l2fwdPerPkt))
-	for _, b := range v {
-		dst, ok := sw.mac.Lookup(pkt.EthDst(b.View()), now)
-		if ok && dst != ctx {
-			sw.enqueue1(nodeOutput, dst, b)
-			continue
-		}
-		if ok && dst == ctx {
-			sw.enqueue1(nodeDrop, ctx, b)
-			continue
-		}
-		// Flood to all other bridge ports (in port order, for
-		// deterministic replay).
-		flooded := false
-		for p := range sw.ports {
-			if p == ctx || !sw.bridgeOn[p] {
-				continue
-			}
-			out := b
-			if flooded {
-				out = sw.env.Pool.Clone(b)
-				m.ChargeCopy(b.Len())
-			}
-			sw.enqueue1(nodeOutput, p, out)
-			flooded = true
-		}
-		if !flooded {
-			sw.enqueue1(nodeDrop, ctx, b)
-		}
-	}
-}
-
 type outputNode struct{}
 
 func (outputNode) Name() string { return "interface-output" }
@@ -442,9 +311,6 @@ func (dropNode) Process(sw *Switch, now units.Time, m *cost.Meter, ctx int, v []
 	}
 	sw.Dropped += int64(len(v))
 }
-
-// MACTable exposes the bridge table for tests.
-func (sw *Switch) MACTable() *l2.MACTable { return sw.mac }
 
 func init() {
 	switchdef.Register(info, func(env switchdef.Env) switchdef.Switch { return New(env) })

@@ -68,14 +68,15 @@ func TestValidateReportsAllViolationsJoined(t *testing.T) {
 	}
 }
 
-func TestValidateRejects(t *testing.T) {
+// rejectCases are graphs Validate must refuse, one violation each.
+func rejectCases() map[string]*Graph {
 	pp := Node{Name: "p0", Kind: KindPhysPair}
 	pp2 := Node{Name: "p1", Kind: KindPhysPair}
 	gi := Node{Name: "g0", Kind: KindGuestIf}
 	gen := Node{Name: "tx", Kind: KindGenerator, At: "p0"}
 	snk := Node{Name: "rx", Kind: KindSink, At: "p1"}
 	x := Edge{Kind: EdgeCross, A: "p0", B: "p1"}
-	cases := map[string]*Graph{
+	return map[string]*Graph{
 		"empty":              {},
 		"unknown kind":       {Nodes: []Node{pp, pp2, gen, snk, {Name: "w", Kind: "warp"}}, Edges: []Edge{x}},
 		"self cross-connect": {Nodes: []Node{pp, gen, snk}, Edges: []Edge{{Kind: EdgeCross, A: "p0", B: "p0"}}},
@@ -94,18 +95,20 @@ func TestValidateRejects(t *testing.T) {
 		"conflicting attachments": {Nodes: []Node{pp, pp2, gen, snk},
 			Edges: []Edge{x, {Kind: EdgeWire, A: "tx", B: "p1"}}},
 	}
-	for name, g := range cases {
+}
+
+func TestValidateRejects(t *testing.T) {
+	for name, g := range rejectCases() {
 		if err := g.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 }
 
-func TestEdgeAttachmentEquivalentToFields(t *testing.T) {
-	// The same topology authored with explicit wire/vif edges instead
-	// of node At/A/B fields compiles to an identical plan.
-	fields := chainGraph(1)
-	edges := &Graph{
+// edgeChainGraph is chainGraph(1) authored with explicit wire/vif edges
+// instead of node At/A/B fields.
+func edgeChainGraph() *Graph {
+	return &Graph{
 		Name: "chain-1",
 		Nodes: []Node{
 			{Name: "p0", Kind: KindPhysPair},
@@ -125,6 +128,13 @@ func TestEdgeAttachmentEquivalentToFields(t *testing.T) {
 			{Kind: EdgeWire, A: "rx1", B: "p1"},
 		},
 	}
+}
+
+func TestEdgeAttachmentEquivalentToFields(t *testing.T) {
+	// The same topology authored with explicit wire/vif edges instead
+	// of node At/A/B fields compiles to an identical plan.
+	fields := chainGraph(1)
+	edges := edgeChainGraph()
 	pf, err := NewPlan(fields)
 	if err != nil {
 		t.Fatal(err)
@@ -184,10 +194,10 @@ func TestPlanChainRewrites(t *testing.T) {
 	}
 }
 
-func TestFanOutGraphValidates(t *testing.T) {
-	// A shape the legacy wire* functions could not express: one ingress
-	// fanned out to two parallel VNF paths with separate egress pairs.
-	g := &Graph{
+// fanOutGraph is one ingress fanned out to two parallel VNF paths with
+// separate egress pairs.
+func fanOutGraph() *Graph {
+	return &Graph{
 		Name: "fanout",
 		Nodes: []Node{
 			{Name: "pA", Kind: KindPhysPair}, {Name: "pB", Kind: KindPhysPair},
@@ -208,6 +218,12 @@ func TestFanOutGraphValidates(t *testing.T) {
 			{Kind: EdgeCross, A: "vb-if1", B: "pB2"},
 		},
 	}
+}
+
+func TestFanOutGraphValidates(t *testing.T) {
+	// A shape the legacy wire* functions could not express: one ingress
+	// fanned out to two parallel VNF paths with separate egress pairs.
+	g := fanOutGraph()
 	p, err := NewPlan(g)
 	if err != nil {
 		t.Fatal(err)
