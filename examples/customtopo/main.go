@@ -65,5 +65,5 @@ func main() {
 	w.Flush()
 	fmt.Println("\nEach switch hosts the same declarative graph; per-switch")
 	fmt.Println("differences (vhost-user vs. ptnet guest ports, l2fwd vs. guest")
-	fmt.Println("VALE VNFs) are decided by the compiler's assembler, not the topology.")
+	fmt.Println("VALE VNFs) are decided by the testbed, not the topology.")
 }

@@ -20,9 +20,9 @@ const shadowRuleWindow = 32
 // the PortMAC space (02:00:00:00:xx:xx), so it never matches generated
 // traffic. The churn is therefore control-plane-pure — delivery is
 // untouched, but every install/revoke invalidates the data plane's
-// classification caches (OvS EMC/megaflow generations, t4p4s table
-// versions, FastClick classifier memos), and the re-classification cost
-// lands on the SUT cores.
+// classification state (OvS EMC/megaflow generations, t4p4s table
+// versions) while VPP's ACL arc and FastClick's drop set check every
+// frame against the live rules, and that cost lands on the SUT cores.
 func shadowRule(i uint64) switchdef.Rule {
 	return switchdef.Rule{
 		Match: switchdef.Match{

@@ -13,8 +13,8 @@ import (
 // caches hold. OvS's three-tier cache hierarchy (EMC → megaflow → slow
 // path) is the motivating case — the EMC holds 8192 entries, so the flow
 // sweep crosses its capacity — but every switch runs the same grid:
-// t4p4s pays table-version invalidations, FastClick classifier-memo
-// resets, VPP its ACL arc, and the fixed-function switches (Snabb, BESS,
+// t4p4s pays table-version invalidations, FastClick its drop-set filter,
+// VPP its ACL arc, and the fixed-function switches (Snabb, BESS,
 // VALE) appear as unsupported cells whenever rule updates are requested,
 // exactly as their reprogrammability column in Table 1 predicts.
 

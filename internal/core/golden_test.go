@@ -28,6 +28,7 @@ func TestPinnedGoldens(t *testing.T) {
 		check func(t *testing.T, res Result)
 	}{
 		{name: "guest-path", cells: guestPathGoldens()},
+		{name: "custom", cells: customGoldens(t)},
 		{name: "multi-core", cells: multiCoreGoldens(), check: func(t *testing.T, res Result) {
 			if res.EffectiveCores == 0 || len(res.Cores) != res.EffectiveCores {
 				t.Errorf("%s: EffectiveCores=%d with %d per-core records",

@@ -63,12 +63,11 @@ type testbed struct {
 	rng   *sim.RNG
 	model *cost.Model
 
-	sw        switchdef.Switch
-	fleet     *multicore.Fleet // non-nil when SUTCores > 1 (then sw == fleet)
-	graph     *topo.Graph
-	sutPolls  []*cpu.PollCore
-	sutIRQ    *cpu.IRQCore
-	portCount int
+	sw       switchdef.Switch
+	fleet    *multicore.Fleet // non-nil when SUTCores > 1 (then sw == fleet)
+	graph    *topo.Graph
+	sutPolls []*cpu.PollCore
+	sutIRQ   *cpu.IRQCore
 
 	hostPool *pkt.Pool
 	genPool  *pkt.Pool // shared by every NIC generator
@@ -111,14 +110,6 @@ func (tb *testbed) releasePools() {
 	for _, p := range tb.pools {
 		p.Trim(0)
 	}
-}
-
-// sutPorts tracks what was attached to the switch, in port-index order.
-type sutPort struct {
-	dev     switchdef.DevPort
-	nicPort *nic.Port     // non-nil for phys
-	vdev    *vhost.Device // non-nil for vhost
-	pdev    *ptnet.Port   // non-nil for ptnet
 }
 
 // build assembles the testbed for cfg.
@@ -217,12 +208,6 @@ func build(cfg Config) (*testbed, error) {
 	return tb, nil
 }
 
-// attach hands a SUT port to the switch and returns its port index.
-func (tb *testbed) attach(sp *sutPort) int {
-	tb.portCount++
-	return tb.sw.AddPort(sp.dev)
-}
-
 // nicRing returns the SUT-side descriptor ring size (Table 2 tunings).
 func (tb *testbed) nicRing() int {
 	if tb.info.RxRingOverride > 0 {
@@ -231,8 +216,9 @@ func (tb *testbed) nicRing() int {
 	return defaultNICRing
 }
 
-// addPhysPair creates a SUT NIC port wired to a generator-side NIC port.
-func (tb *testbed) addPhysPair(name string) (*sutPort, *nic.Port) {
+// addPhysPair creates a SUT NIC port wired to a generator-side NIC port,
+// returning the switch's device and the generator side.
+func (tb *testbed) addPhysPair(name string) (switchdef.DevPort, *nic.Port) {
 	itr := units.Time(0)
 	if tb.info.IOMode == switchdef.InterruptMode {
 		itr = valeITR
@@ -261,27 +247,24 @@ func (tb *testbed) addPhysPair(name string) (*sutPort, *nic.Port) {
 			queues = n.Queues
 		}
 	}
-	sp := &sutPort{
-		dev: &switchdef.PhysPort{
-			Port:     sutNIC,
-			Unpriced: tb.info.IOMode == switchdef.InterruptMode,
-			Queues:   queues,
-		},
-		nicPort: sutNIC,
+	dev := &switchdef.PhysPort{
+		Port:     sutNIC,
+		Unpriced: tb.info.IOMode == switchdef.InterruptMode,
+		Queues:   queues,
 	}
-	return sp, genNIC
+	return dev, genNIC
 }
 
 // addGuestIf creates one guest interface pair (host DevPort + guest NetIf)
 // of the kind the switch uses.
-func (tb *testbed) addGuestIf(name string) (*sutPort, vm.NetIf) {
+func (tb *testbed) addGuestIf(name string) (switchdef.DevPort, vm.NetIf) {
 	if tb.info.VirtualIface == "ptnet" {
 		dev := ptnet.New(ptnet.Config{Name: name, NotifyDelay: ptnetNotify})
 		if tb.sutIRQ != nil {
 			dev.BindHostIRQ(tb.sutIRQ)
 		}
 		tb.dropFns = append(tb.dropFns, dev.Drops)
-		return &sutPort{dev: &switchdef.PtnetPort{Dev: dev}, pdev: dev}, &vm.PtnetIf{Dev: dev}
+		return &switchdef.PtnetPort{Dev: dev}, &vm.PtnetIf{Dev: dev}
 	}
 	vcfg := vhost.Config{
 		Name:      name,
@@ -299,7 +282,7 @@ func (tb *testbed) addGuestIf(name string) (*sutPort, vm.NetIf) {
 	dev := vhost.New(vcfg)
 	tb.dropFns = append(tb.dropFns, func() int64 { return dev.RxDrops() + dev.TxDrops() })
 	tb.copyFns = append(tb.copyFns, func() int64 { return dev.HostCopies })
-	return &sutPort{dev: &switchdef.VhostPort{Dev: dev}, vdev: dev}, &vm.VirtioIf{Dev: dev}
+	return &switchdef.VhostPort{Dev: dev}, &vm.VirtioIf{Dev: dev}
 }
 
 // guestCore starts a poll-mode guest vCPU running fn.

@@ -12,7 +12,7 @@ import (
 // topo.Graph, and the Custom scenario passes the user's graph through.
 // The graph is switch-independent; how its guest interfaces and VNFs
 // materialize (vhost-user vs. ptnet, l2fwd vs. guest VALE) is decided by
-// the testbed assembler when the graph is compiled.
+// the testbed when it executes the graph's Plan.
 func (cfg Config) Graph() (*topo.Graph, error) {
 	cfg = cfg.withDefaults()
 	var g *topo.Graph
@@ -140,7 +140,7 @@ func v2vLatencyGraph(cfg Config) *topo.Graph {
 // vm(k+1).if0] ..., [vmN.if1 ↔ phys1] — gen1. With the VALE SUT each
 // cross-connect is its own VALE bridge (N+1 instances) and the VNFs are
 // guest VALE instances over ptnet, as in the paper's appendix A.4 — the
-// VNF nodes leave App empty so the assembler picks the switch's native
+// VNF nodes leave App empty so the testbed picks the switch's native
 // chain VNF.
 func loopbackGraph(cfg Config) *topo.Graph {
 	n := cfg.Chain

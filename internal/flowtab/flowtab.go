@@ -1,8 +1,7 @@
 // Package flowtab provides the open-addressed hash tables backing the
 // switch data planes' host hot paths: a growable linear-probe map (OvS
-// megaflow cache, classification memos), a fixed-capacity set-associative
-// cache with deterministic clock-hand eviction (OvS EMC), and a byte-keyed
-// map with arena-stored keys (t4p4s exact-match tables).
+// megaflow cache, classification memos) and a fixed-capacity
+// set-associative cache with deterministic clock-hand eviction (OvS EMC).
 //
 // These replace Go maps on per-frame paths. The win is host-side only —
 // no interface-boxed hash calls, no map-header indirection, power-of-two

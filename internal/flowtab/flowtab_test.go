@@ -1,9 +1,6 @@
 package flowtab
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func TestMapBasic(t *testing.T) {
 	m := NewMap[uint64, int](4)
@@ -118,47 +115,5 @@ func TestCacheClockHandEviction(t *testing.T) {
 		if okA != okB {
 			t.Fatalf("caches diverged on key %d: %v vs %v", i, okA, okB)
 		}
-	}
-}
-
-func TestByteMap(t *testing.T) {
-	m := NewByteMap[int](2)
-	scratch := make([]byte, 0, 32)
-	key := func(i int) []byte {
-		scratch = scratch[:0]
-		return fmt.Appendf(scratch, "key-%d", i)
-	}
-	const n = 1000
-	for i := 0; i < n; i++ {
-		m.Put(key(i), i)
-	}
-	if m.Len() != n {
-		t.Fatalf("Len = %d, want %d", m.Len(), n)
-	}
-	for i := 0; i < n; i++ {
-		v, ok := m.Get(key(i))
-		if !ok || v != i {
-			t.Fatalf("Get(%d) = %d, %v", i, v, ok)
-		}
-	}
-	if _, ok := m.Get([]byte("absent")); ok {
-		t.Fatal("Get of absent key succeeded")
-	}
-	m.Put(key(5), -5)
-	if v, _ := m.Get(key(5)); v != -5 {
-		t.Fatalf("update did not replace: got %d", v)
-	}
-	if m.Len() != n {
-		t.Fatalf("Len after update = %d, want %d", m.Len(), n)
-	}
-	// Lookups with a reused scratch key must not allocate.
-	k := key(17)
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, ok := m.Get(k); !ok {
-			t.Fatal("lost key during alloc check")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Get allocates %.1f per op, want 0", allocs)
 	}
 }

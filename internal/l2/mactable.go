@@ -1,5 +1,4 @@
-// Package l2 provides the MAC learning table shared by the L2 switch data
-// planes (VALE, VPP's learning bridge, OvS's NORMAL action).
+// Package l2 provides the MAC learning table of VALE's L2 bridges.
 package l2
 
 import (
@@ -8,7 +7,7 @@ import (
 	"repro/internal/units"
 )
 
-// MACTable is a bounded source-learning table with aging. It is an
+// MACTable is a bounded source-learning table. It is an
 // open-addressed linear-probe table (backward-shift deletion, no
 // tombstones) sized to at most half load, so the per-frame Learn/Lookup
 // pair the L2 planes issue costs two short probe scans and no map-header
@@ -24,15 +23,14 @@ type MACTable struct {
 	mask   uint64
 	n      int
 	cap    int
-	ttl    units.Time
 
 	// Learns, Hits, Misses, Evictions count table activity.
 	Learns, Hits, Misses, Evictions int64
 }
 
-// NewMACTable returns a table bounded to capacity entries whose entries age
-// out after ttl (0 = never).
-func NewMACTable(capacity int, ttl units.Time) *MACTable {
+// NewMACTable returns a table bounded to capacity entries; learning past
+// capacity evicts the entry seen longest ago.
+func NewMACTable(capacity int) *MACTable {
 	if capacity <= 0 {
 		panic("l2: non-positive capacity")
 	}
@@ -48,7 +46,6 @@ func NewMACTable(capacity int, ttl units.Time) *MACTable {
 		live:   make([]bool, size),
 		mask:   uint64(size - 1),
 		cap:    capacity,
-		ttl:    ttl,
 	}
 }
 
@@ -139,8 +136,8 @@ func (t *MACTable) deleteSlot(i uint64) {
 }
 
 // Lookup returns the port mac was learned on, or ok=false for a miss
-// (unknown, aged out, or broadcast/multicast — which must flood).
-func (t *MACTable) Lookup(mac pkt.MAC, now units.Time) (port int, ok bool) {
+// (unknown, or broadcast/multicast — which must flood).
+func (t *MACTable) Lookup(mac pkt.MAC) (port int, ok bool) {
 	if mac.IsMulticast() {
 		t.Misses++
 		return 0, false
@@ -149,11 +146,6 @@ func (t *MACTable) Lookup(mac pkt.MAC, now units.Time) (port int, ok bool) {
 	i := h & t.mask
 	for t.live[i] {
 		if t.hashes[i] == h && t.macs[i] == mac {
-			if t.ttl > 0 && now-t.seen[i] > t.ttl {
-				t.deleteSlot(i)
-				t.Misses++
-				return 0, false
-			}
 			t.Hits++
 			return int(t.ports[i]), true
 		}

@@ -10,7 +10,7 @@ import (
 
 // TestMACTableMatchesReference drives the open-addressed table and the
 // map-based reference with identical randomized Learn/Lookup sequences —
-// including capacity evictions and TTL aging — and asserts identical
+// including capacity evictions — and asserts identical
 // results and counters at every step. Timestamps strictly increase so
 // every eviction victim is unique (the only regime where the reference's
 // randomized tie-break is deterministic).
@@ -19,17 +19,15 @@ func TestMACTableMatchesReference(t *testing.T) {
 	for _, cfg := range []struct {
 		name string
 		cap  int
-		ttl  units.Time
 		macs int
 		ops  int
 	}{
-		{"small-evicting", 8, 0, 64, 4000},
-		{"aging", 32, 50 * units.Microsecond, 48, 4000},
-		{"large-no-evict", 1024, 0, 256, 4000},
+		{"small-evicting", 8, 64, 4000},
+		{"large-no-evict", 1024, 256, 4000},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			got := NewMACTable(cfg.cap, cfg.ttl)
-			want := newReferenceMACTable(cfg.cap, cfg.ttl)
+			got := NewMACTable(cfg.cap)
+			want := newReferenceMACTable(cfg.cap)
 			now := units.Time(0)
 			for i := 0; i < cfg.ops; i++ {
 				now += units.Time(1 + rng.Intn(int(10*units.Microsecond)))
@@ -43,8 +41,8 @@ func TestMACTableMatchesReference(t *testing.T) {
 					got.Learn(m, port, now)
 					want.Learn(m, port, now)
 				} else {
-					gp, gok := got.Lookup(m, now)
-					wp, wok := want.Lookup(m, now)
+					gp, gok := got.Lookup(m)
+					wp, wok := want.Lookup(m)
 					if gp != wp || gok != wok {
 						t.Fatalf("op %d: Lookup(%v) = (%d,%v), reference (%d,%v)", i, m, gp, gok, wp, wok)
 					}

@@ -14,7 +14,6 @@ import (
 type referenceMACTable struct {
 	entries map[pkt.MAC]refEntry
 	cap     int
-	ttl     units.Time
 
 	Learns, Hits, Misses, Evictions int64
 }
@@ -24,11 +23,11 @@ type refEntry struct {
 	lastSeen units.Time
 }
 
-func newReferenceMACTable(capacity int, ttl units.Time) *referenceMACTable {
+func newReferenceMACTable(capacity int) *referenceMACTable {
 	if capacity <= 0 {
 		panic("l2: non-positive capacity")
 	}
-	return &referenceMACTable{entries: make(map[pkt.MAC]refEntry, capacity), cap: capacity, ttl: ttl}
+	return &referenceMACTable{entries: make(map[pkt.MAC]refEntry, capacity), cap: capacity}
 }
 
 func (t *referenceMACTable) Learn(mac pkt.MAC, port int, now units.Time) {
@@ -56,16 +55,13 @@ func (t *referenceMACTable) evictOldest() {
 	t.Evictions++
 }
 
-func (t *referenceMACTable) Lookup(mac pkt.MAC, now units.Time) (port int, ok bool) {
+func (t *referenceMACTable) Lookup(mac pkt.MAC) (port int, ok bool) {
 	if mac.IsMulticast() {
 		t.Misses++
 		return 0, false
 	}
 	e, found := t.entries[mac]
-	if !found || (t.ttl > 0 && now-e.lastSeen > t.ttl) {
-		if found {
-			delete(t.entries, mac)
-		}
+	if !found {
 		t.Misses++
 		return 0, false
 	}

@@ -11,13 +11,13 @@ import (
 func mac(i byte) pkt.MAC { return pkt.MAC{2, 0, 0, 0, 0, i} }
 
 func TestLearnLookup(t *testing.T) {
-	tb := NewMACTable(16, 0)
+	tb := NewMACTable(16)
 	tb.Learn(mac(1), 3, 0)
-	port, ok := tb.Lookup(mac(1), units.Second)
+	port, ok := tb.Lookup(mac(1))
 	if !ok || port != 3 {
 		t.Fatalf("lookup = %d, %v", port, ok)
 	}
-	if _, ok := tb.Lookup(mac(2), 0); ok {
+	if _, ok := tb.Lookup(mac(2)); ok {
 		t.Fatal("unknown MAC found")
 	}
 	if tb.Hits != 1 || tb.Misses != 1 || tb.Learns != 1 {
@@ -26,10 +26,10 @@ func TestLearnLookup(t *testing.T) {
 }
 
 func TestStationMove(t *testing.T) {
-	tb := NewMACTable(16, 0)
+	tb := NewMACTable(16)
 	tb.Learn(mac(1), 1, 0)
 	tb.Learn(mac(1), 2, units.Microsecond) // station moved
-	if port, _ := tb.Lookup(mac(1), units.Microsecond); port != 2 {
+	if port, _ := tb.Lookup(mac(1)); port != 2 {
 		t.Fatalf("port = %d after move", port)
 	}
 	if tb.Learns != 1 {
@@ -40,23 +40,8 @@ func TestStationMove(t *testing.T) {
 	}
 }
 
-func TestAging(t *testing.T) {
-	ttl := 10 * units.Millisecond
-	tb := NewMACTable(16, ttl)
-	tb.Learn(mac(1), 1, 0)
-	if _, ok := tb.Lookup(mac(1), 5*units.Millisecond); !ok {
-		t.Fatal("fresh entry missed")
-	}
-	if _, ok := tb.Lookup(mac(1), 20*units.Millisecond); ok {
-		t.Fatal("stale entry returned")
-	}
-	if tb.Len() != 0 {
-		t.Fatal("stale entry not removed")
-	}
-}
-
 func TestCapacityEviction(t *testing.T) {
-	tb := NewMACTable(4, 0)
+	tb := NewMACTable(4)
 	for i := byte(0); i < 4; i++ {
 		tb.Learn(mac(i), int(i), units.Time(i)*units.Microsecond)
 	}
@@ -65,33 +50,33 @@ func TestCapacityEviction(t *testing.T) {
 	if tb.Len() != 4 || tb.Evictions != 1 {
 		t.Fatalf("len=%d evictions=%d", tb.Len(), tb.Evictions)
 	}
-	if _, ok := tb.Lookup(mac(0), units.Second); ok {
+	if _, ok := tb.Lookup(mac(0)); ok {
 		t.Fatal("oldest entry survived eviction")
 	}
-	if port, ok := tb.Lookup(mac(10), units.Second); !ok || port != 9 {
+	if port, ok := tb.Lookup(mac(10)); !ok || port != 9 {
 		t.Fatal("new entry missing")
 	}
 }
 
 func TestMulticastNeverLearnedOrFound(t *testing.T) {
-	tb := NewMACTable(4, 0)
+	tb := NewMACTable(4)
 	tb.Learn(pkt.Broadcast, 1, 0)
 	if tb.Len() != 0 {
 		t.Fatal("broadcast learned")
 	}
-	if _, ok := tb.Lookup(pkt.Broadcast, 0); ok {
+	if _, ok := tb.Lookup(pkt.Broadcast); ok {
 		t.Fatal("broadcast lookup hit")
 	}
 }
 
 // Property: after any sequence of learns, lookup returns the port of the
-// most recent learn for that MAC (within capacity and no aging).
+// most recent learn for that MAC (within capacity).
 func TestPropertyMostRecentLearnWins(t *testing.T) {
 	f := func(ops []struct {
 		M    byte
 		Port uint8
 	}) bool {
-		tb := NewMACTable(1024, 0)
+		tb := NewMACTable(1024)
 		last := map[pkt.MAC]int{}
 		for i, op := range ops {
 			m := mac(op.M)
@@ -99,7 +84,7 @@ func TestPropertyMostRecentLearnWins(t *testing.T) {
 			last[m] = int(op.Port)
 		}
 		for m, want := range last {
-			got, ok := tb.Lookup(m, units.Time(len(ops)))
+			got, ok := tb.Lookup(m)
 			if !ok || got != want {
 				return false
 			}

@@ -8,7 +8,7 @@
 // design decision: every core owns its own flow caches, MAC tables,
 // match/action state, and vector scratch (OvS's per-PMD EMC/megaflow
 // caches, VPP's per-worker graph runtime, FastClick's per-thread element
-// state, BESS's per-worker scheduler wheel), so a flow that migrates
+// state, BESS's per-worker task scheduler), so a flow that migrates
 // across cores re-misses — exactly as on real hardware.
 //
 // Two dispatch modes distribute work:

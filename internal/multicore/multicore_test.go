@@ -134,7 +134,7 @@ func TestRSSRoundRobinOwnership(t *testing.T) {
 }
 
 // TestEffectiveCoresClamp: with more cores than receive queues, the
-// surplus cores own nothing and are not polled (the ShardPorts clamp).
+// surplus cores own nothing and are not polled.
 func TestEffectiveCoresClamp(t *testing.T) {
 	f, _ := fakeFleet(t, Options{Cores: 4, Dispatch: ModeRSS, Policy: PolicyRoundRobin})
 	f.AddPort(&fakeDev{name: "a", kind: switchdef.VhostKind})

@@ -30,6 +30,31 @@ func shadowDropRule(i int) switchdef.Rule {
 	}
 }
 
+// TestRevokeByKey: Programmer identifies the rule to revoke by Key() —
+// priority and match — so a rule value carrying only the match must
+// remove the installed rule on every switch that takes runtime rules.
+func TestRevokeByKey(t *testing.T) {
+	for _, name := range []string{"fastclick", "ovs", "t4p4s", "vpp"} {
+		t.Run(name, func(t *testing.T) {
+			s := newSUT(t, name)
+			if !s.sw.Info().RuntimeRules {
+				t.Fatalf("%s takes no runtime rules", name)
+			}
+			base := len(s.sw.Snapshot())
+			r := shadowDropRule(1)
+			if err := s.sw.Install(r); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.sw.Revoke(switchdef.Rule{Match: r.Match}); err != nil {
+				t.Fatalf("Revoke by match alone: %v", err)
+			}
+			if got := len(s.sw.Snapshot()); got != base {
+				t.Errorf("snapshot holds %d rules after revoke, want %d", got, base)
+			}
+		})
+	}
+}
+
 // churnDigestCore drives the randomized multi-flow sequence of runDigest
 // interleaved with randomized rule installs and revokes, and digests the
 // same observables (delivered count, delivered bytes, charged cycles)

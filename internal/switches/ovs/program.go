@@ -13,8 +13,9 @@ import (
 // sequence, so cacheGen advances and every recorded charge script (memo)
 // is retired — the PR 7 invalidation invariant.
 
-// lowerRule converts a typed rule into the internal representation.
-func lowerRule(r switchdef.Rule) (*Rule, error) {
+// lowerMatch converts a typed rule's identity — priority and match — into
+// the internal representation, with no actions.
+func lowerMatch(r switchdef.Rule) *Rule {
 	out := &Rule{Priority: r.EffectivePriority()}
 	m := r.Match
 	var key FlowKey
@@ -62,7 +63,12 @@ func lowerRule(r switchdef.Rule) (*Rule, error) {
 		set("tp_dst", u16(m.L4Dst))
 	}
 	out.Match = mask(out.Mask).apply(packed)
+	return out
+}
 
+// lowerRule converts a typed rule into the internal representation.
+func lowerRule(r switchdef.Rule) (*Rule, error) {
+	out := lowerMatch(r)
 	for _, a := range r.Actions {
 		switch a.Kind {
 		case switchdef.RuleOutput:
@@ -117,13 +123,10 @@ func (sw *Switch) Install(r switchdef.Rule) error {
 }
 
 // Revoke implements switchdef.Programmer: remove the rule with r's
-// (priority, match) identity and flush every derived cache.
+// (priority, match) identity and flush every derived cache. r's actions
+// are not read.
 func (sw *Switch) Revoke(r switchdef.Rule) error {
-	lowered, err := lowerRule(r)
-	if err != nil {
-		return err
-	}
-	old := sw.findRule(lowered)
+	old := sw.findRule(lowerMatch(r))
 	if old == nil {
 		return fmt.Errorf("ovs: revoke of absent rule %q", r.Key())
 	}

@@ -59,12 +59,6 @@ const (
 	breathFullLoad = 32 // breaths at least this full run back to back
 )
 
-// Link is a Snabb inter-app link.
-type Link struct {
-	Name string
-	Ring *ring.SPSC
-}
-
 // Switch is a Snabb engine instance. Reconfiguration means recompiling
 // the app network (engine.configure), not editing a live rule table, so
 // the Programmer surface reports ErrNoRuntimeRules.
@@ -74,8 +68,7 @@ type Switch struct {
 	env   switchdef.Env
 	ports []switchdef.DevPort
 
-	apps  []*NICApp
-	links []*Link
+	apps []*NICApp
 
 	now     units.Time
 	pktSeen int64
@@ -135,39 +128,23 @@ func (sw *Switch) chargeApp(m *cost.Meter, perPkt units.Cycles, n int) {
 	m.ChargeNoisy(cost.ScaleBy(sw.gcFactor, units.Cycles(float64(c)*sw.jit)), jitterFrac)
 }
 
-// NewLink creates a named inter-app link (config.link).
-func (sw *Switch) NewLink(name string) *Link {
-	l := &Link{Name: name, Ring: ring.New(LinkCap)}
-	sw.links = append(sw.links, l)
-	return l
-}
-
-// AddNICApp creates the paired rx/tx app for a port (config.app with a
-// driver): the returned app pulls from the port into out and pushes from
-// in to the port. Either link may be nil.
-func (sw *Switch) AddNICApp(port int, out, in *Link) (*NICApp, error) {
-	if port < 0 || port >= len(sw.ports) {
-		return nil, fmt.Errorf("snabb: no port %d", port)
-	}
-	a := &NICApp{dev: sw.ports[port], out: out, in: in}
-	sw.apps = append(sw.apps, a)
-	return a, nil
-}
-
 // CrossConnect implements switchdef.Switch like the paper's custom module:
 //
 //	config.app(c, "nic1", ..., {pciaddr = pci1})
 //	config.app(c, "nic2", ..., {pciaddr = pci2})
 //	config.link(c, "nic1.tx -> nic2.rx")
+//
+// and the reverse link: one NIC app per port, joined by a link each way.
 func (sw *Switch) CrossConnect(a, b int) error {
-	ab := sw.NewLink(fmt.Sprintf("nic%d.tx -> nic%d.rx", a, b))
-	ba := sw.NewLink(fmt.Sprintf("nic%d.tx -> nic%d.rx", b, a))
-	if _, err := sw.AddNICApp(a, ab, ba); err != nil {
-		return err
+	for _, p := range []int{a, b} {
+		if p < 0 || p >= len(sw.ports) {
+			return fmt.Errorf("snabb: no port %d", p)
+		}
 	}
-	if _, err := sw.AddNICApp(b, ba, ab); err != nil {
-		return err
-	}
+	ab, ba := ring.New(LinkCap), ring.New(LinkCap)
+	sw.apps = append(sw.apps,
+		&NICApp{dev: sw.ports[a], out: ab, in: ba},
+		&NICApp{dev: sw.ports[b], out: ba, in: ab})
 	return nil
 }
 
@@ -205,23 +182,20 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 	return true
 }
 
-// NICApp couples a device to a pair of links.
+// NICApp couples a device to a pair of links (inter-app rings).
 type NICApp struct {
 	scratch [PullBatch]*pkt.Buf // staging, reused across breaths
 
 	dev     switchdef.DevPort
-	out, in *Link
+	out, in *ring.SPSC
 
 	Rx, Tx int64
 }
 
 // Pull moves frames device → out link.
 func (a *NICApp) Pull(sw *Switch, now units.Time, m *cost.Meter) int {
-	if a.out == nil {
-		return 0
-	}
 	burst := &a.scratch
-	space := a.out.Ring.Free()
+	space := a.out.Free()
 	if space == 0 {
 		return 0
 	}
@@ -238,7 +212,7 @@ func (a *NICApp) Pull(sw *Switch, now units.Time, m *cost.Meter) int {
 	}
 	sw.chargeApp(m, per, n)
 	for _, b := range burst[:n] {
-		a.out.Ring.Push(b)
+		a.out.Push(b)
 	}
 	a.Rx += int64(n)
 	return n
@@ -246,11 +220,8 @@ func (a *NICApp) Pull(sw *Switch, now units.Time, m *cost.Meter) int {
 
 // Push moves frames in link → device.
 func (a *NICApp) Push(sw *Switch, now units.Time, m *cost.Meter) int {
-	if a.in == nil {
-		return 0
-	}
 	burst := &a.scratch
-	n := a.in.Ring.DrainTo(burst[:])
+	n := a.in.DrainTo(burst[:])
 	if n == 0 {
 		return 0
 	}

@@ -130,8 +130,11 @@ func TestLinkBackpressure(t *testing.T) {
 
 func TestAddNICAppErrors(t *testing.T) {
 	sw, _, _ := newSUT(t, 1)
-	if _, err := sw.AddNICApp(9, nil, nil); err == nil {
+	if err := sw.CrossConnect(0, 9); err == nil {
 		t.Fatal("bad port accepted")
+	}
+	if len(sw.apps) != 0 {
+		t.Fatalf("a rejected cross-connect left %d apps", len(sw.apps))
 	}
 }
 

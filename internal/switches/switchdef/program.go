@@ -243,10 +243,6 @@ func (l *RuleLedger) Snapshot() []Rule {
 	return out
 }
 
-// All returns the live backing slice in install order (callers must not
-// mutate it); implementations iterate it when rebuilding native state.
-func (l *RuleLedger) All() []Rule { return l.rules }
-
 // NoRuntimeRules implements Programmer for switches whose data plane
 // cannot be reprogrammed at runtime; embed it to satisfy the interface.
 type NoRuntimeRules struct{}

@@ -199,3 +199,12 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 	}()
 	switchdef.Register(switchdef.Info{Name: "vpp"}, nil)
 }
+
+func TestPortKindString(t *testing.T) {
+	if switchdef.PhysKind.String() != "phys" || switchdef.VhostKind.String() != "vhost-user" || switchdef.PtnetKind.String() != "ptnet" {
+		t.Fatal("kind names wrong")
+	}
+	if switchdef.PortKind(9).String() == "" {
+		t.Fatal("unknown kind empty")
+	}
+}

@@ -96,9 +96,3 @@ func PollUntilIdle(sw switchdef.Switch, m *cost.Meter, start units.Time) units.T
 	}
 	return now
 }
-
-// PollAt runs a single poll at the given time and advances by the charge.
-func PollAt(sw switchdef.Switch, m *cost.Meter, now units.Time) (units.Time, bool) {
-	did := sw.Poll(now, m)
-	return now + m.Drain(), did
-}

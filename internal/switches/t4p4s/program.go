@@ -14,32 +14,38 @@ import (
 // validity check reads — recorded pipeline traversals are retired the
 // moment the table changes.
 
-// lowerRule maps a typed rule onto a dmac-table entry.
-func lowerRule(r switchdef.Rule) (key [6]byte, e Entry, err error) {
+// checkMatch rejects every rule identity the dmac table cannot hold.
+func checkMatch(r switchdef.Rule) error {
 	if r.Priority != 0 && r.Priority != switchdef.DefaultRulePriority {
-		return key, e, fmt.Errorf("t4p4s: exact tables have no rule priorities")
+		return fmt.Errorf("t4p4s: exact tables have no rule priorities")
 	}
 	if r.Match.Fields != switchdef.FEthDst {
-		return key, e, fmt.Errorf("t4p4s: l2fwd matches on dl_dst only (fields %04x unsupported)", uint16(r.Match.Fields))
+		return fmt.Errorf("t4p4s: l2fwd matches on dl_dst only (fields %04x unsupported)", uint16(r.Match.Fields))
 	}
-	key = r.Match.EthDst
+	return nil
+}
+
+// lowerRule maps a typed rule onto a dmac-table entry, keyed on
+// r.Match.EthDst.
+func lowerRule(r switchdef.Rule) (Entry, error) {
+	if err := checkMatch(r); err != nil {
+		return Entry{}, err
+	}
 	switch {
 	case len(r.Actions) == 1 && r.Actions[0].Kind == switchdef.RuleOutput:
-		e = Entry{Action: ActForward, Port: r.Actions[0].Port}
+		return Entry{Action: ActForward, Port: r.Actions[0].Port}, nil
 	case len(r.Actions) == 1 && r.Actions[0].Kind == switchdef.RuleDrop:
-		e = Entry{Action: ActDrop}
+		return Entry{Action: ActDrop}, nil
 	case len(r.Actions) == 2 && r.Actions[0].Kind == switchdef.RuleSetEthDst &&
 		r.Actions[1].Kind == switchdef.RuleOutput:
-		e = Entry{Action: ActSetDstMAC, MAC: r.Actions[0].MAC, Port: r.Actions[1].Port}
-	default:
-		return key, e, fmt.Errorf("t4p4s: unsupported action list")
+		return Entry{Action: ActSetDstMAC, MAC: r.Actions[0].MAC, Port: r.Actions[1].Port}, nil
 	}
-	return key, e, nil
+	return Entry{}, fmt.Errorf("t4p4s: unsupported action list")
 }
 
 // Install implements switchdef.Programmer.
 func (sw *Switch) Install(r switchdef.Rule) error {
-	key, e, err := lowerRule(r)
+	e, err := lowerRule(r)
 	if err != nil {
 		return err
 	}
@@ -48,18 +54,18 @@ func (sw *Switch) Install(r switchdef.Rule) error {
 			return fmt.Errorf("t4p4s: no port %d", e.Port)
 		}
 	}
-	sw.dmac.Add(key[:], e)
+	sw.dmac.Add(r.Match.EthDst, e)
 	sw.prog.Put(r)
 	return nil
 }
 
-// Revoke implements switchdef.Programmer.
+// Revoke implements switchdef.Programmer. Only the rule's identity — its
+// priority and match — is read, so an actionless rule value revokes.
 func (sw *Switch) Revoke(r switchdef.Rule) error {
-	key, _, err := lowerRule(r)
-	if err != nil {
+	if err := checkMatch(r); err != nil {
 		return err
 	}
-	if !sw.dmac.Remove(key[:]) {
+	if !sw.dmac.Remove(r.Match.EthDst) {
 		return fmt.Errorf("t4p4s: revoke of absent dmac entry %v", r.Match.EthDst)
 	}
 	sw.prog.Delete(r)

@@ -123,7 +123,7 @@ var info = switchdef.Info{
 func New(env switchdef.Env) *Switch {
 	return &Switch{
 		env:  env,
-		dmac: NewTable("dmac", Entry{Action: ActDrop}),
+		dmac: NewTable(Entry{Action: ActDrop}),
 		memo: flowtab.NewMap[uint64, t4Memo](16),
 	}
 }
@@ -233,7 +233,7 @@ func (sw *Switch) process(now units.Time, m *cost.Meter, b *pkt.Buf, pf float64)
 	// Match/action stage: the dmac table.
 	t := sw.dmac
 	m.Charge(m.Model.HashLookup + tablePerLookup)
-	e, hit := t.lookup(eth.Dst[:])
+	e, hit := t.lookup(eth.Dst)
 	rec.cycles = m.Model.HashLookup + tablePerLookup
 	rec.bump = &t.Misses
 	if hit {

@@ -182,9 +182,14 @@ func TestAddL2EntryValidation(t *testing.T) {
 func TestTuningNoSourceMACLearning(t *testing.T) {
 	// Table 2: "Remove source MAC learning phase" — the program's one
 	// table is dmac, no smac.
-	sw, _, _ := newSUT(t, 0)
-	if sw.dmac.Name != "dmac" {
-		t.Fatalf("table = %q", sw.dmac.Name)
+	// Forwarding a frame from an unseen source leaves the dmac table as
+	// CrossConnect filled it.
+	sw, fps, env := newSUT(t, 2)
+	_ = sw.CrossConnect(0, 1)
+	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0xaa, 0, 0, 0, 1}, switchdef.PortMAC(1), 64))
+	drain(sw, env)
+	if len(fps[1].Out) != 1 || len(sw.dmac.entries) != 2 {
+		t.Fatalf("out=%d table entries=%d", len(fps[1].Out), len(sw.dmac.entries))
 	}
 	if sw.Info().Tuning == "" {
 		t.Fatal("tuning note missing")

@@ -1,9 +1,6 @@
 package t4p4s
 
-import (
-	"repro/internal/flowtab"
-	"repro/internal/pkt"
-)
+import "repro/internal/pkt"
 
 // ActionID selects a table action.
 type ActionID int
@@ -23,16 +20,11 @@ type Entry struct {
 }
 
 // Table is the l2fwd program's exact-match table keyed on the destination
-// MAC. Entries live in an open-addressed byte-keyed map. version counts
-// output-visible mutations and invalidates memoized pipeline traversals.
+// MAC. version counts output-visible mutations and invalidates memoized
+// pipeline traversals.
 type Table struct {
-	Name    string
-	entries *flowtab.ByteMap[Entry]
+	entries map[pkt.MAC]Entry
 	Default Entry
-
-	// shadow mirrors the entries by key string: the arena ByteMap has no
-	// delete, so Remove rebuilds it from this ledger.
-	shadow map[string]Entry
 
 	version uint64
 
@@ -40,42 +32,32 @@ type Table struct {
 }
 
 // NewTable creates an exact-match table with a default (miss) entry.
-func NewTable(name string, def Entry) *Table {
-	return &Table{Name: name, entries: flowtab.NewByteMap[Entry](8), Default: def}
+func NewTable(def Entry) *Table {
+	return &Table{entries: make(map[pkt.MAC]Entry), Default: def}
 }
 
-// Add installs an entry keyed by the destination MAC bytes.
-func (t *Table) Add(keyBytes []byte, e Entry) {
-	t.entries.Put(keyBytes, e)
-	if t.shadow == nil {
-		t.shadow = make(map[string]Entry)
-	}
-	t.shadow[string(keyBytes)] = e
+// Add installs (or replaces) the entry for a destination MAC.
+func (t *Table) Add(dst pkt.MAC, e Entry) {
+	t.entries[dst] = e
 	t.version++
 }
 
-// Remove deletes an entry, reporting whether it was present. The backing
-// ByteMap is arena-allocated with no per-key delete, so the table is
-// rebuilt from the shadow ledger; probe layout is not observable (the
-// lookup charge is flat), so the rebuild order cannot move any output.
-func (t *Table) Remove(keyBytes []byte) bool {
-	if _, ok := t.shadow[string(keyBytes)]; !ok {
+// Remove deletes the entry for a destination MAC, reporting whether it was
+// present.
+func (t *Table) Remove(dst pkt.MAC) bool {
+	if _, ok := t.entries[dst]; !ok {
 		return false
 	}
-	delete(t.shadow, string(keyBytes))
-	t.entries = flowtab.NewByteMap[Entry](8)
-	for k, e := range t.shadow {
-		t.entries.Put([]byte(k), e)
-	}
+	delete(t.entries, dst)
 	t.version++
 	return true
 }
 
-// lookup resolves the entry for the given key bytes. The second result
+// lookup resolves the entry for a destination MAC. The second result
 // reports whether an installed entry matched (false means the default
 // entry was returned).
-func (t *Table) lookup(key []byte) (Entry, bool) {
-	if e, ok := t.entries.Get(key); ok {
+func (t *Table) lookup(dst pkt.MAC) (Entry, bool) {
+	if e, ok := t.entries[dst]; ok {
 		t.Hits++
 		return e, true
 	}

@@ -39,9 +39,8 @@ func TestLearningBridgeForwards(t *testing.T) {
 	if len(fps[0].Out) != 1 {
 		t.Fatalf("reverse out = %d", len(fps[0].Out))
 	}
-	br := sw.Bridges()[0]
-	if br.MACTable().Len() != 2 {
-		t.Fatalf("learned = %d", br.MACTable().Len())
+	if n := sw.bridges[0].mac.Len(); n != 2 {
+		t.Fatalf("learned = %d", n)
 	}
 }
 
@@ -63,32 +62,22 @@ func TestInterPortCopySemantics(t *testing.T) {
 	}
 }
 
-func TestThreePortFloodClones(t *testing.T) {
-	sw, fps, env := newSUT(t, 3)
-	if _, err := sw.NewBridge("vale0", 0, 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	m := switchtest.Meter(env)
-	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 0x99}, 64))
-	switchtest.PollUntilIdle(sw, m, 0)
-	if len(fps[1].Out) != 1 || len(fps[2].Out) != 1 {
-		t.Fatalf("flood = %d, %d", len(fps[1].Out), len(fps[2].Out))
-	}
-	if fps[1].Out[0] == fps[2].Out[0] {
-		t.Fatal("flood shared one buffer")
-	}
-}
-
 func TestPortExclusivity(t *testing.T) {
 	sw, _, _ := newSUT(t, 3)
-	if _, err := sw.NewBridge("vale0", 0, 1); err != nil {
+	if err := sw.CrossConnect(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sw.NewBridge("vale1", 1, 2); err == nil {
+	if err := sw.CrossConnect(1, 2); err == nil {
 		t.Fatal("port reuse across bridges accepted")
 	}
-	if _, err := sw.NewBridge("vale1", 9); err == nil {
+	if err := sw.CrossConnect(2, 9); err == nil {
 		t.Fatal("bad port accepted")
+	}
+	if err := sw.CrossConnect(2, 2); err == nil {
+		t.Fatal("port bridged to itself accepted")
+	}
+	if len(sw.bridges) != 1 {
+		t.Fatalf("rejected cross-connects left %d bridges", len(sw.bridges))
 	}
 }
 
@@ -98,8 +87,8 @@ func TestMultipleBridgeInstances(t *testing.T) {
 	sw, fps, env := newSUT(t, 4)
 	_ = sw.CrossConnect(0, 1)
 	_ = sw.CrossConnect(2, 3)
-	if len(sw.Bridges()) != 2 {
-		t.Fatalf("bridges = %d", len(sw.Bridges()))
+	if len(sw.bridges) != 2 {
+		t.Fatalf("bridges = %d", len(sw.bridges))
 	}
 	m := switchtest.Meter(env)
 	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64))

@@ -1,12 +1,13 @@
 // Package vpp models FD.io VPP 19.04: a self-contained software router that
 // processes packets in vectors through a forwarding graph.
 //
-// The data plane here is a real graph: dpdk-input pulls bursts from the
-// attached devices and hands per-port vectors to the l2-patch node (the
-// paper's p2p/p2v/v2v configuration: "test l2patch rx port0 tx port1"),
-// which feeds interface-output; unpatched ports and ACL drops end at
-// error-drop. Vector processing amortizes per-node fixed costs over up to
-// 256 packets, which is exactly why VPP stays fast under load and why its
+// The paper's configuration ("test l2patch rx port0 tx port1") runs a
+// fixed three-node graph, and Poll walks it node by node: dpdk-input reads
+// one vector from every attached device, l2-patch then takes each patched
+// port's vector (unpatched ports and ACL drops end at error-drop), and
+// interface-output runs once per output port over every frame merged for
+// it. Vector processing amortizes per-node fixed costs over up to 256
+// packets, which is exactly why VPP stays fast under load and why its
 // low-load latency is batch-bound.
 package vpp
 
@@ -36,54 +37,14 @@ const (
 	vhostTxPenalty = 25 // and a smaller toll transmitting to it
 )
 
-// Node is one graph node.
-type Node interface {
-	Name() string
-	// Process handles a vector arriving with the given context (the
-	// port index).
-	Process(sw *Switch, now units.Time, m *cost.Meter, ctx int, v []*pkt.Buf)
-}
-
-// Dense node identities, in registration order. Per-packet enqueues index
-// an array with these instead of hashing a (name, ctx) map key.
-const (
-	nodeL2Patch = iota
-	nodeOutput
-	nodeDrop
-	numNodes
-)
-
-// pendingVec is one not-yet-dispatched (node, ctx) vector on the frame's
-// FIFO work queue.
-type pendingVec struct {
-	node int32
-	ctx  int32
-	vec  []*pkt.Buf
-}
-
 // Switch is a VPP instance.
 type Switch struct {
-	// rxScratch is the receive staging array, reused across polls: a
-	// stack array handed through the DevPort interface escapes, which
-	// costs one heap allocation per poll.
-	rxScratch [VectorSize]*pkt.Buf
-
 	ports []switchdef.DevPort
 
-	nodes [numNodes]Node
-
-	// q/qHead are the dispatch frame's FIFO of pending vectors. This is
-	// exactly equivalent to the two-level rounds loop it replaced (merge
-	// into any not-yet-processed (node, ctx) entry, else append), but
-	// with a linear scan over the few live tail entries instead of a
-	// map insert/delete pair per node visit.
-	q     []pendingVec
-	qHead int
-
-	// vecFree recycles dispatch-frame vectors across polls; a graph
-	// frame otherwise allocates one vector per (node, ctx) pair it
-	// visits, every poll.
-	vecFree [][]*pkt.Buf
+	// rxVec is each port's dpdk-input vector for the dispatch in
+	// progress (VectorSize capacity, reused across polls): every port is
+	// read before l2-patch runs.
+	rxVec [][]*pkt.Buf
 
 	patchTo []int // l2patch: rx port -> tx port (-1 = none)
 
@@ -96,21 +57,16 @@ type Switch struct {
 	ACLDropped int64
 
 	txStage [][]*pkt.Buf // per-port tx staging, flushed at frame end
+	// outOrder lists the ports l2-patch staged frames for, in the order it
+	// first reached them: the order interface-output visits them.
+	outOrder []int
 
 	// Forwarded and Dropped count data-plane outcomes.
 	Forwarded, Dropped int64
 }
 
 // New returns an unconfigured VPP instance.
-func New(switchdef.Env) *Switch {
-	sw := &Switch{}
-	sw.nodes = [numNodes]Node{
-		nodeL2Patch: patchNode{},
-		nodeOutput:  outputNode{},
-		nodeDrop:    dropNode{},
-	}
-	return sw
-}
+func New(switchdef.Env) *Switch { return &Switch{} }
 
 // Info implements switchdef.Switch.
 func (sw *Switch) Info() switchdef.Info { return info }
@@ -135,6 +91,7 @@ var info = switchdef.Info{
 // AddPort implements switchdef.Switch.
 func (sw *Switch) AddPort(p switchdef.DevPort) int {
 	sw.ports = append(sw.ports, p)
+	sw.rxVec = append(sw.rxVec, make([]*pkt.Buf, 0, VectorSize))
 	sw.txStage = append(sw.txStage, nil)
 	sw.patchTo = append(sw.patchTo, -1)
 	return len(sw.ports) - 1
@@ -165,61 +122,15 @@ func (sw *Switch) checkPort(i int) error {
 	return nil
 }
 
-// getVec returns a recycled (empty) vector for a dispatch frame.
-func (sw *Switch) getVec() []*pkt.Buf {
-	if n := len(sw.vecFree); n > 0 {
-		v := sw.vecFree[n-1]
-		sw.vecFree = sw.vecFree[:n-1]
-		return v
-	}
-	return make([]*pkt.Buf, 0, VectorSize)
-}
-
-// putVec parks a consumed vector for reuse.
-func (sw *Switch) putVec(v []*pkt.Buf) {
-	v = v[:0]
-	sw.vecFree = append(sw.vecFree, v)
-}
-
-// enqueue hands a vector to a node for this dispatch frame. The contents
-// are copied into a per-(node, ctx) pending vector, so callers keep
-// ownership of the slice itself. Merging targets any not-yet-dispatched
-// queue entry; the scan is linear but the live tail is a handful of
-// entries at most (one per distinct (node, ctx) still in flight).
-func (sw *Switch) enqueue(node, ctx int, bufs []*pkt.Buf) {
-	for i := sw.qHead; i < len(sw.q); i++ {
-		e := &sw.q[i]
-		if int(e.node) == node && int(e.ctx) == ctx {
-			e.vec = append(e.vec, bufs...)
-			return
-		}
-	}
-	sw.q = append(sw.q, pendingVec{node: int32(node), ctx: int32(ctx), vec: append(sw.getVec(), bufs...)})
-}
-
-// enqueue1 is enqueue for a single frame, avoiding the slice header a
-// []*pkt.Buf{b} literal would heap-allocate per packet.
-func (sw *Switch) enqueue1(node, ctx int, b *pkt.Buf) {
-	for i := sw.qHead; i < len(sw.q); i++ {
-		e := &sw.q[i]
-		if int(e.node) == node && int(e.ctx) == ctx {
-			e.vec = append(e.vec, b)
-			return
-		}
-	}
-	sw.q = append(sw.q, pendingVec{node: int32(node), ctx: int32(ctx), vec: append(sw.getVec(), b)})
-}
-
 // Poll implements switchdef.Switch: one graph dispatch frame over every
 // attached port. Multi-core runs give each worker core its own Switch
-// instance with private vector-graph scratch — see internal/multicore.
+// instance with private vector scratch — see internal/multicore.
 func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
-	// dpdk-input: pull one vector per port.
-	burst := &sw.rxScratch
 	got := false
-	for i := range sw.ports {
-		p := sw.ports[i]
-		n := p.RxBurst(now, m, burst[:])
+	// dpdk-input: one vector per port.
+	for i, p := range sw.ports {
+		n := p.RxBurst(now, m, sw.rxVec[i][:VectorSize])
+		sw.rxVec[i] = sw.rxVec[i][:n]
 		if n == 0 {
 			continue
 		}
@@ -230,26 +141,50 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 			// paper's "reversed unidirectional" finding).
 			m.Charge(units.Cycles(n) * vhostRxPenalty)
 		}
-		v := burst[:n]
-		if sw.patchTo[i] >= 0 {
-			sw.enqueue(nodeL2Patch, i, v)
-		} else {
-			sw.enqueue(nodeDrop, i, v)
+	}
+	// l2-patch, in port order; unpatched ports' vectors go to error-drop.
+	for i, v := range sw.rxVec {
+		if len(v) == 0 {
+			continue
 		}
+		tx := sw.patchTo[i]
+		if tx < 0 {
+			for _, b := range v {
+				b.Free()
+			}
+			sw.Dropped += int64(len(v))
+			continue
+		}
+		m.ChargeNoisy(nodeFixed+units.Cycles(len(v))*patchPerPkt, costJitterFrac)
+		if len(sw.acl) > 0 {
+			// Feature arc: the runtime drop list is consulted only while
+			// rules are installed, so rule-free runs charge nothing here.
+			m.Charge(units.Cycles(len(v)) * (m.Model.HashLookup + aclPerPkt))
+			keep := v[:0]
+			for _, b := range v {
+				if sw.acl[pkt.EthDst(b.View())] {
+					b.Free()
+					sw.ACLDropped++
+					sw.Dropped++
+					continue
+				}
+				keep = append(keep, b)
+			}
+			if len(keep) == 0 {
+				continue
+			}
+			v = keep
+		}
+		if len(sw.txStage[tx]) == 0 {
+			sw.outOrder = append(sw.outOrder, tx)
+		}
+		sw.txStage[tx] = append(sw.txStage[tx], v...)
 	}
-	// Graph dispatch until quiescent: plain FIFO over pending vectors.
-	for sw.qHead < len(sw.q) {
-		ent := sw.q[sw.qHead]
-		// Drop the queue's reference before Process may grow sw.q.
-		sw.q[sw.qHead].vec = nil
-		sw.qHead++
-		sw.nodes[ent.node].Process(sw, now, m, int(ent.ctx), ent.vec)
-		// Nodes pass frames onward by value (enqueue copies), so the
-		// vector itself is dead once Process returns.
-		sw.putVec(ent.vec)
+	// interface-output: one visit per output port over its merged vector.
+	for _, tx := range sw.outOrder {
+		m.ChargeNoisy(nodeFixed+units.Cycles(len(sw.txStage[tx]))*outputPerPkt, costJitterFrac)
 	}
-	sw.q = sw.q[:0]
-	sw.qHead = 0
+	sw.outOrder = sw.outOrder[:0]
 	// Flush staged tx.
 	for i := range sw.ports {
 		stage := sw.txStage[i]
@@ -266,50 +201,6 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 		sw.txStage[i] = stage[:0]
 	}
 	return got
-}
-
-type patchNode struct{}
-
-func (patchNode) Name() string { return "l2-patch" }
-func (patchNode) Process(sw *Switch, now units.Time, m *cost.Meter, ctx int, v []*pkt.Buf) {
-	m.ChargeNoisy(nodeFixed+units.Cycles(len(v))*patchPerPkt, costJitterFrac)
-	if len(sw.acl) > 0 {
-		// Feature arc: the runtime drop list is consulted only while
-		// rules are installed, so rule-free runs charge nothing here.
-		m.Charge(units.Cycles(len(v)) * (m.Model.HashLookup + aclPerPkt))
-		keep := v[:0]
-		for _, b := range v {
-			if sw.acl[pkt.EthDst(b.View())] {
-				sw.ACLDropped++
-				sw.enqueue1(nodeDrop, ctx, b)
-				continue
-			}
-			keep = append(keep, b)
-		}
-		if len(keep) == 0 {
-			return
-		}
-		v = keep
-	}
-	sw.enqueue(nodeOutput, sw.patchTo[ctx], v)
-}
-
-type outputNode struct{}
-
-func (outputNode) Name() string { return "interface-output" }
-func (outputNode) Process(sw *Switch, now units.Time, m *cost.Meter, ctx int, v []*pkt.Buf) {
-	m.ChargeNoisy(nodeFixed+units.Cycles(len(v))*outputPerPkt, costJitterFrac)
-	sw.txStage[ctx] = append(sw.txStage[ctx], v...)
-}
-
-type dropNode struct{}
-
-func (dropNode) Name() string { return "error-drop" }
-func (dropNode) Process(sw *Switch, now units.Time, m *cost.Meter, ctx int, v []*pkt.Buf) {
-	for _, b := range v {
-		b.Free()
-	}
-	sw.Dropped += int64(len(v))
 }
 
 func init() {

@@ -95,6 +95,66 @@ func TestInfoTaxonomy(t *testing.T) {
 	}
 }
 
+// TestFanInPinned pins one dispatch of two patched ports feeding a third
+// with a dl_dst drop rule on the path: the charged cycles fix the order
+// and size of every noisy draw (two inputs, two patches, one merged
+// interface-output over both inputs' survivors), the frame order on the
+// shared output port fixes the merge order, and the counters fix where
+// the rejected frame went.
+func TestFanInPinned(t *testing.T) {
+	sw, fps, env := newSUT(t, 3)
+	for in := 0; in < 2; in++ {
+		err := sw.Install(switchdef.Rule{
+			Match:   switchdef.Match{Fields: switchdef.FInPort, InPort: in},
+			Actions: []switchdef.RuleAction{{Kind: switchdef.RuleOutput, Port: 2}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocked := pkt.MAC{0x0e, 0xc4, 0, 0, 0, 1}
+	if err := sw.Install(switchdef.Rule{
+		Match:   switchdef.Match{Fields: switchdef.FEthDst, EthDst: blocked},
+		Actions: []switchdef.RuleAction{{Kind: switchdef.RuleDrop}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Port 0 sends 40 frames, the eighth of them to the blocked MAC; port
+	// 1 sends 25. Source MACs carry (port, index).
+	var want []pkt.MAC
+	for port, n := range []int{40, 25} {
+		for i := 0; i < n; i++ {
+			src := pkt.MAC{2, 0, 0, 0, byte(port), byte(i)}
+			dst := switchdef.PortMAC(2)
+			if port == 0 && i == 7 {
+				dst = blocked
+			} else {
+				want = append(want, src)
+			}
+			fps[port].In = append(fps[port].In, switchtest.Frame(env.Pool, src, dst, 64))
+		}
+	}
+	m := switchtest.Meter(env)
+	sw.Poll(0, m)
+	if len(fps[2].Out) != len(want) {
+		t.Fatalf("port 2 sent %d frames, want %d", len(fps[2].Out), len(want))
+	}
+	for i, b := range fps[2].Out {
+		if got := pkt.EthSrc(b.View()); got != want[i] {
+			t.Fatalf("port 2 frame %d came from %v, want %v", i, got, want[i])
+		}
+	}
+	if sw.Dropped != 1 || sw.ACLDropped != 1 || sw.Forwarded != 64 {
+		t.Errorf("dropped=%d aclDropped=%d forwarded=%d, want 1, 1, 64", sw.Dropped, sw.ACLDropped, sw.Forwarded)
+	}
+	if env.Pool.Live() != 64 {
+		t.Errorf("live buffers = %d, want 64 (the rejected frame freed)", env.Pool.Live())
+	}
+	if got := m.Pending(); got != 10089 {
+		t.Errorf("charged %d cycles, want %d", got, 10089)
+	}
+}
+
 func TestPollChargesCycles(t *testing.T) {
 	sw, fps, env := newSUT(t, 2)
 	_ = sw.CrossConnect(0, 1)

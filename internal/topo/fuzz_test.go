@@ -9,7 +9,7 @@ import (
 // FuzzTopologyParse feeds arbitrary bytes to Parse, the one parser outside
 // bytes reach (swbench -topology and topo -file). Nothing may panic, and
 // every graph Parse accepts must compile: Validate is the only gate in
-// front of Compile, so a validated graph that NewPlan rejects is a
+// front of NewPlan, so a validated graph that NewPlan rejects is a
 // Validate bug.
 func FuzzTopologyParse(f *testing.F) {
 	for _, path := range []string{

@@ -19,8 +19,14 @@ type PlanCross struct {
 	B int `json:"b"`
 }
 
-// PlanActor is one placed traffic endpoint or VNF. Port references are
-// SUT port indices; NoPort (-1) means absent or not applicable.
+// NoPort marks an absent port reference in a PlanActor (e.g. a VNF
+// direction with no destination-MAC rewrite).
+const NoPort = -1
+
+// PlanActor is one placed traffic endpoint, VNF or controller. Port
+// references are SUT port indices; NoPort means absent or not applicable.
+// VNF rewrite ports are the egress ports of the two forwarding
+// directions, whose MACs the VNF writes as destination.
 type PlanActor struct {
 	Name   string   `json:"name"`
 	Kind   NodeKind `json:"kind"`
@@ -37,22 +43,12 @@ type PlanActor struct {
 	App       string `json:"app,omitempty"`
 }
 
-// nonActor returns a PlanActor with every port reference absent.
-func nonActor(name string, kind NodeKind) PlanActor {
-	return PlanActor{
-		Name: name, Kind: kind,
-		At: NoPort, Egress: NoPort,
-		A: NoPort, B: NoPort, SrcMAC: NoPort,
-		RewriteAB: NoPort, RewriteBA: NoPort,
-	}
-}
-
-// Plan records the materialization steps of a compiled graph, in
-// execution order. It implements Assembler, so compiling a graph into a
-// Plan yields exactly the port indices, cross-connect pairs, steering,
-// and MAC-rewrite decisions the testbed assembler would make — without
-// building a testbed. That makes it the medium for validation (swbench
-// topo -validate), rendering (DOT/JSON), and wiring-equivalence tests.
+// Plan is a compiled graph: the steps that materialize it, in execution
+// order. Ports are attached to the switch in node order (Index is the
+// SUT port index the switch assigns), cross-connects are installed in
+// edge order, and actors start in node order. The testbed executes a
+// Plan step by step; swbench topo -validate, the DOT/JSON renderers and
+// the wiring tests read one without building a testbed.
 type Plan struct {
 	Topology string      `json:"topology,omitempty"`
 	Ports    []PlanPort  `json:"ports"`
@@ -60,83 +56,91 @@ type Plan struct {
 	Actors   []PlanActor `json:"actors"`
 }
 
-var _ Assembler = (*Plan)(nil)
-
-// NewPlan compiles g into a fresh Plan.
+// NewPlan validates g and compiles it into a Plan. It subsumes what the
+// legacy per-scenario wiring functions each duplicated by hand: port
+// attachment order, cross-connect installation, generator frame-spec
+// steering (Egress = the injection port's cross-connect peer), and the
+// chain MAC-rewrite computation (each VNF direction rewrites to the
+// cross-connect peer of its egress interface).
 func NewPlan(g *Graph) (*Plan, error) {
-	p := &Plan{Topology: g.Name}
-	if err := Compile(g, p); err != nil {
+	r, err := g.resolve()
+	if err != nil {
 		return nil, err
 	}
+	nPorts := 0
+	for i := range r.nodes {
+		if attachable(r.nodes[i].Kind) {
+			nPorts++
+		}
+	}
+	p := &Plan{
+		Topology: g.Name,
+		Ports:    make([]PlanPort, 0, nPorts),
+		Crosses:  make([]PlanCross, 0, len(r.crosses)),
+		// Every validated node is either attachable or an endpoint.
+		Actors: make([]PlanActor, 0, len(r.nodes)-nPorts),
+	}
+
+	// Pass 1: ports, in node order.
+	ports := make(map[string]int, nPorts)
+	for i := range r.nodes {
+		n := &r.nodes[i]
+		if !attachable(n.Kind) {
+			continue
+		}
+		pp := PlanPort{Index: len(p.Ports), Node: n.Name, Kind: n.Kind}
+		if n.Kind == KindGuestIf {
+			pp.VM = vmOf(n)
+		}
+		ports[n.Name] = pp.Index
+		p.Ports = append(p.Ports, pp)
+	}
+
+	// Pass 2: cross-connects, in edge order.
+	for _, e := range r.crosses {
+		p.Crosses = append(p.Crosses, PlanCross{A: ports[e.A], B: ports[e.B]})
+	}
+	// egress returns the port traffic leaving SUT port name is steered
+	// to: its cross-connect peer, or NoPort if unconnected.
+	egress := func(name string) int {
+		if peer, ok := r.peer[name]; ok {
+			return ports[peer]
+		}
+		return NoPort
+	}
+
+	// Pass 3: actors, in node order.
+	for i := range r.nodes {
+		n := &r.nodes[i]
+		if !endpoint(n.Kind) {
+			continue
+		}
+		a := PlanActor{
+			Name: n.Name, Kind: n.Kind,
+			At: NoPort, Egress: NoPort,
+			A: NoPort, B: NoPort, SrcMAC: NoPort,
+			RewriteAB: NoPort, RewriteBA: NoPort,
+		}
+		switch n.Kind {
+		case KindGenerator:
+			a.Guest = r.byName[n.At].Kind == KindGuestIf
+			a.At, a.Egress, a.Probes = ports[n.At], egress(n.At), n.Probes
+		case KindSink, KindMonitor:
+			a.At = ports[n.At]
+		case KindVNF:
+			srcIf := n.SrcMACIf
+			if srcIf == "" {
+				srcIf = n.A
+			}
+			a.A, a.B, a.SrcMAC = ports[n.A], ports[n.B], ports[srcIf]
+			a.RewriteAB, a.App = egress(n.B), n.App
+			if !n.OneWay {
+				a.RewriteBA = egress(n.A)
+			}
+		}
+		p.Actors = append(p.Actors, a)
+	}
 	return p, nil
-}
-
-// AddPhysPair implements Assembler.
-func (p *Plan) AddPhysPair(name string) (int, error) {
-	idx := len(p.Ports)
-	p.Ports = append(p.Ports, PlanPort{Index: idx, Node: name, Kind: KindPhysPair})
-	return idx, nil
-}
-
-// AddGuestIf implements Assembler.
-func (p *Plan) AddGuestIf(name, vm string) (int, error) {
-	idx := len(p.Ports)
-	p.Ports = append(p.Ports, PlanPort{Index: idx, Node: name, Kind: KindGuestIf, VM: vm})
-	return idx, nil
-}
-
-// CrossConnect implements Assembler.
-func (p *Plan) CrossConnect(a, b int) error {
-	p.Crosses = append(p.Crosses, PlanCross{A: a, B: b})
-	return nil
-}
-
-// Generator implements Assembler.
-func (p *Plan) Generator(name string, at, egress int, probes bool) error {
-	a := nonActor(name, KindGenerator)
-	a.At, a.Egress, a.Probes = at, egress, probes
-	p.Actors = append(p.Actors, a)
-	return nil
-}
-
-// GuestGenerator implements Assembler.
-func (p *Plan) GuestGenerator(name string, at, egress int, probes bool) error {
-	a := nonActor(name, KindGenerator)
-	a.Guest = true
-	a.At, a.Egress, a.Probes = at, egress, probes
-	p.Actors = append(p.Actors, a)
-	return nil
-}
-
-// Sink implements Assembler.
-func (p *Plan) Sink(name string, at int) error {
-	a := nonActor(name, KindSink)
-	a.At = at
-	p.Actors = append(p.Actors, a)
-	return nil
-}
-
-// Monitor implements Assembler.
-func (p *Plan) Monitor(name string, at int) error {
-	a := nonActor(name, KindMonitor)
-	a.At = at
-	p.Actors = append(p.Actors, a)
-	return nil
-}
-
-// VNF implements Assembler.
-func (p *Plan) VNF(name string, a, b, srcMAC, rewriteAB, rewriteBA int, app string) error {
-	pa := nonActor(name, KindVNF)
-	pa.A, pa.B, pa.SrcMAC = a, b, srcMAC
-	pa.RewriteAB, pa.RewriteBA, pa.App = rewriteAB, rewriteBA, app
-	p.Actors = append(p.Actors, pa)
-	return nil
-}
-
-// Controller implements Assembler.
-func (p *Plan) Controller(name string) error {
-	p.Actors = append(p.Actors, nonActor(name, KindController))
-	return nil
 }
 
 // DOT renders a validated graph as Graphviz DOT: SUT ports as boxes

@@ -7,14 +7,13 @@
 // asymmetric paths — can be expressed in it directly, either
 // programmatically or as a JSON file.
 //
-// The IR is materialized by Compile, which walks a validated graph in
-// declaration order and drives an Assembler: the production assembler
-// lives in internal/core and builds a runnable testbed; the in-package
-// Plan assembler records the materialization steps for inspection,
-// rendering, and tests. Declaration order is semantic: ports are attached
-// to the switch in node order, cross-connects are installed in edge
-// order, and traffic endpoints start in node order — which pins the
-// simulation's deterministic event interleaving.
+// NewPlan compiles a validated graph, in declaration order, into a Plan:
+// the materialization steps that internal/core executes to build a
+// runnable testbed, and that rendering and tests inspect without one.
+// Declaration order is semantic: ports are attached to the switch in node
+// order, cross-connects are installed in edge order, and traffic
+// endpoints start in node order — which pins the simulation's
+// deterministic event interleaving.
 package topo
 
 import (
