@@ -11,23 +11,28 @@ import (
 )
 
 // newRunner builds the runner the figure/table/all verbs route their
-// experiment grids through: the in-process orchestrator by default, or —
-// when fabricAddr is set — a fleet coordinator that shards cells to
-// joined workers. The returned close function drains the fabric (no-op
-// for the local path). workers<=0 uses every core; 1 is the serial path.
-func newRunner(workers int, cacheDir string, progress bool, fabricAddr, cacheURL string) (swbench.Runner, func(), error) {
-	var events func(swbench.CampaignEvent)
+// experiment grids through (see orchestrate). workers<=0 uses every core;
+// 1 is the serial path.
+func newRunner(workers int, cacheDir string, progress bool, fabricAddr, cacheURL string) (*swbench.Orchestrator, func(), error) {
+	opts := swbench.CampaignOptions{Workers: workers}
 	if progress {
-		events = progressPrinter(os.Stderr)
+		opts.Events = progressPrinter(os.Stderr)
 	}
-	store, _, err := buildStore(cacheDir, cacheURL)
-	if err != nil {
+	var err error
+	if opts.Cache, _, err = buildStore(cacheDir, cacheURL); err != nil {
 		return nil, nil, err
 	}
+	return orchestrate(opts, fabricAddr)
+}
+
+// orchestrate returns the one campaign loop for opts: cells execute in
+// process, or — when fabricAddr is set — on the worker fleet this
+// process coordinates. The returned close function drains the fleet
+// (no-op for the local path).
+func orchestrate(opts swbench.CampaignOptions, fabricAddr string) (*swbench.Orchestrator, func(), error) {
 	if fabricAddr != "" {
-		return startFabric(fabricAddr, store, nil, 0, events)
+		return startFabric(fabricAddr, opts)
 	}
-	opts := swbench.CampaignOptions{Workers: workers, Cache: store, Events: events}
 	return swbench.NewOrchestrator(context.Background(), opts), func() {}, nil
 }
 
@@ -74,8 +79,7 @@ func campaignCmd(args []string) error {
 		}
 	}()
 
-	o := suiteOpts(*quick)
-	c, err := swbench.BuiltinCampaign(name, o)
+	c, err := swbench.BuiltinCampaign(name, suiteOpts(*quick))
 	if err != nil {
 		return err
 	}
@@ -99,25 +103,17 @@ func campaignCmd(args []string) error {
 		events = progressPrinter(os.Stderr)
 	}
 
-	var rep *swbench.CampaignReport
-	if *fabricAddr != "" {
-		r, closeFabric, err := startFabric(*fabricAddr, store, manifest, *timeout, events)
-		if err != nil {
-			return err
-		}
-		rep, err = r.(*swbench.FabricRunner).RunCampaign(c)
-		closeFabric()
-		if err != nil {
-			return err
-		}
-	} else {
-		copts := swbench.CampaignOptions{
-			Workers: *workers, Timeout: *timeout,
-			Cache: store, Manifest: manifest, Events: events,
-		}
-		if rep, err = swbench.NewOrchestrator(context.Background(), copts).Run(c); err != nil {
-			return err
-		}
+	o, closeFabric, err := orchestrate(swbench.CampaignOptions{
+		Workers: *workers, Timeout: *timeout,
+		Cache: store, Manifest: manifest, Events: events,
+	}, *fabricAddr)
+	if err != nil {
+		return err
+	}
+	rep, err := o.Run(c)
+	closeFabric()
+	if err != nil {
+		return err
 	}
 	if *artifacts != "" {
 		if err := writeArtifacts(*artifacts, rep, *resume); err != nil {

@@ -36,11 +36,10 @@ func buildStore(cacheDir, cacheURL string) (swbench.ResultStore, *swbench.Result
 }
 
 // startFabric turns this process into a campaign coordinator: it listens
-// on addr, prints the join hint, and returns a Runner that shards cells
-// to whichever workers lease them. The close function drains the fleet
+// on addr, prints the join hint, and returns the orchestrator for opts
+// with the fleet as its executor. The close function drains the fleet
 // (idle workers are told to shut down) and stops the listener.
-func startFabric(addr string, store swbench.ResultStore, manifest *swbench.CampaignManifest,
-	timeout time.Duration, events func(swbench.CampaignEvent)) (swbench.Runner, func(), error) {
+func startFabric(addr string, opts swbench.CampaignOptions) (*swbench.Orchestrator, func(), error) {
 	co := swbench.NewFabricCoordinator(swbench.FabricCoordinatorOptions{})
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -50,9 +49,7 @@ func startFabric(addr string, store swbench.ResultStore, manifest *swbench.Campa
 	go srv.Serve(ln)
 	fmt.Fprintf(os.Stderr, "fabric: coordinator on %s — join workers with: swbench worker -join %s\n",
 		ln.Addr(), ln.Addr())
-	r := swbench.NewFabricRunner(context.Background(), co, swbench.FabricRunnerOptions{
-		Cache: store, Manifest: manifest, Timeout: timeout, Events: events,
-	})
+	r := swbench.NewFabricRunner(context.Background(), co, opts)
 	closeFn := func() {
 		co.Close()
 		// One idle-poll beat so workers observe the shutdown signal and

@@ -34,8 +34,7 @@ type Store interface {
 // reads as a miss and is overwritten by the recomputed result, never a
 // fatal error.
 type Cache struct {
-	dir     string
-	version string
+	dir string
 }
 
 var _ Store = (*Cache)(nil)
@@ -45,7 +44,7 @@ func OpenCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: opening cache: %w", err)
 	}
-	return &Cache{dir: dir, version: cost.ModelVersion}, nil
+	return &Cache{dir: dir}, nil
 }
 
 // Dir returns the cache directory.
@@ -60,30 +59,24 @@ type entry struct {
 	Result  core.Result `json:"result"`
 }
 
-// keyFor is the content-address function: SHA-256 over the version string
-// and the canonical config JSON, NUL-separated.
-func keyFor(version string, cfg core.Config) string {
+// CacheKey returns cfg's content address under the current cost model:
+// SHA-256 over cost.ModelVersion and the canonical config JSON,
+// NUL-separated. It is what every result store — local dir, cache
+// server, campaign manifest — addresses by, and what makes remote
+// execution safe: two machines agreeing on a key agree on the canonical
+// config and the cost model, so either one's result is valid for both.
+func CacheKey(cfg core.Config) string {
 	blob, err := json.Marshal(cfg.Canonical())
 	if err != nil {
 		// Config is a plain value struct; Marshal cannot fail.
 		panic(fmt.Sprintf("campaign: marshaling config: %v", err))
 	}
 	h := sha256.New()
-	h.Write([]byte(version))
+	h.Write([]byte(cost.ModelVersion))
 	h.Write([]byte{0})
 	h.Write(blob)
 	return hex.EncodeToString(h.Sum(nil))
 }
-
-// CacheKey returns cfg's content address under the current cost model.
-// It is what every result store — local dir, cache server, campaign
-// manifest — addresses by, and what makes remote execution safe: two
-// machines agreeing on a key agree on the canonical config and the cost
-// model, so either one's result is valid for both.
-func CacheKey(cfg core.Config) string { return keyFor(cost.ModelVersion, cfg) }
-
-// Key returns the content address of cfg under the cache's cost model.
-func (c *Cache) Key(cfg core.Config) string { return keyFor(c.version, cfg) }
 
 // EncodeEntry renders (cfg, res) as a self-describing cache entry blob
 // under the current cost model, returning its content address. The blob
@@ -109,10 +102,7 @@ func DecodeEntry(key string, blob []byte) (core.Result, bool) {
 	if err := json.Unmarshal(blob, &e); err != nil {
 		return core.Result{}, false
 	}
-	if e.Key != key || e.Version != cost.ModelVersion {
-		return core.Result{}, false
-	}
-	if keyFor(e.Version, e.Config) != key {
+	if e.Key != key || e.Version != cost.ModelVersion || CacheKey(e.Config) != key {
 		return core.Result{}, false
 	}
 	return e.Result, true
@@ -122,35 +112,24 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key[:2], key+".json")
 }
 
-// Get returns the cached result for cfg, if present and intact.
+// Get returns the cached result for cfg, if present and intact: a
+// corrupted, stale or mismatched entry (see DecodeEntry) reads as a miss
+// and is recomputed.
 func (c *Cache) Get(cfg core.Config) (core.Result, bool) {
-	key := c.Key(cfg)
+	key := CacheKey(cfg)
 	blob, err := os.ReadFile(c.path(key))
 	if err != nil {
 		return core.Result{}, false
 	}
-	var e entry
-	if err := json.Unmarshal(blob, &e); err != nil {
-		return core.Result{}, false // corrupted: recompute
-	}
-	if e.Key != key || e.Version != c.version {
-		return core.Result{}, false // stale or mangled entry
-	}
-	return e.Result, true
+	return DecodeEntry(key, blob)
 }
 
 // Put stores a result. Write errors are swallowed: a cache that cannot
 // persist degrades to recomputation, it does not fail the campaign.
 func (c *Cache) Put(cfg core.Config, res core.Result) {
-	key := c.Key(cfg)
-	blob, err := json.Marshal(entry{
-		Key: key, Version: c.version,
-		Config: cfg.Canonical(), Result: res,
-	})
-	if err != nil {
-		return
+	if key, blob, err := EncodeEntry(cfg, res); err == nil {
+		c.writeAtomic(key, blob)
 	}
-	c.writeAtomic(key, blob)
 }
 
 // GetBlob returns the raw entry blob stored under key, validated — a

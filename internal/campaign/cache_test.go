@@ -2,11 +2,14 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/units"
 )
 
@@ -83,9 +86,24 @@ func TestCacheMissOnAnyFieldChange(t *testing.T) {
 	}
 }
 
+// writeEntry stores e as cfg's entry, bypassing Put's encoding.
+func writeEntry(t *testing.T, cache *Cache, cfg core.Config, e entry) {
+	t.Helper()
+	blob, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := cache.path(CacheKey(cfg))
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCacheMissOnCostModelVersionBump(t *testing.T) {
-	dir := t.TempDir()
-	cache, err := OpenCache(dir)
+	cache, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +112,58 @@ func TestCacheMissOnCostModelVersionBump(t *testing.T) {
 	if _, ok := cache.Get(cfg); !ok {
 		t.Fatal("baseline miss")
 	}
-	// A recalibrated cost model must invalidate every entry.
-	bumped := &Cache{dir: dir, version: "conext19-cal2"}
-	if _, ok := bumped.Get(cfg); ok {
-		t.Fatal("version bump did not invalidate the cache")
+	// An entry measured under another cost model must never be served.
+	writeEntry(t, cache, cfg, entry{
+		Key: CacheKey(cfg), Version: cost.ModelVersion + "-stale",
+		Config: cfg.Canonical(), Result: core.Result{Gbps: 1},
+	})
+	if _, ok := cache.Get(cfg); ok {
+		t.Fatal("stale cost-model version served as a hit")
 	}
+}
+
+// TestCacheMissOnMismatchedConfig stores a well-formed entry with the
+// right key and version but another config: the local tier must refuse
+// it exactly as the cache server refuses it on PUT.
+func TestCacheMissOnMismatchedConfig(t *testing.T) {
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := quickCfg("vpp", core.P2P)
+	writeEntry(t, cache, cfg, entry{
+		Key: CacheKey(cfg), Version: cost.ModelVersion,
+		Config: quickCfg("ovs", core.P2P).Canonical(), Result: core.Result{Gbps: 1},
+	})
+	if _, ok := cache.Get(cfg); ok {
+		t.Fatal("entry whose config does not hash to its key served as a hit")
+	}
+}
+
+// FuzzDecodeEntry feeds arbitrary (key, blob) pairs to the decoder every
+// cache tier and the cache server trust: it must never panic, and it may
+// accept a blob only when the embedded config re-hashes to key.
+func FuzzDecodeEntry(f *testing.F) {
+	cfg := quickCfg("vpp", core.P2P)
+	key, blob, err := EncodeEntry(cfg, core.Result{Gbps: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(key, blob)
+	f.Add(CacheKey(quickCfg("ovs", core.P2P)), blob)
+	f.Add(key, []byte(`{"key":"`+key+`","version":"`+cost.ModelVersion+`","config":{}}`))
+	f.Fuzz(func(t *testing.T, key string, blob []byte) {
+		if _, ok := DecodeEntry(key, blob); !ok {
+			return
+		}
+		var e entry
+		if err := json.Unmarshal(blob, &e); err != nil {
+			t.Fatalf("accepted a blob that does not parse: %v", err)
+		}
+		if got := CacheKey(e.Config); got != key {
+			t.Fatalf("accepted key %q for a config that hashes to %q", key, got)
+		}
+	})
 }
 
 func TestCacheCorruptedEntryRecomputed(t *testing.T) {
@@ -108,7 +173,7 @@ func TestCacheCorruptedEntryRecomputed(t *testing.T) {
 	}
 	cfg := quickCfg("vpp", core.P2P)
 	cache.Put(cfg, core.Result{Gbps: 42})
-	path := cache.path(cache.Key(cfg))
+	path := cache.path(CacheKey(cfg))
 
 	for _, garbage := range []string{"", "{", "not json at all", `{"key":"wrong","version":"x"}`} {
 		if err := os.WriteFile(path, []byte(garbage), 0o644); err != nil {

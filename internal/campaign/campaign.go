@@ -112,6 +112,11 @@ type Options struct {
 	// Events receives progress events (nil = silent). Callbacks are
 	// serialized; they must not block for long.
 	Events func(Event)
+	// Execute runs one cell that neither the manifest nor the cache
+	// answered (nil = ExecuteCell over core.Run, in process). It owns
+	// isolation and the Timeout budget, and may stamp Outcome.Worker and
+	// Outcome.Cached; internal/fabric supplies a fleet executor.
+	Execute func(ctx context.Context, spec Spec, timeout time.Duration) Outcome
 }
 
 // Orchestrator executes campaigns under one Options set. It implements
@@ -119,9 +124,6 @@ type Options struct {
 type Orchestrator struct {
 	opts Options
 	ctx  context.Context
-	// run executes one simulation; tests swap it to inject panics and
-	// stalls.
-	run func(core.Config) (core.Result, error)
 }
 
 // New returns an orchestrator. ctx cancels campaign execution between
@@ -133,7 +135,12 @@ func New(ctx context.Context, opts Options) *Orchestrator {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	return &Orchestrator{opts: opts, ctx: ctx, run: core.Run}
+	if opts.Execute == nil {
+		opts.Execute = func(ctx context.Context, spec Spec, timeout time.Duration) Outcome {
+			return ExecuteCell(ctx, core.Run, spec, timeout)
+		}
+	}
+	return &Orchestrator{opts: opts, ctx: ctx}
 }
 
 // ErrCellTimeout marks a cell that exceeded Options.Timeout.
@@ -261,17 +268,13 @@ func (o *Orchestrator) Run(c Campaign) (*Report, error) {
 
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	workers := o.opts.Workers
-	if workers > len(c.Specs) && len(c.Specs) > 0 {
-		workers = len(c.Specs)
-	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(o.opts.Workers, len(c.Specs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
 				spec := c.Specs[i]
-				emit(Event{Type: EventStarted, Index: i, ID: spec.ID, Worker: "local"})
+				emit(Event{Type: EventStarted, Index: i, ID: spec.ID})
 				finish(i, o.runCell(i, spec))
 			}
 		}()
@@ -301,6 +304,11 @@ feed:
 	}
 	close(idx)
 	wg.Wait()
+	if ctxErr == nil {
+		// Cancelled after every cell was handed out: in-flight cells
+		// carry the context error.
+		ctxErr = o.ctx.Err()
+	}
 
 	rep.Wall = time.Since(start)
 	for _, out := range rep.Outcomes {
@@ -314,31 +322,32 @@ feed:
 	return rep, ctxErr
 }
 
-// runCell executes one cell: manifest replay, cache lookup, then a
-// recovered, timed run whose result feeds back into both ledgers.
-func (o *Orchestrator) runCell(index int, spec Spec) (out Outcome) {
+// runCell executes one cell: manifest replay, cache lookup, then the
+// executor, whose result feeds back into both ledgers. Served cells are
+// timed here; executed cells keep the executor's own wall time.
+func (o *Orchestrator) runCell(index int, spec Spec) Outcome {
 	start := time.Now()
-	defer func() { out.Wall = time.Since(start) }()
-
 	var key string
 	if o.opts.Manifest != nil {
 		key = CacheKey(spec.Cfg)
 		if res, ok := o.opts.Manifest.Lookup(key); ok {
-			return Outcome{Spec: spec, Result: res, Cached: true, Worker: "manifest"}
+			return Outcome{Spec: spec, Result: res, Cached: true, Worker: "manifest", Wall: time.Since(start)}
 		}
 	}
 	if o.opts.Cache != nil {
 		if res, ok := o.opts.Cache.Get(spec.Cfg); ok {
-			out = Outcome{Spec: spec, Result: res, Cached: true, Worker: "local"}
-			o.record(index, spec, key, out.Result)
-			return out
+			o.record(index, spec, key, res)
+			return Outcome{Spec: spec, Result: res, Cached: true, Worker: "local", Wall: time.Since(start)}
 		}
 	}
 
-	out = ExecuteCell(o.ctx, o.run, spec, o.opts.Timeout)
-	out.Worker = "local"
+	out := o.opts.Execute(o.ctx, spec, o.opts.Timeout)
+	if out.Worker == "" {
+		out.Worker = "local"
+	}
 	if out.Err == nil {
-		if o.opts.Cache != nil {
+		// A cell the executor served from its own cache is already stored.
+		if o.opts.Cache != nil && !out.Cached {
 			o.opts.Cache.Put(spec.Cfg, out.Result)
 		}
 		o.record(index, spec, key, out.Result)
@@ -357,12 +366,12 @@ func (o *Orchestrator) record(index int, spec Spec, key string, res core.Result)
 
 // ExecuteCell runs one cell with panic recovery and an optional
 // wall-clock timeout — the single per-cell isolation path shared by the
-// local orchestrator and the fabric workers. Because a simulation cannot
+// in-process executor and the fabric workers. Because a simulation cannot
 // be preempted mid-step, a timed-out or cancelled cell's goroutine is
 // abandoned and the caller moves on. The returned Outcome carries the
 // host wall-clock time; the caller stamps executor identity.
-func ExecuteCell(ctx context.Context, run func(core.Config) (core.Result, error), spec Spec, timeout time.Duration) Outcome {
-	out := Outcome{Spec: spec}
+func ExecuteCell(ctx context.Context, run func(core.Config) (core.Result, error), spec Spec, timeout time.Duration) (out Outcome) {
+	out = Outcome{Spec: spec}
 	start := time.Now()
 	defer func() { out.Wall = time.Since(start) }()
 	if ctx == nil {

@@ -23,6 +23,14 @@ func quickCfg(name string, scn core.ScenarioKind) core.Config {
 	}
 }
 
+// runWith is the in-process executor over run, which tests swap in to
+// inject panics, stalls and counters.
+func runWith(run func(core.Config) (core.Result, error)) func(context.Context, Spec, time.Duration) Outcome {
+	return func(ctx context.Context, spec Spec, timeout time.Duration) Outcome {
+		return ExecuteCell(ctx, run, spec, timeout)
+	}
+}
+
 // smallCampaign mixes switches and scenarios across 8 cells.
 func smallCampaign(name string) Campaign {
 	var specs []Spec
@@ -64,13 +72,12 @@ func TestCampaignRunsAllCells(t *testing.T) {
 func TestPanicIsolation(t *testing.T) {
 	c := smallCampaign("panic")
 	c.Specs = append(c.Specs, Spec{ID: "boom", Cfg: quickCfg("snabb", core.P2P)})
-	o := New(context.Background(), Options{Workers: 4})
-	o.run = func(cfg core.Config) (core.Result, error) {
+	o := New(context.Background(), Options{Workers: 4, Execute: runWith(func(cfg core.Config) (core.Result, error) {
 		if cfg.Switch == "snabb" {
 			panic("simulated diverging cell")
 		}
 		return core.Run(cfg)
-	}
+	})})
 	rep, err := o.Run(c)
 	if err != nil {
 		t.Fatal(err)
@@ -117,8 +124,7 @@ func TestCellTimeout(t *testing.T) {
 		{Cfg: quickCfg("ovs", core.P2P)},
 		{ID: "stuck", Cfg: quickCfg("t4p4s", core.P2P)},
 	}}
-	o := New(context.Background(), Options{Workers: 2, Timeout: 3 * time.Second})
-	o.run = stall
+	o := New(context.Background(), Options{Workers: 2, Timeout: 3 * time.Second, Execute: runWith(stall)})
 	rep, err := o.Run(c)
 	if err != nil {
 		t.Fatal(err)
@@ -136,11 +142,10 @@ func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
 	c := smallCampaign("cancel")
-	o := New(ctx, Options{Workers: 1})
-	o.run = func(cfg core.Config) (core.Result, error) {
+	o := New(ctx, Options{Workers: 1, Execute: runWith(func(cfg core.Config) (core.Result, error) {
 		once.Do(cancel) // cancel as soon as the first cell runs
 		return core.Run(cfg)
-	}
+	})})
 	rep, err := o.Run(c)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -27,12 +27,11 @@ func TestManifestResume(t *testing.T) {
 
 	// "Interrupted" first run: only the first k cells ever happened.
 	partial := Campaign{Name: full.Name, Specs: full.Specs[:k]}
-	o := New(context.Background(), Options{Workers: 2, Manifest: m})
 	var firstExecs atomic.Int64
-	o.run = func(cfg core.Config) (core.Result, error) {
+	o := New(context.Background(), Options{Workers: 2, Manifest: m, Execute: runWith(func(cfg core.Config) (core.Result, error) {
 		firstExecs.Add(1)
 		return core.Run(cfg)
-	}
+	})})
 	firstRep, err := o.Run(partial)
 	if err != nil || firstRep.Failed != 0 {
 		t.Fatalf("partial run: %v / %v", err, firstRep.Err())
@@ -54,11 +53,10 @@ func TestManifestResume(t *testing.T) {
 		t.Fatalf("reloaded manifest has %d cells, want %d", m2.Len(), k)
 	}
 	var resumeExecs atomic.Int64
-	o2 := New(context.Background(), Options{Workers: 2, Manifest: m2})
-	o2.run = func(cfg core.Config) (core.Result, error) {
+	o2 := New(context.Background(), Options{Workers: 2, Manifest: m2, Execute: runWith(func(cfg core.Config) (core.Result, error) {
 		resumeExecs.Add(1)
 		return core.Run(cfg)
-	}
+	})})
 	rep, err := o2.Run(full)
 	if err != nil || rep.Failed != 0 {
 		t.Fatalf("resume run: %v / %v", err, rep.Err())
@@ -109,13 +107,12 @@ func TestManifestFailuresNotRecorded(t *testing.T) {
 		{Cfg: quickCfg("vpp", core.P2P)},
 		{ID: "boom", Cfg: quickCfg("snabb", core.P2P)},
 	}}
-	o := New(context.Background(), Options{Workers: 1, Manifest: m})
-	o.run = func(cfg core.Config) (core.Result, error) {
+	o := New(context.Background(), Options{Workers: 1, Manifest: m, Execute: runWith(func(cfg core.Config) (core.Result, error) {
 		if cfg.Switch == "snabb" {
 			panic("injected")
 		}
 		return core.Run(cfg)
-	}
+	})})
 	if _, err := o.Run(c); err != nil {
 		t.Fatal(err)
 	}

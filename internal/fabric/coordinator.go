@@ -35,132 +35,83 @@ type CoordinatorOptions struct {
 //
 // Workers pull batches at their own pace — a fast machine simply leases
 // more often, which is all the load balancing a grid of independent
-// deterministic cells needs. Completions are slotted by (job, index), so
-// outcome order is spec order regardless of which worker finished when,
-// and a late duplicate completion of a re-issued cell is ignored.
+// deterministic cells needs. Execute is the campaign-side half: it queues
+// one cell and blocks until a worker completes it. A completion only
+// lands on a cell currently leased to the worker reporting it, so a late
+// completion of a re-issued cell is ignored.
 type Coordinator struct {
 	opts CoordinatorOptions
 
 	mu      sync.Mutex
-	jobs    map[int]*Job
-	order   []int // job submission order: leases drain older jobs first
-	nextJob int
+	cells   map[int]*queuedCell // by Cell.Seq; removed on completion or abandonment
+	pending []int               // FIFO of Seqs awaiting a lease (withdrawn Seqs are skipped)
+	nextSeq int
 	closed  bool
 
 	reissued int64
 	leases   map[string]int64 // worker -> cells leased (liveness view)
 }
 
-// cellState is one cell's lifecycle within a job.
-type cellState uint8
-
-const (
-	statePending cellState = iota
-	stateLeased
-	stateDone
-)
-
-// Job is one submitted batch of cells awaiting fleet execution.
-type Job struct {
-	id       int
-	co       *Coordinator
-	specs    []campaign.Spec
+// queuedCell is one cell awaiting a worker.
+type queuedCell struct {
+	spec     campaign.Spec
 	timeout  time.Duration
-	emit     func(campaign.Event)
-	state    []cellState
-	deadline []time.Time
-	pending  []int // FIFO of pending cell indices
-	outcomes []campaign.Outcome
-	left     int
-	done     chan struct{}
+	leased   bool
+	worker   string // lessee while leased
+	deadline time.Time
+	done     chan campaign.Outcome // buffered: complete never blocks
 }
 
 // NewCoordinator returns an empty coordinator; expose it with any
-// http.Server (it implements http.Handler) and feed it with Submit.
+// http.Server (it implements http.Handler) and feed it through Execute.
 func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = DefaultLeaseTTL
 	}
 	return &Coordinator{
 		opts:   opts,
-		jobs:   make(map[int]*Job),
+		cells:  make(map[int]*queuedCell),
 		leases: make(map[string]int64),
 	}
 }
 
-// Submit enqueues a batch of cells for the fleet. emit (optional)
-// receives per-cell progress events with job-local indices and worker
-// identities; timeout is the per-cell wall-clock budget workers enforce.
-func (co *Coordinator) Submit(specs []campaign.Spec, timeout time.Duration, emit func(campaign.Event)) *Job {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	j := &Job{
-		id:       co.nextJob,
-		co:       co,
-		specs:    specs,
-		timeout:  timeout,
-		emit:     emit,
-		state:    make([]cellState, len(specs)),
-		deadline: make([]time.Time, len(specs)),
-		pending:  make([]int, 0, len(specs)),
-		outcomes: make([]campaign.Outcome, len(specs)),
-		left:     len(specs),
-		done:     make(chan struct{}),
-	}
-	co.nextJob++
-	for i := range specs {
-		j.pending = append(j.pending, i)
-	}
-	if j.left == 0 {
-		close(j.done)
-	} else {
-		co.jobs[j.id] = j
-		co.order = append(co.order, j.id)
-	}
-	return j
-}
-
-// Wait blocks until every cell of the job completed, returning outcomes
-// in spec order. Context cancellation abandons the job: cells not yet
-// completed report the context error, mirroring the local orchestrator.
-func (j *Job) Wait(ctx context.Context) ([]campaign.Outcome, error) {
+// Execute queues one cell for the fleet and blocks until a worker
+// completes it; timeout is the per-cell wall-clock budget the worker
+// enforces. When ctx ends first the cell is withdrawn — never leased
+// again, its completion ignored — and the outcome carries ctx's error.
+// Execute has the shape of campaign.Options.Execute, which is how the
+// orchestrator runs cells on the fleet.
+func (co *Coordinator) Execute(ctx context.Context, spec campaign.Spec, timeout time.Duration) campaign.Outcome {
+	seq, c := co.enqueue(spec, timeout)
 	select {
-	case <-j.done:
-		return j.outcomes, nil
+	case out := <-c.done:
+		return out
 	case <-ctx.Done():
 	}
-	j.co.mu.Lock()
-	defer j.co.mu.Unlock()
+	co.mu.Lock()
+	delete(co.cells, seq)
+	co.mu.Unlock()
 	select {
-	case <-j.done:
-		// Completed while we were acquiring the lock.
-		return j.outcomes, nil
+	case out := <-c.done: // completed while we were acquiring the lock
+		return out
 	default:
-	}
-	for i := range j.specs {
-		if j.state[i] != stateDone {
-			j.state[i] = stateDone
-			j.outcomes[i] = campaign.Outcome{Spec: j.specs[i], Err: ctx.Err()}
-		}
-	}
-	j.left = 0
-	j.co.drop(j.id)
-	close(j.done)
-	return j.outcomes, ctx.Err()
-}
-
-// drop removes a job from the dispatch rotation. Caller holds co.mu.
-func (co *Coordinator) drop(id int) {
-	delete(co.jobs, id)
-	for i, jid := range co.order {
-		if jid == id {
-			co.order = append(co.order[:i], co.order[i+1:]...)
-			break
-		}
+		return campaign.Outcome{Spec: spec, Err: ctx.Err()}
 	}
 }
 
-// Close marks the coordinator as draining: once the jobs in flight
+// enqueue adds a pending cell and returns its Seq.
+func (co *Coordinator) enqueue(spec campaign.Spec, timeout time.Duration) (int, *queuedCell) {
+	c := &queuedCell{spec: spec, timeout: timeout, done: make(chan campaign.Outcome, 1)}
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	seq := co.nextSeq
+	co.nextSeq++
+	co.cells[seq] = c
+	co.pending = append(co.pending, seq)
+	return seq, c
+}
+
+// Close marks the coordinator as draining: once the cells in flight
 // finish, idle workers are told to shut down instead of polling forever.
 func (co *Coordinator) Close() {
 	co.mu.Lock()
@@ -175,104 +126,71 @@ func (co *Coordinator) Reissued() int64 {
 	return co.reissued
 }
 
-// reap hands expired leases back to their pending queues. Caller holds
-// co.mu.
-func (co *Coordinator) reap(now time.Time) {
-	for _, jid := range co.order {
-		j := co.jobs[jid]
-		for i := range j.specs {
-			if j.state[i] == stateLeased && now.After(j.deadline[i]) {
-				j.state[i] = statePending
-				j.pending = append(j.pending, i)
-				co.reissued++
-			}
-		}
-	}
-}
-
-// lease hands out up to n cells across jobs in submission order.
+// lease hands out up to n cells in queue order, first returning expired
+// leases to the back of the queue.
 func (co *Coordinator) lease(n int, worker string) LeaseResponse {
 	now := time.Now()
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	co.reap(now)
-	var cells []Cell
-	for _, jid := range co.order {
-		j := co.jobs[jid]
-		for len(cells) < n && len(j.pending) > 0 {
-			i := j.pending[0]
-			j.pending = j.pending[1:]
-			if j.state[i] != statePending {
-				continue
-			}
-			j.state[i] = stateLeased
-			j.deadline[i] = now.Add(co.opts.LeaseTTL)
-			spec := j.specs[i]
-			cells = append(cells, Cell{
-				Job: j.id, Index: i, ID: spec.ID,
-				Key:       campaign.CacheKey(spec.Cfg),
-				Config:    spec.Cfg,
-				TimeoutMs: j.timeout.Milliseconds(),
-			})
-			if j.emit != nil {
-				j.emit(campaign.Event{Type: campaign.EventStarted, Index: i, ID: spec.ID, Worker: worker})
-			}
-		}
-		if len(cells) >= n {
-			break
+	for seq, c := range co.cells {
+		if c.leased && now.After(c.deadline) {
+			c.leased = false
+			co.pending = append(co.pending, seq)
+			co.reissued++
 		}
 	}
+	var cells []Cell
+	for len(cells) < n && len(co.pending) > 0 {
+		seq := co.pending[0]
+		co.pending = co.pending[1:]
+		c, ok := co.cells[seq]
+		if !ok {
+			continue // withdrawn by its Execute call
+		}
+		c.leased, c.worker = true, worker
+		c.deadline = now.Add(co.opts.LeaseTTL)
+		cells = append(cells, Cell{
+			Seq: seq, ID: c.spec.ID,
+			Key:       campaign.CacheKey(c.spec.Cfg),
+			Config:    c.spec.Cfg,
+			TimeoutMs: c.timeout.Milliseconds(),
+		})
+	}
 	co.leases[worker] += int64(len(cells))
-	return LeaseResponse{Cells: cells, Shutdown: co.closed && len(cells) == 0 && len(co.order) == 0}
+	return LeaseResponse{Cells: cells, Shutdown: co.closed && len(co.cells) == 0}
 }
 
-// complete slots finished cells back into their jobs.
+// complete hands finished cells back to their Execute calls. Completions
+// for cells not currently leased to the reporting worker — withdrawn,
+// already done, reaped, re-issued elsewhere, or never issued — are
+// ignored.
 func (co *Coordinator) complete(comps []Completion) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	for _, c := range comps {
-		j, ok := co.jobs[c.Job]
-		if !ok || c.Index < 0 || c.Index >= len(j.specs) {
-			continue // abandoned job or garbage index
+	for _, comp := range comps {
+		c, ok := co.cells[comp.Seq]
+		if !ok || !c.leased || c.worker != comp.Worker {
+			continue
 		}
-		if j.state[c.Index] == stateDone {
-			continue // late duplicate of a re-issued cell
-		}
-		j.state[c.Index] = stateDone
+		delete(co.cells, comp.Seq)
 		out := campaign.Outcome{
-			Spec:     j.specs[c.Index],
-			Err:      decodeErr(c.ErrKind, c.Err),
-			Cached:   c.Cached,
-			Panicked: c.Panicked,
-			Stack:    c.Stack,
-			Worker:   c.Worker,
-			Wall:     time.Duration(c.WallMs * float64(time.Millisecond)),
+			Spec:     c.spec,
+			Err:      decodeErr(comp.ErrKind, comp.Err),
+			Cached:   comp.Cached,
+			Panicked: comp.Panicked,
+			Stack:    comp.Stack,
+			Worker:   comp.Worker,
+			Wall:     time.Duration(comp.WallMs * float64(time.Millisecond)),
 		}
-		if c.Result != nil {
-			out.Result = *c.Result
+		if comp.Result != nil {
+			out.Result = *comp.Result
 		}
-		j.outcomes[c.Index] = out
-		j.left--
-		if j.emit != nil {
-			typ := campaign.EventFinished
-			switch {
-			case campaign.CellFailed(out.Err):
-				typ = campaign.EventFailed
-			case out.Cached:
-				typ = campaign.EventCached
-			}
-			j.emit(campaign.Event{Type: typ, Index: c.Index, ID: out.Spec.ID, Err: out.Err, Wall: out.Wall, Worker: out.Worker})
-		}
-		if j.left == 0 {
-			co.drop(j.id)
-			close(j.done)
-		}
+		c.done <- out
 	}
 }
 
 // CoordinatorStatus is the /status JSON.
 type CoordinatorStatus struct {
-	Jobs     int              `json:"jobs"`
 	Pending  int              `json:"pending"`
 	Leased   int              `json:"leased"`
 	Reissued int64            `json:"reissued"`
@@ -285,21 +203,17 @@ func (co *Coordinator) Status() CoordinatorStatus {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	st := CoordinatorStatus{
-		Jobs: len(co.order), Reissued: co.reissued, Closed: co.closed,
+		Reissued: co.reissued, Closed: co.closed,
 		Workers: make(map[string]int64, len(co.leases)),
 	}
 	for w, n := range co.leases {
 		st.Workers[w] = n
 	}
-	for _, jid := range co.order {
-		j := co.jobs[jid]
-		for i := range j.specs {
-			switch j.state[i] {
-			case statePending:
-				st.Pending++
-			case stateLeased:
-				st.Leased++
-			}
+	for _, c := range co.cells {
+		if c.leased {
+			st.Leased++
+		} else {
+			st.Pending++
 		}
 	}
 	return st

@@ -96,7 +96,7 @@ func TestFleetMatchesSerial(t *testing.T) {
 			}
 		},
 	})
-	rep, err := r.RunCampaign(c)
+	rep, err := r.Run(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +181,11 @@ func TestSharedCacheDedupesAcrossSubmissions(t *testing.T) {
 	cacheURL, _ := startFleet(t, co, 2)
 
 	r := NewRunner(context.Background(), co, RunnerOptions{Cache: NewCacheClient(cacheURL)})
-	first, err := r.RunCampaign(c)
+	first, err := r.Run(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := r.RunCampaign(c)
+	second, err := r.Run(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,9 +212,63 @@ func TestSharedCacheDedupesAcrossSubmissions(t *testing.T) {
 	}
 }
 
+// testCtx bounds a test's blocking calls by its -timeout deadline, so a
+// hang fails the test instead of stalling the suite.
+func testCtx(t *testing.T) context.Context {
+	t.Helper()
+	deadline, ok := t.Deadline()
+	if !ok {
+		deadline = time.Now().Add(time.Minute)
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), deadline.Add(-time.Second))
+	t.Cleanup(cancel)
+	return ctx
+}
+
+// waitStatus polls the coordinator until cond holds or ctx ends.
+func waitStatus(ctx context.Context, t *testing.T, co *Coordinator, cond func(CoordinatorStatus) bool) {
+	t.Helper()
+	for !cond(co.Status()) {
+		if ctx.Err() != nil {
+			t.Fatalf("coordinator never reached the expected state: %+v", co.Status())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// leaseHTTP leases up to n cells as worker over the wire.
+func leaseHTTP(t *testing.T, url string, n int, worker string) []Cell {
+	t.Helper()
+	resp, err := http.Post(fmt.Sprintf("%s/lease?n=%d&worker=%s", url, n, worker), "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var lr LeaseResponse
+	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
+		t.Fatal(err)
+	}
+	return lr.Cells
+}
+
+// completeHTTP reports completions over the wire.
+func completeHTTP(t *testing.T, url string, comps ...Completion) {
+	t.Helper()
+	blob, _ := json.Marshal(comps)
+	resp, err := http.Post(url+"/complete", "application/json", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("complete: %s", resp.Status)
+	}
+}
+
 // TestLeaseExpiryReissue leases cells to a ghost that never completes
-// them; after the TTL a live worker must pick them up and finish the job.
+// them; after the TTL a live worker must pick them up and finish them.
 func TestLeaseExpiryReissue(t *testing.T) {
+	ctx := testCtx(t)
 	co := NewCoordinator(CoordinatorOptions{LeaseTTL: 50 * time.Millisecond})
 	defer co.Close()
 	coSrv := httptest.NewServer(co)
@@ -225,50 +279,172 @@ func TestLeaseExpiryReissue(t *testing.T) {
 		{ID: "b", Cfg: quickCfg("ovs", core.P2P)},
 		{ID: "c", Cfg: quickCfg("vale", core.P2P)},
 	}
-	job := co.Submit(specs, 0, nil)
+	outs := make([]campaign.Outcome, len(specs))
+	var wg sync.WaitGroup
+	for i, spec := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i] = co.Execute(ctx, spec, 0)
+		}()
+	}
+	waitStatus(ctx, t, co, func(st CoordinatorStatus) bool { return st.Pending == len(specs) })
 
 	// The ghost worker leases everything and vanishes without completing.
-	resp, err := http.Post(coSrv.URL+"/lease?n=8&worker=ghost", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lr LeaseResponse
-	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(lr.Cells) != len(specs) {
-		t.Fatalf("ghost leased %d cells, want %d", len(lr.Cells), len(specs))
+	if cells := leaseHTTP(t, coSrv.URL, 8, "ghost"); len(cells) != len(specs) {
+		t.Fatalf("ghost leased %d cells, want %d", len(cells), len(specs))
 	}
 
 	// A live worker joins; nothing is pending until the leases expire.
-	ctx, cancel := context.WithCancel(context.Background())
+	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	go RunWorker(ctx, WorkerOptions{
+	go RunWorker(wctx, WorkerOptions{
 		ID: "live", Coordinator: coSrv.URL, Poll: 5 * time.Millisecond,
 	})
-
-	waitCtx, waitCancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer waitCancel()
-	outs, err := job.Wait(waitCtx)
-	if err != nil {
-		t.Fatalf("job did not recover from the dead lease: %v", err)
-	}
+	wg.Wait()
 	if co.Reissued() == 0 {
 		t.Fatal("no lease was re-issued")
 	}
 	for i, out := range outs {
 		if out.Err != nil {
-			t.Fatalf("cell %d: %v", i, out.Err)
+			t.Fatalf("cell %d did not recover from the dead lease: %v", i, out.Err)
 		}
 		if out.Worker != "live" {
 			t.Fatalf("cell %d executed by %q, want the live worker", i, out.Worker)
 		}
 	}
 	st := co.Status()
-	if st.Workers["ghost"] != 3 || st.Workers["live"] == 0 {
-		t.Fatalf("lease accounting: %v", st.Workers)
+	if st.Workers["ghost"] != 3 || st.Workers["live"] == 0 || st.Pending+st.Leased != 0 {
+		t.Fatalf("lease accounting: %+v", st)
 	}
+}
+
+// TestExecuteCancelledWhilePending withdraws a cell no worker has leased:
+// Execute returns the context error at once and the cell is never
+// leased afterwards.
+func TestExecuteCancelledWhilePending(t *testing.T) {
+	bound := testCtx(t)
+	co := NewCoordinator(CoordinatorOptions{})
+	coSrv := httptest.NewServer(co)
+	defer coSrv.Close()
+
+	ctx, cancel := context.WithCancel(bound)
+	done := make(chan campaign.Outcome, 1)
+	go func() { done <- co.Execute(ctx, campaign.Spec{ID: "x", Cfg: quickCfg("vpp", core.P2P)}, 0) }()
+	waitStatus(bound, t, co, func(st CoordinatorStatus) bool { return st.Pending == 1 })
+	cancel()
+	select {
+	case out := <-done:
+		if !errors.Is(out.Err, context.Canceled) || out.Spec.ID != "x" {
+			t.Fatalf("outcome = %+v, want the cancelled cell", out)
+		}
+	case <-bound.Done():
+		t.Fatal("Execute did not return after its context was cancelled")
+	}
+	if cells := leaseHTTP(t, coSrv.URL, 8, "late"); len(cells) != 0 {
+		t.Fatalf("withdrawn cell was leased: %+v", cells)
+	}
+	if st := co.Status(); st.Pending+st.Leased != 0 {
+		t.Fatalf("withdrawn cell still queued: %+v", st)
+	}
+}
+
+// TestDeadWorkerReissueMatchesCoreRun leases a cell to a worker that
+// dies; after the TTL the cell re-issues, its result is byte-identical to
+// core.Run, and the dead worker's late completions are ignored both while
+// the re-issued lease is held and after the cell completed.
+func TestDeadWorkerReissueMatchesCoreRun(t *testing.T) {
+	ctx := testCtx(t)
+	co := NewCoordinator(CoordinatorOptions{LeaseTTL: 20 * time.Millisecond})
+	coSrv := httptest.NewServer(co)
+	defer coSrv.Close()
+
+	cfg := quickCfg("ovs", core.P2P)
+	done := make(chan campaign.Outcome, 1)
+	go func() { done <- co.Execute(ctx, campaign.Spec{ID: "c", Cfg: cfg}, 0) }()
+	waitStatus(ctx, t, co, func(st CoordinatorStatus) bool { return st.Pending == 1 })
+	dead := leaseHTTP(t, coSrv.URL, 1, "dead")
+	if len(dead) != 1 {
+		t.Fatalf("dead worker leased %d cells", len(dead))
+	}
+
+	var live []Cell
+	for len(live) == 0 {
+		if ctx.Err() != nil {
+			t.Fatal("the dead worker's lease never expired")
+		}
+		time.Sleep(5 * time.Millisecond)
+		live = leaseHTTP(t, coSrv.URL, 1, "live")
+	}
+	if live[0].Seq != dead[0].Seq || co.Reissued() != 1 {
+		t.Fatalf("re-issued cell %+v (reissued %d), want seq %d once", live[0], co.Reissued(), dead[0].Seq)
+	}
+
+	bogus := Completion{Seq: dead[0].Seq, Worker: "dead", Result: &core.Result{Gbps: -1}}
+	completeHTTP(t, coSrv.URL, bogus)
+	if st := co.Status(); st.Leased != 1 || len(done) != 0 {
+		t.Fatalf("late completion from the dead worker landed: %+v", st)
+	}
+
+	completeHTTP(t, coSrv.URL, executeCell(ctx, WorkerOptions{ID: "live"}, live[0]))
+	out := <-done
+	want, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(out.Result)
+	exp, _ := json.Marshal(want)
+	if out.Err != nil || out.Worker != "live" || !bytes.Equal(got, exp) {
+		t.Fatalf("re-issued outcome (worker %q, err %v) diverged from core.Run:\nfleet: %s\nlocal: %s", out.Worker, out.Err, got, exp)
+	}
+
+	completeHTTP(t, coSrv.URL, bogus)
+	if st := co.Status(); st.Pending+st.Leased != 0 || st.Reissued != 1 {
+		t.Fatalf("after completion: %+v", st)
+	}
+}
+
+// FuzzCoordinatorComplete posts arbitrary /complete bodies to a
+// coordinator holding one cell leased to "w" and one pending: no body may
+// panic it, and only a completion naming the leased cell and its lessee
+// may complete anything.
+func FuzzCoordinatorComplete(f *testing.F) {
+	res, err := core.Run(quickCfg("vpp", core.P2P))
+	if err != nil {
+		f.Fatal(err)
+	}
+	done, _ := json.Marshal([]Completion{{Seq: 0, Worker: "w", Result: &res, WallMs: 1.5}})
+	f.Add(done)
+	failed, _ := json.Marshal([]Completion{{Seq: 1, Worker: "w", ErrKind: errKindPanicked, Err: "boom", Panicked: true}})
+	f.Add(failed)
+	f.Add([]byte(`[{"seq":0,"worker":"x"},{"seq":-1},{"seq":1e9}]`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		co := NewCoordinator(CoordinatorOptions{})
+		_, leased := co.enqueue(campaign.Spec{ID: "leased"}, 0)
+		_, pending := co.enqueue(campaign.Spec{ID: "pending"}, 0)
+		if lr := co.lease(1, "w"); len(lr.Cells) != 1 || lr.Cells[0].Seq != 0 {
+			t.Fatalf("setup lease: %+v", lr)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/complete", bytes.NewReader(body))
+		co.ServeHTTP(httptest.NewRecorder(), req)
+
+		if len(pending.done) != 0 {
+			t.Fatal("completed a cell that was never leased")
+		}
+		if len(leased.done) == 0 {
+			return
+		}
+		var comps []Completion
+		if err := decodeJSON(bytes.NewReader(body), &comps); err != nil {
+			t.Fatalf("completed a cell from a body that does not decode: %v", err)
+		}
+		for _, c := range comps {
+			if c.Seq == 0 && c.Worker == "w" {
+				return
+			}
+		}
+		t.Fatalf("completed the leased cell without a completion from its lessee: %s", body)
+	})
 }
 
 // TestConcurrentPutSingleFlight drives N identical PUTs through the
@@ -402,7 +578,7 @@ func TestPutIntegrityRejected(t *testing.T) {
 // disagrees with its local canonicalization: it must refuse to run it.
 func TestVersionSkewRefused(t *testing.T) {
 	comp := executeCell(context.Background(), WorkerOptions{ID: "w"}, Cell{
-		Job: 0, Index: 0, ID: "skew",
+		Seq: 0, ID: "skew",
 		Key:    strings.Repeat("00", 32), // not what CacheKey(cfg) computes
 		Config: quickCfg("vpp", core.P2P),
 	})

@@ -2,172 +2,22 @@ package fabric
 
 import (
 	"context"
-	"sync"
-	"time"
+	"math"
 
 	"repro/internal/campaign"
-	"repro/internal/core"
 )
 
-// RunnerOptions configures a fabric Runner.
-type RunnerOptions struct {
-	// Cache, when non-nil, answers cells before they are enqueued and
-	// absorbs fleet results (typically a Tiered local+shared store).
-	Cache campaign.Store
-	// Manifest, when non-nil, replays recorded cells and logs fresh
-	// completions, making fleet campaigns resumable.
-	Manifest *campaign.Manifest
-	// Timeout is the per-cell wall-clock budget workers enforce.
-	Timeout time.Duration
-	// Events receives progress events (serialized; Worker carries the
-	// executing worker's ID).
-	Events func(campaign.Event)
-}
+// RunnerOptions configures the orchestrator NewRunner builds. Execute
+// and Workers are set by NewRunner.
+type RunnerOptions = campaign.Options
 
-// Runner executes campaigns on the fleet: cells answered by the manifest
-// or cache are replayed locally, the rest are submitted to the
-// coordinator and executed by whichever workers lease them, and outcomes
-// come back in deterministic spec order. It implements core.Runner, so
-// every figure/table suite runs on the fleet unchanged.
-type Runner struct {
-	ctx  context.Context
-	co   *Coordinator
-	opts RunnerOptions
-}
-
-var _ core.Runner = (*Runner)(nil)
-
-// NewRunner wraps a coordinator in the campaign-level runner. ctx
-// cancels in-flight campaigns (nil means context.Background()).
-func NewRunner(ctx context.Context, co *Coordinator, opts RunnerOptions) *Runner {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return &Runner{ctx: ctx, co: co, opts: opts}
-}
-
-// RunCampaign executes the campaign on the fleet: every cell exactly
-// once, outcomes in spec order, failures collected rather than aborting
-// — the fabric twin of Orchestrator.Run.
-func (r *Runner) RunCampaign(c campaign.Campaign) (*campaign.Report, error) {
-	start := time.Now()
-	rep := &campaign.Report{Name: c.Name, Outcomes: make([]campaign.Outcome, len(c.Specs))}
-	for i := range c.Specs {
-		if c.Specs[i].ID == "" {
-			c.Specs[i].ID = campaign.AutoID(c.Specs[i].Cfg)
-		}
-	}
-
-	var (
-		mu   sync.Mutex
-		done int
-	)
-	emit := func(ev campaign.Event) {
-		if r.opts.Events == nil {
-			return
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		ev.Total = len(c.Specs)
-		ev.Done = done
-		ev.Elapsed = time.Since(start)
-		if done > 0 && done < ev.Total {
-			perCell := ev.Elapsed / time.Duration(done)
-			ev.ETA = perCell * time.Duration(ev.Total-done)
-			ev.Rate = float64(done) / ev.Elapsed.Seconds()
-		}
-		r.opts.Events(ev)
-	}
-	finished := func(ev campaign.Event) {
-		mu.Lock()
-		done++
-		mu.Unlock()
-		emit(ev)
-	}
-
-	// Local pass: manifest replays and cache hits never reach the fleet.
-	var (
-		remote  []campaign.Spec
-		mapping []int
-	)
-	for i, spec := range c.Specs {
-		key := campaign.CacheKey(spec.Cfg)
-		if r.opts.Manifest != nil {
-			if res, ok := r.opts.Manifest.Lookup(key); ok {
-				rep.Outcomes[i] = campaign.Outcome{Spec: spec, Result: res, Cached: true, Worker: "manifest"}
-				finished(campaign.Event{Type: campaign.EventCached, Index: i, ID: spec.ID, Worker: "manifest"})
-				continue
-			}
-		}
-		if r.opts.Cache != nil {
-			if res, ok := r.opts.Cache.Get(spec.Cfg); ok {
-				rep.Outcomes[i] = campaign.Outcome{Spec: spec, Result: res, Cached: true, Worker: "local"}
-				r.record(i, spec, key, res)
-				finished(campaign.Event{Type: campaign.EventCached, Index: i, ID: spec.ID, Worker: "local"})
-				continue
-			}
-		}
-		remote = append(remote, spec)
-		mapping = append(mapping, i)
-	}
-
-	var ctxErr error
-	if len(remote) > 0 {
-		// Remap job-local event indices back to campaign spec indices.
-		job := r.co.Submit(remote, r.opts.Timeout, func(ev campaign.Event) {
-			ev.Index = mapping[ev.Index]
-			if ev.Type == campaign.EventStarted {
-				emit(ev)
-			} else {
-				finished(ev)
-			}
-		})
-		outs, err := job.Wait(r.ctx)
-		ctxErr = err
-		for k, out := range outs {
-			i := mapping[k]
-			rep.Outcomes[i] = out
-			if out.Err == nil {
-				if r.opts.Cache != nil && !out.Cached {
-					// Workers already fed the shared tier; this warms the
-					// submitter's local tier (and covers cache-less workers).
-					r.opts.Cache.Put(out.Spec.Cfg, out.Result)
-				}
-				r.record(i, out.Spec, campaign.CacheKey(out.Spec.Cfg), out.Result)
-			}
-		}
-	}
-
-	rep.Wall = time.Since(start)
-	for _, out := range rep.Outcomes {
-		if out.Cached {
-			rep.CacheHits++
-		}
-		if campaign.CellFailed(out.Err) {
-			rep.Failed++
-		}
-	}
-	return rep, ctxErr
-}
-
-func (r *Runner) record(index int, spec campaign.Spec, key string, res core.Result) {
-	if r.opts.Manifest != nil {
-		worker := "local"
-		r.opts.Manifest.Record(index, spec.ID, worker, key, res)
-	}
-}
-
-// RunAll implements core.Runner: the figure/table suites fan their grids
-// out over the fleet.
-func (r *Runner) RunAll(specs []core.Config) []core.SpecOutcome {
-	c := campaign.Campaign{Name: "batch", Specs: make([]campaign.Spec, len(specs))}
-	for i, cfg := range specs {
-		c.Specs[i] = campaign.Spec{Cfg: cfg}
-	}
-	rep, _ := r.RunCampaign(c)
-	outs := make([]core.SpecOutcome, len(specs))
-	for i, out := range rep.Outcomes {
-		outs[i] = core.SpecOutcome{Result: out.Result, Err: out.Err}
-	}
-	return outs
+// NewRunner returns the campaign orchestrator that executes cells on the
+// coordinator's fleet: manifest replays and cache hits stay local, the
+// rest go through co.Execute. Cells in flight are not capped — the
+// fleet's size bounds concurrency. ctx cancels in-flight campaigns (nil
+// means context.Background()).
+func NewRunner(ctx context.Context, co *Coordinator, opts RunnerOptions) *campaign.Orchestrator {
+	opts.Execute = co.Execute
+	opts.Workers = math.MaxInt
+	return campaign.New(ctx, opts)
 }

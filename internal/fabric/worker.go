@@ -119,8 +119,8 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 
 // executeCell runs one leased cell: key handshake, shared-cache lookup,
 // then the shared isolation path, then cache write-through.
-func executeCell(ctx context.Context, opts WorkerOptions, cell Cell) Completion {
-	comp := Completion{Job: cell.Job, Index: cell.Index, Worker: opts.ID}
+func executeCell(ctx context.Context, opts WorkerOptions, cell Cell) (comp Completion) {
+	comp = Completion{Seq: cell.Seq, Worker: opts.ID}
 	start := time.Now()
 	defer func() { comp.WallMs = float64(time.Since(start).Microseconds()) / 1e3 }()
 

@@ -270,12 +270,13 @@ func OpenCampaignManifest(path string) (*CampaignManifest, error) {
 	return campaign.OpenManifest(path)
 }
 
-// Distributed campaign fabric: a coordinator shards campaign cells to
-// worker daemons over HTTP (work-stealing pull model with lease expiry),
-// a cache server exports the content-addressed result store fleet-wide,
-// and a FabricRunner slots outcomes back into deterministic spec order
-// behind the same Runner seam — a fabric run is byte-identical to a
-// local run of the same campaign (see internal/fabric).
+// Campaign fabric: a coordinator leases campaign cells to worker daemons
+// over HTTP (work-stealing pull model with lease expiry) and a cache
+// server exports the content-addressed result store fleet-wide. The
+// fleet is a cell executor behind the one campaign loop —
+// NewFabricRunner is an Orchestrator whose cells run on the fleet — so a
+// fabric run is byte-identical to a local run of the same campaign (see
+// internal/fabric).
 type (
 	// FabricCoordinator shards cells to workers over HTTP.
 	FabricCoordinator = fabric.Coordinator
@@ -283,10 +284,6 @@ type (
 	FabricCoordinatorOptions = fabric.CoordinatorOptions
 	// FabricCoordinatorStatus is the coordinator's /status snapshot.
 	FabricCoordinatorStatus = fabric.CoordinatorStatus
-	// FabricRunner executes campaigns on the fleet (implements Runner).
-	FabricRunner = fabric.Runner
-	// FabricRunnerOptions configures a FabricRunner.
-	FabricRunnerOptions = fabric.RunnerOptions
 	// FabricWorkerOptions configures one worker daemon.
 	FabricWorkerOptions = fabric.WorkerOptions
 	// FabricCacheServer exports a ResultCache over HTTP.
@@ -302,13 +299,15 @@ type (
 var ErrFabricVersionSkew = fabric.ErrVersionSkew
 
 // NewFabricCoordinator returns an empty coordinator; it implements
-// http.Handler and is fed with Submit (or driven by a FabricRunner).
+// http.Handler and runs cells through Execute (as NewFabricRunner does).
 func NewFabricCoordinator(opts FabricCoordinatorOptions) *FabricCoordinator {
 	return fabric.NewCoordinator(opts)
 }
 
-// NewFabricRunner wraps a coordinator in a campaign-level Runner.
-func NewFabricRunner(ctx context.Context, co *FabricCoordinator, opts FabricRunnerOptions) *FabricRunner {
+// NewFabricRunner returns the Orchestrator that executes cells on the
+// coordinator's fleet, with no cap on cells in flight (opts.Execute and
+// opts.Workers are overridden).
+func NewFabricRunner(ctx context.Context, co *FabricCoordinator, opts CampaignOptions) *Orchestrator {
 	return fabric.NewRunner(ctx, co, opts)
 }
 
