@@ -12,9 +12,10 @@ import (
 
 // wiredPort is what wiring keeps about one attached SUT port.
 type wiredPort struct {
-	gen  *nic.Port // phys pair: the generator-side NIC behind the wire
-	ifc  vm.NetIf  // guest if: the guest-side interface
-	pool *pkt.Pool // guest if: the owning VM's packet pool
+	dev  switchdef.DevPort // the switch's side
+	gen  *nic.Port         // phys pair: the generator-side NIC behind the wire
+	ifc  vm.NetIf          // guest if: the guest-side interface
+	pool *pkt.Pool         // guest if: the owning VM's packet pool
 }
 
 // wire builds the scenario topology onto the switch by executing the
@@ -29,10 +30,10 @@ func (tb *testbed) wire() error {
 		return err
 	}
 	ports := make([]wiredPort, len(plan.Ports))
+	tb.ports = ports
 	for i, pp := range plan.Ports {
-		var dev switchdef.DevPort
 		if pp.Kind == topo.KindPhysPair {
-			dev, ports[i].gen = tb.addPhysPair(pp.Node)
+			ports[i].dev, ports[i].gen = tb.addPhysPair(pp.Node)
 		} else {
 			// Guest interfaces of the same VM share one guest packet pool.
 			for j := range plan.Ports[:i] {
@@ -44,9 +45,9 @@ func (tb *testbed) wire() error {
 			if ports[i].pool == nil {
 				ports[i].pool = tb.newPool(bufSize)
 			}
-			dev, ports[i].ifc = tb.addGuestIf(pp.Node)
+			ports[i].dev, ports[i].ifc = tb.addGuestIf(pp.Node)
 		}
-		tb.sw.AddPort(dev)
+		tb.sw.AddPort(ports[i].dev)
 	}
 	for _, c := range plan.Crosses {
 		if err := tb.sw.CrossConnect(c.A, c.B); err != nil {
@@ -96,7 +97,7 @@ func (tb *testbed) startVNF(a topo.PlanActor, ports []wiredPort) {
 	pa, pb := ports[a.A], ports[a.B]
 	if a.App == "vale" || (a.App == "" && tb.info.VirtualIface == "ptnet") {
 		fwd := &vm.ValeFwd{A: pa.ifc, B: pb.ifc, Pool: pa.pool}
-		tb.guestCore(a.Name, fwd.Poll)
+		tb.guestCore(a.Name, fwd, pa.ifc, pb.ifc)
 		return
 	}
 	fwd := &vm.L2Fwd{A: pa.ifc, B: pb.ifc, OwnMAC: switchdef.PortMAC(a.SrcMAC)}
@@ -108,5 +109,5 @@ func (tb *testbed) startVNF(a topo.PlanActor, ports []wiredPort) {
 		mac := switchdef.PortMAC(a.RewriteBA)
 		fwd.RewriteBA = &mac
 	}
-	tb.guestCore(a.Name, fwd.Poll)
+	tb.guestCore(a.Name, fwd, pa.ifc, pb.ifc)
 }

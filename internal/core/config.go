@@ -378,7 +378,10 @@ type Result struct {
 	// during the window — OvS's first cache tier overflowing under flow
 	// diversity. Zero for switches without an EMC.
 	EMCEvictions int64 `json:",omitempty"`
-	// Steps is the scheduler step count (determinism fingerprint).
+	// Steps is the scheduler's logical step count (determinism
+	// fingerprint): steps dispatched plus the empty polls sleeping poll
+	// cores booked without being dispatched, so it does not depend on
+	// idle-poll elision (sim.Scheduler.Elided tells the two apart).
 	Steps uint64
 	// SimPartitions is never set and always 0: the partitioned engine that
 	// filled it is gone. The field stays only because benchmark/pass_test.go

@@ -66,6 +66,7 @@ type testbed struct {
 	sw       switchdef.Switch
 	fleet    *multicore.Fleet // non-nil when SUTCores > 1 (then sw == fleet)
 	graph    *topo.Graph
+	ports    []wiredPort // the switch's attached ports, in AddPort order
 	sutPolls []*cpu.PollCore
 	sutIRQ   *cpu.IRQCore
 
@@ -194,6 +195,15 @@ func build(cfg Config) (*testbed, error) {
 		if tb.fleet == nil {
 			meter := cost.NewMeter(tb.model, tb.rng.Derive("sut"))
 			c := cpu.NewPollCore(tb.sched, "sut", meter, tb.sw.Poll)
+			// Switches with an idle hint sleep through empty polls; every
+			// port then wakes the core when input arrives. Snabb's breaths
+			// are time-dependent and keep polling, and so do fleet cores.
+			if w, ok := tb.sw.(cpu.Waiter); ok {
+				c.Waiter = w
+				for _, p := range tb.ports {
+					bindConsumer(p.dev, c)
+				}
+			}
 			c.Start(0)
 			tb.sutPolls = append(tb.sutPolls, c)
 		} else {
@@ -285,14 +295,43 @@ func (tb *testbed) addGuestIf(name string) (switchdef.DevPort, vm.NetIf) {
 	return &switchdef.VhostPort{Dev: dev}, &vm.VirtioIf{Dev: dev}
 }
 
-// guestCore starts a poll-mode guest vCPU running fn.
-func (tb *testbed) guestCore(name string, fn cpu.PollFunc) *cpu.PollCore {
+// guestApp is a VNF or measurement app on a guest vCPU; every one has an
+// idle hint.
+type guestApp interface {
+	Poll(now units.Time, m *cost.Meter) bool
+	cpu.Waiter
+}
+
+// guestCore starts a poll-mode guest vCPU running app, which reads inputs:
+// the core sleeps through empty polls and each input wakes it.
+func (tb *testbed) guestCore(name string, app guestApp, inputs ...vm.NetIf) *cpu.PollCore {
 	m := cost.NewMeter(tb.model, tb.rng.Derive(name))
-	c := cpu.NewPollCore(tb.sched, name, m, fn)
+	c := cpu.NewPollCore(tb.sched, name, m, app.Poll)
 	c.IdleStep = guestIdleStep
+	c.Waiter = app
+	for _, in := range inputs {
+		bindConsumer(in, c)
+	}
 	tb.guestCores = append(tb.guestCores, c)
 	c.Start(0)
 	return c
+}
+
+// bindConsumer makes the device behind one receive endpoint — a SUT
+// DevPort or a guest NetIf — notify c when input is posted toward it.
+// Ptnet host sides are absent: their consumer is VALE's interrupt core,
+// which the doorbell already wakes.
+func bindConsumer(endpoint any, c *cpu.PollCore) {
+	switch e := endpoint.(type) {
+	case *switchdef.PhysPort:
+		e.Port.BindPoll(c)
+	case *switchdef.VhostPort:
+		e.Dev.BindHost(c)
+	case *vm.VirtioIf:
+		e.Dev.BindGuest(c)
+	case *vm.PtnetIf:
+		e.Dev.BindGuest(c)
+	}
 }
 
 // frameSpec builds the synthetic single-flow template for a direction whose
@@ -349,7 +388,7 @@ func (tb *testbed) nicSink(name string, port *nic.Port) *tgen.Sink {
 func (tb *testbed) guestMonitor(name string, ifc vm.NetIf) *vm.Monitor {
 	mo := &vm.Monitor{If: ifc, SWStampNoise: swStampNoise, RNG: tb.rng.Derive(name)}
 	tb.monitors = append(tb.monitors, mo)
-	tb.guestCore(name, mo.Poll)
+	tb.guestCore(name, mo, ifc)
 	tb.dirRx = append(tb.dirRx, func() stats.Counter { return mo.Rx })
 	tb.hists = append(tb.hists, &mo.Hist)
 	return mo

@@ -219,6 +219,10 @@ func (mt *Meter) Stall(d units.Time) {
 	mt.Charge(mt.Model.Freq.CyclesIn(d))
 }
 
+// Book adds c cycles to Total without draining them: the cost of steps a
+// core simulated arithmetically instead of charging them one by one.
+func (mt *Meter) Book(c units.Cycles) { mt.total += c }
+
 // Pending returns the not-yet-drained cycles.
 func (mt *Meter) Pending() units.Cycles { return mt.acc }
 

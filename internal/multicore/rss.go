@@ -104,7 +104,9 @@ func (p *txOnlyPort) TxBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) int {
 	return p.inner.TxBurst(now, m, in)
 }
 
-func (p *txOnlyPort) Pending(now units.Time) int { return 0 }
+// NextRx implements switchdef.DevPort. Fleet cores never sleep, so every
+// per-core view answers "now" rather than a hint nothing reads.
+func (p *txOnlyPort) NextRx(now units.Time) units.Time { return now }
 
 // remotePort charges the NUMA remote-access tax per frame on top of the
 // wrapped view's own prices: descriptor and payload touches cross the
@@ -131,7 +133,7 @@ func (p *remotePort) TxBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) int {
 	return p.inner.TxBurst(now, m, in)
 }
 
-func (p *remotePort) Pending(now units.Time) int { return p.inner.Pending(now) }
+func (p *remotePort) NextRx(now units.Time) units.Time { return now }
 
 // demux models a multi-queue NIC: arriving frames are hashed onto
 // per-queue rings by the hardware (free), and each queue is drained by
@@ -248,12 +250,4 @@ func (p *rssQueuePort) TxBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) int
 	return p.phys.TxBurst(now, m, in)
 }
 
-func (p *rssQueuePort) Pending(now units.Time) int {
-	n := p.port().RxPending(now)
-	for _, q := range p.queues {
-		n += p.d.queues[q].Len()
-	}
-	return n
-}
-
-func (p *rssQueuePort) port() *nic.Port { return p.phys.Port }
+func (p *rssQueuePort) NextRx(now units.Time) units.Time { return now }

@@ -87,10 +87,12 @@ type Port struct {
 	rxq                    []*pkt.Buf
 	rxHead, rxVis, rxCount int
 
-	// Interrupt binding.
+	// Consumer binding: an interrupt-driven core, or the poll-mode core
+	// an arrival must wake if it sleeps through empty polls.
 	irq      *cpu.IRQCore
 	irqArmed bool
 	lastIRQ  units.Time // last scheduled fire (ITR ratchet)
+	poller   *cpu.PollCore
 
 	Stats Counters
 }
@@ -138,6 +140,10 @@ func (p *Port) BindIRQ(c *cpu.IRQCore) {
 	c.AddSleeper(p.ReArm)
 }
 
+// BindPoll names the poll-mode core that drains this port: each arrival
+// notifies it for the instant the frame becomes visible.
+func (p *Port) BindPoll(c *cpu.PollCore) { p.poller = c }
+
 // scheduleIRQ arms one interrupt no earlier than `earliest`, honouring the
 // ITR throttle. A port keeps at most one interrupt outstanding; the
 // consumer re-arms via ReArm when it finishes polling.
@@ -162,15 +168,8 @@ func (p *Port) ReArm(now units.Time) {
 		return
 	}
 	p.irqArmed = false
-	switch {
-	case p.rxCount > 0:
-		p.scheduleIRQ(now)
-	case len(p.rxq) > p.rxVis:
-		earliest := p.rxq[p.rxVis].Ingress + p.cfg.RxLatency
-		if earliest < now {
-			earliest = now
-		}
-		p.scheduleIRQ(earliest)
+	if at := p.NextRx(now); at != units.Never {
+		p.scheduleIRQ(max(at, now))
 	}
 }
 
@@ -250,6 +249,9 @@ func (p *Port) BusyUntil() units.Time { return p.busyUntil }
 func (p *Port) arrive(at units.Time, b *pkt.Buf) {
 	b.Ingress = at
 	p.rxq = append(p.rxq, b)
+	if p.poller != nil {
+		p.poller.Notify(at + p.cfg.RxLatency)
+	}
 	p.scheduleIRQ(at + p.cfg.RxLatency)
 }
 
@@ -299,6 +301,19 @@ func (p *Port) RxBurst(now units.Time, out []*pkt.Buf) int {
 	}
 	p.rxHead = h
 	return n
+}
+
+// NextRx returns the earliest instant a poll can receive a frame: now if
+// one is already visible, the next arrival's visibility time if one is in
+// flight, units.Never if nothing was sent. It changes no state.
+func (p *Port) NextRx(now units.Time) units.Time {
+	switch {
+	case p.rxCount > 0:
+		return now
+	case p.rxVis < len(p.rxq):
+		return p.rxq[p.rxVis].Ingress + p.cfg.RxLatency
+	}
+	return units.Never
 }
 
 // RxPending returns how many frames are ready to be polled at time now.

@@ -438,3 +438,29 @@ func runRxSchedule(t *testing.T, rxRing int, irq bool, seed uint64) {
 		t.Fatalf("schedule exercised nothing: %d delivered, %d dropped", rx.Stats.RxPackets, ref.drops)
 	}
 }
+
+// TestNextRx: a port's idle hint is now while a frame is visible, the next
+// in-flight frame's visibility (Ingress + RxLatency) otherwise, and Never
+// once nothing was sent.
+func TestNextRx(t *testing.T) {
+	a, b := NewPort(Config{Name: "a"}), NewPort(Config{Name: "b"})
+	Connect(a, b)
+	if got := b.NextRx(0); got != units.Never {
+		t.Fatalf("idle port: NextRx = %v, want never", got)
+	}
+	a.Send(0, pkt.NewPool(2048).Get(64))
+	visible := DefaultTxLatency + 67200*units.Picosecond + DefaultRxLatency
+	if got := b.NextRx(0); got != visible {
+		t.Fatalf("in flight: NextRx = %v, want %v", got, visible)
+	}
+	if n := b.RxPending(visible); n != 1 {
+		t.Fatalf("pending at visibility = %d", n)
+	}
+	if got := b.NextRx(visible + 1); got != visible+1 {
+		t.Fatalf("visible: NextRx = %v, want now", got)
+	}
+	b.RxBurst(visible+1, make([]*pkt.Buf, 4))
+	if got := b.NextRx(visible + 2); got != units.Never {
+		t.Fatalf("drained: NextRx = %v, want never", got)
+	}
+}

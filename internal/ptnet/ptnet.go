@@ -31,6 +31,10 @@ type Port struct {
 
 	hostIRQ  *cpu.IRQCore
 	irqArmed bool
+	// guest is the poll-mode guest core draining toGuest, notified when the
+	// host posts frames (nil: nobody to wake). The host direction's
+	// notification is the doorbell above.
+	guest *cpu.PollCore
 }
 
 // New returns an empty ptnet port.
@@ -55,6 +59,9 @@ func (p *Port) BindHostIRQ(c *cpu.IRQCore) {
 	p.hostIRQ = c
 	c.AddSleeper(p.ReArm)
 }
+
+// BindGuest names the poll-mode guest core that receives host frames.
+func (p *Port) BindGuest(c *cpu.PollCore) { p.guest = c }
 
 func (p *Port) notify(now units.Time) {
 	if p.hostIRQ == nil || p.irqArmed {
@@ -83,6 +90,9 @@ func (p *Port) HostSend(m *cost.Meter, b *pkt.Buf) bool {
 		return false
 	}
 	m.Charge(m.Model.PtnetDesc)
+	if p.guest != nil {
+		p.guest.NotifyNow()
+	}
 	return true
 }
 
@@ -98,6 +108,9 @@ func (p *Port) HostSendBurst(m *cost.Meter, in []*pkt.Buf) int {
 	}
 	if n > 0 {
 		m.Charge(units.Cycles(n) * m.Model.PtnetDesc)
+		if p.guest != nil {
+			p.guest.NotifyNow()
+		}
 	}
 	return n
 }
@@ -151,6 +164,23 @@ func (p *Port) GuestRecv(m *cost.Meter, out []*pkt.Buf) int {
 		m.Charge(units.Cycles(n) * m.Model.PtnetDesc)
 	}
 	return n
+}
+
+// GuestNextRx returns when GuestRecv can next take a frame: now if the
+// host posted any (zero-copy rings are visible at once), else units.Never.
+func (p *Port) GuestNextRx(now units.Time) units.Time {
+	if p.toGuest.Len() > 0 {
+		return now
+	}
+	return units.Never
+}
+
+// HostNextRx is GuestNextRx for the host side.
+func (p *Port) HostNextRx(now units.Time) units.Time {
+	if p.toHost.Len() > 0 {
+		return now
+	}
+	return units.Never
 }
 
 // GuestPending returns frames awaiting the guest.

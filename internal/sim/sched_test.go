@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/units"
@@ -375,4 +376,57 @@ func BenchmarkSchedulerSelfReschedule(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	s.RunUntil(s.Now() + units.Time(b.N)*units.Nanosecond)
+}
+
+// TestPassedFollowsDispatchOrder: at an instant, a task's turn has passed
+// once a task of higher registration order has run there — including when
+// the running task was woken at that instant by a later-registered one, so
+// it runs after tasks it precedes in registration order.
+func TestPassedFollowsDispatchOrder(t *testing.T) {
+	s := NewScheduler()
+	const at = 100 * units.Nanosecond
+	var early, mid, waker *Task
+	var got []bool
+	record := func(now units.Time) (units.Time, bool) {
+		got = append(got, s.Passed(mid))
+		return 0, false
+	}
+	early = s.Register("early", StepFunc(record))
+	mid = s.Register("mid", StepFunc(func(units.Time) (units.Time, bool) { return 0, false }))
+	waker = s.Register("waker", StepFunc(func(now units.Time) (units.Time, bool) {
+		got = append(got, s.Passed(mid))
+		s.WakeAt(early, now) // runs after waker although registered first
+		return 0, false
+	}))
+	if s.Passed(early) {
+		t.Fatal("a task's turn passed before anything ran")
+	}
+	s.WakeAt(early, at)
+	s.WakeAt(waker, at)
+	s.RunUntil(at)
+	// early (seq 0) runs first: mid's turn has not come. waker (seq 2)
+	// runs next: mid's has passed, and stays passed for early's second
+	// run at the same instant.
+	if want := []bool{false, true, true}; !slices.Equal(got, want) {
+		t.Fatalf("Passed(mid) per step = %v, want %v", got, want)
+	}
+	s.RunUntil(2 * at)
+	if s.Passed(early) {
+		t.Error("turns carried over to an instant where nothing ran")
+	}
+}
+
+// TestCountStepsBooksLogicalSteps: booked steps count in Steps, and Elided
+// tells them apart from dispatched ones.
+func TestCountStepsBooksLogicalSteps(t *testing.T) {
+	s := NewScheduler()
+	task := s.Register("solo", StepFunc(func(now units.Time) (units.Time, bool) {
+		s.CountSteps(4)
+		return 0, false
+	}))
+	s.WakeAt(task, 0)
+	s.RunUntil(units.Microsecond)
+	if s.Steps() != 5 || s.Elided() != 4 {
+		t.Fatalf("steps = %d, elided = %d; want 5 and 4", s.Steps(), s.Elided())
+	}
 }

@@ -67,20 +67,46 @@ type Scheduler struct {
 	tasks    []*Task
 	steps    uint64
 	deadline units.Time // active RunUntil bound (see Deadline)
+	// turn is the highest registration order dispatched at the current
+	// instant (-1 before any), the state behind Passed.
+	turn int
 
-	// fastHits counts dispatches served by the run-next fast path
-	// (diagnostics for benchmarks; not part of simulation state).
-	fastHits uint64
+	// fastHits counts dispatches served by the run-next fast path and
+	// elided the steps booked through CountSteps (diagnostics for
+	// benchmarks; not part of simulation state).
+	fastHits, elided uint64
 }
 
 // NewScheduler returns an empty scheduler at time zero.
-func NewScheduler() *Scheduler { return &Scheduler{} }
+func NewScheduler() *Scheduler { return &Scheduler{turn: -1} }
 
 // Now returns the current simulated time.
 func (s *Scheduler) Now() units.Time { return s.now }
 
-// Steps returns the total number of actor steps dispatched so far.
+// Steps returns the logical step count: every actor step dispatched so far
+// plus the steps actors booked through CountSteps without being dispatched.
 func (s *Scheduler) Steps() uint64 { return s.steps }
+
+// CountSteps books k steps an actor simulated arithmetically instead of
+// being dispatched for each (a poll core sleeping through empty polls), so
+// Steps stays what dispatching every one of them would have counted.
+func (s *Scheduler) CountSteps(k uint64) {
+	s.steps += k
+	s.elided += k
+}
+
+// Elided returns how many of Steps were booked through CountSteps rather
+// than dispatched (engine diagnostics, like FastPathHits).
+func (s *Scheduler) Elided() uint64 { return s.elided }
+
+// Passed reports whether t's turn at the current instant has come and
+// gone: a step of t queued for Now() before the instant began would already
+// have been dispatched. Within one instant the heap dispatches the tasks
+// queued ahead of it in registration order, so that holds exactly when
+// some task of higher order has run at this instant (or t itself has). A
+// producer that runs at the instant it makes input visible uses this to
+// tell whether a sleeping consumer's poll at that instant saw the input.
+func (s *Scheduler) Passed(t *Task) bool { return t.seq <= s.turn }
 
 // FastPathHits returns how many steps skipped the heap via the run-next
 // fast path (engine diagnostics). Like Steps it is a pure function of the
@@ -135,6 +161,9 @@ func (s *Scheduler) RunUntil(deadline units.Time) {
 		for {
 			if next.when > s.now {
 				s.now = next.when
+				s.turn = next.seq
+			} else if next.seq > s.turn {
+				s.turn = next.seq
 			}
 			s.steps++
 			when, ok := next.actor.Step(s.now)
@@ -165,6 +194,7 @@ func (s *Scheduler) RunUntil(deadline units.Time) {
 	s.deadline = 0
 	if s.now < deadline {
 		s.now = deadline
+		s.turn = -1
 	}
 }
 

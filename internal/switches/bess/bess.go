@@ -123,6 +123,16 @@ func (sw *Switch) run(t task, now units.Time, m *cost.Meter) bool {
 	return true
 }
 
+// NextWork implements cpu.Waiter: an empty scheduler round reads each
+// task's input and nothing else, so nothing changes until one has a frame.
+func (sw *Switch) NextWork(now units.Time) units.Time {
+	next := units.Never
+	for _, t := range sw.tasks {
+		next = min(next, t.in.NextRx(now))
+	}
+	return next
+}
+
 func init() {
 	switchdef.Register(info, func(env switchdef.Env) switchdef.Switch { return New(env) })
 }

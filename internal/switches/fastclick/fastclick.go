@@ -196,6 +196,22 @@ func (e *toDevice) flushStale(sw *Switch, now units.Time, m *cost.Meter) bool {
 	return true
 }
 
+// NextWork implements cpu.Waiter: an empty iteration reads every source
+// and nothing else until one has a frame or a staged vhost batch's drain
+// timer expires.
+func (sw *Switch) NextWork(now units.Time) units.Time {
+	next := units.Never
+	for _, src := range sw.sources {
+		next = min(next, src.dev.NextRx(now))
+	}
+	for _, e := range sw.toDevs {
+		if len(e.stage) > 0 {
+			next = min(next, e.first+vhostTxDrain)
+		}
+	}
+	return next
+}
+
 func init() {
 	switchdef.Register(info, func(env switchdef.Env) switchdef.Switch { return New(env) })
 }

@@ -502,6 +502,13 @@ func (sw *Switch) apply(m *cost.Meter, b *pkt.Buf, r *Rule) {
 // reports them in.
 func (sw *Switch) Rules() []*Rule { return sw.rules }
 
+// NextWork implements cpu.Waiter: an empty PMD iteration charges the
+// drivers' fixed receive cost (the vhost modulation scales per-frame work
+// only) until a port has a frame or the revalidation stall falls due.
+func (sw *Switch) NextWork(now units.Time) units.Time {
+	return min(sw.nextRev, switchdef.EarliestRx(now, sw.ports))
+}
+
 func init() {
 	switchdef.Register(info, func(env switchdef.Env) switchdef.Switch { return New(env) })
 }

@@ -59,8 +59,8 @@ func (p *PhysPort) TxBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) int {
 	return sent
 }
 
-// Pending implements DevPort.
-func (p *PhysPort) Pending(now units.Time) int { return p.Port.RxPending(now) }
+// NextRx implements DevPort.
+func (p *PhysPort) NextRx(now units.Time) units.Time { return p.Port.NextRx(now) }
 
 // VhostPort adapts the host side of a vhost-user device to DevPort. The
 // crossing costs (copy + descriptor handling) are charged by the vhost
@@ -85,8 +85,8 @@ func (p *VhostPort) TxBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) int {
 	return p.Dev.HostEnqueueBurst(now, m, in)
 }
 
-// Pending implements DevPort.
-func (p *VhostPort) Pending(now units.Time) int { return p.Dev.HostPending() }
+// NextRx implements DevPort.
+func (p *VhostPort) NextRx(now units.Time) units.Time { return p.Dev.HostNextRx(now) }
 
 // PtnetPort adapts the host side of a ptnet device to DevPort (zero-copy).
 type PtnetPort struct {
@@ -109,5 +109,5 @@ func (p *PtnetPort) TxBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) int {
 	return p.Dev.HostSendBurst(m, in)
 }
 
-// Pending implements DevPort.
-func (p *PtnetPort) Pending(now units.Time) int { return p.Dev.HostPending() }
+// NextRx implements DevPort.
+func (p *PtnetPort) NextRx(now units.Time) units.Time { return p.Dev.HostNextRx(now) }

@@ -58,8 +58,21 @@ type DevPort interface {
 	Name() string
 	RxBurst(now units.Time, m *cost.Meter, out []*pkt.Buf) int
 	TxBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) int
-	// Pending reports the RX backlog, letting poll loops detect idleness.
-	Pending(now units.Time) int
+	// NextRx returns the earliest instant at or after which RxBurst can
+	// return a frame, judged from what the device already holds: now (or
+	// earlier) when one is waiting, units.Never when nothing is queued or
+	// in flight. A switch's cpu.Waiter hint is built from it.
+	NextRx(now units.Time) units.Time
+}
+
+// EarliestRx returns the earliest NextRx over ports (units.Never for none):
+// when a poll over all of them can first receive anything.
+func EarliestRx(now units.Time, ports []DevPort) units.Time {
+	next := units.Never
+	for _, p := range ports {
+		next = min(next, p.NextRx(now))
+	}
+	return next
 }
 
 // IOMode is how the switch's core consumes packet I/O.

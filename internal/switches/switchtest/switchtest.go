@@ -56,8 +56,13 @@ func (p *FakePort) TxBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) int {
 	return len(in)
 }
 
-// Pending implements switchdef.DevPort.
-func (p *FakePort) Pending(now units.Time) int { return len(p.In) }
+// NextRx implements switchdef.DevPort: frames in In are visible at once.
+func (p *FakePort) NextRx(now units.Time) units.Time {
+	if len(p.In) > 0 {
+		return now
+	}
+	return units.Never
+}
 
 // Env returns a ready test environment.
 func Env() switchdef.Env {

@@ -297,6 +297,19 @@ func (sw *Switch) replayMemo(now units.Time, m *cost.Meter, b *pkt.Buf, e *t4Mem
 	sw.txStage[out] = append(sw.txStage[out], b)
 }
 
+// NextWork implements cpu.Waiter: an empty lcore iteration charges the
+// drivers' fixed receive cost until a port has a frame or a staged TX
+// batch's drain timer expires.
+func (sw *Switch) NextWork(now units.Time) units.Time {
+	next := switchdef.EarliestRx(now, sw.ports)
+	for i, stage := range sw.txStage {
+		if len(stage) > 0 {
+			next = min(next, sw.txFirst[i]+txFlushDrain)
+		}
+	}
+	return next
+}
+
 func init() {
 	switchdef.Register(info, func(env switchdef.Env) switchdef.Switch { return New(env) })
 }

@@ -203,6 +203,13 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 	return got
 }
 
+// NextWork implements cpu.Waiter: an empty dispatch frame reads every port
+// and charges only the drivers' fixed receive cost, so nothing changes
+// until a port has a frame.
+func (sw *Switch) NextWork(now units.Time) units.Time {
+	return switchdef.EarliestRx(now, sw.ports)
+}
+
 func init() {
 	switchdef.Register(info, func(env switchdef.Env) switchdef.Switch { return New(env) })
 }

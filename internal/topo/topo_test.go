@@ -92,6 +92,9 @@ func rejectCases() map[string]*Graph {
 		"sink on guest if": {Nodes: []Node{pp, pp2, gi, gen, {Name: "rx", Kind: KindSink, At: "g0"}}, Edges: []Edge{x}},
 		"wire to guest if": {Nodes: []Node{pp, pp2, gi, gen, snk},
 			Edges: []Edge{x, {Kind: EdgeWire, A: "tx", B: "g0"}}},
+		"guest if read twice": {Nodes: []Node{pp, pp2, gi, gen, snk,
+			{Name: "g1", Kind: KindGuestIf}, {Name: "v", Kind: KindVNF, A: "g0", B: "g1"},
+			{Name: "mon", Kind: KindMonitor, At: "g0"}}, Edges: []Edge{x}},
 		"conflicting attachments": {Nodes: []Node{pp, pp2, gen, snk},
 			Edges: []Edge{x, {Kind: EdgeWire, A: "tx", B: "p1"}}},
 	}

@@ -141,6 +141,15 @@ func (g *Graph) resolve() (*resolved, error) {
 		return nil
 	}
 	generators, measured, controllers := 0, 0, 0
+	// A guest if's receive queue has one reader, as a virtio or netmap
+	// queue has one polling process: the guest core that wakes on it.
+	reader := map[string]string{}
+	reads := func(ifc, name string) {
+		if prev, dup := reader[ifc]; dup && ifc != "" {
+			fail("guest if %q is read by both %q and %q", ifc, prev, name)
+		}
+		reader[ifc] = name
+	}
 	for i := range r.nodes {
 		n := &r.nodes[i]
 		if n.Queues < 0 {
@@ -163,9 +172,12 @@ func (g *Graph) resolve() (*resolved, error) {
 		case KindMonitor:
 			measured++
 			want(n.Name, n.At, KindGuestIf)
+			reads(n.At, n.Name)
 		case KindVNF:
 			want(n.Name, n.A, KindGuestIf)
 			want(n.Name, n.B, KindGuestIf)
+			reads(n.A, n.Name)
+			reads(n.B, n.Name)
 			if n.A != "" && n.A == n.B {
 				fail("vnf %q bridges %q to itself", n.Name, n.A)
 			}
@@ -219,7 +231,8 @@ func (g *Graph) resolve() (*resolved, error) {
 // Validate checks the graph and reports every violation found, joined
 // into one error: unknown kinds, duplicate or missing node names,
 // dangling edges, conflicting or ill-typed attachments, twice-connected
-// ports, steerless generators, and missing endpoints.
+// ports, guest ifs with two readers, steerless generators, and missing
+// endpoints.
 func (g *Graph) Validate() error {
 	_, err := g.resolve()
 	return err

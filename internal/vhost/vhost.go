@@ -16,6 +16,7 @@ package vhost
 
 import (
 	"repro/internal/cost"
+	"repro/internal/cpu"
 	"repro/internal/pkt"
 	"repro/internal/ring"
 	"repro/internal/units"
@@ -51,6 +52,10 @@ type Device struct {
 	// txRing carries guest→host frames.
 	rxRing, txRing *ring.SPSC
 
+	// host and guest are the poll-mode cores draining txRing and rxRing,
+	// notified when a frame is posted toward them (nil: nobody to wake).
+	host, guest *cpu.PollCore
+
 	// HostCopies counts data copies performed by the host core.
 	HostCopies int64
 }
@@ -81,6 +86,12 @@ func New(cfg Config) *Device {
 
 // Name returns the device name.
 func (d *Device) Name() string { return d.cfg.Name }
+
+// BindHost names the poll-mode core that dequeues guest transmissions.
+func (d *Device) BindHost(c *cpu.PollCore) { d.host = c }
+
+// BindGuest names the poll-mode guest core that receives host deliveries.
+func (d *Device) BindGuest(c *cpu.PollCore) { d.guest = c }
 
 func scaleBy(c units.Cycles, s float64) units.Cycles {
 	if s == 1 {
@@ -114,6 +125,9 @@ func (d *Device) HostEnqueue(now units.Time, m *cost.Meter, b *pkt.Buf) bool {
 	d.rxRing.Push(b)
 	m.Charge(d.enqCost(m, b.Len()))
 	d.HostCopies++
+	if d.guest != nil {
+		d.guest.Notify(b.AvailAt)
+	}
 	return true
 }
 
@@ -138,6 +152,9 @@ func (d *Device) HostEnqueueBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) 
 	}
 	if total > 0 {
 		m.Charge(total)
+	}
+	if sent > 0 && d.guest != nil {
+		d.guest.Notify(avail)
 	}
 	d.HostCopies += int64(sent)
 	return sent
@@ -188,6 +205,9 @@ func (d *Device) GuestSend(m *cost.Meter, b *pkt.Buf) bool {
 		return false
 	}
 	m.Charge(m.Model.VhostDesc)
+	if d.host != nil {
+		d.host.NotifyNow()
+	}
 	return true
 }
 
@@ -203,6 +223,9 @@ func (d *Device) GuestSendBurst(m *cost.Meter, in []*pkt.Buf) int {
 	}
 	if n > 0 {
 		m.Charge(units.Cycles(n) * m.Model.VhostDesc)
+		if d.host != nil {
+			d.host.NotifyNow()
+		}
 	}
 	return n
 }
@@ -219,6 +242,24 @@ func (d *Device) GuestRecv(now units.Time, m *cost.Meter, out []*pkt.Buf) int {
 		m.Charge(units.Cycles(n) * m.Model.VhostDesc)
 	}
 	return n
+}
+
+// GuestNextRx returns when GuestRecv can next take a frame: the oldest
+// queued frame's AvailAt (it gates everything behind it), or units.Never.
+func (d *Device) GuestNextRx() units.Time {
+	if b := d.rxRing.Peek(); b != nil {
+		return b.AvailAt
+	}
+	return units.Never
+}
+
+// HostNextRx returns when HostDequeueBurst can next take a frame: now if
+// the guest posted any (they are visible at once), else units.Never.
+func (d *Device) HostNextRx(now units.Time) units.Time {
+	if d.txRing.Len() > 0 {
+		return now
+	}
+	return units.Never
 }
 
 // GuestPending returns the number of frames awaiting the guest.

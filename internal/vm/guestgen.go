@@ -181,3 +181,7 @@ func (mo *Monitor) Poll(now units.Time, m *cost.Meter) bool {
 	}
 	return n > 0
 }
+
+// NextWork implements cpu.Waiter: nothing changes until the interface has
+// a frame.
+func (mo *Monitor) NextWork(now units.Time) units.Time { return mo.If.NextRx(now) }

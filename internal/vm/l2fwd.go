@@ -112,6 +112,20 @@ func (f *L2Fwd) pump(now units.Time, m *cost.Meter, from, to NetIf, rewrite *pkt
 	return n > 0
 }
 
+// NextWork implements cpu.Waiter: an empty iteration charges nothing of
+// its own until an interface has a frame or a held batch's drain timer
+// expires (that flush is did=false work, so it must not be slept over).
+func (f *L2Fwd) NextWork(now units.Time) units.Time {
+	next := min(f.A.NextRx(now), f.B.NextRx(now))
+	if len(f.batchAB) > 0 {
+		next = min(next, f.firstAB+f.Drain)
+	}
+	if len(f.batchBA) > 0 {
+		next = min(next, f.firstBA+f.Drain)
+	}
+	return next
+}
+
 func (f *L2Fwd) flush(now units.Time, m *cost.Meter, to NetIf, batch *[]*pkt.Buf) {
 	sent := to.SendBurst(now, m, *batch)
 	f.Forwarded += int64(sent)
@@ -143,6 +157,12 @@ func (f *ValeFwd) Poll(now units.Time, m *cost.Meter) bool {
 	did := f.pump(now, m, f.A, f.B)
 	did = f.pump(now, m, f.B, f.A) || did
 	return did
+}
+
+// NextWork implements cpu.Waiter: nothing changes until an interface has
+// a frame.
+func (f *ValeFwd) NextWork(now units.Time) units.Time {
+	return min(f.A.NextRx(now), f.B.NextRx(now))
 }
 
 func (f *ValeFwd) pump(now units.Time, m *cost.Meter, from, to NetIf) bool {

@@ -42,8 +42,10 @@ type NetIf interface {
 	SendSpace() int
 	// Recv takes up to len(out) frames from the host.
 	Recv(now units.Time, m *cost.Meter, out []*pkt.Buf) int
-	// Pending reports frames awaiting Recv.
-	Pending() int
+	// NextRx returns the earliest instant at or after which Recv can take
+	// a frame (now or earlier if one is waiting, units.Never if none is
+	// queued): the input half of a guest app's cpu.Waiter hint.
+	NextRx(now units.Time) units.Time
 }
 
 // VirtioIf is the guest side of a vhost-user device.
@@ -72,8 +74,8 @@ func (v *VirtioIf) Recv(now units.Time, m *cost.Meter, out []*pkt.Buf) int {
 	return v.Dev.GuestRecv(now, m, out)
 }
 
-// Pending implements NetIf.
-func (v *VirtioIf) Pending() int { return v.Dev.GuestPending() }
+// NextRx implements NetIf.
+func (v *VirtioIf) NextRx(now units.Time) units.Time { return v.Dev.GuestNextRx() }
 
 // PtnetIf is the guest side of a ptnet device.
 type PtnetIf struct {
@@ -101,5 +103,5 @@ func (p *PtnetIf) Recv(now units.Time, m *cost.Meter, out []*pkt.Buf) int {
 	return p.Dev.GuestRecv(m, out)
 }
 
-// Pending implements NetIf.
-func (p *PtnetIf) Pending() int { return p.Dev.GuestPending() }
+// NextRx implements NetIf.
+func (p *PtnetIf) NextRx(now units.Time) units.Time { return p.Dev.GuestNextRx(now) }
