@@ -126,12 +126,8 @@ func (m *Map[K, V]) Reset() {
 		return
 	}
 	clear(m.live)
-	var zk K
-	var zv V
-	for i := range m.keys {
-		m.keys[i] = zk
-		m.vals[i] = zv
-	}
+	clear(m.keys)
+	clear(m.vals)
 	m.n = 0
 }
 
@@ -228,11 +224,7 @@ func (c *Cache[K, V]) Reset() {
 	}
 	clear(c.live)
 	clear(c.hand)
-	var zk K
-	var zv V
-	for i := range c.keys {
-		c.keys[i] = zk
-		c.vals[i] = zv
-	}
+	clear(c.keys)
+	clear(c.vals)
 	c.n = 0
 }

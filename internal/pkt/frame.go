@@ -31,12 +31,21 @@ func (s FrameSpec) Build(b *Buf) {
 // stamp emitted buffers with SetTemplate, deferring all byte work to the
 // first consumer that actually reads the frame.
 func (s FrameSpec) Template(flow int) *Template {
-	p := make([]byte, s.FrameLen)
-	s.buildInto(p)
+	t := new(Template)
+	s.FillTemplate(t, make([]byte, s.FrameLen), flow)
+	return t
+}
+
+// FillTemplate is Template with caller-supplied storage: it serializes the
+// image for flow into data (len FrameLen, never mutated afterwards) and
+// makes *t that image with a fresh identity. Generators carve t and data
+// out of slabs shared by many flows instead of allocating both per flow.
+func (s FrameSpec) FillTemplate(t *Template, data []byte, flow int) {
+	s.buildInto(data)
 	if flow != 0 {
-		patchFlowBytes(p, s, flow)
+		patchFlowBytes(data, s, flow)
 	}
-	return NewTemplate(p)
+	*t = Template{data: data, id: templateIDs.Add(1)}
 }
 
 // buildInto serializes the frame into p (len must be FrameLen).

@@ -17,8 +17,9 @@
 package ovs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cost"
 	"repro/internal/flowtab"
@@ -117,6 +118,7 @@ type Switch struct {
 
 	rules  []*Rule
 	groups []*maskGroup // tuple-space, sorted by maxPrio desc
+	byMask map[mask]*maskGroup
 
 	// emc is the exact-match cache: set-associative, fixed capacity,
 	// deterministic clock-hand eviction (the map it replaced evicted by
@@ -171,11 +173,12 @@ var info = switchdef.Info{
 // New returns an OvS instance with an empty flow table.
 func New(env switchdef.Env) *Switch {
 	return &Switch{
-		env:  env,
-		rng:  env.RNG.Derive("ovs"),
-		emc:  flowtab.NewCache[packedKey, *Rule](EMCCapacity),
-		mega: flowtab.NewMap[packedKey, megaEntry](64),
-		memo: flowtab.NewMap[memoKey, memoEntry](16),
+		env:    env,
+		rng:    env.RNG.Derive("ovs"),
+		byMask: map[mask]*maskGroup{},
+		emc:    flowtab.NewCache[packedKey, *Rule](EMCCapacity),
+		mega:   flowtab.NewMap[packedKey, megaEntry](64),
+		memo:   flowtab.NewMap[memoKey, memoEntry](16),
 	}
 }
 
@@ -199,15 +202,25 @@ func (sw *Switch) invalidateCaches() {
 	sw.cacheGen++
 }
 
+// rebuildGroups re-derives the tuple-space subtables from sw.rules: one
+// group per distinct mask in first-seen rule order, stably sorted by
+// maxPrio. Groups persist in byMask across rebuilds — each is cleared and
+// refilled, and dropped once no rule has its mask — so a rule operation
+// allocates no maps.
 func (sw *Switch) rebuildGroups() {
-	byMask := map[mask]*maskGroup{}
-	var order []*maskGroup
+	for _, g := range sw.byMask {
+		clear(g.flows)
+	}
+	sw.groups = sw.groups[:0]
 	for _, r := range sw.rules {
-		g, ok := byMask[r.Mask]
+		g, ok := sw.byMask[r.Mask]
 		if !ok {
-			g = &maskGroup{mask: r.Mask, maxPrio: r.Priority, flows: map[packedKey]*Rule{}}
-			byMask[r.Mask] = g
-			order = append(order, g)
+			g = &maskGroup{mask: r.Mask, flows: map[packedKey]*Rule{}}
+			sw.byMask[r.Mask] = g
+		}
+		if len(g.flows) == 0 { // first rule with this mask
+			g.maxPrio = r.Priority
+			sw.groups = append(sw.groups, g)
 		}
 		if r.Priority > g.maxPrio {
 			g.maxPrio = r.Priority
@@ -217,8 +230,12 @@ func (sw *Switch) rebuildGroups() {
 			g.flows[r.Match] = r
 		}
 	}
-	sort.SliceStable(order, func(i, j int) bool { return order[i].maxPrio > order[j].maxPrio })
-	sw.groups = order
+	for mk, g := range sw.byMask {
+		if len(g.flows) == 0 {
+			delete(sw.byMask, mk)
+		}
+	}
+	slices.SortStableFunc(sw.groups, func(a, b *maskGroup) int { return cmp.Compare(b.maxPrio, a.maxPrio) })
 }
 
 // CrossConnect implements switchdef.Switch as the canned rule program of

@@ -16,6 +16,7 @@ package switchdef
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/pkt"
@@ -105,9 +106,11 @@ func (r Rule) EffectivePriority() int {
 	return r.Priority
 }
 
-// Key is the identity Revoke matches on: the effective priority plus the
-// match (fields and constrained values). Two rules with equal Key address
-// the same table slot.
+// Key is the identity Revoke matches on, as text for display and error
+// messages: the effective priority plus the match (fields and constrained
+// values). Two rules with equal Key address the same table slot. Nothing
+// on the rule-update path formats it; RuleLedger compares the same
+// identity as a ruleID.
 func (r Rule) Key() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "p%d|f%04x", r.EffectivePriority(), uint16(r.Match.Fields))
@@ -143,6 +146,50 @@ func (r Rule) Key() string {
 		fmt.Fprintf(&sb, "|ld%d", m.L4Dst)
 	}
 	return sb.String()
+}
+
+// ruleID is Key's identity as a comparable value: the effective priority
+// plus the match with every field not named in Fields zeroed, so two rules
+// that differ only in an unconstrained field are the same slot.
+type ruleID struct {
+	prio  int
+	match Match
+}
+
+func (r Rule) id() ruleID {
+	m := r.Match
+	z := Match{Fields: m.Fields}
+	if m.Fields&FInPort != 0 {
+		z.InPort = m.InPort
+	}
+	if m.Fields&FEthDst != 0 {
+		z.EthDst = m.EthDst
+	}
+	if m.Fields&FEthSrc != 0 {
+		z.EthSrc = m.EthSrc
+	}
+	if m.Fields&FEthType != 0 {
+		z.EthType = m.EthType
+	}
+	if m.Fields&FVLAN != 0 {
+		z.VLAN = m.VLAN
+	}
+	if m.Fields&FIPSrc != 0 {
+		z.IPSrc = m.IPSrc
+	}
+	if m.Fields&FIPDst != 0 {
+		z.IPDst = m.IPDst
+	}
+	if m.Fields&FIPProto != 0 {
+		z.IPProto = m.IPProto
+	}
+	if m.Fields&FL4Src != 0 {
+		z.L4Src = m.L4Src
+	}
+	if m.Fields&FL4Dst != 0 {
+		z.L4Dst = m.L4Dst
+	}
+	return ruleID{r.EffectivePriority(), z}
 }
 
 // Programmer is the runtime rule-management surface of a switch. Every
@@ -186,20 +233,22 @@ func CrossConnectMACRules(a, b int) []Rule {
 }
 
 // RuleLedger is the bookkeeping helper behind Snapshot: an ordered set of
-// rules keyed by Rule.Key. Switch implementations embed one and keep it in
-// sync as they lower rules into their native structures.
+// rules keyed by Rule.Key's identity (held as a ruleID, never as text).
+// Switch implementations embed one and keep it in sync as they lower rules
+// into their native structures. Get, a replacing Put and Delete do not
+// allocate.
 type RuleLedger struct {
 	rules []Rule
-	index map[string]int
+	index map[ruleID]int
 }
 
 // Put records r (replacing an existing rule with the same Key in place)
 // and reports whether it replaced.
 func (l *RuleLedger) Put(r Rule) bool {
 	if l.index == nil {
-		l.index = make(map[string]int)
+		l.index = make(map[ruleID]int)
 	}
-	k := r.Key()
+	k := r.id()
 	if i, ok := l.index[k]; ok {
 		l.rules[i] = r
 		return true
@@ -211,7 +260,7 @@ func (l *RuleLedger) Put(r Rule) bool {
 
 // Get returns the recorded rule with r's Key.
 func (l *RuleLedger) Get(r Rule) (Rule, bool) {
-	i, ok := l.index[r.Key()]
+	i, ok := l.index[r.id()]
 	if !ok {
 		return Rule{}, false
 	}
@@ -219,16 +268,18 @@ func (l *RuleLedger) Get(r Rule) (Rule, bool) {
 }
 
 // Delete removes the rule with r's Key, reporting whether it was present.
+// The later rules move up one place and are re-indexed: O(n), which the
+// tables this ledger backs (tens of rules under churn) never notice.
 func (l *RuleLedger) Delete(r Rule) bool {
-	k := r.Key()
+	k := r.id()
 	i, ok := l.index[k]
 	if !ok {
 		return false
 	}
 	delete(l.index, k)
-	l.rules = append(l.rules[:i], l.rules[i+1:]...)
+	l.rules = slices.Delete(l.rules, i, i+1)
 	for j := i; j < len(l.rules); j++ {
-		l.index[l.rules[j].Key()] = j
+		l.index[l.rules[j].id()] = j
 	}
 	return true
 }

@@ -5,11 +5,18 @@
 // Generators run on dedicated node-1 cores, so — as the paper argues for
 // its single-server methodology — they consume no SUT resources; their
 // cost accounting is pacing only.
+//
+// A generator never builds a frame: each emitted buffer references a
+// pre-serialized template, one per (frame length, flow), held in a flat
+// slice indexed by size slot and flow, so picking it is an index, not a
+// lookup. Templates are built on a flow's first frame and carved in
+// chunks of up to 64 from slabs sized to the flows still unbuilt, so
+// 32 768 flows cost about a thousand allocations rather than a hundred
+// thousand, and one flow costs one image.
 package tgen
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/nic"
 	"repro/internal/pkt"
@@ -23,6 +30,16 @@ const DefaultBurst = 32
 
 // imixSizes is the classic IMIX cycle: 7×64B, 4×570B, 1×1518B.
 var imixSizes = []int{64, 570, 64, 570, 64, 1518, 64, 570, 64, 570, 64, 64}
+
+// imixSlots runs in parallel with imixSizes: each entry is its length's
+// index among IMIX's imixLens distinct lengths, the size slot of the
+// generator's template table.
+var imixSlots = []int{0, 1, 0, 1, 0, 2, 0, 1, 0, 1, 0, 0}
+
+const imixLens = 3
+
+// tmplChunk caps how many templates one slab allocation provides.
+const tmplChunk = 64
 
 // Config describes one generator (one TX port).
 type Config struct {
@@ -71,42 +88,60 @@ type Generator struct {
 	// again only when the credit runs out.
 	txCredit int
 
-	// tmpls caches one pre-serialized frame image per (frameLen, flow);
-	// emitted buffers reference it lazily instead of being built. The
-	// single-flow fixed-size common case bypasses the map via lastTmpl.
-	tmpls    map[tmplKey]*pkt.Template
-	lastKey  tmplKey
-	lastTmpl *pkt.Template
+	// tmpls holds one pre-serialized frame image per (size slot, flow) at
+	// index slot*flows + flow; emitted buffers reference it lazily instead
+	// of being built. The slot is 0 for fixed-length traffic and the
+	// frame length's imixSlots entry under IMIX. An entry is nil until
+	// its first frame is emitted.
+	tmpls []*pkt.Template
+	flows int // max(Flows, 1)
+	// slabs carves each size slot's templates, images included, out of
+	// chunks of min(tmplChunk, that slot's flows not yet built): a
+	// one-flow generator allocates exactly one image.
+	slabs [imixLens]tmplSlab
 
 	// zipfCDF is the precomputed flow-weight CDF when ZipfSkew is
-	// active; nil keeps the round-robin path untouched.
-	zipfCDF []float64
+	// active; nil keeps the round-robin path untouched. zipfGuide
+	// narrows each draw's search (see zipfGuide).
+	zipfCDF   []float64
+	zipfGuide []int32
 
 	// Sent counts emitted frames; SentProbes the probe subset.
 	Sent       int64
 	SentProbes int64
 }
 
-type tmplKey struct{ frameLen, flow int }
+// tmplSlab is the unclaimed rest of one size slot's current chunk.
+type tmplSlab struct {
+	tmpls []pkt.Template
+	data  []byte
+	built int // templates of this slot built so far
+}
 
 // NewGenerator registers a generator with the scheduler (idle until Start).
 func NewGenerator(s *sim.Scheduler, cfg Config) *Generator {
 	if cfg.Burst == 0 {
 		cfg.Burst = DefaultBurst
 	}
-	g := &Generator{cfg: cfg, sched: s}
+	g := &Generator{cfg: cfg, sched: s, flows: max(cfg.Flows, 1)}
+	slots := 1
+	if cfg.IMIX {
+		slots = imixLens
+	}
+	g.tmpls = make([]*pkt.Template, slots*g.flows)
 	if cfg.Rate > 0 {
 		g.gap = cfg.Rate.WireTime(cfg.Spec.FrameLen)
 	}
 	if cfg.ZipfSkew > 0 && cfg.Flows > 1 && cfg.RNG != nil {
 		g.zipfCDF = zipfCDF(cfg.Flows, cfg.ZipfSkew)
+		g.zipfGuide = zipfGuide(g.zipfCDF)
 	}
 	g.task = s.Register(cfg.Name, g)
 	return g
 }
 
 // zipfCDF precomputes the cumulative weights of a Zipf distribution over
-// n flows: flow k has weight 1/(k+1)^s. An explicit CDF plus binary
+// n flows: flow k has weight 1/(k+1)^s. An explicit CDF plus a guided
 // search keeps the draw exact, allocation-free, and — unlike
 // rejection-based samplers — consuming exactly one RNG value per frame,
 // so the random stream's alignment is a pure function of the frame index.
@@ -123,10 +158,46 @@ func zipfCDF(n int, s float64) []float64 {
 	return cdf
 }
 
+// zipfGuide is a guide table over cdf with n = len(cdf) buckets: a draw u
+// falls in bucket int(u*n), and guide[k] is the first index whose cdf
+// value falls in bucket k or later. Buckets come from the same
+// multiplication for draws and for cdf values, and it is monotone, so the
+// index SearchFloat64s(cdf, u) finds lies in [guide[k], guide[k+1]]
+// exactly, not up to rounding. guide[n+1] = n keeps u = 1 in range.
+func zipfGuide(cdf []float64) []int32 {
+	n := len(cdf)
+	guide := make([]int32, n+2)
+	k := 0
+	for i, c := range cdf {
+		for b := min(int(c*float64(n)), n); k <= b; k++ {
+			guide[k] = int32(i)
+		}
+	}
+	for ; k < len(guide); k++ {
+		guide[k] = int32(n)
+	}
+	return guide
+}
+
+// zipfSearch returns sort.SearchFloat64s(cdf, u) for u in [0, 1],
+// binary-searching only u's guide bucket.
+func zipfSearch(cdf []float64, guide []int32, u float64) int {
+	k := int(u * float64(len(cdf)))
+	lo, hi := int(guide[k]), int(guide[k+1])
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // zipfFlow draws one flow index from the precomputed CDF.
 func (g *Generator) zipfFlow() int {
-	u := g.cfg.RNG.Float64()
-	return sort.SearchFloat64s(g.zipfCDF, u)
+	return zipfSearch(g.zipfCDF, g.zipfGuide, g.cfg.RNG.Float64())
 }
 
 // Start schedules the first burst.
@@ -136,23 +207,22 @@ func (g *Generator) Start(at units.Time) {
 	g.sched.WakeAt(g.task, at)
 }
 
-// template returns the cached frame image for (frameLen, flow).
-func (g *Generator) template(frameLen, flow int) *pkt.Template {
-	k := tmplKey{frameLen, flow}
-	if k == g.lastKey && g.lastTmpl != nil {
-		return g.lastTmpl
+// build makes the frame image for flow in size slot slot (frames of
+// frameLen bytes) from the slot's slab, starting a new chunk when the
+// current one is used up.
+func (g *Generator) build(slot, frameLen, flow int) *pkt.Template {
+	s := &g.slabs[slot]
+	if len(s.tmpls) == 0 {
+		n := min(tmplChunk, g.flows-s.built)
+		s.tmpls, s.data = make([]pkt.Template, n), make([]byte, n*frameLen)
 	}
-	t, ok := g.tmpls[k]
-	if !ok {
-		spec := g.cfg.Spec
-		spec.FrameLen = frameLen
-		t = spec.Template(flow)
-		if g.tmpls == nil {
-			g.tmpls = map[tmplKey]*pkt.Template{}
-		}
-		g.tmpls[k] = t
-	}
-	g.lastKey, g.lastTmpl = k, t
+	spec := g.cfg.Spec
+	spec.FrameLen = frameLen
+	t := &s.tmpls[0]
+	spec.FillTemplate(t, s.data[:frameLen:frameLen], flow)
+	s.tmpls, s.data = s.tmpls[1:], s.data[frameLen:]
+	s.built++
+	g.tmpls[slot*g.flows+flow] = t
 	return t
 }
 
@@ -169,9 +239,10 @@ func (g *Generator) emitOne(at units.Time) bool {
 		}
 	}
 	g.txCredit--
-	frameLen := g.cfg.Spec.FrameLen
+	frameLen, slot := g.cfg.Spec.FrameLen, 0
 	if g.cfg.IMIX {
-		frameLen = imixSizes[g.seq%uint64(len(imixSizes))]
+		i := g.seq % uint64(len(imixSizes))
+		frameLen, slot = imixSizes[i], imixSlots[i]
 	}
 	g.seq++
 	flow := 0
@@ -180,8 +251,12 @@ func (g *Generator) emitOne(at units.Time) bool {
 	} else if g.cfg.Flows > 1 {
 		flow = int(g.seq) % g.cfg.Flows
 	}
+	t := g.tmpls[slot*g.flows+flow]
+	if t == nil {
+		t = g.build(slot, frameLen, flow)
+	}
 	b := g.cfg.Pool.Get(frameLen)
-	b.SetTemplate(g.template(frameLen, flow))
+	b.SetTemplate(t)
 	b.Seq = g.seq
 	if g.cfg.ProbeEvery > 0 && at >= g.nextProbe {
 		var ts units.Time // 0: the NIC stamps on the wire

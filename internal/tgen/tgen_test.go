@@ -1,7 +1,9 @@
 package tgen
 
 import (
+	"bytes"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/nic"
@@ -90,6 +92,153 @@ func TestGeneratorDeterminism(t *testing.T) {
 	s2, p2 := run()
 	if s1 != s2 || p1 != p2 {
 		t.Fatalf("non-deterministic: (%d,%d) vs (%d,%d)", s1, p1, s2, p2)
+	}
+}
+
+// TestZipfSearchMatchesSearchFloat64s: the guided draw returns exactly
+// what a binary search over the whole CDF returns — for random draws, for
+// every CDF value, for the floats on both sides of each, and at every
+// bucket edge.
+func TestZipfSearchMatchesSearchFloat64s(t *testing.T) {
+	rng := sim.NewRNG(26)
+	for _, n := range []int{2, 512, 8192, 32768} {
+		for _, s := range []float64{0.5, 1.1, 2} {
+			cdf := zipfCDF(n, s)
+			guide := zipfGuide(cdf)
+			check := func(u float64) {
+				if got, want := zipfSearch(cdf, guide, u), sort.SearchFloat64s(cdf, u); got != want {
+					t.Fatalf("n=%d s=%v u=%v: flow %d, SearchFloat64s %d", n, s, u, got, want)
+				}
+			}
+			for i := 0; i < 100000; i++ {
+				check(rng.Float64())
+			}
+			for _, c := range cdf {
+				check(math.Nextafter(c, 0))
+				check(c)
+				check(math.Nextafter(c, 2))
+			}
+			for k := 0; k <= n; k++ {
+				edge := float64(k) / float64(n)
+				check(math.Nextafter(edge, 0))
+				check(edge)
+				check(math.Nextafter(edge, 2))
+			}
+		}
+	}
+}
+
+// emitted runs cfg's generator saturating a wire for 300 µs and returns
+// it with every frame the sink received, in order.
+func emitted(t *testing.T, cfg Config) (*Generator, []*pkt.Buf) {
+	t.Helper()
+	s := sim.NewScheduler()
+	gen := nic.NewPort(nic.Config{Name: "gen", TxRing: 4096, RxRing: 4096})
+	peer := nic.NewPort(nic.Config{Name: "peer", TxRing: 4096, RxRing: 4096})
+	nic.Connect(gen, peer)
+	cfg.Name, cfg.Port, cfg.Pool = "g", gen, pkt.NewPool(2048)
+	g := NewGenerator(s, cfg)
+	k := NewSink(s, "sink", peer)
+	keep := pkt.NewPool(2048)
+	var frames []*pkt.Buf
+	k.Capture = func(_ units.Time, b *pkt.Buf) { frames = append(frames, keep.Clone(b)) }
+	g.Start(0)
+	k.Start(0)
+	s.RunUntil(300 * units.Microsecond)
+	if len(frames) == 0 || int64(len(frames)) > g.Sent {
+		t.Fatalf("sink received %d of %d frames", len(frames), g.Sent)
+	}
+	return g, frames
+}
+
+// TestEmittedFramesMatchSpecTemplates: every frame a generator emits reads
+// byte for byte as FrameSpec.Template(flow) at its length, with the flow
+// and length recomputed independently — the round-robin cycle, or one
+// Zipf draw per frame by a full binary search on a twin RNG, and the IMIX
+// cycle.
+func TestEmittedFramesMatchSpecTemplates(t *testing.T) {
+	spec := pkt.FrameSpec{
+		SrcMAC: pkt.MAC{2, 0, 0, 0, 0, 1}, DstMAC: pkt.MAC{2, 0, 0, 0, 0, 2},
+		SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{10, 0, 1, 2},
+		SrcPort: 1000, DstPort: 2001, FrameLen: 64,
+	}
+	for _, tc := range []struct {
+		name  string
+		flows int
+		zipf  float64
+		imix  bool
+	}{
+		{"single-flow", 1, 0, false},
+		{"round-robin-512", 512, 0, false},
+		{"zipf-1.1-8192", 8192, 1.1, false},
+		{"imix-64", 64, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Spec: spec, Flows: tc.flows, IMIX: tc.imix}
+			var twin *sim.RNG
+			var cdf []float64
+			if tc.zipf > 0 {
+				cfg.ZipfSkew, cfg.RNG, twin = tc.zipf, sim.NewRNG(7), sim.NewRNG(7)
+				cdf = zipfCDF(tc.flows, tc.zipf)
+			}
+			_, frames := emitted(t, cfg)
+			want := map[[2]int][]byte{}
+			for i, b := range frames {
+				seq := uint64(i + 1)
+				if b.Seq != seq {
+					t.Fatalf("frame %d has seq %d", i, b.Seq)
+				}
+				frameLen, flow := spec.FrameLen, int(seq)%tc.flows
+				if tc.imix {
+					frameLen = imixSizes[(seq-1)%uint64(len(imixSizes))]
+				}
+				if cdf != nil {
+					flow = sort.SearchFloat64s(cdf, twin.Float64())
+				}
+				k := [2]int{frameLen, flow}
+				if want[k] == nil {
+					s := spec
+					s.FrameLen = frameLen
+					want[k] = s.Template(flow).Image()
+				}
+				if !bytes.Equal(b.View(), want[k]) {
+					t.Fatalf("frame %d (flow %d, %d B) differs from FrameSpec.Template", i, flow, frameLen)
+				}
+			}
+			if tc.flows > 1 && len(want) < 64 {
+				t.Fatalf("only %d distinct (length, flow) pairs: the run exercises too little", len(want))
+			}
+		})
+	}
+}
+
+// TestSingleFlowBuildsOneImage: a one-flow generator allocates exactly one
+// template image per frame length — no slab space beyond it — and a
+// generator that has built every flow has no slab space left over.
+func TestSingleFlowBuildsOneImage(t *testing.T) {
+	spec := pkt.FrameSpec{SrcMAC: pkt.MAC{2, 0, 0, 0, 0, 1}, DstMAC: pkt.MAC{2, 0, 0, 0, 0, 2}, FrameLen: 64}
+	for _, tc := range []struct {
+		name        string
+		flows, lens int
+		imix        bool
+	}{
+		{"fixed", 1, 1, false},
+		{"imix", 1, imixLens, true},
+		{"round-robin-100", 100, 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, _ := emitted(t, Config{Spec: spec, Flows: tc.flows, IMIX: tc.imix})
+			for slot, s := range g.slabs {
+				want := 0
+				if slot < tc.lens {
+					want = tc.flows
+				}
+				if s.built != want || len(s.tmpls) != 0 || len(s.data) != 0 {
+					t.Fatalf("slot %d: %d templates built (want %d), %d templates and %d bytes of slab unused",
+						slot, s.built, want, len(s.tmpls), len(s.data))
+				}
+			}
+		})
 	}
 }
 
