@@ -203,7 +203,7 @@ func TestFlowHashShardIsolation(t *testing.T) {
 			b := pool.Get(64)
 			// Distinct flows differ in their source MAC.
 			b.Bytes()[11] = byte(fl)
-			if !gen.Send(now, b) {
+			if !gen.SendAt(now, b) {
 				t.Fatal("generator TX ring full")
 			}
 		}
@@ -332,7 +332,7 @@ func TestRTCPipelineFlow(t *testing.T) {
 	for i := 0; i < n; i++ {
 		b := pool.Get(64)
 		b.Bytes()[0] = byte(i)
-		if !gen.Send(0, b) {
+		if !gen.SendAt(0, b) {
 			t.Fatal("generator TX ring full")
 		}
 	}

@@ -11,8 +11,13 @@
 //
 // A frame crosses the receive side through one queue: arrive appends it,
 // materialize moves a watermark over it once it is visible, RxBurst copies
-// it out. The TX occupancy window is a fixed ring of TxRing completion
-// times. Both are O(1) per frame.
+// it out. A queue entry is a run of k ≥ 1 identical frames arriving back to
+// back (pkt.Buf.Run; a saturating generator sends its bursts that way, see
+// SendRunAt): materialize judges a run's visible prefix against the ring
+// arithmetically and RxBurst expands only admitted frames into buffers, so
+// the receive side is O(1) per run plus O(1) per delivered frame. The TX
+// occupancy window is a fixed ring of TxRing completion times, O(1) per
+// frame.
 package nic
 
 import (
@@ -80,12 +85,17 @@ type Port struct {
 	wireTime units.Time
 
 	// RX state: rxq[rxHead:] holds every frame sent to this port and not
-	// yet polled, in arrival order, each carrying its PHY arrival time in
-	// Ingress. rxq[rxHead:rxVis] is the descriptor ring the consumer
-	// drains — rxCount frames, and nil where an arrival found it full;
+	// yet polled, in arrival order, as runs: an entry b stands for b.Run()
+	// frames, frame i arriving at the PHY at b.Ingress + i·gap with
+	// sequence number b.Seq + i, gap being the sender's wire time for the
+	// length. rxq[rxHead:rxVis] is the descriptor ring the consumer
+	// drains — rxCount frames, and nil where arrivals found it full;
 	// rxq[rxVis:] is in flight or not yet looked at.
 	rxq                    []*pkt.Buf
 	rxHead, rxVis, rxCount int
+	// gapLen/gap memoize the sender's wire time as wireLen/wireTime do.
+	gapLen int
+	gap    units.Time
 
 	// Consumer binding: an interrupt-driven core, or the poll-mode core
 	// an arrival must wake if it sleeps through empty polls.
@@ -118,7 +128,7 @@ func NewPort(cfg Config) *Port {
 	} else if cfg.TxLatency < 0 {
 		cfg.TxLatency = 0
 	}
-	return &Port{cfg: cfg, txDone: make([]units.Time, cfg.TxRing), wireLen: -1}
+	return &Port{cfg: cfg, txDone: make([]units.Time, cfg.TxRing), wireLen: -1, gapLen: -1}
 }
 
 // Connect wires two ports back to back (full duplex).
@@ -191,20 +201,15 @@ func (p *Port) TxFree(now units.Time) int {
 	return len(p.txDone) - p.txLen
 }
 
-// Send enqueues one frame for transmission at time now. On success the port
-// takes ownership and returns true; if the TX ring is full the frame is
-// rejected (caller keeps ownership) and the drop is counted.
-func (p *Port) Send(now units.Time, b *pkt.Buf) bool {
-	return p.SendAt(now, b)
-}
-
 // SendAt enqueues one frame for transmission at time at, which may lie
 // ahead of the simulation clock: a batched generator emits a whole CBR
 // burst from one scheduler step by stamping each frame with its own due
 // time. The port's TX state is touched only by its sender, and every
 // downstream effect (wire completion, peer arrival, interrupt) is
-// timestamped from `at`, so a batch is bit-identical to one Send per
-// scheduler event at the same instants.
+// timestamped from `at`, so a batch is bit-identical to one SendAt per
+// scheduler event at the same instants. On success the port takes
+// ownership and returns true; if the TX ring is full the frame is rejected
+// (caller keeps ownership) and the drop is counted.
 func (p *Port) SendAt(at units.Time, b *pkt.Buf) bool {
 	if p.peer == nil {
 		panic(fmt.Sprintf("nic: port %s not connected", p.cfg.Name))
@@ -239,9 +244,58 @@ func (p *Port) SendAt(at units.Time, b *pkt.Buf) bool {
 	return true
 }
 
+// SendRunAt enqueues n frames for transmission at time at as one run: b, a
+// template-backed non-probe buffer, stands for n copies of its frame
+// numbered b.Seq, b.Seq+1, ... leaving back to back. The caller guarantees
+// the TX ring has room for all of them (n ≤ TxFree(at)). The port books
+// exactly what n SendAt calls would — a completion time per frame, the
+// wire, the counters — and the peer queues the run as one entry. (SendAt
+// keeps its own copy of the booking: the compiler does not inline a shared
+// helper, and a call per frame measurably slows per-frame traffic.)
+func (p *Port) SendRunAt(at units.Time, b *pkt.Buf, n int) {
+	if p.peer == nil {
+		panic(fmt.Sprintf("nic: port %s not connected", p.cfg.Name))
+	}
+	if free := p.TxFree(at); n > free {
+		panic(fmt.Sprintf("nic: run of %d frames on port %s with %d TX descriptors free", n, p.cfg.Name, free))
+	}
+	start := at + p.cfg.TxLatency
+	if p.busyUntil > start {
+		start = p.busyUntil
+	}
+	if l := b.Len(); l != p.wireLen {
+		p.wireLen, p.wireTime = l, p.cfg.Rate.WireTime(l)
+	}
+	first := start + p.wireTime
+	done, tail := first, p.txHead+p.txLen
+	for i := 0; i < n; i++ {
+		if tail >= len(p.txDone) {
+			tail -= len(p.txDone)
+		}
+		p.txDone[tail] = done
+		tail++
+		done += p.wireTime
+	}
+	p.busyUntil = done - p.wireTime
+	p.txLen += n
+	p.Stats.TxPackets += int64(n)
+	p.Stats.TxBytes += int64(n) * int64(b.Len())
+	b.SetRun(n)
+	p.peer.arriveRun(first, b)
+}
+
 // BusyUntil returns the time at which all queued frames will have left the
 // wire — the natural pacing point for a saturating generator.
 func (p *Port) BusyUntil() units.Time { return p.busyUntil }
+
+// gapFor returns the sender's wire time for a frameLen-byte frame: the
+// spacing of a run's arrivals.
+func (p *Port) gapFor(frameLen int) units.Time {
+	if frameLen != p.gapLen {
+		p.gapLen, p.gap = frameLen, p.peer.cfg.Rate.WireTime(frameLen)
+	}
+	return p.gap
+}
 
 // arrive queues an inbound frame hitting the PHY at time at — its hardware
 // RX timestamp; it becomes visible to the consumer after the descriptor
@@ -249,45 +303,117 @@ func (p *Port) BusyUntil() units.Time { return p.busyUntil }
 func (p *Port) arrive(at units.Time, b *pkt.Buf) {
 	b.Ingress = at
 	p.rxq = append(p.rxq, b)
-	if p.poller != nil {
-		p.poller.Notify(at + p.cfg.RxLatency)
+	p.notify(at)
+}
+
+// arriveRun queues a run whose first frame hits the PHY at time at. A run
+// arriving right behind a not yet judged run of the same frames extends it
+// (and its buffer goes back to the pool).
+func (p *Port) arriveRun(at units.Time, b *pkt.Buf) {
+	if last := len(p.rxq) - 1; last >= p.rxVis {
+		if t := p.rxq[last]; b.Follows(t) && t.Ingress+units.Time(t.Run())*p.gapFor(t.Len()) == at {
+			t.SetRun(t.Run() + b.Run())
+			b.Free()
+			p.notify(at)
+			return
+		}
 	}
-	p.scheduleIRQ(at + p.cfg.RxLatency)
+	p.arrive(at, b)
+}
+
+// notify wakes the bound consumer for a frame hitting the PHY at time at.
+// A run calls it once, for its first frame: the later frames' calls could
+// only ask for later times, and the scheduler keeps the earliest wake-up
+// while an armed port ignores further arrivals.
+func (p *Port) notify(at units.Time) {
+	vis := at + p.cfg.RxLatency
+	if p.poller != nil {
+		p.poller.Notify(vis)
+	}
+	p.scheduleIRQ(vis)
 }
 
 // materialize advances the visible watermark over the arrivals that
 // completed by now. Ring occupancy is judged here, when the consumer looks,
 // in arrival order: an arrival that finds RxRing frames waiting is dropped —
-// freed, and left behind in the queue as a nil entry for RxBurst to skip.
+// freed, and left behind in the queue as a nil entry for RxBurst to skip. A
+// run is judged arithmetically: of its visible frames the ring admits a
+// prefix, the rest is counted dropped without becoming buffers, and the
+// part still in flight is split off as an entry of its own.
 func (p *Port) materialize(now units.Time) {
 	q := p.rxq
 	due := now - p.cfg.RxLatency
 	v, count := p.rxVis, p.rxCount
 	for ; v < len(q) && q[v].Ingress <= due; v++ {
-		if count < p.cfg.RxRing {
+		b := q[v]
+		if k := b.Run(); k > 1 {
+			gap := p.gapFor(b.Len())
+			vis := min(k, int((due-b.Ingress)/gap)+1)
+			adm := min(vis, p.cfg.RxRing-count)
+			count += adm
+			p.Stats.RxDropsFull += int64(vis - adm)
+			if vis < k {
+				rest := b
+				if adm > 0 {
+					rest = b.Twin()
+					b.SetRun(adm)
+					q = append(q, nil)
+					copy(q[v+2:], q[v+1:])
+					v++
+					q[v] = rest
+				}
+				rest.Ingress += units.Time(vis) * gap
+				rest.Seq += uint64(vis)
+				rest.SetRun(k - vis)
+				break
+			}
+			if adm > 0 {
+				b.SetRun(adm)
+				continue
+			}
+		} else if count < p.cfg.RxRing {
 			count++
 			continue
+		} else {
+			p.Stats.RxDropsFull++
 		}
-		p.Stats.RxDropsFull++
-		q[v].Free()
+		b.Free()
 		q[v] = nil
 	}
-	p.rxVis, p.rxCount = v, count
+	p.rxq, p.rxVis, p.rxCount = q, v, count
 }
 
 // RxBurst moves up to len(out) received frames to out, returning the count.
 // Ownership of returned buffers passes to the caller. It performs no cost
-// accounting: the consuming device driver model charges for the burst.
+// accounting: the consuming device driver model charges for the burst. The
+// frames of a run leave as buffers of their own, each with its own Ingress
+// and Seq; a burst that fills up mid-run leaves the rest queued.
 func (p *Port) RxBurst(now units.Time, out []*pkt.Buf) int {
 	p.materialize(now)
 	q, h, n := p.rxq, p.rxHead, 0
 	for ; h < p.rxVis && n < len(out); h++ {
-		if b := q[h]; b != nil {
-			q[h] = nil
-			out[n] = b
-			n++
-			p.Stats.RxBytes += int64(b.Len())
+		b := q[h]
+		if b == nil {
+			continue
 		}
+		if k := b.Run(); k > 1 {
+			gap := p.gapFor(b.Len())
+			for ; k > 1 && n < len(out); k-- {
+				out[n] = b.Twin()
+				n++
+				p.Stats.RxBytes += int64(b.Len())
+				b.Ingress += gap
+				b.Seq++
+			}
+			b.SetRun(k)
+			if n == len(out) {
+				break
+			}
+		}
+		q[h] = nil
+		out[n] = b
+		n++
+		p.Stats.RxBytes += int64(b.Len())
 	}
 	p.Stats.RxPackets += int64(n)
 	p.rxCount -= n

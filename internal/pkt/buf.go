@@ -44,6 +44,10 @@ type Buf struct {
 	Seq uint64
 	// Probe marks latency-measurement (PTP) packets.
 	Probe bool
+	// more is how many further frames, identical to this one and leaving
+	// back to back behind it, the buffer stands for (see Run); it sits in
+	// Probe's padding, so a Buf stays 96 bytes.
+	more int32
 	// TxStamp is the probe's transmit timestamp: hardware (taken by the
 	// NIC as the frame hits the wire) in p2p/loopback runs, software
 	// (taken by the generator) in v2v runs.
@@ -158,6 +162,29 @@ func (b *Buf) CopyFrom(src *Buf) {
 	b.AvailAt = src.AvailAt
 }
 
+// Run returns how many identical frames b stands for: 1 for an ordinary
+// buffer, n for a run — frames that left a generator back to back with
+// consecutive sequence numbers, carried through a NIC as one buffer so that
+// frames its full RX ring drops never become buffers (nic.Port.SendRunAt).
+// Only the NIC sees runs; every buffer it hands out is a run of one.
+func (b *Buf) Run() int { return int(b.more) + 1 }
+
+// SetRun makes b stand for n ≥ 1 frames.
+func (b *Buf) SetRun(n int) { b.more = int32(n - 1) }
+
+// Follows reports whether b can extend the run r: the same template-backed,
+// non-probe frame from the same pool, numbered right after r's last frame.
+// Arrival times are the caller's to check.
+func (b *Buf) Follows(r *Buf) bool {
+	return b.tmpl != nil && b.tmpl == r.tmpl && b.len == r.len && b.pool == r.pool &&
+		!b.Probe && !r.Probe && b.TxStamp == r.TxStamp && b.AvailAt == r.AvailAt &&
+		b.Seq == r.Seq+uint64(r.Run())
+}
+
+// Twin returns a new buffer from b's pool holding b's first frame: b's
+// contents and metadata, a run of one.
+func (b *Buf) Twin() *Buf { return b.pool.Clone(b) }
+
 // Free returns the buffer to its pool. Freeing a pool-less buffer is a no-op;
 // double frees panic.
 func (b *Buf) Free() {
@@ -271,6 +298,7 @@ func (p *Pool) Get(frameLen int) *Buf {
 	b.tmpl = nil
 	b.Seq = 0
 	b.Probe = false
+	b.more = 0
 	b.TxStamp = 0
 	b.Ingress = 0
 	b.AvailAt = 0

@@ -3,6 +3,7 @@ package pkt
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 )
 
 func lazySpec(frameLen int) FrameSpec {
@@ -395,5 +396,54 @@ func TestUnwrittenBufferEdges(t *testing.T) {
 	b := p.Get(64)
 	if b.Bytes()[0] != 0 {
 		t.Fatal("pool unusable after Trim(0)")
+	}
+}
+
+// TestRunBuffers: a run's length lives in Buf's padding (a Buf stays 96
+// bytes on 64-bit hosts), a recycled buffer is a run of one again, Twin
+// copies the first frame as a run of one, and Follows accepts exactly the
+// same template-backed, non-probe frame from the same pool with the next
+// sequence number.
+func TestRunBuffers(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Buf{}) != 96 {
+		t.Fatalf("Buf is %d bytes, want 96", unsafe.Sizeof(Buf{}))
+	}
+	p := NewPool(2048)
+	tmpl := lazySpec(64).Template(0)
+	r := p.Get(64)
+	r.SetTemplate(tmpl)
+	r.Seq, r.Ingress = 10, 5
+	r.SetRun(4)
+	tw := r.Twin()
+	if tw.Run() != 1 || tw.Template() != tmpl || tw.Seq != 10 || tw.Ingress != 5 || p.Live() != 2 {
+		t.Fatalf("twin: run %d, seq %d, ingress %v, %d live", tw.Run(), tw.Seq, tw.Ingress, p.Live())
+	}
+	next := func(edit func(b *Buf)) *Buf {
+		b := p.Get(64)
+		b.SetTemplate(tmpl)
+		b.Seq = 14
+		edit(b)
+		return b
+	}
+	if b := next(func(*Buf) {}); !b.Follows(r) {
+		t.Fatal("the run's next frame does not follow it")
+	}
+	other := NewPool(2048).Get(64)
+	other.SetTemplate(tmpl)
+	other.Seq = 14
+	for name, b := range map[string]*Buf{
+		"sequence gap":   next(func(b *Buf) { b.Seq = 15 }),
+		"other template": next(func(b *Buf) { b.SetTemplate(lazySpec(64).Template(1)) }),
+		"materialized":   next(func(b *Buf) { b.Bytes() }),
+		"probe":          next(func(b *Buf) { b.Probe = true }),
+		"other pool":     other,
+	} {
+		if b.Follows(r) {
+			t.Errorf("%s: follows the run", name)
+		}
+	}
+	r.Free()
+	if b := p.Get(64); b.Run() != 1 {
+		t.Fatalf("recycled buffer is a run of %d", b.Run())
 	}
 }

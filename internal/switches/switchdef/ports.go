@@ -50,7 +50,7 @@ func (p *PhysPort) TxBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) int {
 		if !p.Unpriced {
 			m.Charge(m.Model.TxPkt + m.Model.DMAPerByteMilli*units.Cycles(b.Len())/1000)
 		}
-		if p.Port.Send(now, b) {
+		if p.Port.SendAt(now, b) {
 			sent++
 		} else {
 			b.Free()

@@ -12,7 +12,10 @@
 // lookup. Templates are built on a flow's first frame and carved in
 // chunks of up to 64 from slabs sized to the flows still unbuilt, so
 // 32 768 flows cost about a thousand allocations rather than a hundred
-// thousand, and one flow costs one image.
+// thousand, and one flow costs one image. A saturating generator of one
+// flow and one frame length goes further: its burst's frames are one
+// template, so they leave as runs (nic.Port.SendRunAt), one buffer each,
+// and the frames the receiver's full RX ring drops never become buffers.
 package tgen
 
 import (
@@ -87,6 +90,9 @@ type Generator struct {
 	// ring, so room seen once stays until spent and the ring is asked
 	// again only when the credit runs out.
 	txCredit int
+	// runs is set for saturating single-flow fixed-length traffic, whose
+	// frames are all one template: bursts leave as runs (see emitRuns).
+	runs bool
 
 	// tmpls holds one pre-serialized frame image per (size slot, flow) at
 	// index slot*flows + flow; emitted buffers reference it lazily instead
@@ -124,6 +130,7 @@ func NewGenerator(s *sim.Scheduler, cfg Config) *Generator {
 		cfg.Burst = DefaultBurst
 	}
 	g := &Generator{cfg: cfg, sched: s, flows: max(cfg.Flows, 1)}
+	g.runs = cfg.Rate <= 0 && cfg.Flows <= 1 && !cfg.IMIX
 	slots := 1
 	if cfg.IMIX {
 		slots = imixLens
@@ -275,6 +282,42 @@ func (g *Generator) emitOne(at units.Time) bool {
 	return true
 }
 
+// emitRuns sends up to budget frames stamped at time at exactly as that many
+// emitOne calls would, but as runs: a due probe still goes through emitOne,
+// and the frames around it leave in nic.Port.SendRunAt calls of as many as
+// the TX credit covers. Only for g.runs traffic, where every frame but a
+// probe is the same template.
+func (g *Generator) emitRuns(at units.Time, budget int) {
+	port, frameLen := g.cfg.Port, g.cfg.Spec.FrameLen
+	for budget > 0 {
+		if g.cfg.ProbeEvery > 0 && at >= g.nextProbe {
+			if !g.emitOne(at) {
+				return
+			}
+			budget--
+			continue
+		}
+		if g.txCredit == 0 {
+			if g.txCredit = port.TxFree(at); g.txCredit == 0 {
+				return
+			}
+		}
+		n := min(budget, g.txCredit)
+		t := g.tmpls[0]
+		if t == nil {
+			t = g.build(0, frameLen, 0)
+		}
+		b := g.cfg.Pool.Get(frameLen)
+		b.SetTemplate(t)
+		b.Seq = g.seq + 1
+		port.SendRunAt(at, b, n)
+		g.seq += uint64(n)
+		g.txCredit -= n
+		g.Sent += int64(n)
+		budget -= n
+	}
+}
+
 // Step implements sim.Actor: emit one burst (saturating mode) or one
 // CBR-spaced batch (rate mode, as MoonGen paces) and reschedule.
 func (g *Generator) Step(now units.Time) (units.Time, bool) {
@@ -283,9 +326,13 @@ func (g *Generator) Step(now units.Time) (units.Time, bool) {
 		// Saturating mode keeps the TX ring topped up so the wire never
 		// idles on the doorbell latency (MoonGen queues descriptors
 		// ahead of the NIC).
-		for i := 0; i < 4*g.cfg.Burst; i++ {
-			if !g.emitOne(now) {
-				break
+		if g.runs {
+			g.emitRuns(now, 4*g.cfg.Burst)
+		} else {
+			for i := 0; i < 4*g.cfg.Burst; i++ {
+				if !g.emitOne(now) {
+					break
+				}
 			}
 		}
 		// Return before the queued frames drain so the ring never empties.
