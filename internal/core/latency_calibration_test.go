@@ -1,72 +1,123 @@
 package core
 
 import (
-	"fmt"
+	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/units"
 )
 
-// TestCalibrationLatencyP2P prints the p2p section of Table 3.
+// Each latency calibration test holds one row of the paper's latency tables
+// to a pinned ceiling on the median of |sim − paper| / paper over its cells.
+// The ceilings are a ratchet: lower one when a model change lowers the
+// error, never raise it.
+const (
+	p2pLatencyCeiling      = 0.31 // Table 3 p2p row, 0.301 when pinned
+	loopbackLatencyCeiling = 0.22 // Table 3 1-VNF loopback row, 0.214 when pinned
+	v2vLatencyCeiling      = 0.22 // Table 4, 0.213 when pinned
+)
+
+// latencyWindow is the measurement window of every latency calibration run.
+func latencyWindow(c Config) Config {
+	c.Duration, c.Warmup = 10*units.Millisecond, 3*units.Millisecond
+	return c
+}
+
+// relErrs appends |sim[i] − paper[i]| / paper[i] for each cell to errs.
+func relErrs(errs, sim, paper []float64) []float64 {
+	for i := range sim {
+		errs = append(errs, math.Abs(sim[i]-paper[i])/paper[i])
+	}
+	return errs
+}
+
+// checkMedianErr fails t when the median of errs is over ceiling.
+func checkMedianErr(t *testing.T, what string, errs []float64, ceiling float64) {
+	t.Helper()
+	sort.Float64s(errs)
+	med := (errs[(len(errs)-1)/2] + errs[len(errs)/2]) / 2
+	t.Logf("%s: median relative error %.3f over %d cells (ceiling %.2f)", what, med, len(errs), ceiling)
+	if med > ceiling {
+		t.Errorf("%s: median relative error %.3f over ceiling %.2f", what, med, ceiling)
+	}
+}
+
+// table3Row runs one Table 3 row (RTT at Table3Loads) for every switch,
+// calls check on each switch's simulated and paper RTTs, and returns the
+// row's relative errors.
+func table3Row(t *testing.T, label string, cfg Config, check func(name string, sim, paper []float64)) []float64 {
+	t.Helper()
+	var errs []float64
+	for _, name := range allSwitches {
+		c := latencyWindow(cfg)
+		c.Switch = name
+		pts, err := LatencyProfile(c, Table3Loads)
+		if err != nil {
+			t.Fatalf("%s %s: %v", name, label, err)
+		}
+		var sim []float64
+		for _, p := range pts {
+			sim = append(sim, p.Summary.MeanUs)
+		}
+		ref := PaperTable3[name][label]
+		paper := ref[:]
+		t.Logf("Table 3 %-15s %-9s sim %6.1f  paper %6.1f µs", label, name, sim, paper)
+		if check != nil {
+			check(name, sim, paper)
+		}
+		errs = relErrs(errs, sim, paper)
+	}
+	return errs
+}
+
+// TestCalibrationLatencyP2P holds the model's p2p row of Table 3 to the
+// paper.
 func TestCalibrationLatencyP2P(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	fmt.Printf("p2p RTT us (paper: bess 4.0/4.6/6.4 fc 5.3/7.8/8.4 ovs 4.3/5.2/9.6 snabb 7.3/11.3/22 vpp 4.5/5.9/13.1 vale 32/34/59 t4p4s 32/31/174)\n")
-	for _, name := range allSwitches {
-		pts, err := LatencyProfile(Config{
-			Switch: name, Scenario: P2P,
-			Duration: 10 * units.Millisecond, Warmup: 3 * units.Millisecond,
-		}, Table3Loads)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		fmt.Printf("%-10s", name)
-		for _, p := range pts {
-			fmt.Printf("  %.2f: %7.1f (n=%d std=%.1f)", p.Load, p.Summary.MeanUs, p.Summary.N, p.Summary.StdUs)
-		}
-		fmt.Println()
-	}
+	errs := table3Row(t, "p2p", Config{Scenario: P2P}, nil)
+	checkMedianErr(t, "Table 3 p2p", errs, p2pLatencyCeiling)
 }
 
-// TestCalibrationLatencyLoopback prints the 1-VNF loopback row of Table 3.
+// TestCalibrationLatencyLoopback holds the model's 1-VNF loopback row of
+// Table 3 to the paper, and requires RTT to fall from 0.10 to 0.50·R⁺
+// wherever the paper's does (pipelines that idle at low load wait longer for
+// a batch to fill).
 func TestCalibrationLatencyLoopback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	fmt.Printf("1-VNF loopback RTT us (paper: bess 35/15/39 fc 69/26/37 ovs 50/23/514 snabb 70/27/74 vpp 41/20/47 vale 32/35/65 t4p4s 169/65/2259)\n")
-	for _, name := range allSwitches {
-		pts, err := LatencyProfile(Config{
-			Switch: name, Scenario: Loopback, Chain: 1,
-			Duration: 10 * units.Millisecond, Warmup: 3 * units.Millisecond,
-		}, Table3Loads)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	label := "1-VNF loopback"
+	errs := table3Row(t, label, Config{Scenario: Loopback, Chain: 1}, func(name string, sim, paper []float64) {
+		if paper[0] > paper[1] && sim[0] <= sim[1] {
+			t.Errorf("%s %s: RTT %.1f µs at 0.10·R⁺ is not above %.1f µs at 0.50·R⁺, as the paper's is",
+				name, label, sim[0], sim[1])
 		}
-		fmt.Printf("%-10s", name)
-		for _, p := range pts {
-			fmt.Printf("  %.2f: %7.1f (n=%d)", p.Load, p.Summary.MeanUs, p.Summary.N)
-		}
-		fmt.Println()
-	}
+	})
+	checkMedianErr(t, "Table 3 "+label, errs, loopbackLatencyCeiling)
 }
 
-// TestCalibrationLatencyV2V prints Table 4 (v2v RTT at 1 Mpps).
+// TestCalibrationLatencyV2V holds the model's Table 4 (v2v RTT at 1 Mpps) to
+// the paper.
 func TestCalibrationLatencyV2V(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	fmt.Printf("v2v RTT us at 1Mpps (paper: bess 37 fc 45 ovs 43 snabb 67 vpp 42 vale 21 t4p4s 70)\n")
+	var errs []float64
 	for _, name := range allSwitches {
-		res, err := Run(Config{
+		cfg := latencyWindow(Config{
 			Switch: name, Scenario: V2V, LatencyTopology: true,
-			Rate:       units.RateForPPS(1e6, 64),
-			ProbeEvery: DefaultProbeEvery,
-			Duration:   10 * units.Millisecond, Warmup: 3 * units.Millisecond,
+			Rate: units.RateForPPS(1e6, 64), ProbeEvery: DefaultProbeEvery,
 		})
+		res, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s v2v: %v", name, err)
 		}
-		fmt.Printf("%-10s %7.1f us (n=%d)\n", name, res.Latency.MeanUs, res.Latency.N)
+		sim, paper := []float64{res.Latency.MeanUs}, []float64{PaperTable4[name]}
+		t.Logf("Table 4 v2v %-9s sim %6.1f  paper %6.1f µs", name, sim[0], paper[0])
+		errs = relErrs(errs, sim, paper)
 	}
+	checkMedianErr(t, "Table 4", errs, v2vLatencyCeiling)
 }

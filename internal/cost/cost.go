@@ -167,7 +167,7 @@ func (mt *Meter) Charge(c units.Cycles) {
 func (mt *Meter) ChargeNoisy(c units.Cycles, frac float64) {
 	n := c
 	if frac > 0 && mt.RNG != nil {
-		n += units.Cycles(float64(c) * frac * mt.RNG.ExpFloat64())
+		n += units.Cycles(mt.RNG.TruncExp(float64(c) * frac))
 	}
 	mt.Charge(n)
 }
@@ -183,8 +183,8 @@ func (mt *Meter) ChargeBatch(c units.Cycles, n int) {
 }
 
 // ChargeNoisyBatch adds n frames' worth of ChargeNoisy(c, frac), consuming
-// the RNG stream exactly as n individual calls would: one ExpFloat64 draw
-// per frame, each converted to whole cycles *before* summing (the per-frame
+// the RNG stream exactly as n individual calls would: one TruncExp draw per
+// frame, each truncated to whole cycles *before* summing (the per-frame
 // truncation is what makes the total bit-identical to the per-frame path).
 // Only the Charge call count is amortized.
 func (mt *Meter) ChargeNoisyBatch(c units.Cycles, frac float64, n int) {
@@ -195,9 +195,10 @@ func (mt *Meter) ChargeNoisyBatch(c units.Cycles, frac float64, n int) {
 		mt.Charge(c * units.Cycles(n))
 		return
 	}
-	total := units.Cycles(0)
+	scale := float64(c) * frac
+	total := c * units.Cycles(n)
 	for i := 0; i < n; i++ {
-		total += c + units.Cycles(float64(c)*frac*mt.RNG.ExpFloat64())
+		total += units.Cycles(mt.RNG.TruncExp(scale))
 	}
 	mt.Charge(total)
 }

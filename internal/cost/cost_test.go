@@ -62,6 +62,33 @@ func TestChargeNoisyZeroFracDeterministic(t *testing.T) {
 	}
 }
 
+// TestNoisyChargesMatchExpFloat64 holds ChargeNoisy and ChargeNoisyBatch to
+// the per-frame expression c + int64(c·frac·ExpFloat64()) on a twin stream:
+// same cycles, same stream position after.
+func TestNoisyChargesMatchExpFloat64(t *testing.T) {
+	for _, tc := range []struct {
+		c    units.Cycles
+		frac float64
+		n    int
+	}{{931, 0.02, 32}, {80, 0.04, 7}, {136, 0.25, 1}, {3000, 0.05, 256}} {
+		one, batch := NewMeter(Default(), sim.NewRNG(9)), NewMeter(Default(), sim.NewRNG(9))
+		ref := sim.NewRNG(9)
+		want := units.Cycles(0)
+		for i := 0; i < tc.n; i++ {
+			one.ChargeNoisy(tc.c, tc.frac)
+			want += tc.c + units.Cycles(float64(tc.c)*tc.frac*ref.ExpFloat64())
+		}
+		batch.ChargeNoisyBatch(tc.c, tc.frac, tc.n)
+		if one.Pending() != want || batch.Pending() != want {
+			t.Errorf("%+v: ChargeNoisy %d, ChargeNoisyBatch %d, want %d", tc, one.Pending(), batch.Pending(), want)
+		}
+		next := ref.Uint64()
+		if one.RNG.Uint64() != next || batch.RNG.Uint64() != next {
+			t.Errorf("%+v: stream position differs from ExpFloat64's", tc)
+		}
+	}
+}
+
 func TestStallRoundTrip(t *testing.T) {
 	f := func(us uint16) bool {
 		m := NewMeter(Default(), nil)

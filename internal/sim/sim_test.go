@@ -176,25 +176,6 @@ func TestRNGFloat64Range(t *testing.T) {
 	}
 }
 
-func TestRNGNormalMoments(t *testing.T) {
-	r := NewRNG(1)
-	const n = 200000
-	var sum, sq float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sq += v * v
-	}
-	mean := sum / n
-	variance := sq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean = %f", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Errorf("normal variance = %f", variance)
-	}
-}
-
 func TestRNGExpMean(t *testing.T) {
 	r := NewRNG(2)
 	const n = 200000
