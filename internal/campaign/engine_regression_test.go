@@ -11,7 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/switches/switchdef"
+	"repro/internal/switches/ovs"
 	"repro/internal/units"
 )
 
@@ -95,12 +95,12 @@ func TestEngineOutputMatchesSeedPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig4a grid is too slow for -short")
 	}
-	// Classification memoization on, then force-disabled (the per-frame
+	// OvS's classification memo on, then force-disabled (the per-frame
 	// reference path): the digests must not see the difference.
 	for _, memo := range []string{"on", "off"} {
 		t.Run("memo="+memo, func(t *testing.T) {
-			prev := switchdef.SetMemoDisabled(memo == "off")
-			defer switchdef.SetMemoDisabled(prev)
+			prev := ovs.SetMemoDisabled(memo == "off")
+			defer ovs.SetMemoDisabled(prev)
 			resultsHash, keysHash := fig4aDigests(t)
 			if os.Getenv("SWBENCH_PRINT_DIGESTS") != "" {
 				t.Logf("fig4a results digest: %s", resultsHash)

@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/switches/switchdef"
+	"repro/internal/switches/ovs"
 	"repro/internal/units"
 )
 
@@ -59,12 +59,12 @@ func runConservingCycles(t *testing.T, cfg Config) (Result, error) {
 	return m.collect()
 }
 
-// TestPinnedGoldens runs every pinned golden table twice: with the
-// switches' template-keyed classification memoization on, and with it
-// force-disabled so every frame takes the per-frame reference path. Both
-// must reproduce the pinned digests bit for bit — memoization is a host
-// execution strategy, invisible to the simulation — and every cell must
-// conserve its SUT cores' cycles (runConservingCycles).
+// TestPinnedGoldens runs every pinned golden table twice: with OvS's
+// template-keyed classification memo on, and with it force-disabled so
+// every frame takes the per-frame reference path. Both must reproduce the
+// pinned digests bit for bit — memoization is a host execution strategy,
+// invisible to the simulation — and every cell must conserve its SUT
+// cores' cycles (runConservingCycles).
 func TestPinnedGoldens(t *testing.T) {
 	tables := []struct {
 		name  string
@@ -90,8 +90,8 @@ func TestPinnedGoldens(t *testing.T) {
 	}
 	for _, memo := range []string{"on", "off"} {
 		t.Run("memo="+memo, func(t *testing.T) {
-			prev := switchdef.SetMemoDisabled(memo == "off")
-			defer switchdef.SetMemoDisabled(prev)
+			prev := ovs.SetMemoDisabled(memo == "off")
+			defer ovs.SetMemoDisabled(prev)
 			for _, tab := range tables {
 				t.Run(tab.name, func(t *testing.T) {
 					if tab.slow && testing.Short() {

@@ -2,7 +2,6 @@ package multicore
 
 import (
 	"repro/internal/cost"
-	"repro/internal/flowtab"
 	"repro/internal/nic"
 	"repro/internal/pkt"
 	"repro/internal/ring"
@@ -144,15 +143,11 @@ type demux struct {
 	queues []*ring.SPSC
 	owners []int // queue → owning core
 
-	// memo caches flowHash per packet template: frames sharing a template
-	// are byte-identical, so their RSS hash is too.
-	memo *flowtab.Map[uint64, uint64]
-
 	scratch [scratchLen]*pkt.Buf
 }
 
 func newDemux(port *nic.Port, nq, qcap int) *demux {
-	d := &demux{port: port, owners: make([]int, nq), memo: flowtab.NewMap[uint64, uint64](16)}
+	d := &demux{port: port, owners: make([]int, nq)}
 	for i := 0; i < nq; i++ {
 		d.queues = append(d.queues, ring.New(qcap))
 	}
@@ -163,25 +158,13 @@ func newDemux(port *nic.Port, nq, qcap int) *demux {
 // Whichever owner core polls first does the (free) classification for
 // all queues — the simulation's stand-in for the NIC doing it on arrival.
 func (d *demux) pump(now units.Time) {
-	noMemo := switchdef.MemoDisabled()
 	for {
 		n := d.port.RxBurst(now, d.scratch[:])
 		if n == 0 {
 			return
 		}
 		for _, b := range d.scratch[:n] {
-			var h uint64
-			if t := b.Template(); t != nil && !noMemo {
-				id := t.ID()
-				var ok bool
-				if h, ok = d.memo.Get(flowtab.HashUint64(id), id); !ok {
-					h = flowHash(b)
-					d.memo.Put(flowtab.HashUint64(id), id, h)
-				}
-			} else {
-				h = flowHash(b)
-			}
-			q := d.queues[h%uint64(len(d.queues))]
+			q := d.queues[flowHash(b)%uint64(len(d.queues))]
 			if !q.Push(b) {
 				b.Free()
 			}

@@ -214,8 +214,8 @@ func NewTemplate(data []byte) *Template {
 }
 
 // ID returns the template's process-unique, always-nonzero identity.
-// Frames sharing a template are byte-identical, so the switch data planes
-// key their classification memos on it.
+// Frames sharing a template are byte-identical, so OvS keys its
+// classification memo on it.
 func (t *Template) ID() uint64 { return t.id }
 
 // Len returns the image's frame length.

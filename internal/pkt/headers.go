@@ -69,11 +69,7 @@ func (h EthHdr) Put(b []byte) {
 
 // EthDst reads only the destination address (the hot-path accessor L2
 // switches use without a full parse).
-func EthDst(b []byte) MAC {
-	var m MAC
-	copy(m[:], b[0:6])
-	return m
-}
+func EthDst(b []byte) MAC { return MAC(b[0:6]) }
 
 // EthSrc reads only the source address.
 func EthSrc(b []byte) MAC {

@@ -142,6 +142,61 @@ func TestParseEthTruncated(t *testing.T) {
 	}
 }
 
+// FuzzEthRoundTrip: for any input of at least EthHdrLen bytes, ParseEth
+// then Put reproduces the first EthHdrLen bytes, Put writes nothing beyond
+// them, EthDst agrees with the parsed destination, and SetEthDst writes
+// exactly what Put of the header with that destination writes; anything
+// shorter is ErrTruncated. The field accessors are t4p4s's parser and
+// deparser, so this is their equivalence with the whole-header codec.
+func FuzzEthRoundTrip(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(make([]byte, EthHdrLen-1))
+	f.Add(make([]byte, EthHdrLen))
+	frame := make([]byte, 64)
+	FrameSpec{
+		SrcMAC: MAC{2, 0, 0, 0, 0, 1}, DstMAC: MAC{2, 0, 0, 0, 0, 2},
+		SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{10, 0, 0, 2},
+		SrcPort: 1000, DstPort: 2000, FrameLen: 64,
+	}.buildInto(frame)
+	f.Add(frame)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		h, err := ParseEth(b)
+		if len(b) < EthHdrLen {
+			if err != ErrTruncated {
+				t.Fatalf("ParseEth(%d bytes) err = %v, want ErrTruncated", len(b), err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("ParseEth(%d bytes): %v", len(b), err)
+		}
+		if got := EthDst(b); got != h.Dst {
+			t.Fatalf("EthDst = %v, ParseEth().Dst = %v", got, h.Dst)
+		}
+		out := make([]byte, len(b))
+		for i := range out {
+			out[i] = ^b[i]
+		}
+		h.Put(out)
+		if !bytes.Equal(out[:EthHdrLen], b[:EthHdrLen]) {
+			t.Fatalf("Put(ParseEth(b)) = % x, want % x", out[:EthHdrLen], b[:EthHdrLen])
+		}
+		for i := EthHdrLen; i < len(b); i++ {
+			if out[i] != ^b[i] {
+				t.Fatalf("Put wrote byte %d beyond the header", i)
+			}
+		}
+		rewritten := h
+		rewritten.Dst = MAC{b[5], b[4], b[3], b[2], b[1], ^b[0]}
+		viaPut, viaSet := bytes.Clone(b), bytes.Clone(b)
+		rewritten.Put(viaPut)
+		SetEthDst(viaSet, rewritten.Dst)
+		if !bytes.Equal(viaPut, viaSet) {
+			t.Fatalf("SetEthDst = % x, Put = % x", viaSet, viaPut)
+		}
+	})
+}
+
 func TestIPv4RoundTripProperty(t *testing.T) {
 	f := func(tos uint8, tl, id uint16, ttl, proto uint8, src, dst [4]byte) bool {
 		h := IPv4Hdr{TOS: tos, TotalLen: tl, ID: id, TTL: ttl, Proto: proto, Src: src, Dst: dst}

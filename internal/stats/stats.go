@@ -205,7 +205,9 @@ func (h *Histogram) Std() units.Time {
 		}
 		mid := float64(bucketLow(i)) + float64(bucketLow(i+1)-bucketLow(i))/2
 		d := mid - mean
-		acc += d * d * float64(c)
+		// The explicit conversion rounds the product, so no architecture may
+		// fuse it into the add: digests must not depend on FMA support.
+		acc += float64(d * d * float64(c))
 	}
 	return units.Time(math.Sqrt(acc / float64(h.count)))
 }

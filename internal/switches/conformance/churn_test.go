@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/pkt"
 	"repro/internal/sim"
+	"repro/internal/switches/ovs"
 	"repro/internal/switches/switchdef"
 	"repro/internal/switches/switchtest"
 )
@@ -135,8 +136,8 @@ func churnDigestCore(name string, seed uint64) (string, error) {
 // churnDigest runs churnDigestCore under the requested memo mode.
 func churnDigest(t *testing.T, name string, seed uint64, disableMemo bool) string {
 	t.Helper()
-	prev := switchdef.SetMemoDisabled(disableMemo)
-	defer switchdef.SetMemoDisabled(prev)
+	prev := ovs.SetMemoDisabled(disableMemo)
+	defer ovs.SetMemoDisabled(prev)
 	d, err := churnDigestCore(name, seed)
 	if err != nil {
 		t.Fatal(err)

@@ -8,13 +8,13 @@ import (
 	"repro/internal/cost"
 	"repro/internal/pkt"
 	"repro/internal/sim"
+	"repro/internal/switches/ovs"
 	"repro/internal/switches/switchdef"
 	"repro/internal/switches/switchtest"
 	"repro/internal/units"
 
 	_ "repro/internal/switches/bess"
 	_ "repro/internal/switches/fastclick"
-	_ "repro/internal/switches/ovs"
 	_ "repro/internal/switches/snabb"
 	_ "repro/internal/switches/t4p4s"
 	_ "repro/internal/switches/vale"
@@ -80,8 +80,8 @@ func (s *sut) push(tmpl *pkt.Template) {
 // per-frame reference path (the SWBENCH_NO_MEMO ablation).
 func runDigest(t *testing.T, name string, seed uint64, disableMemo bool) string {
 	t.Helper()
-	prev := switchdef.SetMemoDisabled(disableMemo)
-	defer switchdef.SetMemoDisabled(prev)
+	prev := ovs.SetMemoDisabled(disableMemo)
+	defer ovs.SetMemoDisabled(prev)
 
 	s := newSUT(t, name)
 	rng := sim.NewRNG(seed)

@@ -1,13 +1,13 @@
-package switchdef
+package ovs
 
 import (
 	"os"
 	"sync/atomic"
 )
 
-// noMemo force-disables the template-keyed classification memoization in
-// every switch data plane, routing all frames through the per-frame
-// reference path. It lives outside Config on purpose: the knob is a
+// noMemo force-disables OvS's template-keyed classification memo (see
+// memoEntry), routing every frame through the per-frame reference classify
+// path. It lives outside Config on purpose: the knob is a
 // host-execution-strategy choice with bit-identical simulated outputs, so
 // it must not perturb campaign cache keys. core's TestPinnedGoldens and
 // campaign's TestEngineOutputMatchesSeedPath run the pinned goldens with
@@ -20,9 +20,8 @@ func init() {
 	}
 }
 
-// MemoDisabled reports whether classification memoization is globally
-// disabled (SWBENCH_NO_MEMO, or SetMemoDisabled). Hot paths read it once
-// per poll.
+// MemoDisabled reports whether the classification memo is disabled
+// (SWBENCH_NO_MEMO, or SetMemoDisabled). Poll reads it once per call.
 func MemoDisabled() bool { return noMemo.Load() }
 
 // SetMemoDisabled overrides the memoization kill switch for the equivalence

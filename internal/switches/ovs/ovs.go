@@ -83,8 +83,7 @@ type memoKey struct {
 // Memo entry kinds: what the per-frame reference path would do for the
 // next frame of this (template, port), recorded right after classify ran.
 const (
-	memoEMCHit  uint8 = iota + 1 // EMC probe hits (EMC enabled)
-	memoMegaHit                  // megaflow walk hits (EMC disabled)
+	memoEMCHit  uint8 = iota + 1 // EMC probe hits
 	memoNoMatch                  // full walk misses; frame dropped
 )
 
@@ -132,11 +131,10 @@ type Switch struct {
 	megaMasks []mask // distinct installed megaflow masks
 	nextRev   units.Time
 	hasVhost  bool
-	noEMC     bool
 
 	// memo caches classification decisions by (template, in_port); see
 	// memoEntry. cacheGen invalidates it wholesale on any mutation of the
-	// rule table, megaflow cache, EMC membership, or the EMC knob.
+	// rule table, megaflow cache, or EMC membership.
 	memo     *flowtab.Map[memoKey, memoEntry]
 	cacheGen uint64
 
@@ -259,14 +257,12 @@ func (sw *Switch) CrossConnect(a, b int) error {
 // counter increments a repeat frame would collect here.
 func (sw *Switch) classify(now units.Time, m *cost.Meter, key FlowKey) *Rule {
 	full := key.pack()
-	if !sw.noEMC {
-		m.Charge(m.Model.HashLookup)
-		if r, ok := sw.emc.Get(keyHash(&full), full); ok {
-			sw.EMCHits++
-			m.Charge(emcHitPerPkt)
-			r.Hits++
-			return r
-		}
+	m.Charge(m.Model.HashLookup)
+	if r, ok := sw.emc.Get(keyHash(&full), full); ok {
+		sw.EMCHits++
+		m.Charge(emcHitPerPkt)
+		r.Hits++
+		return r
 	}
 	// Megaflow (tuple space) tier: probe each installed megaflow mask.
 	for _, mk := range sw.megaMasks {
@@ -330,17 +326,7 @@ func (sw *Switch) installMegaflow(full packedKey, best *Rule) {
 	sw.cacheGen++
 }
 
-// SetEMC enables or disables the exact-match cache (the
-// other_config:emc-insert-inv-prob=0 ablation).
-func (sw *Switch) SetEMC(enabled bool) {
-	sw.noEMC = !enabled
-	sw.cacheGen++
-}
-
 func (sw *Switch) installEMC(full packedKey, r *Rule) {
-	if sw.noEMC {
-		return
-	}
 	if sw.emc.Put(keyHash(&full), full, r) {
 		// Clock-hand eviction of a live entry: some memoized EMC-hit
 		// script may now be wrong, so invalidate them all. Refreshing an
@@ -369,7 +355,7 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 		factor = vhostMod.Factor(now)
 	}
 	perPkt := units.Cycles(float64(parsePerPkt+perPktOverhead) * factor)
-	noMemo := switchdef.MemoDisabled()
+	noMemo := MemoDisabled()
 	burst := &sw.rxScratch
 	did := false
 	for i := range sw.ports {
@@ -430,8 +416,6 @@ func (sw *Switch) replayMemo(now units.Time, m *cost.Meter, b *pkt.Buf, inPort i
 	switch e.kind {
 	case memoEMCHit:
 		sw.EMCHits++
-	case memoMegaHit:
-		sw.MegaHits++
 	case memoNoMatch:
 		sw.NoMatch++
 		b.Free()
@@ -447,16 +431,13 @@ func (sw *Switch) replayMemo(now units.Time, m *cost.Meter, b *pkt.Buf, inPort i
 // The entry stays valid while cacheGen is unchanged.
 func (sw *Switch) recordMemo(t *pkt.Template, inPort int, key FlowKey, rule *Rule) {
 	e := memoEntry{gen: sw.cacheGen, rule: rule}
-	switch {
-	case rule == nil:
+	if rule == nil {
 		// Repeat frames re-walk every tier and drop.
 		e.kind = memoNoMatch
-		if !sw.noEMC {
-			e.cycles += sw.env.Model.HashLookup
-		}
-		e.cycles += units.Cycles(len(sw.megaMasks)) * (sw.env.Model.HashLookup + megaflowExtra)
-		e.cycles += slowPathCost
-	case !sw.noEMC:
+		e.cycles = sw.env.Model.HashLookup +
+			units.Cycles(len(sw.megaMasks))*(sw.env.Model.HashLookup+megaflowExtra) +
+			slowPathCost
+	} else {
 		// classify just installed (or refreshed) the EMC entry, so the
 		// next frame is an EMC hit.
 		full := key.pack()
@@ -465,26 +446,6 @@ func (sw *Switch) recordMemo(t *pkt.Template, inPort int, key FlowKey, rule *Rul
 		}
 		e.kind = memoEMCHit
 		e.cycles = sw.env.Model.HashLookup + emcHitPerPkt
-	default:
-		// EMC disabled: the next frame re-walks the megaflow masks in
-		// order until the installed entry hits.
-		full := key.pack()
-		found := false
-		for _, mk := range sw.megaMasks {
-			e.cycles += sw.env.Model.HashLookup + megaflowExtra
-			masked := mk.apply(full)
-			if me, ok := sw.mega.Get(keyHash(&masked), masked); ok && me.mk == mk {
-				if me.rule != rule {
-					return
-				}
-				found = true
-				break
-			}
-		}
-		if !found {
-			return
-		}
-		e.kind = memoMegaHit
 	}
 	k := memoKey{tmpl: t.ID(), port: int32(inPort)}
 	sw.memo.Put(memoHash(k), k, e)

@@ -228,24 +228,6 @@ func TestPropertyMaskIdempotent(t *testing.T) {
 	}
 }
 
-func TestSetEMCDisabled(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
-	sw.SetEMC(false)
-	_ = sw.CrossConnect(0, 1)
-	m := switchtest.Meter(env)
-	for i := 0; i < 3; i++ {
-		fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64))
-		switchtest.PollUntilIdle(sw, m, 0)
-	}
-	if sw.EMCHits != 0 {
-		t.Fatalf("EMC hits with cache disabled: %d", sw.EMCHits)
-	}
-	// Forwarding still works via the megaflow tier.
-	if len(fps[1].Out) != 3 || sw.MegaHits != 2 {
-		t.Fatalf("out=%d mega=%d", len(fps[1].Out), sw.MegaHits)
-	}
-}
-
 // vlanFrame builds a 64 B frame and inserts an 802.1Q tag after the MACs.
 func vlanFrame(env switchdef.Env, vid uint16) *pkt.Buf {
 	b := switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64)

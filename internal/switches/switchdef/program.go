@@ -9,8 +9,8 @@
 // vocabulary BOFUSS-style softswitches standardize) over a typed Rule
 // value. Controllers, fleets, examples and CrossConnect program every data
 // plane the same way while each switch lowers rules straight into its own
-// structures (and bumps its memo-generation counters, keeping PR 7's
-// recorded charge scripts correct under churn).
+// structures (OvS also bumps its memo generation, keeping its recorded
+// charge scripts correct under churn).
 package switchdef
 
 import (

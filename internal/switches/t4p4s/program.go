@@ -10,9 +10,8 @@ import (
 // table: the vocabulary a compiled P4 pipeline exposes at runtime is its
 // table-entry API, so only destination-MAC-exact matches are expressible,
 // and rules carry no priority (an exact table has no overlap to order).
-// Every Install/Revoke bumps the table's version counter, which the memo
-// validity check reads — recorded pipeline traversals are retired the
-// moment the table changes.
+// The data plane looks the table up afresh for every frame, so an
+// Install/Revoke takes effect from the next frame with nothing to retire.
 
 // checkMatch rejects every rule identity the dmac table cannot hold.
 func checkMatch(r switchdef.Rule) error {

@@ -226,3 +226,45 @@ func TestPipelineCostHasHighVariance(t *testing.T) {
 		b.Free()
 	}
 }
+
+// TestTableKeyDistinguishesEveryByte: the dmac table's packed key must keep
+// all six MAC bytes apart. For every byte position, two MACs that differ
+// only there resolve to distinct entries, removing one leaves the other
+// hit, and Hits / Misses count one per lookup. The all-ones base makes a
+// key that drops a byte or ORs two bytes into one shift collide.
+func TestTableKeyDistinguishesEveryByte(t *testing.T) {
+	for _, base := range []byte{0x00, 0xff, 0x5a} {
+		for i := 0; i < 6; i++ {
+			a := pkt.MAC{base, base, base, base, base, base}
+			b := a
+			b[i] ^= 0xff
+			tab := NewTable(Entry{Action: ActDrop})
+			tab.Add(a, Entry{Action: ActForward, Port: 1})
+			tab.Add(b, Entry{Action: ActForward, Port: 2})
+			if len(tab.entries) != 2 {
+				t.Fatalf("base %#x byte %d: %d entries, want 2", base, i, len(tab.entries))
+			}
+			if e, hit := tab.lookup(a); !hit || e.Port != 1 {
+				t.Fatalf("base %#x byte %d: lookup(%v) = %+v, %v", base, i, a, e, hit)
+			}
+			if e, hit := tab.lookup(b); !hit || e.Port != 2 {
+				t.Fatalf("base %#x byte %d: lookup(%v) = %+v, %v", base, i, b, e, hit)
+			}
+			if !tab.Remove(a) {
+				t.Fatalf("base %#x byte %d: Remove(%v) found nothing", base, i, a)
+			}
+			if tab.Remove(a) {
+				t.Fatalf("base %#x byte %d: second Remove(%v) reported an entry", base, i, a)
+			}
+			if e, hit := tab.lookup(a); hit || e.Action != ActDrop {
+				t.Fatalf("base %#x byte %d: removed %v still resolves to %+v", base, i, a, e)
+			}
+			if e, hit := tab.lookup(b); !hit || e.Port != 2 {
+				t.Fatalf("base %#x byte %d: Remove(%v) disturbed %v: %+v, %v", base, i, a, b, e, hit)
+			}
+			if tab.Hits != 3 || tab.Misses != 1 {
+				t.Fatalf("base %#x byte %d: hits=%d misses=%d, want 3, 1", base, i, tab.Hits, tab.Misses)
+			}
+		}
+	}
+}

@@ -20,36 +20,39 @@ type Entry struct {
 }
 
 // Table is the l2fwd program's exact-match table keyed on the destination
-// MAC. version counts output-visible mutations and invalidates memoized
-// pipeline traversals.
+// MAC. Entries are stored under macKey's packed form: Go maps hash uint64
+// keys on a fast path, while [6]byte keys take the generic byte hash.
 type Table struct {
-	entries map[pkt.MAC]Entry
+	entries map[uint64]Entry
 	Default Entry
-
-	version uint64
 
 	Hits, Misses int64
 }
 
+// macKey packs a MAC's six bytes into the low 48 bits of a map key.
+func macKey(a pkt.MAC) uint64 {
+	return uint64(a[0])<<40 | uint64(a[1])<<32 | uint64(a[2])<<24 |
+		uint64(a[3])<<16 | uint64(a[4])<<8 | uint64(a[5])
+}
+
 // NewTable creates an exact-match table with a default (miss) entry.
 func NewTable(def Entry) *Table {
-	return &Table{entries: make(map[pkt.MAC]Entry), Default: def}
+	return &Table{entries: make(map[uint64]Entry), Default: def}
 }
 
 // Add installs (or replaces) the entry for a destination MAC.
 func (t *Table) Add(dst pkt.MAC, e Entry) {
-	t.entries[dst] = e
-	t.version++
+	t.entries[macKey(dst)] = e
 }
 
 // Remove deletes the entry for a destination MAC, reporting whether it was
 // present.
 func (t *Table) Remove(dst pkt.MAC) bool {
-	if _, ok := t.entries[dst]; !ok {
+	k := macKey(dst)
+	if _, ok := t.entries[k]; !ok {
 		return false
 	}
-	delete(t.entries, dst)
-	t.version++
+	delete(t.entries, k)
 	return true
 }
 
@@ -57,7 +60,7 @@ func (t *Table) Remove(dst pkt.MAC) bool {
 // reports whether an installed entry matched (false means the default
 // entry was returned).
 func (t *Table) lookup(dst pkt.MAC) (Entry, bool) {
-	if e, ok := t.entries[dst]; ok {
+	if e, ok := t.entries[macKey(dst)]; ok {
 		t.Hits++
 		return e, true
 	}
