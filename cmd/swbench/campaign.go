@@ -62,9 +62,7 @@ func campaignCmd(args []string) error {
 	cacheDir := fs.String("cache-dir", "", "content-addressed result cache directory")
 	cacheURL := fs.String("cache", "", "shared cache server URL (fleet-wide result dedup)")
 	fabricAddr := fs.String("fabric", "", "run cells on a worker fleet: coordinator listen address (host:port)")
-	manifestPath := fs.String("manifest", "", "resumable campaign manifest (JSONL); recorded cells replay instead of re-running")
 	artifacts := fs.String("artifacts", "", "write a JSONL artifact log to this path")
-	resume := fs.Bool("resume", false, "append to an existing artifact log instead of truncating (pair with -cache-dir to skip measured cells)")
 	quiet := fs.Bool("quiet", false, "suppress the live progress stream")
 	prof := addProfileFlags(fs)
 	if err := fs.Parse(args[1:]); err != nil {
@@ -88,16 +86,6 @@ func campaignCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	var manifest *swbench.CampaignManifest
-	if *manifestPath != "" {
-		if manifest, err = swbench.OpenCampaignManifest(*manifestPath); err != nil {
-			return err
-		}
-		defer manifest.Close()
-		if n := manifest.Len(); n > 0 {
-			fmt.Fprintf(os.Stderr, "manifest %s: %d cells already done\n", *manifestPath, n)
-		}
-	}
 	var events func(swbench.CampaignEvent)
 	if !*quiet {
 		events = progressPrinter(os.Stderr)
@@ -105,7 +93,7 @@ func campaignCmd(args []string) error {
 
 	o, closeFabric, err := orchestrate(swbench.CampaignOptions{
 		Workers: *workers, Timeout: *timeout,
-		Cache: store, Manifest: manifest, Events: events,
+		Cache: store, Events: events,
 	}, *fabricAddr)
 	if err != nil {
 		return err
@@ -116,7 +104,7 @@ func campaignCmd(args []string) error {
 		return err
 	}
 	if *artifacts != "" {
-		if err := writeArtifacts(*artifacts, rep, *resume); err != nil {
+		if err := writeArtifacts(*artifacts, rep); err != nil {
 			return err
 		}
 	}
@@ -167,12 +155,8 @@ func printWorkerCounts(rep *swbench.CampaignReport) {
 	fmt.Println(line)
 }
 
-func writeArtifacts(path string, rep *swbench.CampaignReport, appendLog bool) error {
-	flags := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
-	if appendLog {
-		flags = os.O_CREATE | os.O_WRONLY | os.O_APPEND
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
+func writeArtifacts(path string, rep *swbench.CampaignReport) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}

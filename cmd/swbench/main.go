@@ -25,8 +25,8 @@ func usageText() string {
   swbench figure ` + experimentIDs("figure", "|") + ` [-quick] [-compare] [-workers N]
   swbench table ` + experimentIDs("table", "|") + ` [-quick] [-compare] [-workers N]
   swbench all [-quick] [-compare] [-workers N]
-  swbench campaign list | <name> [-quick] [-workers N] [-timeout D] [-cache-dir P] [-artifacts F] [-resume]
-                 [-fabric host:port] [-cache URL] [-manifest F]   # distributed fleet execution
+  swbench campaign list | <name> [-quick] [-workers N] [-timeout D] [-cache-dir P] [-artifacts F]
+                 [-fabric host:port] [-cache URL]   # distributed fleet execution
   swbench worker -join host:port [-cache URL] [-cache-dir P] [-id S] [-batch N]   # join a campaign fleet
   swbench serve-cache -dir P [-listen host:port]   # export a result cache to the fleet
   swbench cache stats -dir P | -url U

@@ -185,14 +185,22 @@ func TestFigureTableMatchesCore(t *testing.T) {
 }
 
 // TestRetiredBenchSurfaceExitsUsage: the `bench` verb and `campaign
-// -bench-out` are gone; benchmark/run.sh is the one measurement harness.
+// -bench-out` are gone (benchmark/run.sh is the one measurement harness),
+// and so are `campaign -manifest` and `-resume` (the result cache is the
+// one resume ledger).
 func TestRetiredBenchSurfaceExitsUsage(t *testing.T) {
 	code, stderr := runCLI(t, "bench")
 	if code != 2 || !strings.HasPrefix(stderr, "usage: swbench") {
 		t.Errorf("swbench bench: exit %d, stderr %q; want exit 2 and the usage text", code, stderr)
 	}
-	code, stderr = runCLI(t, "campaign", "fig4a", "-bench-out", "x")
-	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -bench-out") {
-		t.Errorf("swbench campaign fig4a -bench-out x: exit %d, stderr %q; want exit 2 and an undefined-flag error", code, stderr)
+	for _, args := range [][]string{
+		{"campaign", "fig4a", "-bench-out", "x"},
+		{"campaign", "fig4a", "-manifest", "x"},
+		{"campaign", "fig4a", "-resume"},
+	} {
+		code, stderr = runCLI(t, args...)
+		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+args[2]) {
+			t.Errorf("swbench %s: exit %d, stderr %q; want exit 2 and an undefined-flag error", strings.Join(args, " "), code, stderr)
+		}
 	}
 }

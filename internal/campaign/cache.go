@@ -62,7 +62,7 @@ type entry struct {
 // CacheKey returns cfg's content address under the current cost model:
 // SHA-256 over cost.ModelVersion and the canonical config JSON,
 // NUL-separated. It is what every result store — local dir, cache
-// server, campaign manifest — addresses by, and what makes remote
+// server, tiered composition — addresses by, and what makes remote
 // execution safe: two machines agreeing on a key agree on the canonical
 // config and the cost model, so either one's result is valid for both.
 func CacheKey(cfg core.Config) string {

@@ -1,11 +1,14 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -224,6 +227,60 @@ func TestCampaignCacheRoundTrip(t *testing.T) {
 	for i := range rep1.Outcomes {
 		if !reflect.DeepEqual(rep1.Outcomes[i].Result, rep2.Outcomes[i].Result) {
 			t.Fatalf("cell %d: cached result differs from measured", i)
+		}
+	}
+}
+
+// TestCacheResume is the resume regression: a campaign killed after k
+// cells, re-run in full against the same cache, executes exactly the cells
+// that never completed — the unrun ones and the one that failed — proven by
+// an execution counter, not by timing.
+func TestCacheResume(t *testing.T) {
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := smallCampaign("resume")
+	const k, failing = 3, 1
+	n := len(full.Specs)
+
+	// "Killed" first run: only the first k cells ever happened, and one of
+	// them failed.
+	partial := Campaign{Name: full.Name, Specs: full.Specs[:k]}
+	o := New(context.Background(), Options{Workers: 2, Cache: cache, Execute: runWith(func(cfg core.Config) (core.Result, error) {
+		if cfg == full.Specs[failing].Cfg {
+			return core.Result{}, errors.New("injected")
+		}
+		return core.Run(cfg)
+	})})
+	first, err := o.Run(partial)
+	if err != nil || first.Failed != 1 {
+		t.Fatalf("partial run: err=%v failed=%d, want 1 failed cell", err, first.Failed)
+	}
+
+	var execs atomic.Int64
+	o2 := New(context.Background(), Options{Workers: 2, Cache: cache, Execute: runWith(func(cfg core.Config) (core.Result, error) {
+		execs.Add(1)
+		return core.Run(cfg)
+	})})
+	rep, err := o2.Run(full)
+	if err != nil || rep.Failed != 0 {
+		t.Fatalf("resume run: %v / %v", err, rep.Err())
+	}
+	if got, want := execs.Load(), int64(n-k+1); got != want {
+		t.Fatalf("resume executed %d cells, want %d (the unrun ones and the failed one)", got, want)
+	}
+	for i, out := range rep.Outcomes {
+		served := i < k && i != failing
+		if out.Cached != served {
+			t.Fatalf("cell %d: cached=%v, want %v", i, out.Cached, served)
+		}
+		if served {
+			a, _ := json.Marshal(first.Outcomes[i].Result)
+			b, _ := json.Marshal(out.Result)
+			if !bytes.Equal(a, b) {
+				t.Fatalf("cell %d: served result differs from the first run's", i)
+			}
 		}
 	}
 }

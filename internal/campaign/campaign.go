@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -104,18 +103,13 @@ type Options struct {
 	// results. A *Cache is the local on-disk store; internal/fabric
 	// supplies HTTP-backed and tiered implementations.
 	Cache Store
-	// Manifest, when non-nil, is the campaign's durable progress ledger:
-	// cells it records as done replay without running, and fresh
-	// completions are appended, so a killed campaign resumes from where
-	// it stopped.
-	Manifest *Manifest
 	// Events receives progress events (nil = silent). Callbacks are
 	// serialized; they must not block for long.
 	Events func(Event)
-	// Execute runs one cell that neither the manifest nor the cache
-	// answered (nil = ExecuteCell over core.Run, in process). It owns
-	// isolation and the Timeout budget, and may stamp Outcome.Worker and
-	// Outcome.Cached; internal/fabric supplies a fleet executor.
+	// Execute runs one cell the cache did not answer (nil = ExecuteCell
+	// over core.Run, in process). It owns isolation and the Timeout
+	// budget, and may stamp Outcome.Worker and Outcome.Cached;
+	// internal/fabric supplies a fleet executor.
 	Execute func(ctx context.Context, spec Spec, timeout time.Duration) Outcome
 }
 
@@ -155,12 +149,10 @@ type Outcome struct {
 	Spec   Spec
 	Result core.Result
 	Err    error
-	// Cached reports a result served without running: a cache hit or a
-	// manifest replay.
+	// Cached reports a result served from a cache without running.
 	Cached bool
 	// Worker identifies the executor: "local" for in-process execution
-	// and cache hits, "manifest" for resume replays, and the worker's ID
-	// for cells a fabric worker ran.
+	// and cache hits, and the worker's ID for cells a fabric worker ran.
 	Worker string
 	// Panicked cells carry the recovered value's message in Err and the
 	// goroutine stack here.
@@ -275,7 +267,7 @@ func (o *Orchestrator) Run(c Campaign) (*Report, error) {
 			for i := range idx {
 				spec := c.Specs[i]
 				emit(Event{Type: EventStarted, Index: i, ID: spec.ID})
-				finish(i, o.runCell(i, spec))
+				finish(i, o.runCell(spec))
 			}
 		}()
 	}
@@ -322,21 +314,13 @@ feed:
 	return rep, ctxErr
 }
 
-// runCell executes one cell: manifest replay, cache lookup, then the
-// executor, whose result feeds back into both ledgers. Served cells are
-// timed here; executed cells keep the executor's own wall time.
-func (o *Orchestrator) runCell(index int, spec Spec) Outcome {
+// runCell executes one cell: cache lookup, then the executor, whose
+// successful result feeds back into the cache. Served cells are timed
+// here; executed cells keep the executor's own wall time.
+func (o *Orchestrator) runCell(spec Spec) Outcome {
 	start := time.Now()
-	var key string
-	if o.opts.Manifest != nil {
-		key = CacheKey(spec.Cfg)
-		if res, ok := o.opts.Manifest.Lookup(key); ok {
-			return Outcome{Spec: spec, Result: res, Cached: true, Worker: "manifest", Wall: time.Since(start)}
-		}
-	}
 	if o.opts.Cache != nil {
 		if res, ok := o.opts.Cache.Get(spec.Cfg); ok {
-			o.record(index, spec, key, res)
 			return Outcome{Spec: spec, Result: res, Cached: true, Worker: "local", Wall: time.Since(start)}
 		}
 	}
@@ -345,23 +329,11 @@ func (o *Orchestrator) runCell(index int, spec Spec) Outcome {
 	if out.Worker == "" {
 		out.Worker = "local"
 	}
-	if out.Err == nil {
-		// A cell the executor served from its own cache is already stored.
-		if o.opts.Cache != nil && !out.Cached {
-			o.opts.Cache.Put(spec.Cfg, out.Result)
-		}
-		o.record(index, spec, key, out.Result)
+	// A cell the executor served from its own cache is already stored.
+	if out.Err == nil && o.opts.Cache != nil && !out.Cached {
+		o.opts.Cache.Put(spec.Cfg, out.Result)
 	}
 	return out
-}
-
-// record appends a completed cell to the manifest (key pre-computed when
-// the manifest is enabled; empty otherwise).
-func (o *Orchestrator) record(index int, spec Spec, key string, res core.Result) {
-	if o.opts.Manifest == nil {
-		return
-	}
-	o.opts.Manifest.Record(index, spec.ID, "local", key, res)
 }
 
 // ExecuteCell runs one cell with panic recovery and an optional
@@ -434,17 +406,4 @@ func (o *Orchestrator) RunAll(specs []core.Config) []core.SpecOutcome {
 		outs[i] = core.SpecOutcome{Result: out.Result, Err: out.Err}
 	}
 	return outs
-}
-
-// SortedIDs returns the campaign's cell IDs sorted, for display.
-func (c Campaign) SortedIDs() []string {
-	ids := make([]string, len(c.Specs))
-	for i, s := range c.Specs {
-		ids[i] = s.ID
-		if ids[i] == "" {
-			ids[i] = AutoID(s.Cfg)
-		}
-	}
-	sort.Strings(ids)
-	return ids
 }

@@ -42,8 +42,8 @@ type Event struct {
 	ID    string // spec ID
 	Err   error  // failed/finished cells
 	Wall  time.Duration
-	// Worker is the executor identity: "local" for in-process cells,
-	// "manifest" for resume replays, the worker ID for fabric cells.
+	// Worker is the executor identity: "local" for in-process and cached
+	// cells, the worker ID for fabric cells.
 	Worker string
 
 	Done    int

@@ -172,16 +172,6 @@ func (mt *Meter) ChargeNoisy(c units.Cycles, frac float64) {
 	mt.Charge(n)
 }
 
-// ChargeBatch adds n frames' worth of a fixed per-frame cost in one call.
-// Bit-identical to n individual Charge(c) calls: integer cycle sums are
-// associative, so only the host-side call count changes.
-func (mt *Meter) ChargeBatch(c units.Cycles, n int) {
-	if n <= 0 {
-		return
-	}
-	mt.Charge(c * units.Cycles(n))
-}
-
 // ChargeNoisyBatch adds n frames' worth of ChargeNoisy(c, frac), consuming
 // the RNG stream exactly as n individual calls would: one TruncExp draw per
 // frame, each truncated to whole cycles *before* summing (the per-frame

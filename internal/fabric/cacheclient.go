@@ -37,9 +37,6 @@ func NewCacheClient(base string) *CacheClient {
 	}
 }
 
-// Base returns the server URL the client talks to.
-func (c *CacheClient) Base() string { return c.base }
-
 func (c *CacheClient) url(key string) string { return c.base + "/cache/" + key }
 
 // Get implements campaign.Store.

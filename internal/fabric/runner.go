@@ -12,10 +12,10 @@ import (
 type RunnerOptions = campaign.Options
 
 // NewRunner returns the campaign orchestrator that executes cells on the
-// coordinator's fleet: manifest replays and cache hits stay local, the
-// rest go through co.Execute. Cells in flight are not capped — the
-// fleet's size bounds concurrency. ctx cancels in-flight campaigns (nil
-// means context.Background()).
+// coordinator's fleet: cache hits stay local, the rest go through
+// co.Execute. Cells in flight are not capped — the fleet's size bounds
+// concurrency. ctx cancels in-flight campaigns (nil means
+// context.Background()).
 func NewRunner(ctx context.Context, co *Coordinator, opts RunnerOptions) *campaign.Orchestrator {
 	opts.Execute = co.Execute
 	opts.Workers = math.MaxInt

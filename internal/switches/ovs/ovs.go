@@ -251,14 +251,14 @@ func (sw *Switch) CrossConnect(a, b int) error {
 	return nil
 }
 
-// classify finds the rule for a key, exercising EMC → megaflow → slow path,
-// charging lookup costs as it goes. This is the per-frame reference path;
-// the memoized fast path (Poll) must replay exactly the charges and
-// counter increments a repeat frame would collect here.
-func (sw *Switch) classify(now units.Time, m *cost.Meter, key FlowKey) *Rule {
-	full := key.pack()
+// classify finds the rule for a packed key full whose keyHash is h,
+// exercising EMC → megaflow → slow path, charging lookup costs as it goes.
+// This is the per-frame reference path; the memoized fast path (Poll) must
+// replay exactly the charges and counter increments a repeat frame would
+// collect here.
+func (sw *Switch) classify(now units.Time, m *cost.Meter, full packedKey, h uint64) *Rule {
 	m.Charge(m.Model.HashLookup)
-	if r, ok := sw.emc.Get(keyHash(&full), full); ok {
+	if r, ok := sw.emc.Get(h, full); ok {
 		sw.EMCHits++
 		m.Charge(emcHitPerPkt)
 		r.Hits++
@@ -271,7 +271,7 @@ func (sw *Switch) classify(now units.Time, m *cost.Meter, key FlowKey) *Rule {
 		if e, ok := sw.mega.Get(keyHash(&masked), masked); ok && e.mk == mk {
 			sw.MegaHits++
 			e.rule.Hits++
-			sw.installEMC(full, e.rule)
+			sw.installEMC(full, h, e.rule)
 			return e.rule
 		}
 	}
@@ -291,7 +291,7 @@ func (sw *Switch) classify(now units.Time, m *cost.Meter, key FlowKey) *Rule {
 	sw.SlowHits++
 	best.Hits++
 	sw.installMegaflow(full, best)
-	sw.installEMC(full, best)
+	sw.installEMC(full, h, best)
 	return best
 }
 
@@ -326,8 +326,9 @@ func (sw *Switch) installMegaflow(full packedKey, best *Rule) {
 	sw.cacheGen++
 }
 
-func (sw *Switch) installEMC(full packedKey, r *Rule) {
-	if sw.emc.Put(keyHash(&full), full, r) {
+// installEMC caches r under the packed key full, whose keyHash is h.
+func (sw *Switch) installEMC(full packedKey, h uint64, r *Rule) {
+	if sw.emc.Put(h, full, r) {
 		// Clock-hand eviction of a live entry: some memoized EMC-hit
 		// script may now be wrong, so invalidate them all. Refreshing an
 		// existing key changes nothing and keeps memos valid.
@@ -380,10 +381,12 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 				}
 			}
 			key := extractKey(b, i)
-			rule := sw.classify(now, m, key)
+			full := key.pack()
+			h := keyHash(&full)
+			rule := sw.classify(now, m, full, h)
 			if !noMemo {
 				if t := b.Template(); t != nil {
-					sw.recordMemo(t, i, key, rule)
+					sw.recordMemo(t, i, full, h, rule)
 				}
 			}
 			if rule == nil {
@@ -429,7 +432,7 @@ func (sw *Switch) replayMemo(now units.Time, m *cost.Meter, b *pkt.Buf, inPort i
 // recordMemo captures what the reference path will do for the *next* frame
 // of this (template, in_port), given the caches classify just left behind.
 // The entry stays valid while cacheGen is unchanged.
-func (sw *Switch) recordMemo(t *pkt.Template, inPort int, key FlowKey, rule *Rule) {
+func (sw *Switch) recordMemo(t *pkt.Template, inPort int, full packedKey, h uint64, rule *Rule) {
 	e := memoEntry{gen: sw.cacheGen, rule: rule}
 	if rule == nil {
 		// Repeat frames re-walk every tier and drop.
@@ -440,8 +443,7 @@ func (sw *Switch) recordMemo(t *pkt.Template, inPort int, key FlowKey, rule *Rul
 	} else {
 		// classify just installed (or refreshed) the EMC entry, so the
 		// next frame is an EMC hit.
-		full := key.pack()
-		if r, ok := sw.emc.Get(keyHash(&full), full); !ok || r != rule {
+		if r, ok := sw.emc.Get(h, full); !ok || r != rule {
 			return
 		}
 		e.kind = memoEMCHit

@@ -346,8 +346,9 @@ func TestPropertyCachedClassifierMatchesReference(t *testing.T) {
 				IPProto: 17,
 				L4Dst:   uint16(2000 + rng.Intn(3)),
 			}
-			got := sw.classify(0, m, key)
-			want := refClassify(sw.Rules(), key.pack())
+			full := key.pack()
+			got := sw.classify(0, m, full, keyHash(&full))
+			want := refClassify(sw.Rules(), full)
 			if got != want {
 				return false
 			}

@@ -52,8 +52,6 @@ type Config struct {
 	Spec pkt.FrameSpec
 	// Rate is the offered load; 0 means saturate the line.
 	Rate units.BitRate
-	// Burst is the TX burst size (default 32).
-	Burst int
 	// ProbeEvery injects a PTP latency probe at this interval (0 = none).
 	ProbeEvery units.Time
 	// Flows cycles the synthetic traffic across this many flows
@@ -70,9 +68,6 @@ type Config struct {
 	// IMIX cycles frame sizes through the classic Internet mix
 	// (7×64B : 4×570B : 1×1518B) instead of Spec.FrameLen.
 	IMIX bool
-	// SWTimestamp stamps probes at generation time instead of leaving
-	// them for NIC hardware timestamping.
-	SWTimestamp bool
 }
 
 // Generator is a MoonGen TX thread.
@@ -126,9 +121,6 @@ type tmplSlab struct {
 
 // NewGenerator registers a generator with the scheduler (idle until Start).
 func NewGenerator(s *sim.Scheduler, cfg Config) *Generator {
-	if cfg.Burst == 0 {
-		cfg.Burst = DefaultBurst
-	}
 	g := &Generator{cfg: cfg, sched: s, flows: max(cfg.Flows, 1)}
 	g.runs = cfg.Rate <= 0 && cfg.Flows <= 1 && !cfg.IMIX
 	slots := 1
@@ -266,11 +258,7 @@ func (g *Generator) emitOne(at units.Time) bool {
 	b.SetTemplate(t)
 	b.Seq = g.seq
 	if g.cfg.ProbeEvery > 0 && at >= g.nextProbe {
-		var ts units.Time // 0: the NIC stamps on the wire
-		if g.cfg.SWTimestamp {
-			ts = at
-		}
-		pkt.MarkProbe(b, g.seq, ts)
+		pkt.MarkProbe(b, g.seq, 0) // TxStamp 0: the NIC stamps on the wire
 		g.nextProbe = at + g.cfg.ProbeEvery
 		g.SentProbes++
 	}
@@ -327,16 +315,16 @@ func (g *Generator) Step(now units.Time) (units.Time, bool) {
 		// idles on the doorbell latency (MoonGen queues descriptors
 		// ahead of the NIC).
 		if g.runs {
-			g.emitRuns(now, 4*g.cfg.Burst)
+			g.emitRuns(now, 4*DefaultBurst)
 		} else {
-			for i := 0; i < 4*g.cfg.Burst; i++ {
+			for i := 0; i < 4*DefaultBurst; i++ {
 				if !g.emitOne(now) {
 					break
 				}
 			}
 		}
 		// Return before the queued frames drain so the ring never empties.
-		next := now + units.Time(g.cfg.Burst)*port.Rate().WireTime(g.cfg.Spec.FrameLen)/2
+		next := now + units.Time(DefaultBurst)*port.Rate().WireTime(g.cfg.Spec.FrameLen)/2
 		if until := port.BusyUntil(); until > now && until-now < next-now {
 			// Ring nearly empty: catch up immediately.
 			next = until
@@ -346,14 +334,15 @@ func (g *Generator) Step(now units.Time) (units.Time, bool) {
 		}
 		return next, true
 	}
-	// Rate mode: constant bit rate. One scheduler step emits up to Burst
-	// frames, each stamped with its own CBR due time via SendAt, never past
-	// the dispatch deadline: this is bit-identical to one step per frame
-	// because the unbatched engine dispatched the generator at exactly
-	// these instants (the TX port is touched only by its generator, and
-	// everything downstream keys off the frame's stamp, not the clock).
+	// Rate mode: constant bit rate. One scheduler step emits up to
+	// DefaultBurst frames, each stamped with its own CBR due time via
+	// SendAt, never past the dispatch deadline: this is bit-identical to
+	// one step per frame because the unbatched engine dispatched the
+	// generator at exactly these instants (the TX port is touched only by
+	// its generator, and everything downstream keys off the frame's stamp,
+	// not the clock).
 	deadline := g.sched.Deadline()
-	for i := 0; i < g.cfg.Burst; i++ {
+	for i := 0; i < DefaultBurst; i++ {
 		due := g.nextDue
 		if i > 0 && due > deadline {
 			break

@@ -274,12 +274,12 @@ func (g *refGenerator) emitOne(at units.Time) bool {
 func (g *refGenerator) Step(now units.Time) (units.Time, bool) {
 	port := g.cfg.Port
 	if g.cfg.Rate <= 0 {
-		for i := 0; i < 4*g.cfg.Burst; i++ {
+		for i := 0; i < 4*DefaultBurst; i++ {
 			if !g.emitOne(now) {
 				break
 			}
 		}
-		next := now + units.Time(g.cfg.Burst)*port.Rate().WireTime(g.cfg.Spec.FrameLen)/2
+		next := now + units.Time(DefaultBurst)*port.Rate().WireTime(g.cfg.Spec.FrameLen)/2
 		if until := port.BusyUntil(); until > now && until-now < next-now {
 			next = until
 		}
@@ -289,7 +289,7 @@ func (g *refGenerator) Step(now units.Time) (units.Time, bool) {
 		return next, true
 	}
 	deadline := g.sched.Deadline()
-	for i := 0; i < g.cfg.Burst; i++ {
+	for i := 0; i < DefaultBurst; i++ {
 		due := g.nextDue
 		if i > 0 && due > deadline {
 			break
@@ -330,7 +330,7 @@ func TestEmitMatchesPerFrameRingCheck(t *testing.T) {
 				peer := nic.NewPort(nic.Config{Name: "peer", TxRing: 4096, RxRing: 4096})
 				nic.Connect(gen, peer)
 				cfg := Config{
-					Name: "g", Port: gen, Pool: pkt.NewPool(2048), Rate: tc.rate, Burst: DefaultBurst,
+					Name: "g", Port: gen, Pool: pkt.NewPool(2048), Rate: tc.rate,
 					Spec: pkt.FrameSpec{SrcMAC: pkt.MAC{2, 0, 0, 0, 0, 1}, DstMAC: pkt.MAC{2, 0, 0, 0, 0, 2}, FrameLen: 64},
 				}
 				var g *Generator

@@ -251,24 +251,12 @@ func OpenResultCache(dir string) (*ResultCache, error) { return campaign.OpenCac
 type ResultStore = campaign.Store
 
 // CampaignCacheKey returns a config's content address (canonical config +
-// cost-model version) — the key the result cache, the campaign manifest,
-// and the fabric's version-skew handshake all share.
+// cost-model version) — the key the result cache, the cache server, and
+// the fabric's version-skew handshake all share.
 func CampaignCacheKey(cfg Config) string { return campaign.CacheKey(cfg) }
 
 // CachePruneStats summarizes one ResultCache.Prune pass.
 type CachePruneStats = campaign.PruneStats
-
-// CampaignManifest is the append-only JSONL progress ledger that makes
-// campaigns resumable: recorded cells replay without running.
-type CampaignManifest = campaign.Manifest
-
-// CampaignManifestRecord is one line of a campaign manifest.
-type CampaignManifestRecord = campaign.ManifestRecord
-
-// OpenCampaignManifest opens (creating if needed) a campaign manifest.
-func OpenCampaignManifest(path string) (*CampaignManifest, error) {
-	return campaign.OpenManifest(path)
-}
 
 // Campaign fabric: a coordinator leases campaign cells to worker daemons
 // over HTTP (work-stealing pull model with lease expiry) and a cache
