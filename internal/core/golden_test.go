@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/nic"
 	"repro/internal/switches/ovs"
+	"repro/internal/switches/switchdef"
 	"repro/internal/units"
 )
 
@@ -42,9 +44,11 @@ func runConservingCycles(t *testing.T, cfg Config) (Result, error) {
 		}
 		return out
 	}
+	checkReturnLeg(t, tb, "warm-up")
 	start, steps0 := snap(), tb.sched.Steps()
 	tb.sched.RunUntil(tb.cfg.Warmup + tb.cfg.Duration)
 	end, steps := snap(), tb.sched.Steps()-steps0
+	checkReturnLeg(t, tb, "window end")
 	freq := float64(tb.model.Freq)
 	// Every poll is a scheduler step, so steps bounds the poll count.
 	tol := float64(steps)*freq/2e12 + 1
@@ -59,12 +63,47 @@ func runConservingCycles(t *testing.T, cfg Config) (Result, error) {
 	return m.collect()
 }
 
+// checkReturnLeg checks that every NIC sink's leg conserves frames: all
+// the SUT port has put on the wire toward the sink is drained or pending
+// there, no pending frame was due by the deadline, the sink-bound port
+// never found its ring full, and its RX queue holds no buffer (the sink
+// consumes at arrival).
+func checkReturnLeg(t *testing.T, tb *testbed, when string) {
+	t.Helper()
+	for _, k := range tb.sinks {
+		var sut *nic.Port
+		for _, p := range tb.ports {
+			if p.gen == k.Port {
+				sut = p.dev.(*switchdef.PhysPort).Port
+			}
+		}
+		if sut == nil {
+			t.Fatalf("%s: sink port %s has no SUT port behind its wire", when, k.Port.Name())
+		}
+		pending, due := k.Pending()
+		if tx := sut.Stats.TxPackets; tx != k.Rx.Packets+pending {
+			t.Errorf("%s: %s sent %d frames, sink on %s drained %d and holds %d pending",
+				when, sut.Name(), tx, k.Port.Name(), k.Rx.Packets, pending)
+		}
+		if now := tb.sched.Now(); due <= now {
+			t.Errorf("%s: sink on %s still holds a frame due at %v, by the deadline %v", when, k.Port.Name(), due, now)
+		}
+		if d := k.Port.Stats.RxDropsFull; d != 0 {
+			t.Errorf("%s: sink port %s dropped %d frames to a full ring", when, k.Port.Name(), d)
+		}
+		if at := k.Port.NextRx(tb.sched.Now()); at != units.Never {
+			t.Errorf("%s: sink port %s still queues a frame (next visible at %v)", when, k.Port.Name(), at)
+		}
+	}
+}
+
 // TestPinnedGoldens runs every pinned golden table twice: with OvS's
 // template-keyed classification memo on, and with it force-disabled so
 // every frame takes the per-frame reference path. Both must reproduce the
 // pinned digests bit for bit — memoization is a host execution strategy,
 // invisible to the simulation — and every cell must conserve its SUT
-// cores' cycles (runConservingCycles).
+// cores' cycles (runConservingCycles) and every NIC sink's return leg its
+// frames (checkReturnLeg).
 func TestPinnedGoldens(t *testing.T) {
 	tables := []struct {
 		name  string

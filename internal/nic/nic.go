@@ -18,6 +18,13 @@
 // the receive side is O(1) per run plus O(1) per delivered frame. The TX
 // occupancy window is a fixed ring of TxRing completion times, O(1) per
 // frame.
+//
+// A port bound to a counting sink (BindSink) has no receive queue at all:
+// it hands each arrival, run or frame, to the sink the moment it is sent,
+// and the sink accounts for it at the poll instant it would have been
+// drained. Its ring is sized so that such a poll never finds it full, so
+// the frames the sink sees are exactly those a polled consumer would have
+// received, and a frame never holds a buffer between the wire and the sink.
 package nic
 
 import (
@@ -103,6 +110,8 @@ type Port struct {
 	irqArmed bool
 	lastIRQ  units.Time // last scheduled fire (ITR ratchet)
 	poller   *cpu.PollCore
+	// sink, when set, consumes every arrival in place of the RX queue.
+	sink func(b *pkt.Buf, vis, gap units.Time)
 
 	Stats Counters
 }
@@ -153,6 +162,28 @@ func (p *Port) BindIRQ(c *cpu.IRQCore) {
 // BindPoll names the poll-mode core that drains this port: each arrival
 // notifies it for the instant the frame becomes visible.
 func (p *Port) BindPoll(c *cpu.PollCore) { p.poller = c }
+
+// BindSink makes consume the port's receiver in place of its RX queue: each
+// arrival is handed over at once, as b with b.Ingress set — a run of
+// b.Run() frames, frame i hitting the PHY at b.Ingress + i·gap (gap is 0
+// for a single frame) — together with vis, the instant the first frame
+// becomes visible on the descriptor ring. consume owns b and counts it as
+// handed to the consumer (Stats.RxPackets). That stands in for a consumer
+// draining the whole ring every interval only if such a consumer never
+// finds the ring full: at most ⌊interval / w⌋ + 1 frames become visible in
+// one interval, w being the peer's wire time of a 64-byte frame, the
+// shortest there is. BindSink panics unless the port is connected and its
+// RX ring holds ⌈interval / w⌉ + 1 frames.
+func (p *Port) BindSink(interval units.Time, consume func(b *pkt.Buf, vis, gap units.Time)) {
+	if p.peer == nil {
+		panic(fmt.Sprintf("nic: sink bound to unconnected port %s", p.cfg.Name))
+	}
+	w := p.peer.cfg.Rate.WireTime(64)
+	if need := int((interval+w-1)/w) + 1; p.cfg.RxRing < need {
+		panic(fmt.Sprintf("nic: port %s: a sink draining every %v needs an RX ring of %d, has %d", p.cfg.Name, interval, need, p.cfg.RxRing))
+	}
+	p.sink = consume
+}
 
 // scheduleIRQ arms one interrupt no earlier than `earliest`, honouring the
 // ITR throttle. A port keeps at most one interrupt outstanding; the
@@ -299,17 +330,32 @@ func (p *Port) gapFor(frameLen int) units.Time {
 
 // arrive queues an inbound frame hitting the PHY at time at — its hardware
 // RX timestamp; it becomes visible to the consumer after the descriptor
-// path delay.
+// path delay. A sink-bound port hands it to the sink instead.
 func (p *Port) arrive(at units.Time, b *pkt.Buf) {
 	b.Ingress = at
+	if p.sink != nil {
+		p.Stats.RxPackets++
+		p.Stats.RxBytes += int64(b.Len())
+		p.sink(b, at+p.cfg.RxLatency, 0)
+		return
+	}
 	p.rxq = append(p.rxq, b)
 	p.notify(at)
 }
 
 // arriveRun queues a run whose first frame hits the PHY at time at. A run
 // arriving right behind a not yet judged run of the same frames extends it
-// (and its buffer goes back to the pool).
+// (and its buffer goes back to the pool). A sink-bound port hands the run
+// to the sink instead, whole.
 func (p *Port) arriveRun(at units.Time, b *pkt.Buf) {
+	if p.sink != nil {
+		n := int64(b.Run())
+		b.Ingress = at
+		p.Stats.RxPackets += n
+		p.Stats.RxBytes += n * int64(b.Len())
+		p.sink(b, at+p.cfg.RxLatency, p.gapFor(b.Len()))
+		return
+	}
 	if last := len(p.rxq) - 1; last >= p.rxVis {
 		if t := p.rxq[last]; b.Follows(t) && t.Ingress+units.Time(t.Run())*p.gapFor(t.Len()) == at {
 			t.SetRun(t.Run() + b.Run())

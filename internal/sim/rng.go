@@ -120,7 +120,10 @@ var (
 
 func init() {
 	for i := range lnEdge {
-		lnEdge[i] = math.Log(1 + float64(i)/(1<<truncExpTabBits))
+		// float64(...) rounds the quotient (a product by 2^-B to the
+		// compiler), so no architecture fuses it into the add. It is exact
+		// either way; CI's scan for fused float ops expects none.
+		lnEdge[i] = math.Log(1 + float64(float64(i)/(1<<truncExpTabBits)))
 	}
 	for e := 0; e <= 52; e++ {
 		expLn2[e] = float64(53-e) * math.Ln2

@@ -75,6 +75,9 @@ type Scheduler struct {
 	// elided the steps booked through CountSteps (diagnostics for
 	// benchmarks; not part of simulation state).
 	fastHits, elided uint64
+
+	// settlers run as every RunUntil returns (see OnSettle).
+	settlers []func(deadline units.Time)
 }
 
 // NewScheduler returns an empty scheduler at time zero.
@@ -119,6 +122,16 @@ func (s *Scheduler) FastPathHits() uint64 { return s.fastHits }
 // this bound: events beyond it would not have been dispatched, so state
 // observed between RunUntil calls must not include them.
 func (s *Scheduler) Deadline() units.Time { return s.deadline }
+
+// OnSettle registers fn to run as every RunUntil returns, after its last
+// step, with its deadline. An actor that accounts for its steps
+// arithmetically instead of being dispatched for them (the counting sink's
+// polls) settles them there up to the deadline and books them through
+// CountSteps, so everything read between RunUntil calls is what
+// dispatching them would have left.
+func (s *Scheduler) OnSettle(fn func(deadline units.Time)) {
+	s.settlers = append(s.settlers, fn)
+}
 
 // Register adds an actor (initially parked) and returns its task handle.
 func (s *Scheduler) Register(name string, a Actor) *Task {
@@ -175,7 +188,7 @@ func (s *Scheduler) RunUntil(deadline units.Time) {
 			}
 			// Run-next fast path: if the stepped actor rescheduled itself
 			// ahead of everything queued (the dominant "self-reschedule at
-			// now+Δ" pattern of pollers, pacers, and sinks), dispatch it
+			// now+Δ" pattern of pollers and pacers), dispatch it
 			// again directly — no push, no pop, no sift. The guard is the
 			// exact dispatch order: the task must precede the heap minimum
 			// under (when, seq), be within the deadline, and not have been
@@ -190,6 +203,9 @@ func (s *Scheduler) RunUntil(deadline units.Time) {
 			s.WakeAt(next, when)
 			break
 		}
+	}
+	for _, fn := range s.settlers {
+		fn(deadline)
 	}
 	s.deadline = 0
 	if s.now < deadline {

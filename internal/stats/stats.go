@@ -203,10 +203,11 @@ func (h *Histogram) Std() units.Time {
 		if c == 0 {
 			continue
 		}
-		mid := float64(bucketLow(i)) + float64(bucketLow(i+1)-bucketLow(i))/2
+		mid := float64(bucketLow(i)) + float64(float64(bucketLow(i+1)-bucketLow(i))/2)
 		d := mid - mean
-		// The explicit conversion rounds the product, so no architecture may
-		// fuse it into the add: digests must not depend on FMA support.
+		// The explicit conversions round the halving and the product, so no
+		// architecture may fuse either into its add: digests must not
+		// depend on FMA support.
 		acc += float64(d * d * float64(c))
 	}
 	return units.Time(math.Sqrt(acc / float64(h.count)))

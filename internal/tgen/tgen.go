@@ -16,9 +16,16 @@
 // flow and one frame length goes further: its burst's frames are one
 // template, so they leave as runs (nic.Port.SendRunAt), one buffer each,
 // and the frames the receiver's full RX ring drops never become buffers.
+//
+// A sink runs no poll loop: its port hands it every frame as the frame is
+// sent, and it counts the frame at the poll instant MoonGen's RX thread
+// would have drained it, so its cost is per frame or per run, not per
+// 2 µs of simulated time, and a frame on the return leg holds no buffer
+// once it has left the SUT (see Sink).
 package tgen
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/nic"
@@ -357,62 +364,221 @@ func (g *Generator) Step(now units.Time) (units.Time, bool) {
 }
 
 // Sink is the RX/measurement side (MoonGen RX thread or FloWatcher): it
-// drains a NIC port, counts frames, and records probe round-trip times.
+// counts a NIC port's frames and bytes and records probe round-trip times.
+//
+// MoonGen's RX thread drains its port every SinkPollInterval; the Sink gives
+// exactly what that loop gives without running it. Its port hands it each
+// frame on arrival (nic.Port.BindSink), and the Sink books the frame at its
+// drain instant — the first poll start + k·SinkPollInterval at or after the
+// frame becomes visible — and frees the buffer at once. A frame whose drain
+// instant lies beyond the running RunUntil deadline waits in a FIFO
+// (Pending) until a RunUntil that covers it returns; the polls themselves
+// are booked as scheduler steps. So what is read between RunUntil calls —
+// Rx, Hist, Capture's output, the scheduler's Steps — is what the poll loop
+// left: a frame counts, and a probe's sample survives a Hist.Reset, iff its
+// drain instant lies at or before the last deadline (a poll at the deadline
+// itself runs).
 type Sink struct {
 	Port *nic.Port
-
-	sched *sim.Scheduler
-	task  *sim.Task
-	every units.Time
 
 	// Rx counts everything the sink consumed; Hist collects probe RTTs.
 	Rx   stats.Counter
 	Hist stats.Histogram
-	// Capture, when set, observes every consumed frame (pcap dumps).
+	// Capture, when set, observes every consumed frame (pcap dumps) in
+	// drain order, by the end of the RunUntil call that drains it. A
+	// pending frame keeps its buffer only while Capture is set, so set it
+	// before the frames it should see arrive.
 	Capture func(at units.Time, b *pkt.Buf)
 
-	scratch [256]*pkt.Buf // receive staging, reused across polls
+	sched *sim.Scheduler
+	name  string
+	start units.Time // the first poll; Never until Start
+	polls uint64     // polls booked as scheduler steps so far
+
+	// cut is the last poll at or before deadline, the RunUntil bound it
+	// was computed for: an arrival visible by then is drained in this call.
+	deadline, cut units.Time
+	// pending[head:] holds, in arrival (and so drain) order, the frames
+	// whose drain instant lies beyond the last deadline.
+	pending []arrival
+	head    int
 }
 
-// SinkPollInterval is how often the sink drains its port; with a 4096-deep
-// ring this never drops at line rate.
+// arrival is n frames of one length handed to the sink together, the first
+// visible at vis and each later one gap after it: a run of the wire's, or a
+// single frame.
+type arrival struct {
+	vis, gap units.Time
+	rtt      units.Time // the probe's sample, when probe
+	b        *pkt.Buf   // the frames' buffer, kept for Capture only
+	n, len   int32
+	probe    bool
+}
+
+// SinkPollInterval is how often MoonGen's RX thread drains its port; with
+// a 4096-deep ring this never drops at line rate.
 const SinkPollInterval = 2 * units.Microsecond
 
-// NewSink registers a sink with the scheduler (idle until Start).
+// NewSink binds a sink to port (idle until Start). It panics unless the
+// port's RX ring covers a SinkPollInterval of line-rate arrivals
+// (nic.Port.BindSink), the condition under which draining at arrival and
+// draining every poll see the same frames.
 func NewSink(s *sim.Scheduler, name string, port *nic.Port) *Sink {
-	k := &Sink{Port: port, sched: s, every: SinkPollInterval}
-	k.task = s.Register(name, k)
+	k := &Sink{Port: port, sched: s, name: name, start: units.Never, deadline: -1}
+	port.BindSink(SinkPollInterval, k.arrive)
+	s.OnSettle(k.settleAt)
 	return k
 }
 
-// Start schedules the first poll.
-func (k *Sink) Start(at units.Time) { k.sched.WakeAt(k.task, at) }
+// Start sets the first poll, at time at (or now, if that is later). No
+// frame may reach the port before it.
+func (k *Sink) Start(at units.Time) { k.start = max(at, k.sched.Now()) }
 
-// Step implements sim.Actor.
-func (k *Sink) Step(now units.Time) (units.Time, bool) {
-	burst := &k.scratch
-	for {
-		n := k.Port.RxBurst(now, burst[:])
-		if n == 0 {
-			break
-		}
-		for _, b := range burst[:n] {
-			k.Rx.Add(1, int64(b.Len()))
-			if k.Capture != nil {
-				k.Capture(b.Ingress, b)
-			}
-			if b.Probe {
-				if _, tx, ok := pkt.ProbeInfo(b); ok && tx > 0 {
-					k.Hist.Add(b.Ingress - tx)
-				} else if b.TxStamp > 0 {
-					k.Hist.Add(b.Ingress - b.TxStamp)
-				}
-			}
-			b.Free()
-		}
-		if n < len(burst) {
-			break
+// Pending returns how many frames have reached the sink but not yet been
+// drained, and the drain instant of the first of them (units.Never if
+// none). Between RunUntil calls that instant lies beyond the last deadline.
+func (k *Sink) Pending() (frames int64, due units.Time) {
+	due = units.Never
+	if k.head < len(k.pending) {
+		due = k.lastPoll(k.pending[k.head].vis + SinkPollInterval - 1)
+	}
+	for _, a := range k.pending[k.head:] {
+		frames += int64(a.n)
+	}
+	return frames, due
+}
+
+// lastPoll returns the last poll at or before t, or an instant before
+// every frame's visibility if the first poll comes later.
+func (k *Sink) lastPoll(t units.Time) units.Time {
+	if t < k.start {
+		return k.start - 1
+	}
+	return t - (t-k.start)%SinkPollInterval
+}
+
+// arrive takes the port's arrivals (nic.Port.BindSink): frames visible by
+// the current deadline's last poll drain now, the rest wait in order.
+func (k *Sink) arrive(b *pkt.Buf, vis, gap units.Time) {
+	if vis < k.start {
+		panic(fmt.Sprintf("tgen: frame visible at %v reached sink %s before its first poll at %v", vis, k.name, k.start))
+	}
+	if d := k.sched.Deadline(); d != k.deadline {
+		k.deadline, k.cut = d, k.lastPoll(d)
+	}
+	// Field by field: a composite literal is built in a temporary and
+	// copied with wide loads that stall on store forwarding, which cost
+	// ~20 ns a frame.
+	var a arrival
+	a.vis, a.gap, a.b, a.n, a.len = vis, gap, b, int32(b.Run()), int32(b.Len())
+	if b.Probe {
+		if _, tx, ok := pkt.ProbeInfo(b); ok && tx > 0 {
+			a.rtt, a.probe = b.Ingress-tx, true
+		} else if b.TxStamp > 0 {
+			a.rtt, a.probe = b.Ingress-b.TxStamp, true
 		}
 	}
-	return now + k.every, true
+	if k.head < len(k.pending) {
+		k.settle(k.cut)
+	}
+	if k.head == len(k.pending) && k.take(&a, k.cut) {
+		return
+	}
+	if k.Capture == nil {
+		b.Free()
+		a.b = nil
+	}
+	k.push(a)
+}
+
+// push appends a to the pending frames. Frames leaving a backlogged TX ring
+// arrive back to back, so a continues the last entry's progression — same
+// length, evenly spaced, no probe sample or buffer to keep — more often than
+// not, and then extends it instead.
+func (k *Sink) push(a arrival) {
+	if n := len(k.pending); n > k.head {
+		l := &k.pending[n-1]
+		if l.b == nil && a.b == nil && !l.probe && !a.probe && l.len == a.len {
+			gap := a.vis - (l.vis + units.Time(l.n-1)*l.gap)
+			if gap > 0 && (l.n == 1 || l.gap == gap) && (a.n == 1 || a.gap == gap) {
+				l.gap = gap
+				l.n += a.n
+				return
+			}
+		}
+	}
+	k.pending = append(k.pending, a)
+}
+
+// settleAt runs as every RunUntil returns: it drains the frames whose
+// drain instant the deadline reached and books the polls up to it.
+func (k *Sink) settleAt(deadline units.Time) {
+	k.settle(k.lastPoll(deadline))
+	if deadline < k.start {
+		return
+	}
+	if polls := uint64((deadline-k.start)/SinkPollInterval) + 1; polls > k.polls {
+		k.sched.CountSteps(polls - k.polls)
+		k.polls = polls
+	}
+}
+
+// settle drains the pending frames visible by the poll at cut.
+func (k *Sink) settle(cut units.Time) {
+	for k.head < len(k.pending) && k.take(&k.pending[k.head], cut) {
+		k.head++
+	}
+	if k.head == len(k.pending) {
+		k.pending, k.head = k.pending[:0], 0
+	}
+}
+
+// take drains the frames of a visible by the poll at cut, reporting whether
+// that was all of them; what is left of a run stays in a.
+func (k *Sink) take(a *arrival, cut units.Time) bool {
+	if a.vis > cut {
+		return false
+	}
+	m := a.n
+	if m > 1 {
+		if v := (cut-a.vis)/a.gap + 1; v < units.Time(m) {
+			m = int32(v)
+		}
+	}
+	k.Rx.Add(int64(m), int64(m)*int64(a.len))
+	if a.probe {
+		k.Hist.Add(a.rtt)
+	}
+	if a.b != nil && k.Capture != nil {
+		k.capture(a.b, int(m), a.gap)
+	}
+	if m < a.n {
+		a.vis += units.Time(m) * a.gap
+		a.n -= m
+		return false
+	}
+	if a.b != nil {
+		a.b.Free()
+	}
+	return true
+}
+
+// capture hands Capture the first m frames of the run in b, each as a
+// frame of its own with its own Ingress and Seq, and leaves b holding the
+// rest (or its last frame, when m is all of them).
+func (k *Sink) capture(b *pkt.Buf, m int, gap units.Time) {
+	n := b.Run()
+	b.SetRun(1)
+	for i := 0; i < m; i++ {
+		if i > 0 {
+			b.Ingress += gap
+			b.Seq++
+		}
+		k.Capture(b.Ingress, b)
+	}
+	if n > m {
+		b.Ingress += gap
+		b.Seq++
+		b.SetRun(n - m)
+	}
 }

@@ -22,7 +22,6 @@ type Generator struct {
 	VirtualRate units.BitRate
 	// ProbeEvery injects software-timestamped probes (0 = none).
 	ProbeEvery units.Time
-	Burst      int
 
 	sched *sim.Scheduler
 	task  *sim.Task
@@ -31,22 +30,23 @@ type Generator struct {
 	seq       uint64
 	nextProbe units.Time
 	nextDue   units.Time
-	tmpl      *pkt.Template // lazily built frame image for Spec
-	scratch   []*pkt.Buf    // burst staging, reused every step
+	tmpl      *pkt.Template           // lazily built frame image for Spec
+	scratch   [guestGenBurst]*pkt.Buf // burst staging, reused every step
 
 	// Sent counts emitted frames.
 	Sent int64
 }
 
-// guestGenPerPkt is the per-frame generation cost on the guest core.
-const guestGenPerPkt = 30
+// guestGenPerPkt is the per-frame generation cost on the guest core, and
+// guestGenBurst the frames it stages per step.
+const (
+	guestGenPerPkt = 30
+	guestGenBurst  = 32
+)
 
 // StartGenerator registers and starts the guest generator on its own guest
 // core at time at.
 func StartGenerator(s *sim.Scheduler, name string, g *Generator, m *cost.Meter, at units.Time) *Generator {
-	if g.Burst == 0 {
-		g.Burst = 32
-	}
 	g.sched = s
 	g.meter = m
 	g.task = s.Register(name, g)
@@ -77,13 +77,10 @@ func (g *Generator) makeFrame(now units.Time) *pkt.Buf {
 
 // Step implements sim.Actor.
 func (g *Generator) Step(now units.Time) (units.Time, bool) {
-	burst := g.Burst
+	burst := guestGenBurst
 	if g.VirtualRate > 0 && g.ProbeEvery > 0 {
 		// Latency runs pace frames individually (MoonGen CBR).
 		burst = 1
-	}
-	if cap(g.scratch) < burst {
-		g.scratch = make([]*pkt.Buf, burst)
 	}
 	// Stage only what the device can take, then post it as one burst. A
 	// per-frame loop would generate one more frame into a full ring and
