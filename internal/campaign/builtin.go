@@ -9,12 +9,6 @@ import (
 	"repro/internal/switches/switchdef"
 )
 
-// builtinDef builds one named campaign's spec list.
-type builtinDef struct {
-	desc  string
-	specs func(o core.RunOpts) []Spec
-}
-
 // runnableOnce names cfgs as campaign cells under prefix, each runnable
 // cell once: an experiment's grid may hold cells its switch cannot run (the
 // figure prints those as "-") and repeat cells that two curves share, while
@@ -58,10 +52,12 @@ func experimentSpecs(e core.Experiment, o core.RunOpts) []Spec {
 	return runnableOnce(experimentCampaign(e), e.Specs(o))
 }
 
-// builtins starts as the two composite campaigns; init adds one campaign
-// per registry entry with a flat grid.
-var builtins = map[string]builtinDef{
-	"rplus": {"saturating R+ grid: every switch x scenario", func(o core.RunOpts) []Spec {
+// builtins maps each campaign name to its spec list. It starts as the two
+// composite campaigns — "rplus", the saturating R+ grid of every switch x
+// scenario, and "throughput", every throughput figure grid (Figs. 4a-c, 5,
+// 6) — and init adds one campaign per registry entry with a flat grid.
+var builtins = map[string]func(o core.RunOpts) []Spec{
+	"rplus": func(o core.RunOpts) []Spec {
 		var cfgs []core.Config
 		for _, name := range core.Switches {
 			for _, scn := range []core.ScenarioKind{core.P2P, core.P2V, core.V2V} {
@@ -74,8 +70,8 @@ var builtins = map[string]builtinDef{
 			}
 		}
 		return runnableOnce("rplus", cfgs)
-	}},
-	"throughput": {"every throughput figure grid (Figs. 4a-c, 5, 6)", func(o core.RunOpts) []Spec {
+	},
+	"throughput": func(o core.RunOpts) []Spec {
 		var specs []Spec
 		for _, e := range core.Experiments {
 			if e.Kind == "figure" && !e.Extension && e.Specs != nil {
@@ -83,25 +79,25 @@ var builtins = map[string]builtinDef{
 			}
 		}
 		return specs
-	}},
+	},
 }
 
 func init() {
 	for _, e := range core.Experiments {
 		if e.Specs != nil {
-			builtins[experimentCampaign(e)] = builtinDef{e.Title, func(o core.RunOpts) []Spec { return experimentSpecs(e, o) }}
+			builtins[experimentCampaign(e)] = func(o core.RunOpts) []Spec { return experimentSpecs(e, o) }
 		}
 	}
 }
 
 // Builtin returns the named campaign with o applied to every spec.
 func Builtin(name string, o core.RunOpts) (Campaign, error) {
-	def, ok := builtins[name]
+	specs, ok := builtins[name]
 	if !ok {
 		return Campaign{}, fmt.Errorf("campaign: unknown campaign %q (have %s)",
 			name, strings.Join(BuiltinNames(), ", "))
 	}
-	return Campaign{Name: name, Specs: def.specs(o)}, nil
+	return Campaign{Name: name, Specs: specs(o)}, nil
 }
 
 // BuiltinNames lists the registered campaign names, sorted.
@@ -112,9 +108,4 @@ func BuiltinNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// BuiltinDescription returns the one-line description of a campaign name.
-func BuiltinDescription(name string) string {
-	return builtins[name].desc
 }

@@ -60,16 +60,3 @@ func WriteTable3CSV(w io.Writer, cells []Table3Cell) error {
 	}
 	return csv.NewWriter(w).WriteAll(rows)
 }
-
-// WriteWindowsCSV emits a RunWindows series with the columns
-// start_us,gbps,mpps.
-func WriteWindowsCSV(w io.Writer, pts []WindowPoint) error {
-	rows := [][]string{{"start_us", "gbps", "mpps"}}
-	for _, p := range pts {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.1f", p.Start.Microseconds()),
-			fmt.Sprintf("%.4f", p.Gbps),
-			fmt.Sprintf("%.4f", p.Mpps)})
-	}
-	return csv.NewWriter(w).WriteAll(rows)
-}

@@ -194,12 +194,4 @@ func TestCSVExports(t *testing.T) {
 	if len(rows) != 4 { // header + three loads for vpp; bess skipped
 		t.Fatalf("rows = %v", rows)
 	}
-
-	b.Reset()
-	if err := WriteWindowsCSV(&b, []WindowPoint{{Start: 500 * units.Microsecond, Gbps: 9.5, Mpps: 14.1}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "500.0,9.5000,14.1000") {
-		t.Fatalf("windows csv = %q", b.String())
-	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 
@@ -44,16 +45,6 @@ const (
 	containerScale  = 0.8
 	containerNotify = 3 * units.Microsecond
 )
-
-// orOne resolves the per-direction vhost scale fallback chain.
-func orOne(v ...float64) float64 {
-	for _, x := range v {
-		if x != 0 {
-			return x
-		}
-	}
-	return 1
-}
 
 // testbed is one assembled simulation.
 type testbed struct {
@@ -277,16 +268,15 @@ func (tb *testbed) addGuestIf(name string) (switchdef.DevPort, vm.NetIf) {
 		return &switchdef.PtnetPort{Dev: dev}, &vm.PtnetIf{Dev: dev}
 	}
 	vcfg := vhost.Config{
-		Name:      name,
-		CostScale: tb.info.VhostCostScale,
-		EnqScale:  tb.info.VhostEnqScale,
-		DeqScale:  tb.info.VhostDeqScale,
+		Name:     name,
+		EnqScale: tb.info.VhostEnqScale,
+		DeqScale: tb.info.VhostDeqScale,
 	}
 	if tb.cfg.Containers {
 		// Container networking (virtio-user) skips the VM exit path:
 		// cheaper crossings and faster notification.
-		vcfg.EnqScale = containerScale * orOne(vcfg.EnqScale, vcfg.CostScale)
-		vcfg.DeqScale = containerScale * orOne(vcfg.DeqScale, vcfg.CostScale)
+		vcfg.EnqScale = containerScale * cmp.Or(vcfg.EnqScale, 1)
+		vcfg.DeqScale = containerScale * cmp.Or(vcfg.DeqScale, 1)
 		vcfg.GuestNotifyDelay = containerNotify
 	}
 	dev := vhost.New(vcfg)

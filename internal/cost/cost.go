@@ -130,15 +130,6 @@ func (mo Modulation) Factor(now units.Time) float64 {
 	return mo.LowFactor
 }
 
-// Scale applies the modulation to a cycle count.
-func (mo Modulation) Scale(now units.Time, c units.Cycles) units.Cycles {
-	f := mo.Factor(now)
-	if f == 1 || f == 0 {
-		return c
-	}
-	return units.Cycles(float64(c) * f)
-}
-
 // Meter accumulates cycles consumed by one simulated core between
 // scheduler steps.
 type Meter struct {
@@ -193,10 +184,9 @@ func (mt *Meter) ChargeNoisyBatch(c units.Cycles, frac float64, n int) {
 	mt.Charge(total)
 }
 
-// ScaleBy applies a modulation factor sampled earlier with Factor(now),
-// identically to Modulation.Scale at that instant. Hot paths hoist the
-// Factor call out of per-frame loops (now is constant within one poll) and
-// apply the cached factor here.
+// ScaleBy applies a modulation factor sampled earlier with Factor(now) to a
+// cycle count. Hot paths hoist the Factor call out of per-frame loops (now
+// is constant within one poll) and apply the cached factor here.
 func ScaleBy(f float64, c units.Cycles) units.Cycles {
 	if f == 1 || f == 0 {
 		return c

@@ -138,11 +138,11 @@ func TestModulationPhases(t *testing.T) {
 	if f := mo.Factor(2100 * units.Microsecond); f != 1.2 {
 		t.Fatalf("wrapped factor = %f", f)
 	}
-	if got := mo.Scale(0, 1000); got != 1200 {
+	if got := ScaleBy(mo.Factor(0), 1000); got != 1200 {
 		t.Fatalf("scale = %d", got)
 	}
 	var zero Modulation
-	if zero.Factor(units.Second) != 1 || zero.Scale(0, 77) != 77 {
+	if zero.Factor(units.Second) != 1 || ScaleBy(zero.Factor(0), 77) != 77 {
 		t.Fatal("zero modulation must be identity")
 	}
 }

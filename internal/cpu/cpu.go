@@ -196,15 +196,6 @@ func (c *PollCore) wake(at units.Time) {
 	c.sched.WakeAt(c.task, b)
 }
 
-// Utilization returns the fraction of cycles spent doing useful work.
-func (c *PollCore) Utilization() float64 {
-	t := c.Busy + c.Idle
-	if t == 0 {
-		return 0
-	}
-	return float64(c.Busy) / float64(t)
-}
-
 // IRQCore is an interrupt-driven core (netmap model): it processes available
 // work, then sleeps until a device calls Wake. Each wakeup pays the
 // interrupt + syscall path cost.

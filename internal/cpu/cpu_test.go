@@ -37,9 +37,6 @@ func TestPollCoreIdleChargesIdlePoll(t *testing.T) {
 	if core.Busy != 0 || core.Idle == 0 {
 		t.Fatalf("busy=%d idle=%d", core.Busy, core.Idle)
 	}
-	if core.Utilization() != 0 {
-		t.Fatalf("utilization = %f", core.Utilization())
-	}
 }
 
 func TestPollCoreIdleStepCoarsens(t *testing.T) {
@@ -52,26 +49,6 @@ func TestPollCoreIdleStepCoarsens(t *testing.T) {
 	s.RunUntil(10 * units.Microsecond)
 	if calls != 11 {
 		t.Fatalf("calls = %d, want 11 with 1us idle step", calls)
-	}
-}
-
-func TestUtilizationMixed(t *testing.T) {
-	s := sim.NewScheduler()
-	i := 0
-	core := NewPollCore(s, "c", cost.NewMeter(cost.Default(), nil),
-		func(now units.Time, m *cost.Meter) bool {
-			i++
-			if i%2 == 0 {
-				m.Charge(1000)
-				return true
-			}
-			return false
-		})
-	core.Start(0)
-	s.RunUntil(100 * units.Microsecond)
-	u := core.Utilization()
-	if u <= 0.5 || u >= 1 {
-		t.Fatalf("utilization = %f", u)
 	}
 }
 

@@ -14,11 +14,6 @@ func (m MAC) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
 }
 
-// IsBroadcast reports whether m is ff:ff:ff:ff:ff:ff.
-func (m MAC) IsBroadcast() bool {
-	return m == MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-}
-
 // IsMulticast reports whether the group bit is set.
 func (m MAC) IsMulticast() bool { return m[0]&1 == 1 }
 

@@ -93,15 +93,15 @@ func TestMACRoundTrip(t *testing.T) {
 }
 
 func TestMACClassification(t *testing.T) {
-	if !Broadcast.IsBroadcast() || !Broadcast.IsMulticast() {
+	if Broadcast != (MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}) || !Broadcast.IsMulticast() {
 		t.Fatal("broadcast misclassified")
 	}
 	uni := MAC{0x02, 0, 0, 0, 0, 1}
-	if uni.IsBroadcast() || uni.IsMulticast() {
+	if uni == Broadcast || uni.IsMulticast() {
 		t.Fatal("unicast misclassified")
 	}
 	multi := MAC{0x01, 0, 0x5e, 0, 0, 1}
-	if !multi.IsMulticast() || multi.IsBroadcast() {
+	if !multi.IsMulticast() || multi == Broadcast {
 		t.Fatal("multicast misclassified")
 	}
 }

@@ -83,23 +83,10 @@ func (p *Port) ReArm(now units.Time) {
 	}
 }
 
-// HostSend passes one frame to the guest, zero-copy. On failure the caller
-// keeps ownership.
-func (p *Port) HostSend(m *cost.Meter, b *pkt.Buf) bool {
-	if !p.toGuest.Push(b) {
-		return false
-	}
-	m.Charge(m.Model.PtnetDesc)
-	if p.guest != nil {
-		p.guest.NotifyNow()
-	}
-	return true
-}
-
-// HostSendBurst passes a batch of frames to the guest, charging descriptor
-// work once. Frames the full ring rejects are dropped and freed (matching
-// a per-frame HostSend loop whose caller frees failures). Returns the
-// accepted count.
+// HostSendBurst passes a batch of frames to the guest, zero-copy, charging
+// descriptor work once. The port takes ownership of every frame: those the
+// full ring rejects are counted as drops and freed. Returns the accepted
+// count.
 func (p *Port) HostSendBurst(m *cost.Meter, in []*pkt.Buf) int {
 	n := p.toGuest.PushBurst(in)
 	for _, b := range in[n:] {
@@ -124,22 +111,12 @@ func (p *Port) HostRecv(m *cost.Meter, out []*pkt.Buf) int {
 	return n
 }
 
-// GuestSend posts one frame toward the host. On failure the caller keeps
-// ownership. now is needed to schedule the host notify.
-func (p *Port) GuestSend(now units.Time, m *cost.Meter, b *pkt.Buf) bool {
-	if !p.toHost.Push(b) {
-		return false
-	}
-	m.Charge(m.Model.PtnetDesc)
-	p.notify(now)
-	return true
-}
-
-// GuestSendBurst posts a batch of frames toward the host, charging
-// descriptor work once and ringing the doorbell once (the notify is
-// already level-triggered, so one ring per burst is what a per-frame loop
-// produced anyway). Frames the full ring rejects are dropped and freed.
-// Returns the accepted count.
+// GuestSendBurst posts a batch of frames toward the host at time now,
+// charging descriptor work once and ringing the doorbell once (the notify
+// is level-triggered, so one ring per burst is all a frame-by-frame post
+// would ring either). The port takes ownership of every frame: those the
+// full ring rejects are counted as drops and freed. Returns the accepted
+// count.
 func (p *Port) GuestSendBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) int {
 	n := p.toHost.PushBurst(in)
 	for _, b := range in[n:] {

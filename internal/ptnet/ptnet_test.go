@@ -17,14 +17,14 @@ func TestZeroCopyBothDirections(t *testing.T) {
 	gm := cost.NewMeter(cost.Default(), nil)
 
 	h := pool.Get(64)
-	if !p.HostSend(hm, h) {
+	if p.HostSendBurst(hm, []*pkt.Buf{h}) != 1 {
 		t.Fatal("host send failed")
 	}
 	var out [1]*pkt.Buf
 	if p.GuestRecv(gm, out[:]) != 1 || out[0] != h {
 		t.Fatal("guest did not receive the same buffer")
 	}
-	if !p.GuestSend(0, gm, out[0]) {
+	if p.GuestSendBurst(0, gm, out[:]) != 1 {
 		t.Fatal("guest send failed")
 	}
 	if p.HostRecv(hm, out[:]) != 1 || out[0] != h {
@@ -43,15 +43,14 @@ func TestRingOverflow(t *testing.T) {
 	m := cost.NewMeter(cost.Default(), nil)
 	ok := 0
 	for i := 0; i < 5; i++ {
-		b := pool.Get(64)
-		if p.HostSend(m, b) {
-			ok++
-		} else {
-			b.Free()
-		}
+		ok += p.HostSendBurst(m, []*pkt.Buf{pool.Get(64)})
 	}
 	if ok != 2 || p.Drops() != 3 {
 		t.Fatalf("ok=%d drops=%d", ok, p.Drops())
+	}
+	// Rejected frames went back to the pool.
+	if pool.Live() != 2 {
+		t.Fatalf("live = %d, want the 2 queued frames", pool.Live())
 	}
 }
 
@@ -74,7 +73,7 @@ func TestGuestSendWakesHost(t *testing.T) {
 	p.BindHostIRQ(core)
 
 	gm := cost.NewMeter(cost.Default(), nil)
-	if !p.GuestSend(0, gm, pool.Get(64)) {
+	if p.GuestSendBurst(0, gm, []*pkt.Buf{pool.Get(64)}) != 1 {
 		t.Fatal("send failed")
 	}
 	s.RunUntil(units.Millisecond)
@@ -90,8 +89,7 @@ func TestPendingCounts(t *testing.T) {
 	p := New(Config{Name: "pt0"})
 	pool := pkt.NewPool(2048)
 	m := cost.NewMeter(cost.Default(), nil)
-	p.HostSend(m, pool.Get(64))
-	p.HostSend(m, pool.Get(64))
+	p.HostSendBurst(m, []*pkt.Buf{pool.Get(64), pool.Get(64)})
 	if p.GuestPending() != 2 || p.HostPending() != 0 {
 		t.Fatalf("pending = %d, %d", p.GuestPending(), p.HostPending())
 	}

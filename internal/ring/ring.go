@@ -130,14 +130,3 @@ func (r *SPSC) DrainVisibleTo(now units.Time, out []*pkt.Buf) int {
 	r.Popped += int64(n)
 	return n
 }
-
-// FreeAll empties the ring, returning every buffer to its pool.
-func (r *SPSC) FreeAll() {
-	for {
-		b := r.Pop()
-		if b == nil {
-			return
-		}
-		b.Free()
-	}
-}

@@ -139,18 +139,6 @@ func TestDrainTo(t *testing.T) {
 	}
 }
 
-func TestFreeAll(t *testing.T) {
-	r := New(16)
-	pool := pkt.NewPool(64)
-	for i := 0; i < 10; i++ {
-		r.Push(pool.Get(64))
-	}
-	r.FreeAll()
-	if r.Len() != 0 || pool.Live() != 0 {
-		t.Fatalf("len=%d live=%d", r.Len(), pool.Live())
-	}
-}
-
 func TestPeek(t *testing.T) {
 	r := New(4)
 	if r.Peek() != nil {

@@ -1,6 +1,6 @@
 // Package stats provides the streaming statistics the benchmark harness
-// reports: running mean/variance (Welford), an HDR-style log-linear latency
-// histogram with quantiles, and packet/byte rate counters.
+// reports: an HDR-style log-linear latency histogram with quantiles, and
+// packet/byte rate counters.
 package stats
 
 import (
@@ -10,57 +10,6 @@ import (
 
 	"repro/internal/units"
 )
-
-// Welford accumulates mean and variance in one pass, numerically stably.
-// The zero value is ready to use.
-type Welford struct {
-	n    int64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add folds one observation into the accumulator.
-func (w *Welford) Add(x float64) {
-	if w.n == 0 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int64 { return w.n }
-
-// Mean returns the sample mean (0 if empty).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the population variance (0 if fewer than 2 samples).
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// Std returns the population standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// Min returns the smallest observation (0 if empty).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest observation (0 if empty).
-func (w *Welford) Max() float64 { return w.max }
 
 // Histogram is a log-linear histogram over units.Time values, HDR-style:
 // 32 linear buckets per power-of-two decade, covering 1 ns to ~4.5 h with

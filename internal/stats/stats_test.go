@@ -10,45 +10,6 @@ import (
 	"repro/internal/units"
 )
 
-func TestWelfordMatchesNaive(t *testing.T) {
-	f := func(raw []int16) bool {
-		if len(raw) < 2 {
-			return true
-		}
-		var w Welford
-		var sum float64
-		for _, v := range raw {
-			w.Add(float64(v))
-			sum += float64(v)
-		}
-		mean := sum / float64(len(raw))
-		var m2 float64
-		for _, v := range raw {
-			d := float64(v) - mean
-			m2 += d * d
-		}
-		naiveVar := m2 / float64(len(raw))
-		return math.Abs(w.Mean()-mean) < 1e-6 && math.Abs(w.Var()-naiveVar) < 1e-4
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWelfordMinMax(t *testing.T) {
-	var w Welford
-	for _, v := range []float64{5, -3, 12, 0} {
-		w.Add(v)
-	}
-	if w.Min() != -3 || w.Max() != 12 || w.N() != 4 {
-		t.Fatalf("min=%v max=%v n=%d", w.Min(), w.Max(), w.N())
-	}
-	var empty Welford
-	if empty.Mean() != 0 || empty.Var() != 0 || empty.Std() != 0 {
-		t.Fatal("empty accumulator not zero")
-	}
-}
-
 func TestHistogramExactMean(t *testing.T) {
 	var h Histogram
 	vals := []units.Time{10 * units.Microsecond, 20 * units.Microsecond, 30 * units.Microsecond}

@@ -69,7 +69,8 @@ var info = switchdef.Info{
 	Remarks:           "Incompatible with newer versions of QEMU",
 	IOMode:            switchdef.PollMode,
 	MaxLoopbackVNFs:   3,
-	VhostCostScale:    0.9,
+	VhostEnqScale:     0.9,
+	VhostDeqScale:     0.9,
 }
 
 // New returns an empty BESS daemon.

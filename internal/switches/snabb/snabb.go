@@ -17,7 +17,7 @@
 //     much to handle with a single core".
 //
 // Snabb implements its own vhost-user backend, priced slightly cheaper
-// than DPDK's (VhostCostScale), which is why its v2v outperforms its p2v
+// than DPDK's (VhostEnqScale, VhostDeqScale), which is why its v2v outperforms its p2v
 // in Fig. 4.
 package snabb
 

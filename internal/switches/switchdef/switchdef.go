@@ -113,11 +113,10 @@ type Info struct {
 	// MaxLoopbackVNFs caps loopback chain length (0 = unlimited). BESS's
 	// QEMU incompatibility caps it at 3 (paper §5.2 footnote 5).
 	MaxLoopbackVNFs int
-	// VhostCostScale scales virtio crossing costs for switches with
-	// their own vhost implementation (Snabb); 0 means 1.0.
-	VhostCostScale float64
-	// VhostEnqScale and VhostDeqScale override VhostCostScale per
-	// direction when non-zero (enqueue = host→guest delivery).
+	// VhostEnqScale and VhostDeqScale scale the virtio crossing costs per
+	// direction (enqueue = host→guest delivery) for switches that price
+	// vhost differently from DPDK's: Snabb's own backend, BESS's
+	// datapath. 0 means 1.0.
 	VhostEnqScale, VhostDeqScale float64
 	// RxRingOverride, when non-zero, resizes the NIC descriptor rings for
 	// this switch (FastClick's Table 2 tuning uses 4096).

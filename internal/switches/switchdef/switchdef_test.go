@@ -155,7 +155,7 @@ func TestVhostPortAdapterRoundTrip(t *testing.T) {
 	if n != 1 || out[0].Seq != 7 {
 		t.Fatalf("guest recv = %d", n)
 	}
-	if !dev.GuestSend(gm, out[0]) {
+	if dev.GuestSendBurst(gm, out[:1]) != 1 {
 		t.Fatal("guest send failed")
 	}
 	var back [4]*pkt.Buf

@@ -103,9 +103,6 @@ const (
 // TenGigE is the line rate of the paper's Intel 82599 ports.
 const TenGigE = 10 * Gbps
 
-// Gigabits returns r as a float64 number of Gbit/s.
-func (r BitRate) Gigabits() float64 { return float64(r) / float64(Gbps) }
-
 // TimeForBits returns the serialization time of n bits at rate r.
 func (r BitRate) TimeForBits(n int64) Time {
 	if r <= 0 {
@@ -142,16 +139,6 @@ func (r BitRate) MaxPPS(frameLen int) float64 {
 // given frame length.
 func RateForPPS(pps float64, frameLen int) BitRate {
 	return BitRate(pps * float64(WireBytes(frameLen)) * 8)
-}
-
-// PayloadGbps converts a packet count over a window into frame bits
-// (without preamble/IFG) per second, in Gbps.
-func PayloadGbps(packets int64, frameLen int, window Time) float64 {
-	if window <= 0 {
-		return 0
-	}
-	bits := float64(packets) * float64(frameLen) * 8
-	return bits / window.Seconds() / 1e9
 }
 
 // WireGbps converts a packet count over a window into the "throughput in

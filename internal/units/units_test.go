@@ -53,17 +53,6 @@ func TestTimeForBitsExact(t *testing.T) {
 	}
 }
 
-func TestPayloadGbps(t *testing.T) {
-	// 14,880,952 64B packets in one second is 7.619 Gbps of frame bits.
-	got := PayloadGbps(14_880_952, 64, Second)
-	if math.Abs(got-7.619) > 0.001 {
-		t.Fatalf("PayloadGbps = %f, want ~7.619", got)
-	}
-	if got := PayloadGbps(100, 64, 0); got != 0 {
-		t.Fatalf("zero window should yield 0, got %f", got)
-	}
-}
-
 func TestMpps(t *testing.T) {
 	if got := Mpps(14_880_952, Second); math.Abs(got-14.880952) > 1e-6 {
 		t.Fatalf("Mpps = %f", got)
@@ -135,11 +124,5 @@ func TestWireGbpsBytesAgreesWithFixedSize(t *testing.T) {
 	}
 	if WireGbpsBytes(1, 64, 0) != 0 {
 		t.Fatal("zero window")
-	}
-}
-
-func TestGigabits(t *testing.T) {
-	if TenGigE.Gigabits() != 10 {
-		t.Fatalf("gigabits = %f", TenGigE.Gigabits())
 	}
 }

@@ -27,12 +27,10 @@ type Config struct {
 	Name string
 	// QueueLen is the vring depth (default 256, the QEMU default).
 	QueueLen int
-	// CostScale scales the crossing costs, letting Snabb's independent
-	// vhost implementation price differently from DPDK's (default 1.0).
-	CostScale float64
-	// EnqScale and DeqScale override CostScale per direction when
-	// non-zero: EnqScale prices host→guest delivery (copy into guest
-	// memory plus notification), DeqScale guest→host retrieval.
+	// EnqScale and DeqScale scale the crossing costs per direction,
+	// letting an independent vhost implementation price differently from
+	// DPDK's (default 1.0): EnqScale prices host→guest delivery (copy into
+	// guest memory plus notification), DeqScale guest→host retrieval.
 	EnqScale, DeqScale float64
 	// GuestNotifyDelay is the host→guest availability latency (used
 	// descriptor publication + notification); the guest driver sees an
@@ -65,14 +63,11 @@ func New(cfg Config) *Device {
 	if cfg.QueueLen == 0 {
 		cfg.QueueLen = 256
 	}
-	if cfg.CostScale == 0 {
-		cfg.CostScale = 1
-	}
 	if cfg.EnqScale == 0 {
-		cfg.EnqScale = cfg.CostScale
+		cfg.EnqScale = 1
 	}
 	if cfg.DeqScale == 0 {
-		cfg.DeqScale = cfg.CostScale
+		cfg.DeqScale = 1
 	}
 	if cfg.GuestNotifyDelay == 0 {
 		cfg.GuestNotifyDelay = DefaultGuestNotifyDelay
@@ -111,30 +106,12 @@ func (d *Device) deqCost(m *cost.Meter, frameLen int) units.Cycles {
 	return scaleBy(m.Model.CopyCost(frameLen)+m.Model.VhostDesc, d.cfg.DeqScale)
 }
 
-// HostEnqueue delivers one frame to the guest at time now: the host core
-// pays for copying the frame into guest memory and posting a used
-// descriptor; the guest sees it after the notify delay. On success the
-// device takes ownership of the buffer; if the vring is full the caller
-// keeps ownership.
-func (d *Device) HostEnqueue(now units.Time, m *cost.Meter, b *pkt.Buf) bool {
-	if d.rxRing.Free() == 0 {
-		d.rxRing.Drops++
-		return false
-	}
-	b.AvailAt = now + d.cfg.GuestNotifyDelay
-	d.rxRing.Push(b)
-	m.Charge(d.enqCost(m, b.Len()))
-	d.HostCopies++
-	if d.guest != nil {
-		d.guest.Notify(b.AvailAt)
-	}
-	return true
-}
-
-// HostEnqueueBurst delivers a batch of frames to the guest, charging the
-// whole batch's crossing costs in one pass. Frames the full vring rejects
-// are dropped and freed — exactly what a per-frame HostEnqueue loop whose
-// caller frees rejected frames produces. Returns the delivered count.
+// HostEnqueueBurst delivers a batch of frames to the guest at time now:
+// the host core pays, per frame, for copying it into guest memory and
+// posting a used descriptor, charged in one pass; the guest sees the
+// frames after the notify delay. The device takes ownership of every
+// frame: those the full vring rejects are counted as drops and freed.
+// Returns the delivered count.
 func (d *Device) HostEnqueueBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) int {
 	avail := now + d.cfg.GuestNotifyDelay
 	var total units.Cycles
@@ -160,28 +137,8 @@ func (d *Device) HostEnqueueBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) 
 	return sent
 }
 
-// HostDequeue takes up to len(out) frames the guest transmitted, charging
-// each crossing individually (the reference path; HostDequeueBurst is the
-// equivalent one-pass version).
-func (d *Device) HostDequeue(m *cost.Meter, out []*pkt.Buf) int {
-	n := 0
-	for n < len(out) {
-		g := d.txRing.Pop()
-		if g == nil {
-			break
-		}
-		g.AvailAt = 0
-		m.Charge(d.deqCost(m, g.Len()))
-		d.HostCopies++
-		out[n] = g
-		n++
-	}
-	return n
-}
-
 // HostDequeueBurst takes up to len(out) guest-transmitted frames, charging
-// the whole batch's crossing costs in one pass. Cycle-identical to
-// HostDequeue: the per-frame costs are integers and the meter is additive.
+// the whole batch's per-frame crossing costs in one pass.
 func (d *Device) HostDequeueBurst(m *cost.Meter, out []*pkt.Buf) int {
 	n := d.txRing.DrainTo(out)
 	if n == 0 {
@@ -197,24 +154,11 @@ func (d *Device) HostDequeueBurst(m *cost.Meter, out []*pkt.Buf) int {
 	return n
 }
 
-// GuestSend posts one guest frame for transmission (guest driver side: pure
-// descriptor work, no copy — the buffer is guest memory). On failure the
-// caller keeps ownership.
-func (d *Device) GuestSend(m *cost.Meter, b *pkt.Buf) bool {
-	if !d.txRing.Push(b) {
-		return false
-	}
-	m.Charge(m.Model.VhostDesc)
-	if d.host != nil {
-		d.host.NotifyNow()
-	}
-	return true
-}
-
-// GuestSendBurst posts a batch of guest frames, charging descriptor work
-// once for the batch. Frames the full vring rejects are dropped and freed
-// (matching a per-frame GuestSend loop whose caller frees failures).
-// Returns the accepted count.
+// GuestSendBurst posts a batch of guest frames for transmission (guest
+// driver side: pure descriptor work, no copy — the buffer is guest
+// memory), charging descriptor work once for the batch. The device takes
+// ownership of every frame: those the full vring rejects are counted as
+// drops and freed. Returns the accepted count.
 func (d *Device) GuestSendBurst(m *cost.Meter, in []*pkt.Buf) int {
 	n := d.txRing.PushBurst(in)
 	for _, b := range in[n:] {

@@ -14,7 +14,7 @@ func TestHostEnqueueTransfersOwnership(t *testing.T) {
 	m := cost.NewMeter(cost.Default(), nil)
 	b := pool.Get(64)
 	b.Seq = 9
-	if !dev.HostEnqueue(0, m, b) {
+	if dev.HostEnqueueBurst(0, m, []*pkt.Buf{b}) != 1 {
 		t.Fatal("enqueue failed")
 	}
 	// The buffer crosses by ownership transfer: no clone, no free — the
@@ -44,7 +44,7 @@ func TestGuestNotifyDelayGatesVisibility(t *testing.T) {
 	dev := New(Config{Name: "v0", GuestNotifyDelay: delay})
 	pool := pkt.NewPool(2048)
 	m := cost.NewMeter(cost.Default(), nil)
-	dev.HostEnqueue(0, m, pool.Get(64))
+	dev.HostEnqueueBurst(0, m, []*pkt.Buf{pool.Get(64)})
 	var out [4]*pkt.Buf
 	if n := dev.GuestRecv(2*units.Microsecond, m, out[:]); n != 0 {
 		t.Fatalf("frame visible before notify delay: %d", n)
@@ -65,12 +65,7 @@ func TestVringOverflowDrops(t *testing.T) {
 	m := cost.NewMeter(cost.Default(), nil)
 	accepted := 0
 	for i := 0; i < 10; i++ {
-		b := pool.Get(64)
-		if dev.HostEnqueue(0, m, b) {
-			accepted++
-		} else {
-			b.Free()
-		}
+		accepted += dev.HostEnqueueBurst(0, m, []*pkt.Buf{pool.Get(64)})
 	}
 	if accepted != 4 {
 		t.Fatalf("accepted = %d, want ring size", accepted)
@@ -101,8 +96,7 @@ func TestBurstEnqueueBackpressure(t *testing.T) {
 	if dev.HostCopies != 4 {
 		t.Fatalf("copies = %d, rejects must not be charged as copies", dev.HostCopies)
 	}
-	// The burst frees rejects itself (unlike per-frame HostEnqueue, whose
-	// caller keeps ownership on failure).
+	// The burst frees rejects itself.
 	if pool.Live() != 4 {
 		t.Fatalf("live = %d, rejects leaked", pool.Live())
 	}
@@ -114,7 +108,7 @@ func TestGuestSendHostDequeue(t *testing.T) {
 	gm := cost.NewMeter(cost.Default(), nil)
 	g := pool.Get(128)
 	g.Seq = 42
-	if !dev.GuestSend(gm, g) {
+	if dev.GuestSendBurst(gm, []*pkt.Buf{g}) != 1 {
 		t.Fatal("guest send failed")
 	}
 	if dev.HostPending() != 1 {
@@ -122,7 +116,7 @@ func TestGuestSendHostDequeue(t *testing.T) {
 	}
 	hm := cost.NewMeter(cost.Default(), nil)
 	var out [4]*pkt.Buf
-	if n := dev.HostDequeue(hm, out[:]); n != 1 {
+	if n := dev.HostDequeueBurst(hm, out[:]); n != 1 {
 		t.Fatalf("dequeue = %d", n)
 	}
 	if out[0] != g || out[0].Seq != 42 || out[0].Len() != 128 {
@@ -137,8 +131,58 @@ func TestGuestSendHostDequeue(t *testing.T) {
 	}
 }
 
+// refHostEnqueue is the per-frame reference for HostEnqueueBurst: it
+// delivers one frame, charging its crossing alone. If the vring is full it
+// counts a drop and the caller keeps the frame.
+func refHostEnqueue(d *Device, now units.Time, m *cost.Meter, b *pkt.Buf) bool {
+	if d.rxRing.Free() == 0 {
+		d.rxRing.Drops++
+		return false
+	}
+	b.AvailAt = now + d.cfg.GuestNotifyDelay
+	d.rxRing.Push(b)
+	m.Charge(d.enqCost(m, b.Len()))
+	d.HostCopies++
+	if d.guest != nil {
+		d.guest.Notify(b.AvailAt)
+	}
+	return true
+}
+
+// refHostDequeue is the per-frame reference for HostDequeueBurst: it takes
+// up to len(out) frames, charging each crossing on its own.
+func refHostDequeue(d *Device, m *cost.Meter, out []*pkt.Buf) int {
+	n := 0
+	for n < len(out) {
+		g := d.txRing.Pop()
+		if g == nil {
+			break
+		}
+		g.AvailAt = 0
+		m.Charge(d.deqCost(m, g.Len()))
+		d.HostCopies++
+		out[n] = g
+		n++
+	}
+	return n
+}
+
+// refGuestSend is the per-frame reference for GuestSendBurst: it posts one
+// frame, charging its descriptor alone. If the vring is full it counts a
+// drop (ring.Push does) and the caller keeps the frame.
+func refGuestSend(d *Device, m *cost.Meter, b *pkt.Buf) bool {
+	if !d.txRing.Push(b) {
+		return false
+	}
+	m.Charge(m.Model.VhostDesc)
+	if d.host != nil {
+		d.host.NotifyNow()
+	}
+	return true
+}
+
 // TestPerFrameVsBurstEquivalence drives two identical devices — one with
-// the per-frame reference calls, one with the burst calls — through the
+// the per-frame reference above, one with the burst calls — through the
 // same overloaded traffic and requires identical charges, copies, drops,
 // and frame order (the bit-identity contract of the fast path).
 func TestPerFrameVsBurstEquivalence(t *testing.T) {
@@ -156,7 +200,7 @@ func TestPerFrameVsBurstEquivalence(t *testing.T) {
 	refDev, refPool := New(Config{Name: "ref", QueueLen: queue}), pkt.NewPool(2048)
 	refM := cost.NewMeter(cost.Default(), nil)
 	for _, b := range mkFrames(refPool) {
-		if !refDev.HostEnqueue(units.Microsecond, refM, b) {
+		if !refHostEnqueue(refDev, units.Microsecond, refM, b) {
 			b.Free()
 		}
 	}
@@ -187,17 +231,18 @@ func TestPerFrameVsBurstEquivalence(t *testing.T) {
 	// Guest→host direction, reusing the delivered frames.
 	refGM, optGM := cost.NewMeter(cost.Default(), nil), cost.NewMeter(cost.Default(), nil)
 	for _, b := range refOut[:rn] {
-		if !refDev.GuestSend(refGM, b) {
+		if !refGuestSend(refDev, refGM, b) {
 			b.Free()
 		}
 	}
 	optDev.GuestSendBurst(optGM, append([]*pkt.Buf(nil), optOut[:on]...))
-	if refGM.Pending() != optGM.Pending() {
-		t.Fatalf("guest send charges diverge: ref=%d opt=%d", refGM.Pending(), optGM.Pending())
+	if refGM.Pending() != optGM.Pending() || refDev.TxDrops() != optDev.TxDrops() {
+		t.Fatalf("guest send diverges: charge %d/%d drops %d/%d",
+			refGM.Pending(), optGM.Pending(), refDev.TxDrops(), optDev.TxDrops())
 	}
 	refHM, optHM := cost.NewMeter(cost.Default(), nil), cost.NewMeter(cost.Default(), nil)
 	var refBack, optBack [queue]*pkt.Buf
-	rb := refDev.HostDequeue(refHM, refBack[:])
+	rb := refHostDequeue(refDev, refHM, refBack[:])
 	ob := optDev.HostDequeueBurst(optHM, optBack[:])
 	if rb != ob || refHM.Pending() != optHM.Pending() {
 		t.Fatalf("dequeue diverges: n %d/%d charge %d/%d", rb, ob, refHM.Pending(), optHM.Pending())
@@ -212,17 +257,28 @@ func TestPerFrameVsBurstEquivalence(t *testing.T) {
 }
 
 func TestCostScaleDirections(t *testing.T) {
-	cheap := New(Config{Name: "a", CostScale: 1})
+	cheap := New(Config{Name: "a"})
 	costly := New(Config{Name: "b", EnqScale: 2, DeqScale: 0.5})
 	pool := pkt.NewPool(2048)
 
 	chargeEnq := func(d *Device) units.Cycles {
 		m := cost.NewMeter(cost.Default(), nil)
-		d.HostEnqueue(0, m, pool.Get(64))
+		d.HostEnqueueBurst(0, m, []*pkt.Buf{pool.Get(64)})
+		return m.Pending()
+	}
+	chargeDeq := func(d *Device) units.Cycles {
+		d.GuestSendBurst(cost.NewMeter(cost.Default(), nil), []*pkt.Buf{pool.Get(64)})
+		m := cost.NewMeter(cost.Default(), nil)
+		var out [1]*pkt.Buf
+		d.HostDequeueBurst(m, out[:])
+		out[0].Free()
 		return m.Pending()
 	}
 	if 2*chargeEnq(cheap) != chargeEnq(costly) {
 		t.Fatalf("enq scale: base=%d scaled=%d", chargeEnq(cheap), chargeEnq(costly))
+	}
+	if chargeDeq(cheap)/2 != chargeDeq(costly) {
+		t.Fatalf("deq scale: base=%d scaled=%d", chargeDeq(cheap), chargeDeq(costly))
 	}
 }
 
@@ -231,7 +287,7 @@ func TestCopyCostGrowsWithFrameSize(t *testing.T) {
 	pool := pkt.NewPool(2048)
 	charge := func(size int) units.Cycles {
 		m := cost.NewMeter(cost.Default(), nil)
-		dev.HostEnqueue(0, m, pool.Get(size))
+		dev.HostEnqueueBurst(0, m, []*pkt.Buf{pool.Get(size)})
 		return m.Pending()
 	}
 	if charge(64) >= charge(1024) {

@@ -57,8 +57,8 @@ func StartGenerator(s *sim.Scheduler, name string, g *Generator, m *cost.Meter, 
 }
 
 // makeFrame builds one template-backed frame and charges the per-frame
-// generation cost (charged per attempt, whether or not the send lands —
-// the guest core did the work either way).
+// generation cost (charged whether or not the send lands — the guest core
+// did the work either way).
 func (g *Generator) makeFrame(now units.Time) *pkt.Buf {
 	if g.tmpl == nil {
 		g.tmpl = g.Spec.Template(0)
@@ -82,33 +82,17 @@ func (g *Generator) Step(now units.Time) (units.Time, bool) {
 		// Latency runs pace frames individually (MoonGen CBR).
 		burst = 1
 	}
-	// Stage only what the device can take, then post it as one burst. A
-	// per-frame loop would generate one more frame into a full ring and
-	// lose it (paying the generation cost and a ring drop); reproduce
-	// that blocked attempt literally so drops and charges stay identical.
-	toSend := burst
-	blocked := false
-	if space := g.If.SendSpace(); space < toSend {
-		toSend = space
-		blocked = true
-	}
+	// Stage what the device can take plus, when that is short of a
+	// burst, one frame more: a frame-by-frame send loop generates one
+	// frame into the full ring before it notices, paying the generation
+	// cost and losing the frame to a ring drop (SendBurst counts and frees
+	// it).
+	toSend := min(burst, g.If.SendSpace()+1)
 	for i := 0; i < toSend; i++ {
 		g.scratch[i] = g.makeFrame(now)
 	}
-	sent := 0
-	if toSend > 0 {
-		sent = g.If.SendBurst(now, g.meter, g.scratch[:toSend])
-		g.Sent += int64(sent)
-	}
-	if blocked {
-		b := g.makeFrame(now)
-		if g.If.Send(now, g.meter, b) {
-			g.Sent++
-			sent++
-		} else {
-			b.Free()
-		}
-	}
+	sent := g.If.SendBurst(now, g.meter, g.scratch[:toSend])
+	g.Sent += int64(sent)
 	elapsed := g.meter.Drain()
 	if g.VirtualRate > 0 {
 		g.nextDue += units.Time(int64(g.VirtualRate.WireTime(g.Spec.FrameLen)) * int64(burst))

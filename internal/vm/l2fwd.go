@@ -142,6 +142,9 @@ type ValeFwd struct {
 	Pool *pkt.Pool // guest memory for the inter-port copies
 
 	scratch [64]*pkt.Buf // receive staging, reused across polls
+	// out stages one copy for SendBurst: each copy is sent as it is made,
+	// so per-frame order holds, and a field does not escape per send.
+	out [1]*pkt.Buf
 
 	Forwarded, Dropped int64
 }
@@ -170,12 +173,11 @@ func (f *ValeFwd) pump(now units.Time, m *cost.Meter, from, to NetIf) bool {
 	n := from.Recv(now, m, burst[:])
 	for _, b := range burst[:n] {
 		m.Charge(valeFwdPerPkt + valeFwdCopyPerByteMi*units.Cycles(b.Len())/1000)
-		out := f.Pool.Clone(b)
+		f.out[0] = f.Pool.Clone(b)
 		b.Free()
-		if to.Send(now, m, out) {
+		if to.SendBurst(now, m, f.out[:]) == 1 {
 			f.Forwarded++
 		} else {
-			out.Free()
 			f.Dropped++
 		}
 	}

@@ -30,13 +30,10 @@ import (
 // NetIf is a guest-side network interface.
 type NetIf interface {
 	Name() string
-	// Send posts one frame toward the host; the caller keeps ownership
-	// on failure.
-	Send(now units.Time, m *cost.Meter, b *pkt.Buf) bool
 	// SendBurst posts a batch toward the host, charging descriptor work
-	// once; frames the device rejects are freed and counted as device
-	// drops, exactly as a per-frame Send loop whose caller frees
-	// failures. Returns the accepted count.
+	// once; the device takes ownership of every frame, and those it
+	// rejects are freed and counted as device drops. Returns the accepted
+	// count.
 	SendBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) int
 	// SendSpace reports how many frames SendBurst can currently accept.
 	SendSpace() int
@@ -55,11 +52,6 @@ type VirtioIf struct {
 
 // Name implements NetIf.
 func (v *VirtioIf) Name() string { return v.Dev.Name() }
-
-// Send implements NetIf.
-func (v *VirtioIf) Send(now units.Time, m *cost.Meter, b *pkt.Buf) bool {
-	return v.Dev.GuestSend(m, b)
-}
 
 // SendBurst implements NetIf.
 func (v *VirtioIf) SendBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) int {
@@ -84,11 +76,6 @@ type PtnetIf struct {
 
 // Name implements NetIf.
 func (p *PtnetIf) Name() string { return p.Dev.Name() }
-
-// Send implements NetIf.
-func (p *PtnetIf) Send(now units.Time, m *cost.Meter, b *pkt.Buf) bool {
-	return p.Dev.GuestSend(now, m, b)
-}
 
 // SendBurst implements NetIf.
 func (p *PtnetIf) SendBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) int {

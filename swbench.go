@@ -364,7 +364,6 @@ func RenderResult(w io.Writer, res Result)                     { core.RenderResu
 func WriteFigureCSV(w io.Writer, fig *Figure) error         { return core.WriteFigureCSV(w, fig) }
 func WriteFigure1CSV(w io.Writer, pts []Figure1Point) error { return core.WriteFigure1CSV(w, pts) }
 func WriteTable3CSV(w io.Writer, cells []Table3Cell) error  { return core.WriteTable3CSV(w, cells) }
-func WriteWindowsCSV(w io.Writer, pts []WindowPoint) error  { return core.WriteWindowsCSV(w, pts) }
 
 // Extension point: implement and register your own switch data plane, then
 // benchmark it with the same methodology (see examples/customswitch).
