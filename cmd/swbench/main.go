@@ -93,14 +93,25 @@ func parseScenario(s string) (swbench.ScenarioKind, error) {
 	return 0, fmt.Errorf("unknown scenario %q (want p2p, p2v, v2v, loopback)", s)
 }
 
+// cellFlags declares the flags that name one cell — -switch (defaulting
+// to sw), -scenario, -size and -chain — into cfg on fs. Once fs is parsed,
+// the returned function sets cfg.Scenario from -scenario.
+func cellFlags(fs *flag.FlagSet, cfg *swbench.Config, sw string) func() error {
+	fs.StringVar(&cfg.Switch, "switch", sw, "switch under test")
+	scenario := fs.String("scenario", "p2p", "p2p, p2v, v2v, or loopback")
+	fs.IntVar(&cfg.FrameLen, "size", 64, "frame length in bytes")
+	fs.IntVar(&cfg.Chain, "chain", 1, "loopback VNF chain length")
+	return func() (err error) {
+		cfg.Scenario, err = parseScenario(*scenario)
+		return err
+	}
+}
+
 func runCmd(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	cfg := swbench.Config{}
-	fs.StringVar(&cfg.Switch, "switch", "vpp", "switch under test")
-	scenario := fs.String("scenario", "p2p", "p2p, p2v, v2v, or loopback")
-	fs.IntVar(&cfg.FrameLen, "size", 64, "frame length in bytes")
+	parseCell := cellFlags(fs, &cfg, "vpp")
 	fs.BoolVar(&cfg.Bidir, "bidir", false, "bidirectional traffic")
-	fs.IntVar(&cfg.Chain, "chain", 1, "loopback VNF chain length")
 	fs.BoolVar(&cfg.Reversed, "reversed", false, "p2v only: measure the VM-to-NIC direction")
 	rate := fs.Float64("rate-gbps", 0, "offered load per direction in Gbps (0 = saturate)")
 	latency := fs.Bool("latency", false, "inject latency probes")
@@ -130,12 +141,8 @@ func runCmd(args []string) error {
 		}
 		cfg.Scenario = swbench.Custom
 		cfg.Topology = g
-	} else {
-		scn, err := parseScenario(*scenario)
-		if err != nil {
-			return err
-		}
-		cfg.Scenario = scn
+	} else if err := parseCell(); err != nil {
+		return err
 	}
 	cfg.Rate = swbench.BitRate(*rate * 1e9)
 	cfg.Duration = swbench.Time(*durationMs * float64(swbench.Millisecond))
@@ -154,18 +161,13 @@ func runCmd(args []string) error {
 func rplusCmd(args []string) error {
 	fs := flag.NewFlagSet("rplus", flag.ExitOnError)
 	cfg := swbench.Config{}
-	fs.StringVar(&cfg.Switch, "switch", "vpp", "switch under test")
-	scenario := fs.String("scenario", "p2p", "p2p, p2v, v2v, or loopback")
-	fs.IntVar(&cfg.FrameLen, "size", 64, "frame length in bytes")
-	fs.IntVar(&cfg.Chain, "chain", 1, "loopback VNF chain length")
+	parseCell := cellFlags(fs, &cfg, "vpp")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	scn, err := parseScenario(*scenario)
-	if err != nil {
+	if err := parseCell(); err != nil {
 		return err
 	}
-	cfg.Scenario = scn
 	rp, err := swbench.EstimateRPlus(cfg)
 	if err != nil {
 		return err
@@ -285,20 +287,15 @@ func runExperiment(e swbench.Experiment, r swbench.Runner, o swbench.RunOpts, co
 func windowsCmd(args []string) error {
 	fs := flag.NewFlagSet("windows", flag.ExitOnError)
 	cfg := swbench.Config{}
-	fs.StringVar(&cfg.Switch, "switch", "snabb", "switch under test")
-	scenario := fs.String("scenario", "p2p", "p2p, p2v, v2v, or loopback")
-	fs.IntVar(&cfg.FrameLen, "size", 64, "frame length in bytes")
-	fs.IntVar(&cfg.Chain, "chain", 1, "loopback VNF chain length")
+	parseCell := cellFlags(fs, &cfg, "snabb")
 	n := fs.Int("n", 10, "number of windows")
 	durationMs := fs.Float64("duration-ms", 10, "total measured span (simulated ms)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	scn, err := parseScenario(*scenario)
-	if err != nil {
+	if err := parseCell(); err != nil {
 		return err
 	}
-	cfg.Scenario = scn
 	cfg.Warmup = swbench.Microsecond // expose the transient
 	cfg.Duration = swbench.Time(*durationMs * float64(swbench.Millisecond))
 	pts, res, err := swbench.RunWindows(cfg, *n)
@@ -344,19 +341,14 @@ func allCmd(args []string) error {
 func ndrCmd(args []string) error {
 	fs := flag.NewFlagSet("ndr", flag.ExitOnError)
 	cfg := swbench.Config{}
-	fs.StringVar(&cfg.Switch, "switch", "vpp", "switch under test")
-	scenario := fs.String("scenario", "p2p", "p2p, p2v, v2v, or loopback")
-	fs.IntVar(&cfg.FrameLen, "size", 64, "frame length in bytes")
-	fs.IntVar(&cfg.Chain, "chain", 1, "loopback VNF chain length")
+	parseCell := cellFlags(fs, &cfg, "vpp")
 	tol := fs.Int64("loss-tolerance", 0, "frames of loss allowed per trial (RFC 2544 uses 0)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	scn, err := parseScenario(*scenario)
-	if err != nil {
+	if err := parseCell(); err != nil {
 		return err
 	}
-	cfg.Scenario = scn
 	res, err := swbench.FindNDR(cfg, swbench.NDROptions{LossTolerance: *tol})
 	if err != nil {
 		return err

@@ -34,13 +34,8 @@ func TestIdlePollElisionEngages(t *testing.T) {
 			Rate: units.RateForPPS(1e6, 64), ProbeEvery: DefaultProbeEvery}))
 
 	for _, cfg := range cells {
-		m, err := warmUp(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tb := m.tb
-		tb.sched.RunUntil(tb.cfg.Warmup + tb.cfg.Duration)
-		res, err := m.collect()
+		var tb *testbed
+		res, err := measure(cfg, 1, func(b *testbed, _ int, _ tally) { tb = b })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,42 +25,42 @@ type goldenCell struct {
 // end (t1), and each poll advances the clock by its cycles' duration, so
 // they must total Freq × (t1 − t0) up to Freq.Duration's half-picosecond
 // rounding per poll. Cycles that elided polls failed to book, or booked
-// twice, break it.
+// twice, break it. The law and checkReturnLeg run in measure's edge hook,
+// on the busy / idle tally the Result is computed from.
 func runConservingCycles(t *testing.T, cfg Config) (Result, error) {
 	t.Helper()
-	m, err := warmUp(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	tb := m.tb
-	type mark struct {
-		cycles units.Cycles
-		next   units.Time
-	}
-	snap := func() []mark {
-		out := make([]mark, len(tb.sutPolls))
+	var (
+		start  tally
+		next0  []units.Time // each core's first poll after the window opens
+		steps0 uint64
+	)
+	nextPolls := func(tb *testbed) []units.Time {
+		out := make([]units.Time, len(tb.sutPolls))
 		for i, c := range tb.sutPolls {
-			out[i] = mark{c.Busy + c.Idle, c.Task().When()}
+			out[i] = c.Task().When()
 		}
 		return out
 	}
-	checkReturnLeg(t, tb, "warm-up")
-	start, steps0 := snap(), tb.sched.Steps()
-	tb.sched.RunUntil(tb.cfg.Warmup + tb.cfg.Duration)
-	end, steps := snap(), tb.sched.Steps()-steps0
-	checkReturnLeg(t, tb, "window end")
-	freq := float64(tb.model.Freq)
-	// Every poll is a scheduler step, so steps bounds the poll count.
-	tol := float64(steps)*freq/2e12 + 1
-	for i, c := range tb.sutPolls {
-		got := float64(end[i].cycles - start[i].cycles)
-		want := float64(end[i].next-start[i].next) * freq / 1e12
-		if math.Abs(got-want) > tol {
-			t.Errorf("%s/%v core %s: %.0f busy+idle cycles over the window, want %.0f ± %.1f (Freq × time between its first polls after the window edges)",
-				cfg.Switch, cfg.Scenario, c.Name(), got, want, tol)
+	return measure(cfg, 1, func(tb *testbed, w int, cur tally) {
+		if w == 0 {
+			checkReturnLeg(t, tb, "warm-up")
+			start, next0, steps0 = cur, nextPolls(tb), tb.sched.Steps()
+			return
 		}
-	}
-	return m.collect()
+		checkReturnLeg(t, tb, "window end")
+		next1, steps := nextPolls(tb), tb.sched.Steps()-steps0
+		freq := float64(tb.model.Freq)
+		// Every poll is a scheduler step, so steps bounds the poll count.
+		tol := float64(steps)*freq/2e12 + 1
+		for i, c := range tb.sutPolls {
+			got := float64(cur.busy[i] + cur.idle[i] - start.busy[i] - start.idle[i])
+			want := float64(next1[i]-next0[i]) * freq / 1e12
+			if math.Abs(got-want) > tol {
+				t.Errorf("%s/%v core %s: %.0f busy+idle cycles over the window, want %.0f ± %.1f (Freq × time between its first polls after the window edges)",
+					cfg.Switch, cfg.Scenario, c.Name(), got, want, tol)
+			}
+		}
+	})
 }
 
 // checkReturnLeg checks that every NIC sink's leg conserves frames: all

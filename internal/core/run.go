@@ -1,162 +1,205 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
+
 	"repro/internal/stats"
 	"repro/internal/units"
 )
 
-// emcEvictioner is the optional stats surface a switch (or fleet facade)
-// exposes when its data plane maintains an exact-match cache.
-type emcEvictioner interface {
-	EMCEvictionCount() int64
-}
-
 // Run executes one measurement: assemble the testbed, run the warmup,
 // then measure over the configured window.
 func Run(cfg Config) (Result, error) {
-	m, err := warmUp(cfg)
+	return measure(cfg, 1, nil)
+}
+
+// WindowPoint is one measurement window of a RunWindows series.
+type WindowPoint struct {
+	// Start is the window's offset from the beginning of the run
+	// (warmup excluded).
+	Start units.Time
+	Gbps  float64
+	Mpps  float64
+}
+
+// RunWindows runs one simulation and measures cfg.Duration in n consecutive
+// windows, exposing time dynamics that a single aggregate hides: Snabb's
+// JIT warmup ramp, the instability phases behind the 0.99·R⁺ tails, or
+// queue-fill transients (pass a short cfg.Warmup: the transient is the
+// point). The aggregate Result is Run's over the full duration, except for
+// Steps: a rate-mode generator's batch is cut at every window boundary.
+func RunWindows(cfg Config, n int) ([]WindowPoint, Result, error) {
+	if n < 1 {
+		return nil, Result{}, fmt.Errorf("core: need at least one window")
+	}
+	points := make([]WindowPoint, 0, n)
+	var prev tally
+	res, err := measure(cfg, n, func(tb *testbed, w int, cur tally) {
+		if w > 0 {
+			var pkts, bytes int64
+			for i := range cur.rx {
+				d := cur.rx[i].Sub(prev.rx[i])
+				pkts += d.Packets
+				bytes += d.Bytes
+			}
+			window := cur.at - prev.at
+			points = append(points, WindowPoint{
+				Start: prev.at - tb.cfg.Warmup,
+				Gbps:  units.WireGbpsBytes(pkts, bytes, window),
+				Mpps:  units.Mpps(pkts, window),
+			})
+		}
+		prev = cur
+	})
+	if err != nil {
+		return nil, Result{}, err
+	}
+	return points, res, nil
+}
+
+// measure is the one measurement loop. It assembles cfg's testbed, runs
+// the warmup — caches fill, MAC tables learn, JIT traces compile, queues
+// reach steady state — and opens the window: counters tallied, latency
+// histograms reset. It then advances the window in n equal steps and
+// returns the Result over the whole window. edge, when non-nil, sees the
+// testbed and its tally at the window's opening (w = 0) and at the end of
+// each step (w = 1..n).
+func measure(cfg Config, n int, edge func(tb *testbed, w int, t tally)) (Result, error) {
+	tb, err := build(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	m.tb.sched.RunUntil(m.tb.cfg.Warmup + m.tb.cfg.Duration)
-	return m.collect()
-}
-
-// measurement is a testbed past its warmup, with every counter the Result
-// reports as it stood at the start of the measurement window. The counters
-// accumulate from time zero, so window totals must be deltas — otherwise
-// warmup-phase drops (queues filling, MAC tables learning) pollute the
-// measurement the way warmup frames would pollute RxPackets.
-type measurement struct {
-	tb          *testbed
-	stopCapture func() // nil without Config.CapturePath
-
-	rx                 []stats.Counter
-	drops, copies      int64
-	busy, idle         []units.Cycles
-	updates, evictions int64
-}
-
-// warmUp assembles cfg's testbed, runs the warmup — caches fill, MAC
-// tables learn, JIT traces compile, queues reach steady state — and opens
-// the measurement window: counters snapshotted, latency histograms reset.
-// The caller advances the scheduler over the window, then calls collect.
-func warmUp(cfg Config) (measurement, error) {
-	tb, err := build(cfg)
-	if err != nil {
-		return measurement{}, err
-	}
-	m := measurement{tb: tb}
-	if tb.cfg.CapturePath != "" {
-		if m.stopCapture, err = tb.attachCapture(tb.cfg.CapturePath); err != nil {
-			return measurement{}, err
+	cfg = tb.cfg
+	if cfg.CapturePath != "" {
+		stop, err := tb.attachCapture(cfg.CapturePath)
+		if err != nil {
+			return Result{}, err
 		}
+		defer stop()
 	}
 
-	tb.sched.RunUntil(tb.cfg.Warmup)
-
-	m.rx = tb.rxCounters()
-	for _, h := range tb.hists {
-		h.Reset()
-	}
-	m.drops, m.copies = sum(tb.dropFns), sum(tb.copyFns)
-	m.busy = make([]units.Cycles, len(tb.sutPolls))
-	m.idle = make([]units.Cycles, len(tb.sutPolls))
-	for i, c := range tb.sutPolls {
-		m.busy[i], m.idle[i] = c.Busy, c.Idle
-	}
-	if tb.controller != nil {
-		m.updates = tb.controller.Updates()
-	}
-	if ec, ok := tb.sw.(emcEvictioner); ok {
-		m.evictions = ec.EMCEvictionCount()
-	}
-	return m, nil
-}
-
-// rxCounters reads every direction's delivered-traffic counter.
-func (tb *testbed) rxCounters() []stats.Counter {
-	out := make([]stats.Counter, len(tb.dirRx))
-	for i, fn := range tb.dirRx {
-		out[i] = fn()
-	}
-	return out
-}
-
-// sum totals a set of the testbed's counter readers (dropFns, copyFns).
-func sum(fns []func() int64) (n int64) {
-	for _, fn := range fns {
-		n += fn()
-	}
-	return n
-}
-
-// collect closes the measurement window at the scheduler's current time:
-// everything since warmUp, as a Result over cfg.Duration.
-func (m measurement) collect() (Result, error) {
-	tb, cfg := m.tb, m.tb.cfg
-	if m.stopCapture != nil {
-		defer m.stopCapture()
+	var start, end tally
+	for w := 0; w <= n; w++ {
+		at := cfg.Warmup + units.Time(w)*cfg.Duration/units.Time(n)
+		tb.sched.RunUntil(at)
+		end = tb.tally(at)
+		if w == 0 {
+			start = end
+			for _, e := range tb.endpoints {
+				e.hist.Reset()
+			}
+		}
+		if edge != nil {
+			edge(tb, w, end)
+		}
 	}
 	if tb.controller != nil && tb.controller.Err != nil {
 		return Result{}, tb.controller.Err
 	}
+	res := tb.result(start, end)
+	// The measurement is collected; release the buffer high-water mark
+	// before the caller (often a many-cell campaign) moves on.
+	tb.releasePools()
+	return res, nil
+}
 
+// tally is every counter a Result reports, read at one instant. The
+// counters accumulate from time zero, so a window's totals are the
+// difference of the tallies at its edges — otherwise warmup-phase drops
+// (queues filling, MAC tables learning) pollute the measurement the way
+// warmup frames would pollute RxPackets.
+type tally struct {
+	at                 units.Time      // simulated time of the reading
+	rx                 []stats.Counter // per direction
+	drops, copies      int64
+	busy, idle         []units.Cycles // per SUT poll core
+	updates, evictions int64
+}
+
+// tally reads every counter the Result reports.
+func (tb *testbed) tally(at units.Time) tally {
+	t := tally{
+		at:   at,
+		rx:   make([]stats.Counter, len(tb.endpoints)),
+		busy: make([]units.Cycles, len(tb.sutPolls)),
+		idle: make([]units.Cycles, len(tb.sutPolls)),
+	}
+	for i, e := range tb.endpoints {
+		t.rx[i] = *e.rx
+	}
+	for _, fn := range tb.dropFns {
+		t.drops += fn()
+	}
+	for _, fn := range tb.copyFns {
+		t.copies += fn()
+	}
+	for i, c := range tb.sutPolls {
+		t.busy[i], t.idle[i] = c.Busy, c.Idle
+	}
+	if tb.controller != nil {
+		t.updates = tb.controller.Updates()
+	}
+	// A switch (or fleet facade) with an exact-match cache counts its
+	// evictions.
+	if ec, ok := tb.sw.(interface{ EMCEvictionCount() int64 }); ok {
+		t.evictions = ec.EMCEvictionCount()
+	}
+	return t
+}
+
+// result is the Result of the window between two tallies, with the latency
+// the endpoints' histograms collected since the window opened.
+func (tb *testbed) result(start, end tally) Result {
+	cfg, span := tb.cfg, end.at-start.at
 	res := Result{Config: cfg, Display: tb.info.Display, Steps: tb.sched.Steps()}
-	for i, fn := range tb.dirRx {
-		d := fn().Sub(m.rx[i])
+	for i := range end.rx {
+		d := end.rx[i].Sub(start.rx[i])
 		dir := DirResult{
 			RxPackets: d.Packets,
 			RxBytes:   d.Bytes,
-			Gbps:      units.WireGbpsBytes(d.Packets, d.Bytes, cfg.Duration),
-			Mpps:      units.Mpps(d.Packets, cfg.Duration),
+			Gbps:      units.WireGbpsBytes(d.Packets, d.Bytes, span),
+			Mpps:      units.Mpps(d.Packets, span),
 		}
 		res.Dirs = append(res.Dirs, dir)
 		res.Gbps += dir.Gbps
 		res.Mpps += dir.Mpps
 	}
-	offered := cfg.Rate
-	if offered == 0 {
-		offered = units.TenGigE
-	}
-	res.OfferedGbps = float64(offered) / 1e9 * float64(len(res.Dirs))
+	res.OfferedGbps = float64(cmp.Or(cfg.Rate, units.TenGigE)) / 1e9 * float64(len(res.Dirs))
 	// Merge every direction's probe samples: bidirectional runs fill one
 	// histogram per measurement endpoint, and dropping all but the first
 	// would silently discard the reverse direction.
 	var merged stats.Histogram
-	for _, h := range tb.hists {
-		merged.Merge(h)
+	for _, e := range tb.endpoints {
+		merged.Merge(e.hist)
 	}
 	res.Latency = merged.Summarize()
-	res.Drops = sum(tb.dropFns) - m.drops
-	res.HostCopies = sum(tb.copyFns) - m.copies
-	if tb.controller != nil {
-		res.RuleUpdates = tb.controller.Updates() - m.updates
-	}
-	if ec, ok := tb.sw.(emcEvictioner); ok {
-		res.EMCEvictions = ec.EMCEvictionCount() - m.evictions
-	}
+	res.Drops = end.drops - start.drops
+	res.HostCopies = end.copies - start.copies
+	res.RuleUpdates = end.updates - start.updates
+	res.EMCEvictions = end.evictions - start.evictions
 	var busy, idle units.Cycles
-	for i, c := range tb.sutPolls {
-		busy += c.Busy - m.busy[i]
-		idle += c.Idle - m.idle[i]
+	for i := range tb.sutPolls {
+		busy += end.busy[i] - start.busy[i]
+		idle += end.idle[i] - start.idle[i]
 	}
-	if busy+idle > 0 {
-		res.SUTBusyFrac = float64(busy) / float64(busy+idle)
-	}
+	res.SUTBusyFrac = busyFrac(busy, idle)
 	if cfg.SUTCores > 1 {
 		res.EffectiveCores = len(tb.sutPolls)
 		for i, c := range tb.sutPolls {
-			b, id := c.Busy-m.busy[i], c.Idle-m.idle[i]
-			cu := CoreUtil{Name: c.Name()}
-			if b+id > 0 {
-				cu.BusyFrac = float64(b) / float64(b+id)
-			}
-			res.Cores = append(res.Cores, cu)
+			res.Cores = append(res.Cores, CoreUtil{
+				Name:     c.Name(),
+				BusyFrac: busyFrac(end.busy[i]-start.busy[i], end.idle[i]-start.idle[i]),
+			})
 		}
 	}
-	// The measurement is collected; release the buffer high-water mark
-	// before the caller (often a many-cell campaign) moves on.
-	tb.releasePools()
-	return res, nil
+	return res
+}
+
+// busyFrac is busy's share of busy + idle cycles (0 when both are 0).
+func busyFrac(busy, idle units.Cycles) float64 {
+	if busy+idle > 0 {
+		return float64(busy) / float64(busy+idle)
+	}
+	return 0
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/units"
@@ -87,6 +88,15 @@ func TestRunWindowsAggregateMatchesRun(t *testing.T) {
 			}
 			if len(pts) != 4 {
 				t.Fatalf("windows = %d, want 4", len(pts))
+			}
+			// The windows partition the span: an edge that counted a frame
+			// twice, or in no window, moves their mean off the aggregate.
+			var sum float64
+			for _, p := range pts {
+				sum += p.Mpps
+			}
+			if mean := sum / 4; math.Abs(mean-four.Mpps) > 1e-9*four.Mpps {
+				t.Errorf("mean of the 4 windows' Mpps = %.12g, aggregate %.12g", mean, four.Mpps)
 			}
 			four.Steps, want.Steps = 0, 0
 			if resultDigest(t, four) != resultDigest(t, want) {

@@ -63,7 +63,7 @@ type testbed struct {
 
 	hostPool *pkt.Pool
 	genPool  *pkt.Pool // shared by every NIC generator
-	// pools tracks every packet pool the testbed created so Run can
+	// pools tracks every packet pool the testbed created so measure can
 	// release their free lists once the measurement is collected: a
 	// saturating cell's pools grow to the high-water mark of in-flight
 	// frames, and a campaign holds many cells' worth of testbeds between
@@ -79,14 +79,19 @@ type testbed struct {
 
 	guestCores []*cpu.PollCore
 
-	// dirRx returns, per direction, the delivered-frame counter.
-	dirRx []func() stats.Counter
-	// hists are the latency histograms in use.
-	hists []*stats.Histogram
+	// endpoints are the directions' delivery points, in direction order.
+	endpoints []endpoint
 	// dropFns report loss points.
 	dropFns []func() int64
 	// copyFns report host-side guest-memory copy counts (vhost devices).
 	copyFns []func() int64
+}
+
+// endpoint is one direction's delivery point — a NIC sink or a guest
+// monitor: its delivered-frame counter and its probe-RTT histogram.
+type endpoint struct {
+	rx   *stats.Counter
+	hist *stats.Histogram
 }
 
 // newPool creates a packet pool registered for end-of-run release.
@@ -368,8 +373,7 @@ func (tb *testbed) nicSink(name string, port *nic.Port) *tgen.Sink {
 	s := tgen.NewSink(tb.sched, name, port)
 	s.Start(0)
 	tb.sinks = append(tb.sinks, s)
-	tb.dirRx = append(tb.dirRx, func() stats.Counter { return s.Rx })
-	tb.hists = append(tb.hists, &s.Hist)
+	tb.endpoints = append(tb.endpoints, endpoint{&s.Rx, &s.Hist})
 	return s
 }
 
@@ -379,8 +383,7 @@ func (tb *testbed) guestMonitor(name string, ifc vm.NetIf) *vm.Monitor {
 	mo := &vm.Monitor{If: ifc, SWStampNoise: swStampNoise, RNG: tb.rng.Derive(name)}
 	tb.monitors = append(tb.monitors, mo)
 	tb.guestCore(name, mo, ifc)
-	tb.dirRx = append(tb.dirRx, func() stats.Counter { return mo.Rx })
-	tb.hists = append(tb.hists, &mo.Hist)
+	tb.endpoints = append(tb.endpoints, endpoint{&mo.Rx, &mo.Hist})
 	return mo
 }
 

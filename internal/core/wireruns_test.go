@@ -17,13 +17,8 @@ import (
 func TestWireRunsEngage(t *testing.T) {
 	cfg := Config{Switch: "ovs", Scenario: P2P, FrameLen: 64,
 		Warmup: 500 * units.Microsecond, Duration: 2 * units.Millisecond}
-	m, err := warmUp(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := m.tb
-	tb.sched.RunUntil(tb.cfg.Warmup + tb.cfg.Duration)
-	res, err := m.collect()
+	var tb *testbed
+	res, err := measure(cfg, 1, func(b *testbed, _ int, _ tally) { tb = b })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package pkt
 
 import (
 	"bytes"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 )
@@ -253,6 +254,9 @@ func TestTemplateDerive(t *testing.T) {
 // CopyFrom, Clone, read-only View and ProbeInfo, Free — over a warm pool
 // attaches no storage to any buffer and allocates nothing.
 func TestTemplateTrafficAttachesNoBacking(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates for itself: allocation bounds hold only without -race")
+	}
 	p := NewPool(2048)
 	tmpl := lazySpec(64).Template(0)
 	const inFlight = 64
@@ -328,8 +332,16 @@ func TestMaterializeAfterReuse(t *testing.T) {
 // below 256 buffers, on top of the header slabs and the pool itself — never
 // an allocation per buffer.
 func TestAllBackedPoolAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates for itself: allocation bounds hold only without -race")
+	}
 	const n = 1000
 	var held [n]*Buf
+	// The runs allocate megabytes, so a collection would start inside the
+	// count, and the runtime's own work after one (new mark workers and
+	// threads, the unique package's map cleanup) allocates a varying number
+	// of objects, sometimes enough to lift the average by one.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	avg := testing.AllocsPerRun(5, func() {
 		p := NewPool(2048)
 		for i := range held {

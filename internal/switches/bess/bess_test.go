@@ -8,16 +8,10 @@ import (
 	"repro/internal/switches/switchtest"
 )
 
-func newSUT(t *testing.T, ports int) (*Switch, []*switchtest.FakePort, switchdef.Env) {
-	t.Helper()
+func newSUT(ports int) (*Switch, []*switchtest.FakePort, switchdef.Env) {
 	env := switchtest.Env()
 	sw := New(env)
-	fps := make([]*switchtest.FakePort, ports)
-	for i := range fps {
-		fps[i] = switchtest.NewFakePort("p")
-		sw.AddPort(fps[i])
-	}
-	return sw, fps, env
+	return sw, switchtest.AddPorts(sw, ports), env
 }
 
 func frame(env switchdef.Env) *pkt.Buf {
@@ -25,7 +19,7 @@ func frame(env switchdef.Env) *pkt.Buf {
 }
 
 func TestCrossConnectBidirectional(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	if err := sw.CrossConnect(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +37,7 @@ func TestCrossConnectBidirectional(t *testing.T) {
 // order, so the charged cycles fix the order and size of the noisy draws
 // and each port receives exactly its peer's batch.
 func TestTwoCrossConnectsOnePoll(t *testing.T) {
-	sw, fps, env := newSUT(t, 4)
+	sw, fps, env := newSUT(4)
 	if err := sw.CrossConnect(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +64,7 @@ func TestTwoCrossConnectsOnePoll(t *testing.T) {
 }
 
 func TestModuleErrors(t *testing.T) {
-	sw, _, _ := newSUT(t, 2)
+	sw, _, _ := newSUT(2)
 	if err := sw.CrossConnect(0, 9); err == nil {
 		t.Fatal("bad port accepted")
 	}
@@ -83,7 +77,7 @@ func TestModuleErrors(t *testing.T) {
 }
 
 func TestQEMUChainCap(t *testing.T) {
-	sw, _, _ := newSUT(t, 0)
+	sw, _, _ := newSUT(0)
 	if sw.Info().MaxLoopbackVNFs != 3 {
 		t.Fatalf("BESS must cap loopback chains at 3 VMs (paper footnote 5), got %d",
 			sw.Info().MaxLoopbackVNFs)

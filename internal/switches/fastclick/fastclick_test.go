@@ -9,20 +9,14 @@ import (
 	"repro/internal/switches/switchtest"
 )
 
-func newSUT(t *testing.T, ports int) (*Switch, []*switchtest.FakePort, switchdef.Env) {
-	t.Helper()
+func newSUT(ports int) (*Switch, []*switchtest.FakePort, switchdef.Env) {
 	env := switchtest.Env()
 	sw := New(env)
-	fps := make([]*switchtest.FakePort, ports)
-	for i := range fps {
-		fps[i] = switchtest.NewFakePort("p")
-		sw.AddPort(fps[i])
-	}
-	return sw, fps, env
+	return sw, switchtest.AddPorts(sw, ports), env
 }
 
 func TestCrossConnectForwards(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	if err := sw.CrossConnect(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +33,7 @@ func TestCrossConnectForwards(t *testing.T) {
 // rules: re-installing an in_port rule replaces it in place, so frames
 // follow the new output and Snapshot holds one rule.
 func TestReinstallReplacesWiring(t *testing.T) {
-	sw, fps, env := newSUT(t, 3)
+	sw, fps, env := newSUT(3)
 	wire := func(out int) switchdef.Rule {
 		return switchdef.Rule{
 			Match:   switchdef.Match{Fields: switchdef.FInPort, InPort: 0},
@@ -77,7 +71,7 @@ func dropDst(mac pkt.MAC) switchdef.Rule {
 // listed destinations are discarded, the rest reach ToDPDKDevice — and a
 // Revoke lets the destination through again.
 func TestClassifierDispatch(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	if err := sw.CrossConnect(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +99,7 @@ func TestClassifierDispatch(t *testing.T) {
 }
 
 func TestDiscardFrees(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	if err := sw.CrossConnect(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +119,7 @@ func TestDiscardFrees(t *testing.T) {
 }
 
 func TestInfoRingTuning(t *testing.T) {
-	sw, _, _ := newSUT(t, 0)
+	sw, _, _ := newSUT(0)
 	info := sw.Info()
 	if info.RxRingOverride != 4096 {
 		t.Fatalf("Table 2 ring tuning missing: %d", info.RxRingOverride)

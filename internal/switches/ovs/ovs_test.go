@@ -11,16 +11,10 @@ import (
 	"repro/internal/switches/switchtest"
 )
 
-func newSUT(t *testing.T, ports int) (*Switch, []*switchtest.FakePort, switchdef.Env) {
-	t.Helper()
+func newSUT(ports int) (*Switch, []*switchtest.FakePort, switchdef.Env) {
 	env := switchtest.Env()
 	sw := New(env)
-	fps := make([]*switchtest.FakePort, ports)
-	for i := range fps {
-		fps[i] = switchtest.NewFakePort("p")
-		sw.AddPort(fps[i])
-	}
-	return sw, fps, env
+	return sw, switchtest.AddPorts(sw, ports), env
 }
 
 // rule builds a typed rule; priority 0 means the OpenFlow default.
@@ -46,7 +40,7 @@ func install(t *testing.T, sw *Switch, rules ...switchdef.Rule) {
 }
 
 func TestCrossConnectForwardsAndCaches(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	if err := sw.CrossConnect(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +63,7 @@ func TestCrossConnectForwardsAndCaches(t *testing.T) {
 }
 
 func TestMegaflowHitAfterEMCMiss(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	// Wildcard rule on in_port only: different flows share a megaflow.
 	install(t, sw, rule(0, inPort(0), output(1)))
 	m := switchtest.Meter(env)
@@ -88,7 +82,7 @@ func TestMegaflowHitAfterEMCMiss(t *testing.T) {
 }
 
 func TestPriorityWins(t *testing.T) {
-	sw, fps, env := newSUT(t, 3)
+	sw, fps, env := newSUT(3)
 	install(t, sw,
 		rule(1, inPort(0), output(1)),
 		rule(10, switchdef.Match{Fields: switchdef.FInPort | switchdef.FEthDst, InPort: 0, EthDst: pkt.MAC{2, 0, 0, 0, 0, 0x99}}, output(2)))
@@ -101,7 +95,7 @@ func TestPriorityWins(t *testing.T) {
 }
 
 func TestNoMatchDrops(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	install(t, sw, rule(0, inPort(1), output(0)))
 	m := switchtest.Meter(env)
 	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64))
@@ -115,7 +109,7 @@ func TestNoMatchDrops(t *testing.T) {
 }
 
 func TestDropActionAndModDl(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	want := pkt.MAC{0xaa, 0xaa, 0xaa, 0xaa, 0xaa, 0xaa}
 	install(t, sw,
 		rule(0, switchdef.Match{Fields: switchdef.FInPort | switchdef.FEthType, InPort: 0, EthType: 0x0806},
@@ -138,7 +132,7 @@ func TestDropActionAndModDl(t *testing.T) {
 // TestAddFlowValidatesOutputPort: Install is the add-flow of the typed
 // control plane and keeps ovs-ofctl's check that outputs name real ports.
 func TestAddFlowValidatesOutputPort(t *testing.T) {
-	sw, _, _ := newSUT(t, 2)
+	sw, _, _ := newSUT(2)
 	if err := sw.Install(rule(0, inPort(0), output(9))); err == nil {
 		t.Fatal("rule to missing port accepted")
 	}
@@ -150,7 +144,7 @@ func TestAddFlowValidatesOutputPort(t *testing.T) {
 // TestDelFlowsInvalidatesCaches: Revoke is the del-flows of the typed
 // control plane; no EMC or megaflow entry may outlive the rule it cached.
 func TestDelFlowsInvalidatesCaches(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	_ = sw.CrossConnect(0, 1)
 	m := switchtest.Meter(env)
 	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64))
@@ -195,7 +189,7 @@ func TestParseFlowFields(t *testing.T) {
 // TestDumpFlows: the flow dump is Rules' hit counters beside Snapshot's
 // typed rules, both in install order.
 func TestDumpFlows(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	_ = sw.CrossConnect(0, 1)
 	m := switchtest.Meter(env)
 	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64))
@@ -240,7 +234,7 @@ func vlanFrame(env switchdef.Env, vid uint16) *pkt.Buf {
 }
 
 func TestVLANMatchDistinguishesTags(t *testing.T) {
-	sw, fps, env := newSUT(t, 3)
+	sw, fps, env := newSUT(3)
 	vlan := func(vid uint16) switchdef.Match {
 		return switchdef.Match{Fields: switchdef.FInPort | switchdef.FVLAN, InPort: 0, VLAN: vid}
 	}
@@ -262,7 +256,7 @@ func TestVLANMatchDistinguishesTags(t *testing.T) {
 // a cached low-priority decision must never swallow packets that the full
 // table would give to a higher-priority rule with a different mask.
 func TestMegaflowDoesNotShadowHigherPriority(t *testing.T) {
-	sw, fps, env := newSUT(t, 3)
+	sw, fps, env := newSUT(3)
 	special := pkt.MAC{2, 0, 0, 0, 0, 0x99}
 	install(t, sw,
 		rule(10, switchdef.Match{Fields: switchdef.FEthDst, EthDst: special}, output(2)),

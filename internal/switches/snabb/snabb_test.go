@@ -8,16 +8,10 @@ import (
 	"repro/internal/switches/switchtest"
 )
 
-func newSUT(t *testing.T, ports int) (*Switch, []*switchtest.FakePort, switchdef.Env) {
-	t.Helper()
+func newSUT(ports int) (*Switch, []*switchtest.FakePort, switchdef.Env) {
 	env := switchtest.Env()
 	sw := New(env)
-	fps := make([]*switchtest.FakePort, ports)
-	for i := range fps {
-		fps[i] = switchtest.NewFakePort("p")
-		sw.AddPort(fps[i])
-	}
-	return sw, fps, env
+	return sw, switchtest.AddPorts(sw, ports), env
 }
 
 func frame(env switchdef.Env) *pkt.Buf {
@@ -25,7 +19,7 @@ func frame(env switchdef.Env) *pkt.Buf {
 }
 
 func TestCrossConnectBreathFlow(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	if err := sw.CrossConnect(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +42,7 @@ func TestCrossConnectBreathFlow(t *testing.T) {
 }
 
 func TestJITWarmupDecays(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	_ = sw.CrossConnect(0, 1)
 	m := switchtest.Meter(env)
 	cold := sw.jitScale()
@@ -90,7 +84,7 @@ func TestTraceThrashBeyondAppLimit(t *testing.T) {
 		t.Fatalf("thrash scale = %f, want >= thrashFactor", s)
 	}
 	// A smaller config stays at ~1.
-	sw2, _, _ := newSUT(t, 2)
+	sw2, _, _ := newSUT(2)
 	_ = sw2.CrossConnect(0, 1)
 	sw2.pktSeen = 1 << 30
 	if s := sw2.jitScale(); s > 1.1 {
@@ -99,7 +93,7 @@ func TestTraceThrashBeyondAppLimit(t *testing.T) {
 }
 
 func TestIdleBreathSleeps(t *testing.T) {
-	sw, _, env := newSUT(t, 2)
+	sw, _, env := newSUT(2)
 	_ = sw.CrossConnect(0, 1)
 	m := switchtest.Meter(env)
 	if sw.Poll(0, m) {
@@ -113,7 +107,7 @@ func TestIdleBreathSleeps(t *testing.T) {
 func TestLinkBackpressure(t *testing.T) {
 	// When the output link is full, Pull stops taking from the device
 	// rather than dropping.
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	_ = sw.CrossConnect(0, 1)
 	fps[1].RejectTx = true // output side blackholes, link will clog? no: Push drains to TxBurst which frees
 	// Instead: fill input beyond LinkCap and run one breath; only
@@ -129,7 +123,7 @@ func TestLinkBackpressure(t *testing.T) {
 }
 
 func TestAddNICAppErrors(t *testing.T) {
-	sw, _, _ := newSUT(t, 1)
+	sw, _, _ := newSUT(1)
 	if err := sw.CrossConnect(0, 9); err == nil {
 		t.Fatal("bad port accepted")
 	}
@@ -139,7 +133,7 @@ func TestAddNICAppErrors(t *testing.T) {
 }
 
 func TestInfoTaxonomy(t *testing.T) {
-	sw, _, _ := newSUT(t, 0)
+	sw, _, _ := newSUT(0)
 	info := sw.Info()
 	if info.ProcessingModel != "pipeline" {
 		t.Fatalf("Snabb is the only pure-pipeline switch (Table 1), got %q", info.ProcessingModel)

@@ -29,6 +29,16 @@ func NewFakePort(name string) *FakePort {
 	return &FakePort{PortName: name, PortKind: switchdef.PhysKind}
 }
 
+// AddPorts attaches n fresh fake ports to sw, in index order.
+func AddPorts(sw switchdef.Switch, n int) []*FakePort {
+	fps := make([]*FakePort, n)
+	for i := range fps {
+		fps[i] = NewFakePort("p")
+		sw.AddPort(fps[i])
+	}
+	return fps
+}
+
 // Kind implements switchdef.DevPort.
 func (p *FakePort) Kind() switchdef.PortKind { return p.PortKind }
 

@@ -9,16 +9,10 @@ import (
 	"repro/internal/units"
 )
 
-func newSUT(t *testing.T, ports int) (*Switch, []*switchtest.FakePort, switchdef.Env) {
-	t.Helper()
+func newSUT(ports int) (*Switch, []*switchtest.FakePort, switchdef.Env) {
 	env := switchtest.Env()
 	sw := New(env)
-	fps := make([]*switchtest.FakePort, ports)
-	for i := range fps {
-		fps[i] = switchtest.NewFakePort("p")
-		sw.AddPort(fps[i])
-	}
-	return sw, fps, env
+	return sw, switchtest.AddPorts(sw, ports), env
 }
 
 // drain polls repeatedly with advancing time so the HAL TX buffering's
@@ -33,7 +27,7 @@ func drain(sw *Switch, env switchdef.Env) {
 }
 
 func TestL2FwdProgramForwardsByDstMAC(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	if err := sw.CrossConnect(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +45,7 @@ func TestL2FwdProgramForwardsByDstMAC(t *testing.T) {
 }
 
 func TestDefaultActionDropsUnknownMAC(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	_ = sw.CrossConnect(0, 1)
 	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, switchdef.PortMAC(0), pkt.MAC{9, 9, 9, 9, 9, 9}, 64))
 	drain(sw, env)
@@ -67,7 +61,7 @@ func TestDefaultActionDropsUnknownMAC(t *testing.T) {
 }
 
 func TestSetDstMACAction(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	_ = sw.CrossConnect(0, 1)
 	// Replace the port-1 entry with one that rewrites the destination MAC
 	// before forwarding.
@@ -94,7 +88,7 @@ func TestSetDstMACAction(t *testing.T) {
 }
 
 func TestHALBuffersUntilBatchOrDrain(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	_ = sw.CrossConnect(0, 1)
 	m := switchtest.Meter(env)
 	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, switchdef.PortMAC(0), switchdef.PortMAC(1), 64))
@@ -123,7 +117,7 @@ func TestHALBuffersUntilBatchOrDrain(t *testing.T) {
 }
 
 func TestMalformedFrameDropped(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	_ = sw.CrossConnect(0, 1)
 	runt := env.Pool.Get(10)
 	fps[0].In = append(fps[0].In, runt)
@@ -137,7 +131,7 @@ func TestMalformedFrameDropped(t *testing.T) {
 // testbed's PortMAC convention must forward, and must be exactly the
 // program CrossConnect installs implicitly.
 func TestProgramOnTestbedPorts(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	for _, p := range []int{1, 0} {
 		err := sw.Install(switchdef.Rule{
 			Match:   switchdef.Match{Fields: switchdef.FEthDst, EthDst: switchdef.PortMAC(p)},
@@ -152,7 +146,7 @@ func TestProgramOnTestbedPorts(t *testing.T) {
 	if len(fps[1].Out) != 1 {
 		t.Fatalf("out = %d", len(fps[1].Out))
 	}
-	implicit, _, _ := newSUT(t, 2)
+	implicit, _, _ := newSUT(2)
 	if err := implicit.CrossConnect(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +163,7 @@ func TestProgramOnTestbedPorts(t *testing.T) {
 
 // TestAddL2EntryValidation: a dmac entry must forward to a real port.
 func TestAddL2EntryValidation(t *testing.T) {
-	sw, _, _ := newSUT(t, 1)
+	sw, _, _ := newSUT(1)
 	err := sw.Install(switchdef.Rule{
 		Match:   switchdef.Match{Fields: switchdef.FEthDst, EthDst: pkt.MAC{1}},
 		Actions: []switchdef.RuleAction{{Kind: switchdef.RuleOutput, Port: 5}},
@@ -184,7 +178,7 @@ func TestTuningNoSourceMACLearning(t *testing.T) {
 	// table is dmac, no smac.
 	// Forwarding a frame from an unseen source leaves the dmac table as
 	// CrossConnect filled it.
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	_ = sw.CrossConnect(0, 1)
 	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0xaa, 0, 0, 0, 1}, switchdef.PortMAC(1), 64))
 	drain(sw, env)
@@ -199,7 +193,7 @@ func TestTuningNoSourceMACLearning(t *testing.T) {
 func TestPipelineCostHasHighVariance(t *testing.T) {
 	// Table 3's t4p4s signature: unstable pipeline. Measure per-packet
 	// cost dispersion across many single-frame polls.
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	_ = sw.CrossConnect(0, 1)
 	m := switchtest.Meter(env)
 	var costs []float64

@@ -8,20 +8,14 @@ import (
 	"repro/internal/switches/switchtest"
 )
 
-func newSUT(t *testing.T, ports int) (*Switch, []*switchtest.FakePort, switchdef.Env) {
-	t.Helper()
+func newSUT(ports int) (*Switch, []*switchtest.FakePort, switchdef.Env) {
 	env := switchtest.Env()
 	sw := New(env)
-	fps := make([]*switchtest.FakePort, ports)
-	for i := range fps {
-		fps[i] = switchtest.NewFakePort("p")
-		sw.AddPort(fps[i])
-	}
-	return sw, fps, env
+	return sw, switchtest.AddPorts(sw, ports), env
 }
 
 func TestLearningBridgeForwards(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	if err := sw.CrossConnect(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +41,7 @@ func TestLearningBridgeForwards(t *testing.T) {
 func TestInterPortCopySemantics(t *testing.T) {
 	// VALE copies between ports: the delivered buffer must be a distinct
 	// allocation with identical bytes (memory isolation, paper §3.5).
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	_ = sw.CrossConnect(0, 1)
 	m := switchtest.Meter(env)
 	in := switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64)
@@ -63,7 +57,7 @@ func TestInterPortCopySemantics(t *testing.T) {
 }
 
 func TestPortExclusivity(t *testing.T) {
-	sw, _, _ := newSUT(t, 3)
+	sw, _, _ := newSUT(3)
 	if err := sw.CrossConnect(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +78,7 @@ func TestPortExclusivity(t *testing.T) {
 func TestMultipleBridgeInstances(t *testing.T) {
 	// The loopback scenario needs N+1 independent VALE instances on one
 	// core: traffic on bridge 0 must never leak to bridge 1.
-	sw, fps, env := newSUT(t, 4)
+	sw, fps, env := newSUT(4)
 	_ = sw.CrossConnect(0, 1)
 	_ = sw.CrossConnect(2, 3)
 	if len(sw.bridges) != 2 {
@@ -99,7 +93,7 @@ func TestMultipleBridgeInstances(t *testing.T) {
 }
 
 func TestHairpinDrop(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	_ = sw.CrossConnect(0, 1)
 	m := switchtest.Meter(env)
 	a := pkt.MAC{2, 0, 0, 0, 0, 0xa}
@@ -118,7 +112,7 @@ func TestHairpinDrop(t *testing.T) {
 }
 
 func TestCopyCostScalesWithFrameSize(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	_ = sw.CrossConnect(0, 1)
 	m := switchtest.Meter(env)
 	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64))
@@ -133,7 +127,7 @@ func TestCopyCostScalesWithFrameSize(t *testing.T) {
 }
 
 func TestInfoTaxonomy(t *testing.T) {
-	sw, _, _ := newSUT(t, 0)
+	sw, _, _ := newSUT(0)
 	info := sw.Info()
 	if info.IOMode != switchdef.InterruptMode {
 		t.Fatal("VALE must be interrupt-driven")

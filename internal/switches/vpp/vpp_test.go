@@ -8,20 +8,14 @@ import (
 	"repro/internal/switches/switchtest"
 )
 
-func newSUT(t *testing.T, ports int) (*Switch, []*switchtest.FakePort, switchdef.Env) {
-	t.Helper()
+func newSUT(ports int) (*Switch, []*switchtest.FakePort, switchdef.Env) {
 	env := switchtest.Env()
 	sw := New(env)
-	fps := make([]*switchtest.FakePort, ports)
-	for i := range fps {
-		fps[i] = switchtest.NewFakePort("p")
-		sw.AddPort(fps[i])
-	}
-	return sw, fps, env
+	return sw, switchtest.AddPorts(sw, ports), env
 }
 
 func TestL2PatchForwards(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	if err := sw.CrossConnect(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +34,7 @@ func TestL2PatchForwards(t *testing.T) {
 // TestCLIL2Patch: the paper appendix's one-way "test l2patch rx port0 tx
 // port1" is a single in_port rule, and patches one direction only.
 func TestCLIL2Patch(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	rule := switchdef.Rule{
 		Match:   switchdef.Match{Fields: switchdef.FInPort, InPort: 0},
 		Actions: []switchdef.RuleAction{{Kind: switchdef.RuleOutput, Port: 1}},
@@ -62,7 +56,7 @@ func TestCLIL2Patch(t *testing.T) {
 }
 
 func TestCrossConnectValidation(t *testing.T) {
-	sw, _, _ := newSUT(t, 2)
+	sw, _, _ := newSUT(2)
 	if err := sw.CrossConnect(0, 7); err == nil {
 		t.Fatal("bad port accepted")
 	}
@@ -72,7 +66,7 @@ func TestCrossConnectValidation(t *testing.T) {
 }
 
 func TestUnconfiguredPortDrops(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	m := switchtest.Meter(env)
 	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64))
 	switchtest.PollUntilIdle(sw, m, 0)
@@ -85,7 +79,7 @@ func TestUnconfiguredPortDrops(t *testing.T) {
 }
 
 func TestInfoTaxonomy(t *testing.T) {
-	sw, _, _ := newSUT(t, 0)
+	sw, _, _ := newSUT(0)
 	info := sw.Info()
 	if !info.SelfContained || info.Paradigm != "structured" || info.ProcessingModel != "RTC" {
 		t.Fatalf("taxonomy mismatch: %+v", info)
@@ -102,7 +96,7 @@ func TestInfoTaxonomy(t *testing.T) {
 // shared output port fixes the merge order, and the counters fix where
 // the rejected frame went.
 func TestFanInPinned(t *testing.T) {
-	sw, fps, env := newSUT(t, 3)
+	sw, fps, env := newSUT(3)
 	for in := 0; in < 2; in++ {
 		err := sw.Install(switchdef.Rule{
 			Match:   switchdef.Match{Fields: switchdef.FInPort, InPort: in},
@@ -156,7 +150,7 @@ func TestFanInPinned(t *testing.T) {
 }
 
 func TestPollChargesCycles(t *testing.T) {
-	sw, fps, env := newSUT(t, 2)
+	sw, fps, env := newSUT(2)
 	_ = sw.CrossConnect(0, 1)
 	m := switchtest.Meter(env)
 	for i := 0; i < 32; i++ {
