@@ -40,8 +40,6 @@ var naiveInfo = swbench.SwitchInfo{
 	IOMode:            swbench.PollMode,
 }
 
-func (s *naiveSwitch) Info() swbench.SwitchInfo { return naiveInfo }
-
 func (s *naiveSwitch) AddPort(p swbench.DevPort) int {
 	s.ports = append(s.ports, p)
 	return len(s.ports) - 1

@@ -4,11 +4,11 @@
 // paper — including what a rule Revoke does to the caches mid-traffic.
 //
 // The rules are typed values (switchdef.Rule), not ovs-ofctl strings: the
-// same Install/Revoke/Snapshot surface the mid-run rule controller, the
-// multi-core fleet, and every reprogrammable switch share. OvS lowers
-// each rule into its OpenFlow table; the example prints each rule's Key —
-// the (priority, match) identity Revoke addresses it by — beside the
-// table entry's hit counter.
+// same Install/Revoke surface the mid-run rule controller, the multi-core
+// fleet, and every reprogrammable switch share. OvS lowers each rule into
+// its OpenFlow table, the only copy of the program; the example prints
+// each rule's Key — the (priority, match) identity Revoke addresses it by
+// — beside that table entry's hit counter.
 //
 // The accompanying churn.json runs the same idea under the benchmark
 // harness — a p2p topology with a controller node editing rules mid-run:
@@ -66,8 +66,8 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("installed rules (Snapshot reports %d):\n", len(sw.Snapshot()))
-	for _, r := range sw.Snapshot() {
+	fmt.Printf("installed rules (the OpenFlow table holds %d):\n", len(sw.Rules()))
+	for _, r := range rules {
 		fmt.Println(" ", r.Key())
 	}
 
@@ -108,12 +108,11 @@ func main() {
 	switchtest.PollUntilIdle(sw, m, 2)
 	report(sw, ports)
 
-	// Rules and Snapshot are both in install order, so entry i of the
-	// OpenFlow table is typed rule i.
+	// The OpenFlow table keeps install order, so with rules[0] revoked
+	// its entry i is typed rule i+1.
 	fmt.Println("\nper-rule hit counters:")
-	snap := sw.Snapshot()
 	for i, r := range sw.Rules() {
-		fmt.Printf("  %6d  %s\n", r.Hits, snap[i].Key())
+		fmt.Printf("  %6d  %s\n", r.Hits, rules[i+1].Key())
 	}
 
 	runTopology()

@@ -86,7 +86,7 @@ type Config struct {
 	// and revokes rules against the SUT at this many operations per
 	// second of simulated time (mid-run rule churn: megaflow
 	// revalidation, EMC invalidation, per-shard re-misses). It requires
-	// a switch whose Info().RuntimeRules is true.
+	// a switch whose registered Info has RuntimeRules set.
 	RuleUpdateRate float64 `json:",omitempty"`
 	// ProbeEvery injects latency probes at this interval (0 = none).
 	ProbeEvery units.Time

@@ -21,7 +21,8 @@ func resultDigest(t *testing.T, res Result) string {
 
 // multiCoreGoldens pins full Result JSON digests for the
 // multi-core dispatch paths: RSS under both steering policies and the
-// RTC pipeline, with the NUMA boundary crossed by the 16-core case.
+// RTC pipeline, with the NUMA boundary crossed by the 16-core case, and
+// mid-run rule churn on an RSS and an RTC fleet.
 // These are the multi-core counterpart of guestPathGoldens:
 // any change to the fleet fan-out, the demux/handoff rings, the steer
 // and remote taxes, or per-core accounting shows up here as a digest
@@ -38,6 +39,11 @@ func multiCoreGoldens() []goldenCell {
 			SUTCores: 4, Dispatch: DispatchRSS, RSSPolicy: RSSFlowHash}, "f42c686be10634810d28ba1ec2323a6a"},
 		{Config{Switch: "ovs", Scenario: P2P, FrameLen: 1500, Bidir: true, Flows: 64,
 			SUTCores: 16, Dispatch: DispatchRSS, RSSPolicy: RSSFlowHash}, "1fcfd9a9bc3e7d3ada1d0e60241b3191"},
+		// Mid-run rule churn broadcast through the fleet to every shard.
+		{Config{Switch: "ovs", Scenario: P2P, FrameLen: 64, Bidir: true, Flows: 64,
+			SUTCores: 2, Dispatch: DispatchRSS, RSSPolicy: RSSFlowHash, RuleUpdateRate: 100000}, "0076d11bf6473ddc5b8a3397c894a213"},
+		{Config{Switch: "vpp", Scenario: P2P, FrameLen: 64, Bidir: true, Flows: 64,
+			SUTCores: 4, Dispatch: DispatchRTC, RuleUpdateRate: 100000}, "1f74655070a230cf9d2aca8c0284791b"},
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"cmp"
 	"fmt"
 
+	"repro/internal/nic"
 	"repro/internal/stats"
+	"repro/internal/switches/switchdef"
 	"repro/internal/units"
 )
 
@@ -128,11 +130,22 @@ func (tb *testbed) tally(at units.Time) tally {
 	for i, e := range tb.endpoints {
 		t.rx[i] = *e.rx
 	}
-	for _, fn := range tb.dropFns {
-		t.drops += fn()
+	for _, p := range tb.ports {
+		switch d := p.dev.(type) {
+		case *switchdef.PhysPort:
+			// The full-ring drops of the NICs at both ends of the wire.
+			for _, n := range []*nic.Port{d.Port, p.gen} {
+				t.drops += n.Stats.RxDropsFull + n.Stats.TxDropsFull
+			}
+		case *switchdef.VhostPort:
+			t.drops += d.Dev.RxDrops() + d.Dev.TxDrops()
+			t.copies += d.Dev.HostCopies
+		case *switchdef.PtnetPort:
+			t.drops += d.Dev.Drops()
+		}
 	}
-	for _, fn := range tb.copyFns {
-		t.copies += fn()
+	if tb.fleet != nil {
+		t.drops += tb.fleet.Drops()
 	}
 	for i, c := range tb.sutPolls {
 		t.busy[i], t.idle[i] = c.Busy, c.Idle

@@ -46,6 +46,16 @@ const (
 	containerNotify = 3 * units.Microsecond
 )
 
+// sut is what the testbed does to the System Under Test once it is built:
+// attach ports, cross-connect them and program rules. A single-core
+// switch and a multi-core fleet both take it; the poll loops are mounted
+// from the switch itself (or the fleet's Polls) in build.
+type sut interface {
+	AddPort(p switchdef.DevPort) int
+	CrossConnect(a, b int) error
+	switchdef.Programmer
+}
+
 // testbed is one assembled simulation.
 type testbed struct {
 	cfg   Config
@@ -54,7 +64,7 @@ type testbed struct {
 	rng   *sim.RNG
 	model *cost.Model
 
-	sw       switchdef.Switch
+	sw       sut
 	fleet    *multicore.Fleet // non-nil when SUTCores > 1 (then sw == fleet)
 	graph    *topo.Graph
 	ports    []wiredPort // the switch's attached ports, in AddPort order
@@ -81,10 +91,6 @@ type testbed struct {
 
 	// endpoints are the directions' delivery points, in direction order.
 	endpoints []endpoint
-	// dropFns report loss points.
-	dropFns []func() int64
-	// copyFns report host-side guest-memory copy counts (vhost devices).
-	copyFns []func() int64
 }
 
 // endpoint is one direction's delivery point — a NIC sink or a guest
@@ -138,6 +144,9 @@ func build(cfg Config) (*testbed, error) {
 	tb.hostPool = tb.newPool(bufSize)
 	tb.genPool = tb.newPool(bufSize)
 
+	// single is the SUT of a single-core run, the source of its poll
+	// loop and idle hint.
+	var single switchdef.Switch
 	if cfg.SUTCores > 1 {
 		if info.IOMode == switchdef.InterruptMode {
 			return nil, fmt.Errorf("%w: interrupt-driven %s runs its data plane in one kernel context", ErrNoMultiCore, info.Display)
@@ -163,7 +172,6 @@ func build(cfg Config) (*testbed, error) {
 		}
 		tb.sw = fleet
 		tb.fleet = fleet
-		tb.dropFns = append(tb.dropFns, fleet.Drops)
 	} else {
 		sw, err := switchdef.New(cfg.Switch, switchdef.Env{
 			Model: tb.model,
@@ -173,7 +181,7 @@ func build(cfg Config) (*testbed, error) {
 		if err != nil {
 			return nil, err
 		}
-		tb.sw = sw
+		tb.sw, single = sw, sw
 		// Interrupt-driven SUTs need their core before wiring (devices
 		// bind their IRQ lines to it); poll-mode cores are created after
 		// wiring.
@@ -190,11 +198,11 @@ func build(cfg Config) (*testbed, error) {
 	if info.IOMode == switchdef.PollMode {
 		if tb.fleet == nil {
 			meter := cost.NewMeter(tb.model, tb.rng.Derive("sut"))
-			c := cpu.NewPollCore(tb.sched, "sut", meter, tb.sw.Poll)
+			c := cpu.NewPollCore(tb.sched, "sut", meter, single.Poll)
 			// Switches with an idle hint sleep through empty polls; every
 			// port then wakes the core when input arrives. Snabb's breaths
 			// are time-dependent and keep polling, and so do fleet cores.
-			if w, ok := tb.sw.(cpu.Waiter); ok {
+			if w, ok := single.(cpu.Waiter); ok {
 				c.Waiter = w
 				for _, p := range tb.ports {
 					bindConsumer(p.dev, c)
@@ -243,10 +251,6 @@ func (tb *testbed) addPhysPair(name string) (switchdef.DevPort, *nic.Port) {
 	if tb.sutIRQ != nil {
 		sutNIC.BindIRQ(tb.sutIRQ)
 	}
-	tb.dropFns = append(tb.dropFns,
-		func() int64 { return sutNIC.Stats.RxDropsFull + sutNIC.Stats.TxDropsFull },
-		func() int64 { return genNIC.Stats.RxDropsFull + genNIC.Stats.TxDropsFull },
-	)
 	queues := 0
 	if tb.graph != nil {
 		if n := tb.graph.Node(name); n != nil {
@@ -269,7 +273,6 @@ func (tb *testbed) addGuestIf(name string) (switchdef.DevPort, vm.NetIf) {
 		if tb.sutIRQ != nil {
 			dev.BindHostIRQ(tb.sutIRQ)
 		}
-		tb.dropFns = append(tb.dropFns, dev.Drops)
 		return &switchdef.PtnetPort{Dev: dev}, &vm.PtnetIf{Dev: dev}
 	}
 	vcfg := vhost.Config{
@@ -285,8 +288,6 @@ func (tb *testbed) addGuestIf(name string) (switchdef.DevPort, vm.NetIf) {
 		vcfg.GuestNotifyDelay = containerNotify
 	}
 	dev := vhost.New(vcfg)
-	tb.dropFns = append(tb.dropFns, func() int64 { return dev.RxDrops() + dev.TxDrops() })
-	tb.copyFns = append(tb.copyFns, func() int64 { return dev.HostCopies })
 	return &switchdef.VhostPort{Dev: dev}, &vm.VirtioIf{Dev: dev}
 }
 

@@ -3,8 +3,9 @@
 // following the journal extension's methodology of scaling each switch
 // with its native worker model.
 //
-// A Fleet implements switchdef.Switch by running one private switch
-// instance per worker core. Per-core instances are the load-bearing
+// A Fleet runs one private switch instance per worker core and takes the
+// testbed's wiring and rule programming for all of them; each core's poll
+// loop is one of its Polls. Per-core instances are the load-bearing
 // design decision: every core owns its own flow caches, MAC tables,
 // match/action state, and vector scratch (OvS's per-PMD EMC/megaflow
 // caches, VPP's per-worker graph runtime, FastClick's per-thread element
@@ -81,9 +82,9 @@ type CorePoll struct {
 	Fn   func(now units.Time, m *cost.Meter) bool
 }
 
-// Fleet runs one switch instance per worker core behind a single
-// switchdef.Switch facade: the testbed attaches ports and installs
-// cross-connects once, and the fleet fans both out to every instance.
+// Fleet runs one switch instance per worker core: the testbed attaches
+// ports, installs cross-connects and programs rules once, and the fleet
+// fans each out to every instance.
 type Fleet struct {
 	opt   Options
 	insts []switchdef.Switch
@@ -104,8 +105,8 @@ type Fleet struct {
 	scratch [scratchLen]*pkt.Buf
 }
 
-// New builds a fleet. The returned Fleet is a switchdef.Switch; mount
-// its Polls on one cpu.PollCore each after wiring.
+// New builds a fleet. Mount its Polls on one cpu.PollCore each after
+// wiring.
 func New(opt Options) (*Fleet, error) {
 	if opt.Cores < 2 {
 		return nil, fmt.Errorf("multicore: need at least 2 cores, got %d", opt.Cores)
@@ -146,13 +147,9 @@ func New(opt Options) (*Fleet, error) {
 	return f, nil
 }
 
-// Info implements switchdef.Switch.
-func (f *Fleet) Info() switchdef.Info { return f.insts[0].Info() }
-
-// AddPort implements switchdef.Switch: the device is registered with
-// every instance at the same index, each instance seeing the view its
-// core's role grants (owned queue, transmit-only passthrough, or
-// handoff ring).
+// AddPort registers the device with every instance at the same index,
+// each instance seeing the view its core's role grants (owned queue,
+// transmit-only passthrough, or handoff ring).
 func (f *Fleet) AddPort(p switchdef.DevPort) int {
 	idx := len(f.ports)
 	f.ports = append(f.ports, p)
@@ -170,8 +167,8 @@ func (f *Fleet) AddPort(p switchdef.DevPort) int {
 	return idx
 }
 
-// CrossConnect implements switchdef.Switch: forwarding state is
-// installed in every instance, since any core may see any flow.
+// CrossConnect installs forwarding state in every instance, since any
+// core may see any flow.
 func (f *Fleet) CrossConnect(a, b int) error {
 	for _, inst := range f.insts {
 		if err := inst.CrossConnect(a, b); err != nil {
@@ -204,10 +201,6 @@ func (f *Fleet) Revoke(r switchdef.Rule) error {
 	return nil
 }
 
-// Snapshot implements switchdef.Programmer. All shards hold the same
-// program, so shard 0 speaks for the fleet.
-func (f *Fleet) Snapshot() []switchdef.Rule { return f.insts[0].Snapshot() }
-
 // EMCEvictionCount sums per-shard exact-match-cache evictions for
 // instances exposing that stats surface.
 func (f *Fleet) EMCEvictionCount() int64 {
@@ -218,19 +211,6 @@ func (f *Fleet) EMCEvictionCount() int64 {
 		}
 	}
 	return n
-}
-
-// Poll implements switchdef.Switch by running every core's poll against
-// one meter — a single-threaded fallback. The testbed never uses it: it
-// mounts Polls on one simulated core each.
-func (f *Fleet) Poll(now units.Time, m *cost.Meter) bool {
-	did := false
-	for _, cp := range f.Polls() {
-		if cp.Fn(now, m) {
-			did = true
-		}
-	}
-	return did
 }
 
 // Polls returns one poll loop per effective core. Under RSS, cores that
@@ -277,10 +257,6 @@ func (f *Fleet) activeCores() []int {
 	}
 	return active
 }
-
-// EffectiveCores reports how many cores actually carry the data plane —
-// min(cores, receive queues) under RSS, all cores under RTC.
-func (f *Fleet) EffectiveCores() int { return len(f.Polls()) }
 
 // Drops counts frames lost in the fleet's own queues: demux queue
 // overflows and full handoff rings.

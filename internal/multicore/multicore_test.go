@@ -1,7 +1,6 @@
 package multicore
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/cost"
@@ -20,14 +19,12 @@ func newMeter() *cost.Meter {
 // fakeDev is a guest-like device: a scripted receive queue and a
 // transmit log, with no cycle prices of its own.
 type fakeDev struct {
-	name string
 	kind switchdef.PortKind
 	rx   []*pkt.Buf
 	tx   []*pkt.Buf
 }
 
 func (d *fakeDev) Kind() switchdef.PortKind { return d.kind }
-func (d *fakeDev) Name() string             { return d.name }
 
 func (d *fakeDev) RxBurst(now units.Time, m *cost.Meter, out []*pkt.Buf) int {
 	n := copy(out, d.rx)
@@ -49,8 +46,6 @@ type fakeInst struct {
 	core  int
 	views []switchdef.DevPort
 }
-
-func (s *fakeInst) Info() switchdef.Info { return switchdef.Info{Name: "fake"} }
 
 func (s *fakeInst) AddPort(p switchdef.DevPort) int {
 	s.views = append(s.views, p)
@@ -109,7 +104,7 @@ func TestRSSRoundRobinOwnership(t *testing.T) {
 	f, insts := fakeFleet(t, Options{Cores: 2, Dispatch: ModeRSS, Policy: PolicyRoundRobin})
 	devs := make([]*fakeDev, 4)
 	for i := range devs {
-		devs[i] = &fakeDev{name: fmt.Sprintf("vhost%d", i), kind: switchdef.VhostKind}
+		devs[i] = &fakeDev{kind: switchdef.VhostKind}
 		f.AddPort(devs[i])
 	}
 	// Receive queues are assigned round-robin in declaration order.
@@ -134,18 +129,19 @@ func TestRSSRoundRobinOwnership(t *testing.T) {
 }
 
 // TestEffectiveCoresClamp: with more cores than receive queues, the
-// surplus cores own nothing and are not polled.
+// surplus cores own nothing and are not polled, so a run reports only
+// the owners as effective cores.
 func TestEffectiveCoresClamp(t *testing.T) {
 	f, _ := fakeFleet(t, Options{Cores: 4, Dispatch: ModeRSS, Policy: PolicyRoundRobin})
-	f.AddPort(&fakeDev{name: "a", kind: switchdef.VhostKind})
-	f.AddPort(&fakeDev{name: "b", kind: switchdef.VhostKind})
-	if got := f.EffectiveCores(); got != 2 {
-		t.Errorf("EffectiveCores = %d, want 2 (only 2 receive queues)", got)
+	f.AddPort(&fakeDev{kind: switchdef.VhostKind})
+	f.AddPort(&fakeDev{kind: switchdef.VhostKind})
+	if got := len(f.Polls()); got != 2 {
+		t.Errorf("%d polled cores, want 2 (only 2 receive queues)", got)
 	}
 }
 
 func TestTxOnlyPort(t *testing.T) {
-	dev := &fakeDev{name: "d", kind: switchdef.VhostKind}
+	dev := &fakeDev{kind: switchdef.VhostKind}
 	pool := pkt.NewPool(2048)
 	dev.rx = append(dev.rx, pool.Get(64))
 	v := &txOnlyPort{inner: dev}
@@ -164,7 +160,7 @@ func TestTxOnlyPort(t *testing.T) {
 }
 
 func TestRemotePortTax(t *testing.T) {
-	dev := &fakeDev{name: "d", kind: switchdef.VhostKind}
+	dev := &fakeDev{kind: switchdef.VhostKind}
 	pool := pkt.NewPool(2048)
 	dev.rx = append(dev.rx, pool.Get(64))
 	v := &remotePort{inner: dev}
@@ -249,7 +245,7 @@ func TestRTCLayout(t *testing.T) {
 	if len(insts) != 2 {
 		t.Fatalf("4-core rtc built %d process instances, want 2", len(insts))
 	}
-	f.AddPort(&fakeDev{name: "a", kind: switchdef.VhostKind})
+	f.AddPort(&fakeDev{kind: switchdef.VhostKind})
 	polls := f.Polls()
 	want := []string{"sut-rx", "sut-proc0", "sut-proc1", "sut-tx"}
 	if len(polls) != len(want) {
@@ -260,14 +256,11 @@ func TestRTCLayout(t *testing.T) {
 			t.Errorf("poll %d = %s, want %s", i, cp.Name, want[i])
 		}
 	}
-	if got := f.EffectiveCores(); got != 4 {
-		t.Errorf("EffectiveCores = %d, want 4", got)
-	}
 
 	// The 2-core layout drops the dedicated receive core: the process
 	// stage polls the devices directly.
 	f2, insts2 := fakeFleet(t, Options{Cores: 2, Dispatch: ModeRTC})
-	idx := f2.AddPort(&fakeDev{name: "a", kind: switchdef.VhostKind})
+	idx := f2.AddPort(&fakeDev{kind: switchdef.VhostKind})
 	polls2 := f2.Polls()
 	if len(polls2) != 2 || polls2[0].Name != "sut-proc0" || polls2[1].Name != "sut-tx" {
 		t.Errorf("2-core rtc polls = %+v, want sut-proc0 and sut-tx", polls2)
@@ -281,7 +274,7 @@ func TestRTCLayout(t *testing.T) {
 func TestRTCProcPortTaxes(t *testing.T) {
 	pool := pkt.NewPool(2048)
 	in, out := ring.New(8), ring.New(2)
-	p := &rtcProcPort{dev: &fakeDev{name: "d", kind: switchdef.VhostKind}, in: in, out: out}
+	p := &rtcProcPort{dev: &fakeDev{kind: switchdef.VhostKind}, in: in, out: out}
 
 	m := newMeter()
 	sent := p.TxBurst(0, m, []*pkt.Buf{pool.Get(64), pool.Get(64), pool.Get(64)})

@@ -95,7 +95,6 @@ type txOnlyPort struct {
 }
 
 func (p *txOnlyPort) Kind() switchdef.PortKind { return p.inner.Kind() }
-func (p *txOnlyPort) Name() string             { return p.inner.Name() }
 
 func (p *txOnlyPort) RxBurst(now units.Time, m *cost.Meter, out []*pkt.Buf) int { return 0 }
 
@@ -115,7 +114,6 @@ type remotePort struct {
 }
 
 func (p *remotePort) Kind() switchdef.PortKind { return p.inner.Kind() }
-func (p *remotePort) Name() string             { return p.inner.Name() }
 
 func (p *remotePort) RxBurst(now units.Time, m *cost.Meter, out []*pkt.Buf) int {
 	n := p.inner.RxBurst(now, m, out)
@@ -211,7 +209,6 @@ type rssQueuePort struct {
 }
 
 func (p *rssQueuePort) Kind() switchdef.PortKind { return switchdef.PhysKind }
-func (p *rssQueuePort) Name() string             { return p.phys.Name() }
 
 func (p *rssQueuePort) RxBurst(now units.Time, m *cost.Meter, out []*pkt.Buf) int {
 	p.d.pump(now)

@@ -175,7 +175,6 @@ type rtcProcPort struct {
 }
 
 func (p *rtcProcPort) Kind() switchdef.PortKind { return p.dev.Kind() }
-func (p *rtcProcPort) Name() string             { return p.dev.Name() }
 
 func (p *rtcProcPort) RxBurst(now units.Time, m *cost.Meter, out []*pkt.Buf) int {
 	if p.direct != nil {

@@ -15,6 +15,7 @@ import (
 
 // Config sizes a port.
 type Config struct {
+	// Name labels the port; nothing reads it back.
 	Name string
 	// Slots is the netmap ring depth (default 1024, netmap's default).
 	Slots int
@@ -48,9 +49,6 @@ func New(cfg Config) *Port {
 		toHost:  ring.New(cfg.Slots),
 	}
 }
-
-// Name returns the port name.
-func (p *Port) Name() string { return p.cfg.Name }
 
 // BindHostIRQ makes guest transmissions wake the (interrupt-driven) host
 // core after the notify delay; the core re-arms the doorbell when it goes

@@ -76,9 +76,6 @@ var info = switchdef.Info{
 // New returns an empty BESS daemon.
 func New(switchdef.Env) *Switch { return &Switch{} }
 
-// Info implements switchdef.Switch.
-func (sw *Switch) Info() switchdef.Info { return info }
-
 // AddPort implements switchdef.Switch (the PMDPort/vdev hook).
 func (sw *Switch) AddPort(p switchdef.DevPort) int {
 	sw.ports = append(sw.ports, p)

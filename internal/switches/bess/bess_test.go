@@ -77,9 +77,12 @@ func TestModuleErrors(t *testing.T) {
 }
 
 func TestQEMUChainCap(t *testing.T) {
-	sw, _, _ := newSUT(0)
-	if sw.Info().MaxLoopbackVNFs != 3 {
+	info, err := switchdef.Lookup("bess")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.MaxLoopbackVNFs != 3 {
 		t.Fatalf("BESS must cap loopback chains at 3 VMs (paper footnote 5), got %d",
-			sw.Info().MaxLoopbackVNFs)
+			info.MaxLoopbackVNFs)
 	}
 }

@@ -46,10 +46,8 @@ type Switch struct {
 	toDevs  []*toDevice
 
 	// Runtime rule state (program.go): dropMAC is the dl_dst drop set
-	// applied Classifier-style at every source while non-empty; prog
-	// backs Snapshot.
+	// applied Classifier-style at every source while non-empty.
 	dropMAC map[pkt.MAC]bool
-	prog    switchdef.RuleLedger
 
 	// Forwarded and Dropped count data-plane outcomes.
 	Forwarded, Dropped int64
@@ -76,9 +74,6 @@ var info = switchdef.Info{
 
 // New returns an unconfigured FastClick instance.
 func New(switchdef.Env) *Switch { return &Switch{} }
-
-// Info implements switchdef.Switch.
-func (sw *Switch) Info() switchdef.Info { return info }
 
 // AddPort implements switchdef.Switch.
 func (sw *Switch) AddPort(p switchdef.DevPort) int {

@@ -31,7 +31,8 @@ func TestCrossConnectForwards(t *testing.T) {
 
 // TestReinstallReplacesWiring pins the Programmer contract for wiring
 // rules: re-installing an in_port rule replaces it in place, so frames
-// follow the new output and Snapshot holds one rule.
+// follow the new output and the port keeps its one source, now feeding
+// port 2's device.
 func TestReinstallReplacesWiring(t *testing.T) {
 	sw, fps, env := newSUT(3)
 	wire := func(out int) switchdef.Rule {
@@ -53,8 +54,8 @@ func TestReinstallReplacesWiring(t *testing.T) {
 	if len(fps[1].Out) != 0 || len(fps[2].Out) != 3 {
 		t.Fatalf("outputs: port1=%d port2=%d, want 0 and 3", len(fps[1].Out), len(fps[2].Out))
 	}
-	if snap := sw.Snapshot(); len(snap) != 1 || snap[0].Actions[0].Port != 2 {
-		t.Fatalf("snapshot = %+v, want the one rule to port 2", snap)
+	if len(sw.sources) != 1 || sw.sources[0].port != 0 || sw.sources[0].out.dev != fps[2] {
+		t.Fatalf("%d sources, want port 0's one source feeding port 2", len(sw.sources))
 	}
 }
 
@@ -119,8 +120,10 @@ func TestDiscardFrees(t *testing.T) {
 }
 
 func TestInfoRingTuning(t *testing.T) {
-	sw, _, _ := newSUT(0)
-	info := sw.Info()
+	info, err := switchdef.Lookup("fastclick")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if info.RxRingOverride != 4096 {
 		t.Fatalf("Table 2 ring tuning missing: %d", info.RxRingOverride)
 	}

@@ -16,7 +16,10 @@ import (
 // joins a Classifier-style drop set that every source applies to its RX
 // batch while the set is non-empty, which is how runtime churn reaches the
 // data plane without rebuilding the graph. No element memoizes anything,
-// so reprogramming has no cache to invalidate.
+// so reprogramming has no cache to invalidate. The sources and the drop
+// set are the whole program: a rule's identity is its field set (in_port
+// alone or dl_dst alone) plus that field's value, at the one priority the
+// graph knows.
 
 // Install implements switchdef.Programmer.
 func (sw *Switch) Install(r switchdef.Rule) error {
@@ -38,7 +41,6 @@ func (sw *Switch) Install(r switchdef.Rule) error {
 	default:
 		return fmt.Errorf("fastclick: unsupported rule (want in_port→output or dl_dst→drop)")
 	}
-	sw.prog.Put(r)
 	return nil
 }
 
@@ -55,31 +57,41 @@ func (sw *Switch) wire(in, out int) error {
 	}
 	td := &toDevice{dev: sw.ports[out]}
 	sw.toDevs = append(sw.toDevs, td)
-	for _, src := range sw.sources {
-		if src.port == in {
-			src.out = td
-			return nil
-		}
+	if src := sw.source(in); src != nil {
+		src.out = td
+		return nil
 	}
 	sw.sources = append(sw.sources, &fromDevice{port: in, dev: sw.ports[in], out: td})
 	return nil
 }
 
-// Revoke implements switchdef.Programmer.
-func (sw *Switch) Revoke(r switchdef.Rule) error {
-	if _, ok := sw.prog.Get(r); !ok {
-		return fmt.Errorf("fastclick: revoke of absent rule")
+// source returns the FromDPDKDevice of input port in, or nil when no
+// in_port rule wired it.
+func (sw *Switch) source(in int) *fromDevice {
+	for _, src := range sw.sources {
+		if src.port == in {
+			return src
+		}
 	}
-	if r.Match.Fields == switchdef.FInPort {
-		return fmt.Errorf("fastclick: wiring rules cannot be revoked (push graph is fixed)")
-	}
-	delete(sw.dropMAC, r.Match.EthDst)
-	sw.prog.Delete(r)
 	return nil
 }
 
-// Snapshot implements switchdef.Programmer.
-func (sw *Switch) Snapshot() []switchdef.Rule { return sw.prog.Snapshot() }
+// Revoke implements switchdef.Programmer: a wiring rule is present when
+// its port has a source, a drop rule when its destination is in the drop
+// set.
+func (sw *Switch) Revoke(r switchdef.Rule) error {
+	m := r.Match
+	if r.EffectivePriority() == switchdef.DefaultRulePriority {
+		switch {
+		case m.Fields == switchdef.FInPort && sw.source(m.InPort) != nil:
+			return fmt.Errorf("fastclick: wiring rules cannot be revoked (push graph is fixed)")
+		case m.Fields == switchdef.FEthDst && sw.dropMAC[m.EthDst]:
+			delete(sw.dropMAC, m.EthDst)
+			return nil
+		}
+	}
+	return fmt.Errorf("fastclick: revoke of absent rule")
+}
 
 // filterDrops applies the installed dl_dst drop set to an RX batch,
 // compacting survivors in place. The charge mirrors a Classifier stage:

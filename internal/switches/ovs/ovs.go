@@ -138,10 +138,6 @@ type Switch struct {
 	memo     *flowtab.Map[memoKey, memoEntry]
 	cacheGen uint64
 
-	// prog tracks the typed rules installed through the Programmer
-	// surface (program.go), backing Snapshot.
-	prog switchdef.RuleLedger
-
 	txStage [][]*pkt.Buf
 
 	// Stats.
@@ -179,9 +175,6 @@ func New(env switchdef.Env) *Switch {
 		memo:   flowtab.NewMap[memoKey, memoEntry](16),
 	}
 }
-
-// Info implements switchdef.Switch.
-func (sw *Switch) Info() switchdef.Info { return info }
 
 // AddPort implements switchdef.Switch.
 func (sw *Switch) AddPort(p switchdef.DevPort) int {
@@ -478,8 +471,8 @@ func (sw *Switch) apply(m *cost.Meter, b *pkt.Buf, r *Rule) {
 	sw.txStage[out] = append(sw.txStage[out], b)
 }
 
-// Rules returns the installed rules in install order, the order Snapshot
-// reports them in.
+// Rules returns the OpenFlow table — the only record of the installed
+// rules — in install order (a replaced rule keeps its place).
 func (sw *Switch) Rules() []*Rule { return sw.rules }
 
 // NextWork implements cpu.Waiter: an empty PMD iteration charges the

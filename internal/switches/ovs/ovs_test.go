@@ -2,6 +2,7 @@ package ovs
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -136,7 +137,7 @@ func TestAddFlowValidatesOutputPort(t *testing.T) {
 	if err := sw.Install(rule(0, inPort(0), output(9))); err == nil {
 		t.Fatal("rule to missing port accepted")
 	}
-	if len(sw.Rules()) != 0 || len(sw.Snapshot()) != 0 {
+	if len(sw.Rules()) != 0 {
 		t.Fatal("rejected rule was recorded")
 	}
 }
@@ -186,23 +187,31 @@ func TestParseFlowFields(t *testing.T) {
 	}
 }
 
-// TestDumpFlows: the flow dump is Rules' hit counters beside Snapshot's
-// typed rules, both in install order.
+// TestDumpFlows: the flow dump is the OpenFlow table in install order,
+// each entry the lowering of one typed rule beside its hit counter.
 func TestDumpFlows(t *testing.T) {
 	sw, fps, env := newSUT(2)
 	_ = sw.CrossConnect(0, 1)
 	m := switchtest.Meter(env)
 	fps[0].In = append(fps[0].In, switchtest.Frame(env.Pool, pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.MAC{2, 0, 0, 0, 0, 2}, 64))
 	switchtest.PollUntilIdle(sw, m, 0)
-	rules, snap := sw.Rules(), sw.Snapshot()
-	if len(rules) != 2 || len(snap) != 2 {
-		t.Fatalf("rules = %d, snapshot = %d", len(rules), len(snap))
+	rules := sw.Rules()
+	if len(rules) != 2 {
+		t.Fatalf("rules = %d", len(rules))
 	}
-	if snap[0].Key() != rule(0, inPort(0), output(1)).Key() || rules[0].Hits != 1 {
-		t.Fatalf("entry 0: %s hits=%d", snap[0].Key(), rules[0].Hits)
-	}
-	if snap[1].Key() != rule(0, inPort(1), output(0)).Key() || rules[1].Hits != 0 {
-		t.Fatalf("entry 1: %s hits=%d", snap[1].Key(), rules[1].Hits)
+	for i, want := range []struct {
+		rule switchdef.Rule
+		hits int64
+	}{{rule(0, inPort(0), output(1)), 1}, {rule(0, inPort(1), output(0)), 0}} {
+		low, err := lowerRule(want.rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := rules[i]
+		if got.Priority != low.Priority || got.Mask != low.Mask || got.Match != low.Match ||
+			!slices.Equal(got.Actions, low.Actions) || got.Hits != want.hits {
+			t.Fatalf("entry %d: %+v, want the lowering of %s with %d hits", i, got, want.rule.Key(), want.hits)
+		}
 	}
 }
 

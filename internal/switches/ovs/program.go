@@ -116,7 +116,6 @@ func (sw *Switch) Install(r switchdef.Rule) error {
 		lowered.seq = len(sw.rules)
 		sw.rules = append(sw.rules, lowered)
 	}
-	sw.prog.Put(r)
 	sw.rebuildGroups()
 	sw.invalidateCaches()
 	return nil
@@ -136,15 +135,10 @@ func (sw *Switch) Revoke(r switchdef.Rule) error {
 			break
 		}
 	}
-	sw.prog.Delete(r)
 	sw.rebuildGroups()
 	sw.invalidateCaches()
 	return nil
 }
-
-// Snapshot implements switchdef.Programmer: the typed rules installed
-// through Install, in install order.
-func (sw *Switch) Snapshot() []switchdef.Rule { return sw.prog.Snapshot() }
 
 // EMCEvictionCount reports live EMC replacements (the testbed collects it
 // through an optional stats interface).

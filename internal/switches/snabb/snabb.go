@@ -105,9 +105,6 @@ var info = switchdef.Info{
 // New returns an empty Snabb engine.
 func New(env switchdef.Env) *Switch { return &Switch{env: env} }
 
-// Info implements switchdef.Switch.
-func (sw *Switch) Info() switchdef.Info { return info }
-
 // AddPort implements switchdef.Switch.
 func (sw *Switch) AddPort(p switchdef.DevPort) int {
 	sw.ports = append(sw.ports, p)

@@ -133,8 +133,10 @@ func TestAddNICAppErrors(t *testing.T) {
 }
 
 func TestInfoTaxonomy(t *testing.T) {
-	sw, _, _ := newSUT(0)
-	info := sw.Info()
+	info, err := switchdef.Lookup("snabb")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if info.ProcessingModel != "pipeline" {
 		t.Fatalf("Snabb is the only pure-pipeline switch (Table 1), got %q", info.ProcessingModel)
 	}

@@ -25,9 +25,6 @@ type PhysPort struct {
 // Kind implements DevPort.
 func (p *PhysPort) Kind() PortKind { return PhysKind }
 
-// Name implements DevPort.
-func (p *PhysPort) Name() string { return p.Port.Name() }
-
 // RxBurst implements DevPort.
 func (p *PhysPort) RxBurst(now units.Time, m *cost.Meter, out []*pkt.Buf) int {
 	n := p.Port.RxBurst(now, out)
@@ -72,9 +69,6 @@ type VhostPort struct {
 // Kind implements DevPort.
 func (p *VhostPort) Kind() PortKind { return VhostKind }
 
-// Name implements DevPort.
-func (p *VhostPort) Name() string { return p.Dev.Name() }
-
 // RxBurst implements DevPort.
 func (p *VhostPort) RxBurst(now units.Time, m *cost.Meter, out []*pkt.Buf) int {
 	return p.Dev.HostDequeueBurst(m, out)
@@ -95,9 +89,6 @@ type PtnetPort struct {
 
 // Kind implements DevPort.
 func (p *PtnetPort) Kind() PortKind { return PtnetKind }
-
-// Name implements DevPort.
-func (p *PtnetPort) Name() string { return p.Dev.Name() }
 
 // RxBurst implements DevPort.
 func (p *PtnetPort) RxBurst(now units.Time, m *cost.Meter, out []*pkt.Buf) int {

@@ -55,7 +55,6 @@ func (k PortKind) String() string {
 // device) and returns the number actually accepted.
 type DevPort interface {
 	Kind() PortKind
-	Name() string
 	RxBurst(now units.Time, m *cost.Meter, out []*pkt.Buf) int
 	TxBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) int
 	// NextRx returns the earliest instant at or after which RxBurst can
@@ -124,10 +123,9 @@ type Info struct {
 }
 
 // Switch is a System Under Test: a software switch data plane that runs on
-// one simulated core.
+// one simulated core. Its taxonomy record is the Info it was registered
+// with (Lookup).
 type Switch interface {
-	// Info returns the taxonomy record.
-	Info() Info
 	// AddPort attaches a device and returns its port index.
 	AddPort(p DevPort) int
 	// CrossConnect installs bidirectional L2 forwarding between two

@@ -14,6 +14,7 @@ import (
 // FakePort is an in-memory DevPort: tests push frames into In and read
 // transmissions from Out.
 type FakePort struct {
+	// PortName labels the port; nothing reads it back.
 	PortName string
 	PortKind switchdef.PortKind
 	In       []*pkt.Buf
@@ -41,9 +42,6 @@ func AddPorts(sw switchdef.Switch, n int) []*FakePort {
 
 // Kind implements switchdef.DevPort.
 func (p *FakePort) Kind() switchdef.PortKind { return p.PortKind }
-
-// Name implements switchdef.DevPort.
-func (p *FakePort) Name() string { return p.PortName }
 
 // RxBurst implements switchdef.DevPort.
 func (p *FakePort) RxBurst(now units.Time, m *cost.Meter, out []*pkt.Buf) int {

@@ -54,7 +54,6 @@ func (sw *Switch) Install(r switchdef.Rule) error {
 		}
 	}
 	sw.dmac.Add(r.Match.EthDst, e)
-	sw.prog.Put(r)
 	return nil
 }
 
@@ -67,9 +66,5 @@ func (sw *Switch) Revoke(r switchdef.Rule) error {
 	if !sw.dmac.Remove(r.Match.EthDst) {
 		return fmt.Errorf("t4p4s: revoke of absent dmac entry %v", r.Match.EthDst)
 	}
-	sw.prog.Delete(r)
 	return nil
 }
-
-// Snapshot implements switchdef.Programmer.
-func (sw *Switch) Snapshot() []switchdef.Rule { return sw.prog.Snapshot() }

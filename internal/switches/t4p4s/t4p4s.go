@@ -49,10 +49,6 @@ type Switch struct {
 	txStage [][]*pkt.Buf
 	txFirst []units.Time
 
-	// prog tracks the typed rules installed through the Programmer
-	// surface (program.go), backing Snapshot.
-	prog switchdef.RuleLedger
-
 	// Forwarded and Dropped count data-plane outcomes.
 	Forwarded, Dropped int64
 }
@@ -100,9 +96,6 @@ func New(env switchdef.Env) *Switch {
 		dmac: NewTable(Entry{Action: ActDrop}),
 	}
 }
-
-// Info implements switchdef.Switch.
-func (sw *Switch) Info() switchdef.Info { return info }
 
 // AddPort implements switchdef.Switch.
 func (sw *Switch) AddPort(p switchdef.DevPort) int {

@@ -127,8 +127,10 @@ func TestCopyCostScalesWithFrameSize(t *testing.T) {
 }
 
 func TestInfoTaxonomy(t *testing.T) {
-	sw, _, _ := newSUT(0)
-	info := sw.Info()
+	info, err := switchdef.Lookup("vale")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if info.IOMode != switchdef.InterruptMode {
 		t.Fatal("VALE must be interrupt-driven")
 	}

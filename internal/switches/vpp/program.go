@@ -11,8 +11,11 @@ import (
 // surfaces: in_port → output rules become l2patch entries (what the
 // paper's "test l2patch rx portN tx portM" sets), and destination-MAC
 // drop rules become a feature-arc drop list consulted on the patch path
-// only while non-empty. VPP has no classification memo, so no generation counter is
-// needed — the patch table and ACL are read per dispatch.
+// only while non-empty. VPP has no classification memo, so no generation
+// counter is needed — the patch table and ACL are read per dispatch. The
+// two tables are the whole program: a rule's identity is its field set
+// (in_port alone or dl_dst alone) plus that field's value, at the one
+// priority l2patch knows.
 
 // Install implements switchdef.Programmer.
 func (sw *Switch) Install(r switchdef.Rule) error {
@@ -39,24 +42,22 @@ func (sw *Switch) Install(r switchdef.Rule) error {
 	default:
 		return fmt.Errorf("vpp: unsupported rule (want in_port→output or dl_dst→drop)")
 	}
-	sw.prog.Put(r)
 	return nil
 }
 
-// Revoke implements switchdef.Programmer.
+// Revoke implements switchdef.Programmer: the rule is present when its
+// port has a patch or its destination is on the drop list.
 func (sw *Switch) Revoke(r switchdef.Rule) error {
-	if _, ok := sw.prog.Get(r); !ok {
-		return fmt.Errorf("vpp: revoke of absent rule")
+	m := r.Match
+	if r.EffectivePriority() == switchdef.DefaultRulePriority {
+		switch {
+		case m.Fields == switchdef.FInPort && sw.checkPort(m.InPort) == nil && sw.patchTo[m.InPort] >= 0:
+			sw.patchTo[m.InPort] = -1
+			return nil
+		case m.Fields == switchdef.FEthDst && sw.acl[m.EthDst]:
+			delete(sw.acl, m.EthDst)
+			return nil
+		}
 	}
-	switch {
-	case r.Match.Fields == switchdef.FInPort:
-		sw.patchTo[r.Match.InPort] = -1
-	case r.Match.Fields == switchdef.FEthDst:
-		delete(sw.acl, r.Match.EthDst)
-	}
-	sw.prog.Delete(r)
-	return nil
+	return fmt.Errorf("vpp: revoke of absent rule")
 }
-
-// Snapshot implements switchdef.Programmer.
-func (sw *Switch) Snapshot() []switchdef.Rule { return sw.prog.Snapshot() }

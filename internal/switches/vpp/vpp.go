@@ -50,9 +50,8 @@ type Switch struct {
 
 	// acl is the runtime drop list on the l2patch path (program.go): a
 	// feature-arc-style dl_dst filter consulted only while non-empty, so
-	// rule-free runs charge nothing extra. prog backs Snapshot.
-	acl  map[pkt.MAC]bool
-	prog switchdef.RuleLedger
+	// rule-free runs charge nothing extra.
+	acl map[pkt.MAC]bool
 	// ACLDropped counts frames the runtime drop list discarded.
 	ACLDropped int64
 
@@ -67,9 +66,6 @@ type Switch struct {
 
 // New returns an unconfigured VPP instance.
 func New(switchdef.Env) *Switch { return &Switch{} }
-
-// Info implements switchdef.Switch.
-func (sw *Switch) Info() switchdef.Info { return info }
 
 var info = switchdef.Info{
 	Name:              "vpp",

@@ -79,8 +79,10 @@ func TestUnconfiguredPortDrops(t *testing.T) {
 }
 
 func TestInfoTaxonomy(t *testing.T) {
-	sw, _, _ := newSUT(0)
-	info := sw.Info()
+	info, err := switchdef.Lookup("vpp")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !info.SelfContained || info.Paradigm != "structured" || info.ProcessingModel != "RTC" {
 		t.Fatalf("taxonomy mismatch: %+v", info)
 	}

@@ -24,6 +24,7 @@ import (
 
 // Config sizes a device.
 type Config struct {
+	// Name labels the device; nothing reads it back.
 	Name string
 	// QueueLen is the vring depth (default 256, the QEMU default).
 	QueueLen int
@@ -78,9 +79,6 @@ func New(cfg Config) *Device {
 		txRing: ring.New(cfg.QueueLen),
 	}
 }
-
-// Name returns the device name.
-func (d *Device) Name() string { return d.cfg.Name }
 
 // BindHost names the poll-mode core that dequeues guest transmissions.
 func (d *Device) BindHost(c *cpu.PollCore) { d.host = c }

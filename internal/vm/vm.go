@@ -29,7 +29,6 @@ import (
 
 // NetIf is a guest-side network interface.
 type NetIf interface {
-	Name() string
 	// SendBurst posts a batch toward the host, charging descriptor work
 	// once; the device takes ownership of every frame, and those it
 	// rejects are freed and counted as device drops. Returns the accepted
@@ -49,9 +48,6 @@ type NetIf interface {
 type VirtioIf struct {
 	Dev *vhost.Device
 }
-
-// Name implements NetIf.
-func (v *VirtioIf) Name() string { return v.Dev.Name() }
 
 // SendBurst implements NetIf.
 func (v *VirtioIf) SendBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) int {
@@ -73,9 +69,6 @@ func (v *VirtioIf) NextRx(now units.Time) units.Time { return v.Dev.GuestNextRx(
 type PtnetIf struct {
 	Dev *ptnet.Port
 }
-
-// Name implements NetIf.
-func (p *PtnetIf) Name() string { return p.Dev.Name() }
 
 // SendBurst implements NetIf.
 func (p *PtnetIf) SendBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) int {

@@ -390,10 +390,10 @@ const (
 )
 
 // Unified control plane: every Switch also implements Programmer, a typed
-// rule surface (install/revoke/snapshot) that CrossConnect, the sdnrules
-// example, and the mid-run churn controller all drive. Switches whose data
-// plane cannot take runtime updates embed NoRuntimeRules and report
-// ErrNoRuntimeRules.
+// rule surface (install/revoke) that CrossConnect, the sdnrules example,
+// and the mid-run churn controller all drive; each switch keeps its
+// program only in its own tables. Switches whose data plane cannot take
+// runtime updates embed NoRuntimeRules and report ErrNoRuntimeRules.
 type (
 	// Programmer is the runtime rule-management contract.
 	Programmer = switchdef.Programmer
