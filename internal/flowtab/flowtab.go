@@ -78,11 +78,9 @@ func (m *Map[K, V]) Get(h uint64, k K) (V, bool) {
 	return zero, false
 }
 
-// Put inserts or replaces the value for k.
+// Put inserts or replaces the value for k. Only an insert can grow the
+// table.
 func (m *Map[K, V]) Put(h uint64, k K, v V) {
-	if (m.n+1)*2 > len(m.keys) {
-		m.grow()
-	}
 	i := h & m.mask
 	for m.live[i] {
 		if m.hashes[i] == h && m.keys[i] == k {
@@ -90,6 +88,13 @@ func (m *Map[K, V]) Put(h uint64, k K, v V) {
 			return
 		}
 		i = (i + 1) & m.mask
+	}
+	if (m.n+1)*2 > len(m.keys) {
+		m.grow()
+		i = h & m.mask
+		for m.live[i] {
+			i = (i + 1) & m.mask
+		}
 	}
 	m.live[i] = true
 	m.hashes[i] = h
@@ -120,13 +125,14 @@ func (m *Map[K, V]) grow() {
 // Len returns the number of live entries.
 func (m *Map[K, V]) Len() int { return m.n }
 
-// Reset drops every entry, keeping the allocated capacity.
+// Reset drops every entry, keeping the allocated capacity. The keys stay
+// as they were: no probe reads the key of a dead slot, and an insert
+// overwrites it. The values are cleared so that dead slots pin nothing.
 func (m *Map[K, V]) Reset() {
 	if m.n == 0 {
 		return
 	}
 	clear(m.live)
-	clear(m.keys)
 	clear(m.vals)
 	m.n = 0
 }
@@ -217,14 +223,14 @@ func (c *Cache[K, V]) Len() int { return c.n }
 func (c *Cache[K, V]) Capacity() int { return len(c.keys) }
 
 // Reset drops every entry and rewinds the clock hands, keeping the
-// allocated capacity.
+// allocated capacity. As in Map.Reset, the keys stay and the values are
+// cleared: a lookup or insert reads a slot's key only while it is live.
 func (c *Cache[K, V]) Reset() {
 	if c.n == 0 {
 		return
 	}
 	clear(c.live)
 	clear(c.hand)
-	clear(c.keys)
 	clear(c.vals)
 	c.n = 0
 }

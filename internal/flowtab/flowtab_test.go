@@ -117,3 +117,107 @@ func TestCacheClockHandEviction(t *testing.T) {
 		}
 	}
 }
+
+// TestMapResetForgetsKeys: Reset leaves the old keys in their slots, so
+// every one of them must still miss, and reinserting them must count anew.
+func TestMapResetForgetsKeys(t *testing.T) {
+	m := NewMap[uint64, *int](4)
+	const n = 100
+	for i := uint64(0); i < n; i++ {
+		v := int(i)
+		m.Put(HashUint64(i), i, &v)
+	}
+	m.Reset()
+	if m.Len() != 0 {
+		t.Fatalf("Len after Reset = %d", m.Len())
+	}
+	for i := uint64(0); i < n; i++ {
+		if _, ok := m.Get(HashUint64(i), i); ok {
+			t.Fatalf("key %d survived Reset", i)
+		}
+	}
+	for i, v := range m.vals {
+		if v != nil {
+			t.Fatalf("slot %d still holds a value after Reset", i)
+		}
+	}
+	for i := uint64(n); i > 0; i-- {
+		v := -int(i)
+		m.Put(HashUint64(i), i, &v)
+	}
+	if m.Len() != n {
+		t.Fatalf("Len after refill = %d, want %d", m.Len(), n)
+	}
+	if v, ok := m.Get(HashUint64(7), 7); !ok || *v != -7 {
+		t.Fatalf("Get(7) after refill = %v, %v", v, ok)
+	}
+}
+
+// TestMapReplaceDoesNotGrow: a full table replaces a present key in place;
+// only inserting a new key grows it.
+func TestMapReplaceDoesNotGrow(t *testing.T) {
+	m := NewMap[uint64, int](4)
+	size := len(m.keys)
+	for i := uint64(0); i < uint64(size/2); i++ {
+		m.Put(HashUint64(i), i, int(i))
+	}
+	if len(m.keys) != size {
+		t.Fatalf("filling to half grew the table %d → %d", size, len(m.keys))
+	}
+	m.Put(HashUint64(5), 5, 50)
+	if v, _ := m.Get(HashUint64(5), 5); v != 50 || len(m.keys) != size || m.Len() != size/2 {
+		t.Fatalf("replace at the threshold: Get(5) = %d, size %d → %d, Len %d", v, size, len(m.keys), m.Len())
+	}
+	m.Put(HashUint64(99), 99, 1)
+	if len(m.keys) != 2*size || m.Len() != size/2+1 {
+		t.Fatalf("insert at the threshold: size %d → %d, Len %d", size, len(m.keys), m.Len())
+	}
+	for i := uint64(0); i < uint64(size/2); i++ {
+		if _, ok := m.Get(HashUint64(i), i); !ok {
+			t.Fatalf("key %d lost when the table grew", i)
+		}
+	}
+}
+
+// TestCacheResetMatchesFresh: after Reset every old key misses, and a
+// bucket refilled past its ways evicts in exactly the order a fresh cache
+// does, although the dead slots still hold the old keys.
+func TestCacheResetMatchesFresh(t *testing.T) {
+	used := NewCache[uint64, int](16) // two buckets of 8 ways
+	for i := uint64(0); i < 40; i++ {
+		used.Put(i%2, i, int(i)) // both buckets full, both hands moved
+	}
+	used.Reset()
+	if used.Len() != 0 {
+		t.Fatalf("Len after Reset = %d", used.Len())
+	}
+	for i := uint64(0); i < 40; i++ {
+		if _, ok := used.Get(i%2, i); ok {
+			t.Fatalf("key %d survived Reset", i)
+		}
+	}
+	for i, v := range used.vals {
+		if v != 0 {
+			t.Fatalf("slot %d still holds a value after Reset", i)
+		}
+	}
+	fresh := NewCache[uint64, int](16)
+	// Old keys and new ones into bucket 0, past its 8 ways.
+	for i := uint64(0); i < 20; i++ {
+		k := 2 * (i * 7 % 20)
+		evU, evF := used.Put(0, k, int(i)), fresh.Put(0, k, int(i))
+		if evU != evF {
+			t.Fatalf("insert %d (key %d): evicted %v after Reset, %v fresh", i, k, evU, evF)
+		}
+		for j := uint64(0); j <= 40; j += 2 {
+			vU, okU := used.Get(0, j)
+			vF, okF := fresh.Get(0, j)
+			if okU != okF || vU != vF {
+				t.Fatalf("after insert %d, key %d: (%d, %v) after Reset, (%d, %v) fresh", i, j, vU, okU, vF, okF)
+			}
+		}
+	}
+	if used.Len() != fresh.Len() {
+		t.Fatalf("Len %d after Reset, %d fresh", used.Len(), fresh.Len())
+	}
+}

@@ -48,6 +48,19 @@ func (s FrameSpec) FillTemplate(t *Template, data []byte, flow int) {
 	*t = Template{data: data, id: templateIDs.Add(1)}
 }
 
+// FillTemplateFrom is FillTemplate by copy and patch: base must be an image
+// of s, built for any flow, and data receives a copy of it with flow's
+// fields patched in. The patch writes absolute values and touches no field
+// the IPv4 checksum covers, so the result is byte for byte what
+// FillTemplate(t, data, flow) serializes, whichever flow base was built
+// for. A generator of many flows serializes one image per frame length and
+// copies the rest.
+func (s FrameSpec) FillTemplateFrom(t *Template, data []byte, base *Template, flow int) {
+	copy(data, base.data)
+	patchFlowBytes(data, s, flow)
+	*t = Template{data: data, id: templateIDs.Add(1)}
+}
+
 // buildInto serializes the frame into p (len must be FrameLen).
 func (s FrameSpec) buildInto(p []byte) {
 	if s.FrameLen < MinProbeFrameLen {
@@ -121,6 +134,9 @@ func PatchFlow(b *Buf, spec FrameSpec, i int) {
 	patchFlowBytes(b.Bytes(), spec, i)
 }
 
+// patchFlowBytes writes flow i's source MAC and UDP source port into p,
+// both computed from spec alone, so patching flow 0 leaves a built image
+// as it was.
 func patchFlowBytes(p []byte, spec FrameSpec, i int) {
 	mac := spec.SrcMAC
 	mac[2] += byte(i >> 8)

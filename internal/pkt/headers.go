@@ -14,6 +14,15 @@ func (m MAC) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
 }
 
+// Key packs m's six bytes into the low 48 bits of a uint64, most
+// significant byte first. Switch tables key their MAC maps by it: Go maps
+// hash uint64 keys on a fast path, while [6]byte keys take the generic
+// byte hash.
+func (m MAC) Key() uint64 {
+	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 |
+		uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
+}
+
 // IsMulticast reports whether the group bit is set.
 func (m MAC) IsMulticast() bool { return m[0]&1 == 1 }
 

@@ -45,6 +45,30 @@ func TestTemplateMatchesBuild(t *testing.T) {
 	}
 }
 
+// TestFillTemplateFromMatchesSerialized: copying any flow's image and
+// patching in another flow gives the bytes serializing that flow gives, as
+// a template of its own identity; patching in the base's own flow changes
+// nothing.
+func TestFillTemplateFromMatchesSerialized(t *testing.T) {
+	flows := []int{0, 1, 7, 255, 256, 300, 32767}
+	for _, frameLen := range []int{64, 570, 1518} {
+		spec := lazySpec(frameLen)
+		for _, from := range flows {
+			base := spec.Template(from)
+			for _, flow := range flows {
+				var got Template
+				spec.FillTemplateFrom(&got, make([]byte, frameLen), base, flow)
+				if want := spec.Template(flow); !bytes.Equal(got.data, want.data) {
+					t.Fatalf("len=%d: flow %d patched from flow %d differs from serializing it", frameLen, flow, from)
+				}
+				if got.ID() == base.ID() || got.ID() == 0 {
+					t.Fatalf("len=%d: patched template has id %d, base %d", frameLen, got.ID(), base.ID())
+				}
+			}
+		}
+	}
+}
+
 // TestLazyCopyPropagatesTemplate verifies that copying an unmaterialized
 // buffer moves only the template reference (the vhost copy path), that the
 // copy still reads the right bytes, and that materializing the copy leaves

@@ -106,6 +106,22 @@ func TestMACClassification(t *testing.T) {
 	}
 }
 
+// TestMACKeyPacksBytes: Key is the MAC's six bytes, big-endian, in the
+// low 48 bits, so two MACs share a key only if they are equal.
+func TestMACKeyPacksBytes(t *testing.T) {
+	f := func(m [6]byte) bool {
+		var b [8]byte
+		binary.BigEndian.PutUint64(b[:], MAC(m).Key())
+		return b[0] == 0 && b[1] == 0 && [6]byte(b[2:]) == m
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	if k := (MAC{0x02, 0, 0, 0, 0x01, 0xff}).Key(); k != 0x0200000001ff {
+		t.Fatalf("Key = %#x", k)
+	}
+}
+
 func TestEthRoundTripProperty(t *testing.T) {
 	f := func(dst, src [6]byte, et uint16) bool {
 		h := EthHdr{Dst: MAC(dst), Src: MAC(src), EtherType: et}

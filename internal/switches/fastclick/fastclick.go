@@ -45,9 +45,10 @@ type Switch struct {
 	sources []*fromDevice
 	toDevs  []*toDevice
 
-	// Runtime rule state (program.go): dropMAC is the dl_dst drop set
-	// applied Classifier-style at every source while non-empty.
-	dropMAC map[pkt.MAC]bool
+	// Runtime rule state (program.go): dropMAC is the dl_dst drop set,
+	// keyed by pkt.MAC.Key, applied Classifier-style at every source while
+	// non-empty.
+	dropMAC map[uint64]bool
 
 	// Forwarded and Dropped count data-plane outcomes.
 	Forwarded, Dropped int64

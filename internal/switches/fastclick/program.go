@@ -35,9 +35,9 @@ func (sw *Switch) Install(r switchdef.Rule) error {
 	case r.Match.Fields == switchdef.FEthDst &&
 		len(r.Actions) == 1 && r.Actions[0].Kind == switchdef.RuleDrop:
 		if sw.dropMAC == nil {
-			sw.dropMAC = make(map[pkt.MAC]bool)
+			sw.dropMAC = make(map[uint64]bool)
 		}
-		sw.dropMAC[r.Match.EthDst] = true
+		sw.dropMAC[r.Match.EthDst.Key()] = true
 	default:
 		return fmt.Errorf("fastclick: unsupported rule (want in_port→output or dl_dst→drop)")
 	}
@@ -85,8 +85,8 @@ func (sw *Switch) Revoke(r switchdef.Rule) error {
 		switch {
 		case m.Fields == switchdef.FInPort && sw.source(m.InPort) != nil:
 			return fmt.Errorf("fastclick: wiring rules cannot be revoked (push graph is fixed)")
-		case m.Fields == switchdef.FEthDst && sw.dropMAC[m.EthDst]:
-			delete(sw.dropMAC, m.EthDst)
+		case m.Fields == switchdef.FEthDst && sw.dropMAC[m.EthDst.Key()]:
+			delete(sw.dropMAC, m.EthDst.Key())
 			return nil
 		}
 	}
@@ -100,7 +100,7 @@ func (sw *Switch) filterDrops(m *cost.Meter, batch []*pkt.Buf) int {
 	m.Charge(elemBatchFixed + units.Cycles(len(batch))*classifyPerPkt)
 	keep := batch[:0]
 	for _, b := range batch {
-		if sw.dropMAC[pkt.EthDst(b.View())] {
+		if sw.dropMAC[pkt.EthDst(b.View()).Key()] {
 			b.Free()
 			sw.Dropped++
 			continue

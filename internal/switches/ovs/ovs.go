@@ -422,10 +422,30 @@ func (sw *Switch) replayMemo(now units.Time, m *cost.Meter, b *pkt.Buf, inPort i
 	sw.apply(m, b, e.rule)
 }
 
+// memoCap bounds the memo's entries. The churn cells drive one in_port,
+// so a 512-flow cell needs 512 keys; 1024 is twice that. In the Zipf
+// cells of 8192 and 32768 flows, fewer than 400 keys ever replay, and the
+// hot ones arrive first. Past the cap, a key already recorded is still
+// refreshed, so the templates that came first keep replaying across
+// invalidations, while a new one is not recorded at all. Nothing is
+// evicted, so which frames replay stays a pure function of the frame
+// sequence; with thousands of flows churning the caches, an entry per
+// flow would go stale before its template came round again, and the
+// table would only cost its growth.
+const memoCap = 1024
+
 // recordMemo captures what the reference path will do for the *next* frame
 // of this (template, in_port), given the caches classify just left behind.
-// The entry stays valid while cacheGen is unchanged.
+// The entry stays valid while cacheGen is unchanged. A new key is recorded
+// only while the memo holds fewer than memoCap entries.
 func (sw *Switch) recordMemo(t *pkt.Template, inPort int, full packedKey, h uint64, rule *Rule) {
+	k := memoKey{tmpl: t.ID(), port: int32(inPort)}
+	mh := memoHash(k)
+	if sw.memo.Len() >= memoCap {
+		if _, ok := sw.memo.Get(mh, k); !ok {
+			return
+		}
+	}
 	e := memoEntry{gen: sw.cacheGen, rule: rule}
 	if rule == nil {
 		// Repeat frames re-walk every tier and drop.
@@ -442,8 +462,7 @@ func (sw *Switch) recordMemo(t *pkt.Template, inPort int, full packedKey, h uint
 		e.kind = memoEMCHit
 		e.cycles = sw.env.Model.HashLookup + emcHitPerPkt
 	}
-	k := memoKey{tmpl: t.ID(), port: int32(inPort)}
-	sw.memo.Put(memoHash(k), k, e)
+	sw.memo.Put(mh, k, e)
 }
 
 func (sw *Switch) apply(m *cost.Meter, b *pkt.Buf, r *Rule) {

@@ -20,19 +20,12 @@ type Entry struct {
 }
 
 // Table is the l2fwd program's exact-match table keyed on the destination
-// MAC. Entries are stored under macKey's packed form: Go maps hash uint64
-// keys on a fast path, while [6]byte keys take the generic byte hash.
+// MAC, stored under its packed form (pkt.MAC.Key).
 type Table struct {
 	entries map[uint64]Entry
 	Default Entry
 
 	Hits, Misses int64
-}
-
-// macKey packs a MAC's six bytes into the low 48 bits of a map key.
-func macKey(a pkt.MAC) uint64 {
-	return uint64(a[0])<<40 | uint64(a[1])<<32 | uint64(a[2])<<24 |
-		uint64(a[3])<<16 | uint64(a[4])<<8 | uint64(a[5])
 }
 
 // NewTable creates an exact-match table with a default (miss) entry.
@@ -42,13 +35,13 @@ func NewTable(def Entry) *Table {
 
 // Add installs (or replaces) the entry for a destination MAC.
 func (t *Table) Add(dst pkt.MAC, e Entry) {
-	t.entries[macKey(dst)] = e
+	t.entries[dst.Key()] = e
 }
 
 // Remove deletes the entry for a destination MAC, reporting whether it was
 // present.
 func (t *Table) Remove(dst pkt.MAC) bool {
-	k := macKey(dst)
+	k := dst.Key()
 	if _, ok := t.entries[k]; !ok {
 		return false
 	}
@@ -60,7 +53,7 @@ func (t *Table) Remove(dst pkt.MAC) bool {
 // reports whether an installed entry matched (false means the default
 // entry was returned).
 func (t *Table) lookup(dst pkt.MAC) (Entry, bool) {
-	if e, ok := t.entries[macKey(dst)]; ok {
+	if e, ok := t.entries[dst.Key()]; ok {
 		t.Hits++
 		return e, true
 	}

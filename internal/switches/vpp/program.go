@@ -3,7 +3,6 @@ package vpp
 import (
 	"fmt"
 
-	"repro/internal/pkt"
 	"repro/internal/switches/switchdef"
 )
 
@@ -36,9 +35,9 @@ func (sw *Switch) Install(r switchdef.Rule) error {
 	case r.Match.Fields == switchdef.FEthDst &&
 		len(r.Actions) == 1 && r.Actions[0].Kind == switchdef.RuleDrop:
 		if sw.acl == nil {
-			sw.acl = make(map[pkt.MAC]bool)
+			sw.acl = make(map[uint64]bool)
 		}
-		sw.acl[r.Match.EthDst] = true
+		sw.acl[r.Match.EthDst.Key()] = true
 	default:
 		return fmt.Errorf("vpp: unsupported rule (want in_port→output or dl_dst→drop)")
 	}
@@ -54,8 +53,8 @@ func (sw *Switch) Revoke(r switchdef.Rule) error {
 		case m.Fields == switchdef.FInPort && sw.checkPort(m.InPort) == nil && sw.patchTo[m.InPort] >= 0:
 			sw.patchTo[m.InPort] = -1
 			return nil
-		case m.Fields == switchdef.FEthDst && sw.acl[m.EthDst]:
-			delete(sw.acl, m.EthDst)
+		case m.Fields == switchdef.FEthDst && sw.acl[m.EthDst.Key()]:
+			delete(sw.acl, m.EthDst.Key())
 			return nil
 		}
 	}

@@ -49,9 +49,9 @@ type Switch struct {
 	patchTo []int // l2patch: rx port -> tx port (-1 = none)
 
 	// acl is the runtime drop list on the l2patch path (program.go): a
-	// feature-arc-style dl_dst filter consulted only while non-empty, so
-	// rule-free runs charge nothing extra.
-	acl map[pkt.MAC]bool
+	// feature-arc-style dl_dst filter, keyed by pkt.MAC.Key, consulted
+	// only while non-empty, so rule-free runs charge nothing extra.
+	acl map[uint64]bool
 	// ACLDropped counts frames the runtime drop list discarded.
 	ACLDropped int64
 
@@ -158,7 +158,7 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 			m.Charge(units.Cycles(len(v)) * (m.Model.HashLookup + aclPerPkt))
 			keep := v[:0]
 			for _, b := range v {
-				if sw.acl[pkt.EthDst(b.View())] {
+				if sw.acl[pkt.EthDst(b.View()).Key()] {
 					b.Free()
 					sw.ACLDropped++
 					sw.Dropped++

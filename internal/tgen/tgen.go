@@ -12,7 +12,11 @@
 // lookup. Templates are built on a flow's first frame and carved in
 // chunks of up to 64 from slabs sized to the flows still unbuilt, so
 // 32 768 flows cost about a thousand allocations rather than a hundred
-// thousand, and one flow costs one image. A saturating generator of one
+// thousand. Only the first template of each frame length is serialized;
+// every later flow's is a copy of that image with its source MAC and UDP
+// source port patched in (pkt.FrameSpec.FillTemplateFrom), which is byte
+// for byte what serializing it would write. There is no separate base
+// image: one flow costs one image. A saturating generator of one
 // flow and one frame length goes further: its burst's frames are one
 // template, so they leave as runs (nic.Port.SendRunAt), one buffer each,
 // and the frames the receiver's full RX ring drops never become buffers.
@@ -124,6 +128,9 @@ type tmplSlab struct {
 	tmpls []pkt.Template
 	data  []byte
 	built int // templates of this slot built so far
+	// first is the slot's first template built, the one serialized image
+	// every later one copies and patches.
+	first *pkt.Template
 }
 
 // NewGenerator registers a generator with the scheduler (idle until Start).
@@ -215,7 +222,8 @@ func (g *Generator) Start(at units.Time) {
 
 // build makes the frame image for flow in size slot slot (frames of
 // frameLen bytes) from the slot's slab, starting a new chunk when the
-// current one is used up.
+// current one is used up. Only the slot's first template is serialized;
+// the others copy its image and patch in their flow.
 func (g *Generator) build(slot, frameLen, flow int) *pkt.Template {
 	s := &g.slabs[slot]
 	if len(s.tmpls) == 0 {
@@ -224,8 +232,13 @@ func (g *Generator) build(slot, frameLen, flow int) *pkt.Template {
 	}
 	spec := g.cfg.Spec
 	spec.FrameLen = frameLen
-	t := &s.tmpls[0]
-	spec.FillTemplate(t, s.data[:frameLen:frameLen], flow)
+	t, data := &s.tmpls[0], s.data[:frameLen:frameLen]
+	if s.first == nil {
+		spec.FillTemplate(t, data, flow)
+		s.first = t
+	} else {
+		spec.FillTemplateFrom(t, data, s.first, flow)
+	}
 	s.tmpls, s.data = s.tmpls[1:], s.data[frameLen:]
 	s.built++
 	g.tmpls[slot*g.flows+flow] = t
