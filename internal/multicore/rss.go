@@ -118,14 +118,14 @@ func (p *remotePort) Kind() switchdef.PortKind { return p.inner.Kind() }
 func (p *remotePort) RxBurst(now units.Time, m *cost.Meter, out []*pkt.Buf) int {
 	n := p.inner.RxBurst(now, m, out)
 	for _, b := range out[:n] {
-		m.Charge(m.Model.RemoteCost(b.Len()))
+		m.Charge(units.Cycles(b.Run()) * m.Model.RemoteCost(b.Len()))
 	}
 	return n
 }
 
 func (p *remotePort) TxBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) int {
 	for _, b := range in {
-		m.Charge(m.Model.RemoteCost(b.Len()))
+		m.Charge(units.Cycles(b.Run()) * m.Model.RemoteCost(b.Len()))
 	}
 	return p.inner.TxBurst(now, m, in)
 }
@@ -155,19 +155,17 @@ func newDemux(port *nic.Port, nq, qcap int) *demux {
 // pump moves every frame pending on the wire at `now` into its queue.
 // Whichever owner core polls first does the (free) classification for
 // all queues — the simulation's stand-in for the NIC doing it on arrival.
+// A run is hashed once, its frames hashing alike, and steered whole to
+// one queue, which holds a frame per slot.
 func (d *demux) pump(now units.Time) {
 	for {
 		n := d.port.RxBurst(now, d.scratch[:])
-		if n == 0 {
-			return
-		}
+		frames := 0
 		for _, b := range d.scratch[:n] {
-			q := d.queues[flowHash(b)%uint64(len(d.queues))]
-			if !q.Push(b) {
-				b.Free()
-			}
+			frames += b.Run()
+			d.queues[flowHash(b)%uint64(len(d.queues))].PushFrames(b)
 		}
-		if n < len(d.scratch) {
+		if frames < len(d.scratch) {
 			return
 		}
 	}

@@ -122,13 +122,10 @@ func (f *Fleet) rtcRxPoll(now units.Time, m *cost.Meter) bool {
 			continue
 		}
 		did = true
-		m.Charge(m.Model.SteerPerPkt * units.Cycles(n))
-		r := st.in[i]
+		frames := units.Cycles(pkt.Frames(f.scratch[:n]))
+		m.Charge((m.Model.SteerPerPkt + m.Model.HandoffPush) * frames)
 		for _, b := range f.scratch[:n] {
-			m.Charge(m.Model.HandoffPush)
-			if !r.Push(b) {
-				b.Free()
-			}
+			st.in[i].PushFrames(b)
 		}
 	}
 	return did
@@ -196,12 +193,8 @@ func (p *rtcProcPort) RxBurst(now units.Time, m *cost.Meter, out []*pkt.Buf) int
 func (p *rtcProcPort) TxBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) int {
 	sent := 0
 	for _, b := range in {
-		m.Charge(m.Model.HandoffPush)
-		if p.out.Push(b) {
-			sent++
-		} else {
-			b.Free()
-		}
+		m.Charge(m.Model.HandoffPush * units.Cycles(b.Run()))
+		sent += p.out.PushFrames(b)
 	}
 	return sent
 }

@@ -10,14 +10,14 @@
 // an IRQ-driven consumer (the netmap/VALE mode).
 //
 // A frame crosses the receive side through one queue: arrive appends it,
-// materialize moves a watermark over it once it is visible, RxBurst copies
-// it out. A queue entry is a run of k ≥ 1 identical frames arriving back to
-// back (pkt.Buf.Run; a saturating generator sends its bursts that way, see
-// SendRunAt): materialize judges a run's visible prefix against the ring
-// arithmetically and RxBurst expands only admitted frames into buffers, so
-// the receive side is O(1) per run plus O(1) per delivered frame. The TX
-// occupancy window is a fixed ring of TxRing completion times, O(1) per
-// frame.
+// materialize moves a watermark over it once it is visible, RxBurst hands
+// it out. A queue entry is a run of k ≥ 1 identical frames arriving back
+// to back (pkt.Buf.Run; a saturating generator sends its bursts that way,
+// and a switch forwards them so, see SendRunAt): materialize judges a
+// run's visible prefix against the ring arithmetically and RxBurst hands
+// admitted runs out whole, splitting only the run a full burst cuts, so
+// the receive side is O(1) per run. The TX occupancy window is a fixed
+// ring of TxRing completion times, O(1) per frame.
 //
 // A port bound to a counting sink (BindSink) has no receive queue at all:
 // it hands each arrival, run or frame, to the sink the moment it is sent,
@@ -93,16 +93,12 @@ type Port struct {
 
 	// RX state: rxq[rxHead:] holds every frame sent to this port and not
 	// yet polled, in arrival order, as runs: an entry b stands for b.Run()
-	// frames, frame i arriving at the PHY at b.Ingress + i·gap with
-	// sequence number b.Seq + i, gap being the sender's wire time for the
-	// length. rxq[rxHead:rxVis] is the descriptor ring the consumer
-	// drains — rxCount frames, and nil where arrivals found it full;
-	// rxq[rxVis:] is in flight or not yet looked at.
+	// frames, frame i arriving at the PHY at b.Ingress + i·b.Gap with
+	// sequence number b.Seq + i. rxq[rxHead:rxVis] is the descriptor ring
+	// the consumer drains — rxCount frames, and nil where arrivals found
+	// it full; rxq[rxVis:] is in flight or not yet looked at.
 	rxq                    []*pkt.Buf
 	rxHead, rxVis, rxCount int
-	// gapLen/gap memoize the sender's wire time as wireLen/wireTime do.
-	gapLen int
-	gap    units.Time
 
 	// Consumer binding: an interrupt-driven core, or the poll-mode core
 	// an arrival must wake if it sleeps through empty polls.
@@ -111,7 +107,7 @@ type Port struct {
 	lastIRQ  units.Time // last scheduled fire (ITR ratchet)
 	poller   *cpu.PollCore
 	// sink, when set, consumes every arrival in place of the RX queue.
-	sink func(b *pkt.Buf, vis, gap units.Time)
+	sink func(b *pkt.Buf, vis units.Time)
 
 	Stats Counters
 }
@@ -137,7 +133,7 @@ func NewPort(cfg Config) *Port {
 	} else if cfg.TxLatency < 0 {
 		cfg.TxLatency = 0
 	}
-	return &Port{cfg: cfg, txDone: make([]units.Time, cfg.TxRing), wireLen: -1, gapLen: -1}
+	return &Port{cfg: cfg, txDone: make([]units.Time, cfg.TxRing), wireLen: -1}
 }
 
 // Connect wires two ports back to back (full duplex).
@@ -165,16 +161,16 @@ func (p *Port) BindPoll(c *cpu.PollCore) { p.poller = c }
 
 // BindSink makes consume the port's receiver in place of its RX queue: each
 // arrival is handed over at once, as b with b.Ingress set — a run of
-// b.Run() frames, frame i hitting the PHY at b.Ingress + i·gap (gap is 0
-// for a single frame) — together with vis, the instant the first frame
-// becomes visible on the descriptor ring. consume owns b and counts it as
-// handed to the consumer (Stats.RxPackets). That stands in for a consumer
+// b.Run() frames, frame i hitting the PHY at b.Ingress + i·b.Gap —
+// together with vis, the instant the first frame becomes visible on the
+// descriptor ring. consume owns b and counts it as handed to the consumer
+// (Stats.RxPackets). That stands in for a consumer
 // draining the whole ring every interval only if such a consumer never
 // finds the ring full: at most ⌊interval / w⌋ + 1 frames become visible in
 // one interval, w being the peer's wire time of a 64-byte frame, the
 // shortest there is. BindSink panics unless the port is connected and its
 // RX ring holds ⌈interval / w⌉ + 1 frames.
-func (p *Port) BindSink(interval units.Time, consume func(b *pkt.Buf, vis, gap units.Time)) {
+func (p *Port) BindSink(interval units.Time, consume func(b *pkt.Buf, vis units.Time)) {
 	if p.peer == nil {
 		panic(fmt.Sprintf("nic: sink bound to unconnected port %s", p.cfg.Name))
 	}
@@ -232,139 +228,99 @@ func (p *Port) TxFree(now units.Time) int {
 	return len(p.txDone) - p.txLen
 }
 
-// SendAt enqueues one frame for transmission at time at, which may lie
-// ahead of the simulation clock: a batched generator emits a whole CBR
-// burst from one scheduler step by stamping each frame with its own due
-// time. The port's TX state is touched only by its sender, and every
-// downstream effect (wire completion, peer arrival, interrupt) is
-// timestamped from `at`, so a batch is bit-identical to one SendAt per
-// scheduler event at the same instants. On success the port takes
-// ownership and returns true; if the TX ring is full the frame is rejected
-// (caller keeps ownership) and the drop is counted.
-func (p *Port) SendAt(at units.Time, b *pkt.Buf) bool {
+// SendAt enqueues the single frame b for transmission at time at, which
+// may lie ahead of the simulation clock: a batched generator emits a whole
+// CBR burst from one scheduler step by stamping each frame with its own
+// due time. On success the port takes ownership and returns true; if the
+// TX ring is full the frame is rejected (caller keeps ownership) and the
+// drop is counted. It is SendRunAt for a run of one.
+func (p *Port) SendAt(at units.Time, b *pkt.Buf) bool { return p.SendRunAt(at, b) > 0 }
+
+// SendRunAt enqueues the b.Run() frames of b for transmission at time at,
+// back to back, and returns how many the TX ring took: the first of them,
+// as many as it has descriptors free, while the rest are counted as
+// dropped (TxDropsFull) without becoming buffers. The port takes
+// ownership of b, now a run of the frames it sent, unless it sent none.
+// The port's TX state is touched only by its sender, and every downstream
+// effect (wire completion, peer arrival, interrupt) is timestamped from
+// at, so a run is bit-identical to one SendAt per frame at that instant,
+// and a batch of sends to one per scheduler event at the same instants.
+func (p *Port) SendRunAt(at units.Time, b *pkt.Buf) int {
 	if p.peer == nil {
 		panic(fmt.Sprintf("nic: port %s not connected", p.cfg.Name))
 	}
 	p.purgeTx(at)
-	if p.txLen == len(p.txDone) {
-		p.Stats.TxDropsFull++
-		return false
+	n := b.Run()
+	if free := len(p.txDone) - p.txLen; n > free {
+		p.Stats.TxDropsFull += int64(n - free)
+		if free == 0 {
+			return 0
+		}
+		n = free
+		b.SetRun(n)
 	}
 	start := at + p.cfg.TxLatency
 	if p.busyUntil > start {
 		start = p.busyUntil
 	}
-	if n := b.Len(); n != p.wireLen {
-		p.wireLen, p.wireTime = n, p.cfg.Rate.WireTime(n)
-	}
-	done := start + p.wireTime
-	p.busyUntil = done
-	tail := p.txHead + p.txLen
-	if tail >= len(p.txDone) {
-		tail -= len(p.txDone)
-	}
-	p.txDone[tail] = done
-	p.txLen++
-	p.Stats.TxPackets++
-	p.Stats.TxBytes += int64(b.Len())
-	if p.cfg.HWTimestamp && b.Probe && b.TxStamp == 0 {
-		// The NIC stamps the probe as the frame hits the wire.
-		b.TxStamp = done
-	}
-	p.peer.arrive(done, b)
-	return true
-}
-
-// SendRunAt enqueues n frames for transmission at time at as one run: b, a
-// template-backed non-probe buffer, stands for n copies of its frame
-// numbered b.Seq, b.Seq+1, ... leaving back to back. The caller guarantees
-// the TX ring has room for all of them (n ≤ TxFree(at)). The port books
-// exactly what n SendAt calls would — a completion time per frame, the
-// wire, the counters — and the peer queues the run as one entry. (SendAt
-// keeps its own copy of the booking: the compiler does not inline a shared
-// helper, and a call per frame measurably slows per-frame traffic.)
-func (p *Port) SendRunAt(at units.Time, b *pkt.Buf, n int) {
-	if p.peer == nil {
-		panic(fmt.Sprintf("nic: port %s not connected", p.cfg.Name))
-	}
-	if free := p.TxFree(at); n > free {
-		panic(fmt.Sprintf("nic: run of %d frames on port %s with %d TX descriptors free", n, p.cfg.Name, free))
-	}
-	start := at + p.cfg.TxLatency
-	if p.busyUntil > start {
-		start = p.busyUntil
-	}
-	if l := b.Len(); l != p.wireLen {
+	l := b.Len()
+	if l != p.wireLen {
 		p.wireLen, p.wireTime = l, p.cfg.Rate.WireTime(l)
 	}
 	first := start + p.wireTime
 	done, tail := first, p.txHead+p.txLen
-	for i := 0; i < n; i++ {
-		if tail >= len(p.txDone) {
-			tail -= len(p.txDone)
-		}
-		p.txDone[tail] = done
-		tail++
-		done += p.wireTime
+	if tail >= len(p.txDone) {
+		tail -= len(p.txDone)
 	}
-	p.busyUntil = done - p.wireTime
+	p.txDone[tail] = done
+	for i := 1; i < n; i++ {
+		if tail++; tail == len(p.txDone) {
+			tail = 0
+		}
+		done += p.wireTime
+		p.txDone[tail] = done
+	}
+	p.busyUntil = done
 	p.txLen += n
 	p.Stats.TxPackets += int64(n)
-	p.Stats.TxBytes += int64(n) * int64(b.Len())
-	b.SetRun(n)
-	p.peer.arriveRun(first, b)
+	p.Stats.TxBytes += int64(n) * int64(l)
+	if p.cfg.HWTimestamp && b.Probe && b.TxStamp == 0 {
+		// The NIC stamps the probe as the frame hits the wire.
+		b.TxStamp = first
+	}
+	b.Gap = p.wireTime
+	p.peer.arrive(first, b)
+	return n
 }
 
 // BusyUntil returns the time at which all queued frames will have left the
 // wire — the natural pacing point for a saturating generator.
 func (p *Port) BusyUntil() units.Time { return p.busyUntil }
 
-// gapFor returns the sender's wire time for a frameLen-byte frame: the
-// spacing of a run's arrivals.
-func (p *Port) gapFor(frameLen int) units.Time {
-	if frameLen != p.gapLen {
-		p.gapLen, p.gap = frameLen, p.peer.cfg.Rate.WireTime(frameLen)
-	}
-	return p.gap
-}
-
-// arrive queues an inbound frame hitting the PHY at time at — its hardware
-// RX timestamp; it becomes visible to the consumer after the descriptor
-// path delay. A sink-bound port hands it to the sink instead.
+// arrive queues the frames of b, the first hitting the PHY at time at —
+// its hardware RX timestamp; each becomes visible to the consumer after
+// the descriptor path delay. A run arriving right behind a not yet judged
+// run of the same frames extends it (and its buffer goes back to the
+// pool). A sink-bound port hands b to the sink instead, whole.
 func (p *Port) arrive(at units.Time, b *pkt.Buf) {
 	b.Ingress = at
 	if p.sink != nil {
-		p.Stats.RxPackets++
-		p.Stats.RxBytes += int64(b.Len())
-		p.sink(b, at+p.cfg.RxLatency, 0)
-		return
-	}
-	p.rxq = append(p.rxq, b)
-	p.notify(at)
-}
-
-// arriveRun queues a run whose first frame hits the PHY at time at. A run
-// arriving right behind a not yet judged run of the same frames extends it
-// (and its buffer goes back to the pool). A sink-bound port hands the run
-// to the sink instead, whole.
-func (p *Port) arriveRun(at units.Time, b *pkt.Buf) {
-	if p.sink != nil {
 		n := int64(b.Run())
-		b.Ingress = at
 		p.Stats.RxPackets += n
 		p.Stats.RxBytes += n * int64(b.Len())
-		p.sink(b, at+p.cfg.RxLatency, p.gapFor(b.Len()))
+		p.sink(b, at+p.cfg.RxLatency)
 		return
 	}
-	if last := len(p.rxq) - 1; last >= p.rxVis {
-		if t := p.rxq[last]; b.Follows(t) && t.Ingress+units.Time(t.Run())*p.gapFor(t.Len()) == at {
+	if last := len(p.rxq) - 1; b.Run() > 1 && last >= p.rxVis {
+		if t := p.rxq[last]; b.Follows(t) && t.Ingress+units.Time(t.Run())*t.Gap == at {
 			t.SetRun(t.Run() + b.Run())
 			b.Free()
 			p.notify(at)
 			return
 		}
 	}
-	p.arrive(at, b)
+	p.rxq = append(p.rxq, b)
+	p.notify(at)
 }
 
 // notify wakes the bound consumer for a frame hitting the PHY at time at.
@@ -393,24 +349,20 @@ func (p *Port) materialize(now units.Time) {
 	for ; v < len(q) && q[v].Ingress <= due; v++ {
 		b := q[v]
 		if k := b.Run(); k > 1 {
-			gap := p.gapFor(b.Len())
-			vis := min(k, int((due-b.Ingress)/gap)+1)
+			vis := min(k, int((due-b.Ingress)/b.Gap)+1)
 			adm := min(vis, p.cfg.RxRing-count)
 			count += adm
 			p.Stats.RxDropsFull += int64(vis - adm)
 			if vis < k {
-				rest := b
 				if adm > 0 {
-					rest = b.Twin()
-					b.SetRun(adm)
 					q = append(q, nil)
-					copy(q[v+2:], q[v+1:])
+					copy(q[v+1:], q[v:])
+					q[v] = b.Cut(adm)
 					v++
-					q[v] = rest
 				}
-				rest.Ingress += units.Time(vis) * gap
-				rest.Seq += uint64(vis)
-				rest.SetRun(k - vis)
+				if vis > adm {
+					b.Skip(vis - adm)
+				}
 				break
 			}
 			if adm > 0 {
@@ -429,40 +381,36 @@ func (p *Port) materialize(now units.Time) {
 	p.rxq, p.rxVis, p.rxCount = q, v, count
 }
 
-// RxBurst moves up to len(out) received frames to out, returning the count.
+// RxBurst moves received frames to out, up to len(out) frames in total,
+// and returns how many buffers it filled. A run leaves as one buffer
+// (pkt.Buf.Run), whole unless the burst fills up in its middle: then its
+// first frames leave as a run of their own and the rest stays queued.
 // Ownership of returned buffers passes to the caller. It performs no cost
-// accounting: the consuming device driver model charges for the burst. The
-// frames of a run leave as buffers of their own, each with its own Ingress
-// and Seq; a burst that fills up mid-run leaves the rest queued.
+// accounting: the consuming device driver model charges for the burst.
 func (p *Port) RxBurst(now units.Time, out []*pkt.Buf) int {
 	p.materialize(now)
-	q, h, n := p.rxq, p.rxHead, 0
-	for ; h < p.rxVis && n < len(out); h++ {
+	q, h, n, frames := p.rxq, p.rxHead, 0, 0
+	for ; h < p.rxVis && frames < len(out); h++ {
 		b := q[h]
 		if b == nil {
 			continue
 		}
-		if k := b.Run(); k > 1 {
-			gap := p.gapFor(b.Len())
-			for ; k > 1 && n < len(out); k-- {
-				out[n] = b.Twin()
-				n++
-				p.Stats.RxBytes += int64(b.Len())
-				b.Ingress += gap
-				b.Seq++
-			}
-			b.SetRun(k)
-			if n == len(out) {
-				break
-			}
+		k := b.Run()
+		if room := len(out) - frames; k > room {
+			out[n] = b.Cut(room)
+			n++
+			frames += room
+			p.Stats.RxBytes += int64(room) * int64(b.Len())
+			break
 		}
 		q[h] = nil
 		out[n] = b
 		n++
-		p.Stats.RxBytes += int64(b.Len())
+		frames += k
+		p.Stats.RxBytes += int64(k) * int64(b.Len())
 	}
-	p.Stats.RxPackets += int64(n)
-	p.rxCount -= n
+	p.Stats.RxPackets += int64(frames)
+	p.rxCount -= frames
 	switch {
 	case h == len(q):
 		p.rxq = q[:0]

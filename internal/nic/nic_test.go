@@ -345,17 +345,21 @@ func (p *refRx) NextRx(now units.Time) units.Time {
 // randomized send/poll schedules — bursty senders that park thousands of
 // frames in flight, runs of random length among single frames and probes,
 // pollers from line-rate-fast to milliseconds-slow, rings of 1, 8 and 512
-// descriptors, polled and interrupt-bound — and requires the same frames
-// with the same hardware timestamps out of every poll, the same counters,
-// pending counts, idle hints and interrupt times.
+// descriptors, polled and interrupt-bound, TX rings deep enough for every
+// burst or shallow enough to cut runs — and requires the same frames with
+// the same hardware timestamps out of every poll once its runs are
+// expanded, the same counters, pending counts, idle hints and interrupt
+// times, and on the sending side the same completion times and drops as
+// the frames sent one by one.
 func TestRxQueueMatchesTwoQueueReference(t *testing.T) {
 	for _, rxRing := range []int{1, 8, 512} {
 		for _, irq := range []bool{false, true} {
 			for seed := uint64(1); seed <= 4; seed++ {
 				name := fmt.Sprintf("ring%d/irq=%v/seed%d", rxRing, irq, seed)
 				t.Run(name, func(t *testing.T) {
-					st := runRxSchedule(t, rxRing, irq, seed%2 == 0, rngChoices{sim.NewRNG(seed)}, 4000)
-					if st.runs == 0 || st.delivered == 0 || (rxRing < 512 && st.runDrops == 0) {
+					shallowTx := seed > 2
+					st := runRxSchedule(t, rxRing, irq, seed%2 == 0, shallowTx, rngChoices{sim.NewRNG(seed)}, 4000)
+					if st.runs == 0 || st.delivered == 0 || (rxRing < 512 && st.runDrops == 0) || (shallowTx && st.runTxDrops == 0) {
 						t.Fatalf("schedule exercised too little: %+v", st)
 					}
 				})
@@ -365,9 +369,9 @@ func TestRxQueueMatchesTwoQueueReference(t *testing.T) {
 }
 
 // FuzzPortRuns is TestRxQueueMatchesTwoQueueReference's schedule with every
-// choice read from the fuzzer's bytes: the first picks a ring of 1 to 8
-// descriptors, interrupt or poll binding and descriptor delays, the rest
-// drive sends and polls until they run out.
+// choice read from the fuzzer's bytes: the first picks an RX ring of 1 to 8
+// descriptors, interrupt or poll binding, descriptor delays and a deep or
+// shallow TX ring, the rest drive sends and polls until they run out.
 func FuzzPortRuns(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{0x17, 9, 0, 0x80, 0, 1, 0x40, 0, 7, 0xff, 3, 0x20, 0, 0x90, 2, 0x10})
@@ -385,7 +389,7 @@ func FuzzPortRuns(f *testing.F) {
 			return
 		}
 		h := data[0]
-		runRxSchedule(t, 1+int(h&7), h&8 != 0, h&16 != 0, &byteChoices{data: data[1:]}, 1000)
+		runRxSchedule(t, 1+int(h&7), h&8 != 0, h&16 != 0, h&32 != 0, &byteChoices{data: data[1:]}, 1000)
 	})
 }
 
@@ -422,16 +426,21 @@ func (c *byteChoices) done() bool { return len(c.data) == 0 }
 type scheduleStats struct {
 	runs, delivered int   // runs sent, frames delivered
 	runDrops        int64 // frames dropped while runs were in flight
+	runTxDrops      int   // frames of runs the full TX ring refused
 }
 
 // runRxSchedule sends the frames c chooses from one port to another and
 // polls them, checking the receiver against refRx after every step. Where
 // the port under test gets one SendRunAt of n frames, a second sending
-// port gets n SendAt calls, and refRx receives those frames one by one at
-// their completion times: the TX side is held to the per-frame port, the
-// RX side to the per-frame reference.
-func runRxSchedule(t testing.TB, rxRing int, irq, noLatency bool, c choices, steps int) scheduleStats {
+// port gets n SendAt calls, and refRx receives the frames it sent one by
+// one at their completion times: the TX side is held to the per-frame
+// port, the RX side to the per-frame reference. A shallow TX ring (64
+// descriptors) makes the sender refuse the tails of runs.
+func runRxSchedule(t testing.TB, rxRing int, irq, noLatency, shallowTx bool, c choices, steps int) scheduleStats {
 	cfg, txCfg := Config{RxRing: rxRing, ITR: 30 * units.Microsecond}, Config{TxRing: 4096}
+	if shallowTx {
+		txCfg.TxRing = 64
+	}
 	if noLatency {
 		// Only without descriptor delays can a run land right behind one
 		// the receiver has already judged.
@@ -470,6 +479,12 @@ func runRxSchedule(t testing.TB, rxRing int, irq, noLatency bool, c choices, ste
 		if tx.Stats != refTx.Stats || tx.TxFree(now) != refTx.TxFree(now) || tx.BusyUntil() != refTx.BusyUntil() {
 			t.Fatalf("t=%v %s: sender counters %+v free %d busy %v, per-frame sender %+v free %d busy %v", now, what,
 				tx.Stats, tx.TxFree(now), tx.BusyUntil(), refTx.Stats, refTx.TxFree(now), refTx.BusyUntil())
+		}
+		for i := 0; i < tx.txLen; i++ {
+			a := tx.txDone[(tx.txHead+i)%len(tx.txDone)]
+			if b := refTx.txDone[(refTx.txHead+i)%len(refTx.txDone)]; a != b {
+				t.Fatalf("t=%v %s: frame %d on the TX ring completes at %v, per-frame sender at %v", now, what, i, a, b)
+			}
 		}
 		if a, b := rx.NextRx(now), ref.NextRx(now); a != b {
 			t.Fatalf("t=%v %s: NextRx %v, reference %v", now, what, a, b)
@@ -522,29 +537,30 @@ func runRxSchedule(t testing.TB, rxRing int, irq, noLatency bool, c choices, ste
 			for burst > 0 {
 				tmpl := tmpls[c.intn(len(tmpls))]
 				switch kind := c.intn(8); {
-				case kind < 5: // a run, as much of the rest as fits
-					n := min(burst, tx.TxFree(now))
-					if n == 0 {
-						burst = 0
-						break
-					}
+				case kind < 5: // a run of the rest, which a full TX ring cuts
+					k := burst
 					b := pool.Get(tmpl.Len())
 					b.SetTemplate(tmpl)
 					b.Seq = seq + 1
-					tx.SendRunAt(now, b, n)
-					for i := 0; i < n; i++ {
-						seq++
-						if !perFrame(func(p *pkt.Pool) *pkt.Buf {
+					b.SetRun(k)
+					n := tx.SendRunAt(now, b)
+					if n == 0 {
+						b.Free()
+					}
+					for i := 0; i < k; i++ {
+						if sent := perFrame(func(p *pkt.Pool) *pkt.Buf {
 							r := p.Get(tmpl.Len())
 							r.SetTemplate(tmpl)
-							r.Seq = seq
+							r.Seq = seq + 1 + uint64(i)
 							return r
-						}) {
-							t.Fatalf("t=%v: per-frame sender refused frame %d of a run of %d", now, i, n)
+						}); sent != (i < n) {
+							t.Fatalf("t=%v: run of %d sent %d frames, per-frame sender sent=%v for frame %d", now, k, n, sent, i)
 						}
 					}
+					seq += uint64(k)
 					st.runs++
-					burst -= n
+					st.runTxDrops += k - n
+					burst = 0
 				default: // one frame: template-backed, unwritten, or a probe
 					seq++
 					mk := func(p *pkt.Pool) *pkt.Buf {
@@ -590,22 +606,30 @@ func runRxSchedule(t testing.TB, rxRing int, irq, noLatency bool, c choices, ste
 			before := rx.Stats.RxDropsFull
 			max := 1 + c.intn(len(got))
 			n, m := rx.RxBurst(now, got[:max]), ref.RxBurst(now, want[:max])
-			if n != m {
-				t.Fatalf("t=%v: burst of %d, reference %d", now, n, m)
-			}
-			for i := 0; i < n; i++ {
-				g, w := got[i], want[i]
-				if g.Seq != w.Seq || g.Ingress != w.Ingress || g.Probe != w.Probe || g.Template() != w.Template() || g.Run() != 1 {
-					t.Fatalf("t=%v: frame %d of burst is (seq %d, ingress %v, probe %v, template %p, run %d), reference (seq %d, ingress %v, probe %v, template %p)",
-						now, i, g.Seq, g.Ingress, g.Probe, g.Template(), g.Run(), w.Seq, w.Ingress, w.Probe, w.Template())
+			j := 0 // frames of the burst compared so far
+			for _, g := range got[:n] {
+				for i := 0; i < g.Run(); i++ {
+					if j == m {
+						t.Fatalf("t=%v: burst of %d buffers holds more than the reference's %d frames", now, n, m)
+					}
+					w := want[j]
+					seq, ingress := g.Seq+uint64(i), g.Ingress+units.Time(i)*g.Gap
+					if seq != w.Seq || ingress != w.Ingress || g.Probe != w.Probe || g.Template() != w.Template() {
+						t.Fatalf("t=%v: frame %d of burst is (seq %d, ingress %v, probe %v, template %p), reference (seq %d, ingress %v, probe %v, template %p)",
+							now, j, seq, ingress, g.Probe, g.Template(), w.Seq, w.Ingress, w.Probe, w.Template())
+					}
+					w.Free()
+					j++
 				}
 				g.Free()
-				w.Free()
+			}
+			if j != m {
+				t.Fatalf("t=%v: burst of %d frames, reference %d", now, j, m)
 			}
 			if st.runs > 0 {
 				st.runDrops += rx.Stats.RxDropsFull - before
 			}
-			st.delivered += n
+			st.delivered += m
 			check("burst")
 			if c.intn(2) == 0 { // the consumer goes back to sleep
 				rx.ReArm(now)

@@ -43,7 +43,8 @@ type Buf struct {
 	// Seq is a generator-assigned sequence number.
 	Seq uint64
 	// Probe marks latency-measurement (PTP) packets.
-	Probe bool
+	Probe  bool
+	inPool bool
 	// more is how many further frames, identical to this one and leaving
 	// back to back behind it, the buffer stands for (see Run); it sits in
 	// Probe's padding, so a Buf stays 96 bytes.
@@ -55,12 +56,14 @@ type Buf struct {
 	// Ingress is the time the frame finished arriving at the last
 	// receiving port (hardware RX timestamp).
 	Ingress units.Time
+	// Gap is the wire time of one frame on the link the buffer last left
+	// by: the spacing of a run's arrivals (see Run).
+	Gap units.Time
 	// AvailAt gates visibility to the next consumer (virtio guest
 	// notification delay); zero means immediately visible.
 	AvailAt units.Time
 
-	pool   *Pool
-	inPool bool
+	pool *Pool
 }
 
 // Bytes returns the frame contents for reading and writing, attaching
@@ -137,8 +140,9 @@ func (b *Buf) capacity() int {
 	return b.pool.bufSize
 }
 
-// CopyFrom replaces b's contents and metadata with src's. This is the
-// primitive behind vhost-user's per-packet copies. If src is still
+// CopyFrom replaces b's contents and metadata, its run included, with
+// src's. This is the primitive behind vhost-user's per-packet copies and
+// VALE's per-hop ones. If src is still
 // template-backed, only the template reference moves — the simulated copy
 // cost is charged by the caller either way; host bytes are not part of the
 // simulation. Real bytes move only from a source that has some: an
@@ -157,20 +161,35 @@ func (b *Buf) CopyFrom(src *Buf) {
 	}
 	b.Seq = src.Seq
 	b.Probe = src.Probe
+	b.more = src.more
 	b.TxStamp = src.TxStamp
 	b.Ingress = src.Ingress
+	b.Gap = src.Gap
 	b.AvailAt = src.AvailAt
 }
 
 // Run returns how many identical frames b stands for: 1 for an ordinary
-// buffer, n for a run — frames that left a generator back to back with
-// consecutive sequence numbers, carried through a NIC as one buffer so that
-// frames its full RX ring drops never become buffers (nic.Port.SendRunAt).
-// Only the NIC sees runs; every buffer it hands out is a run of one.
+// buffer, n for a run — frames that left a port back to back with
+// consecutive sequence numbers, frame i numbered Seq+i and arriving at
+// Ingress + i·Gap, carried as one buffer from the generator through the
+// NIC and the switch data plane (nic.Port.SendRunAt), so that frames a
+// full ring drops, and frames forwarded alike, never become buffers of
+// their own. Devices whose rings hold single frames (vhost, ptnet, the
+// multi-core handoff rings) split runs with Cut.
 func (b *Buf) Run() int { return int(b.more) + 1 }
 
 // SetRun makes b stand for n ≥ 1 frames.
 func (b *Buf) SetRun(n int) { b.more = int32(n - 1) }
+
+// Frames returns how many frames the buffers stand for: the sum of their
+// runs.
+func Frames(bufs []*Buf) int {
+	n := 0
+	for _, b := range bufs {
+		n += b.Run()
+	}
+	return n
+}
 
 // Follows reports whether b can extend the run r: the same template-backed,
 // non-probe frame from the same pool, numbered right after r's last frame.
@@ -181,9 +200,25 @@ func (b *Buf) Follows(r *Buf) bool {
 		b.Seq == r.Seq+uint64(r.Run())
 }
 
-// Twin returns a new buffer from b's pool holding b's first frame: b's
-// contents and metadata, a run of one.
-func (b *Buf) Twin() *Buf { return b.pool.Clone(b) }
+// Cut splits the run b after its first m frames (0 < m < b.Run()): it
+// returns them as a new buffer from b's pool, and b keeps the rest (Skip).
+func (b *Buf) Cut(m int) *Buf {
+	head := b.pool.Clone(b)
+	head.SetRun(m)
+	b.Skip(m)
+	return head
+}
+
+// Skip drops the first m frames (0 < m < b.Run()) of the run b: b then
+// stands for the frames after them, numbered and timed on from them.
+func (b *Buf) Skip(m int) {
+	if m <= 0 || m >= b.Run() {
+		panic(fmt.Sprintf("pkt: cutting %d frames off a run of %d", m, b.Run()))
+	}
+	b.Seq += uint64(m)
+	b.Ingress += units.Time(m) * b.Gap
+	b.more -= int32(m)
+}
 
 // Free returns the buffer to its pool. Freeing a pool-less buffer is a no-op;
 // double frees panic.
@@ -301,6 +336,7 @@ func (p *Pool) Get(frameLen int) *Buf {
 	b.more = 0
 	b.TxStamp = 0
 	b.Ingress = 0
+	b.Gap = 0
 	b.AvailAt = 0
 	return b
 }
@@ -318,8 +354,8 @@ func (p *Pool) backing() []byte {
 	return d
 }
 
-// Clone returns a pool buffer holding a copy of src (metadata-only if src
-// is still template-backed).
+// Clone returns a pool buffer holding a copy of src, its run included
+// (metadata-only if src is still template-backed).
 func (p *Pool) Clone(src *Buf) *Buf {
 	b := p.Get(src.len)
 	b.CopyFrom(src)

@@ -96,9 +96,12 @@ type IPv4Hdr struct {
 	TOS      uint8
 	TotalLen uint16
 	ID       uint16
-	TTL      uint8
-	Proto    uint8
-	Src, Dst [4]byte
+	// FlagsFrag is the flags and fragment offset field as on the wire
+	// (0x4000 is don't-fragment).
+	FlagsFrag uint16
+	TTL       uint8
+	Proto     uint8
+	Src, Dst  [4]byte
 }
 
 // IP protocol numbers used by the testbed.
@@ -108,7 +111,10 @@ const (
 )
 
 // ParseIPv4 decodes an IPv4 header (without options) from the start of b,
-// verifying version, length, and checksum.
+// verifying version, length, and checksum. A checksum field of 0xffff, the
+// ones-complement -0, is rejected even where it sums right: the checksum
+// of a header starting 0x45 computes to it never, so Put could not write
+// the header back.
 func ParseIPv4(b []byte) (IPv4Hdr, error) {
 	var h IPv4Hdr
 	if len(b) < IPv4HdrLen {
@@ -117,12 +123,13 @@ func ParseIPv4(b []byte) (IPv4Hdr, error) {
 	if b[0] != 0x45 { // version 4, IHL 5
 		return h, ErrVersion
 	}
-	if Checksum16(b[:IPv4HdrLen]) != 0 {
+	if Checksum16(b[:IPv4HdrLen]) != 0 || b[10]&b[11] == 0xff {
 		return h, ErrChecksum
 	}
 	h.TOS = b[1]
 	h.TotalLen = binary.BigEndian.Uint16(b[2:4])
 	h.ID = binary.BigEndian.Uint16(b[4:6])
+	h.FlagsFrag = binary.BigEndian.Uint16(b[6:8])
 	h.TTL = b[8]
 	h.Proto = b[9]
 	copy(h.Src[:], b[12:16])
@@ -137,7 +144,7 @@ func (h IPv4Hdr) Put(b []byte) {
 	b[1] = h.TOS
 	binary.BigEndian.PutUint16(b[2:4], h.TotalLen)
 	binary.BigEndian.PutUint16(b[4:6], h.ID)
-	b[6], b[7] = 0, 0 // flags/fragment
+	binary.BigEndian.PutUint16(b[6:8], h.FlagsFrag)
 	b[8] = h.TTL
 	b[9] = h.Proto
 	b[10], b[11] = 0, 0 // checksum placeholder
@@ -166,11 +173,13 @@ func Checksum16(b []byte) uint16 {
 // UDPHdrLen is the length of a UDP header.
 const UDPHdrLen = 8
 
-// UDPHdr is a UDP header. The checksum is left zero (legal for IPv4), as
-// high-speed traffic generators do.
+// UDPHdr is a UDP header. Checksum is carried as on the wire, not
+// computed: generated frames leave it zero (legal for IPv4), as high-speed
+// traffic generators do.
 type UDPHdr struct {
 	SrcPort, DstPort uint16
 	Len              uint16
+	Checksum         uint16
 }
 
 // ParseUDP decodes a UDP header from the start of b.
@@ -182,6 +191,7 @@ func ParseUDP(b []byte) (UDPHdr, error) {
 	h.SrcPort = binary.BigEndian.Uint16(b[0:2])
 	h.DstPort = binary.BigEndian.Uint16(b[2:4])
 	h.Len = binary.BigEndian.Uint16(b[4:6])
+	h.Checksum = binary.BigEndian.Uint16(b[6:8])
 	return h, nil
 }
 
@@ -190,5 +200,5 @@ func (h UDPHdr) Put(b []byte) {
 	binary.BigEndian.PutUint16(b[0:2], h.SrcPort)
 	binary.BigEndian.PutUint16(b[2:4], h.DstPort)
 	binary.BigEndian.PutUint16(b[4:6], h.Len)
-	b[6], b[7] = 0, 0
+	binary.BigEndian.PutUint16(b[6:8], h.Checksum)
 }

@@ -436,10 +436,11 @@ func TestUnwrittenBufferEdges(t *testing.T) {
 }
 
 // TestRunBuffers: a run's length lives in Buf's padding (a Buf stays 96
-// bytes on 64-bit hosts), a recycled buffer is a run of one again, Twin
-// copies the first frame as a run of one, and Follows accepts exactly the
-// same template-backed, non-probe frame from the same pool with the next
-// sequence number.
+// bytes on 64-bit hosts), a recycled buffer is a run of one again, Cut
+// copies the first frames as a run of their own and numbers and times the
+// rest on from them, Skip does the same without the copy, and Follows
+// accepts exactly the same template-backed, non-probe frame from the same
+// pool with the next sequence number.
 func TestRunBuffers(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Buf{}) != 96 {
 		t.Fatalf("Buf is %d bytes, want 96", unsafe.Sizeof(Buf{}))
@@ -448,11 +449,32 @@ func TestRunBuffers(t *testing.T) {
 	tmpl := lazySpec(64).Template(0)
 	r := p.Get(64)
 	r.SetTemplate(tmpl)
-	r.Seq, r.Ingress = 10, 5
-	r.SetRun(4)
-	tw := r.Twin()
-	if tw.Run() != 1 || tw.Template() != tmpl || tw.Seq != 10 || tw.Ingress != 5 || p.Live() != 2 {
-		t.Fatalf("twin: run %d, seq %d, ingress %v, %d live", tw.Run(), tw.Seq, tw.Ingress, p.Live())
+	r.Seq, r.Ingress, r.Gap = 8, 5, 3
+	r.SetRun(6)
+	head := r.Cut(2)
+	if head.Run() != 2 || head.Template() != tmpl || head.Seq != 8 || head.Ingress != 5 || head.Gap != 3 || p.Live() != 2 {
+		t.Fatalf("cut: run %d, seq %d, ingress %v, gap %v, %d live", head.Run(), head.Seq, head.Ingress, head.Gap, p.Live())
+	}
+	if r.Run() != 4 || r.Seq != 10 || r.Ingress != 11 || r.Gap != 3 {
+		t.Fatalf("after the cut: run %d, seq %d, ingress %v, gap %v", r.Run(), r.Seq, r.Ingress, r.Gap)
+	}
+	if c := p.Clone(r); c.Run() != 4 || c.Seq != 10 || c.Ingress != 11 || c.Gap != 3 {
+		t.Fatalf("clone: run %d, seq %d, ingress %v, gap %v", c.Run(), c.Seq, c.Ingress, c.Gap)
+	}
+	tail := p.Clone(r)
+	tail.Skip(3)
+	if tail.Run() != 1 || tail.Seq != 13 || tail.Ingress != 20 {
+		t.Fatalf("skip: run %d, seq %d, ingress %v", tail.Run(), tail.Seq, tail.Ingress)
+	}
+	for _, m := range []int{0, 4} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Skip(%d) of a run of 4 did not panic", m)
+				}
+			}()
+			r.Skip(m)
+		}()
 	}
 	next := func(edit func(b *Buf)) *Buf {
 		b := p.Get(64)

@@ -213,6 +213,87 @@ func FuzzEthRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzIPv4UDPRoundTrip: for any input, ParseIPv4 and ParseUDP each reject
+// one shorter than their header with ErrTruncated, and Put of a header
+// either accepts reproduces its bytes exactly and writes nothing beyond
+// them; the IPv4 header Put writes verifies under Checksum16. The input's
+// first 20 bytes with a canonical checksum written in must be accepted,
+// so that every field value, not only inputs that happen to checksum,
+// goes through the round trip. OvS parses every frame's flow key with
+// these decoders.
+func FuzzIPv4UDPRoundTrip(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(make([]byte, UDPHdrLen-1))
+	f.Add(make([]byte, IPv4HdrLen-1))
+	frame := make([]byte, 64)
+	FrameSpec{
+		SrcMAC: MAC{2, 0, 0, 0, 0, 1}, DstMAC: MAC{2, 0, 0, 0, 0, 2},
+		SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{10, 0, 0, 2},
+		SrcPort: 1000, DstPort: 2000, FrameLen: 64,
+	}.buildInto(frame)
+	f.Add(frame[EthHdrLen:])
+	f.Add(frame[EthHdrLen+IPv4HdrLen:])
+	// Don't-fragment set, a UDP checksum, and a header whose checksum
+	// field is the ones-complement -0.
+	f.Add([]byte{0x45, 0, 0, 28, 0, 1, 0x40, 0, 64, 17, 0, 0, 10, 0, 0, 1, 10, 0, 0, 2})
+	f.Add([]byte{0x03, 0xe8, 0x07, 0xd0, 0, 8, 0xbe, 0xef})
+	f.Add([]byte{0x45, 0, 0xba, 0xff, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		// roundTrip checks that put writes back the first n bytes of b
+		// and nothing after them.
+		roundTrip := func(what string, n int, put func([]byte)) []byte {
+			out := make([]byte, len(b))
+			for i := range out {
+				out[i] = ^b[i]
+			}
+			put(out)
+			if !bytes.Equal(out[:n], b[:n]) {
+				t.Fatalf("%s: Put(Parse(b)) = % x, want % x", what, out[:n], b[:n])
+			}
+			for i := n; i < len(b); i++ {
+				if out[i] != ^b[i] {
+					t.Fatalf("%s: Put wrote byte %d beyond the header", what, i)
+				}
+			}
+			return out
+		}
+		if u, err := ParseUDP(b); len(b) < UDPHdrLen {
+			if err != ErrTruncated {
+				t.Fatalf("ParseUDP(%d bytes) err = %v, want ErrTruncated", len(b), err)
+			}
+		} else if err != nil {
+			t.Fatalf("ParseUDP(%d bytes): %v", len(b), err)
+		} else {
+			roundTrip("UDP", UDPHdrLen, u.Put)
+		}
+		ip, err := ParseIPv4(b)
+		if len(b) < IPv4HdrLen {
+			if err != ErrTruncated {
+				t.Fatalf("ParseIPv4(%d bytes) err = %v, want ErrTruncated", len(b), err)
+			}
+			return
+		}
+		if err == nil {
+			out := roundTrip("IPv4", IPv4HdrLen, ip.Put)
+			if c := Checksum16(out[:IPv4HdrLen]); c != 0 {
+				t.Fatalf("the header Put wrote sums to %#04x, want 0", c)
+			}
+		}
+		canon := bytes.Clone(b[:IPv4HdrLen])
+		canon[0], canon[10], canon[11] = 0x45, 0, 0
+		binary.BigEndian.PutUint16(canon[10:12], Checksum16(canon))
+		ip, err = ParseIPv4(canon)
+		if err != nil {
+			t.Fatalf("ParseIPv4 of % x with its checksum written in: %v", canon, err)
+		}
+		var out [IPv4HdrLen]byte
+		ip.Put(out[:])
+		if !bytes.Equal(out[:], canon) {
+			t.Fatalf("Put(ParseIPv4(b)) = % x, want % x", out, canon)
+		}
+	})
+}
+
 func TestIPv4RoundTripProperty(t *testing.T) {
 	f := func(tos uint8, tl, id uint16, ttl, proto uint8, src, dst [4]byte) bool {
 		h := IPv4Hdr{TOS: tos, TotalLen: tl, ID: id, TTL: ttl, Proto: proto, Src: src, Dst: dst}

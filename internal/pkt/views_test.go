@@ -86,17 +86,22 @@ func checkBufViews(t *testing.T, data []byte) {
 			src := live[next()%len(live)]
 			m.b.CopyFrom(src.b)
 			m.data = append(m.data[:0], src.data...)
-		case 5, 6: // Clone or Twin: a new buffer holding the source's first frame
-			if len(live) == maxLive {
+			m.run = src.run
+		case 5, 6: // Clone, or Cut: a new buffer holding all or the first of the source's frames
+			if len(live) == maxLive || (kind == 6 && m.run == 1) {
 				continue
 			}
 			var b *Buf
+			run := m.run
 			if kind == 5 {
 				b = pool.Clone(m.b)
 			} else {
-				b = m.b.Twin()
+				run = 1 + next()%(m.run-1)
+				b = m.b.Cut(run)
+				m.run -= run
 			}
 			add(b, append([]int16(nil), m.data...))
+			live[len(live)-1].run = run
 		case 7: // SetRun
 			n := 1 + next()%4
 			m.b.SetRun(n)
@@ -139,7 +144,7 @@ func checkView(t *testing.T, op, j int, what string, got []byte, want []int16) {
 
 // FuzzBufViews holds View() and Bytes() to a plain byte-slice model, and
 // Pool.Live() to the model's count, over any sequence of Get, SetTemplate,
-// SetLen, writes through Bytes(), CopyFrom, Clone, Twin, SetRun and Free.
+// SetLen, writes through Bytes(), CopyFrom, Clone, Cut, SetRun and Free.
 func FuzzBufViews(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 16; i++ {

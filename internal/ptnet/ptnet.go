@@ -82,14 +82,13 @@ func (p *Port) ReArm(now units.Time) {
 }
 
 // HostSendBurst passes a batch of frames to the guest, zero-copy, charging
-// descriptor work once. The port takes ownership of every frame: those the
-// full ring rejects are counted as drops and freed. Returns the accepted
-// count.
+// descriptor work once; a run takes a slot per frame. The port takes
+// ownership of every frame: those the full ring rejects are counted as
+// drops and freed. Returns the accepted count.
 func (p *Port) HostSendBurst(m *cost.Meter, in []*pkt.Buf) int {
-	n := p.toGuest.PushBurst(in)
-	for _, b := range in[n:] {
-		p.toGuest.Drops++
-		b.Free()
+	n := 0
+	for _, b := range in {
+		n += p.toGuest.PushFrames(b)
 	}
 	if n > 0 {
 		m.Charge(units.Cycles(n) * m.Model.PtnetDesc)

@@ -61,6 +61,26 @@ func (r *SPSC) Push(b *pkt.Buf) bool {
 	return true
 }
 
+// PushFrames enqueues the frames of b, a run or a single frame
+// (pkt.Buf.Run), one per slot, and returns how many fit: each frame but
+// the last is cut off the run as a buffer of its own, and the frames the
+// full ring refuses are counted as drops and freed with b, never becoming
+// buffers.
+func (r *SPSC) PushFrames(b *pkt.Buf) int {
+	k := b.Run()
+	n := min(k, r.Free())
+	for i := min(n, k-1); i > 0; i-- {
+		r.Push(b.Cut(1))
+	}
+	if n == k {
+		r.Push(b)
+	} else {
+		r.Drops += int64(k - n)
+		b.Free()
+	}
+	return n
+}
+
 // PushBurst enqueues buffers from in until the ring fills, returning how
 // many were accepted. Unlike Push it does not count drops for the
 // remainder — the caller decides what a rejected batch tail means.

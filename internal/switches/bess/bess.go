@@ -113,11 +113,12 @@ func (sw *Switch) run(t task, now units.Time, m *cost.Meter) bool {
 	if len(batch) == 0 {
 		return false
 	}
-	m.ChargeNoisy(taskFixed+units.Cycles(len(batch))*qincPerPkt, jitterFrac)
-	m.ChargeNoisy(units.Cycles(len(batch))*qoutPerPkt, jitterFrac)
+	frames := pkt.Frames(batch)
+	m.ChargeNoisy(taskFixed+units.Cycles(frames)*qincPerPkt, jitterFrac)
+	m.ChargeNoisy(units.Cycles(frames)*qoutPerPkt, jitterFrac)
 	sent := t.out.TxBurst(now, m, batch)
 	sw.Forwarded += int64(sent)
-	sw.Dropped += int64(len(batch) - sent)
+	sw.Dropped += int64(frames - sent)
 	return true
 }
 

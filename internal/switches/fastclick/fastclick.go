@@ -113,16 +113,17 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 		if src.dev.Kind() == switchdef.VhostKind {
 			per += vhostExtra
 		}
-		m.ChargeNoisy(elemBatchFixed+units.Cycles(n)*per, jitterFrac)
+		frames := pkt.Frames(burst[:n])
+		m.ChargeNoisy(elemBatchFixed+units.Cycles(frames)*per, jitterFrac)
 		if len(sw.dropMAC) > 0 {
-			n = sw.filterDrops(m, burst[:n])
+			n, frames = sw.filterDrops(m, burst[:n], frames)
 			if n == 0 {
 				continue
 			}
 		}
 		// Push the RX scratch slice directly: toDevice consumes the batch
 		// synchronously and copies what it stages into its own storage.
-		src.out.push(sw, now, m, burst[:n])
+		src.out.push(sw, now, m, burst[:n], frames)
 	}
 	for ti := range sw.toDevs {
 		if sw.toDevs[ti].flushStale(sw, now, m) {
@@ -148,8 +149,9 @@ type fromDevice struct {
 type toDevice struct {
 	dev switchdef.DevPort
 
-	stage []*pkt.Buf
-	first units.Time
+	stage  []*pkt.Buf
+	staged int // the frames stage holds
+	first  units.Time
 }
 
 const (
@@ -157,26 +159,26 @@ const (
 	vhostTxDrain = 28 * units.Microsecond
 )
 
-func (e *toDevice) push(sw *Switch, now units.Time, m *cost.Meter, batch []*pkt.Buf) {
+// push sends batch, buffers standing for frames frames, through the device.
+func (e *toDevice) push(sw *Switch, now units.Time, m *cost.Meter, batch []*pkt.Buf, frames int) {
 	per := units.Cycles(toPerPkt)
 	if e.dev.Kind() == switchdef.VhostKind {
 		per += vhostExtra
 	}
-	m.ChargeNoisy(elemBatchFixed+units.Cycles(len(batch))*per, jitterFrac)
+	m.ChargeNoisy(elemBatchFixed+units.Cycles(frames)*per, jitterFrac)
 	if e.dev.Kind() == switchdef.VhostKind {
 		if len(e.stage) == 0 {
 			e.first = now
 		}
 		e.stage = append(e.stage, batch...)
-		if len(e.stage) < vhostTxBatch && now-e.first < vhostTxDrain {
+		e.staged += frames
+		if e.staged < vhostTxBatch && now-e.first < vhostTxDrain {
 			return
 		}
-		batch = e.stage
-		e.stage = nil
+		e.flush(sw, now, m)
+		return
 	}
-	sent := e.dev.TxBurst(now, m, batch)
-	sw.Forwarded += int64(sent)
-	sw.Dropped += int64(len(batch) - sent)
+	e.transmit(sw, now, m, batch, frames)
 }
 
 // flushStale transmits a staged vhost batch whose drain timer expired.
@@ -184,12 +186,23 @@ func (e *toDevice) flushStale(sw *Switch, now units.Time, m *cost.Meter) bool {
 	if len(e.stage) == 0 || now-e.first < vhostTxDrain {
 		return false
 	}
-	batch := e.stage
-	e.stage = nil
+	e.flush(sw, now, m)
+	return true
+}
+
+// flush transmits the staged vhost batch and keeps its storage for the
+// next one: the device does not retain the slice.
+func (e *toDevice) flush(sw *Switch, now units.Time, m *cost.Meter) {
+	e.transmit(sw, now, m, e.stage, e.staged)
+	e.stage, e.staged = e.stage[:0], 0
+}
+
+// transmit sends batch, buffers standing for frames frames, and counts
+// the outcome.
+func (e *toDevice) transmit(sw *Switch, now units.Time, m *cost.Meter, batch []*pkt.Buf, frames int) {
 	sent := e.dev.TxBurst(now, m, batch)
 	sw.Forwarded += int64(sent)
-	sw.Dropped += int64(len(batch) - sent)
-	return true
+	sw.Dropped += int64(frames - sent)
 }
 
 // NextWork implements cpu.Waiter: an empty iteration reads every source

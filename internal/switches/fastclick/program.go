@@ -93,19 +93,21 @@ func (sw *Switch) Revoke(r switchdef.Rule) error {
 	return fmt.Errorf("fastclick: revoke of absent rule")
 }
 
-// filterDrops applies the installed dl_dst drop set to an RX batch,
-// compacting survivors in place. The charge mirrors a Classifier stage:
-// one fixed batch toll plus a per-frame pattern check.
-func (sw *Switch) filterDrops(m *cost.Meter, batch []*pkt.Buf) int {
-	m.Charge(elemBatchFixed + units.Cycles(len(batch))*classifyPerPkt)
+// filterDrops applies the installed dl_dst drop set to an RX batch of
+// frames frames, compacting survivors in place, and returns how many
+// buffers and frames survive. The charge mirrors a Classifier stage: one
+// fixed batch toll plus a per-frame pattern check.
+func (sw *Switch) filterDrops(m *cost.Meter, batch []*pkt.Buf, frames int) (int, int) {
+	m.Charge(elemBatchFixed + units.Cycles(frames)*classifyPerPkt)
 	keep := batch[:0]
 	for _, b := range batch {
 		if sw.dropMAC[pkt.EthDst(b.View()).Key()] {
+			frames -= b.Run()
+			sw.Dropped += int64(b.Run())
 			b.Free()
-			sw.Dropped++
 			continue
 		}
 		keep = append(keep, b)
 	}
-	return len(keep)
+	return len(keep), frames
 }

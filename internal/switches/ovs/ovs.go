@@ -138,7 +138,8 @@ type Switch struct {
 	memo     *flowtab.Map[memoKey, memoEntry]
 	cacheGen uint64
 
-	txStage [][]*pkt.Buf
+	txStage  [][]*pkt.Buf
+	txFrames []int // the frames each txStage holds
 
 	// Stats.
 	EMCHits, MegaHits, SlowHits, NoMatch int64
@@ -180,6 +181,7 @@ func New(env switchdef.Env) *Switch {
 func (sw *Switch) AddPort(p switchdef.DevPort) int {
 	sw.ports = append(sw.ports, p)
 	sw.txStage = append(sw.txStage, nil)
+	sw.txFrames = append(sw.txFrames, 0)
 	if p.Kind() == switchdef.VhostKind {
 		sw.hasVhost = true
 	}
@@ -359,47 +361,58 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 			continue
 		}
 		did = true
-		// One noisy draw per frame, batched into a single charge; the
-		// classify path below draws nothing, so the RNG stream is
-		// consumed exactly as the per-frame order did.
-		m.ChargeNoisyBatch(perPkt, jitterFrac, n)
+		frames := 0
 		for _, b := range burst[:n] {
-			if !noMemo {
-				if t := b.Template(); t != nil {
-					k := memoKey{tmpl: t.ID(), port: int32(i)}
-					if e, ok := sw.memo.Get(memoHash(k), k); ok && e.gen == sw.cacheGen {
-						sw.replayMemo(now, m, b, i, e)
+			frames += b.Run()
+			// Each frame of a run is classified in turn — the caches it
+			// fills and the counters it bumps are per frame — and, the
+			// frames being identical, all meet the first one's rule.
+			t := b.Template()
+			memo := !noMemo && t != nil
+			var mk memoKey
+			var mh uint64
+			if memo {
+				mk = memoKey{tmpl: t.ID(), port: int32(i)}
+				mh = memoHash(mk)
+			}
+			var rule *Rule
+			for k := b.Run(); k > 0; k-- {
+				if memo {
+					if e, ok := sw.memo.Get(mh, mk); ok && e.gen == sw.cacheGen {
+						rule = sw.replayMemo(m, e)
 						continue
 					}
 				}
-			}
-			key := extractKey(b, i)
-			full := key.pack()
-			h := keyHash(&full)
-			rule := sw.classify(now, m, full, h)
-			if !noMemo {
-				if t := b.Template(); t != nil {
+				key := extractKey(b, i)
+				full := key.pack()
+				h := keyHash(&full)
+				rule = sw.classify(now, m, full, h)
+				if memo {
 					sw.recordMemo(t, i, full, h, rule)
 				}
 			}
 			if rule == nil {
+				sw.Dropped += int64(b.Run())
 				b.Free()
-				sw.Dropped++
 				continue
 			}
 			sw.apply(m, b, rule)
 		}
+		// One noisy draw per frame, batched into a single charge; the
+		// classify path above draws nothing, so the RNG stream is
+		// consumed exactly as the per-frame order did.
+		m.ChargeNoisyBatch(perPkt, jitterFrac, frames)
 	}
 	for i := range sw.ports {
-		stage := sw.txStage[i]
+		stage, frames := sw.txStage[i], sw.txFrames[i]
 		if len(stage) == 0 {
 			continue
 		}
 		did = true
 		sent := sw.ports[i].TxBurst(now, m, stage)
 		sw.Forwarded += int64(sent)
-		sw.Dropped += int64(len(stage) - sent)
-		sw.txStage[i] = stage[:0]
+		sw.Dropped += int64(frames - sent)
+		sw.txStage[i], sw.txFrames[i] = stage[:0], 0
 	}
 	return did
 }
@@ -407,19 +420,17 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 // replayMemo executes a recorded charge script: the identical simulated
 // cycles and counters the reference classify path produces for a repeat
 // frame, without extracting, packing, or probing anything.
-func (sw *Switch) replayMemo(now units.Time, m *cost.Meter, b *pkt.Buf, inPort int, e memoEntry) {
+func (sw *Switch) replayMemo(m *cost.Meter, e memoEntry) *Rule {
 	m.Charge(e.cycles)
 	switch e.kind {
 	case memoEMCHit:
 		sw.EMCHits++
 	case memoNoMatch:
 		sw.NoMatch++
-		b.Free()
-		sw.Dropped++
-		return
+		return nil
 	}
 	e.rule.Hits++
-	sw.apply(m, b, e.rule)
+	return e.rule
 }
 
 // memoCap bounds the memo's entries. The churn cells drive one in_port,
@@ -465,14 +476,16 @@ func (sw *Switch) recordMemo(t *pkt.Template, inPort int, full packedKey, h uint
 	sw.memo.Put(mh, k, e)
 }
 
+// apply executes r's actions on every frame of b.
 func (sw *Switch) apply(m *cost.Meter, b *pkt.Buf, r *Rule) {
-	m.Charge(applyPerPkt)
+	k := b.Run()
+	m.Charge(units.Cycles(k) * applyPerPkt)
 	out := -1
 	for _, a := range r.Actions {
 		switch a.Kind {
 		case ActDrop:
+			sw.Dropped += int64(k)
 			b.Free()
-			sw.Dropped++
 			return
 		case ActOutput:
 			out = a.Port
@@ -483,11 +496,12 @@ func (sw *Switch) apply(m *cost.Meter, b *pkt.Buf, r *Rule) {
 		}
 	}
 	if out < 0 || out >= len(sw.ports) {
+		sw.Dropped += int64(k)
 		b.Free()
-		sw.Dropped++
 		return
 	}
 	sw.txStage[out] = append(sw.txStage[out], b)
+	sw.txFrames[out] += k
 }
 
 // Rules returns the OpenFlow table — the only record of the installed

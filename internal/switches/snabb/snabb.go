@@ -207,15 +207,18 @@ func (a *NICApp) Pull(sw *Switch, now units.Time, m *cost.Meter) int {
 	if a.dev.Kind() == switchdef.PhysKind {
 		per += physRxExtra
 	}
-	sw.chargeApp(m, per, n)
+	frames := pkt.Frames(burst[:n])
+	sw.chargeApp(m, per, frames)
 	for _, b := range burst[:n] {
 		a.out.Push(b)
 	}
-	a.Rx += int64(n)
-	return n
+	a.Rx += int64(frames)
+	return frames
 }
 
-// Push moves frames in link → device.
+// Push moves frames in link → device. A link slot may hold a run
+// (pkt.Buf.Run); a breath's pull, at most PullBatch frames, always fits
+// in LinkCap slots, and the push drains it whole.
 func (a *NICApp) Push(sw *Switch, now units.Time, m *cost.Meter) int {
 	burst := &a.scratch
 	n := a.in.DrainTo(burst[:])
@@ -226,12 +229,13 @@ func (a *NICApp) Push(sw *Switch, now units.Time, m *cost.Meter) int {
 	if a.dev.Kind() == switchdef.PhysKind {
 		per += physTxExtra
 	}
-	sw.chargeApp(m, per, n)
+	frames := pkt.Frames(burst[:n])
+	sw.chargeApp(m, per, frames)
 	sent := a.dev.TxBurst(now, m, burst[:n])
 	a.Tx += int64(sent)
 	sw.Forwarded += int64(sent)
-	sw.Dropped += int64(n - sent)
-	return n
+	sw.Dropped += int64(frames - sent)
+	return frames
 }
 
 func init() {

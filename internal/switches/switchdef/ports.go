@@ -25,19 +25,21 @@ type PhysPort struct {
 // Kind implements DevPort.
 func (p *PhysPort) Kind() PortKind { return PhysKind }
 
-// RxBurst implements DevPort.
+// RxBurst implements DevPort. A run is priced as the frames it stands
+// for.
 func (p *PhysPort) RxBurst(now units.Time, m *cost.Meter, out []*pkt.Buf) int {
 	n := p.Port.RxBurst(now, out)
 	if !p.Unpriced {
 		m.Charge(m.Model.RxBurst)
 		for _, b := range out[:n] {
-			m.Charge(m.Model.RxPkt + m.Model.DMAPerByteMilli*units.Cycles(b.Len())/1000)
+			m.Charge(units.Cycles(b.Run()) * (m.Model.RxPkt + m.Model.DMAPerByteMilli*units.Cycles(b.Len())/1000))
 		}
 	}
 	return n
 }
 
-// TxBurst implements DevPort.
+// TxBurst implements DevPort: each buffer, run or frame, leaves in one
+// nic.Port.SendRunAt, and the frames the TX ring refuses are dropped.
 func (p *PhysPort) TxBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) int {
 	if !p.Unpriced && len(in) > 0 {
 		m.Charge(m.Model.TxBurst)
@@ -45,13 +47,13 @@ func (p *PhysPort) TxBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) int {
 	sent := 0
 	for _, b := range in {
 		if !p.Unpriced {
-			m.Charge(m.Model.TxPkt + m.Model.DMAPerByteMilli*units.Cycles(b.Len())/1000)
+			m.Charge(units.Cycles(b.Run()) * (m.Model.TxPkt + m.Model.DMAPerByteMilli*units.Cycles(b.Len())/1000))
 		}
-		if p.Port.SendAt(now, b) {
-			sent++
-		} else {
+		n := p.Port.SendRunAt(now, b)
+		if n == 0 {
 			b.Free()
 		}
+		sent += n
 	}
 	return sent
 }

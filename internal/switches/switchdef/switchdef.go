@@ -49,10 +49,14 @@ func (k PortKind) String() string {
 	}
 }
 
-// DevPort is a device a switch data plane drives. RxBurst hands ownership
-// of the returned buffers to the switch; TxBurst takes ownership of every
+// DevPort is a device a switch data plane drives. A buffer crossing it
+// may be a run (pkt.Buf.Run): k identical frames received back to back,
+// which a switch prices, classifies and forwards as k frames without
+// making k buffers. RxBurst fills out with buffers standing for at most
+// len(out) frames in total, hands their ownership to the switch, and
+// returns how many buffers it filled. TxBurst takes ownership of every
 // buffer passed (frames that cannot be sent are freed and counted by the
-// device) and returns the number actually accepted.
+// device) and returns the number of frames actually accepted.
 type DevPort interface {
 	Kind() PortKind
 	RxBurst(now units.Time, m *cost.Meter, out []*pkt.Buf) int

@@ -12,7 +12,8 @@ import (
 )
 
 // FakePort is an in-memory DevPort: tests push frames into In and read
-// transmissions from Out.
+// transmissions from Out. Either may hold runs (pkt.Buf.Run), which it
+// hands over and keeps whole.
 type FakePort struct {
 	// PortName labels the port; nothing reads it back.
 	PortName string
@@ -22,6 +23,7 @@ type FakePort struct {
 	// RejectTx makes TxBurst refuse (and free) everything.
 	RejectTx bool
 
+	// RxCount and TxCount count frames received and transmitted.
 	RxCount, TxCount int64
 }
 
@@ -43,11 +45,27 @@ func AddPorts(sw switchdef.Switch, n int) []*FakePort {
 // Kind implements switchdef.DevPort.
 func (p *FakePort) Kind() switchdef.PortKind { return p.PortKind }
 
-// RxBurst implements switchdef.DevPort.
+// RxBurst implements switchdef.DevPort: In's buffers leave in order, up to
+// len(out) frames; a run the burst cuts leaves its first frames and stays
+// queued with the rest.
 func (p *FakePort) RxBurst(now units.Time, m *cost.Meter, out []*pkt.Buf) int {
 	n := copy(out, p.In)
-	p.In = p.In[:copy(p.In, p.In[n:])]
-	p.RxCount += int64(n)
+	taken, frames := n, 0
+	for i, b := range out[:n] {
+		room, k := len(out)-frames, b.Run()
+		if k > room {
+			n, taken = i, i
+			if room > 0 {
+				out[i] = b.Cut(room)
+				n++
+				frames += room
+			}
+			break
+		}
+		frames += k
+	}
+	p.In = p.In[:copy(p.In, p.In[taken:])]
+	p.RxCount += int64(frames)
 	return n
 }
 
@@ -60,8 +78,9 @@ func (p *FakePort) TxBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) int {
 		return 0
 	}
 	p.Out = append(p.Out, in...)
-	p.TxCount += int64(len(in))
-	return len(in)
+	frames := pkt.Frames(in)
+	p.TxCount += int64(frames)
+	return frames
 }
 
 // NextRx implements switchdef.DevPort: frames in In are visible at once.

@@ -46,8 +46,9 @@ type Switch struct {
 	ports []switchdef.DevPort
 	dmac  *Table
 
-	txStage [][]*pkt.Buf
-	txFirst []units.Time
+	txStage  [][]*pkt.Buf
+	txFrames []int // the frames each txStage holds
+	txFirst  []units.Time
 
 	// Forwarded and Dropped count data-plane outcomes.
 	Forwarded, Dropped int64
@@ -101,6 +102,7 @@ func New(env switchdef.Env) *Switch {
 func (sw *Switch) AddPort(p switchdef.DevPort) int {
 	sw.ports = append(sw.ports, p)
 	sw.txStage = append(sw.txStage, nil)
+	sw.txFrames = append(sw.txFrames, 0)
 	sw.txFirst = append(sw.txFirst, 0)
 	return len(sw.ports) - 1
 }
@@ -138,35 +140,41 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 			// t4p4s needed offloads disabled to work with
 			// vhost-user at all (paper appendix A.2); the crossing
 			// costs it extra.
-			m.Charge(units.Cycles(n) * 118)
+			m.Charge(units.Cycles(pkt.Frames(burst[:n])) * 118)
 		}
 		for _, b := range burst[:n] {
 			sw.process(now, m, b, pf)
 		}
 	}
 	for i := range sw.ports {
-		stage := sw.txStage[i]
+		stage, frames := sw.txStage[i], sw.txFrames[i]
 		if len(stage) == 0 {
 			continue
 		}
-		if len(stage) < txFlushBatch && now-sw.txFirst[i] < txFlushDrain {
+		if frames < txFlushBatch && now-sw.txFirst[i] < txFlushDrain {
 			continue
 		}
 		did = true
 		if sw.ports[i].Kind() == switchdef.VhostKind {
 			// The disabled-offload vhost path costs on TX too.
-			m.Charge(units.Cycles(len(stage)) * 30)
+			m.Charge(units.Cycles(frames) * 30)
 		}
 		sent := sw.ports[i].TxBurst(now, m, stage)
 		sw.Forwarded += int64(sent)
-		sw.Dropped += int64(len(stage) - sent)
-		sw.txStage[i] = stage[:0]
+		sw.Dropped += int64(frames - sent)
+		sw.txStage[i], sw.txFrames[i] = stage[:0], 0
 	}
 	return did
 }
 
+// process runs the frames of b through the pipeline. The frames of a run
+// are identical, so one parse and one table lookup decide for them all,
+// while each frame still draws its own parse and deparse noise, in frame
+// order.
 func (sw *Switch) process(now units.Time, m *cost.Meter, b *pkt.Buf, pf float64) {
+	k := b.Run()
 	perByte := pipePerByteMilli * units.Cycles(b.Len()) / 1000
+	parse := cost.ScaleBy(pf, parseFixed+halPerPkt+perByte)
 
 	// Parser: the l2fwd program's one table matches dl_dst only, so the
 	// parser rejects a frame too short for an Ethernet header and reads
@@ -174,24 +182,29 @@ func (sw *Switch) process(now units.Time, m *cost.Meter, b *pkt.Buf, pf float64)
 	// header ParseEth / Put would agree byte for byte (pkt's
 	// FuzzEthRoundTrip) but copy fields nothing reads through the stack.
 	v := b.View()
-	m.ChargeNoisy(cost.ScaleBy(pf, parseFixed+halPerPkt+perByte), jitterFrac)
 	if len(v) < pkt.EthHdrLen {
+		m.ChargeNoisyBatch(parse, jitterFrac, k)
+		sw.Dropped += int64(k)
 		b.Free()
-		sw.Dropped++
 		return
 	}
 
 	// Match/action stage: the dmac table.
-	m.Charge(m.Model.HashLookup + tablePerLookup)
-	e, _ := sw.dmac.lookup(pkt.EthDst(v))
+	m.Charge(units.Cycles(k) * (m.Model.HashLookup + tablePerLookup))
+	e, _ := sw.dmac.lookup(pkt.EthDst(v), k)
 	if e.Action == ActDrop {
+		m.ChargeNoisyBatch(parse, jitterFrac, k)
+		sw.Dropped += int64(k)
 		b.Free()
-		sw.Dropped++
 		return
 	}
 
-	// Deparser: only a set-dmac action changed a header field.
-	m.ChargeNoisy(deparseFixed, jitterFrac)
+	// Each frame's parse and deparse draws, in frame order. Deparser: only
+	// a set-dmac action changed a header field.
+	for i := 0; i < k; i++ {
+		m.ChargeNoisy(parse, jitterFrac)
+		m.ChargeNoisy(deparseFixed, jitterFrac)
+	}
 	if e.Action == ActSetDstMAC {
 		pkt.SetEthDst(b.Bytes(), e.MAC)
 	}
@@ -200,6 +213,7 @@ func (sw *Switch) process(now units.Time, m *cost.Meter, b *pkt.Buf, pf float64)
 		sw.txFirst[out] = now
 	}
 	sw.txStage[out] = append(sw.txStage[out], b)
+	sw.txFrames[out] += k
 }
 
 // NextWork implements cpu.Waiter: an empty lcore iteration charges the

@@ -233,10 +233,10 @@ func TestTableKeyDistinguishesEveryByte(t *testing.T) {
 			if len(tab.entries) != 2 {
 				t.Fatalf("base %#x byte %d: %d entries, want 2", base, i, len(tab.entries))
 			}
-			if e, hit := tab.lookup(a); !hit || e.Port != 1 {
+			if e, hit := tab.lookup(a, 1); !hit || e.Port != 1 {
 				t.Fatalf("base %#x byte %d: lookup(%v) = %+v, %v", base, i, a, e, hit)
 			}
-			if e, hit := tab.lookup(b); !hit || e.Port != 2 {
+			if e, hit := tab.lookup(b, 1); !hit || e.Port != 2 {
 				t.Fatalf("base %#x byte %d: lookup(%v) = %+v, %v", base, i, b, e, hit)
 			}
 			if !tab.Remove(a) {
@@ -245,10 +245,10 @@ func TestTableKeyDistinguishesEveryByte(t *testing.T) {
 			if tab.Remove(a) {
 				t.Fatalf("base %#x byte %d: second Remove(%v) reported an entry", base, i, a)
 			}
-			if e, hit := tab.lookup(a); hit || e.Action != ActDrop {
+			if e, hit := tab.lookup(a, 1); hit || e.Action != ActDrop {
 				t.Fatalf("base %#x byte %d: removed %v still resolves to %+v", base, i, a, e)
 			}
-			if e, hit := tab.lookup(b); !hit || e.Port != 2 {
+			if e, hit := tab.lookup(b, 1); !hit || e.Port != 2 {
 				t.Fatalf("base %#x byte %d: Remove(%v) disturbed %v: %+v, %v", base, i, a, b, e, hit)
 			}
 			if tab.Hits != 3 || tab.Misses != 1 {

@@ -49,14 +49,15 @@ func (t *Table) Remove(dst pkt.MAC) bool {
 	return true
 }
 
-// lookup resolves the entry for a destination MAC. The second result
-// reports whether an installed entry matched (false means the default
-// entry was returned).
-func (t *Table) lookup(dst pkt.MAC) (Entry, bool) {
+// lookup resolves the entry for a destination MAC on behalf of n frames
+// carrying it, counting n hits or n misses. The second result reports
+// whether an installed entry matched (false means the default entry was
+// returned).
+func (t *Table) lookup(dst pkt.MAC, n int) (Entry, bool) {
 	if e, ok := t.entries[dst.Key()]; ok {
-		t.Hits++
+		t.Hits += int64(n)
 		return e, true
 	}
-	t.Misses++
+	t.Misses += int64(n)
 	return t.Default, false
 }

@@ -65,7 +65,7 @@ type Switch struct {
 	// stack array handed through the DevPort interface escapes, which
 	// costs one heap allocation per poll.
 	rxScratch [Burst]*pkt.Buf
-	// txScratch is the single-frame transmit slice deliver reuses; ports
+	// txScratch is the single-buffer transmit slice deliver reuses; ports
 	// do not retain their TxBurst argument.
 	txScratch [1]*pkt.Buf
 
@@ -149,59 +149,70 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 // chargeIngress prices the NIC-side receive work for a batch. Frames with
 // equal cost are charged through one batched call (same per-frame RNG draws,
 // fewer meter crossings); the physical-port cost is length-dependent, so
-// runs of equal-length frames batch together.
+// consecutive equal-length buffers, runs counted frame by frame, batch
+// together.
 func (sw *Switch) chargeIngress(m *cost.Meter, dev switchdef.DevPort, batch []*pkt.Buf) {
 	if dev.Kind() != switchdef.PhysKind {
-		m.ChargeNoisyBatch(ptnetPerPkt, jitterFrac, len(batch))
+		m.ChargeNoisyBatch(ptnetPerPkt, jitterFrac, pkt.Frames(batch))
 		return
 	}
 	for i := 0; i < len(batch); {
 		l := batch[i].Len()
+		frames := batch[i].Run()
 		j := i + 1
 		for j < len(batch) && batch[j].Len() == l {
+			frames += batch[j].Run()
 			j++
 		}
 		c := physPerPkt + physFixedPerPkt + physPerByteMilli*units.Cycles(l)/1000
-		m.ChargeNoisyBatch(c, jitterFrac, j-i)
+		m.ChargeNoisyBatch(c, jitterFrac, frames)
 		i = j
 	}
 }
 
-// forward runs one frame through a bridge: learn, look up, and copy it to
-// the other port unless its destination was learned on the port it came
-// from (a hairpin, dropped). An unknown destination floods, which on a
-// two-port bridge is the same delivery.
+// forward runs the frames of b through a bridge: learn, look up, and copy
+// them to the other port unless their destination was learned on the port
+// they came from (a hairpin, dropped). An unknown destination floods, which
+// on a two-port bridge is the same delivery. The frames of a run are
+// identical, so each learns and looks up alike, and the last lookup
+// decides for them all.
 func (sw *Switch) forward(br *bridge, now units.Time, m *cost.Meter, src, other int, b *pkt.Buf) {
 	data := b.View()
-	br.mac.Learn(pkt.EthSrc(data), src, now)
-	m.Charge(2*m.Model.HashLookup + lookupPerPkt)
-	if dst, known := br.mac.Lookup(pkt.EthDst(data)); known && dst == src {
+	k := b.Run()
+	var dst int
+	var known bool
+	for i := 0; i < k; i++ {
+		br.mac.Learn(pkt.EthSrc(data), src, now)
+		dst, known = br.mac.Lookup(pkt.EthDst(data))
+	}
+	m.Charge(units.Cycles(k) * (2*m.Model.HashLookup + lookupPerPkt))
+	if known && dst == src {
+		sw.Dropped += int64(k)
 		b.Free()
-		sw.Dropped++
 		return
 	}
 	sw.deliver(now, m, b, other)
 }
 
-// deliver copies the frame into the destination port and transmits.
+// deliver copies the frames of b into the destination port and transmits.
 func (sw *Switch) deliver(now units.Time, m *cost.Meter, b *pkt.Buf, dst int) {
 	dev := sw.ports[dst]
-	// The VALE inter-port copy (always; this is VALE's isolation price).
+	k := units.Cycles(b.Run())
+	// The VALE inter-port copy (always; this is VALE's isolation price),
+	// one per frame, of a run into one buffer.
 	out := sw.env.Pool.Clone(b)
-	m.Charge(copyBase + copyPerByteMilli*units.Cycles(b.Len())/1000)
+	m.Charge(k * (copyBase + copyPerByteMilli*units.Cycles(b.Len())/1000))
 	b.Free()
 	// Egress-side NIC work.
 	if dev.Kind() == switchdef.PhysKind {
-		m.Charge(physPerPkt + physPerByteMilli*units.Cycles(out.Len())/1000)
+		m.Charge(k * (physPerPkt + physPerByteMilli*units.Cycles(out.Len())/1000))
 	} else {
-		m.Charge(ptnetPerPkt)
+		m.Charge(k * ptnetPerPkt)
 	}
 	sw.txScratch[0] = out
-	if dev.TxBurst(now, m, sw.txScratch[:]) == 1 {
-		sw.Forwarded++
-	} else {
-		sw.Dropped++
-	}
+	sent := dev.TxBurst(now, m, sw.txScratch[:])
+	sw.Forwarded += int64(sent)
+	sw.Dropped += int64(k) - int64(sent)
 }
 
 func init() {

@@ -43,8 +43,11 @@ type Switch struct {
 
 	// rxVec is each port's dpdk-input vector for the dispatch in
 	// progress (VectorSize capacity, reused across polls): every port is
-	// read before l2-patch runs.
-	rxVec [][]*pkt.Buf
+	// read before l2-patch runs. Its buffers may be runs (pkt.Buf.Run):
+	// every node charge prices the frames they stand for, which rxFrames
+	// counts per vector.
+	rxVec    [][]*pkt.Buf
+	rxFrames []int
 
 	patchTo []int // l2patch: rx port -> tx port (-1 = none)
 
@@ -55,7 +58,8 @@ type Switch struct {
 	// ACLDropped counts frames the runtime drop list discarded.
 	ACLDropped int64
 
-	txStage [][]*pkt.Buf // per-port tx staging, flushed at frame end
+	txStage  [][]*pkt.Buf // per-port tx staging, flushed at frame end
+	txFrames []int        // the frames each txStage holds
 	// outOrder lists the ports l2-patch staged frames for, in the order it
 	// first reached them: the order interface-output visits them.
 	outOrder []int
@@ -88,7 +92,9 @@ var info = switchdef.Info{
 func (sw *Switch) AddPort(p switchdef.DevPort) int {
 	sw.ports = append(sw.ports, p)
 	sw.rxVec = append(sw.rxVec, make([]*pkt.Buf, 0, VectorSize))
+	sw.rxFrames = append(sw.rxFrames, 0)
 	sw.txStage = append(sw.txStage, nil)
+	sw.txFrames = append(sw.txFrames, 0)
 	sw.patchTo = append(sw.patchTo, -1)
 	return len(sw.ports) - 1
 }
@@ -123,7 +129,7 @@ func (sw *Switch) checkPort(i int) error {
 // instance with private vector scratch — see internal/multicore.
 func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 	got := false
-	// dpdk-input: one vector per port.
+	// dpdk-input: one vector of up to VectorSize frames per port.
 	for i, p := range sw.ports {
 		n := p.RxBurst(now, m, sw.rxVec[i][:VectorSize])
 		sw.rxVec[i] = sw.rxVec[i][:n]
@@ -131,11 +137,13 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 			continue
 		}
 		got = true
-		m.ChargeNoisy(nodeFixed+units.Cycles(n)*inputPerPkt, costJitterFrac)
+		sw.rxFrames[i] = pkt.Frames(sw.rxVec[i])
+		f := units.Cycles(sw.rxFrames[i])
+		m.ChargeNoisy(nodeFixed+f*inputPerPkt, costJitterFrac)
 		if p.Kind() == switchdef.VhostKind {
 			// Receiving from vhost-user ports costs VPP extra (the
 			// paper's "reversed unidirectional" finding).
-			m.Charge(units.Cycles(n) * vhostRxPenalty)
+			m.Charge(f * vhostRxPenalty)
 		}
 	}
 	// l2-patch, in port order; unpatched ports' vectors go to error-drop.
@@ -143,25 +151,28 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 		if len(v) == 0 {
 			continue
 		}
+		frames := sw.rxFrames[i]
 		tx := sw.patchTo[i]
 		if tx < 0 {
 			for _, b := range v {
 				b.Free()
 			}
-			sw.Dropped += int64(len(v))
+			sw.Dropped += int64(frames)
 			continue
 		}
-		m.ChargeNoisy(nodeFixed+units.Cycles(len(v))*patchPerPkt, costJitterFrac)
+		m.ChargeNoisy(nodeFixed+units.Cycles(frames)*patchPerPkt, costJitterFrac)
 		if len(sw.acl) > 0 {
 			// Feature arc: the runtime drop list is consulted only while
 			// rules are installed, so rule-free runs charge nothing here.
-			m.Charge(units.Cycles(len(v)) * (m.Model.HashLookup + aclPerPkt))
+			m.Charge(units.Cycles(frames) * (m.Model.HashLookup + aclPerPkt))
 			keep := v[:0]
 			for _, b := range v {
 				if sw.acl[pkt.EthDst(b.View()).Key()] {
+					k := int64(b.Run())
+					frames -= int(k)
 					b.Free()
-					sw.ACLDropped++
-					sw.Dropped++
+					sw.ACLDropped += k
+					sw.Dropped += k
 					continue
 				}
 				keep = append(keep, b)
@@ -175,10 +186,11 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 			sw.outOrder = append(sw.outOrder, tx)
 		}
 		sw.txStage[tx] = append(sw.txStage[tx], v...)
+		sw.txFrames[tx] += frames
 	}
 	// interface-output: one visit per output port over its merged vector.
 	for _, tx := range sw.outOrder {
-		m.ChargeNoisy(nodeFixed+units.Cycles(len(sw.txStage[tx]))*outputPerPkt, costJitterFrac)
+		m.ChargeNoisy(nodeFixed+units.Cycles(sw.txFrames[tx])*outputPerPkt, costJitterFrac)
 	}
 	sw.outOrder = sw.outOrder[:0]
 	// Flush staged tx.
@@ -188,13 +200,14 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 			continue
 		}
 		got = true
+		frames := sw.txFrames[i]
 		if sw.ports[i].Kind() == switchdef.VhostKind {
-			m.Charge(units.Cycles(len(stage)) * vhostTxPenalty)
+			m.Charge(units.Cycles(frames) * vhostTxPenalty)
 		}
 		sent := sw.ports[i].TxBurst(now, m, stage)
 		sw.Forwarded += int64(sent)
-		sw.Dropped += int64(len(stage) - sent)
-		sw.txStage[i] = stage[:0]
+		sw.Dropped += int64(frames - sent)
+		sw.txStage[i], sw.txFrames[i] = stage[:0], 0
 	}
 	return got
 }

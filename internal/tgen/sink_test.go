@@ -13,8 +13,9 @@ import (
 
 // polledSink is the sink as MoonGen's RX thread runs it: a scheduler task
 // that polls its port every SinkPollInterval and drains the whole ring,
-// counting, capturing and sampling probes frame by frame. It is the
-// reference Sink must reproduce without polling.
+// counting, capturing and sampling probes frame by frame, each frame of a
+// run cut off as a buffer of its own. It is the reference Sink must
+// reproduce without polling.
 type polledSink struct {
 	port    *nic.Port
 	Rx      stats.Counter
@@ -28,28 +29,34 @@ func (k *polledSink) Step(now units.Time) (units.Time, bool) {
 	burst := &k.scratch
 	for {
 		n := k.port.RxBurst(now, burst[:])
-		if n == 0 {
-			break
-		}
+		frames := pkt.Frames(burst[:n])
 		for _, b := range burst[:n] {
-			k.Rx.Add(1, int64(b.Len()))
-			if k.Capture != nil {
-				k.Capture(b.Ingress, b)
+			for b.Run() > 1 {
+				k.take(b.Cut(1))
 			}
-			if b.Probe {
-				if _, tx, ok := pkt.ProbeInfo(b); ok && tx > 0 {
-					k.Hist.Add(b.Ingress - tx)
-				} else if b.TxStamp > 0 {
-					k.Hist.Add(b.Ingress - b.TxStamp)
-				}
-			}
-			b.Free()
+			k.take(b)
 		}
-		if n < len(burst) {
+		if frames < len(burst) {
 			break
 		}
 	}
 	return now + SinkPollInterval, true
+}
+
+// take counts, captures and samples the single frame b, and frees it.
+func (k *polledSink) take(b *pkt.Buf) {
+	k.Rx.Add(1, int64(b.Len()))
+	if k.Capture != nil {
+		k.Capture(b.Ingress, b)
+	}
+	if b.Probe {
+		if _, tx, ok := pkt.ProbeInfo(b); ok && tx > 0 {
+			k.Hist.Add(b.Ingress - tx)
+		} else if b.TxStamp > 0 {
+			k.Hist.Add(b.Ingress - b.TxStamp)
+		}
+	}
+	b.Free()
 }
 
 // sinkSend is one scripted transmission toward the sink: n frames of len
@@ -131,7 +138,8 @@ func newSinkWorld(sc sinkScript, polled bool) *sinkWorld {
 				pkt.MarkProbe(b, seq+1, tx)
 			case s.n > 1:
 				if n := min(s.n, w.tx.TxFree(now)); n > 0 {
-					w.tx.SendRunAt(now, b, n)
+					b.SetRun(n)
+					w.tx.SendRunAt(now, b)
 					seq += uint64(n)
 				} else {
 					b.Free()

@@ -18,8 +18,9 @@
 // for byte what serializing it would write. There is no separate base
 // image: one flow costs one image. A saturating generator of one
 // flow and one frame length goes further: its burst's frames are one
-// template, so they leave as runs (nic.Port.SendRunAt), one buffer each,
-// and the frames the receiver's full RX ring drops never become buffers.
+// template, so they leave as runs (nic.Port.SendRunAt), one buffer each:
+// the frames the receiver's full RX ring drops never become buffers, and
+// the switch forwards the rest as runs too.
 //
 // A sink runs no poll loop: its port hands it every frame as the frame is
 // sent, and it counts the frame at the poll instant MoonGen's RX thread
@@ -318,7 +319,8 @@ func (g *Generator) emitRuns(at units.Time, budget int) {
 		b := g.cfg.Pool.Get(frameLen)
 		b.SetTemplate(t)
 		b.Seq = g.seq + 1
-		port.SendRunAt(at, b, n)
+		b.SetRun(n)
+		port.SendRunAt(at, b)
 		g.seq += uint64(n)
 		g.txCredit -= n
 		g.Sent += int64(n)
@@ -472,7 +474,7 @@ func (k *Sink) lastPoll(t units.Time) units.Time {
 
 // arrive takes the port's arrivals (nic.Port.BindSink): frames visible by
 // the current deadline's last poll drain now, the rest wait in order.
-func (k *Sink) arrive(b *pkt.Buf, vis, gap units.Time) {
+func (k *Sink) arrive(b *pkt.Buf, vis units.Time) {
 	if vis < k.start {
 		panic(fmt.Sprintf("tgen: frame visible at %v reached sink %s before its first poll at %v", vis, k.name, k.start))
 	}
@@ -483,7 +485,7 @@ func (k *Sink) arrive(b *pkt.Buf, vis, gap units.Time) {
 	// copied with wide loads that stall on store forwarding, which cost
 	// ~20 ns a frame.
 	var a arrival
-	a.vis, a.gap, a.b, a.n, a.len = vis, gap, b, int32(b.Run()), int32(b.Len())
+	a.vis, a.gap, a.b, a.n, a.len = vis, b.Gap, b, int32(b.Run()), int32(b.Len())
 	if b.Probe {
 		if _, tx, ok := pkt.ProbeInfo(b); ok && tx > 0 {
 			a.rtt, a.probe = b.Ingress-tx, true

@@ -9,9 +9,10 @@
 //
 // The simulated copy is charged on every crossing; the host-side memmove is
 // not. Buffers cross the device by ownership transfer — the same *pkt.Buf
-// travels from switch to guest (or back) and only its metadata moves —
-// because which Go allocation holds the bytes is not simulation state (see
-// DESIGN.md §3.3 for the bit-identity argument).
+// travels from switch to guest (or back) and only its metadata moves,
+// except that each frame of a run (pkt.Buf.Run) takes a descriptor and a
+// buffer of its own — because which Go allocation holds the bytes is not
+// simulation state (see DESIGN.md §3.3 for the bit-identity argument).
 package vhost
 
 import (
@@ -107,23 +108,20 @@ func (d *Device) deqCost(m *cost.Meter, frameLen int) units.Cycles {
 // HostEnqueueBurst delivers a batch of frames to the guest at time now:
 // the host core pays, per frame, for copying it into guest memory and
 // posting a used descriptor, charged in one pass; the guest sees the
-// frames after the notify delay. The device takes ownership of every
-// frame: those the full vring rejects are counted as drops and freed.
-// Returns the delivered count.
+// frames after the notify delay. A run is copied frame by frame from its
+// one host buffer, each frame into a descriptor of its own. The device
+// takes ownership of every frame: those the full vring rejects are counted
+// as drops and freed. Returns the delivered count.
 func (d *Device) HostEnqueueBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) int {
 	avail := now + d.cfg.GuestNotifyDelay
 	var total units.Cycles
 	sent := 0
 	for _, b := range in {
-		if d.rxRing.Free() == 0 {
-			d.rxRing.Drops++
-			b.Free()
-			continue
-		}
+		c := d.enqCost(m, b.Len())
 		b.AvailAt = avail
-		d.rxRing.Push(b)
-		total += d.enqCost(m, b.Len())
-		sent++
+		n := d.rxRing.PushFrames(b)
+		total += units.Cycles(n) * c
+		sent += n
 	}
 	if total > 0 {
 		m.Charge(total)
