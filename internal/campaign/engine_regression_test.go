@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/switches/ovs"
 	"repro/internal/units"
 )
 
@@ -95,23 +94,15 @@ func TestEngineOutputMatchesSeedPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig4a grid is too slow for -short")
 	}
-	// OvS's classification memo on, then force-disabled (the per-frame
-	// reference path): the digests must not see the difference.
-	for _, memo := range []string{"on", "off"} {
-		t.Run("memo="+memo, func(t *testing.T) {
-			prev := ovs.SetMemoDisabled(memo == "off")
-			defer ovs.SetMemoDisabled(prev)
-			resultsHash, keysHash := fig4aDigests(t)
-			if os.Getenv("SWBENCH_PRINT_DIGESTS") != "" {
-				t.Logf("fig4a results digest: %s", resultsHash)
-				t.Logf("fig4a cache-key digest: %s", keysHash)
-			}
-			if resultsHash != goldenFig4aResultsHash {
-				t.Errorf("fig4a results digest = %s, want %s (engine output diverged from the seed path)", resultsHash, goldenFig4aResultsHash)
-			}
-			if keysHash != goldenFig4aKeysHash {
-				t.Errorf("fig4a cache-key digest = %s, want %s (campaign cache addressing changed)", keysHash, goldenFig4aKeysHash)
-			}
-		})
+	resultsHash, keysHash := fig4aDigests(t)
+	if os.Getenv("SWBENCH_PRINT_DIGESTS") != "" {
+		t.Logf("fig4a results digest: %s", resultsHash)
+		t.Logf("fig4a cache-key digest: %s", keysHash)
+	}
+	if resultsHash != goldenFig4aResultsHash {
+		t.Errorf("fig4a results digest = %s, want %s (engine output diverged from the seed path)", resultsHash, goldenFig4aResultsHash)
+	}
+	if keysHash != goldenFig4aKeysHash {
+		t.Errorf("fig4a cache-key digest = %s, want %s (campaign cache addressing changed)", keysHash, goldenFig4aKeysHash)
 	}
 }

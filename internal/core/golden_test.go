@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/nic"
-	"repro/internal/switches/ovs"
 	"repro/internal/switches/switchdef"
 	"repro/internal/units"
 )
@@ -106,13 +105,10 @@ func checkRuleUpdates(t *testing.T, res Result) {
 	}
 }
 
-// TestPinnedGoldens runs every pinned golden table twice: with OvS's
-// template-keyed classification memo on, and with it force-disabled so
-// every frame takes the per-frame reference path. Both must reproduce the
-// pinned digests bit for bit — memoization is a host execution strategy,
-// invisible to the simulation — and every cell must conserve its SUT
-// cores' cycles (runConservingCycles) and every NIC sink's return leg its
-// frames (checkReturnLeg).
+// TestPinnedGoldens runs every pinned golden table and requires the
+// pinned digests bit for bit; every cell must also conserve its SUT cores'
+// cycles (runConservingCycles) and every NIC sink's return leg its frames
+// (checkReturnLeg).
 func TestPinnedGoldens(t *testing.T) {
 	tables := []struct {
 		name  string
@@ -135,32 +131,26 @@ func TestPinnedGoldens(t *testing.T) {
 		{name: "churn", cells: churnGoldens(), check: checkRuleUpdates},
 		{name: "legacy-engine", cells: legacyEngineGoldens(), slow: true},
 	}
-	for _, memo := range []string{"on", "off"} {
-		t.Run("memo="+memo, func(t *testing.T) {
-			prev := ovs.SetMemoDisabled(memo == "off")
-			defer ovs.SetMemoDisabled(prev)
-			for _, tab := range tables {
-				t.Run(tab.name, func(t *testing.T) {
-					if tab.slow && testing.Short() {
-						t.Skip("full grid is slow for -short")
-					}
-					for i, tc := range tab.cells {
-						cfg := tc.cfg
-						cfg.Duration = 2 * units.Millisecond
-						cfg.Warmup = units.Millisecond
-						res, err := runConservingCycles(t, cfg)
-						if err != nil {
-							t.Fatalf("%+v: %v", tc.cfg, err)
-						}
-						if got := resultDigest(t, res); got != tc.digest {
-							t.Errorf("cell %d (%s/%v): digest %s, want %s (simulated output diverged)",
-								i, cfg.Switch, cfg.Scenario, got, tc.digest)
-						}
-						if tab.check != nil {
-							tab.check(t, res)
-						}
-					}
-				})
+	for _, tab := range tables {
+		t.Run(tab.name, func(t *testing.T) {
+			if tab.slow && testing.Short() {
+				t.Skip("full grid is slow for -short")
+			}
+			for i, tc := range tab.cells {
+				cfg := tc.cfg
+				cfg.Duration = 2 * units.Millisecond
+				cfg.Warmup = units.Millisecond
+				res, err := runConservingCycles(t, cfg)
+				if err != nil {
+					t.Fatalf("%+v: %v", tc.cfg, err)
+				}
+				if got := resultDigest(t, res); got != tc.digest {
+					t.Errorf("cell %d (%s/%v): digest %s, want %s (simulated output diverged)",
+						i, cfg.Switch, cfg.Scenario, got, tc.digest)
+				}
+				if tab.check != nil {
+					tab.check(t, res)
+				}
 			}
 		})
 	}

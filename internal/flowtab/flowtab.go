@@ -1,6 +1,6 @@
 // Package flowtab provides the open-addressed hash tables backing the
 // switch data planes' host hot paths: a growable linear-probe map (OvS
-// megaflow cache and classification memo) and a fixed-capacity
+// megaflow cache) and a fixed-capacity
 // set-associative cache with deterministic clock-hand eviction (OvS EMC).
 //
 // These replace Go maps on per-frame paths. The win is host-side only —

@@ -249,8 +249,8 @@ func NewTemplate(data []byte) *Template {
 }
 
 // ID returns the template's process-unique, always-nonzero identity.
-// Frames sharing a template are byte-identical, so OvS keys its
-// classification memo on it.
+// Frames sharing a template are byte-identical, so OvS reuses a port's
+// parsed flow key while the ID it was parsed from repeats.
 func (t *Template) ID() uint64 { return t.id }
 
 // Len returns the image's frame length.

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/pkt"
 	"repro/internal/sim"
-	"repro/internal/switches/ovs"
 	"repro/internal/switches/switchdef"
 	"repro/internal/switches/switchtest"
 )
@@ -19,8 +18,8 @@ import (
 // the mid-run rule controller installs). Every programmable switch
 // accepts it — OvS as an OpenFlow rule, t4p4s as a dmac table entry,
 // VPP as an ACL arc entry, FastClick as a source-side filter — and each
-// Install/Revoke must retire whatever classification state (flow caches,
-// recorded charge scripts) the switch derived before the edit.
+// Install/Revoke must retire whatever classification state (flow caches)
+// the switch derived before the edit.
 func shadowDropRule(i int) switchdef.Rule {
 	return switchdef.Rule{
 		Match: switchdef.Match{
@@ -65,15 +64,15 @@ const churnRules = 16
 // same observables (delivered count, delivered bytes, charged cycles)
 // plus the live rule count. At the end every churned identity must
 // revoke exactly when it is live, so the switch's own tables hold the
-// program the sequence left. It does not touch the process-global memo
-// knob, so concurrent callers are safe.
-func churnDigestCore(name string, seed uint64) (string, error) {
+// program the sequence left. materialize is runDigest's. It shares no
+// state with other callers, so concurrent calls are safe.
+func churnDigestCore(name string, seed uint64, materialize bool) (string, error) {
 	env := switchtest.Env()
 	sw, err := switchdef.New(name, env)
 	if err != nil {
 		return "", err
 	}
-	s := &sut{sw: sw, env: env, in: switchtest.NewFakePort("in"), out: switchtest.NewFakePort("out")}
+	s := &sut{sw: sw, env: env, in: switchtest.NewFakePort("in"), out: switchtest.NewFakePort("out"), materialize: materialize}
 	sw.AddPort(s.in)
 	sw.AddPort(s.out)
 	if err := sw.CrossConnect(0, 1); err != nil {
@@ -96,8 +95,6 @@ func churnDigestCore(name string, seed uint64) (string, error) {
 	delivered := 0
 	live := map[int]bool{}
 	for step := 0; step < 300; step++ {
-		// The rule op draws happen before the burst draws so the random
-		// stream's alignment is identical in memoized and reference runs.
 		if rng.Intn(4) == 0 {
 			idx := rng.Intn(churnRules)
 			switch {
@@ -149,24 +146,19 @@ func churnDigestCore(name string, seed uint64) (string, error) {
 	return digest, nil
 }
 
-// churnDigest runs churnDigestCore under the requested memo mode.
-func churnDigest(t *testing.T, name string, seed uint64, disableMemo bool) string {
+// churnDigest is churnDigestCore, failing t on an error.
+func churnDigest(t *testing.T, name string, seed uint64, materialize bool) string {
 	t.Helper()
-	prev := ovs.SetMemoDisabled(disableMemo)
-	defer ovs.SetMemoDisabled(prev)
-	d, err := churnDigestCore(name, seed)
+	d, err := churnDigestCore(name, seed, materialize)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d
 }
 
-// TestChurnMemoizedMatchesReference requires every registered switch to
-// produce bit-identical observables under randomized mid-traffic rule
-// installs and revokes with classification memoization enabled and
-// disabled: every Install/Revoke must invalidate exactly the recorded
-// charge scripts the edit could have changed. The memo knob is
-// process-global, so these subtests never call t.Parallel.
+// TestChurnMemoizedMatchesReference is TestMemoizedMatchesReference under
+// randomized mid-traffic rule installs and revokes, which must reach
+// template-backed and materialized frames alike.
 func TestChurnMemoizedMatchesReference(t *testing.T) {
 	for _, name := range switchdef.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -174,7 +166,7 @@ func TestChurnMemoizedMatchesReference(t *testing.T) {
 				ref := churnDigest(t, name, seed, true)
 				memo := churnDigest(t, name, seed, false)
 				if ref != memo {
-					t.Errorf("seed %d: memoized churn run diverged from reference\n reference: %s\n memoized:  %s", seed, ref, memo)
+					t.Errorf("seed %d: template-backed churn run diverged from materialized\n materialized: %s\n templates:    %s", seed, ref, memo)
 				}
 			}
 		})
@@ -183,9 +175,9 @@ func TestChurnMemoizedMatchesReference(t *testing.T) {
 
 // TestChurnConcurrentInstancesAgree runs four independent instances of
 // each programmable switch through the same churn sequence on separate
-// goroutines and requires identical digests: rule state, caches, and
-// memo bookkeeping must be per-instance (race-clean under -race with
-// GOMAXPROCS >= 4), never shared process state.
+// goroutines and requires identical digests: rule state and caches must
+// be per-instance (race-clean under -race with GOMAXPROCS >= 4), never
+// shared process state.
 func TestChurnConcurrentInstancesAgree(t *testing.T) {
 	for _, name := range switchdef.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -197,7 +189,7 @@ func TestChurnConcurrentInstancesAgree(t *testing.T) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					digests[w], errs[w] = churnDigestCore(name, 7)
+					digests[w], errs[w] = churnDigestCore(name, 7, false)
 				}(w)
 			}
 			wg.Wait()

@@ -8,13 +8,13 @@ import (
 	"repro/internal/cost"
 	"repro/internal/pkt"
 	"repro/internal/sim"
-	"repro/internal/switches/ovs"
 	"repro/internal/switches/switchdef"
 	"repro/internal/switches/switchtest"
 	"repro/internal/units"
 
 	_ "repro/internal/switches/bess"
 	_ "repro/internal/switches/fastclick"
+	_ "repro/internal/switches/ovs"
 	_ "repro/internal/switches/snabb"
 	_ "repro/internal/switches/t4p4s"
 	_ "repro/internal/switches/vale"
@@ -29,6 +29,9 @@ type sut struct {
 	in, out *switchtest.FakePort
 	m       *cost.Meter
 	now     units.Time
+	// materialize gives every pushed frame bytes of its own, so no
+	// switch can reach its template.
+	materialize bool
 }
 
 func newSUT(tb testing.TB, name string) *sut {
@@ -70,20 +73,21 @@ func flowTemplate(i int) *pkt.Template {
 func (s *sut) push(tmpl *pkt.Template) {
 	b := s.env.Pool.Get(tmpl.Len())
 	b.SetTemplate(tmpl)
+	if s.materialize {
+		b.Bytes()
+	}
 	s.in.In = append(s.in.In, b)
 }
 
 // runDigest drives a fixed randomized multi-flow sequence through a fresh
 // instance of the named switch and digests everything observable about the
 // run: the delivered frame count, the bytes of every delivered frame in
-// order, and the total simulated cycles charged. disableMemo selects the
-// per-frame reference path (the SWBENCH_NO_MEMO ablation).
-func runDigest(t *testing.T, name string, seed uint64, disableMemo bool) string {
+// order, and the total simulated cycles charged. materialize sends every
+// frame with bytes of its own instead of its template.
+func runDigest(t *testing.T, name string, seed uint64, materialize bool) string {
 	t.Helper()
-	prev := ovs.SetMemoDisabled(disableMemo)
-	defer ovs.SetMemoDisabled(prev)
-
 	s := newSUT(t, name)
+	s.materialize = materialize
 	rng := sim.NewRNG(seed)
 	const flows = 64
 	tmpls := make([]*pkt.Template, flows)
@@ -111,9 +115,10 @@ func runDigest(t *testing.T, name string, seed uint64, disableMemo bool) string 
 }
 
 // TestMemoizedMatchesReference requires every registered switch to produce
-// bit-identical observables with classification memoization enabled and
-// disabled, on randomized multi-flow traffic. The memo knob is
-// process-global, so these subtests never call t.Parallel.
+// bit-identical observables on randomized multi-flow traffic whether its
+// frames arrive template-backed, which lets OvS reuse a port's parsed flow
+// key (flowKey), or materialized, so that every frame is parsed from its
+// own bytes; for every switch, the pair is also a determinism check.
 func TestMemoizedMatchesReference(t *testing.T) {
 	for _, name := range switchdef.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -121,7 +126,7 @@ func TestMemoizedMatchesReference(t *testing.T) {
 				ref := runDigest(t, name, seed, true)
 				memo := runDigest(t, name, seed, false)
 				if ref != memo {
-					t.Errorf("seed %d: memoized run diverged from reference\n reference: %s\n memoized:  %s", seed, ref, memo)
+					t.Errorf("seed %d: template-backed run diverged from materialized\n materialized: %s\n templates:    %s", seed, ref, memo)
 				}
 			}
 		})

@@ -1,11 +1,12 @@
 // Package conformance cross-checks every registered switch data plane
 // through the uniform switchdef.Switch interface: per-switch Poll
-// microbenchmarks (BenchmarkSwitchPoll) and the reference-vs-memoized
-// equivalence suite, which drives randomized multi-flow traffic, with and
-// without mid-traffic rule churn, through each switch with the
-// classification memo on and off and requires bit-identical observables.
-// Only OvS keeps a memo (ovs.SetMemoDisabled); every other switch has one
-// per-frame path, so for it the pair of runs is a plain determinism check.
+// microbenchmarks (BenchmarkSwitchPoll) and equivalence suites. One drives
+// randomized multi-flow traffic, with and without mid-traffic rule churn,
+// through each switch as template-backed frames and again as materialized
+// ones, and requires bit-identical observables; only OvS reads templates
+// (it reuses a port's parsed flow key while its template repeats), so for
+// every other switch the pair of runs is a plain determinism check. Another
+// holds each switch's run path to the same traffic sent frame by frame.
 // The package itself exports nothing; it exists so every switch gets the
 // same treatment without the switch packages importing each other.
 package conformance

@@ -22,6 +22,9 @@ type runCase struct {
 	rejectTx bool               // the egress port refuses everything
 	outKind  switchdef.PortKind // the egress port's kind
 	drop     bool               // a dl_dst drop rule hits part of the traffic
+	// stray sends part of the traffic into a third port that no rule
+	// covers, so its runs miss every tier (OvS only).
+	stray bool
 }
 
 var runCases = []runCase{
@@ -32,6 +35,7 @@ var runCases = []runCase{
 	{name: "reject-tx", maxRun: 40, rejectTx: true, outKind: switchdef.PhysKind},
 	{name: "vhost-egress", maxRun: 40, outKind: switchdef.VhostKind},
 	{name: "drop-rule", maxRun: 40, outKind: switchdef.PhysKind, drop: true},
+	{name: "no-match", maxRun: 40, outKind: switchdef.PhysKind, stray: true},
 }
 
 // blockedMAC is the destination of the traffic the drop-rule case drops.
@@ -88,6 +92,11 @@ func runPass(t *testing.T, name string, rc runCase, tmpls []*pkt.Template, seed 
 	out.PortKind, out.RejectTx = rc.outKind, rc.rejectTx
 	sw.AddPort(in)
 	sw.AddPort(out)
+	ins := []*switchtest.FakePort{in}
+	if rc.stray {
+		ins = append(ins, switchtest.NewFakePort("stray"))
+		sw.AddPort(ins[1])
+	}
 	if err := sw.CrossConnect(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -113,6 +122,10 @@ func runPass(t *testing.T, name string, rc runCase, tmpls []*pkt.Template, seed 
 		for j, n := 0, 1+rng.Intn(6); j < n; j++ {
 			tmpl := tmpls[rng.Intn(len(tmpls))]
 			k := 1 + rng.Intn(rc.maxRun)
+			port := in
+			if rc.stray {
+				port = ins[rng.Intn(len(ins))]
+			}
 			gap := units.TenGigE.WireTime(tmpl.Len())
 			for i := 0; i < k; i++ {
 				if asRuns && i > 0 {
@@ -124,7 +137,7 @@ func runPass(t *testing.T, name string, rc runCase, tmpls []*pkt.Template, seed 
 				if asRuns {
 					b.SetRun(k)
 				}
-				in.In = append(in.In, b)
+				port.In = append(port.In, b)
 			}
 			seq += uint64(k)
 		}
@@ -142,8 +155,12 @@ func runPass(t *testing.T, name string, rc runCase, tmpls []*pkt.Template, seed 
 		}
 		out.Out = out.Out[:0]
 	}
-	if in.RxCount != int64(seq-1) || len(in.In) != 0 {
-		t.Fatalf("%d frames offered, the switch received %d and left %d buffers", seq-1, in.RxCount, len(in.In))
+	received, left := int64(0), 0
+	for _, p := range ins {
+		received, left = received+p.RxCount, left+len(p.In)
+	}
+	if received != int64(seq-1) || left != 0 {
+		t.Fatalf("%d frames offered, the switch received %d and left %d buffers", seq-1, received, left)
 	}
 	o.cycles, o.nextDraw, o.counters = m.Total(), m.RNG.Uint64(), counters(sw)
 	return o
@@ -156,7 +173,8 @@ func runPass(t *testing.T, name string, rc runCase, tmpls []*pkt.Template, seed 
 // and, once runs are expanded, the same egress frames in the same order
 // with the same sequence numbers, timestamps and bytes — over runs that a
 // burst limit cuts, an egress port that refuses everything, a vhost-kind
-// egress and, on the programmable switches, a drop rule hitting runs.
+// egress, on the programmable switches a drop rule hitting runs and, on
+// OvS, runs into a port no rule covers.
 func TestRunsMatchFrames(t *testing.T) {
 	for _, name := range switchdef.Names() {
 		info, err := switchdef.Lookup(name)
@@ -164,12 +182,12 @@ func TestRunsMatchFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, rc := range runCases {
-			if rc.drop && !info.RuntimeRules {
+			if rc.drop && !info.RuntimeRules || rc.stray && name != "ovs" {
 				continue
 			}
 			t.Run(name+"/"+rc.name, func(t *testing.T) {
-				// One set of templates for both passes: OvS keys its
-				// memo on their identities.
+				// One set of templates for both passes: OvS keeps the
+				// last one's identity per port, and counters reads it.
 				tmpls := runTemplates(rc.drop)
 				for seed := uint64(1); seed <= 3; seed++ {
 					frames := runPass(t, name, rc, tmpls, seed, false)
@@ -192,6 +210,9 @@ func TestRunsMatchFrames(t *testing.T) {
 					}
 					if !rc.rejectTx && len(frames.egress) == 0 {
 						t.Fatalf("seed %d: nothing left the switch", seed)
+					}
+					if rc.stray && !strings.Contains(frames.counters, ".NoMatch=") {
+						t.Fatalf("seed %d: no frame missed every tier: %s", seed, frames.counters)
 					}
 				}
 			})

@@ -72,37 +72,22 @@ type megaEntry struct {
 	mk   mask
 }
 
-// memoKey identifies one classification decision: frames sharing a
-// template are byte-identical, so (template, in_port) determines the full
-// flow key and therefore the entire lookup outcome.
-type memoKey struct {
-	tmpl uint64
-	port int32
-}
-
-// Memo entry kinds: what the per-frame reference path would do for the
-// next frame of this (template, port), recorded right after classify ran.
-const (
-	memoEMCHit  uint8 = iota + 1 // EMC probe hits
-	memoNoMatch                  // full walk misses; frame dropped
-)
-
-// memoEntry is a recorded charge script: the exact simulated cycles the
-// reference classify path charges for a repeat frame, plus the counter
-// side effects to replay. Valid only while gen matches the switch's
-// cacheGen — any table or cache mutation invalidates every memo.
-type memoEntry struct {
-	gen    uint64
-	cycles units.Cycles
-	kind   uint8
-	rule   *Rule
-}
-
-func memoHash(k memoKey) uint64 {
-	return flowtab.HashUint64(k.tmpl ^ uint64(uint32(k.port))<<32)
-}
-
 func keyHash(k *packedKey) uint64 { return flowtab.HashBytes(k[:]) }
+
+// port is one attached device with what OvS keeps per port: the buffers
+// staged for it this poll, and the flow key of the last frame it received
+// (see flowKey).
+type port struct {
+	dev    switchdef.DevPort
+	stage  []*pkt.Buf
+	frames int // the frames stage holds
+	// key and hash are the packed flow key and keyHash; tmpl is the ID
+	// of the template they were parsed from, or 0 if that frame had none
+	// (IDs are nonzero).
+	tmpl uint64
+	key  packedKey
+	hash uint64
+}
 
 // Switch is an OvS-DPDK instance.
 type Switch struct {
@@ -112,7 +97,7 @@ type Switch struct {
 	rxScratch [Burst]*pkt.Buf
 
 	env   switchdef.Env
-	ports []switchdef.DevPort
+	ports []port
 	rng   *sim.RNG
 
 	rules  []*Rule
@@ -131,15 +116,6 @@ type Switch struct {
 	megaMasks []mask // distinct installed megaflow masks
 	nextRev   units.Time
 	hasVhost  bool
-
-	// memo caches classification decisions by (template, in_port); see
-	// memoEntry. cacheGen invalidates it wholesale on any mutation of the
-	// rule table, megaflow cache, or EMC membership.
-	memo     *flowtab.Map[memoKey, memoEntry]
-	cacheGen uint64
-
-	txStage  [][]*pkt.Buf
-	txFrames []int // the frames each txStage holds
 
 	// Stats.
 	EMCHits, MegaHits, SlowHits, NoMatch int64
@@ -173,15 +149,12 @@ func New(env switchdef.Env) *Switch {
 		byMask: map[mask]*maskGroup{},
 		emc:    flowtab.NewCache[packedKey, *Rule](EMCCapacity),
 		mega:   flowtab.NewMap[packedKey, megaEntry](64),
-		memo:   flowtab.NewMap[memoKey, memoEntry](16),
 	}
 }
 
 // AddPort implements switchdef.Switch.
 func (sw *Switch) AddPort(p switchdef.DevPort) int {
-	sw.ports = append(sw.ports, p)
-	sw.txStage = append(sw.txStage, nil)
-	sw.txFrames = append(sw.txFrames, 0)
+	sw.ports = append(sw.ports, port{dev: p})
 	if p.Kind() == switchdef.VhostKind {
 		sw.hasVhost = true
 	}
@@ -192,7 +165,6 @@ func (sw *Switch) invalidateCaches() {
 	sw.emc.Reset()
 	sw.mega.Reset()
 	sw.megaMasks = nil
-	sw.cacheGen++
 }
 
 // rebuildGroups re-derives the tuple-space subtables from sw.rules: one
@@ -246,14 +218,13 @@ func (sw *Switch) CrossConnect(a, b int) error {
 	return nil
 }
 
-// classify finds the rule for a packed key full whose keyHash is h,
+// classify finds the rule for a packed key *full whose keyHash is h,
 // exercising EMC → megaflow → slow path, charging lookup costs as it goes.
-// This is the per-frame reference path; the memoized fast path (Poll) must
-// replay exactly the charges and counter increments a repeat frame would
-// collect here.
-func (sw *Switch) classify(now units.Time, m *cost.Meter, full packedKey, h uint64) *Rule {
+// Poll calls it for every frame, so every charge and counter comes from
+// here.
+func (sw *Switch) classify(m *cost.Meter, full *packedKey, h uint64) *Rule {
 	m.Charge(m.Model.HashLookup)
-	if r, ok := sw.emc.Get(h, full); ok {
+	if r, ok := sw.emc.Get(h, *full); ok {
 		sw.EMCHits++
 		m.Charge(emcHitPerPkt)
 		r.Hits++
@@ -261,12 +232,12 @@ func (sw *Switch) classify(now units.Time, m *cost.Meter, full packedKey, h uint
 	}
 	// Megaflow (tuple space) tier: probe each installed megaflow mask.
 	for _, mk := range sw.megaMasks {
-		masked := mk.apply(full)
+		masked := mk.apply(*full)
 		m.Charge(m.Model.HashLookup + megaflowExtra)
 		if e, ok := sw.mega.Get(keyHash(&masked), masked); ok && e.mk == mk {
 			sw.MegaHits++
 			e.rule.Hits++
-			sw.installEMC(full, h, e.rule)
+			sw.installEMC(*full, h, e.rule)
 			return e.rule
 		}
 	}
@@ -274,7 +245,7 @@ func (sw *Switch) classify(now units.Time, m *cost.Meter, full packedKey, h uint
 	m.Charge(slowPathCost)
 	var best *Rule
 	for _, g := range sw.groups {
-		masked := g.mask.apply(full)
+		masked := g.mask.apply(*full)
 		if r, ok := g.flows[masked]; ok && r.beats(best) {
 			best = r
 		}
@@ -285,8 +256,8 @@ func (sw *Switch) classify(now units.Time, m *cost.Meter, full packedKey, h uint
 	}
 	sw.SlowHits++
 	best.Hits++
-	sw.installMegaflow(full, best)
-	sw.installEMC(full, h, best)
+	sw.installMegaflow(*full, best)
+	sw.installEMC(*full, h, best)
 	return best
 }
 
@@ -316,19 +287,12 @@ func (sw *Switch) installMegaflow(full packedKey, best *Rule) {
 		sw.megaMasks = append(sw.megaMasks, union)
 	}
 	sw.mega.Put(keyHash(&masked), masked, megaEntry{rule: best, mk: union})
-	// A new megaflow entry (or mask) can change a later frame's probe
-	// sequence or outcome — every recorded memo is stale.
-	sw.cacheGen++
 }
 
 // installEMC caches r under the packed key full, whose keyHash is h.
 func (sw *Switch) installEMC(full packedKey, h uint64, r *Rule) {
-	if sw.emc.Put(h, full, r) {
-		// Clock-hand eviction of a live entry: some memoized EMC-hit
-		// script may now be wrong, so invalidate them all. Refreshing an
-		// existing key changes nothing and keeps memos valid.
+	if sw.emc.Put(h, full, r) { // clock-hand eviction of a live entry
 		sw.EMCEvictions++
-		sw.cacheGen++
 	}
 }
 
@@ -351,12 +315,10 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 		factor = vhostMod.Factor(now)
 	}
 	perPkt := units.Cycles(float64(parsePerPkt+perPktOverhead) * factor)
-	noMemo := MemoDisabled()
 	burst := &sw.rxScratch
 	did := false
 	for i := range sw.ports {
-		p := sw.ports[i]
-		n := p.RxBurst(now, m, burst[:])
+		n := sw.ports[i].dev.RxBurst(now, m, burst[:])
 		if n == 0 {
 			continue
 		}
@@ -366,30 +328,12 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 			frames += b.Run()
 			// Each frame of a run is classified in turn — the caches it
 			// fills and the counters it bumps are per frame — and, the
-			// frames being identical, all meet the first one's rule.
-			t := b.Template()
-			memo := !noMemo && t != nil
-			var mk memoKey
-			var mh uint64
-			if memo {
-				mk = memoKey{tmpl: t.ID(), port: int32(i)}
-				mh = memoHash(mk)
-			}
+			// frames being identical, all share one key and meet the
+			// first one's rule.
+			full, h := sw.flowKey(b, i)
 			var rule *Rule
 			for k := b.Run(); k > 0; k-- {
-				if memo {
-					if e, ok := sw.memo.Get(mh, mk); ok && e.gen == sw.cacheGen {
-						rule = sw.replayMemo(m, e)
-						continue
-					}
-				}
-				key := extractKey(b, i)
-				full := key.pack()
-				h := keyHash(&full)
-				rule = sw.classify(now, m, full, h)
-				if memo {
-					sw.recordMemo(t, i, full, h, rule)
-				}
+				rule = sw.classify(m, full, h)
 			}
 			if rule == nil {
 				sw.Dropped += int64(b.Run())
@@ -404,76 +348,40 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 		m.ChargeNoisyBatch(perPkt, jitterFrac, frames)
 	}
 	for i := range sw.ports {
-		stage, frames := sw.txStage[i], sw.txFrames[i]
-		if len(stage) == 0 {
+		p := &sw.ports[i]
+		if len(p.stage) == 0 {
 			continue
 		}
 		did = true
-		sent := sw.ports[i].TxBurst(now, m, stage)
+		sent := p.dev.TxBurst(now, m, p.stage)
 		sw.Forwarded += int64(sent)
-		sw.Dropped += int64(frames - sent)
-		sw.txStage[i], sw.txFrames[i] = stage[:0], 0
+		sw.Dropped += int64(p.frames - sent)
+		p.stage, p.frames = p.stage[:0], 0
 	}
 	return did
 }
 
-// replayMemo executes a recorded charge script: the identical simulated
-// cycles and counters the reference classify path produces for a repeat
-// frame, without extracting, packing, or probing anything.
-func (sw *Switch) replayMemo(m *cost.Meter, e memoEntry) *Rule {
-	m.Charge(e.cycles)
-	switch e.kind {
-	case memoEMCHit:
-		sw.EMCHits++
-	case memoNoMatch:
-		sw.NoMatch++
-		return nil
+// flowKey returns the packed flow key of the frames b holds, received on
+// port i, and its keyHash. The port keeps the last key it parsed, and a
+// template's frames are byte-identical, so a buffer on the template that
+// key came from reuses it; any other buffer (a new template, no template,
+// or one resized away from its template's length) is parsed afresh. The
+// key is returned in place: copied through the stack on every frame, the
+// 31-byte array stalls on store forwarding. Reuse saves only host-side
+// parsing (ParseIPv4 verifies a checksum per frame): classify still runs
+// for every frame, so it cannot move a simulated charge or counter.
+func (sw *Switch) flowKey(b *pkt.Buf, i int) (*packedKey, uint64) {
+	p := &sw.ports[i]
+	var id uint64
+	if t := b.Template(); t != nil && b.Len() == t.Len() {
+		id = t.ID()
 	}
-	e.rule.Hits++
-	return e.rule
-}
-
-// memoCap bounds the memo's entries. The churn cells drive one in_port,
-// so a 512-flow cell needs 512 keys; 1024 is twice that. In the Zipf
-// cells of 8192 and 32768 flows, fewer than 400 keys ever replay, and the
-// hot ones arrive first. Past the cap, a key already recorded is still
-// refreshed, so the templates that came first keep replaying across
-// invalidations, while a new one is not recorded at all. Nothing is
-// evicted, so which frames replay stays a pure function of the frame
-// sequence; with thousands of flows churning the caches, an entry per
-// flow would go stale before its template came round again, and the
-// table would only cost its growth.
-const memoCap = 1024
-
-// recordMemo captures what the reference path will do for the *next* frame
-// of this (template, in_port), given the caches classify just left behind.
-// The entry stays valid while cacheGen is unchanged. A new key is recorded
-// only while the memo holds fewer than memoCap entries.
-func (sw *Switch) recordMemo(t *pkt.Template, inPort int, full packedKey, h uint64, rule *Rule) {
-	k := memoKey{tmpl: t.ID(), port: int32(inPort)}
-	mh := memoHash(k)
-	if sw.memo.Len() >= memoCap {
-		if _, ok := sw.memo.Get(mh, k); !ok {
-			return
-		}
+	if id == 0 || id != p.tmpl {
+		key := extractKey(b, i)
+		p.tmpl, p.key = id, key.pack()
+		p.hash = keyHash(&p.key)
 	}
-	e := memoEntry{gen: sw.cacheGen, rule: rule}
-	if rule == nil {
-		// Repeat frames re-walk every tier and drop.
-		e.kind = memoNoMatch
-		e.cycles = sw.env.Model.HashLookup +
-			units.Cycles(len(sw.megaMasks))*(sw.env.Model.HashLookup+megaflowExtra) +
-			slowPathCost
-	} else {
-		// classify just installed (or refreshed) the EMC entry, so the
-		// next frame is an EMC hit.
-		if r, ok := sw.emc.Get(h, full); !ok || r != rule {
-			return
-		}
-		e.kind = memoEMCHit
-		e.cycles = sw.env.Model.HashLookup + emcHitPerPkt
-	}
-	sw.memo.Put(mh, k, e)
+	return &p.key, p.hash
 }
 
 // apply executes r's actions on every frame of b.
@@ -500,8 +408,9 @@ func (sw *Switch) apply(m *cost.Meter, b *pkt.Buf, r *Rule) {
 		b.Free()
 		return
 	}
-	sw.txStage[out] = append(sw.txStage[out], b)
-	sw.txFrames[out] += k
+	p := &sw.ports[out]
+	p.stage = append(p.stage, b)
+	p.frames += k
 }
 
 // Rules returns the OpenFlow table — the only record of the installed
@@ -512,7 +421,11 @@ func (sw *Switch) Rules() []*Rule { return sw.rules }
 // drivers' fixed receive cost (the vhost modulation scales per-frame work
 // only) until a port has a frame or the revalidation stall falls due.
 func (sw *Switch) NextWork(now units.Time) units.Time {
-	return min(sw.nextRev, switchdef.EarliestRx(now, sw.ports))
+	next := sw.nextRev
+	for i := range sw.ports {
+		next = min(next, sw.ports[i].dev.NextRx(now))
+	}
+	return next
 }
 
 func init() {

@@ -350,7 +350,7 @@ func TestPropertyCachedClassifierMatchesReference(t *testing.T) {
 				L4Dst:   uint16(2000 + rng.Intn(3)),
 			}
 			full := key.pack()
-			got := sw.classify(0, m, full, keyHash(&full))
+			got := sw.classify(m, &full, keyHash(&full))
 			want := refClassify(sw.Rules(), full)
 			if got != want {
 				return false

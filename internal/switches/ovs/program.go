@@ -10,8 +10,8 @@ import (
 // OvS's Programmer lowers typed rules into its OpenFlow table: each typed
 // match field packs into its fieldSpan and actions map one-to-one.
 // Install and Revoke run the full rebuildGroups + invalidateCaches
-// sequence, so cacheGen advances and every recorded charge script (memo)
-// is retired — the PR 7 invalidation invariant.
+// sequence, so no EMC or megaflow decision taken before an edit outlives
+// it.
 
 // lowerMatch converts a typed rule's identity — priority and match — into
 // the internal representation, with no actions.

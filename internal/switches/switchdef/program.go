@@ -9,8 +9,7 @@
 // BOFUSS-style softswitches standardize) over a typed Rule value.
 // Controllers, fleets, examples and CrossConnect program every data plane
 // the same way while each switch lowers rules straight into its own
-// tables, which are the only copy of its program (OvS also bumps its memo
-// generation, keeping its recorded charge scripts correct under churn).
+// tables, which are the only copy of its program.
 package switchdef
 
 import (

@@ -10,8 +10,8 @@ import (
 // surfaces: in_port → output rules become l2patch entries (what the
 // paper's "test l2patch rx portN tx portM" sets), and destination-MAC
 // drop rules become a feature-arc drop list consulted on the patch path
-// only while non-empty. VPP has no classification memo, so no generation
-// counter is needed — the patch table and ACL are read per dispatch. The
+// only while non-empty. VPP caches no classification, so nothing needs
+// invalidating — the patch table and ACL are read per dispatch. The
 // two tables are the whole program: a rule's identity is its field set
 // (in_port alone or dl_dst alone) plus that field's value, at the one
 // priority l2patch knows.
