@@ -27,6 +27,8 @@ type Writer struct {
 	w       io.Writer
 	snapLen int
 	count   int64
+	// frame is scratch space the frame being written is rendered into.
+	frame []byte
 }
 
 // NewWriter writes the global header and returns a ready Writer.
@@ -44,9 +46,12 @@ func NewWriter(w io.Writer) (*Writer, error) {
 	return &Writer{w: w, snapLen: maxSnapLen}, nil
 }
 
-// WritePacket records one frame at the given simulated time.
+// WritePacket records one frame at the given simulated time: its contents
+// as Buf.Bytes() would show them (a lazy probe's stamp included), rendered
+// without changing the buffer.
 func (pw *Writer) WritePacket(at units.Time, b *pkt.Buf) error {
-	data := b.View()
+	pw.frame = b.AppendTo(pw.frame[:0])
+	data := pw.frame
 	capLen := len(data)
 	if capLen > pw.snapLen {
 		capLen = pw.snapLen

@@ -123,3 +123,52 @@ func TestPropertyRoundTripPayloads(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLazyProbeRecordsItsStamp: a template-backed probe is recorded with
+// the bytes materializing it would give — its stamp included — and stays
+// template-backed, while the template-backed frames around it are recorded
+// as their images.
+func TestLazyProbeRecordsItsStamp(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := pkt.NewPool(2048)
+	spec := pkt.FrameSpec{SrcMAC: pkt.MAC{2, 0, 0, 0, 0, 1}, DstMAC: pkt.MAC{2, 0, 0, 0, 0, 2}, FrameLen: 128}
+	tmpl := spec.Template(0)
+	var want [][]byte
+	for i, tx := range []units.Time{-1, 0, 7 * units.Microsecond} {
+		b := pool.Get(128)
+		b.SetTemplate(tmpl)
+		if tx >= 0 {
+			pkt.MarkProbe(b, uint64(i), tx)
+			if tx == 0 {
+				b.TxStamp = 9 * units.Microsecond // the NIC stamps it on the wire
+			}
+		}
+		if err := w.WritePacket(units.Second, b); err != nil {
+			t.Fatal(err)
+		}
+		if b.Materialized() {
+			t.Fatalf("frame %d: capturing materialized it", i)
+		}
+		want = append(want, append([]byte(nil), b.Bytes()...))
+		b.Free()
+	}
+	recs, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range recs {
+		if !bytes.Equal(r.Data, want[i]) {
+			t.Fatalf("record %d differs from the materialized frame", i)
+		}
+	}
+	if _, tx, ok := pkt.ProbeInfo(recs[1].Data); !ok || tx != 0 {
+		t.Fatalf("hardware-stamped probe recorded with TX field %v (probe %v)", tx, ok)
+	}
+	if _, tx, ok := pkt.ProbeInfo(recs[2].Data); !ok || tx != 7*units.Microsecond {
+		t.Fatalf("software-stamped probe recorded with TX field %v (probe %v)", tx, ok)
+	}
+}

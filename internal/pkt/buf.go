@@ -10,14 +10,23 @@
 // Synthetic generator frames are identical per (FrameSpec, flow), so a Buf
 // can carry a shared *Template instead of bytes of its own, and a pool
 // buffer owns no byte storage at all until somebody writes to it: Get,
-// SetTemplate, SetLen, View on a template-backed frame, and CopyFrom/Clone
-// from an unbacked source move only metadata. Bytes() — the accessor for
-// anything that edits real bytes (probe stamping, header rewrites) —
-// attaches backing from the pool's data slabs on first use and copies the
-// template image in; the backing then stays with the buffer across
-// Free/Get. Read-only inspection goes through View(). Simulated cycle cost
-// is charged by the components exactly as before — host bytes moving (or
-// not) is invisible to the simulation.
+// SetTemplate, SetLen, MarkProbe, View on a template-backed frame, and
+// CopyFrom/Clone from an unbacked source move only metadata. Bytes() — the
+// accessor for anything that edits real bytes (header rewrites) — attaches
+// backing from the pool's data slabs on first use and copies the template
+// image in; the backing then stays with the buffer across Free/Get.
+// Read-only inspection of headers goes through View().
+//
+// A latency probe's stamp is metadata too: MarkProbe on a template-backed
+// frame records Seq, TxStamp and whether the payload carries that TxStamp
+// or 0, and the stamp bytes exist only once something materializes the
+// frame — Bytes() writes them right after the template image, and
+// AppendTo renders them for a capture without touching the buffer. So a
+// probe crosses the whole testbed as cheaply as the frames around it;
+// View() on it shows the template image, stamp-free, which is all a
+// header parser reads. Simulated cycle cost is charged by the components
+// exactly as before — host bytes moving (or not) is invisible to the
+// simulation.
 //
 // A buffer with neither template nor backing has never been written and
 // reads as zeros (fresh backing is zeroed); a recycled backed buffer reads
@@ -45,9 +54,12 @@ type Buf struct {
 	// Probe marks latency-measurement (PTP) packets.
 	Probe  bool
 	inPool bool
+	// stamp is the probe payload MarkProbe set (see stampKind), written
+	// over the template image whenever the frame materializes.
+	stamp stampKind
 	// more is how many further frames, identical to this one and leaving
-	// back to back behind it, the buffer stands for (see Run); it sits in
-	// Probe's padding, so a Buf stays 96 bytes.
+	// back to back behind it, the buffer stands for (see Run). It and
+	// stamp sit in Probe's padding, so a Buf stays 96 bytes.
 	more int32
 	// TxStamp is the probe's transmit timestamp: hardware (taken by the
 	// NIC as the frame hits the wire) in p2p/loopback runs, software
@@ -79,9 +91,10 @@ func (b *Buf) Bytes() []byte {
 // backing: a template-backed buffer exposes the shared image directly.
 // Callers must not write through the returned slice — header parsing, MAC
 // learning, and flow-key extraction belong here; rewrites go through
-// Bytes(). (A buffer whose logical length outgrew its template image, or
-// that has neither template nor backing, falls back to materializing, so
-// the zero-extension is real.)
+// Bytes(). A template-backed probe's view is the image without its stamp,
+// which sits past every header. (A buffer whose logical length outgrew its
+// template image, or that has neither template nor backing, falls back to
+// materializing, so the zero-extension is real.)
 func (b *Buf) View() []byte {
 	if b.tmpl != nil && b.len <= len(b.tmpl.data) {
 		return b.tmpl.data[:b.len]
@@ -95,18 +108,42 @@ func (b *Buf) Template() *Template { return b.tmpl }
 
 // materialize gives the buffer bytes of its own: backing storage if it has
 // none yet, then the template image (one memcpy; the template is
-// pre-serialized). Lengths can disagree only after an explicit SetLen on a
-// lazy buffer; the image is truncated or zero-extended to match, mirroring
-// what Build-then-SetLen would have produced.
+// pre-serialized) with a probe's stamp over it. Lengths can disagree only
+// after an explicit SetLen on a lazy buffer; the image is truncated or
+// zero-extended to match, mirroring what Build-then-SetLen would have
+// produced.
 func (b *Buf) materialize() {
 	if b.data == nil && b.pool != nil { // a pool-less buffer has capacity 0
 		b.data = b.pool.backing()
 	}
 	if t := b.tmpl; t != nil {
 		b.tmpl = nil
-		n := copy(b.data[:b.len], t.data)
-		clear(b.data[n:b.len])
+		b.render(b.data[:b.len], t)
 	}
+}
+
+// render writes the frame contents of template-backed b, t's image
+// truncated or zero-extended to len(p) with b's probe stamp over it, into
+// p.
+func (b *Buf) render(p []byte, t *Template) {
+	n := copy(p, t.data)
+	clear(p[n:])
+	b.writeStamp(p)
+}
+
+// AppendTo appends the frame contents, as Bytes() would return them, to
+// dst without changing b: no backing is attached and a template-backed
+// frame stays one. This is how a capture renders a lazy probe's stamp.
+func (b *Buf) AppendTo(dst []byte) []byte {
+	n := len(dst)
+	dst = append(dst, make([]byte, b.len)...)
+	switch p := dst[n:]; {
+	case b.tmpl != nil:
+		b.render(p, b.tmpl)
+	case b.data != nil:
+		copy(p, b.data[:b.len])
+	}
+	return dst
 }
 
 // Materialized reports whether the frame's contents are the buffer's own
@@ -115,7 +152,8 @@ func (b *Buf) materialize() {
 func (b *Buf) Materialized() bool { return b.tmpl == nil }
 
 // SetTemplate makes b a metadata-only frame whose logical contents are t's
-// image. No bytes move until someone calls Bytes().
+// image, with b's probe stamp, if it has one, over it. No bytes move until
+// someone calls Bytes().
 func (b *Buf) SetTemplate(t *Template) {
 	b.SetLen(len(t.data))
 	b.tmpl = t
@@ -161,6 +199,7 @@ func (b *Buf) CopyFrom(src *Buf) {
 	}
 	b.Seq = src.Seq
 	b.Probe = src.Probe
+	b.stamp = src.stamp
 	b.more = src.more
 	b.TxStamp = src.TxStamp
 	b.Ingress = src.Ingress
@@ -249,8 +288,10 @@ func NewTemplate(data []byte) *Template {
 }
 
 // ID returns the template's process-unique, always-nonzero identity.
-// Frames sharing a template are byte-identical, so OvS reuses a port's
-// parsed flow key while the ID it was parsed from repeats.
+// Frames sharing a template have identical headers — only a probe's
+// payload stamp can tell them apart, and no flow key reads it — so OvS
+// reuses a port's parsed flow key while the ID it was parsed from
+// repeats.
 func (t *Template) ID() uint64 { return t.id }
 
 // Len returns the image's frame length.
@@ -333,6 +374,7 @@ func (p *Pool) Get(frameLen int) *Buf {
 	b.tmpl = nil
 	b.Seq = 0
 	b.Probe = false
+	b.stamp = stampNone
 	b.more = 0
 	b.TxStamp = 0
 	b.Ingress = 0

@@ -95,22 +95,57 @@ const (
 	probeOffset = EthHdrLen + IPv4HdrLen + UDPHdrLen
 )
 
-// MarkProbe stamps b as a latency probe with the given sequence number and
-// transmit timestamp, writing the probe payload into the frame.
+// stampKind is the probe payload a buffer carries, if any: the marker and
+// Seq, then a TX field holding either 0 or TxStamp.
+type stampKind uint8
+
+const (
+	stampNone stampKind = iota
+	// stampZeroTx leaves the payload's TX field 0: a hardware-stamped
+	// probe, whose TxStamp the NIC fills in as it hits the wire.
+	stampZeroTx
+	// stampTx writes TxStamp, the generator's software timestamp.
+	stampTx
+)
+
+// MarkProbe makes b a latency probe with the given sequence number and
+// transmit timestamp (0: the NIC stamps TxStamp on the wire, and the
+// payload's TX field stays 0). The probe payload — marker, sequence, TX
+// field — is part of the frame from now on, but on a template-backed
+// frame it is metadata until the frame materializes; a frame that already
+// has bytes of its own gets them written at once.
 func MarkProbe(b *Buf, seq uint64, tx units.Time) {
-	p := b.Bytes()
-	binary.BigEndian.PutUint32(p[probeOffset:], probeMagic)
-	binary.BigEndian.PutUint64(p[probeOffset+4:], seq)
-	binary.BigEndian.PutUint64(p[probeOffset+12:], uint64(tx))
 	b.Probe = true
 	b.Seq = seq
 	b.TxStamp = tx
+	b.stamp = stampZeroTx
+	if tx != 0 {
+		b.stamp = stampTx
+	}
+	if b.tmpl == nil {
+		b.writeStamp(b.Bytes())
+	}
 }
 
-// ProbeInfo extracts the probe sequence and TX timestamp from a frame, if it
-// carries the probe marker.
-func ProbeInfo(b *Buf) (seq uint64, tx units.Time, ok bool) {
-	p := b.View()
+// writeStamp writes b's probe payload, if it has one, into its frame
+// contents p, clipped to len(p).
+func (b *Buf) writeStamp(p []byte) {
+	if b.stamp == stampNone || len(p) <= probeOffset {
+		return
+	}
+	var s [probeLen]byte
+	binary.BigEndian.PutUint32(s[:], probeMagic)
+	binary.BigEndian.PutUint64(s[4:], b.Seq)
+	if b.stamp == stampTx {
+		binary.BigEndian.PutUint64(s[12:], uint64(b.TxStamp))
+	}
+	copy(p[probeOffset:], s[:])
+}
+
+// ProbeInfo parses the probe sequence and TX timestamp out of frame bytes
+// (a capture record, say), if they carry the probe marker. The testbed
+// itself never parses a probe: its RTT samples read Buf metadata.
+func ProbeInfo(p []byte) (seq uint64, tx units.Time, ok bool) {
 	if len(p) < probeOffset+probeLen {
 		return 0, 0, false
 	}

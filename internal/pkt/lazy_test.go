@@ -5,6 +5,8 @@ import (
 	"runtime/debug"
 	"testing"
 	"unsafe"
+
+	"repro/internal/units"
 )
 
 func lazySpec(frameLen int) FrameSpec {
@@ -112,26 +114,73 @@ func TestLazyCopyPropagatesTemplate(t *testing.T) {
 	}
 }
 
-// TestLazyProbeMarkMaterializes checks that probe stamping — which writes
-// into the payload — forces materialization and leaves the rest of the
-// frame equal to the template image.
-func TestLazyProbeMarkMaterializes(t *testing.T) {
+// TestProbeTrafficAttachesNoBacking pins lazy probes: over a warm pool, a
+// probe's whole life — Get, SetTemplate, MarkProbe (software and hardware
+// stamps, the NIC filling in the latter's TxStamp), the vhost CopyFrom,
+// Clone, l2fwd's swap to a derived template, read-only View, Free —
+// attaches no storage and allocates nothing, and the stamp is still there
+// for Bytes() to write over the derived image.
+func TestProbeTrafficAttachesNoBacking(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates for itself: allocation bounds hold only without -race")
+	}
 	p := NewPool(2048)
 	spec := lazySpec(64)
-	b := p.Get(64)
-	b.SetTemplate(spec.Template(0))
-	MarkProbe(b, 7, 1000)
-	if !b.Materialized() {
-		t.Fatal("MarkProbe left the buffer lazy")
+	tmpl := spec.Template(0)
+	swapped := MAC{2, 0xAA, 0, 0, 0, 1}
+	derived := tmpl.Derive(func(data []byte) { SetEthSrc(data, swapped) }) // l2fwd memoizes it
+	const inFlight = 64
+	var held [inFlight]*Buf
+	cycle := func() {
+		for i := range held {
+			b := p.Get(64)
+			b.SetTemplate(tmpl)
+			MarkProbe(b, uint64(i+1), units.Time(i)) // i = 0: a hardware stamp
+			held[i] = b
+		}
+		for _, src := range held {
+			if src.TxStamp == 0 {
+				src.TxStamp = 5 // the NIC stamps it on the wire
+			}
+			dst := p.Get(src.Len())
+			dst.CopyFrom(src)
+			c := p.Clone(dst)
+			c.SetTemplate(derived)
+			if !c.Probe || c.Materialized() || len(c.View()) != 64 {
+				t.Fatal("probe misread")
+			}
+			c.Free()
+			dst.Free()
+			src.Free()
+		}
 	}
-	seq, tx, ok := ProbeInfo(b)
-	if !ok || seq != 7 || tx != 1000 {
-		t.Fatalf("probe = (%d, %v, %v)", seq, tx, ok)
+	cycle() // warm the pool to its high-water mark
+	if avg := testing.AllocsPerRun(10000/inFlight, cycle); avg != 0 {
+		t.Fatalf("probe traffic allocates %.2f times per %d frames", avg, inFlight)
 	}
-	// Headers must still come from the template image.
-	eth, err := ParseEth(b.Bytes())
-	if err != nil || eth.Src != spec.SrcMAC {
-		t.Fatalf("eth after probe = %+v, %v", eth, err)
+	if p.backed != 0 || p.slabData != nil {
+		t.Fatalf("probe traffic carved backing for %d buffers", p.backed)
+	}
+
+	for _, tx := range []units.Time{0, 1000} {
+		b := p.Get(64)
+		b.SetTemplate(tmpl)
+		MarkProbe(b, 7, tx)
+		b.TxStamp = 1000 // a hardware stamp arrives on the wire; a software one is already there
+		c := p.Clone(b)
+		c.SetTemplate(derived)
+		data := c.Bytes()
+		if seq, got, ok := ProbeInfo(data); !ok || seq != 7 || got != tx {
+			t.Fatalf("stamped with TX %v: probe payload = (%d, %v, %v)", tx, seq, got, ok)
+		}
+		if !bytes.Equal(data[:probeOffset], derived.Image()[:probeOffset]) || !bytes.Equal(data[probeOffset+probeLen:], derived.Image()[probeOffset+probeLen:]) {
+			t.Fatal("a materialized probe differs from its template image outside the stamp")
+		}
+		if !bytes.Equal(b.View(), tmpl.Image()) || b.Materialized() {
+			t.Fatal("materializing a clone touched the source probe")
+		}
+		b.Free()
+		c.Free()
 	}
 }
 
@@ -295,7 +344,7 @@ func TestTemplateTrafficAttachesNoBacking(t *testing.T) {
 			dst := p.Get(src.Len())
 			dst.CopyFrom(src)
 			c := p.Clone(dst)
-			if _, _, ok := ProbeInfo(c); ok || len(c.View()) != 64 {
+			if _, _, ok := ProbeInfo(c.View()); ok || len(c.View()) != 64 {
 				t.Fatal("template frame misread")
 			}
 			c.Free()

@@ -386,17 +386,17 @@ func TestProbeRoundTrip(t *testing.T) {
 	spec := FrameSpec{FrameLen: 64, SrcMAC: MAC{2, 0, 0, 0, 0, 1}, DstMAC: MAC{2, 0, 0, 0, 0, 2}}
 	b := p.Get(64)
 	spec.Build(b)
-	if _, _, ok := ProbeInfo(b); ok {
+	if _, _, ok := ProbeInfo(b.Bytes()); ok {
 		t.Fatal("non-probe frame recognized as probe")
 	}
 	MarkProbe(b, 99, 123*units.Microsecond)
-	seq, tx, ok := ProbeInfo(b)
+	seq, tx, ok := ProbeInfo(b.Bytes())
 	if !ok || seq != 99 || tx != 123*units.Microsecond {
 		t.Fatalf("probe = %d, %v, %v", seq, tx, ok)
 	}
 	// Probe survives a copy (vhost path).
 	c := p.Clone(b)
-	seq, tx, ok = ProbeInfo(c)
+	seq, tx, ok = ProbeInfo(c.Bytes())
 	if !ok || seq != 99 || tx != 123*units.Microsecond {
 		t.Fatal("probe lost in copy")
 	}

@@ -1,23 +1,43 @@
 package pkt
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
+
+	"repro/internal/units"
 )
 
 // viewModel is the naive model of one live buffer: its frame contents as
 // plain bytes, -1 marking a byte no operation has defined (what growing a
-// frame with SetLen exposes, or a recycled buffer's leftover contents).
+// frame with SetLen exposes, or a recycled buffer's leftover contents),
+// and the probe stamp MarkProbe laid over them, which a later SetTemplate
+// lays over the new image again.
 type viewModel struct {
-	b    *Buf
-	data []int16
-	run  int
+	b     *Buf
+	data  []int16
+	run   int
+	stamp []byte // nil for a frame that is not a probe
+}
+
+// overlay lays m's probe stamp, if any, over its contents, clipped to the
+// frame length.
+func (m *viewModel) overlay() {
+	for k, c := range m.stamp {
+		if at := probeOffset + k; at < len(m.data) {
+			m.data[at] = int16(c)
+		}
+	}
 }
 
 // checkBufViews runs the buffer operation sequence data encodes against
-// the naive model and fails on the first View() or Bytes() byte that
-// differs from a defined model byte, the first Run() that differs, or the
-// first Pool.Live() that is not the model's live count.
+// the naive model and fails on the first Bytes() or AppendTo byte that
+// differs from a defined model byte, the first View() byte that does
+// outside the stamp of a probe that is still template-backed, the first
+// AppendTo that changes the buffer, the first Run() that differs, or the
+// first Pool.Live() that is not the model's live count. Probes are single
+// frames (Follows refuses them, so no run is ever a probe): MarkProbe
+// skips runs and SetRun skips probes.
 func checkBufViews(t *testing.T, data []byte) {
 	const bufSize, maxLive = 128, 12
 	pool := NewPool(bufSize)
@@ -54,7 +74,7 @@ func checkBufViews(t *testing.T, data []byte) {
 		return b
 	}
 	for op := 0; len(data) > 0; op++ {
-		kind := next() % 9
+		kind := next() % 10
 		if len(live) == 0 || (kind == 0 && len(live) < maxLive) {
 			get(next() % (bufSize + 1))
 			continue
@@ -69,6 +89,7 @@ func checkBufViews(t *testing.T, data []byte) {
 			for _, c := range tm.data {
 				m.data = append(m.data, int16(c))
 			}
+			m.overlay()
 		case 2: // SetLen
 			n := next() % (bufSize + 1)
 			m.b.SetLen(n)
@@ -86,7 +107,7 @@ func checkBufViews(t *testing.T, data []byte) {
 			src := live[next()%len(live)]
 			m.b.CopyFrom(src.b)
 			m.data = append(m.data[:0], src.data...)
-			m.run = src.run
+			m.run, m.stamp = src.run, src.stamp
 		case 5, 6: // Clone, or Cut: a new buffer holding all or the first of the source's frames
 			if len(live) == maxLive || (kind == 6 && m.run == 1) {
 				continue
@@ -101,12 +122,32 @@ func checkBufViews(t *testing.T, data []byte) {
 				m.run -= run
 			}
 			add(b, append([]int16(nil), m.data...))
-			live[len(live)-1].run = run
+			live[len(live)-1].run, live[len(live)-1].stamp = run, m.stamp
 		case 7: // SetRun
+			if m.stamp != nil {
+				continue
+			}
 			n := 1 + next()%4
 			m.b.SetRun(n)
 			m.run = n
-		case 8: // Free
+		case 8: // MarkProbe, with a software stamp or a hardware one
+			if m.run > 1 {
+				continue
+			}
+			seq, tx := uint64(next()), units.Time(0)
+			if next()%2 == 1 {
+				tx = units.Time(1 + next())
+			}
+			MarkProbe(m.b, seq, tx)
+			if tx == 0 {
+				m.b.TxStamp = units.Time(1 + next()) // the NIC stamps it on the wire
+			}
+			m.stamp = make([]byte, probeLen)
+			binary.BigEndian.PutUint32(m.stamp, probeMagic)
+			binary.BigEndian.PutUint64(m.stamp[4:], seq)
+			binary.BigEndian.PutUint64(m.stamp[12:], uint64(tx))
+			m.overlay()
+		case 9: // Free
 			m.b.Free()
 			live = append(live[:i], live[i+1:]...)
 		}
@@ -117,7 +158,15 @@ func checkBufViews(t *testing.T, data []byte) {
 			if got := m.b.Run(); got != m.run {
 				t.Fatalf("op %d: buffer %d Run() = %d, want %d", op, j, got, m.run)
 			}
-			checkView(t, op, j, "View", m.b.View(), m.data)
+			checkRendering(t, op, j, m.b, m.data)
+			view := m.data
+			if m.stamp != nil && !m.b.Materialized() {
+				view = append([]int16(nil), view...)
+				for k := probeOffset; k < min(probeOffset+probeLen, len(view)); k++ {
+					view[k] = -1 // a lazy stamp is not part of the image View shows
+				}
+			}
+			checkView(t, op, j, "View", m.b.View(), view)
 		}
 	}
 	for j, m := range live {
@@ -127,6 +176,21 @@ func checkBufViews(t *testing.T, data []byte) {
 	if pool.Live() != 0 {
 		t.Fatalf("Pool.Live() = %d after freeing every buffer", pool.Live())
 	}
+}
+
+// checkRendering holds b's AppendTo rendering — what a capture records —
+// to the model's defined bytes, and fails if rendering changed b.
+func checkRendering(t *testing.T, op, j int, b *Buf, want []int16) {
+	t.Helper()
+	tmpl, backed := b.tmpl, b.data != nil
+	got := b.AppendTo([]byte{0xEE})
+	if b.tmpl != tmpl || (b.data != nil) != backed {
+		t.Fatalf("op %d: buffer %d AppendTo changed the buffer", op, j)
+	}
+	if got[0] != 0xEE {
+		t.Fatalf("op %d: buffer %d AppendTo overwrote what it appends to", op, j)
+	}
+	checkView(t, op, j, "AppendTo", got[1:], want)
 }
 
 // checkView compares a buffer's contents with its model's defined bytes.
@@ -142,9 +206,10 @@ func checkView(t *testing.T, op, j int, what string, got []byte, want []int16) {
 	}
 }
 
-// FuzzBufViews holds View() and Bytes() to a plain byte-slice model, and
-// Pool.Live() to the model's count, over any sequence of Get, SetTemplate,
-// SetLen, writes through Bytes(), CopyFrom, Clone, Cut, SetRun and Free.
+// FuzzBufViews holds View(), Bytes() and AppendTo to a plain byte-slice
+// model, and Pool.Live() to the model's count, over any sequence of Get,
+// SetTemplate, SetLen, writes through Bytes(), CopyFrom, Clone, Cut,
+// SetRun, MarkProbe (software and hardware stamps) and Free.
 func FuzzBufViews(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 16; i++ {

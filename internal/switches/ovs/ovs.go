@@ -363,9 +363,10 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 
 // flowKey returns the packed flow key of the frames b holds, received on
 // port i, and its keyHash. The port keeps the last key it parsed, and a
-// template's frames are byte-identical, so a buffer on the template that
-// key came from reuses it; any other buffer (a new template, no template,
-// or one resized away from its template's length) is parsed afresh. The
+// template's frames have identical headers (a probe differs only in its
+// payload stamp), so a buffer on the template that key came from reuses
+// it; any other buffer (a new template, no template, or one resized away
+// from its template's length) is parsed afresh. The
 // key is returned in place: copied through the stack on every frame, the
 // 31-byte array stalls on store forwarding. Reuse saves only host-side
 // parsing (ParseIPv4 verifies a checksum per frame): classify still runs

@@ -49,8 +49,8 @@ func (k *polledSink) take(b *pkt.Buf) {
 	if k.Capture != nil {
 		k.Capture(b.Ingress, b)
 	}
-	if b.Probe {
-		if _, tx, ok := pkt.ProbeInfo(b); ok && tx > 0 {
+	if b.Probe { // the payload's TX field first, as the polled sink read it
+		if _, tx, ok := pkt.ProbeInfo(b.Bytes()); ok && tx > 0 {
 			k.Hist.Add(b.Ingress - tx)
 		} else if b.TxStamp > 0 {
 			k.Hist.Add(b.Ingress - b.TxStamp)

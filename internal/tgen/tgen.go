@@ -32,6 +32,7 @@ package tgen
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/nic"
 	"repro/internal/pkt"
@@ -113,11 +114,9 @@ type Generator struct {
 	// one-flow generator allocates exactly one image.
 	slabs [imixLens]tmplSlab
 
-	// zipfCDF is the precomputed flow-weight CDF when ZipfSkew is
-	// active; nil keeps the round-robin path untouched. zipfGuide
-	// narrows each draw's search (see zipfGuide).
-	zipfCDF   []float64
-	zipfGuide []int32
+	// zipf is the shared draw table of (Flows, ZipfSkew) when ZipfSkew
+	// is active; nil keeps the round-robin path untouched.
+	zipf *zipfTable
 
 	// Sent counts emitted frames; SentProbes the probe subset.
 	Sent       int64
@@ -147,11 +146,50 @@ func NewGenerator(s *sim.Scheduler, cfg Config) *Generator {
 		g.gap = cfg.Rate.WireTime(cfg.Spec.FrameLen)
 	}
 	if cfg.ZipfSkew > 0 && cfg.Flows > 1 && cfg.RNG != nil {
-		g.zipfCDF = zipfCDF(cfg.Flows, cfg.ZipfSkew)
-		g.zipfGuide = zipfGuide(g.zipfCDF)
+		g.zipf = sharedZipf(cfg.Flows, cfg.ZipfSkew)
 	}
 	g.task = s.Register(cfg.Name, g)
 	return g
+}
+
+// zipfTable is what a Zipf draw reads: the CDF and its guide table.
+type zipfTable struct {
+	cdf   []float64
+	guide []int32
+}
+
+// zipfTables holds one zipfTable per (flows, skew) for the life of the
+// process: every cell and campaign worker drawing from the same
+// distribution reads one table instead of recomputing a math.Pow per flow.
+// The tables are read-only once built; the lock only guards the map. The
+// pairs a process meets are few (the churn family has four, the largest
+// 0.4 MB), so nothing is ever evicted.
+var zipfTables struct {
+	sync.Mutex
+	m map[zipfKey]*zipfTable
+}
+
+type zipfKey struct {
+	n int
+	s float64
+}
+
+// sharedZipf returns the draw table of n flows at skew s, building it on
+// first use.
+func sharedZipf(n int, s float64) *zipfTable {
+	zipfTables.Lock()
+	defer zipfTables.Unlock()
+	k := zipfKey{n, s}
+	t := zipfTables.m[k]
+	if t == nil {
+		cdf := zipfCDF(n, s)
+		t = &zipfTable{cdf: cdf, guide: zipfGuide(cdf)}
+		if zipfTables.m == nil {
+			zipfTables.m = make(map[zipfKey]*zipfTable)
+		}
+		zipfTables.m[k] = t
+	}
+	return t
 }
 
 // zipfCDF precomputes the cumulative weights of a Zipf distribution over
@@ -211,7 +249,7 @@ func zipfSearch(cdf []float64, guide []int32, u float64) int {
 
 // zipfFlow draws one flow index from the precomputed CDF.
 func (g *Generator) zipfFlow() int {
-	return zipfSearch(g.zipfCDF, g.zipfGuide, g.cfg.RNG.Float64())
+	return zipfSearch(g.zipf.cdf, g.zipf.guide, g.cfg.RNG.Float64())
 }
 
 // Start schedules the first burst.
@@ -266,7 +304,7 @@ func (g *Generator) emitOne(at units.Time) bool {
 	}
 	g.seq++
 	flow := 0
-	if g.zipfCDF != nil {
+	if g.zipf != nil {
 		flow = g.zipfFlow()
 	} else if g.cfg.Flows > 1 {
 		flow = int(g.seq) % g.cfg.Flows
@@ -486,12 +524,8 @@ func (k *Sink) arrive(b *pkt.Buf, vis units.Time) {
 	// ~20 ns a frame.
 	var a arrival
 	a.vis, a.gap, a.b, a.n, a.len = vis, b.Gap, b, int32(b.Run()), int32(b.Len())
-	if b.Probe {
-		if _, tx, ok := pkt.ProbeInfo(b); ok && tx > 0 {
-			a.rtt, a.probe = b.Ingress-tx, true
-		} else if b.TxStamp > 0 {
-			a.rtt, a.probe = b.Ingress-b.TxStamp, true
-		}
+	if b.Probe && b.TxStamp > 0 {
+		a.rtt, a.probe = b.Ingress-b.TxStamp, true
 	}
 	if k.head < len(k.pending) {
 		k.settle(k.cut)

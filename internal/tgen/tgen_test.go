@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/nic"
@@ -123,6 +124,49 @@ func TestZipfSearchMatchesSearchFloat64s(t *testing.T) {
 				check(math.Nextafter(edge, 0))
 				check(edge)
 				check(math.Nextafter(edge, 2))
+			}
+		}
+	}
+}
+
+// TestSharedZipfMatchesFresh: the table every generator of one (flows,
+// skew) shares is, bit for bit, the CDF and guide a fresh computation
+// builds, and two generators of that pair built at once — as two campaign
+// workers may — read the same one (`go test -race` checks the sharing).
+func TestSharedZipfMatchesFresh(t *testing.T) {
+	for _, n := range []int{2, 512, 32768} {
+		for _, s := range []float64{0.5, 1.1} {
+			var gens [2]*Generator
+			var wg sync.WaitGroup
+			for i := range gens {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					gens[i] = NewGenerator(sim.NewScheduler(), Config{
+						Name: "g", Spec: pkt.FrameSpec{FrameLen: 64}, Flows: n, ZipfSkew: s, RNG: sim.NewRNG(1),
+					})
+					gens[i].zipfFlow()
+				}()
+			}
+			wg.Wait()
+			got := gens[0].zipf
+			if got == nil || gens[1].zipf != got {
+				t.Fatalf("n=%d s=%v: generators hold tables %p and %p, want one shared", n, s, got, gens[1].zipf)
+			}
+			cdf := zipfCDF(n, s)
+			guide := zipfGuide(cdf)
+			if len(got.cdf) != len(cdf) || len(got.guide) != len(guide) {
+				t.Fatalf("n=%d s=%v: shared table has %d/%d entries, fresh %d/%d", n, s, len(got.cdf), len(got.guide), len(cdf), len(guide))
+			}
+			for k := range cdf {
+				if math.Float64bits(got.cdf[k]) != math.Float64bits(cdf[k]) {
+					t.Fatalf("n=%d s=%v: shared cdf[%d] = %v, fresh %v", n, s, k, got.cdf[k], cdf[k])
+				}
+			}
+			for k := range guide {
+				if got.guide[k] != guide[k] {
+					t.Fatalf("n=%d s=%v: shared guide[%d] = %d, fresh %d", n, s, k, got.guide[k], guide[k])
+				}
 			}
 		}
 	}

@@ -143,20 +143,12 @@ func (mo *Monitor) Poll(now units.Time, m *cost.Meter) bool {
 		if mo.Capture != nil {
 			mo.Capture(now, b)
 		}
-		if b.Probe {
-			tx := b.TxStamp
-			if tx == 0 {
-				if _, ptx, ok := pkt.ProbeInfo(b); ok {
-					tx = ptx
-				}
+		if b.Probe && b.TxStamp > 0 {
+			rtt := now - b.TxStamp
+			if mo.SWStampNoise > 0 && mo.RNG != nil {
+				rtt += units.Time(mo.RNG.Float64() * float64(mo.SWStampNoise))
 			}
-			if tx > 0 {
-				rtt := now - tx
-				if mo.SWStampNoise > 0 && mo.RNG != nil {
-					rtt += units.Time(mo.RNG.Float64() * float64(mo.SWStampNoise))
-				}
-				mo.Hist.Add(rtt)
-			}
+			mo.Hist.Add(rtt)
 		}
 		b.Free()
 	}

@@ -66,9 +66,9 @@ func (f *L2Fwd) Poll(now units.Time, m *cost.Meter) bool {
 }
 
 // rewriteMACs applies this VNF's header edit to one frame. Template-backed
-// frames swap to a memoized derived template (same bytes, no materialize);
-// anything else — probe frames, frames a switch already materialized —
-// takes the byte path.
+// frames, probes among them (their stamp survives SetTemplate), swap to a
+// memoized derived template (same bytes, no materialize); anything else —
+// frames a switch already materialized — takes the byte path.
 func (f *L2Fwd) rewriteMACs(b *pkt.Buf, rewrite *pkt.MAC, derived map[*pkt.Template]*pkt.Template) {
 	if t := b.Template(); t != nil && b.Len() == t.Len() {
 		d, ok := derived[t]
