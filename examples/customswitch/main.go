@@ -15,9 +15,11 @@ import (
 )
 
 // naiveSwitch forwards between cross-connected ports one packet at a time.
-// It has no runtime rule table, so it embeds the Programmer stub.
+// It has no runtime rule table, so it embeds the Programmer stub, and it
+// books what it forwards and drops in the embedded ledger.
 type naiveSwitch struct {
 	swbench.NoRuntimeRules
+	swbench.SwitchCounters
 
 	env   swbench.Env
 	ports []swbench.DevPort
@@ -66,7 +68,7 @@ func (s *naiveSwitch) Poll(now swbench.Time, m *swbench.Meter) bool {
 		for p.RxBurst(now, m, buf[:]) == 1 {
 			did = true
 			m.Charge(200)
-			s.ports[dst].TxBurst(now, m, buf[:])
+			s.Transmit(now, m, s.ports[dst], buf[:], buf[0].Run())
 		}
 	}
 	return did

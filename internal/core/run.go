@@ -153,11 +153,7 @@ func (tb *testbed) tally(at units.Time) tally {
 	if tb.controller != nil {
 		t.updates = tb.controller.Updates()
 	}
-	// A switch (or fleet facade) with an exact-match cache counts its
-	// evictions.
-	if ec, ok := tb.sw.(interface{ EMCEvictionCount() int64 }); ok {
-		t.evictions = ec.EMCEvictionCount()
-	}
+	t.evictions = tb.sw.Counts().EMCEvictions
 	return t
 }
 

@@ -47,13 +47,15 @@ const (
 )
 
 // sut is what the testbed does to the System Under Test once it is built:
-// attach ports, cross-connect them and program rules. A single-core
+// attach ports, cross-connect them, program rules and read its data-plane
+// ledger. A single-core
 // switch and a multi-core fleet both take it; the poll loops are mounted
 // from the switch itself (or the fleet's Polls) in build.
 type sut interface {
 	AddPort(p switchdef.DevPort) int
 	CrossConnect(a, b int) error
 	switchdef.Programmer
+	Counts() *switchdef.Counters
 }
 
 // testbed is one assembled simulation.

@@ -103,6 +103,7 @@ type Fleet struct {
 	rtc     *rtcState
 
 	scratch [scratchLen]*pkt.Buf
+	counts  switchdef.Counters // Counts' sum
 }
 
 // New builds a fleet. Mount its Polls on one cpu.PollCore each after
@@ -201,16 +202,17 @@ func (f *Fleet) Revoke(r switchdef.Rule) error {
 	return nil
 }
 
-// EMCEvictionCount sums per-shard exact-match-cache evictions for
-// instances exposing that stats surface.
-func (f *Fleet) EMCEvictionCount() int64 {
-	var n int64
+// Counts returns the sum of every instance's data-plane ledger, refreshed
+// at each call.
+func (f *Fleet) Counts() *switchdef.Counters {
+	f.counts = switchdef.Counters{}
 	for _, inst := range f.insts {
-		if s, ok := inst.(interface{ EMCEvictionCount() int64 }); ok {
-			n += s.EMCEvictionCount()
-		}
+		c := inst.Counts()
+		f.counts.Forwarded += c.Forwarded
+		f.counts.Dropped += c.Dropped
+		f.counts.EMCEvictions += c.EMCEvictions
 	}
-	return n
+	return &f.counts
 }
 
 // Polls returns one poll loop per effective core. Under RSS, cores that

@@ -42,6 +42,7 @@ func (d *fakeDev) NextRx(now units.Time) units.Time { return now }
 // fakeInst records the per-core views a Fleet hands out.
 type fakeInst struct {
 	switchdef.NoRuntimeRules
+	switchdef.Counters
 
 	core  int
 	views []switchdef.DevPort

@@ -24,8 +24,6 @@ type SPSC struct {
 
 	// Drops counts rejected pushes (ring full).
 	Drops int64
-	// Pushed and Popped count successful operations.
-	Pushed, Popped int64
 }
 
 // New returns a ring holding up to capacity buffers.
@@ -57,7 +55,6 @@ func (r *SPSC) Push(b *pkt.Buf) bool {
 	}
 	r.buf[r.tail&r.mask] = b
 	r.tail++
-	r.Pushed++
 	return true
 }
 
@@ -93,7 +90,6 @@ func (r *SPSC) PushBurst(in []*pkt.Buf) int {
 		r.buf[r.tail&r.mask] = b
 		r.tail++
 	}
-	r.Pushed += int64(n)
 	return n
 }
 
@@ -105,7 +101,6 @@ func (r *SPSC) Pop() *pkt.Buf {
 	b := r.buf[r.head&r.mask]
 	r.buf[r.head&r.mask] = nil
 	r.head++
-	r.Popped++
 	return b
 }
 
@@ -128,7 +123,6 @@ func (r *SPSC) DrainTo(out []*pkt.Buf) int {
 		r.buf[r.head&r.mask] = nil
 		r.head++
 	}
-	r.Popped += int64(n)
 	return n
 }
 
@@ -147,6 +141,5 @@ func (r *SPSC) DrainVisibleTo(now units.Time, out []*pkt.Buf) int {
 		out[n] = b
 		n++
 	}
-	r.Popped += int64(n)
 	return n
 }

@@ -48,7 +48,7 @@ func TestOverflowCountsDrops(t *testing.T) {
 func TestWrapAround(t *testing.T) {
 	r := New(4)
 	pool := pkt.NewPool(64)
-	seq := uint64(0)
+	seq, next := uint64(0), uint64(0)
 	// Exercise wrap repeatedly.
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 3; i++ {
@@ -58,11 +58,16 @@ func TestWrapAround(t *testing.T) {
 			r.Push(b)
 		}
 		for i := 0; i < 3; i++ {
-			r.Pop().Free()
+			b := r.Pop()
+			if b.Seq != next {
+				t.Fatalf("popped seq %d, want %d", b.Seq, next)
+			}
+			next++
+			b.Free()
 		}
 	}
-	if r.Pushed != 30 || r.Popped != 30 {
-		t.Fatalf("pushed=%d popped=%d", r.Pushed, r.Popped)
+	if r.Len() != 0 {
+		t.Fatalf("len = %d after 30 pushes and 30 pops", r.Len())
 	}
 }
 

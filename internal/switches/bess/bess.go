@@ -36,6 +36,7 @@ const (
 // table, so the Programmer surface reports ErrNoRuntimeRules.
 type Switch struct {
 	switchdef.NoRuntimeRules
+	switchdef.Counters
 
 	// rxScratch is the receive staging array, reused by every task: a
 	// task's batch is transmitted before the next task runs.
@@ -43,9 +44,6 @@ type Switch struct {
 
 	ports []switchdef.DevPort
 	tasks []task // schedulable QueueInc -> QueueOut pipelines, in creation order
-
-	// Forwarded and Dropped count data-plane outcomes.
-	Forwarded, Dropped int64
 }
 
 // task is one QueueInc(in) -> QueueOut(out) pipeline: the scheduler's
@@ -116,9 +114,7 @@ func (sw *Switch) run(t task, now units.Time, m *cost.Meter) bool {
 	frames := pkt.Frames(batch)
 	m.ChargeNoisy(taskFixed+units.Cycles(frames)*qincPerPkt, jitterFrac)
 	m.ChargeNoisy(units.Cycles(frames)*qoutPerPkt, jitterFrac)
-	sent := t.out.TxBurst(now, m, batch)
-	sw.Forwarded += int64(sent)
-	sw.Dropped += int64(frames - sent)
+	sw.Transmit(now, m, t.out, batch, frames)
 	return true
 }
 

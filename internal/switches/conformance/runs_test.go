@@ -41,17 +41,28 @@ var runCases = []runCase{
 // blockedMAC is the destination of the traffic the drop-rule case drops.
 var blockedMAC = pkt.MAC{0x0e, 0xc4, 0, 0, 0, 0x77}
 
+// installDropRule installs dl_dst=blockedMAC → drop on sw, the named
+// switch, a programmable one, after its cross-connect.
+func installDropRule(t *testing.T, name string, sw switchdef.Switch) {
+	t.Helper()
+	r := switchdef.Rule{
+		Match:   switchdef.Match{Fields: switchdef.FEthDst, EthDst: blockedMAC},
+		Actions: []switchdef.RuleAction{{Kind: switchdef.RuleDrop}},
+	}
+	if name == "ovs" {
+		// Above the cross-connect's in_port rules, which would otherwise
+		// win the tie by install order.
+		r.Priority = switchdef.DefaultRulePriority + 1
+	}
+	if err := sw.Install(r); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // runTemplates are the frame images the run traffic draws from: two
 // lengths toward switch port 1, and in the drop-rule case one more toward
 // blockedMAC.
 func runTemplates(drop bool) []*pkt.Template {
-	spec := func(dst pkt.MAC, size int) pkt.FrameSpec {
-		return pkt.FrameSpec{
-			SrcMAC: pkt.MAC{0x02, 0xaa, 0, 0, 0, 0x01}, DstMAC: dst,
-			SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{10, 0, 0, 2},
-			SrcPort: 1000, DstPort: 2000, FrameLen: size,
-		}
-	}
 	tmpls := []*pkt.Template{
 		spec(switchdef.PortMAC(1), 64).Template(0),
 		spec(switchdef.PortMAC(1), 256).Template(1),
@@ -60,6 +71,18 @@ func runTemplates(drop bool) []*pkt.Template {
 		tmpls = append(tmpls, spec(blockedMAC, 64).Template(2))
 	}
 	return tmpls
+}
+
+// senderMAC is the source of every frame the run and ledger traffic sends.
+var senderMAC = pkt.MAC{0x02, 0xaa, 0, 0, 0, 0x01}
+
+// spec is a frame from senderMAC to dst of size bytes.
+func spec(dst pkt.MAC, size int) pkt.FrameSpec {
+	return pkt.FrameSpec{
+		SrcMAC: senderMAC, DstMAC: dst,
+		SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{10, 0, 0, 2},
+		SrcPort: 1000, DstPort: 2000, FrameLen: size,
+	}
 }
 
 // frameRecord is one egress frame as the comparison sees it.
@@ -101,18 +124,7 @@ func runPass(t *testing.T, name string, rc runCase, tmpls []*pkt.Template, seed 
 		t.Fatal(err)
 	}
 	if rc.drop {
-		r := switchdef.Rule{
-			Match:   switchdef.Match{Fields: switchdef.FEthDst, EthDst: blockedMAC},
-			Actions: []switchdef.RuleAction{{Kind: switchdef.RuleDrop}},
-		}
-		if name == "ovs" {
-			// Above the cross-connect's in_port rules, which would
-			// otherwise win the tie by install order.
-			r.Priority = switchdef.DefaultRulePriority + 1
-		}
-		if err := sw.Install(r); err != nil {
-			t.Fatal(err)
-		}
+		installDropRule(t, name, sw)
 	}
 	m := switchtest.Meter(env)
 	rng := sim.NewRNG(seed)

@@ -32,6 +32,8 @@ const (
 
 // Switch is a FastClick instance.
 type Switch struct {
+	switchdef.Counters
+
 	// rxScratch is the receive staging array, reused across polls: a
 	// stack array handed through the DevPort interface escapes, which
 	// costs one heap allocation per poll.
@@ -49,9 +51,6 @@ type Switch struct {
 	// keyed by pkt.MAC.Key, applied Classifier-style at every source while
 	// non-empty.
 	dropMAC map[uint64]bool
-
-	// Forwarded and Dropped count data-plane outcomes.
-	Forwarded, Dropped int64
 }
 
 var info = switchdef.Info{
@@ -147,11 +146,8 @@ type fromDevice struct {
 // FastClick's low-load loopback latency roughly doubles everyone else's in
 // Table 3 while its p2p low-load latency stays small).
 type toDevice struct {
-	dev switchdef.DevPort
-
-	stage  []*pkt.Buf
-	staged int // the frames stage holds
-	first  units.Time
+	dev   switchdef.DevPort
+	stage switchdef.Stage
 }
 
 const (
@@ -166,43 +162,23 @@ func (e *toDevice) push(sw *Switch, now units.Time, m *cost.Meter, batch []*pkt.
 		per += vhostExtra
 	}
 	m.ChargeNoisy(elemBatchFixed+units.Cycles(frames)*per, jitterFrac)
-	if e.dev.Kind() == switchdef.VhostKind {
-		if len(e.stage) == 0 {
-			e.first = now
-		}
-		e.stage = append(e.stage, batch...)
-		e.staged += frames
-		if e.staged < vhostTxBatch && now-e.first < vhostTxDrain {
-			return
-		}
-		e.flush(sw, now, m)
+	if e.dev.Kind() != switchdef.VhostKind {
+		sw.Transmit(now, m, e.dev, batch, frames)
 		return
 	}
-	e.transmit(sw, now, m, batch, frames)
+	e.stage.Add(now, batch...)
+	if e.stage.Frames >= vhostTxBatch || now-e.stage.Since >= vhostTxDrain {
+		e.stage.Flush(now, m, e.dev, &sw.Counters)
+	}
 }
 
 // flushStale transmits a staged vhost batch whose drain timer expired.
 func (e *toDevice) flushStale(sw *Switch, now units.Time, m *cost.Meter) bool {
-	if len(e.stage) == 0 || now-e.first < vhostTxDrain {
+	if len(e.stage.Bufs) == 0 || now-e.stage.Since < vhostTxDrain {
 		return false
 	}
-	e.flush(sw, now, m)
+	e.stage.Flush(now, m, e.dev, &sw.Counters)
 	return true
-}
-
-// flush transmits the staged vhost batch and keeps its storage for the
-// next one: the device does not retain the slice.
-func (e *toDevice) flush(sw *Switch, now units.Time, m *cost.Meter) {
-	e.transmit(sw, now, m, e.stage, e.staged)
-	e.stage, e.staged = e.stage[:0], 0
-}
-
-// transmit sends batch, buffers standing for frames frames, and counts
-// the outcome.
-func (e *toDevice) transmit(sw *Switch, now units.Time, m *cost.Meter, batch []*pkt.Buf, frames int) {
-	sent := e.dev.TxBurst(now, m, batch)
-	sw.Forwarded += int64(sent)
-	sw.Dropped += int64(frames - sent)
 }
 
 // NextWork implements cpu.Waiter: an empty iteration reads every source
@@ -214,8 +190,8 @@ func (sw *Switch) NextWork(now units.Time) units.Time {
 		next = min(next, src.dev.NextRx(now))
 	}
 	for _, e := range sw.toDevs {
-		if len(e.stage) > 0 {
-			next = min(next, e.first+vhostTxDrain)
+		if len(e.stage.Bufs) > 0 {
+			next = min(next, e.stage.Since+vhostTxDrain)
 		}
 	}
 	return next

@@ -103,8 +103,7 @@ func (sw *Switch) filterDrops(m *cost.Meter, batch []*pkt.Buf, frames int) (int,
 	for _, b := range batch {
 		if sw.dropMAC[pkt.EthDst(b.View()).Key()] {
 			frames -= b.Run()
-			sw.Dropped += int64(b.Run())
-			b.Free()
+			sw.Discard(b)
 			continue
 		}
 		keep = append(keep, b)

@@ -78,9 +78,8 @@ func keyHash(k *packedKey) uint64 { return flowtab.HashBytes(k[:]) }
 // staged for it this poll, and the flow key of the last frame it received
 // (see flowKey).
 type port struct {
-	dev    switchdef.DevPort
-	stage  []*pkt.Buf
-	frames int // the frames stage holds
+	dev   switchdef.DevPort
+	stage switchdef.Stage
 	// key and hash are the packed flow key and keyHash; tmpl is the ID
 	// of the template they were parsed from, or 0 if that frame had none
 	// (IDs are nonzero).
@@ -91,6 +90,8 @@ type port struct {
 
 // Switch is an OvS-DPDK instance.
 type Switch struct {
+	switchdef.Counters
+
 	// rxScratch is the receive staging array, reused across polls: a
 	// stack array handed through the DevPort interface escapes, which
 	// costs one heap allocation per poll.
@@ -117,11 +118,9 @@ type Switch struct {
 	nextRev   units.Time
 	hasVhost  bool
 
-	// Stats.
+	// Per-tier stats; Counters.EMCEvictions counts clock-hand
+	// replacements of live EMC entries.
 	EMCHits, MegaHits, SlowHits, NoMatch int64
-	Forwarded, Dropped                   int64
-	// EMCEvictions counts clock-hand replacements of live EMC entries.
-	EMCEvictions int64
 }
 
 var info = switchdef.Info{
@@ -336,11 +335,10 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 				rule = sw.classify(m, full, h)
 			}
 			if rule == nil {
-				sw.Dropped += int64(b.Run())
-				b.Free()
+				sw.Discard(b)
 				continue
 			}
-			sw.apply(m, b, rule)
+			sw.apply(now, m, b, rule)
 		}
 		// One noisy draw per frame, batched into a single charge; the
 		// classify path above draws nothing, so the RNG stream is
@@ -349,14 +347,11 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 	}
 	for i := range sw.ports {
 		p := &sw.ports[i]
-		if len(p.stage) == 0 {
+		if len(p.stage.Bufs) == 0 {
 			continue
 		}
 		did = true
-		sent := p.dev.TxBurst(now, m, p.stage)
-		sw.Forwarded += int64(sent)
-		sw.Dropped += int64(p.frames - sent)
-		p.stage, p.frames = p.stage[:0], 0
+		p.stage.Flush(now, m, p.dev, &sw.Counters)
 	}
 	return did
 }
@@ -386,15 +381,14 @@ func (sw *Switch) flowKey(b *pkt.Buf, i int) (*packedKey, uint64) {
 }
 
 // apply executes r's actions on every frame of b.
-func (sw *Switch) apply(m *cost.Meter, b *pkt.Buf, r *Rule) {
+func (sw *Switch) apply(now units.Time, m *cost.Meter, b *pkt.Buf, r *Rule) {
 	k := b.Run()
 	m.Charge(units.Cycles(k) * applyPerPkt)
 	out := -1
 	for _, a := range r.Actions {
 		switch a.Kind {
 		case ActDrop:
-			sw.Dropped += int64(k)
-			b.Free()
+			sw.Discard(b)
 			return
 		case ActOutput:
 			out = a.Port
@@ -405,13 +399,10 @@ func (sw *Switch) apply(m *cost.Meter, b *pkt.Buf, r *Rule) {
 		}
 	}
 	if out < 0 || out >= len(sw.ports) {
-		sw.Dropped += int64(k)
-		b.Free()
+		sw.Discard(b)
 		return
 	}
-	p := &sw.ports[out]
-	p.stage = append(p.stage, b)
-	p.frames += k
+	sw.ports[out].stage.Add(now, b)
 }
 
 // Rules returns the OpenFlow table — the only record of the installed

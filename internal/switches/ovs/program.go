@@ -140,10 +140,6 @@ func (sw *Switch) Revoke(r switchdef.Rule) error {
 	return nil
 }
 
-// EMCEvictionCount reports live EMC replacements (the testbed collects it
-// through an optional stats interface).
-func (sw *Switch) EMCEvictionCount() int64 { return sw.EMCEvictions }
-
 // findRule locates an installed rule with the same identity (priority,
 // mask, masked match) as lowered.
 func (sw *Switch) findRule(lowered *Rule) *Rule {

@@ -64,6 +64,7 @@ const (
 // the Programmer surface reports ErrNoRuntimeRules.
 type Switch struct {
 	switchdef.NoRuntimeRules
+	switchdef.Counters
 
 	env   switchdef.Env
 	ports []switchdef.DevPort
@@ -79,9 +80,6 @@ type Switch struct {
 	// resolved once in Poll instead of per app run.
 	jit      float64
 	gcFactor float64
-
-	// Forwarded and Dropped count data-plane outcomes.
-	Forwarded, Dropped int64
 }
 
 var info = switchdef.Info{
@@ -185,8 +183,6 @@ type NICApp struct {
 
 	dev     switchdef.DevPort
 	out, in *ring.SPSC
-
-	Rx, Tx int64
 }
 
 // Pull moves frames device → out link.
@@ -212,7 +208,6 @@ func (a *NICApp) Pull(sw *Switch, now units.Time, m *cost.Meter) int {
 	for _, b := range burst[:n] {
 		a.out.Push(b)
 	}
-	a.Rx += int64(frames)
 	return frames
 }
 
@@ -231,10 +226,7 @@ func (a *NICApp) Push(sw *Switch, now units.Time, m *cost.Meter) int {
 	}
 	frames := pkt.Frames(burst[:n])
 	sw.chargeApp(m, per, frames)
-	sent := a.dev.TxBurst(now, m, burst[:n])
-	a.Tx += int64(sent)
-	sw.Forwarded += int64(sent)
-	sw.Dropped += int64(frames - sent)
+	sw.Transmit(now, m, a.dev, burst[:n], frames)
 	return frames
 }
 

@@ -145,6 +145,9 @@ type Switch interface {
 	// Switches whose data plane cannot take runtime updates embed
 	// NoRuntimeRules (Install/Revoke return ErrNoRuntimeRules).
 	Programmer
+	// Counts returns the switch's data-plane ledger; a switch embeds
+	// Counters for it.
+	Counts() *Counters
 }
 
 // Env is what a switch factory needs from the testbed.

@@ -37,6 +37,8 @@ const (
 
 // Switch is a t4p4s instance running a compiled P4 program.
 type Switch struct {
+	switchdef.Counters
+
 	// rxScratch is the receive staging array, reused across polls: a
 	// stack array handed through the DevPort interface escapes, which
 	// costs one heap allocation per poll.
@@ -45,13 +47,7 @@ type Switch struct {
 	env   switchdef.Env
 	ports []switchdef.DevPort
 	dmac  *Table
-
-	txStage  [][]*pkt.Buf
-	txFrames []int // the frames each txStage holds
-	txFirst  []units.Time
-
-	// Forwarded and Dropped count data-plane outcomes.
-	Forwarded, Dropped int64
+	tx    []switchdef.Stage // per port
 }
 
 // The t4p4s HAL buffers transmissions aggressively: frames leave when a
@@ -101,9 +97,7 @@ func New(env switchdef.Env) *Switch {
 // AddPort implements switchdef.Switch.
 func (sw *Switch) AddPort(p switchdef.DevPort) int {
 	sw.ports = append(sw.ports, p)
-	sw.txStage = append(sw.txStage, nil)
-	sw.txFrames = append(sw.txFrames, 0)
-	sw.txFirst = append(sw.txFirst, 0)
+	sw.tx = append(sw.tx, switchdef.Stage{})
 	return len(sw.ports) - 1
 }
 
@@ -146,23 +140,17 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 			sw.process(now, m, b, pf)
 		}
 	}
-	for i := range sw.ports {
-		stage, frames := sw.txStage[i], sw.txFrames[i]
-		if len(stage) == 0 {
-			continue
-		}
-		if frames < txFlushBatch && now-sw.txFirst[i] < txFlushDrain {
+	for i, p := range sw.ports {
+		st := &sw.tx[i]
+		if len(st.Bufs) == 0 || st.Frames < txFlushBatch && now-st.Since < txFlushDrain {
 			continue
 		}
 		did = true
-		if sw.ports[i].Kind() == switchdef.VhostKind {
+		if p.Kind() == switchdef.VhostKind {
 			// The disabled-offload vhost path costs on TX too.
-			m.Charge(units.Cycles(frames) * 30)
+			m.Charge(units.Cycles(st.Frames) * 30)
 		}
-		sent := sw.ports[i].TxBurst(now, m, stage)
-		sw.Forwarded += int64(sent)
-		sw.Dropped += int64(frames - sent)
-		sw.txStage[i], sw.txFrames[i] = stage[:0], 0
+		st.Flush(now, m, p, &sw.Counters)
 	}
 	return did
 }
@@ -184,8 +172,7 @@ func (sw *Switch) process(now units.Time, m *cost.Meter, b *pkt.Buf, pf float64)
 	v := b.View()
 	if len(v) < pkt.EthHdrLen {
 		m.ChargeNoisyBatch(parse, jitterFrac, k)
-		sw.Dropped += int64(k)
-		b.Free()
+		sw.Discard(b)
 		return
 	}
 
@@ -194,8 +181,7 @@ func (sw *Switch) process(now units.Time, m *cost.Meter, b *pkt.Buf, pf float64)
 	e, _ := sw.dmac.lookup(pkt.EthDst(v), k)
 	if e.Action == ActDrop {
 		m.ChargeNoisyBatch(parse, jitterFrac, k)
-		sw.Dropped += int64(k)
-		b.Free()
+		sw.Discard(b)
 		return
 	}
 
@@ -208,12 +194,7 @@ func (sw *Switch) process(now units.Time, m *cost.Meter, b *pkt.Buf, pf float64)
 	if e.Action == ActSetDstMAC {
 		pkt.SetEthDst(b.Bytes(), e.MAC)
 	}
-	out := e.Port
-	if len(sw.txStage[out]) == 0 {
-		sw.txFirst[out] = now
-	}
-	sw.txStage[out] = append(sw.txStage[out], b)
-	sw.txFrames[out] += k
+	sw.tx[e.Port].Add(now, b)
 }
 
 // NextWork implements cpu.Waiter: an empty lcore iteration charges the
@@ -221,9 +202,9 @@ func (sw *Switch) process(now units.Time, m *cost.Meter, b *pkt.Buf, pf float64)
 // batch's drain timer expires.
 func (sw *Switch) NextWork(now units.Time) units.Time {
 	next := switchdef.EarliestRx(now, sw.ports)
-	for i, stage := range sw.txStage {
-		if len(stage) > 0 {
-			next = min(next, sw.txFirst[i]+txFlushDrain)
+	for _, st := range sw.tx {
+		if len(st.Bufs) > 0 {
+			next = min(next, st.Since+txFlushDrain)
 		}
 	}
 	return next

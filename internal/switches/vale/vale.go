@@ -60,6 +60,7 @@ type bridge struct {
 // ErrNoRuntimeRules.
 type Switch struct {
 	switchdef.NoRuntimeRules
+	switchdef.Counters
 
 	// rxScratch is the receive staging array, reused across polls: a
 	// stack array handed through the DevPort interface escapes, which
@@ -72,9 +73,6 @@ type Switch struct {
 	env     switchdef.Env
 	ports   []switchdef.DevPort
 	bridges []*bridge
-
-	// Forwarded and Dropped count data-plane outcomes.
-	Forwarded, Dropped int64
 }
 
 var info = switchdef.Info{
@@ -187,8 +185,7 @@ func (sw *Switch) forward(br *bridge, now units.Time, m *cost.Meter, src, other 
 	}
 	m.Charge(units.Cycles(k) * (2*m.Model.HashLookup + lookupPerPkt))
 	if known && dst == src {
-		sw.Dropped += int64(k)
-		b.Free()
+		sw.Discard(b)
 		return
 	}
 	sw.deliver(now, m, b, other)
@@ -210,9 +207,7 @@ func (sw *Switch) deliver(now units.Time, m *cost.Meter, b *pkt.Buf, dst int) {
 		m.Charge(k * ptnetPerPkt)
 	}
 	sw.txScratch[0] = out
-	sent := dev.TxBurst(now, m, sw.txScratch[:])
-	sw.Forwarded += int64(sent)
-	sw.Dropped += int64(k) - int64(sent)
+	sw.Transmit(now, m, dev, sw.txScratch[:], int(k))
 }
 
 func init() {

@@ -39,6 +39,8 @@ const (
 
 // Switch is a VPP instance.
 type Switch struct {
+	switchdef.Counters
+
 	ports []switchdef.DevPort
 
 	// rxVec is each port's dpdk-input vector for the dispatch in
@@ -58,14 +60,10 @@ type Switch struct {
 	// ACLDropped counts frames the runtime drop list discarded.
 	ACLDropped int64
 
-	txStage  [][]*pkt.Buf // per-port tx staging, flushed at frame end
-	txFrames []int        // the frames each txStage holds
+	tx []switchdef.Stage // per-port tx staging, flushed at frame end
 	// outOrder lists the ports l2-patch staged frames for, in the order it
 	// first reached them: the order interface-output visits them.
 	outOrder []int
-
-	// Forwarded and Dropped count data-plane outcomes.
-	Forwarded, Dropped int64
 }
 
 // New returns an unconfigured VPP instance.
@@ -93,8 +91,7 @@ func (sw *Switch) AddPort(p switchdef.DevPort) int {
 	sw.ports = append(sw.ports, p)
 	sw.rxVec = append(sw.rxVec, make([]*pkt.Buf, 0, VectorSize))
 	sw.rxFrames = append(sw.rxFrames, 0)
-	sw.txStage = append(sw.txStage, nil)
-	sw.txFrames = append(sw.txFrames, 0)
+	sw.tx = append(sw.tx, switchdef.Stage{})
 	sw.patchTo = append(sw.patchTo, -1)
 	return len(sw.ports) - 1
 }
@@ -155,9 +152,8 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 		tx := sw.patchTo[i]
 		if tx < 0 {
 			for _, b := range v {
-				b.Free()
+				sw.Discard(b)
 			}
-			sw.Dropped += int64(frames)
 			continue
 		}
 		m.ChargeNoisy(nodeFixed+units.Cycles(frames)*patchPerPkt, costJitterFrac)
@@ -168,11 +164,8 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 			keep := v[:0]
 			for _, b := range v {
 				if sw.acl[pkt.EthDst(b.View()).Key()] {
-					k := int64(b.Run())
-					frames -= int(k)
-					b.Free()
-					sw.ACLDropped += k
-					sw.Dropped += k
+					sw.ACLDropped += int64(b.Run())
+					sw.Discard(b)
 					continue
 				}
 				keep = append(keep, b)
@@ -182,32 +175,27 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 			}
 			v = keep
 		}
-		if len(sw.txStage[tx]) == 0 {
+		if len(sw.tx[tx].Bufs) == 0 {
 			sw.outOrder = append(sw.outOrder, tx)
 		}
-		sw.txStage[tx] = append(sw.txStage[tx], v...)
-		sw.txFrames[tx] += frames
+		sw.tx[tx].Add(now, v...)
 	}
 	// interface-output: one visit per output port over its merged vector.
 	for _, tx := range sw.outOrder {
-		m.ChargeNoisy(nodeFixed+units.Cycles(sw.txFrames[tx])*outputPerPkt, costJitterFrac)
+		m.ChargeNoisy(nodeFixed+units.Cycles(sw.tx[tx].Frames)*outputPerPkt, costJitterFrac)
 	}
 	sw.outOrder = sw.outOrder[:0]
 	// Flush staged tx.
-	for i := range sw.ports {
-		stage := sw.txStage[i]
-		if len(stage) == 0 {
+	for i, p := range sw.ports {
+		st := &sw.tx[i]
+		if len(st.Bufs) == 0 {
 			continue
 		}
 		got = true
-		frames := sw.txFrames[i]
-		if sw.ports[i].Kind() == switchdef.VhostKind {
-			m.Charge(units.Cycles(frames) * vhostTxPenalty)
+		if p.Kind() == switchdef.VhostKind {
+			m.Charge(units.Cycles(st.Frames) * vhostTxPenalty)
 		}
-		sent := sw.ports[i].TxBurst(now, m, stage)
-		sw.Forwarded += int64(sent)
-		sw.Dropped += int64(frames - sent)
-		sw.txStage[i], sw.txFrames[i] = stage[:0], 0
+		st.Flush(now, m, p, &sw.Counters)
 	}
 	return got
 }

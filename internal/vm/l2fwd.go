@@ -9,8 +9,8 @@ import (
 // DPDK l2fwd constants (the sample application's MAX_PKT_BURST and
 // BURST_TX_DRAIN_US defaults).
 const (
-	L2FwdBurst        = 32
-	L2FwdDrainDefault = 100 * units.Microsecond
+	L2FwdBurst = 32
+	l2fwdDrain = 100 * units.Microsecond
 )
 
 // Guest-side per-packet application cost.
@@ -27,8 +27,6 @@ type L2Fwd struct {
 	// of frames forwarded A→B / B→A — how chain VNFs steer the next hop
 	// for MAC-forwarding SUTs (the paper's t4p4s loopback note).
 	RewriteAB, RewriteBA *pkt.MAC
-	// Drain is the TX buffer timeout (default 100 µs).
-	Drain units.Time
 
 	batchAB, batchBA []*pkt.Buf
 	firstAB, firstBA units.Time
@@ -53,9 +51,6 @@ type L2Fwd struct {
 
 // Poll runs one guest-core iteration; it implements cpu.PollFunc.
 func (f *L2Fwd) Poll(now units.Time, m *cost.Meter) bool {
-	if f.Drain == 0 {
-		f.Drain = L2FwdDrainDefault
-	}
 	if f.derivedAB == nil {
 		f.derivedAB = make(map[*pkt.Template]*pkt.Template)
 		f.derivedBA = make(map[*pkt.Template]*pkt.Template)
@@ -106,7 +101,7 @@ func (f *L2Fwd) pump(now units.Time, m *cost.Meter, from, to NetIf, rewrite *pkt
 	}
 	// Strict batching: flush on a full burst or when the oldest buffered
 	// frame has waited out the drain timer.
-	if len(*batch) >= L2FwdBurst || (len(*batch) > 0 && now-*first >= f.Drain) {
+	if len(*batch) >= L2FwdBurst || (len(*batch) > 0 && now-*first >= l2fwdDrain) {
 		f.flush(now, m, to, batch)
 	}
 	return n > 0
@@ -118,10 +113,10 @@ func (f *L2Fwd) pump(now units.Time, m *cost.Meter, from, to NetIf, rewrite *pkt
 func (f *L2Fwd) NextWork(now units.Time) units.Time {
 	next := min(f.A.NextRx(now), f.B.NextRx(now))
 	if len(f.batchAB) > 0 {
-		next = min(next, f.firstAB+f.Drain)
+		next = min(next, f.firstAB+l2fwdDrain)
 	}
 	if len(f.batchBA) > 0 {
-		next = min(next, f.firstBA+f.Drain)
+		next = min(next, f.firstBA+l2fwdDrain)
 	}
 	return next
 }

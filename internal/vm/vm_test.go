@@ -40,7 +40,7 @@ func TestL2FwdRewritesAndBatches(t *testing.T) {
 		t.Fatal("flushed before batch or drain")
 	}
 	// After the drain timeout, the frame leaves, rewritten.
-	fwd.Poll(units.Microsecond+L2FwdDrainDefault, gm)
+	fwd.Poll(units.Microsecond+l2fwdDrain, gm)
 	if devB.HostPending() != 1 {
 		t.Fatalf("pending = %d", devB.HostPending())
 	}
@@ -76,13 +76,13 @@ func TestL2FwdFullBatchFlushesImmediately(t *testing.T) {
 func TestL2FwdBidirectional(t *testing.T) {
 	devA, ifA, hostA, _ := virtioPair("a")
 	devB, ifB, hostB, _ := virtioPair("b")
-	fwd := &L2Fwd{A: ifA, B: ifB, OwnMAC: pkt.MAC{2, 0, 0, 0, 0, 9}, Drain: units.Microsecond}
+	fwd := &L2Fwd{A: ifA, B: ifB, OwnMAC: pkt.MAC{2, 0, 0, 0, 0, 9}}
 	hm := cost.NewMeter(cost.Default(), nil)
 	gm := cost.NewMeter(cost.Default(), nil)
 	devA.HostEnqueueBurst(0, hm, []*pkt.Buf{frameTo(hostA, pkt.MAC{1, 1, 1, 1, 1, 1})})
 	devB.HostEnqueueBurst(0, hm, []*pkt.Buf{frameTo(hostB, pkt.MAC{2, 2, 2, 2, 2, 2})})
 	fwd.Poll(10*units.Microsecond, gm)
-	fwd.Poll(20*units.Microsecond, gm) // drain fires
+	fwd.Poll(10*units.Microsecond+l2fwdDrain, gm) // drain fires
 	if devB.HostPending() != 1 || devA.HostPending() != 1 {
 		t.Fatalf("pending = %d, %d", devA.HostPending(), devB.HostPending())
 	}

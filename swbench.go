@@ -380,6 +380,10 @@ type (
 	Buf = pkt.Buf
 	// PortKind distinguishes physical, vhost-user, and ptnet attachments.
 	PortKind = switchdef.PortKind
+	// SwitchCounters is the data-plane ledger a Switch embeds: it
+	// provides Counts, and Transmit / Discard book forwarded and dropped
+	// frames.
+	SwitchCounters = switchdef.Counters
 )
 
 // Port kinds.

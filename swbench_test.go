@@ -133,6 +133,7 @@ func TestPublicRegisterCustomSwitch(t *testing.T) {
 
 type wireSwitch struct {
 	swbench.NoRuntimeRules
+	swbench.SwitchCounters
 
 	ports []swbench.DevPort
 	peer  map[int]int
