@@ -21,7 +21,7 @@ func HashBytes(b []byte) uint64 {
 }
 
 // HashUint64 is a SplitMix64-style finalizer, used to spread dense keys
-// (template IDs, port numbers) across the table.
+// (MAC keys, port numbers) across the table.
 func HashUint64(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
@@ -147,10 +147,16 @@ const cacheWays = 8
 // bucket evicts the entry under the bucket's clock hand and advances the
 // hand — a deterministic function of the insertion sequence, replacing the
 // randomized map-iteration eviction the OvS EMC model used to have.
+//
+// Each slot keeps a one-byte tag of its key's hash: 0 while the slot is
+// empty, otherwise the hash's top seven bits with the top bit set. A probe
+// compares the tag before the key, so a way holding another key rarely
+// costs a key comparison. Equal keys have equal hashes and so equal tags,
+// so every lookup and eviction is what comparing keys alone gives.
 type Cache[K comparable, V any] struct {
 	keys []K
 	vals []V
-	live []bool
+	tags []uint8
 	hand []uint8
 	bmsk uint64 // buckets - 1
 	n    int
@@ -166,17 +172,22 @@ func NewCache[K comparable, V any](capacity int) *Cache[K, V] {
 	return &Cache[K, V]{
 		keys: make([]K, buckets*cacheWays),
 		vals: make([]V, buckets*cacheWays),
-		live: make([]bool, buckets*cacheWays),
+		tags: make([]uint8, buckets*cacheWays),
 		hand: make([]uint8, buckets),
 		bmsk: uint64(buckets - 1),
 	}
 }
 
+// cacheTag is a live slot's tag for a key of hash h: never 0, the empty
+// slot's tag. The bucket comes from h's low bits, the tag from its high
+// ones.
+func cacheTag(h uint64) uint8 { return uint8(h>>56) | 0x80 }
+
 // Get returns the value stored for k, if any.
 func (c *Cache[K, V]) Get(h uint64, k K) (V, bool) {
-	base := int(h&c.bmsk) * cacheWays
+	base, tag := int(h&c.bmsk)*cacheWays, cacheTag(h)
 	for i := base; i < base+cacheWays; i++ {
-		if c.live[i] && c.keys[i] == k {
+		if c.tags[i] == tag && c.keys[i] == k {
 			return c.vals[i], true
 		}
 	}
@@ -187,23 +198,23 @@ func (c *Cache[K, V]) Get(h uint64, k K) (V, bool) {
 // Put inserts or replaces the value for k. It reports whether a live entry
 // was evicted to make room.
 func (c *Cache[K, V]) Put(h uint64, k K, v V) bool {
-	b := int(h & c.bmsk)
+	b, tag := int(h&c.bmsk), cacheTag(h)
 	base := b * cacheWays
 	free := -1
 	for i := base; i < base+cacheWays; i++ {
-		if !c.live[i] {
+		if c.tags[i] == 0 {
 			if free < 0 {
 				free = i
 			}
 			continue
 		}
-		if c.keys[i] == k {
+		if c.tags[i] == tag && c.keys[i] == k {
 			c.vals[i] = v
 			return false
 		}
 	}
 	if free >= 0 {
-		c.live[free] = true
+		c.tags[free] = tag
 		c.keys[free] = k
 		c.vals[free] = v
 		c.n++
@@ -211,6 +222,7 @@ func (c *Cache[K, V]) Put(h uint64, k K, v V) bool {
 	}
 	victim := base + int(c.hand[b])
 	c.hand[b] = (c.hand[b] + 1) % cacheWays
+	c.tags[victim] = tag
 	c.keys[victim] = k
 	c.vals[victim] = v
 	return true
@@ -229,7 +241,7 @@ func (c *Cache[K, V]) Reset() {
 	if c.n == 0 {
 		return
 	}
-	clear(c.live)
+	clear(c.tags)
 	clear(c.hand)
 	clear(c.vals)
 	c.n = 0

@@ -221,3 +221,72 @@ func TestCacheResetMatchesFresh(t *testing.T) {
 		t.Fatalf("Len %d after Reset, %d fresh", used.Len(), fresh.Len())
 	}
 }
+
+// TestCacheTagsMatchKeyCompare holds the tagged Cache to a reference that
+// finds keys by comparing them alone, over a random mix of Gets, Puts
+// (replacing and evicting) and Resets in a 4-bucket cache where each key's
+// hash draws its bucket and its tag from a few values, so distinct keys
+// share buckets and tags all the time.
+func TestCacheTagsMatchKeyCompare(t *testing.T) {
+	type slot struct {
+		key, val uint64
+		live     bool
+	}
+	const buckets = 4
+	var ref [buckets * cacheWays]slot
+	var hands [buckets]int
+	c := NewCache[uint64, uint64](buckets * cacheWays)
+	rng := uint64(1)
+	next := func(n uint64) uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng % n
+	}
+	// hash gives key k a bucket from its low bits and one of three tags
+	// from its next ones: keys of a bucket collide on their tags too.
+	hash := func(k uint64) uint64 { return k%buckets | (k/buckets%3)<<61 }
+	for step := 0; step < 200000; step++ {
+		k := next(96)
+		h, base := hash(k), int(hash(k)%buckets)*cacheWays
+		switch op := next(100); {
+		case op == 0:
+			c.Reset()
+			ref, hands = [buckets * cacheWays]slot{}, [buckets]int{}
+		case op < 50:
+			want, ok := uint64(0), false
+			for _, s := range ref[base : base+cacheWays] {
+				if s.live && s.key == k {
+					want, ok = s.val, true
+				}
+			}
+			if got, gotOK := c.Get(h, k); got != want || gotOK != ok {
+				t.Fatalf("step %d: Get(%d) = %d, %v; reference %d, %v", step, k, got, gotOK, want, ok)
+			}
+		default:
+			v := uint64(step)
+			evicted, at := false, -1
+			for i := base; i < base+cacheWays; i++ {
+				if ref[i].live && ref[i].key == k {
+					at = i
+				}
+			}
+			if at < 0 {
+				for i := base; i < base+cacheWays && at < 0; i++ {
+					if !ref[i].live {
+						at = i
+					}
+				}
+			}
+			if at < 0 {
+				b := base / cacheWays
+				at, evicted = base+hands[b], true
+				hands[b] = (hands[b] + 1) % cacheWays
+			}
+			ref[at] = slot{k, v, true}
+			if got := c.Put(h, k, v); got != evicted {
+				t.Fatalf("step %d: Put(%d) evicted %v, reference %v", step, k, got, evicted)
+			}
+		}
+	}
+}

@@ -8,14 +8,20 @@
 // # Lazy backing
 //
 // Synthetic generator frames are identical per (FrameSpec, flow), so a Buf
-// can carry a shared *Template instead of bytes of its own, and a pool
-// buffer owns no byte storage at all until somebody writes to it: Get,
-// SetTemplate, SetLen, MarkProbe, View on a template-backed frame, and
-// CopyFrom/Clone from an unbacked source move only metadata. Bytes() — the
+// can carry a shared *Template instead of bytes of its own — one per
+// process: tgen's store builds each image once and every cell reads it —
+// and a pool buffer owns no byte storage at all until somebody writes to
+// it: Get, SetTemplate, SetLen, MarkProbe, View on a template-backed
+// frame, and CopyFrom/Clone from an unbacked source move only metadata. Bytes() — the
 // accessor for anything that edits real bytes (header rewrites) — attaches
 // backing from the pool's data slabs on first use and copies the template
 // image in; the backing then stays with the buffer across Free/Get.
-// Read-only inspection of headers goes through View().
+// Read-only inspection of headers goes through View(). A template also
+// records how far its image's headers parse — a one-byte Layout
+// (Ethernet, 802.1Q tag, valid IPv4, L4 ports) that ParseLayout computes
+// once where the image is built — so a header reader such as OvS's flow
+// key takes each field at the offset the verdict implies instead of
+// parsing, and checksumming, every frame.
 //
 // A latency probe's stamp is metadata too: MarkProbe on a template-backed
 // frame records Seq, TxStamp and whether the payload carries that TxStamp
@@ -35,7 +41,6 @@ package pkt
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/units"
 )
@@ -270,29 +275,23 @@ func (b *Buf) Free() {
 // Template is an immutable, pre-serialized frame image shared by every
 // lazy buffer of one (FrameSpec, flow) pair. Building it costs one full
 // header serialization; every frame emitted against it afterwards costs
-// nothing until (unless) its bytes are inspected.
+// nothing until (unless) its bytes are inspected. It also carries its
+// image's Layout, parsed once where the image is built, so a header reader
+// takes the fields straight from the image.
 type Template struct {
-	data []byte
-	id   uint64
+	data   []byte
+	layout Layout
 }
-
-// templateIDs hands out process-unique template identities. Atomic because
-// campaign workers build templates for different cells concurrently; the
-// counter's order is irrelevant — only uniqueness matters.
-var templateIDs atomic.Uint64
 
 // NewTemplate wraps data (which the caller must never mutate afterwards)
-// as a frame image with a fresh identity.
+// as a frame image, parsing its Layout.
 func NewTemplate(data []byte) *Template {
-	return &Template{data: data, id: templateIDs.Add(1)}
+	return &Template{data: data, layout: ParseLayout(data)}
 }
 
-// ID returns the template's process-unique, always-nonzero identity.
-// Frames sharing a template have identical headers — only a probe's
-// payload stamp can tell them apart, and no flow key reads it — so OvS
-// reuses a port's parsed flow key while the ID it was parsed from
-// repeats.
-func (t *Template) ID() uint64 { return t.id }
+// Layout returns how far the image's headers parse: ParseLayout of the
+// image, computed when the template was built.
+func (t *Template) Layout() Layout { return t.layout }
 
 // Len returns the image's frame length.
 func (t *Template) Len() int { return len(t.data) }

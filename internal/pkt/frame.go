@@ -27,9 +27,11 @@ func (s FrameSpec) Build(b *Buf) {
 }
 
 // Template pre-serializes the frame image for flow index `flow` (0 for
-// single-flow traffic). Generators build one Template per (spec, flow) and
-// stamp emitted buffers with SetTemplate, deferring all byte work to the
-// first consumer that actually reads the frame.
+// single-flow traffic). Buffers stamped with it by SetTemplate defer all
+// byte work to the first consumer that actually reads the frame. (The
+// generators do not call it: they take each image from tgen's
+// process-wide store, which builds it once through FillTemplate or
+// FillTemplateFrom.)
 func (s FrameSpec) Template(flow int) *Template {
 	t := new(Template)
 	s.FillTemplate(t, make([]byte, s.FrameLen), flow)
@@ -37,15 +39,15 @@ func (s FrameSpec) Template(flow int) *Template {
 }
 
 // FillTemplate is Template with caller-supplied storage: it serializes the
-// image for flow into data (len FrameLen, never mutated afterwards) and
-// makes *t that image with a fresh identity. Generators carve t and data
+// image for flow into data (len FrameLen, never mutated afterwards), parses
+// its Layout and makes *t that image. A template store carves t and data
 // out of slabs shared by many flows instead of allocating both per flow.
 func (s FrameSpec) FillTemplate(t *Template, data []byte, flow int) {
 	s.buildInto(data)
 	if flow != 0 {
 		patchFlowBytes(data, s, flow)
 	}
-	*t = Template{data: data, id: templateIDs.Add(1)}
+	*t = Template{data: data, layout: ParseLayout(data)}
 }
 
 // FillTemplateFrom is FillTemplate by copy and patch: base must be an image
@@ -53,12 +55,13 @@ func (s FrameSpec) FillTemplate(t *Template, data []byte, flow int) {
 // fields patched in. The patch writes absolute values and touches no field
 // the IPv4 checksum covers, so the result is byte for byte what
 // FillTemplate(t, data, flow) serializes, whichever flow base was built
-// for. A generator of many flows serializes one image per frame length and
+// for; and it moves no header boundary, so *t takes base's Layout without
+// parsing. A store of many flows serializes one image per frame length and
 // copies the rest.
 func (s FrameSpec) FillTemplateFrom(t *Template, data []byte, base *Template, flow int) {
 	copy(data, base.data)
 	patchFlowBytes(data, s, flow)
-	*t = Template{data: data, id: templateIDs.Add(1)}
+	*t = Template{data: data, layout: base.layout}
 }
 
 // buildInto serializes the frame into p (len must be FrameLen).

@@ -2,6 +2,7 @@ package pkt
 
 import (
 	"bytes"
+	"fmt"
 	"runtime/debug"
 	"testing"
 	"unsafe"
@@ -48,9 +49,8 @@ func TestTemplateMatchesBuild(t *testing.T) {
 }
 
 // TestFillTemplateFromMatchesSerialized: copying any flow's image and
-// patching in another flow gives the bytes serializing that flow gives, as
-// a template of its own identity; patching in the base's own flow changes
-// nothing.
+// patching in another flow gives the bytes serializing that flow gives, in
+// storage of its own; patching in the base's own flow changes nothing.
 func TestFillTemplateFromMatchesSerialized(t *testing.T) {
 	flows := []int{0, 1, 7, 255, 256, 300, 32767}
 	for _, frameLen := range []int{64, 570, 1518} {
@@ -63,11 +63,75 @@ func TestFillTemplateFromMatchesSerialized(t *testing.T) {
 				if want := spec.Template(flow); !bytes.Equal(got.data, want.data) {
 					t.Fatalf("len=%d: flow %d patched from flow %d differs from serializing it", frameLen, flow, from)
 				}
-				if got.ID() == base.ID() || got.ID() == 0 {
-					t.Fatalf("len=%d: patched template has id %d, base %d", frameLen, got.ID(), base.ID())
+				if &got.data[0] == &base.data[0] {
+					t.Fatalf("len=%d: patched template shares its base's image", frameLen)
 				}
 			}
 		}
+	}
+}
+
+// TestTemplateLayoutMatchesParse holds every template's Layout to
+// ParseLayout of its image, however the template was made: serialized
+// (FillTemplate), copied and patched from another flow's image over many
+// flows (FillTemplateFrom, which copies its base's verdict unparsed),
+// wrapped (NewTemplate) and derived by l2fwd's MAC rewrite (Derive); and
+// on a VLAN-tagged image, one with a bad IPv4 checksum, a non-UDP/TCP one
+// and images cut short inside each header, which must parse only as far
+// as they go.
+func TestTemplateLayoutMatchesParse(t *testing.T) {
+	check := func(what string, tm *Template, want Layout) {
+		t.Helper()
+		if got := tm.Layout(); got != ParseLayout(tm.data) || got != want {
+			t.Fatalf("%s: Layout %#x, ParseLayout %#x, want %#x", what, got, ParseLayout(tm.data), want)
+		}
+	}
+	full := LayoutEth | LayoutIPv4 | LayoutL4
+	for _, frameLen := range []int{64, 570, 1518} {
+		spec := lazySpec(frameLen)
+		base := spec.Template(5)
+		check("FillTemplate", base, full)
+		for flow := 0; flow < 1000; flow += 7 {
+			var tm Template
+			spec.FillTemplateFrom(&tm, make([]byte, frameLen), base, flow)
+			check(fmt.Sprintf("FillTemplateFrom flow %d", flow), &tm, full)
+		}
+		check("Derive", base.Derive(func(data []byte) {
+			SetEthSrc(data, MAC{2, 0xff, 0, 0, 0, 1})
+			SetEthDst(data, MAC{2, 0, 0, 0, 0, 7})
+		}), full)
+	}
+	img := lazySpec(64).Template(0).Image()
+	check("NewTemplate", NewTemplate(img), full)
+	tagged := append(append(append([]byte(nil), img[:12]...), 0x81, 0x00, 0x20, 0x0a), img[12:]...)
+	check("VLAN", NewTemplate(tagged), full|LayoutVLAN)
+	badSum := append([]byte(nil), img...)
+	badSum[EthHdrLen+11] ^= 0x40
+	check("bad checksum", NewTemplate(badSum), LayoutEth)
+	icmp := append([]byte(nil), img...)
+	(&IPv4Hdr{TotalLen: 50, TTL: 64, Proto: 1}).Put(icmp[EthHdrLen:])
+	check("ICMP", NewTemplate(icmp), LayoutEth|LayoutIPv4)
+	for _, cut := range []struct {
+		n    int
+		want Layout
+	}{
+		{0, 0}, {EthHdrLen - 1, 0}, {EthHdrLen, LayoutEth},
+		{EthHdrLen + IPv4HdrLen - 1, LayoutEth},
+		{EthHdrLen + IPv4HdrLen, LayoutEth | LayoutIPv4},
+		{EthHdrLen + IPv4HdrLen + UDPHdrLen - 1, LayoutEth | LayoutIPv4},
+		{EthHdrLen + IPv4HdrLen + UDPHdrLen, full},
+	} {
+		check(fmt.Sprintf("cut to %d", cut.n), NewTemplate(img[:cut.n]), cut.want)
+	}
+	// A tag that does not fit leaves the frame untagged, of EtherType 802.1Q.
+	check("cut tag", NewTemplate(tagged[:EthHdrLen+VLANTagLen-1]), LayoutEth)
+}
+
+// TestTemplateStaysSmall: a Template is an image slice and a one-byte
+// verdict, 32 bytes on a 64-bit machine, as it was when it carried an ID.
+func TestTemplateStaysSmall(t *testing.T) {
+	if got, want := unsafe.Sizeof(Template{}), 4*unsafe.Sizeof(uintptr(0)); got != want {
+		t.Fatalf("Template is %d bytes, want %d", got, want)
 	}
 }
 

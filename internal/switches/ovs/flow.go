@@ -6,42 +6,14 @@ import (
 	"repro/internal/pkt"
 )
 
-// FlowKey is the exact-match key OvS extracts from each packet (miniflow).
-type FlowKey struct {
-	InPort  uint16
-	EthDst  pkt.MAC
-	EthSrc  pkt.MAC
-	EthType uint16
-	// VLAN holds the 802.1Q VLAN ID plus one (0 = untagged), so
-	// dl_vlan matches can distinguish "no tag" from VID 0.
-	VLAN    uint16
-	IPSrc   [4]byte
-	IPDst   [4]byte
-	IPProto uint8
-	L4Src   uint16
-	L4Dst   uint16
-}
-
-// keyLen is the packed length of a FlowKey.
+// keyLen is the packed length of a flow key (miniflow): in_port, dl_dst,
+// dl_src, dl_type, dl_vlan (the VLAN ID plus one, 0 = untagged, so
+// dl_vlan matches tell "no tag" from VID 0), nw_src, nw_dst, nw_proto,
+// tp_src and tp_dst, big-endian at the offsets fieldSpans lists.
 const keyLen = 2 + 6 + 6 + 2 + 2 + 4 + 4 + 1 + 2 + 2
 
 // packedKey is a comparable packed key, usable as a map key.
 type packedKey [keyLen]byte
-
-func (k *FlowKey) pack() packedKey {
-	var p packedKey
-	binary.BigEndian.PutUint16(p[0:], k.InPort)
-	copy(p[2:], k.EthDst[:])
-	copy(p[8:], k.EthSrc[:])
-	binary.BigEndian.PutUint16(p[14:], k.EthType)
-	binary.BigEndian.PutUint16(p[16:], k.VLAN)
-	copy(p[18:], k.IPSrc[:])
-	copy(p[22:], k.IPDst[:])
-	p[26] = k.IPProto
-	binary.BigEndian.PutUint16(p[27:], k.L4Src)
-	binary.BigEndian.PutUint16(p[29:], k.L4Dst)
-	return p
-}
 
 // mask selects which key bytes a rule matches on.
 type mask packedKey
@@ -114,34 +86,30 @@ func (r *Rule) beats(other *Rule) bool {
 	return r.seq < other.seq
 }
 
-// extractKey builds the FlowKey for a frame received on inPort.
-func extractKey(b *pkt.Buf, inPort int) FlowKey {
-	var k FlowKey
-	k.InPort = uint16(inPort)
-	data := b.View()
-	eth, err := pkt.ParseEth(data)
-	if err != nil {
-		return k
+// packKey writes into *k the flow key of frame data received on inPort,
+// whose headers parse as far as l (pkt.ParseLayout of data) says: each
+// field is copied from the offset the verdict implies, and a field the
+// frame lacks stays zero.
+func packKey(k *packedKey, data []byte, l pkt.Layout, inPort int) {
+	*k = packedKey{}
+	binary.BigEndian.PutUint16(k[0:], uint16(inPort))
+	if l&pkt.LayoutEth == 0 {
+		return
 	}
-	k.EthDst, k.EthSrc, k.EthType = eth.Dst, eth.Src, eth.EtherType
+	copy(k[2:14], data[0:12]) // dl_dst, dl_src
 	l3 := data[pkt.EthHdrLen:]
-	if vid, tagged := pkt.VLANID(data); tagged {
-		k.VLAN = vid + 1
-		k.EthType = binary.BigEndian.Uint16(data[pkt.EthHdrLen+2 : pkt.EthHdrLen+4])
+	copy(k[14:16], data[12:14])
+	if l&pkt.LayoutVLAN != 0 {
+		copy(k[14:16], data[16:18])
+		binary.BigEndian.PutUint16(k[16:], binary.BigEndian.Uint16(data[14:16])&0x0fff+1)
 		l3 = data[pkt.EthHdrLen+pkt.VLANTagLen:]
 	}
-	if k.EthType != pkt.EtherTypeIPv4 || len(l3) < pkt.IPv4HdrLen {
-		return k
+	if l&pkt.LayoutIPv4 == 0 {
+		return
 	}
-	ip, err := pkt.ParseIPv4(l3)
-	if err != nil {
-		return k
+	copy(k[18:26], l3[12:20]) // nw_src, nw_dst
+	k[26] = l3[9]
+	if l&pkt.LayoutL4 != 0 {
+		copy(k[27:31], l3[20:24]) // tp_src, tp_dst
 	}
-	k.IPSrc, k.IPDst, k.IPProto = ip.Src, ip.Dst, ip.Proto
-	if ip.Proto == pkt.ProtoUDP || ip.Proto == pkt.ProtoTCP {
-		if udp, err := pkt.ParseUDP(l3[pkt.IPv4HdrLen:]); err == nil {
-			k.L4Src, k.L4Dst = udp.SrcPort, udp.DstPort
-		}
-	}
-	return k
 }

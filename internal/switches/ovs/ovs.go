@@ -80,10 +80,9 @@ func keyHash(k *packedKey) uint64 { return flowtab.HashBytes(k[:]) }
 type port struct {
 	dev   switchdef.DevPort
 	stage switchdef.Stage
-	// key and hash are the packed flow key and keyHash; tmpl is the ID
-	// of the template they were parsed from, or 0 if that frame had none
-	// (IDs are nonzero).
-	tmpl uint64
+	// key and hash are the packed flow key and keyHash; tmpl is the
+	// template they were packed from, or nil if that frame had none.
+	tmpl *pkt.Template
 	key  packedKey
 	hash uint64
 }
@@ -357,25 +356,25 @@ func (sw *Switch) Poll(now units.Time, m *cost.Meter) bool {
 }
 
 // flowKey returns the packed flow key of the frames b holds, received on
-// port i, and its keyHash. The port keeps the last key it parsed, and a
-// template's frames have identical headers (a probe differs only in its
-// payload stamp), so a buffer on the template that key came from reuses
-// it; any other buffer (a new template, no template, or one resized away
-// from its template's length) is parsed afresh. The
-// key is returned in place: copied through the stack on every frame, the
-// 31-byte array stalls on store forwarding. Reuse saves only host-side
-// parsing (ParseIPv4 verifies a checksum per frame): classify still runs
-// for every frame, so it cannot move a simulated charge or counter.
+// port i, and its keyHash. A template's frames have identical headers (a
+// probe differs only in its payload stamp), and the template records how
+// far they parse (pkt.Layout), so the key is copied straight out of its
+// image at the offsets that verdict implies; any other buffer (no
+// template, or one resized away from its template's length) parses its own
+// verdict first and takes the same path. The port keeps the last key, so
+// a buffer on the template it came from skips even the copy and the hash.
+// The key is returned in place: copied through the stack on every frame,
+// the 31-byte array stalls on store forwarding. None of this moves a
+// simulated charge or counter: classify still runs for every frame.
 func (sw *Switch) flowKey(b *pkt.Buf, i int) (*packedKey, uint64) {
 	p := &sw.ports[i]
-	var id uint64
-	if t := b.Template(); t != nil && b.Len() == t.Len() {
-		id = t.ID()
-	}
-	if id == 0 || id != p.tmpl {
-		key := extractKey(b, i)
-		p.tmpl, p.key = id, key.pack()
-		p.hash = keyHash(&p.key)
+	if t := b.Template(); t == nil || b.Len() != t.Len() {
+		data := b.View()
+		packKey(&p.key, data, pkt.ParseLayout(data), i)
+		p.tmpl, p.hash = nil, keyHash(&p.key)
+	} else if t != p.tmpl {
+		packKey(&p.key, b.View(), t.Layout(), i)
+		p.tmpl, p.hash = t, keyHash(&p.key)
 	}
 	return &p.key, p.hash
 }

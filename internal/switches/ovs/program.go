@@ -18,8 +18,7 @@ import (
 func lowerMatch(r switchdef.Rule) *Rule {
 	out := &Rule{Priority: r.EffectivePriority()}
 	m := r.Match
-	var key FlowKey
-	packed := key.pack()
+	var packed packedKey
 	set := func(name string, raw []byte) {
 		span := fieldSpans[name]
 		copy(packed[span.off:span.off+span.len], raw)
@@ -45,7 +44,7 @@ func lowerMatch(r switchdef.Rule) *Rule {
 		set("dl_type", u16(m.EthType))
 	}
 	if m.Fields&switchdef.FVLAN != 0 {
-		set("dl_vlan", u16(m.VLAN+1)) // stored as VID+1, like extractKey
+		set("dl_vlan", u16(m.VLAN+1)) // stored as VID+1, like packKey
 	}
 	if m.Fields&switchdef.FIPSrc != 0 {
 		set("nw_src", m.IPSrc[:])

@@ -9,14 +9,18 @@
 // A generator never builds a frame: each emitted buffer references a
 // pre-serialized template, one per (frame length, flow), held in a flat
 // slice indexed by size slot and flow, so picking it is an index, not a
-// lookup. Templates are built on a flow's first frame and carved in
-// chunks of up to 64 from slabs sized to the flows still unbuilt, so
+// lookup. A template is a pure function of (pkt.FrameSpec, flow) and never
+// changes, so the generator does not build its own either: on a flow's
+// first frame it takes the template from one process-wide store
+// (SharedTemplate), which builds each image once for every cell, campaign
+// worker and guest generator of the process. The store carves templates in
+// chunks of up to 64 from slabs sized to the flows a caller still lacks, so
 // 32 768 flows cost about a thousand allocations rather than a hundred
-// thousand. Only the first template of each frame length is serialized;
+// thousand, once. Only the first template of each FrameSpec is serialized;
 // every later flow's is a copy of that image with its source MAC and UDP
 // source port patched in (pkt.FrameSpec.FillTemplateFrom), which is byte
-// for byte what serializing it would write. There is no separate base
-// image: one flow costs one image. A saturating generator of one
+// for byte what serializing it would write, and which takes that image's
+// header verdict (pkt.Layout) unparsed. A saturating generator of one
 // flow and one frame length goes further: its burst's frames are one
 // template, so they leave as runs (nic.Port.SendRunAt), one buffer each:
 // the frames the receiver's full RX ring drops never become buffers, and
@@ -54,7 +58,7 @@ var imixSlots = []int{0, 1, 0, 1, 0, 2, 0, 1, 0, 1, 0, 0}
 
 const imixLens = 3
 
-// tmplChunk caps how many templates one slab allocation provides.
+// tmplChunk caps how many templates one store slab provides.
 const tmplChunk = 64
 
 // Config describes one generator (one TX port).
@@ -106,13 +110,13 @@ type Generator struct {
 	// index slot*flows + flow; emitted buffers reference it lazily instead
 	// of being built. The slot is 0 for fixed-length traffic and the
 	// frame length's imixSlots entry under IMIX. An entry is nil until
-	// its first frame is emitted.
+	// its first frame is emitted; then it is the store's template, and
+	// this index, read without a lock, is what keeps later frames off the
+	// store's.
 	tmpls []*pkt.Template
 	flows int // max(Flows, 1)
-	// slabs carves each size slot's templates, images included, out of
-	// chunks of min(tmplChunk, that slot's flows not yet built): a
-	// one-flow generator allocates exactly one image.
-	slabs [imixLens]tmplSlab
+	// specs is each size slot's store entry, looked up on its first frame.
+	specs [imixLens]*specTemplates
 
 	// zipf is the shared draw table of (Flows, ZipfSkew) when ZipfSkew
 	// is active; nil keeps the round-robin path untouched.
@@ -121,16 +125,6 @@ type Generator struct {
 	// Sent counts emitted frames; SentProbes the probe subset.
 	Sent       int64
 	SentProbes int64
-}
-
-// tmplSlab is the unclaimed rest of one size slot's current chunk.
-type tmplSlab struct {
-	tmpls []pkt.Template
-	data  []byte
-	built int // templates of this slot built so far
-	// first is the slot's first template built, the one serialized image
-	// every later one copies and patches.
-	first *pkt.Template
 }
 
 // NewGenerator registers a generator with the scheduler (idle until Start).
@@ -190,6 +184,86 @@ func sharedZipf(n int, s float64) *zipfTable {
 		zipfTables.m[k] = t
 	}
 	return t
+}
+
+// templates is the process-wide template store: one specTemplates per
+// FrameSpec (its FrameLen included), built on first use and kept, like
+// zipfTables, for the life of the process. A template is never written
+// once built, so a reader needs the lock only to find it; the lock guards
+// every entry's index and slab.
+var templates struct {
+	sync.Mutex
+	m map[pkt.FrameSpec]*specTemplates
+}
+
+// specTemplates is one FrameSpec's templates: flow f's at tmpls[f], nil
+// until built. It costs flows × (40 B + FrameLen) — a Template, its index
+// pointer and its image — for the life of the process.
+type specTemplates struct {
+	spec  pkt.FrameSpec
+	tmpls []*pkt.Template
+	built int
+	// first is the spec's first template built, the one serialized image
+	// every later one copies and patches.
+	first *pkt.Template
+	// free and data are the unclaimed rest of the current slab.
+	free []pkt.Template
+	data []byte
+}
+
+// specEntry returns spec's store entry, creating it on first use.
+func specEntry(spec pkt.FrameSpec) *specTemplates {
+	templates.Lock()
+	defer templates.Unlock()
+	e := templates.m[spec]
+	if e == nil {
+		e = &specTemplates{spec: spec}
+		if templates.m == nil {
+			templates.m = make(map[pkt.FrameSpec]*specTemplates)
+		}
+		templates.m[spec] = e
+	}
+	return e
+}
+
+// template returns flow's template, building it on first use from the
+// current slab. A used-up slab is replaced by one of min(tmplChunk,
+// flows − built) templates (at least one), flows being how many flows the
+// caller draws from.
+func (e *specTemplates) template(flow, flows int) *pkt.Template {
+	templates.Lock()
+	defer templates.Unlock()
+	if flow < len(e.tmpls) && e.tmpls[flow] != nil {
+		return e.tmpls[flow]
+	}
+	if flow >= len(e.tmpls) {
+		grown := make([]*pkt.Template, max(flows, flow+1))
+		copy(grown, e.tmpls)
+		e.tmpls = grown
+	}
+	frameLen := e.spec.FrameLen
+	if len(e.free) == 0 {
+		n := min(tmplChunk, max(flows-e.built, 1))
+		e.free, e.data = make([]pkt.Template, n), make([]byte, n*frameLen)
+	}
+	t, data := &e.free[0], e.data[:frameLen:frameLen]
+	if e.first == nil {
+		e.spec.FillTemplate(t, data, flow)
+		e.first = t
+	} else {
+		e.spec.FillTemplateFrom(t, data, e.first, flow)
+	}
+	e.free, e.data = e.free[1:], e.data[frameLen:]
+	e.built++
+	e.tmpls[flow] = t
+	return t
+}
+
+// SharedTemplate returns flow's template of spec from the process-wide
+// store, building it on first use: the same *pkt.Template for every
+// caller in the process.
+func SharedTemplate(spec pkt.FrameSpec, flow int) *pkt.Template {
+	return specEntry(spec).template(flow, flow+1)
 }
 
 // zipfCDF precomputes the cumulative weights of a Zipf distribution over
@@ -259,27 +333,17 @@ func (g *Generator) Start(at units.Time) {
 	g.sched.WakeAt(g.task, at)
 }
 
-// build makes the frame image for flow in size slot slot (frames of
-// frameLen bytes) from the slot's slab, starting a new chunk when the
-// current one is used up. Only the slot's first template is serialized;
-// the others copy its image and patch in their flow.
-func (g *Generator) build(slot, frameLen, flow int) *pkt.Template {
-	s := &g.slabs[slot]
-	if len(s.tmpls) == 0 {
-		n := min(tmplChunk, g.flows-s.built)
-		s.tmpls, s.data = make([]pkt.Template, n), make([]byte, n*frameLen)
+// template returns flow's template in size slot slot (frames of frameLen
+// bytes) from the store, and indexes it for the generator's later frames.
+func (g *Generator) template(slot, frameLen, flow int) *pkt.Template {
+	e := g.specs[slot]
+	if e == nil {
+		spec := g.cfg.Spec
+		spec.FrameLen = frameLen
+		e = specEntry(spec)
+		g.specs[slot] = e
 	}
-	spec := g.cfg.Spec
-	spec.FrameLen = frameLen
-	t, data := &s.tmpls[0], s.data[:frameLen:frameLen]
-	if s.first == nil {
-		spec.FillTemplate(t, data, flow)
-		s.first = t
-	} else {
-		spec.FillTemplateFrom(t, data, s.first, flow)
-	}
-	s.tmpls, s.data = s.tmpls[1:], s.data[frameLen:]
-	s.built++
+	t := e.template(flow, g.flows)
 	g.tmpls[slot*g.flows+flow] = t
 	return t
 }
@@ -311,7 +375,7 @@ func (g *Generator) emitOne(at units.Time) bool {
 	}
 	t := g.tmpls[slot*g.flows+flow]
 	if t == nil {
-		t = g.build(slot, frameLen, flow)
+		t = g.template(slot, frameLen, flow)
 	}
 	b := g.cfg.Pool.Get(frameLen)
 	b.SetTemplate(t)
@@ -352,7 +416,7 @@ func (g *Generator) emitRuns(at units.Time, budget int) {
 		n := min(budget, g.txCredit)
 		t := g.tmpls[0]
 		if t == nil {
-			t = g.build(0, frameLen, 0)
+			t = g.template(0, frameLen, 0)
 		}
 		b := g.cfg.Pool.Get(frameLen)
 		b.SetTemplate(t)

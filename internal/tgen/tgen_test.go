@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/nic"
@@ -256,11 +257,27 @@ func TestEmittedFramesMatchSpecTemplates(t *testing.T) {
 	}
 }
 
-// TestSingleFlowBuildsOneImage: a one-flow generator allocates exactly one
-// template image per frame length — no slab space beyond it — and a
-// generator that has built every flow has no slab space left over.
+// storeSpecs numbers the specs of freshSpec.
+var storeSpecs atomic.Uint32
+
+// freshSpec returns a 64-byte spec no other call returns, so a test of the
+// process-wide template store starts from an entry nothing has built,
+// under -count=N too.
+func freshSpec() pkt.FrameSpec {
+	n := storeSpecs.Add(1)
+	return pkt.FrameSpec{
+		SrcMAC: pkt.MAC{2, 0, 0, 0, 0, 1}, DstMAC: pkt.MAC{2, 0, 0, 0, 0, 2},
+		SrcIP: [4]byte{10, 9, byte(n >> 8), byte(n)}, DstIP: [4]byte{10, 0, 0, 2},
+		SrcPort: 1000, DstPort: 2000, FrameLen: 64,
+	}
+}
+
+// TestSingleFlowBuildsOneImage: the store builds one image per (spec,
+// frame length, flow) however many generators emit it — two generators of
+// one config hold pointer-equal templates, and a one-flow spec holds
+// exactly one image per length — and once every flow is built no slab
+// space is left over.
 func TestSingleFlowBuildsOneImage(t *testing.T) {
-	spec := pkt.FrameSpec{SrcMAC: pkt.MAC{2, 0, 0, 0, 0, 1}, DstMAC: pkt.MAC{2, 0, 0, 0, 0, 2}, FrameLen: 64}
 	for _, tc := range []struct {
 		name        string
 		flows, lens int
@@ -271,18 +288,85 @@ func TestSingleFlowBuildsOneImage(t *testing.T) {
 		{"round-robin-100", 100, 1, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			g, _ := emitted(t, Config{Spec: spec, Flows: tc.flows, IMIX: tc.imix})
-			for slot, s := range g.slabs {
-				want := 0
-				if slot < tc.lens {
-					want = tc.flows
+			cfg := Config{Spec: freshSpec(), Flows: tc.flows, IMIX: tc.imix}
+			g, _ := emitted(t, cfg)
+			h, _ := emitted(t, cfg)
+			for slot, e := range g.specs {
+				if slot >= tc.lens {
+					if e != nil {
+						t.Fatalf("slot %d of %d has a store entry", slot, tc.lens)
+					}
+					continue
 				}
-				if s.built != want || len(s.tmpls) != 0 || len(s.data) != 0 {
-					t.Fatalf("slot %d: %d templates built (want %d), %d templates and %d bytes of slab unused",
-						slot, s.built, want, len(s.tmpls), len(s.data))
+				if e != h.specs[slot] || e.built != tc.flows || len(e.free) != 0 || len(e.data) != 0 {
+					t.Fatalf("slot %d: shared %v, %d templates built (want %d), %d templates and %d bytes of slab unused",
+						slot, e == h.specs[slot], e.built, tc.flows, len(e.free), len(e.data))
+				}
+			}
+			for i, tm := range g.tmpls {
+				if tm == nil || tm != h.tmpls[i] {
+					t.Fatalf("template %d: %p and %p", i, tm, h.tmpls[i])
 				}
 			}
 		})
+	}
+}
+
+// TestConcurrentGeneratorsShareTemplates: generators of one spec built on
+// two goroutines at once, each taking every flow in its own order, end up
+// with pointer-equal templates, each the image FrameSpec.Template
+// serializes.
+func TestConcurrentGeneratorsShareTemplates(t *testing.T) {
+	const flows = 300
+	spec := freshSpec()
+	var got [2][]*pkt.Template
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			g := NewGenerator(sim.NewScheduler(), Config{Name: "g", Spec: spec, Flows: flows})
+			for f := 0; f < flows; f++ {
+				g.template(0, spec.FrameLen, (f*(7+6*w)+w)%flows)
+			}
+			got[w] = g.tmpls
+		}(w)
+	}
+	wg.Wait()
+	for f := 0; f < flows; f++ {
+		a, b := got[0][f], got[1][f]
+		if a == nil || a != b {
+			t.Fatalf("flow %d: templates %p and %p", f, a, b)
+		}
+		if !bytes.Equal(a.Image(), spec.Template(f).Image()) {
+			t.Fatalf("flow %d: stored image differs from FrameSpec.Template", f)
+		}
+	}
+}
+
+// TestSecondGeneratorAllocatesNoTemplates: once a spec's templates are
+// built, another generator of it takes every one from the store without
+// allocating.
+func TestSecondGeneratorAllocatesNoTemplates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates for itself")
+	}
+	const flows = 200
+	spec := freshSpec()
+	take := func(g *Generator) {
+		for f := 0; f < flows; f++ {
+			g.template(0, spec.FrameLen, f)
+		}
+	}
+	take(NewGenerator(sim.NewScheduler(), Config{Name: "first", Spec: spec, Flows: flows}))
+	g := NewGenerator(sim.NewScheduler(), Config{Name: "second", Spec: spec, Flows: flows})
+	avg := testing.AllocsPerRun(10, func() {
+		clear(g.tmpls)
+		g.specs = [imixLens]*specTemplates{}
+		take(g)
+	})
+	if avg != 0 {
+		t.Fatalf("taking %d built templates allocates %.2f times", flows, avg)
 	}
 }
 

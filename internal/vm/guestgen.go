@@ -5,6 +5,7 @@ import (
 	"repro/internal/pkt"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/tgen"
 	"repro/internal/units"
 )
 
@@ -30,7 +31,7 @@ type Generator struct {
 	seq       uint64
 	nextProbe units.Time
 	nextDue   units.Time
-	tmpl      *pkt.Template           // lazily built frame image for Spec
+	tmpl      *pkt.Template           // Spec's frame image, from tgen's store on first use
 	scratch   [guestGenBurst]*pkt.Buf // burst staging, reused every step
 
 	// Sent counts emitted frames.
@@ -61,7 +62,7 @@ func StartGenerator(s *sim.Scheduler, name string, g *Generator, m *cost.Meter, 
 // did the work either way).
 func (g *Generator) makeFrame(now units.Time) *pkt.Buf {
 	if g.tmpl == nil {
-		g.tmpl = g.Spec.Template(0)
+		g.tmpl = tgen.SharedTemplate(g.Spec, 0)
 	}
 	b := g.Pool.Get(g.Spec.FrameLen)
 	b.SetTemplate(g.tmpl)

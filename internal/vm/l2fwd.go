@@ -44,9 +44,6 @@ type L2Fwd struct {
 	// costs one heap allocation per pump on a core that polls every few
 	// hundred simulated nanoseconds.
 	scratch [L2FwdBurst]*pkt.Buf
-
-	// Forwarded and Dropped count frames through the VNF.
-	Forwarded, Dropped int64
 }
 
 // Poll runs one guest-core iteration; it implements cpu.PollFunc.
@@ -122,9 +119,7 @@ func (f *L2Fwd) NextWork(now units.Time) units.Time {
 }
 
 func (f *L2Fwd) flush(now units.Time, m *cost.Meter, to NetIf, batch *[]*pkt.Buf) {
-	sent := to.SendBurst(now, m, *batch)
-	f.Forwarded += int64(sent)
-	f.Dropped += int64(len(*batch) - sent)
+	to.SendBurst(now, m, *batch)
 	*batch = (*batch)[:0]
 }
 
@@ -140,8 +135,6 @@ type ValeFwd struct {
 	// out stages one copy for SendBurst: each copy is sent as it is made,
 	// so per-frame order holds, and a field does not escape per send.
 	out [1]*pkt.Buf
-
-	Forwarded, Dropped int64
 }
 
 // Per-frame guest VALE costs.
@@ -170,11 +163,7 @@ func (f *ValeFwd) pump(now units.Time, m *cost.Meter, from, to NetIf) bool {
 		m.Charge(valeFwdPerPkt + valeFwdCopyPerByteMi*units.Cycles(b.Len())/1000)
 		f.out[0] = f.Pool.Clone(b)
 		b.Free()
-		if to.SendBurst(now, m, f.out[:]) == 1 {
-			f.Forwarded++
-		} else {
-			f.Dropped++
-		}
+		to.SendBurst(now, m, f.out[:])
 	}
 	return n > 0
 }
