@@ -16,8 +16,10 @@
 // and a switch forwards them so, see SendRunAt): materialize judges a
 // run's visible prefix against the ring arithmetically and RxBurst hands
 // admitted runs out whole, splitting only the run a full burst cuts, so
-// the receive side is O(1) per run. The TX occupancy window is a fixed
-// ring of TxRing completion times, O(1) per frame.
+// the receive side is O(1) per run. The TX occupancy window is a FIFO of
+// runs too, frames leaving the wire back to back: a send continuing the
+// tail run extends it, and completed frames are trimmed arithmetically, so
+// a backlogged wire holds one or two runs whatever its TxRing.
 //
 // A port bound to a counting sink (BindSink) has no receive queue at all:
 // it hands each arrival, run or frame, to the sink the moment it is sent,
@@ -80,10 +82,10 @@ type Port struct {
 	cfg  Config
 	peer *Port
 
-	// TX pacing state: txDone is a ring of TxRing wire-completion times,
-	// the txLen queued frames starting at txHead (FIFO); busyUntil is when
-	// the wire frees up.
-	txDone        []units.Time
+	// TX pacing state: txq[txHead:] holds the txLen queued frames as runs
+	// in completion order, in txBuf until a paced port needs more;
+	// busyUntil is when the wire frees up.
+	txq           []txRun
 	txHead, txLen int
 	busyUntil     units.Time
 	// wireLen/wireTime memoize the last frame length's serialization time
@@ -110,6 +112,15 @@ type Port struct {
 	sink func(b *pkt.Buf, vis units.Time)
 
 	Stats Counters
+
+	txBuf [4]txRun // txq's first backing array, past the hot fields
+}
+
+// txRun is n frames leaving the wire back to back, frame i completing at
+// done + i·gap.
+type txRun struct {
+	done, gap units.Time
+	n         int
 }
 
 // NewPort returns a disconnected port.
@@ -133,7 +144,9 @@ func NewPort(cfg Config) *Port {
 	} else if cfg.TxLatency < 0 {
 		cfg.TxLatency = 0
 	}
-	return &Port{cfg: cfg, txDone: make([]units.Time, cfg.TxRing), wireLen: -1}
+	p := &Port{cfg: cfg, wireLen: -1}
+	p.txq = p.txBuf[:0]
+	return p
 }
 
 // Connect wires two ports back to back (full duplex).
@@ -210,22 +223,31 @@ func (p *Port) ReArm(now units.Time) {
 	}
 }
 
-// purgeTx drops completed frames from the TX occupancy window.
+// purgeTx drops completed frames from the TX occupancy window: the runs
+// whose last frame is done, and the done prefix of the run after them.
 func (p *Port) purgeTx(now units.Time) {
-	h, n := p.txHead, p.txLen
-	for n > 0 && p.txDone[h] <= now {
-		n--
-		if h++; h == len(p.txDone) {
-			h = 0
+	q, h := p.txq, p.txHead
+	for ; h < len(q) && q[h].done <= now; h++ {
+		r := &q[h]
+		if r.done+units.Time(r.n-1)*r.gap > now { // partly done
+			k := (now-r.done)/r.gap + 1
+			r.done += k * r.gap
+			r.n -= int(k)
+			p.txLen -= int(k)
+			break
 		}
+		p.txLen -= r.n
 	}
-	p.txHead, p.txLen = h, n
+	if h > 0 && h == len(q) {
+		p.txq, h = q[:0], 0
+	}
+	p.txHead = h
 }
 
 // TxFree returns the number of free TX descriptors at time now.
 func (p *Port) TxFree(now units.Time) int {
 	p.purgeTx(now)
-	return len(p.txDone) - p.txLen
+	return p.cfg.TxRing - p.txLen
 }
 
 // SendAt enqueues the single frame b for transmission at time at, which
@@ -251,7 +273,7 @@ func (p *Port) SendRunAt(at units.Time, b *pkt.Buf) int {
 	}
 	p.purgeTx(at)
 	n := b.Run()
-	if free := len(p.txDone) - p.txLen; n > free {
+	if free := p.cfg.TxRing - p.txLen; n > free {
 		p.Stats.TxDropsFull += int64(n - free)
 		if free == 0 {
 			return 0
@@ -267,20 +289,19 @@ func (p *Port) SendRunAt(at units.Time, b *pkt.Buf) int {
 	if l != p.wireLen {
 		p.wireLen, p.wireTime = l, p.cfg.Rate.WireTime(l)
 	}
-	first := start + p.wireTime
-	done, tail := first, p.txHead+p.txLen
-	if tail >= len(p.txDone) {
-		tail -= len(p.txDone)
-	}
-	p.txDone[tail] = done
-	for i := 1; i < n; i++ {
-		if tail++; tail == len(p.txDone) {
-			tail = 0
+	first, w := start+p.wireTime, p.wireTime
+	// Frames that wait for the wire behind the tail run, whose last frame
+	// completes at busyUntil, extend it if they keep its pace.
+	if t := len(p.txq) - 1; t >= 0 && start == p.busyUntil && p.txq[t].gap == w {
+		p.txq[t].n += n
+	} else {
+		// A full slice whose first half is done is compacted, not grown.
+		if q := p.txq; len(q) == cap(q) && 2*p.txHead >= len(q) {
+			p.txq, p.txHead = q[:copy(q, q[p.txHead:])], 0
 		}
-		done += p.wireTime
-		p.txDone[tail] = done
+		p.txq = append(p.txq, txRun{done: first, gap: w, n: n})
 	}
-	p.busyUntil = done
+	p.busyUntil = first + units.Time(n-1)*w
 	p.txLen += n
 	p.Stats.TxPackets += int64(n)
 	p.Stats.TxBytes += int64(n) * int64(l)

@@ -199,6 +199,190 @@ func TestTxFreeAccounting(t *testing.T) {
 	}
 }
 
+// txTimes returns the completion times of p's queued frames, its TX runs
+// expanded, as of its last purge.
+func txTimes(p *Port) []units.Time {
+	var ts []units.Time
+	for _, r := range p.txq[p.txHead:] {
+		for i := 0; i < r.n; i++ {
+			ts = append(ts, r.done+units.Time(i)*r.gap)
+		}
+	}
+	return ts
+}
+
+// wantTx fails unless p, purged to now, has free descriptors, queues
+// frames completing at want and holds them in runs TX runs.
+func wantTx(t *testing.T, p *Port, now units.Time, free, runs int, want ...units.Time) {
+	t.Helper()
+	if got := p.TxFree(now); got != free {
+		t.Fatalf("t=%v: TxFree = %d, want %d", now, got, free)
+	}
+	if got := txTimes(p); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("t=%v: TX completions %v, want %v", now, got, want)
+	}
+	if got := len(p.txq) - p.txHead; got != runs {
+		t.Fatalf("t=%v: %d TX runs %+v, want %d", now, got, p.txq[p.txHead:], runs)
+	}
+}
+
+// TestTxRunEdges pins the TX run FIFO where its arithmetic turns: a frame
+// completing exactly at the instant asked about, a drain stopping inside a
+// merged run, a run the full ring cuts, sends that must not merge, and a
+// paced port outgrowing the runs kept inside Port and draining to empty.
+func TestTxRunEdges(t *testing.T) {
+	w := units.TenGigE.WireTime(64)
+	run := func(pool *pkt.Pool, l, n int) *pkt.Buf {
+		b := pool.Get(l)
+		b.SetRun(n)
+		return b
+	}
+	t.Run("completes at its instant", func(t *testing.T) {
+		a, _ := pair(t, Config{TxRing: 16}, Config{})
+		a.SendRunAt(0, run(pkt.NewPool(2048), 64, 3))
+		wantTx(t, a, w-1, 13, 1, w, 2*w, 3*w)
+		wantTx(t, a, w, 14, 1, 2*w, 3*w)
+		wantTx(t, a, 3*w, 16, 0)
+	})
+	t.Run("partial drain of a merged run", func(t *testing.T) {
+		a, _ := pair(t, Config{TxRing: 16}, Config{})
+		pool := pkt.NewPool(2048)
+		a.SendRunAt(0, run(pool, 64, 4))
+		a.SendRunAt(2*w, run(pool, 64, 4)) // the wire is still busy: merges
+		a.SendAt(3*w, pool.Get(64))
+		wantTx(t, a, 3*w, 10, 1, 4*w, 5*w, 6*w, 7*w, 8*w, 9*w)
+		wantTx(t, a, 5*w+w/2, 12, 1, 6*w, 7*w, 8*w, 9*w)
+		wantTx(t, a, 5*w+w/2, 12, 1, 6*w, 7*w, 8*w, 9*w)
+	})
+	t.Run("cut by a full ring", func(t *testing.T) {
+		a, _ := pair(t, Config{TxRing: 8}, Config{})
+		pool := pkt.NewPool(2048)
+		a.SendRunAt(0, run(pool, 64, 5))
+		b := run(pool, 64, 5)
+		if n := a.SendRunAt(0, b); n != 3 || b.Run() != 3 || a.Stats.TxDropsFull != 2 {
+			t.Fatalf("sent %d as a run of %d, %d dropped; want 3, 3, 2", n, b.Run(), a.Stats.TxDropsFull)
+		}
+		if a.SendAt(0, pool.Get(64)) || a.Stats.TxDropsFull != 3 {
+			t.Fatalf("a full ring took a frame (%d dropped)", a.Stats.TxDropsFull)
+		}
+		wantTx(t, a, 0, 0, 1, w, 2*w, 3*w, 4*w, 5*w, 6*w, 7*w, 8*w)
+		// One frame done: one more fits, at the tail of the same run.
+		if n := a.SendRunAt(w, run(pool, 64, 4)); n != 1 || a.BusyUntil() != 9*w {
+			t.Fatalf("sent %d, busy until %v; want 1, %v", n, a.BusyUntil(), 9*w)
+		}
+		wantTx(t, a, w, 0, 1, 2*w, 3*w, 4*w, 5*w, 6*w, 7*w, 8*w, 9*w)
+	})
+	t.Run("a length change does not merge", func(t *testing.T) {
+		a, _ := pair(t, Config{TxRing: 16}, Config{})
+		pool := pkt.NewPool(2048)
+		w256 := units.TenGigE.WireTime(256)
+		// Behind a single frame, the next frame's start lies one wire time
+		// of its own after the tail's: only the pace tells them apart.
+		a.SendAt(0, pool.Get(64))
+		a.SendRunAt(0, run(pool, 256, 2))
+		a.SendAt(0, pool.Get(64))
+		wantTx(t, a, 0, 12, 3, w, w+w256, w+2*w256, 2*w+2*w256)
+		wantTx(t, a, w+w256, 14, 2, w+2*w256, 2*w+2*w256)
+	})
+	t.Run("CBR on an idle wire does not merge", func(t *testing.T) {
+		a, b := NewPort(Config{TxRing: 16}), NewPort(Config{})
+		Connect(a, b)
+		pool := pkt.NewPool(2048)
+		lat := DefaultTxLatency
+		for i := 0; i < 3; i++ {
+			a.SendAt(units.Time(i)*100*units.Nanosecond, pool.Get(64))
+		}
+		wantTx(t, a, 200*units.Nanosecond, 13, 3, lat+w, lat+100*units.Nanosecond+w, lat+200*units.Nanosecond+w)
+		// Spaced exactly at line rate, frames leave back to back: a run.
+		a.SendAt(200*units.Nanosecond+w, pool.Get(64))
+		wantTx(t, a, 200*units.Nanosecond+w, 12, 3, lat+w, lat+100*units.Nanosecond+w, lat+200*units.Nanosecond+w, lat+200*units.Nanosecond+2*w)
+	})
+	t.Run("outgrows the inline runs and drains", func(t *testing.T) {
+		a, b := NewPort(Config{TxRing: 64}), NewPort(Config{})
+		Connect(a, b)
+		pool := pkt.NewPool(2048)
+		const frames = 3 * len(Port{}.txBuf)
+		want := make([]units.Time, frames)
+		for i := range want {
+			at := units.Time(i) * 100 * units.Nanosecond
+			want[i] = at + DefaultTxLatency + w
+			a.SendAt(at, pool.Get(64))
+		}
+		last := units.Time(frames-1) * 100 * units.Nanosecond
+		wantTx(t, a, last, 64-frames, frames, want...)
+		if cap(a.txq) < frames {
+			t.Fatalf("%d runs in a FIFO of capacity %d", frames, cap(a.txq))
+		}
+		wantTx(t, a, want[frames/2], 64-frames/2+1, frames/2-1, want[frames/2+1:]...)
+		wantTx(t, a, a.BusyUntil(), 64, 0)
+		if len(a.txq) != 0 || a.txHead != 0 {
+			t.Fatalf("drained FIFO: len %d, head %d", len(a.txq), a.txHead)
+		}
+	})
+}
+
+// TestTxRingDoesNotAllocate: once warm, booking sends allocates nothing,
+// neither for a saturating 4 096-deep sender topping its ring up in runs of
+// 128 (which holds one or two TX runs) nor for one paced just under line
+// rate, whose every frame is a run of its own and whose FIFO has grown to
+// what the descriptor delay keeps in flight.
+func TestTxRingDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates for itself")
+	}
+	w := units.TenGigE.WireTime(64)
+	setup := func() (*Port, *pkt.Pool) {
+		a, b := NewPort(Config{TxRing: 4096}), NewPort(Config{RxRing: 4096})
+		Connect(a, b)
+		b.BindSink(2*units.Microsecond, func(b *pkt.Buf, _ units.Time) { b.Free() })
+		return a, pkt.NewPool(2048)
+	}
+	t.Run("saturating", func(t *testing.T) {
+		a, pool := setup()
+		now := units.Time(0)
+		step := func() {
+			for free := a.TxFree(now); free > 0; {
+				b := pool.Get(64)
+				b.SetRun(min(128, free))
+				free -= a.SendRunAt(now, b)
+			}
+			if runs := len(a.txq) - a.txHead; runs > 2 {
+				t.Fatalf("t=%v: a backlogged wire holds %d TX runs", now, runs)
+			}
+			now += 16 * w
+		}
+		for i := 0; i < 1000; i++ {
+			step()
+		}
+		if n := testing.AllocsPerRun(1000, step); n != 0 {
+			t.Fatalf("%v allocations per saturating step", n)
+		}
+	})
+	t.Run("paced", func(t *testing.T) {
+		a, pool := setup()
+		gap := units.Time(float64(w) / 0.99)
+		now := units.Time(0)
+		step := func() {
+			if !a.SendAt(now, pool.Get(64)) {
+				t.Fatalf("t=%v: paced send refused", now)
+			}
+			now += gap
+		}
+		for i := 0; i < 1000; i++ {
+			step()
+		}
+		if runs := len(a.txq) - a.txHead; runs < len(a.txBuf) {
+			t.Fatalf("only %d TX runs in flight; the paced case should outgrow the inline %d", runs, len(a.txBuf))
+		}
+		// AllocsPerRun rounds down, so a FIFO that kept growing now and
+		// then would pass it: its capacity must hold still too.
+		c := cap(a.txq)
+		if n := testing.AllocsPerRun(10000, step); n != 0 || cap(a.txq) != c {
+			t.Fatalf("%v allocations per paced send; FIFO capacity %d → %d", n, c, cap(a.txq))
+		}
+	})
+}
+
 func TestBidirectionalIndependence(t *testing.T) {
 	a, b := pair(t, Config{}, Config{})
 	pool := pkt.NewPool(2048)
@@ -341,6 +525,53 @@ func (p *refRx) NextRx(now units.Time) units.Time {
 	return units.Never
 }
 
+// refTx is the sending side as it was before TX runs: a ring of TxRing
+// completion times, one written as each frame is sent and scanned out as
+// each completes. It is kept as the reference the randomized schedules
+// below hold Port's run FIFO to, frame by frame: merging frames into the
+// tail run and trimming a partly completed run are arithmetic that a
+// reference sharing the FIFO could not check.
+type refTx struct {
+	cfg       Config
+	done      []units.Time
+	head, n   int
+	busyUntil units.Time
+	stats     Counters
+}
+
+func newRefTx(cfg Config) *refTx {
+	return &refTx{cfg: cfg, done: make([]units.Time, cfg.TxRing)}
+}
+
+func (p *refTx) purge(now units.Time) {
+	for p.n > 0 && p.done[p.head] <= now {
+		p.n--
+		p.head = (p.head + 1) % len(p.done)
+	}
+}
+
+func (p *refTx) TxFree(now units.Time) int {
+	p.purge(now)
+	return len(p.done) - p.n
+}
+
+// send transmits one frame of length l at time at, reporting whether the
+// ring took it; the frame completes at busyUntil.
+func (p *refTx) send(at units.Time, l int) bool {
+	p.purge(at)
+	if p.n == len(p.done) {
+		p.stats.TxDropsFull++
+		return false
+	}
+	start := max(at+p.cfg.TxLatency, p.busyUntil)
+	p.busyUntil = start + p.cfg.Rate.WireTime(l)
+	p.done[(p.head+p.n)%len(p.done)] = p.busyUntil
+	p.n++
+	p.stats.TxPackets++
+	p.stats.TxBytes += int64(l)
+	return true
+}
+
 // TestRxQueueMatchesTwoQueueReference drives Port and refRx with the same
 // randomized send/poll schedules — bursty senders that park thousands of
 // frames in flight, runs of random length among single frames and probes,
@@ -349,8 +580,8 @@ func (p *refRx) NextRx(now units.Time) units.Time {
 // burst or shallow enough to cut runs — and requires the same frames with
 // the same hardware timestamps out of every poll once its runs are
 // expanded, the same counters, pending counts, idle hints and interrupt
-// times, and on the sending side the same completion times and drops as
-// the frames sent one by one.
+// times, and on the sending side the same completion times, its runs
+// expanded, and drops as refTx sending the frames one by one.
 func TestRxQueueMatchesTwoQueueReference(t *testing.T) {
 	for _, rxRing := range []int{1, 8, 512} {
 		for _, irq := range []bool{false, true} {
@@ -359,7 +590,7 @@ func TestRxQueueMatchesTwoQueueReference(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					shallowTx := seed > 2
 					st := runRxSchedule(t, rxRing, irq, seed%2 == 0, shallowTx, rngChoices{sim.NewRNG(seed)}, 4000)
-					if st.runs == 0 || st.delivered == 0 || (rxRing < 512 && st.runDrops == 0) || (shallowTx && st.runTxDrops == 0) {
+					if st.runs == 0 || st.delivered == 0 || (rxRing < 512 && st.runDrops == 0) || (shallowTx && st.runTxDrops == 0) || st.txMerges == 0 {
 						t.Fatalf("schedule exercised too little: %+v", st)
 					}
 				})
@@ -427,15 +658,16 @@ type scheduleStats struct {
 	runs, delivered int   // runs sent, frames delivered
 	runDrops        int64 // frames dropped while runs were in flight
 	runTxDrops      int   // frames of runs the full TX ring refused
+	txMerges        int   // single frames that extended the tail TX run
 }
 
 // runRxSchedule sends the frames c chooses from one port to another and
 // polls them, checking the receiver against refRx after every step. Where
-// the port under test gets one SendRunAt of n frames, a second sending
-// port gets n SendAt calls, and refRx receives the frames it sent one by
-// one at their completion times: the TX side is held to the per-frame
-// port, the RX side to the per-frame reference. A shallow TX ring (64
-// descriptors) makes the sender refuse the tails of runs.
+// the port under test gets one SendRunAt of n frames, refTx gets n sends,
+// and refRx receives the frames it sent one by one at their completion
+// times: the TX side is held to the per-frame ring, the RX side to the
+// per-frame reference. A shallow TX ring (64 descriptors) makes the sender
+// refuse the tails of runs.
 func runRxSchedule(t testing.TB, rxRing int, irq, noLatency, shallowTx bool, c choices, steps int) scheduleStats {
 	cfg, txCfg := Config{RxRing: rxRing, ITR: 30 * units.Microsecond}, Config{TxRing: 4096}
 	if shallowTx {
@@ -449,18 +681,15 @@ func runRxSchedule(t testing.TB, rxRing int, irq, noLatency, shallowTx bool, c c
 	tx := NewPort(txCfg)
 	rx := NewPort(cfg)
 	Connect(tx, rx)
-	refTx := NewPort(txCfg)
-	discard := NewPort(Config{RxRing: 1, RxLatency: NoLatency})
-	Connect(refTx, discard)
+	refTx := newRefTx(tx.cfg)
 	ref := &refRx{cfg: rx.cfg, irq: irq}
 	if irq {
 		m := cost.NewMeter(cost.Default(), sim.NewRNG(1))
 		idle := func(units.Time, *cost.Meter) bool { return false }
 		rx.BindIRQ(cpu.NewIRQCore(sim.NewScheduler(), "irq", m, idle)) // never run: only the port's own IRQ state is compared
 	}
-	// pool feeds the port under test, refPool refRx, txPool the per-frame
-	// sender (whose frames the discard port drops).
-	pool, refPool, txPool := pkt.NewPool(2048), pkt.NewPool(2048), pkt.NewPool(2048)
+	// pool feeds the port under test, refPool refRx.
+	pool, refPool := pkt.NewPool(2048), pkt.NewPool(2048)
 	tmpls := make([]*pkt.Template, 0, 4)
 	for i, n := range []int{64, 64, 256, 1518} {
 		spec := pkt.FrameSpec{SrcMAC: pkt.MAC{2, 0, 0, 0, 0, 1}, DstMAC: pkt.MAC{2, 0, 0, 0, 0, 2}, FrameLen: n}
@@ -476,15 +705,26 @@ func runRxSchedule(t testing.TB, rxRing int, irq, noLatency, shallowTx bool, c c
 		if rx.Stats != ref.stats {
 			t.Fatalf("t=%v %s: receiver counters %+v, reference %+v", now, what, rx.Stats, ref.stats)
 		}
-		if tx.Stats != refTx.Stats || tx.TxFree(now) != refTx.TxFree(now) || tx.BusyUntil() != refTx.BusyUntil() {
+		if tx.Stats != refTx.stats || tx.TxFree(now) != refTx.TxFree(now) || tx.BusyUntil() != refTx.busyUntil {
 			t.Fatalf("t=%v %s: sender counters %+v free %d busy %v, per-frame sender %+v free %d busy %v", now, what,
-				tx.Stats, tx.TxFree(now), tx.BusyUntil(), refTx.Stats, refTx.TxFree(now), refTx.BusyUntil())
+				tx.Stats, tx.TxFree(now), tx.BusyUntil(), refTx.stats, refTx.TxFree(now), refTx.busyUntil)
 		}
-		for i := 0; i < tx.txLen; i++ {
-			a := tx.txDone[(tx.txHead+i)%len(tx.txDone)]
-			if b := refTx.txDone[(refTx.txHead+i)%len(refTx.txDone)]; a != b {
-				t.Fatalf("t=%v %s: frame %d on the TX ring completes at %v, per-frame sender at %v", now, what, i, a, b)
+		// Both are purged to now: the runs, expanded, are the ring.
+		i := 0
+		for _, r := range tx.txq[tx.txHead:] {
+			for j := 0; j < r.n; j++ {
+				a := r.done + units.Time(j)*r.gap
+				if i == refTx.n {
+					t.Fatalf("t=%v %s: TX runs hold more frames than the per-frame ring's %d", now, what, refTx.n)
+				}
+				if b := refTx.done[(refTx.head+i)%len(refTx.done)]; a != b {
+					t.Fatalf("t=%v %s: frame %d on the TX ring completes at %v, per-frame ring at %v", now, what, i, a, b)
+				}
+				i++
 			}
+		}
+		if i != refTx.n || i != tx.txLen {
+			t.Fatalf("t=%v %s: TX runs hold %d frames, txLen %d, per-frame ring %d", now, what, i, tx.txLen, refTx.n)
 		}
 		if a, b := rx.NextRx(now), ref.NextRx(now); a != b {
 			t.Fatalf("t=%v %s: NextRx %v, reference %v", now, what, a, b)
@@ -507,15 +747,14 @@ func runRxSchedule(t testing.TB, rxRing int, irq, noLatency, shallowTx bool, c c
 				now, what, rx.irqArmed, rx.lastIRQ, ref.irqArmed, ref.lastIRQ)
 		}
 	}
-	// perFrame sends one frame made by mk through refTx and hands refRx a
-	// copy arriving at its completion time, reporting whether it was sent.
-	perFrame := func(mk func(*pkt.Pool) *pkt.Buf) bool {
-		b := mk(txPool)
-		if !refTx.SendAt(now, b) {
-			b.Free()
+	// perFrame sends one frame of length l through refTx and hands refRx
+	// the frame mk makes, arriving at its completion time, reporting
+	// whether it was sent.
+	perFrame := func(l int, mk func(*pkt.Pool) *pkt.Buf) bool {
+		if !refTx.send(now, l) {
 			return false
 		}
-		ref.arrive(refTx.BusyUntil(), mk(refPool))
+		ref.arrive(refTx.busyUntil, mk(refPool))
 		return true
 	}
 	for step := 0; step < steps && !c.done(); step++ {
@@ -548,7 +787,7 @@ func runRxSchedule(t testing.TB, rxRing int, irq, noLatency, shallowTx bool, c c
 						b.Free()
 					}
 					for i := 0; i < k; i++ {
-						if sent := perFrame(func(p *pkt.Pool) *pkt.Buf {
+						if sent := perFrame(tmpl.Len(), func(p *pkt.Pool) *pkt.Buf {
 							r := p.Get(tmpl.Len())
 							r.SetTemplate(tmpl)
 							r.Seq = seq + 1 + uint64(i)
@@ -579,8 +818,10 @@ func runRxSchedule(t testing.TB, rxRing int, irq, noLatency, shallowTx bool, c c
 					sent := tx.SendAt(now, b)
 					if !sent {
 						b.Free()
+					} else if tx.txq[len(tx.txq)-1].n > 1 { // a frame alone would be a run of one
+						st.txMerges++
 					}
-					if perFrame(mk) != sent {
+					if perFrame(tmpl.Len(), mk) != sent {
 						t.Fatalf("t=%v: port sent=%v, per-frame sender disagrees", now, sent)
 					}
 					burst--
@@ -589,7 +830,6 @@ func runRxSchedule(t testing.TB, rxRing int, irq, noLatency, shallowTx bool, c c
 					}
 				}
 			}
-			discard.RxPending(units.Never) // free what the per-frame sender put on the wire
 			check("send")
 		}
 		switch c.intn(4) {
