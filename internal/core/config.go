@@ -151,19 +151,6 @@ const (
 
 // withDefaults returns cfg with defaults applied.
 func (cfg Config) withDefaults() Config {
-	if cfg.Topology != nil {
-		// A topology graph may carry the multi-core dimension; explicit
-		// Config fields win.
-		if cfg.SUTCores == 0 && cfg.Topology.SUTCores > 0 {
-			cfg.SUTCores = cfg.Topology.SUTCores
-		}
-		if cfg.Dispatch == "" {
-			cfg.Dispatch = cfg.Topology.Dispatch
-		}
-		if cfg.RSSPolicy == "" {
-			cfg.RSSPolicy = cfg.Topology.RSSPolicy
-		}
-	}
 	if cfg.FrameLen == 0 {
 		cfg.FrameLen = 64
 	}
@@ -281,32 +268,27 @@ func (cfg Config) Validate() error {
 
 // validateRSSQueues rejects an RSS core count the topology cannot feed:
 // under the round-robin policy each core needs a receive queue of its
-// own, and a flow-hashed run with no physical port is still bounded by
-// its guest interface count. Cores beyond the queue count would only
-// burn cycles idling.
+// own (every port has one), and a flow-hashed run with no physical port
+// is still bounded by its guest interface count. Cores beyond the queue
+// count would only burn cycles idling.
 func (c Config) validateRSSQueues() error {
 	g, err := c.Graph()
 	if err != nil {
 		return nil // the scenario/topology checks already reported this
 	}
-	phys, physQueues, guests := 0, 0, 0
+	phys, guests := 0, 0
 	for _, n := range g.Nodes {
 		switch n.Kind {
 		case topo.KindPhysPair:
 			phys++
-			q := n.Queues
-			if q < 1 {
-				q = 1
-			}
-			physQueues += q
 		case topo.KindGuestIf:
 			guests++
 		}
 	}
 	switch {
-	case c.RSSPolicy == RSSRoundRobin && c.SUTCores > physQueues+guests:
-		return fmt.Errorf("core: rss/roundrobin cannot feed %d cores from %d receive queues (%d physical, %d guest) — declare more NIC queues, use the flowhash policy, or drop cores",
-			c.SUTCores, physQueues+guests, physQueues, guests)
+	case c.RSSPolicy == RSSRoundRobin && c.SUTCores > phys+guests:
+		return fmt.Errorf("core: rss/roundrobin cannot feed %d cores from %d receive queues (%d physical, %d guest) — use the flowhash policy or drop cores",
+			c.SUTCores, phys+guests, phys, guests)
 	case c.RSSPolicy == RSSFlowHash && phys == 0 && c.SUTCores > guests:
 		return fmt.Errorf("core: rss/flowhash has no physical port to spread; %d cores exceed the %d guest interfaces", c.SUTCores, guests)
 	}

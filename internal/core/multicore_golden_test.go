@@ -44,6 +44,10 @@ func multiCoreGoldens() []goldenCell {
 			SUTCores: 2, Dispatch: DispatchRSS, RSSPolicy: RSSFlowHash, RuleUpdateRate: 100000}, "0076d11bf6473ddc5b8a3397c894a213"},
 		{Config{Switch: "vpp", Scenario: P2P, FrameLen: 64, Bidir: true, Flows: 64,
 			SUTCores: 4, Dispatch: DispatchRTC, RuleUpdateRate: 100000}, "1f74655070a230cf9d2aca8c0284791b"},
+		// Round-robin over a mix of phys ports and guest interfaces: each
+		// single-queue port goes whole to the next core in declaration
+		// order, wrapping past the core count.
+		{Config{Switch: "vpp", Scenario: Loopback, Chain: 2, FrameLen: 64, SUTCores: 3}, "b114747b4e366a3ed24188c64b3aff16"},
 	}
 }
 
@@ -80,6 +84,9 @@ func TestValidateMultiCore(t *testing.T) {
 		{Switch: "vpp", Scenario: P2P, SUTCores: 4, Dispatch: DispatchRTC, RSSPolicy: RSSFlowHash},
 		// Round-robin cannot feed 4 cores from p2p's 2 single-queue ports.
 		{Switch: "vpp", Scenario: P2P, SUTCores: 4, Dispatch: DispatchRSS, RSSPolicy: RSSRoundRobin},
+		// Flow-hash has no physical port to spread in v2v: 4 cores, 2
+		// guest interfaces.
+		{Switch: "vpp", Scenario: V2V, SUTCores: 4, Dispatch: DispatchRSS, RSSPolicy: RSSFlowHash},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -91,6 +98,7 @@ func TestValidateMultiCore(t *testing.T) {
 		{Switch: "vpp", Scenario: P2P, SUTCores: 4, Dispatch: DispatchRSS, RSSPolicy: RSSFlowHash},
 		{Switch: "vpp", Scenario: P2P, SUTCores: 2, Dispatch: DispatchRTC},
 		{Switch: "vpp", Scenario: Loopback, Chain: 3, SUTCores: 4, Dispatch: DispatchRSS},
+		{Switch: "vpp", Scenario: V2V, SUTCores: 2, Dispatch: DispatchRSS, RSSPolicy: RSSFlowHash},
 	}
 	for _, cfg := range good {
 		if err := cfg.Validate(); err != nil {

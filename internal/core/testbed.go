@@ -253,16 +253,9 @@ func (tb *testbed) addPhysPair(name string) (switchdef.DevPort, *nic.Port) {
 	if tb.sutIRQ != nil {
 		sutNIC.BindIRQ(tb.sutIRQ)
 	}
-	queues := 0
-	if tb.graph != nil {
-		if n := tb.graph.Node(name); n != nil {
-			queues = n.Queues
-		}
-	}
 	dev := &switchdef.PhysPort{
 		Port:     sutNIC,
 		Unpriced: tb.info.IOMode == switchdef.InterruptMode,
-		Queues:   queues,
 	}
 	return dev, genNIC
 }

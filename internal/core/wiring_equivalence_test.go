@@ -8,12 +8,16 @@ import (
 	"repro/internal/units"
 )
 
-// The tests in this file pin the graph compiler to the legacy wire*
-// functions it replaced. The Plan-level tests assert the exact attach
-// order, cross-connect pairs, traffic steering, and MAC-rewrite ports
-// the hand-rolled builders produced; the digest test pins full Result
-// JSON for a grid of configs captured on the legacy engine immediately
-// before the refactor.
+// The five Plan tests in this file pin the compiled wiring of the paper's
+// scenarios — p2p, p2v (forward, reversed, bidirectional), v2v, the v2v
+// latency topology, and a loopback chain — without running anything:
+// the SUT port attach order, the cross-connect pairs, each endpoint's
+// port, each generator's steering and probes, and each VNF's ports,
+// source MAC and per-direction rewrite ports. The expectations are those
+// of the hand-written per-scenario builders (wireP2P, wireLoopback, ...)
+// that the graph compiler replaced; the comments name them. The builders
+// themselves are gone. legacyEngineGoldens, at the end of the file, keeps
+// the full-Result digests captured on them; TestPinnedGoldens runs it.
 
 // plan compiles cfg's scenario graph into a recording plan.
 func planFor(t *testing.T, cfg Config) *topo.Plan {

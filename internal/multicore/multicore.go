@@ -93,8 +93,9 @@ type Fleet struct {
 	// rxOwner notes, per port, which core owns its receive side under
 	// RSS (-1 = demuxed across all cores). Unused under RTC.
 	rxOwner []int
-	// srcOrdinal counts receive queues in declaration order (the DPDK
-	// port/queue → lcore map is filled round-robin in this order).
+	// srcOrdinal counts the ports handed whole to one core, in
+	// declaration order (the DPDK port → lcore map is filled round-robin
+	// in this order).
 	srcOrdinal int
 	// guestOrdinal counts guest interfaces for flow-hash guest placement.
 	guestOrdinal int
@@ -247,8 +248,8 @@ func (f *Fleet) activeCores() []int {
 		}
 	}
 	for _, d := range f.demuxes {
-		for _, k := range d.owners {
-			owned[k] = true
+		for k := range d.queues {
+			owned[k] = true // queue k belongs to core k
 		}
 	}
 	var active []int

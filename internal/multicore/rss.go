@@ -11,52 +11,23 @@ import (
 
 // rssViews builds the per-core views of one port under RSS dispatch.
 //
-// A physical port with q hardware queues (q = cores under PolicyFlowHash,
-// the node's declared queue count otherwise) is demuxed: the NIC hashes
-// each flow onto a queue — for free, it is hardware — and each queue is
-// owned by one core, which pays the usual PMD receive prices when it
-// drains it. Single-queue ports and guest interfaces go whole to one
-// owner core. Non-owning cores get a transmit-only passthrough, since any
-// core's instance may need to forward to any port.
+// Under PolicyFlowHash a physical port is demuxed into one hardware queue
+// per core: the NIC hashes each flow onto a queue — for free, it is
+// hardware — and core j owns queue j, paying the usual PMD receive prices
+// when it drains it. Every other port (each port under PolicyRoundRobin,
+// and guest interfaces under either policy) goes whole to one owner core.
+// Non-owning cores get a transmit-only passthrough, since any core's
+// instance may need to forward to any port.
 func (f *Fleet) rssViews(idx int, p switchdef.DevPort) []switchdef.DevPort {
 	views := make([]switchdef.DevPort, f.opt.Cores)
-	if pp, ok := p.(*switchdef.PhysPort); ok && !pp.Unpriced {
-		nq := 1
-		if f.opt.Policy == PolicyFlowHash {
-			nq = f.opt.Cores
-		} else if pp.Queues > 1 {
-			nq = pp.Queues
-			if nq > f.opt.Cores {
-				nq = f.opt.Cores
-			}
+	if pp, ok := p.(*switchdef.PhysPort); ok && !pp.Unpriced && f.opt.Policy == PolicyFlowHash {
+		d := newDemux(pp.Port, f.opt.Cores, f.opt.QueueCap)
+		f.demuxes = append(f.demuxes, d)
+		f.rxOwner = append(f.rxOwner, -1)
+		for k := range views {
+			views[k] = f.wrapRemote(k, &rssQueuePort{phys: pp, d: d, queue: k})
 		}
-		if nq > 1 {
-			d := newDemux(pp.Port, nq, f.opt.QueueCap)
-			for j := range d.owners {
-				if f.opt.Policy == PolicyFlowHash {
-					d.owners[j] = j
-				} else {
-					d.owners[j] = f.srcOrdinal % f.opt.Cores
-					f.srcOrdinal++
-				}
-			}
-			f.demuxes = append(f.demuxes, d)
-			f.rxOwner = append(f.rxOwner, -1)
-			for k := range views {
-				var qs []int
-				for j, o := range d.owners {
-					if o == k {
-						qs = append(qs, j)
-					}
-				}
-				if len(qs) == 0 {
-					views[k] = f.wrapRemote(k, &txOnlyPort{inner: pp})
-					continue
-				}
-				views[k] = f.wrapRemote(k, &rssQueuePort{phys: pp, d: d, queues: qs})
-			}
-			return views
-		}
+		return views
 	}
 	var owner int
 	if f.opt.Policy == PolicyFlowHash && p.Kind() != switchdef.PhysKind {
@@ -133,19 +104,18 @@ func (p *remotePort) TxBurst(now units.Time, m *cost.Meter, in []*pkt.Buf) int {
 func (p *remotePort) NextRx(now units.Time) units.Time { return now }
 
 // demux models a multi-queue NIC: arriving frames are hashed onto
-// per-queue rings by the hardware (free), and each queue is drained by
-// its owning core at the usual PMD prices. A full queue drops, as a real
-// NIC queue would.
+// per-queue rings by the hardware (free), and queue k is drained by core
+// k at the usual PMD prices. A full queue drops, as a real NIC queue
+// would.
 type demux struct {
 	port   *nic.Port
 	queues []*ring.SPSC
-	owners []int // queue → owning core
 
 	scratch [scratchLen]*pkt.Buf
 }
 
 func newDemux(port *nic.Port, nq, qcap int) *demux {
-	d := &demux{port: port, owners: make([]int, nq)}
+	d := &demux{port: port}
 	for i := 0; i < nq; i++ {
 		d.queues = append(d.queues, ring.New(qcap))
 	}
@@ -196,14 +166,14 @@ func flowHash(b *pkt.Buf) uint64 {
 	return h
 }
 
-// rssQueuePort is an owner core's view of its share of a demuxed
-// physical port: receive drains the core's own hardware queues, priced
-// exactly like the PMD path (fixed burst cost plus per-frame descriptor
-// and DMA work); transmit passes through to the shared port.
+// rssQueuePort is a core's view of its share of a demuxed physical
+// port: receive drains the core's own hardware queue, priced exactly
+// like the PMD path (fixed burst cost plus per-frame descriptor and DMA
+// work); transmit passes through to the shared port.
 type rssQueuePort struct {
-	phys   *switchdef.PhysPort
-	d      *demux
-	queues []int
+	phys  *switchdef.PhysPort
+	d     *demux
+	queue int
 }
 
 func (p *rssQueuePort) Kind() switchdef.PortKind { return switchdef.PhysKind }
@@ -211,13 +181,7 @@ func (p *rssQueuePort) Kind() switchdef.PortKind { return switchdef.PhysKind }
 func (p *rssQueuePort) RxBurst(now units.Time, m *cost.Meter, out []*pkt.Buf) int {
 	p.d.pump(now)
 	m.Charge(m.Model.RxBurst)
-	n := 0
-	for _, q := range p.queues {
-		if n == len(out) {
-			break
-		}
-		n += p.d.queues[q].DrainTo(out[n:])
-	}
+	n := p.d.queues[p.queue].DrainTo(out)
 	for _, b := range out[:n] {
 		m.Charge(m.Model.RxPkt + m.Model.DMAPerByteMilli*units.Cycles(b.Len())/1000)
 	}

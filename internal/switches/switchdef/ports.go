@@ -16,10 +16,6 @@ import (
 type PhysPort struct {
 	Port     *nic.Port
 	Unpriced bool
-	// Queues is the hardware receive queue count (0 or 1 = single
-	// queue). Multi-core RSS dispatch spreads a multi-queue port's
-	// flows across its queues; the single-core data plane ignores it.
-	Queues int
 }
 
 // Kind implements DevPort.

@@ -145,7 +145,8 @@ func NewPlan(g *Graph) (*Plan, error) {
 
 // DOT renders a validated graph as Graphviz DOT: SUT ports as boxes
 // (guest ifs clustered per VM), endpoints as ellipses, cross-connects as
-// bold edges, wires and vifs as plain and dashed edges.
+// bold edges, and each endpoint's attachment as a plain edge (to a phys
+// pair) or a dashed one (to a guest if).
 func DOT(g *Graph) (string, error) {
 	r, err := g.resolve()
 	if err != nil {
@@ -203,9 +204,9 @@ func DOT(g *Graph) (string, error) {
 		n := &r.nodes[i]
 		switch n.Kind {
 		case KindGenerator, KindSink, KindMonitor:
-			style := "dashed" // vif
+			style := "dashed" // guest-side
 			if r.byName[n.At].Kind == KindPhysPair {
-				style = "solid" // wire
+				style = "solid" // NIC cable
 			}
 			fmt.Fprintf(&sb, "  %q -- %q [style=%s];\n", n.Name, n.At, style)
 		case KindVNF:

@@ -1,11 +1,12 @@
 // Package topo defines a declarative topology graph IR for the testbed.
 //
 // A Graph is pure data: typed nodes (physical port pairs, guest
-// interfaces, VNFs, generators, sinks, monitors) and typed edges (wires,
-// cross-connects, virtual interfaces). The paper's four scenarios compile
-// into this IR, and arbitrary new topologies — longer chains, fan-out,
-// asymmetric paths — can be expressed in it directly, either
-// programmatically or as a JSON file.
+// interfaces, VNFs, generators, sinks, monitors, a controller) and
+// cross-connect edges between SUT ports. Endpoints name their attachment
+// in their own fields (a generator's, sink's or monitor's At, a VNF's A
+// and B). The paper's four scenarios compile into this IR, and arbitrary
+// new topologies — longer chains, fan-out, asymmetric paths — can be
+// expressed in it directly, either programmatically or as a JSON file.
 //
 // NewPlan compiles a validated graph, in declaration order, into a Plan:
 // the materialization steps that internal/core executes to build a
@@ -17,8 +18,11 @@
 package topo
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 )
 
 // NodeKind types a topology node.
@@ -59,14 +63,6 @@ const (
 	// EdgeCross is a switch cross-connect: bidirectional L2 forwarding
 	// installed between the SUT ports of two attachable nodes.
 	EdgeCross EdgeKind = "cross-connect"
-	// EdgeWire is the physical cable between a NIC-side endpoint
-	// (generator or sink) and a phys pair. Equivalent to the endpoint
-	// node's "at" field.
-	EdgeWire EdgeKind = "wire"
-	// EdgeVif binds a guest-side endpoint (generator, monitor, or VNF)
-	// to a guest interface. Equivalent to the endpoint node's "at" (or,
-	// for VNFs, "a"/"b") field; VNF vif edges carry a role.
-	EdgeVif EdgeKind = "vif"
 )
 
 // Node is one typed topology node. Only the fields of its kind apply:
@@ -111,11 +107,6 @@ type Node struct {
 	// Probes makes a generator emit latency probes when the run
 	// requests them.
 	Probes bool `json:"probes,omitempty"`
-
-	// Queues declares a phys pair's hardware receive queue count
-	// (0 or 1 = single queue). Multi-core RSS runs spread the port's
-	// flows across its queues; single-core runs ignore it.
-	Queues int `json:"queues,omitempty"`
 }
 
 // Edge is one typed topology edge between two named nodes.
@@ -123,8 +114,6 @@ type Edge struct {
 	Kind EdgeKind `json:"kind"`
 	A    string   `json:"a"`
 	B    string   `json:"b"`
-	// Role distinguishes a VNF's two vif edges: "a" or "b".
-	Role string `json:"role,omitempty"`
 }
 
 // Graph is a declarative topology: pure data, serializable as JSON.
@@ -134,31 +123,26 @@ type Graph struct {
 	Name  string `json:"name,omitempty"`
 	Nodes []Node `json:"nodes"`
 	Edges []Edge `json:"edges"`
-
-	// SUTCores, Dispatch, and RSSPolicy optionally carry the multi-core
-	// dimension with the topology: the switch data plane's core count,
-	// its dispatch mode ("rss" or "rtc"), and the rss queue-assignment
-	// policy ("roundrobin" or "flowhash"). Zero values defer to the run
-	// configuration, which also wins on conflict.
-	SUTCores  int    `json:"sut_cores,omitempty"`
-	Dispatch  string `json:"dispatch,omitempty"`
-	RSSPolicy string `json:"rss_policy,omitempty"`
 }
 
-// Parse decodes a JSON topology graph and validates it.
+// Parse decodes one JSON topology graph and validates it. A field the
+// graph does not define is an error, not silently dropped, and so is
+// anything after the graph's closing brace.
 func Parse(data []byte) (*Graph, error) {
 	var g Graph
-	if err := json.Unmarshal(data, &g); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&g); err != nil {
 		return nil, fmt.Errorf("topo: parsing graph: %w", err)
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return nil, errors.New("topo: parsing graph: data after the graph")
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	return &g, nil
 }
-
-// Node returns the named node, or nil.
-func (g *Graph) Node(name string) *Node { return g.node(name) }
 
 // HasController reports whether the graph declares a control-plane node.
 func (g *Graph) HasController() bool {
@@ -168,16 +152,6 @@ func (g *Graph) HasController() bool {
 		}
 	}
 	return false
-}
-
-// node returns the named node, or nil.
-func (g *Graph) node(name string) *Node {
-	for i := range g.Nodes {
-		if g.Nodes[i].Name == name {
-			return &g.Nodes[i]
-		}
-	}
-	return nil
 }
 
 // vmOf returns the VM identity of a guest interface node: the declared

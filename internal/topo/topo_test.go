@@ -3,6 +3,7 @@ package topo
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -90,13 +91,11 @@ func rejectCases() map[string]*Graph {
 		"vnf bad src_mac_if": {Nodes: []Node{pp, pp2, gi, gen, snk,
 			{Name: "g1", Kind: KindGuestIf}, {Name: "v", Kind: KindVNF, A: "g0", B: "g1", SrcMACIf: "p0"}}, Edges: []Edge{x}},
 		"sink on guest if": {Nodes: []Node{pp, pp2, gi, gen, {Name: "rx", Kind: KindSink, At: "g0"}}, Edges: []Edge{x}},
-		"wire to guest if": {Nodes: []Node{pp, pp2, gi, gen, snk},
-			Edges: []Edge{x, {Kind: EdgeWire, A: "tx", B: "g0"}}},
+		"wire edge is an unknown kind": {Nodes: []Node{pp, pp2, gen, snk},
+			Edges: []Edge{x, {Kind: "wire", A: "tx", B: "p0"}}},
 		"guest if read twice": {Nodes: []Node{pp, pp2, gi, gen, snk,
 			{Name: "g1", Kind: KindGuestIf}, {Name: "v", Kind: KindVNF, A: "g0", B: "g1"},
 			{Name: "mon", Kind: KindMonitor, At: "g0"}}, Edges: []Edge{x}},
-		"conflicting attachments": {Nodes: []Node{pp, pp2, gen, snk},
-			Edges: []Edge{x, {Kind: EdgeWire, A: "tx", B: "p1"}}},
 	}
 }
 
@@ -105,51 +104,6 @@ func TestValidateRejects(t *testing.T) {
 		if err := g.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-	}
-}
-
-// edgeChainGraph is chainGraph(1) authored with explicit wire/vif edges
-// instead of node At/A/B fields.
-func edgeChainGraph() *Graph {
-	return &Graph{
-		Name: "chain-1",
-		Nodes: []Node{
-			{Name: "p0", Kind: KindPhysPair},
-			{Name: "vm1-if0", Kind: KindGuestIf, VM: "vm1"},
-			{Name: "vm1-if1", Kind: KindGuestIf, VM: "vm1"},
-			{Name: "p1", Kind: KindPhysPair},
-			{Name: "vnf-vm1", Kind: KindVNF},
-			{Name: "tx0", Kind: KindGenerator, Probes: true},
-			{Name: "rx1", Kind: KindSink},
-		},
-		Edges: []Edge{
-			{Kind: EdgeCross, A: "p0", B: "vm1-if0"},
-			{Kind: EdgeCross, A: "vm1-if1", B: "p1"},
-			{Kind: EdgeVif, A: "vnf-vm1", B: "vm1-if0", Role: "a"},
-			{Kind: EdgeVif, A: "vnf-vm1", B: "vm1-if1", Role: "b"},
-			{Kind: EdgeWire, A: "tx0", B: "p0"},
-			{Kind: EdgeWire, A: "rx1", B: "p1"},
-		},
-	}
-}
-
-func TestEdgeAttachmentEquivalentToFields(t *testing.T) {
-	// The same topology authored with explicit wire/vif edges instead
-	// of node At/A/B fields compiles to an identical plan.
-	fields := chainGraph(1)
-	edges := edgeChainGraph()
-	pf, err := NewPlan(fields)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pe, err := NewPlan(edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bf, _ := json.Marshal(pf)
-	be, _ := json.Marshal(pe)
-	if string(bf) != string(be) {
-		t.Fatalf("plans differ:\nfields: %s\nedges:  %s", bf, be)
 	}
 }
 
@@ -169,12 +123,48 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseRejectsInvalid(t *testing.T) {
-	if _, err := Parse([]byte(`{"nodes": [{"name": "x", "kind": "physpair"}]}`)); err == nil {
-		t.Fatal("invalid graph parsed")
+// chain3Path is a shipped example topology, valid as it stands.
+const chain3Path = "../../examples/customtopo/chain3.json"
+
+// parseRejects returns inputs Parse must refuse: JSON that is not exactly
+// one graph, and the chain3 example carrying one field or edge kind the
+// IR does not define.
+func parseRejects(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	blob, err := os.ReadFile(chain3Path)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	if _, err := Parse([]byte(`{"nodes": [`)); err == nil {
-		t.Fatal("malformed JSON parsed")
+	chain3 := string(blob)
+	splice := func(old, new string) []byte {
+		out := strings.Replace(chain3, old, new, 1)
+		if out == chain3 {
+			tb.Fatalf("%s lacks %q", chain3Path, old)
+		}
+		return []byte(out)
+	}
+	return map[string][]byte{
+		"invalid graph":    []byte(`{"nodes": [{"name": "x", "kind": "physpair"}]}`),
+		"malformed JSON":   []byte(`{"nodes": [`),
+		"graph sut_cores":  splice(`{`, `{"sut_cores": 4,`),
+		"phys pair queues": splice(`{"name": "p0", "kind": "physpair"}`, `{"name": "p0", "kind": "physpair", "queues": 2}`),
+		"wire edge":        splice(`"edges": [`, `"edges": [{"kind": "wire", "a": "moongen-tx0", "b": "p0"},`),
+		"trailing value":   []byte(chain3 + "{}"),
+	}
+}
+
+func TestParseRejectsInvalid(t *testing.T) {
+	blob, err := os.ReadFile(chain3Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Parse(blob); err != nil {
+		t.Fatalf("%s rejected: %v", chain3Path, err)
+	}
+	for name, in := range parseRejects(t) {
+		if _, err := Parse(in); err == nil {
+			t.Errorf("%s: parsed", name)
+		}
 	}
 }
 
@@ -224,7 +214,7 @@ func fanOutGraph() *Graph {
 }
 
 func TestFanOutGraphValidates(t *testing.T) {
-	// A shape the legacy wire* functions could not express: one ingress
+	// A shape none of the paper's four scenarios takes: one ingress
 	// fanned out to two parallel VNF paths with separate egress pairs.
 	g := fanOutGraph()
 	p, err := NewPlan(g)

@@ -5,12 +5,11 @@ import (
 	"fmt"
 )
 
-// resolved is a validated, normalized view of a graph: wire and vif
-// edges folded into node attachment fields, cross-connect peers indexed.
+// resolved is a validated view of a graph: nodes indexed by name,
+// cross-connect peers indexed.
 type resolved struct {
 	g *Graph
-	// nodes is a normalized copy of g.Nodes, in declaration order, with
-	// attachment edges folded into the At/A/B fields.
+	// nodes is g.Nodes, in declaration order.
 	nodes  []Node
 	byName map[string]*Node
 	// crosses holds the cross-connect edges in declaration order.
@@ -19,7 +18,7 @@ type resolved struct {
 	peer map[string]string
 }
 
-// resolve normalizes and validates g, reporting every violation found
+// resolve indexes and validates g, reporting every violation found
 // (joined), not just the first.
 func (g *Graph) resolve() (*resolved, error) {
 	var errs []error
@@ -29,7 +28,7 @@ func (g *Graph) resolve() (*resolved, error) {
 
 	r := &resolved{
 		g:      g,
-		nodes:  append([]Node(nil), g.Nodes...),
+		nodes:  g.Nodes,
 		byName: make(map[string]*Node, len(g.Nodes)),
 		peer:   make(map[string]string),
 	}
@@ -56,16 +55,8 @@ func (g *Graph) resolve() (*resolved, error) {
 		}
 	}
 
-	// Edges: fold wire/vif into attachment fields, index cross-connects.
-	// A dangling edge — one referencing a node that does not exist — is
-	// an error, as is re-attaching an already-attached endpoint.
-	setAt := func(field *string, val, what, name string) {
-		if *field != "" && *field != val {
-			fail("%s %q attached to both %q and %q", what, name, *field, val)
-			return
-		}
-		*field = val
-	}
+	// Edges: index cross-connects. A dangling edge — one referencing a
+	// node that does not exist — is an error.
 	for i, e := range g.Edges {
 		a, aok := r.byName[e.A]
 		b, bok := r.byName[e.B]
@@ -90,38 +81,12 @@ func (g *Graph) resolve() (*resolved, error) {
 			}
 			r.peer[e.A], r.peer[e.B] = e.B, e.A
 			r.crosses = append(r.crosses, e)
-		case EdgeWire:
-			if (a.Kind != KindGenerator && a.Kind != KindSink) || b.Kind != KindPhysPair {
-				fail("wire %q—%q must join a generator or sink to a phys pair", e.A, e.B)
-				continue
-			}
-			setAt(&a.At, e.B, string(a.Kind), a.Name)
-		case EdgeVif:
-			if b.Kind != KindGuestIf {
-				fail("vif %q—%q must end on a guest if", e.A, e.B)
-				continue
-			}
-			switch a.Kind {
-			case KindGenerator, KindMonitor:
-				setAt(&a.At, e.B, string(a.Kind), a.Name)
-			case KindVNF:
-				switch e.Role {
-				case "a":
-					setAt(&a.A, e.B, "vnf port a of", a.Name)
-				case "b":
-					setAt(&a.B, e.B, "vnf port b of", a.Name)
-				default:
-					fail("vif %q—%q to a vnf needs role \"a\" or \"b\"", e.A, e.B)
-				}
-			default:
-				fail("vif %q—%q must start at a generator, monitor, or vnf", e.A, e.B)
-			}
 		default:
 			fail("edge %d has unknown kind %q", i, e.Kind)
 		}
 	}
 
-	// Per-kind field checks, now that attachments are normalized.
+	// Per-kind field checks.
 	want := func(name, field string, kinds ...NodeKind) *Node {
 		if field == "" {
 			fail("node %q needs an attachment (%v)", name, kinds)
@@ -152,12 +117,6 @@ func (g *Graph) resolve() (*resolved, error) {
 	}
 	for i := range r.nodes {
 		n := &r.nodes[i]
-		if n.Queues < 0 {
-			fail("node %q declares %d receive queues", n.Name, n.Queues)
-		}
-		if n.Queues > 0 && n.Kind != KindPhysPair {
-			fail("node %q declares receive queues, which only phys pairs carry", n.Name)
-		}
 		switch n.Kind {
 		case KindGenerator:
 			generators++
@@ -203,19 +162,6 @@ func (g *Graph) resolve() (*resolved, error) {
 			}
 		}
 	}
-	if g.SUTCores < 0 {
-		fail("graph declares %d SUT cores", g.SUTCores)
-	}
-	switch g.Dispatch {
-	case "", "rss", "rtc":
-	default:
-		fail("graph has unknown dispatch mode %q (want \"rss\" or \"rtc\")", g.Dispatch)
-	}
-	switch g.RSSPolicy {
-	case "", "roundrobin", "flowhash":
-	default:
-		fail("graph has unknown rss policy %q (want \"roundrobin\" or \"flowhash\")", g.RSSPolicy)
-	}
 	if len(errs) == 0 && generators == 0 {
 		fail("graph has no traffic generator")
 	}
@@ -230,7 +176,7 @@ func (g *Graph) resolve() (*resolved, error) {
 
 // Validate checks the graph and reports every violation found, joined
 // into one error: unknown kinds, duplicate or missing node names,
-// dangling edges, conflicting or ill-typed attachments, twice-connected
+// dangling edges, missing or ill-typed attachments, twice-connected
 // ports, guest ifs with two readers, steerless generators, and missing
 // endpoints.
 func (g *Graph) Validate() error {

@@ -43,9 +43,9 @@ const (
 
 // Topology IR: every scenario — the paper's four and any custom wiring —
 // is a declarative graph of typed nodes (physical port pairs, guest
-// interfaces, VNFs, generators, sinks, monitors) and edges
-// (cross-connects, wires, vifs) that one compiler materializes into a
-// testbed. Config.Graph returns a named scenario's graph; a Custom
+// interfaces, VNFs, generators, sinks, monitors, a controller) and
+// cross-connect edges between SUT ports, endpoints naming their port in
+// their own fields, that one compiler materializes into a testbed. Config.Graph returns a named scenario's graph; a Custom
 // scenario runs Config.Topology directly (see internal/topo and
 // examples/customtopo).
 type (
@@ -53,7 +53,7 @@ type (
 	Topology = topo.Graph
 	// TopologyNode is one typed node of a Topology.
 	TopologyNode = topo.Node
-	// TopologyEdge is one typed edge of a Topology.
+	// TopologyEdge is one cross-connect of a Topology.
 	TopologyEdge = topo.Edge
 	// TopologyPlan is a compiled topology: the exact port indices,
 	// cross-connects, steering, and MAC rewrites the testbed will install.
