@@ -105,18 +105,18 @@ func checkRuleUpdates(t *testing.T, res Result) {
 	}
 }
 
-// TestPinnedGoldens runs every pinned golden table and requires the
-// pinned digests bit for bit; every cell must also conserve its SUT cores'
-// cycles (runConservingCycles) and every NIC sink's return leg its frames
-// (checkReturnLeg).
-func TestPinnedGoldens(t *testing.T) {
-	tables := []struct {
-		name  string
-		cells []goldenCell
-		slow  bool // skipped under -short
-		// check is the table's assertion beyond the digest.
-		check func(t *testing.T, res Result)
-	}{
+// goldenTable is one table of pinned golden cells.
+type goldenTable struct {
+	name  string
+	cells []goldenCell
+	slow  bool // skipped under -short
+	// check is the table's assertion beyond the digest.
+	check func(t *testing.T, res Result)
+}
+
+// goldenTables returns every pinned golden table.
+func goldenTables(t *testing.T) []goldenTable {
+	return []goldenTable{
 		{name: "guest-path", cells: guestPathGoldens()},
 		{name: "custom", cells: customGoldens(t)},
 		{name: "multi-core", cells: multiCoreGoldens(), check: func(t *testing.T, res Result) {
@@ -131,23 +131,38 @@ func TestPinnedGoldens(t *testing.T) {
 		{name: "churn", cells: churnGoldens(), check: checkRuleUpdates},
 		{name: "legacy-engine", cells: legacyEngineGoldens(), slow: true},
 	}
-	for _, tab := range tables {
+}
+
+// runGolden runs cell i of a golden table over its 2 ms window after 1 ms
+// of warmup and requires the pinned digest.
+func runGolden(t *testing.T, i int, tc goldenCell) Result {
+	t.Helper()
+	cfg := tc.cfg
+	cfg.Duration = 2 * units.Millisecond
+	cfg.Warmup = units.Millisecond
+	res, err := runConservingCycles(t, cfg)
+	if err != nil {
+		t.Fatalf("%+v: %v", tc.cfg, err)
+	}
+	if got := resultDigest(t, res); got != tc.digest {
+		t.Errorf("cell %d (%s/%v): digest %s, want %s (simulated output diverged)",
+			i, cfg.Switch, cfg.Scenario, got, tc.digest)
+	}
+	return res
+}
+
+// TestPinnedGoldens runs every pinned golden table and requires the
+// pinned digests bit for bit; every cell must also conserve its SUT cores'
+// cycles (runConservingCycles) and every NIC sink's return leg its frames
+// (checkReturnLeg).
+func TestPinnedGoldens(t *testing.T) {
+	for _, tab := range goldenTables(t) {
 		t.Run(tab.name, func(t *testing.T) {
 			if tab.slow && testing.Short() {
 				t.Skip("full grid is slow for -short")
 			}
 			for i, tc := range tab.cells {
-				cfg := tc.cfg
-				cfg.Duration = 2 * units.Millisecond
-				cfg.Warmup = units.Millisecond
-				res, err := runConservingCycles(t, cfg)
-				if err != nil {
-					t.Fatalf("%+v: %v", tc.cfg, err)
-				}
-				if got := resultDigest(t, res); got != tc.digest {
-					t.Errorf("cell %d (%s/%v): digest %s, want %s (simulated output diverged)",
-						i, cfg.Switch, cfg.Scenario, got, tc.digest)
-				}
+				res := runGolden(t, i, tc)
 				if tab.check != nil {
 					tab.check(t, res)
 				}

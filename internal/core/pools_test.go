@@ -1,0 +1,96 @@
+package core
+
+import (
+	"path/filepath"
+	"testing"
+
+	"repro/internal/pkt"
+	"repro/internal/units"
+)
+
+// TestSecondCellLeasesGrownPools: a cell releases its packet pools only
+// once its capture has stopped, and the next identical cell leases every
+// pool back in the role that grew it — host, generator, each guest — and
+// carves no new header slab.
+func TestSecondCellLeasesGrownPools(t *testing.T) {
+	type lease struct {
+		pool      *pkt.Pool
+		live, cap int
+	}
+	run := func(capture string) []lease {
+		t.Helper()
+		cfg := Config{Switch: "vpp", Scenario: Loopback, Chain: 2, FrameLen: 64,
+			Warmup: 500 * units.Microsecond, Duration: 2 * units.Millisecond, CapturePath: capture}
+		var got []lease
+		_, err := measure(cfg, 1, func(tb *testbed, w int, _ tally) {
+			if w < 1 {
+				return
+			}
+			for _, p := range tb.pools {
+				got = append(got, lease{p, p.Live(), p.Cap()})
+			}
+			if stop := tb.stopCapture; stop != nil {
+				tb.stopCapture = func() {
+					for i, p := range tb.pools {
+						if p.Live() != got[i].live {
+							t.Errorf("pool %d holds %d live buffers when the capture stops, %d at the window's end: released first", i, p.Live(), got[i].live)
+						}
+					}
+					stop()
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	first := run(filepath.Join(t.TempDir(), "first.pcap"))
+	if len(first) != 4 {
+		t.Fatalf("loopback-2 leased %d pools, want host, generator and two guests", len(first))
+	}
+	held := 0
+	for _, l := range first {
+		held += l.live
+	}
+	if held == 0 {
+		t.Fatal("no pool holds a buffer at the window's end: the capture check sees nothing")
+	}
+	second := run("")
+	for i := range first {
+		switch {
+		case second[i].pool != first[i].pool:
+			t.Errorf("pool %d: the second cell leased another pool in this role", i)
+		case second[i].cap != first[i].cap:
+			t.Errorf("pool %d: the second cell carved a new header slab (%d headers, %d after the first cell)", i, second[i].cap, first[i].cap)
+		}
+	}
+}
+
+// TestGoldenDigestsIndependentOfCellOrder: leased pools carry nothing from
+// one cell into the next. In one process the golden cells give their
+// pinned digests in forward order, in reverse order, and after a
+// 32 768-flow OvS churn cell.
+func TestGoldenDigestsIndependentOfCellOrder(t *testing.T) {
+	var cells []goldenCell
+	for _, tab := range goldenTables(t) {
+		if !tab.slow || !testing.Short() {
+			cells = append(cells, tab.cells...)
+		}
+	}
+	forward := func() {
+		for i, tc := range cells {
+			runGolden(t, i, tc)
+		}
+	}
+	forward()
+	for i := len(cells) - 1; i >= 0; i-- {
+		runGolden(t, i, cells[i])
+	}
+	churn := churnCfg("ovs")
+	churn.Flows = 32768
+	if _, err := Run(churn); err != nil {
+		t.Fatal(err)
+	}
+	forward()
+}

@@ -72,13 +72,12 @@ func measure(cfg Config, n int, edge func(tb *testbed, w int, t tally)) (Result,
 	if err != nil {
 		return Result{}, err
 	}
+	defer tb.close()
 	cfg = tb.cfg
 	if cfg.CapturePath != "" {
-		stop, err := tb.attachCapture(cfg.CapturePath)
-		if err != nil {
+		if err := tb.attachCapture(cfg.CapturePath); err != nil {
 			return Result{}, err
 		}
-		defer stop()
 	}
 
 	var start, end tally
@@ -99,11 +98,7 @@ func measure(cfg Config, n int, edge func(tb *testbed, w int, t tally)) (Result,
 	if tb.controller != nil && tb.controller.Err != nil {
 		return Result{}, tb.controller.Err
 	}
-	res := tb.result(start, end)
-	// The measurement is collected; release the buffer high-water mark
-	// before the caller (often a many-cell campaign) moves on.
-	tb.releasePools()
-	return res, nil
+	return tb.result(start, end), nil
 }
 
 // tally is every counter a Result reports, read at one instant. The

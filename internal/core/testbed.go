@@ -75,12 +75,12 @@ type testbed struct {
 
 	hostPool *pkt.Pool
 	genPool  *pkt.Pool // shared by every NIC generator
-	// pools tracks every packet pool the testbed created so measure can
-	// release their free lists once the measurement is collected: a
-	// saturating cell's pools grow to the high-water mark of in-flight
-	// frames, and a campaign holds many cells' worth of testbeds between
-	// GC cycles.
+	// pools are the packet pools the testbed leased, in acquisition order;
+	// close releases them for the next cell, whose same roles lease them
+	// back grown to this cell's high-water marks.
 	pools []*pkt.Pool
+	// stopCapture closes the capture file, if the cell writes one.
+	stopCapture func()
 
 	gens     []*tgen.Generator
 	sinks    []*tgen.Sink
@@ -102,19 +102,27 @@ type endpoint struct {
 	hist *stats.Histogram
 }
 
-// newPool creates a packet pool registered for end-of-run release.
+// newPool leases a packet pool for the cell; close releases it.
 func (tb *testbed) newPool(bufSize int) *pkt.Pool {
-	p := pkt.NewPool(bufSize)
+	p := pkt.AcquirePool(bufSize)
 	tb.pools = append(tb.pools, p)
 	return p
 }
 
-// releasePools drops every pool's free list so the GC can reclaim the
-// cell's buffer high-water mark as soon as the measurement is done.
-func (tb *testbed) releasePools() {
-	for _, p := range tb.pools {
-		p.Trim(0)
+// close ends the cell once nothing reads its buffers any more: it stops
+// the capture, then releases the pools in the reverse of the order they
+// were leased, so that the next cell's host, generator and guest roles
+// each lease back the pool their role grew. It runs on the goroutine that
+// ran the simulation, so a cell abandoned on a timeout releases nothing
+// until its simulation has returned.
+func (tb *testbed) close() {
+	if tb.stopCapture != nil {
+		tb.stopCapture()
 	}
+	for i := len(tb.pools) - 1; i >= 0; i-- {
+		tb.pools[i].Release()
+	}
+	tb.pools = nil
 }
 
 // build assembles the testbed for cfg.
@@ -406,16 +414,16 @@ func (tb *testbed) guestGenerator(name string, ifc vm.NetIf, pool *pkt.Pool, spe
 }
 
 // attachCapture dumps frames delivered to the first NIC sink (or guest
-// monitor) into a pcap file; the returned function closes it.
-func (tb *testbed) attachCapture(path string) (func(), error) {
+// monitor) into a pcap file, which close closes.
+func (tb *testbed) attachCapture(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	w, err := pcap.NewWriter(f)
 	if err != nil {
 		f.Close()
-		return nil, err
+		return err
 	}
 	hook := func(at units.Time, b *pkt.Buf) { _ = w.WritePacket(at, b) }
 	switch {
@@ -425,7 +433,8 @@ func (tb *testbed) attachCapture(path string) (func(), error) {
 		tb.monitors[0].Capture = hook
 	default:
 		f.Close()
-		return nil, fmt.Errorf("core: no measurement endpoint to capture")
+		return fmt.Errorf("core: no measurement endpoint to capture")
 	}
-	return func() { f.Close() }, nil
+	tb.stopCapture = func() { f.Close() }
+	return nil
 }

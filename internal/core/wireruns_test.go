@@ -20,19 +20,34 @@ import (
 // What remains are the runs the SUT's RX rings queue between polls —
 // FastClick's and t4p4s's rings are the deepest. Runs are invisible in
 // every digest by design, so this is the only test that notices they are
-// gone.
+// gone. The pool is read at the window's last edge: once measure returns,
+// its pools are released and count nothing.
 func TestWireRunsEngage(t *testing.T) {
+	// genAllocated runs cfg and returns how many buffers the generator
+	// pool carved by the end of the window.
+	genAllocated := func(cfg Config) (Result, int) {
+		t.Helper()
+		n := -1
+		res, err := measure(cfg, 1, func(tb *testbed, w int, _ tally) {
+			if w == 1 {
+				n = tb.genPool.Allocated()
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n < 0 {
+			t.Fatal("measure never reached the window's end")
+		}
+		return res, n
+	}
 	cfg := Config{Switch: "ovs", Scenario: P2P, FrameLen: 64,
 		Warmup: 500 * units.Microsecond, Duration: 2 * units.Millisecond}
-	var tb *testbed
-	res, err := measure(cfg, 1, func(b *testbed, _ int, _ tally) { tb = b })
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, n := genAllocated(cfg)
 	if res.Drops == 0 {
 		t.Fatal("the SUT dropped nothing: the cell does not saturate it")
 	}
-	if n := tb.genPool.Allocated(); n > 512 {
+	if n > 512 {
 		t.Fatalf("generator pool allocated %d buffers, want at most 512: frames on the wire or dropped at the SUT hold buffers", n)
 	}
 
@@ -42,10 +57,7 @@ func TestWireRunsEngage(t *testing.T) {
 	for _, sw := range Switches {
 		cfg := Config{Switch: sw, Scenario: P2P, FrameLen: 64, Bidir: true,
 			Warmup: 500 * units.Microsecond, Duration: 2 * units.Millisecond}
-		if _, err := measure(cfg, 1, func(b *testbed, _ int, _ tally) { tb = b }); err != nil {
-			t.Fatal(err)
-		}
-		if n := tb.genPool.Allocated(); n > bound[sw] {
+		if _, n := genAllocated(cfg); n > bound[sw] {
 			t.Errorf("%s: generator pool allocated %d buffers, want at most %d: the switch forwards runs frame by frame", sw, n, bound[sw])
 		}
 	}

@@ -37,10 +37,20 @@
 // A buffer with neither template nor backing has never been written and
 // reads as zeros (fresh backing is zeroed); a recycled backed buffer reads
 // whatever its previous owner left, as a DPDK mbuf would.
+//
+// # Leased pools
+//
+// Like a DPDK mempool, which is allocated once and serves every later run,
+// a pool outlives the simulation it serves: AcquirePool leases one from a
+// process-wide stack of released pools, and Release rewinds it in O(1) and
+// puts it back. A rewound pool carves its buffers out of the header slabs
+// it already holds, each header keeping the backing it was given, so the
+// next cell on it allocates only past the high-water mark of the last.
 package pkt
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/units"
 )
@@ -321,20 +331,41 @@ func (t *Template) Derive(edit func(data []byte)) *Template {
 // that are ever written, out of slab allocations (DPDK mempool style) so
 // warming a pool to its high-water mark costs a handful of allocations,
 // not one per buffer — and no bytes for frames nobody writes.
+//
+// A pool serves one lease at a time: from NewPool or AcquirePool until
+// Release. Release forgets every buffer of the lease, handed out or
+// parked, and keeps the slabs, so the next lease carves the same headers
+// again, in the same order, before it allocates a new slab.
 type Pool struct {
 	free    []*Buf
 	bufSize int
 	live    int // checked-out buffers
-	total   int // ever allocated
-	backed  int // buffers given backing from slabData
+	carved  int // headers carved in this lease
+	backed  int // buffers given backing from slabData, in any lease
 
 	slabData []byte // unclaimed backing storage
-	slabBufs []Buf  // unclaimed headers
+	shelved  bool   // on the released stack (guarded by its lock)
+
+	// The header slabs the pool holds, linked from slabs; cur is the one
+	// being carved (nil until the lease's first carve) and next its first
+	// unclaimed header.
+	slabs *slab
+	cur   *slab
+	next  int
 }
 
-// slabCount is how many buffers each slab allocation provides. Data slabs
-// ramp up to it geometrically from minDataSlab: most pools back only the
-// occasional probe frame, some back every buffer.
+// slab is one allocation of buffer headers. Its link to the next slab
+// takes the room of the 256th header, so that a slab still fills one
+// 24 KiB allocation size class on 64-bit hosts.
+type slab struct {
+	bufs [slabCount - 1]Buf
+	link *slab
+}
+
+// slabCount is how many buffers a data slab provides at most, and a
+// header slab one fewer (see slab). Data slabs ramp up to it geometrically
+// from minDataSlab: most pools back only the occasional probe frame, some
+// back every buffer.
 const (
 	slabCount   = 256
 	minDataSlab = 16
@@ -348,6 +379,48 @@ func NewPool(bufSize int) *Pool {
 	return &Pool{bufSize: bufSize}
 }
 
+// released is the process-wide stack of released pools.
+var released struct {
+	sync.Mutex
+	pools []*Pool
+}
+
+// AcquirePool leases a pool of buffers with the given capacity each: the
+// most recently released one of that size, or else a new one. A caller
+// that releases its pools in the reverse of the order it acquired them
+// gets each back in the same role the next time it acquires in that order.
+func AcquirePool(bufSize int) *Pool {
+	released.Lock()
+	defer released.Unlock()
+	for i := len(released.pools) - 1; i >= 0; i-- {
+		if p := released.pools[i]; p.bufSize == bufSize {
+			released.pools = append(released.pools[:i], released.pools[i+1:]...)
+			p.shelved = false
+			return p
+		}
+	}
+	return NewPool(bufSize)
+}
+
+// Release ends the pool's lease and puts it on the stack AcquirePool
+// takes from. Every buffer the lease handed out, live or parked, stops
+// belonging to anyone: the caller must hold none that it still uses. The
+// free list empties but keeps its capacity, the carve rewinds to the first
+// header slab, and Live and Allocated restart at 0. Release walks no
+// buffer. Releasing a pool twice panics: two leases would share it.
+func (p *Pool) Release() {
+	released.Lock()
+	defer released.Unlock()
+	if p.shelved {
+		panic("pkt: pool released twice")
+	}
+	p.free = p.free[:0]
+	p.cur, p.next = nil, 0
+	p.live, p.carved = 0, 0
+	p.shelved = true
+	released.pools = append(released.pools, p)
+}
+
 // Get returns a zero-metadata buffer of the given frame length.
 func (p *Pool) Get(frameLen int) *Buf {
 	if frameLen > p.bufSize {
@@ -359,13 +432,7 @@ func (p *Pool) Get(frameLen int) *Buf {
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
 	} else {
-		if len(p.slabBufs) == 0 {
-			p.slabBufs = make([]Buf, slabCount)
-		}
-		b = &p.slabBufs[0]
-		p.slabBufs = p.slabBufs[1:]
-		b.pool = p
-		p.total++
+		b = p.carve()
 	}
 	p.live++
 	b.inPool = false
@@ -379,6 +446,26 @@ func (p *Pool) Get(frameLen int) *Buf {
 	b.Ingress = 0
 	b.Gap = 0
 	b.AvailAt = 0
+	return b
+}
+
+// carve returns the lease's next unclaimed header: the next one of the
+// slabs the pool holds, or of a new slab linked behind them.
+func (p *Pool) carve() *Buf {
+	if p.cur == nil || p.next == len(p.cur.bufs) {
+		link := &p.slabs
+		if p.cur != nil {
+			link = &p.cur.link
+		}
+		if *link == nil {
+			*link = new(slab)
+		}
+		p.cur, p.next = *link, 0
+	}
+	b := &p.cur.bufs[p.next]
+	p.next++
+	p.carved++
+	b.pool = p
 	return b
 }
 
@@ -413,33 +500,24 @@ func (p *Pool) put(b *Buf) {
 	p.free = append(p.free, b)
 }
 
-// Trim releases free-list buffers beyond max, letting the GC reclaim their
-// backing storage. Without it the free list pins every buffer a cell ever
-// allocated (its high-water mark) for the life of the pool; callers that
-// finish a measurement release the pool with Trim(0).
-func (p *Pool) Trim(max int) {
-	if max < 0 {
-		max = 0
-	}
-	if len(p.free) <= max {
-		return
-	}
-	for i := max; i < len(p.free); i++ {
-		p.free[i] = nil
-	}
-	p.free = p.free[:max]
-	if max == 0 {
-		p.free = nil // release the spine too
-		p.slabData, p.slabBufs = nil, nil
-	}
-}
-
 // Live returns the number of buffers currently checked out. The count is
 // exact at every instant: Get and Free update it in place.
 func (p *Pool) Live() int { return p.live }
 
-// Allocated returns the number of buffers ever created by the pool.
-func (p *Pool) Allocated() int { return p.total }
+// Allocated returns the number of buffer headers the lease has carved:
+// those it has handed out, counting each once however often it was
+// recycled.
+func (p *Pool) Allocated() int { return p.carved }
+
+// Cap returns the number of buffer headers the pool holds: its slabs'
+// headers, carved in this lease or kept from an earlier one.
+func (p *Pool) Cap() int {
+	n := 0
+	for s := p.slabs; s != nil; s = s.link {
+		n += len(s.bufs)
+	}
+	return n
+}
 
 // Idle returns the number of buffers parked on the free list.
 func (p *Pool) Idle() int { return len(p.free) }

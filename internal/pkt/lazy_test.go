@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime/debug"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -261,39 +262,162 @@ func TestPoolGetResetsTemplate(t *testing.T) {
 	}
 }
 
-// TestPoolTrim exercises the free-list release path.
-func TestPoolTrim(t *testing.T) {
+// TestPoolRelease: Release forgets the lease's buffers, parked and live
+// alike, restarts Live and Allocated, and puts the pool where AcquirePool
+// leases it back, but only for its own buffer size; a second Release
+// before that panics.
+func TestPoolRelease(t *testing.T) {
 	p := NewPool(2048)
 	bufs := make([]*Buf, 8)
 	for i := range bufs {
 		bufs[i] = p.Get(64)
 	}
-	for _, b := range bufs {
+	for _, b := range bufs[:5] {
 		b.Free()
 	}
-	if p.Idle() != 8 {
-		t.Fatalf("idle = %d, want 8", p.Idle())
+	if p.Idle() != 5 || p.Live() != 3 {
+		t.Fatalf("idle = %d, live = %d, want 5 and 3", p.Idle(), p.Live())
 	}
-	p.Trim(3)
-	if p.Idle() != 3 {
-		t.Fatalf("after Trim(3): idle = %d, want 3", p.Idle())
+	p.Release()
+	if p.Idle() != 0 || p.Live() != 0 || p.Allocated() != 0 {
+		t.Fatalf("after Release: idle = %d, live = %d, allocated = %d, want 0", p.Idle(), p.Live(), p.Allocated())
 	}
-	p.Trim(5) // larger than the free list: no-op
-	if p.Idle() != 3 {
-		t.Fatalf("after Trim(5): idle = %d, want 3", p.Idle())
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a second Release did not panic")
+			}
+		}()
+		p.Release()
+	}()
+	if q := AcquirePool(1024); q == p {
+		t.Fatal("AcquirePool leased a pool of another buffer size")
 	}
-	p.Trim(0)
-	if p.Idle() != 0 {
-		t.Fatalf("after Trim(0): idle = %d, want 0", p.Idle())
+	if q := AcquirePool(2048); q != p {
+		t.Fatal("AcquirePool did not lease back the released pool")
 	}
-	// The pool still works after a full release.
+	// The pool still works after a release.
 	b := p.Get(128)
-	if b.Len() != 128 {
-		t.Fatalf("post-trim Get len = %d", b.Len())
+	if b.Len() != 128 || p.Allocated() != 1 {
+		t.Fatalf("post-release Get: len = %d, allocated = %d", b.Len(), p.Allocated())
 	}
 	b.Free()
 	if p.Live() != 0 {
 		t.Fatalf("live = %d, want 0", p.Live())
+	}
+}
+
+// releaseLease ends p's lease and leases it back, as the next cell does.
+func releaseLease(t *testing.T, p *Pool) *Pool {
+	t.Helper()
+	p.Release()
+	q := AcquirePool(p.bufSize)
+	if q != p {
+		t.Fatal("AcquirePool did not lease back the released pool")
+	}
+	return q
+}
+
+// TestAcquirePoolLeasesOnce: goroutines leasing and releasing pools at
+// once never hold the same pool together, and each lease starts empty.
+// Run it under -race: a pool two leases shared would also be a race.
+func TestAcquirePoolLeasesOnce(t *testing.T) {
+	var (
+		mu     sync.Mutex
+		leased = map[*Pool]bool{}
+		wg     sync.WaitGroup
+	)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				p := AcquirePool(512)
+				mu.Lock()
+				twice := leased[p]
+				leased[p] = true
+				mu.Unlock()
+				if twice || p.Live() != 0 || p.Allocated() != 0 {
+					t.Errorf("lease %d: pool leased twice (%v) or not empty (%d live, %d allocated)", i, twice, p.Live(), p.Allocated())
+					return
+				}
+				for k := 0; k <= i%40; k++ {
+					p.Get(64).Bytes()[0] = byte(k)
+				}
+				mu.Lock()
+				delete(leased, p)
+				mu.Unlock()
+				p.Release()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestReleasedPoolMatchesFresh: a lease on a released pool behaves like
+// one on a fresh pool. Driven through the same operations, both hand out
+// buffers with the same length and metadata, a buffer that was never
+// written reads as zeros, and Live, Allocated and Idle agree at every
+// step, although the released pool's headers still hold the last lease's
+// runs, probes, templates and bytes. The released pool carves the last
+// lease's headers again, in the same order, and allocates no new slab.
+func TestReleasedPoolMatchesFresh(t *testing.T) {
+	const n = 600 // more than two header slabs
+	tmpl := lazySpec(64).Template(2)
+	used := NewPool(2048)
+	carved := make([]*Buf, n)
+	for i := range carved {
+		carved[i] = used.Get(64)
+	}
+	for i, b := range carved {
+		switch i % 4 {
+		case 0:
+			b.SetTemplate(tmpl)
+			b.SetRun(3)
+			b.Seq, b.Ingress, b.Gap, b.AvailAt = 7, 8, 9, 10
+		case 1:
+			MarkProbe(b, uint64(i), 5)
+		case 2:
+			b.Bytes()[0] = 0xAB
+		}
+		if i%3 == 0 {
+			b.Free()
+		}
+	}
+	headers := used.Cap()
+	used = releaseLease(t, used)
+	if used.Cap() != headers {
+		t.Fatalf("Release changed the pool's headers: %d, want %d", used.Cap(), headers)
+	}
+
+	fresh := NewPool(2048)
+	var uHeld, fHeld []*Buf
+	for i := 0; i < n; i++ {
+		k := used.Allocated()
+		u, f := used.Get(64), fresh.Get(64)
+		if used.Allocated() > k && u != carved[k] {
+			t.Fatalf("get %d: the released pool did not carve its first lease's header %d", i, k)
+		}
+		if u.Len() != f.Len() || u.Seq != f.Seq || u.Probe != f.Probe || u.Run() != f.Run() ||
+			u.TxStamp != f.TxStamp || u.Ingress != f.Ingress || u.Gap != f.Gap || u.AvailAt != f.AvailAt ||
+			u.Template() != f.Template() || u.stamp != f.stamp || u.inPool != f.inPool {
+			t.Fatalf("get %d: metadata %+v after Release, %+v fresh", i, *u, *f)
+		}
+		if used.Allocated() > k && k%4 == 3 && !bytes.Equal(u.Bytes(), f.Bytes()) {
+			t.Fatalf("get %d: header %d, never written, reads %x after Release", i, k, u.Bytes()[:8])
+		}
+		uHeld, fHeld = append(uHeld, u), append(fHeld, f)
+		if i%5 == 0 {
+			uHeld[i/5].Free()
+			fHeld[i/5].Free()
+		}
+		if used.Live() != fresh.Live() || used.Allocated() != fresh.Allocated() || used.Idle() != fresh.Idle() {
+			t.Fatalf("get %d: live/allocated/idle %d/%d/%d after Release, %d/%d/%d fresh", i,
+				used.Live(), used.Allocated(), used.Idle(), fresh.Live(), fresh.Allocated(), fresh.Idle())
+		}
+	}
+	if used.Cap() != headers {
+		t.Fatalf("the second lease grew the pool to %d headers from %d", used.Cap(), headers)
 	}
 }
 
@@ -531,20 +655,29 @@ func TestUnwrittenBufferEdges(t *testing.T) {
 		p.Get(64).SetLen(257)
 	}()
 
-	// Trim(0) lets go of the data slab it has not finished carving.
+	// Release keeps the data slab it has not finished carving, and each
+	// header its backing: the next lease carves the same headers, the one
+	// never written still reads as zeros, and the written one attaches no
+	// new backing.
 	if p.slabData == nil {
 		t.Fatal("expected a partly carved data slab")
 	}
 	src.Free()
 	dst.Free()
 	dirty.Free()
-	p.Trim(0)
-	if p.slabData != nil || p.slabBufs != nil || p.Idle() != 0 {
-		t.Fatal("Trim(0) kept slabs")
+	left := len(p.slabData)
+	p = releaseLease(t, p)
+	if len(p.slabData) != left || p.Idle() != 0 {
+		t.Fatal("Release dropped the unfinished data slab or kept the free list")
 	}
-	b := p.Get(64)
-	if b.Bytes()[0] != 0 {
-		t.Fatal("pool unusable after Trim(0)")
+	if b := p.Get(64); b != src {
+		t.Fatal("the next lease does not start at the first header")
+	}
+	if b := p.Get(64); b != dst || b.data != nil || b.Bytes()[0] != 0 {
+		t.Fatal("the unwritten header of the last lease is backed, or not zeros")
+	}
+	if b := p.Get(64); b != dirty || len(p.slabData) != left-p.bufSize {
+		t.Fatal("the written header lost its backing across Release")
 	}
 }
 

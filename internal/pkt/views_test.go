@@ -35,7 +35,9 @@ func (m *viewModel) overlay() {
 // differs from a defined model byte, the first View() byte that does
 // outside the stamp of a probe that is still template-backed, the first
 // AppendTo that changes the buffer, the first Run() that differs, or the
-// first Pool.Live() that is not the model's live count. Probes are single
+// first Pool.Live() that is not the model's live count. A Release drops
+// every model buffer; the lease after it reads like a fresh pool's, except
+// that the headers it carves again hold leftover bytes. Probes are single
 // frames (Follows refuses them, so no run is ever a probe): MarkProbe
 // skips runs and SetRun skips probes.
 func checkBufViews(t *testing.T, data []byte) {
@@ -61,11 +63,14 @@ func checkBufViews(t *testing.T, data []byte) {
 	add := func(b *Buf, contents []int16) {
 		live = append(live, &viewModel{b: b, data: contents, run: 1})
 	}
+	// kept is how many headers earlier leases carved: a lease carves them
+	// again, in order, before any new one.
+	kept := 0
 	get := func(n int) *Buf {
 		fresh := pool.Allocated()
 		b := pool.Get(n)
 		m := make([]int16, n)
-		if pool.Allocated() == fresh { // recycled: its leftovers are undefined
+		if pool.Allocated() == fresh || fresh < kept { // recycled: its leftovers are undefined
 			for i := range m {
 				m[i] = -1
 			}
@@ -74,7 +79,7 @@ func checkBufViews(t *testing.T, data []byte) {
 		return b
 	}
 	for op := 0; len(data) > 0; op++ {
-		kind := next() % 10
+		kind := next() % 11
 		if len(live) == 0 || (kind == 0 && len(live) < maxLive) {
 			get(next() % (bufSize + 1))
 			continue
@@ -150,6 +155,14 @@ func checkBufViews(t *testing.T, data []byte) {
 		case 9: // Free
 			m.b.Free()
 			live = append(live[:i], live[i+1:]...)
+		case 10: // Release, and lease the pool back: every buffer is dropped
+			kept = max(kept, pool.Allocated())
+			pool.Release()
+			if pool = AcquirePool(bufSize); pool.Live() != 0 || pool.Allocated() != 0 || pool.Idle() != 0 {
+				t.Fatalf("op %d: leased a released pool with %d live, %d allocated, %d idle buffers",
+					op, pool.Live(), pool.Allocated(), pool.Idle())
+			}
+			live = live[:0]
 		}
 		if got := pool.Live(); got != len(live) {
 			t.Fatalf("op %d: Pool.Live() = %d, model holds %d buffers", op, got, len(live))
@@ -209,7 +222,8 @@ func checkView(t *testing.T, op, j int, what string, got []byte, want []int16) {
 // FuzzBufViews holds View(), Bytes() and AppendTo to a plain byte-slice
 // model, and Pool.Live() to the model's count, over any sequence of Get,
 // SetTemplate, SetLen, writes through Bytes(), CopyFrom, Clone, Cut,
-// SetRun, MarkProbe (software and hardware stamps) and Free.
+// SetRun, MarkProbe (software and hardware stamps), Free and Release
+// followed by AcquirePool.
 func FuzzBufViews(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 16; i++ {

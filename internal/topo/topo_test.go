@@ -99,10 +99,21 @@ func rejectCases() map[string]*Graph {
 	}
 }
 
+// exactRejects are rejectCases whose error must be exactly this one
+// message: a violation that one check catches is reported once.
+var exactRejects = map[string]string{
+	"vnf self bridge": `topo: vnf "v" bridges "g0" to itself`,
+}
+
 func TestValidateRejects(t *testing.T) {
 	for name, g := range rejectCases() {
-		if err := g.Validate(); err == nil {
+		err := g.Validate()
+		if err == nil {
 			t.Errorf("%s: accepted", name)
+			continue
+		}
+		if want, ok := exactRejects[name]; ok && err.Error() != want {
+			t.Errorf("%s: reported\n%s\nwant exactly\n%s", name, err, want)
 		}
 	}
 }

@@ -136,9 +136,10 @@ func (g *Graph) resolve() (*resolved, error) {
 			want(n.Name, n.A, KindGuestIf)
 			want(n.Name, n.B, KindGuestIf)
 			reads(n.A, n.Name)
-			reads(n.B, n.Name)
 			if n.A != "" && n.A == n.B {
 				fail("vnf %q bridges %q to itself", n.Name, n.A)
+			} else {
+				reads(n.B, n.Name)
 			}
 			if n.SrcMACIf != "" && n.SrcMACIf != n.A && n.SrcMACIf != n.B {
 				fail("vnf %q src_mac_if %q is neither of its ports", n.Name, n.SrcMACIf)
