@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -126,6 +127,47 @@ func TestParallelCellsShareNoPool(t *testing.T) {
 		t.Fatalf("parallel: %v / %v", err, parallel.Err())
 	}
 	for i := range serial.Outcomes {
+		if !reflect.DeepEqual(serial.Outcomes[i].Result, parallel.Outcomes[i].Result) {
+			t.Errorf("cell %d (%s): Workers=4 result differs from the serial one", i, serial.Outcomes[i].Spec.ID)
+		}
+	}
+}
+
+// growRuns numbers the runs of TestParallelCellsGrowOneTemplateEntry, so
+// each uses a frame length no earlier run built templates for.
+var growRuns atomic.Int32
+
+// TestParallelCellsGrowOneTemplateEntry: OvS p2p cells of one frame spec at
+// 512, 8 192 and 32 768 flows, uniform and Zipf 1.1, interleaved at
+// Workers=4, so one cell's generator reads its slice of tgen's template
+// store while another cell grows the entry. The parallel run goes first,
+// on a frame length no other test uses, so it is the one that grows the
+// entry; under -race, writing a slice a generator reads would be a race.
+// The Results must be the serial ones.
+func TestParallelCellsGrowOneTemplateEntry(t *testing.T) {
+	frameLen := 100 + int(growRuns.Add(1))
+	var specs []Spec
+	for _, flows := range []int{512, 32768, 8192} {
+		for _, skew := range []float64{0, 1.1} {
+			specs = append(specs, Spec{Cfg: core.Config{
+				Switch: "ovs", Scenario: core.P2P, FrameLen: frameLen, Flows: flows, ZipfSkew: skew,
+				Duration: 500 * units.Microsecond, Warmup: 200 * units.Microsecond,
+			}})
+		}
+	}
+	c := Campaign{Name: "template-growth", Specs: specs}
+	parallel, err := New(context.Background(), Options{Workers: 4}).Run(c)
+	if err != nil || parallel.Failed != 0 {
+		t.Fatalf("parallel: %v / %v", err, parallel.Err())
+	}
+	serial, err := New(context.Background(), Options{Workers: 1}).Run(c)
+	if err != nil || serial.Failed != 0 {
+		t.Fatalf("serial: %v / %v", err, serial.Err())
+	}
+	for i := range serial.Outcomes {
+		if serial.Outcomes[i].Result.Mpps <= 0 {
+			t.Errorf("cell %d (%s) forwarded nothing", i, serial.Outcomes[i].Spec.ID)
+		}
 		if !reflect.DeepEqual(serial.Outcomes[i].Result, parallel.Outcomes[i].Result) {
 			t.Errorf("cell %d (%s): Workers=4 result differs from the serial one", i, serial.Outcomes[i].Spec.ID)
 		}

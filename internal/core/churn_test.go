@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/pkt"
 	"repro/internal/topo"
 	"repro/internal/units"
 )
@@ -89,6 +90,14 @@ func TestChurnValidate(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("joined validation error misses the %s violation: %v", want, err)
 		}
+	}
+
+	tooMany := Config{Switch: "ovs", Scenario: P2P, Flows: pkt.MaxFlows + 1}
+	if err := tooMany.Validate(); err == nil || !strings.Contains(err.Error(), "Flows") {
+		t.Errorf("Flows past pkt.MaxFlows: validation = %v, want a Flows error", err)
+	}
+	if err := (Config{Switch: "ovs", Scenario: P2P, Flows: pkt.MaxFlows}).Validate(); err != nil {
+		t.Errorf("Flows = pkt.MaxFlows rejected: %v", err)
 	}
 
 	skewNoFlows := Config{Switch: "ovs", Scenario: P2P, ZipfSkew: 1.1}

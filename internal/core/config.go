@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"repro/internal/multicore"
+	"repro/internal/pkt"
 	"repro/internal/stats"
 	"repro/internal/switches/switchdef"
 	"repro/internal/topo"
@@ -72,9 +73,10 @@ type Config struct {
 	// Rate is the offered load per direction; 0 saturates.
 	Rate units.BitRate
 	// Flows spreads the synthetic traffic over this many flows (distinct
-	// source MAC and UDP source port). The paper uses a single flow
-	// ("identical packets, corresponding to a single flow"); higher
-	// values stress flow caches and learning tables (ablations).
+	// source MAC and UDP source port, at most pkt.MaxFlows of them). The
+	// paper uses a single flow ("identical packets, corresponding to a
+	// single flow"); higher values stress flow caches and learning tables
+	// (ablations).
 	Flows int
 	// ZipfSkew, when > 0, draws each frame's flow from a Zipf
 	// distribution with this exponent over [0, Flows) instead of cycling
@@ -203,6 +205,9 @@ func (cfg Config) Validate() error {
 	}
 	if c.Flows < 0 {
 		errs = append(errs, fmt.Errorf("core: Flows must be non-negative (got %d)", c.Flows))
+	}
+	if c.Flows > pkt.MaxFlows {
+		errs = append(errs, fmt.Errorf("core: Flows %d exceeds the %d distinct flows a frame spec has (pkt.MaxFlows)", c.Flows, pkt.MaxFlows))
 	}
 	if c.ZipfSkew < 0 {
 		errs = append(errs, fmt.Errorf("core: ZipfSkew must be positive when set (got %g)", c.ZipfSkew))

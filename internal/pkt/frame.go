@@ -30,7 +30,8 @@ func (s FrameSpec) Build(b *Buf) {
 // single-flow traffic). Buffers stamped with it by SetTemplate defer all
 // byte work to the first consumer that actually reads the frame. (The
 // generators do not call it: they take each image from tgen's
-// process-wide store, which builds it once through FillTemplate or
+// process-wide store, tgen.Templates, which serializes a spec's flow 0
+// once through FillTemplate and copies every later flow through
 // FillTemplateFrom.)
 func (s FrameSpec) Template(flow int) *Template {
 	t := new(Template)
@@ -40,8 +41,9 @@ func (s FrameSpec) Template(flow int) *Template {
 
 // FillTemplate is Template with caller-supplied storage: it serializes the
 // image for flow into data (len FrameLen, never mutated afterwards), parses
-// its Layout and makes *t that image. A template store carves t and data
-// out of slabs shared by many flows instead of allocating both per flow.
+// its Layout and makes *t that image. tgen's store carves t and data out
+// of one template slab and one image slab for all the flows it builds at
+// once, instead of allocating both per flow.
 func (s FrameSpec) FillTemplate(t *Template, data []byte, flow int) {
 	s.buildInto(data)
 	if flow != 0 {
@@ -171,6 +173,11 @@ func ProbeInfo(p []byte) (seq uint64, tx units.Time, ok bool) {
 func PatchFlow(b *Buf, spec FrameSpec, i int) {
 	patchFlowBytes(b.Bytes(), spec, i)
 }
+
+// MaxFlows is how many distinct flows a FrameSpec has: a flow's index is
+// added to 16 bits of the source MAC and to the 16-bit UDP source port, so
+// flow MaxFlows is flow 0's frame again, byte for byte.
+const MaxFlows = 1 << 16
 
 // patchFlowBytes writes flow i's source MAC and UDP source port into p,
 // both computed from spec alone, so patching flow 0 leaves a built image

@@ -454,6 +454,28 @@ func TestPatchFlowVariesSrcFields(t *testing.T) {
 	}
 }
 
+// TestFlowsDistinctUpToMaxFlows: the images of flows 0..MaxFlows−1 of a
+// spec are pairwise distinct, and flow MaxFlows is flow 0's again — the
+// bound core's Config.Validate holds Flows to.
+func TestFlowsDistinctUpToMaxFlows(t *testing.T) {
+	spec := FrameSpec{
+		SrcMAC: MAC{2, 0, 0x12, 0x34, 0, 1}, DstMAC: MAC{2, 0, 0, 0, 0, 2},
+		SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{10, 0, 0, 2},
+		SrcPort: 1000, DstPort: 2000, FrameLen: 64,
+	}
+	seen := make(map[string]int, MaxFlows)
+	for f := 0; f < MaxFlows; f++ {
+		img := string(spec.Template(f).Image())
+		if g, ok := seen[img]; ok {
+			t.Fatalf("flows %d and %d have one image", g, f)
+		}
+		seen[img] = f
+	}
+	if !bytes.Equal(spec.Template(MaxFlows).Image(), spec.Template(0).Image()) {
+		t.Fatalf("flow %d differs from flow 0: the flow patch encodes more than 16 bits", MaxFlows)
+	}
+}
+
 // BenchmarkHeaderCodec measures the from-scratch header parse path (the
 // per-packet work every match/action switch performs).
 func BenchmarkHeaderCodec(b *testing.B) {

@@ -7,20 +7,21 @@
 // cost accounting is pacing only.
 //
 // A generator never builds a frame: each emitted buffer references a
-// pre-serialized template, one per (frame length, flow), held in a flat
-// slice indexed by size slot and flow, so picking it is an index, not a
-// lookup. A template is a pure function of (pkt.FrameSpec, flow) and never
-// changes, so the generator does not build its own either: on a flow's
-// first frame it takes the template from one process-wide store
-// (SharedTemplate), which builds each image once for every cell, campaign
-// worker and guest generator of the process. The store carves templates in
-// chunks of up to 64 from slabs sized to the flows a caller still lacks, so
-// 32 768 flows cost about a thousand allocations rather than a hundred
-// thousand, once. Only the first template of each FrameSpec is serialized;
-// every later flow's is a copy of that image with its source MAC and UDP
-// source port patched in (pkt.FrameSpec.FillTemplateFrom), which is byte
-// for byte what serializing it would write, and which takes that image's
-// header verdict (pkt.Layout) unparsed. A saturating generator of one
+// pre-serialized template, one per (frame length, flow). A template is a
+// pure function of (pkt.FrameSpec, flow) and never changes, so the
+// generator does not build its own either: NewGenerator takes, once, the
+// slice of its flows' templates from one process-wide store (Templates),
+// which builds each image once for every cell, campaign worker and guest
+// generator of the process, and a frame's template is then an index into
+// that slice. A store entry is one slice that is never written once
+// stored; a caller that needs more flows than it holds gets a longer slice
+// that keeps the shorter one's templates and builds the rest from one
+// template slab and one image slab. Only flow 0's template of each
+// FrameSpec is serialized; every later flow's is a copy of that image with
+// its source MAC and UDP source port patched in
+// (pkt.FrameSpec.FillTemplateFrom), which is byte for byte what
+// serializing it would write, and which takes that image's header verdict
+// (pkt.Layout) unparsed. A saturating generator of one
 // flow and one frame length goes further: its burst's frames are one
 // template, so they leave as runs (nic.Port.SendRunAt), one buffer each:
 // the frames the receiver's full RX ring drops never become buffers, and
@@ -51,16 +52,6 @@ const DefaultBurst = 32
 // imixSizes is the classic IMIX cycle: 7×64B, 4×570B, 1×1518B.
 var imixSizes = []int{64, 570, 64, 570, 64, 1518, 64, 570, 64, 570, 64, 64}
 
-// imixSlots runs in parallel with imixSizes: each entry is its length's
-// index among IMIX's imixLens distinct lengths, the size slot of the
-// generator's template table.
-var imixSlots = []int{0, 1, 0, 1, 0, 2, 0, 1, 0, 1, 0, 0}
-
-const imixLens = 3
-
-// tmplChunk caps how many templates one store slab provides.
-const tmplChunk = 64
-
 // Config describes one generator (one TX port).
 type Config struct {
 	Name string
@@ -72,8 +63,8 @@ type Config struct {
 	// ProbeEvery injects a PTP latency probe at this interval (0 = none).
 	ProbeEvery units.Time
 	// Flows cycles the synthetic traffic across this many flows
-	// (distinct source MAC + UDP source port); 0/1 = the paper's
-	// single-flow traffic.
+	// (distinct source MAC + UDP source port, up to pkt.MaxFlows, past
+	// which flows repeat); 0/1 = the paper's single-flow traffic.
 	Flows int
 	// ZipfSkew, when > 0 (with Flows > 1 and an RNG), draws each
 	// frame's flow from a Zipf distribution with this exponent instead
@@ -106,17 +97,12 @@ type Generator struct {
 	// frames are all one template: bursts leave as runs (see emitRuns).
 	runs bool
 
-	// tmpls holds one pre-serialized frame image per (size slot, flow) at
-	// index slot*flows + flow; emitted buffers reference it lazily instead
-	// of being built. The slot is 0 for fixed-length traffic and the
-	// frame length's imixSlots entry under IMIX. An entry is nil until
-	// its first frame is emitted; then it is the store's template, and
-	// this index, read without a lock, is what keeps later frames off the
-	// store's.
-	tmpls []*pkt.Template
-	flows int // max(Flows, 1)
-	// specs is each size slot's store entry, looked up on its first frame.
-	specs [imixLens]*specTemplates
+	// tmpls[pos][flow] is the store's template of flow at position pos of
+	// the size cycle: pos is 0 for fixed-length traffic and the
+	// imixSizes index under IMIX, where positions of one length share
+	// the store's slice. Emitted buffers reference it instead of being
+	// built.
+	tmpls [][]*pkt.Template
 
 	// zipf is the shared draw table of (Flows, ZipfSkew) when ZipfSkew
 	// is active; nil keeps the round-robin path untouched.
@@ -129,13 +115,18 @@ type Generator struct {
 
 // NewGenerator registers a generator with the scheduler (idle until Start).
 func NewGenerator(s *sim.Scheduler, cfg Config) *Generator {
-	g := &Generator{cfg: cfg, sched: s, flows: max(cfg.Flows, 1)}
+	g := &Generator{cfg: cfg, sched: s}
 	g.runs = cfg.Rate <= 0 && cfg.Flows <= 1 && !cfg.IMIX
-	slots := 1
+	lens := []int{cfg.Spec.FrameLen}
 	if cfg.IMIX {
-		slots = imixLens
+		lens = imixSizes
 	}
-	g.tmpls = make([]*pkt.Template, slots*g.flows)
+	g.tmpls = make([][]*pkt.Template, len(lens))
+	for pos, frameLen := range lens {
+		spec := cfg.Spec
+		spec.FrameLen = frameLen
+		g.tmpls[pos] = Templates(spec, max(cfg.Flows, 1))
+	}
 	if cfg.Rate > 0 {
 		g.gap = cfg.Rate.WireTime(cfg.Spec.FrameLen)
 	}
@@ -186,84 +177,48 @@ func sharedZipf(n int, s float64) *zipfTable {
 	return t
 }
 
-// templates is the process-wide template store: one specTemplates per
-// FrameSpec (its FrameLen included), built on first use and kept, like
-// zipfTables, for the life of the process. A template is never written
-// once built, so a reader needs the lock only to find it; the lock guards
-// every entry's index and slab.
+// templates is the process-wide template store: per FrameSpec (its
+// FrameLen included), the templates of flows 0..len−1, built on first use
+// and kept, like zipfTables, for the life of the process. An entry is
+// never written once stored, so a caller reads its slice without the lock,
+// which guards only the map.
 var templates struct {
 	sync.Mutex
-	m map[pkt.FrameSpec]*specTemplates
+	m map[pkt.FrameSpec][]*pkt.Template
 }
 
-// specTemplates is one FrameSpec's templates: flow f's at tmpls[f], nil
-// until built. It costs flows × (40 B + FrameLen) — a Template, its index
-// pointer and its image — for the life of the process.
-type specTemplates struct {
-	spec  pkt.FrameSpec
-	tmpls []*pkt.Template
-	built int
-	// first is the spec's first template built, the one serialized image
-	// every later one copies and patches.
-	first *pkt.Template
-	// free and data are the unclaimed rest of the current slab.
-	free []pkt.Template
-	data []byte
-}
-
-// specEntry returns spec's store entry, creating it on first use.
-func specEntry(spec pkt.FrameSpec) *specTemplates {
+// Templates returns the templates of flows 0..flows−1 of spec from the
+// process-wide store: flow f's is the same *pkt.Template for every caller
+// in the process. Asked for more flows than spec's entry holds, the store
+// replaces the entry with a longer slice that keeps its templates and
+// builds the missing ones from one template slab and one image slab: flow
+// 0 serialized, every later flow copied from it and patched. A spec costs
+// flows × (40 B + FrameLen) — a Template, its slot and its image.
+func Templates(spec pkt.FrameSpec, flows int) []*pkt.Template {
 	templates.Lock()
 	defer templates.Unlock()
-	e := templates.m[spec]
-	if e == nil {
-		e = &specTemplates{spec: spec}
-		if templates.m == nil {
-			templates.m = make(map[pkt.FrameSpec]*specTemplates)
+	have := templates.m[spec]
+	if flows <= len(have) {
+		return have[:flows:flows]
+	}
+	all := make([]*pkt.Template, flows)
+	copy(all, have)
+	n, frameLen := flows-len(have), spec.FrameLen
+	slab, data := make([]pkt.Template, n), make([]byte, n*frameLen)
+	for i := range slab {
+		f, t, d := len(have)+i, &slab[i], data[:frameLen:frameLen]
+		if f == 0 {
+			spec.FillTemplate(t, d, 0)
+		} else {
+			spec.FillTemplateFrom(t, d, all[0], f)
 		}
-		templates.m[spec] = e
+		all[f], data = t, data[frameLen:]
 	}
-	return e
-}
-
-// template returns flow's template, building it on first use from the
-// current slab. A used-up slab is replaced by one of min(tmplChunk,
-// flows − built) templates (at least one), flows being how many flows the
-// caller draws from.
-func (e *specTemplates) template(flow, flows int) *pkt.Template {
-	templates.Lock()
-	defer templates.Unlock()
-	if flow < len(e.tmpls) && e.tmpls[flow] != nil {
-		return e.tmpls[flow]
+	if templates.m == nil {
+		templates.m = make(map[pkt.FrameSpec][]*pkt.Template)
 	}
-	if flow >= len(e.tmpls) {
-		grown := make([]*pkt.Template, max(flows, flow+1))
-		copy(grown, e.tmpls)
-		e.tmpls = grown
-	}
-	frameLen := e.spec.FrameLen
-	if len(e.free) == 0 {
-		n := min(tmplChunk, max(flows-e.built, 1))
-		e.free, e.data = make([]pkt.Template, n), make([]byte, n*frameLen)
-	}
-	t, data := &e.free[0], e.data[:frameLen:frameLen]
-	if e.first == nil {
-		e.spec.FillTemplate(t, data, flow)
-		e.first = t
-	} else {
-		e.spec.FillTemplateFrom(t, data, e.first, flow)
-	}
-	e.free, e.data = e.free[1:], e.data[frameLen:]
-	e.built++
-	e.tmpls[flow] = t
-	return t
-}
-
-// SharedTemplate returns flow's template of spec from the process-wide
-// store, building it on first use: the same *pkt.Template for every
-// caller in the process.
-func SharedTemplate(spec pkt.FrameSpec, flow int) *pkt.Template {
-	return specEntry(spec).template(flow, flow+1)
+	templates.m[spec] = all
+	return all
 }
 
 // zipfCDF precomputes the cumulative weights of a Zipf distribution over
@@ -333,21 +288,6 @@ func (g *Generator) Start(at units.Time) {
 	g.sched.WakeAt(g.task, at)
 }
 
-// template returns flow's template in size slot slot (frames of frameLen
-// bytes) from the store, and indexes it for the generator's later frames.
-func (g *Generator) template(slot, frameLen, flow int) *pkt.Template {
-	e := g.specs[slot]
-	if e == nil {
-		spec := g.cfg.Spec
-		spec.FrameLen = frameLen
-		e = specEntry(spec)
-		g.specs[slot] = e
-	}
-	t := e.template(flow, g.flows)
-	g.tmpls[slot*g.flows+flow] = t
-	return t
-}
-
 // emitOne builds and transmits one frame stamped at time at, reporting
 // whether the burst should continue (false: TX ring full). Ordering of the
 // sequence counter, IMIX size cycle, flow assignment, and probe marking is
@@ -361,10 +301,9 @@ func (g *Generator) emitOne(at units.Time) bool {
 		}
 	}
 	g.txCredit--
-	frameLen, slot := g.cfg.Spec.FrameLen, 0
+	pos := 0
 	if g.cfg.IMIX {
-		i := g.seq % uint64(len(imixSizes))
-		frameLen, slot = imixSizes[i], imixSlots[i]
+		pos = int(g.seq % uint64(len(imixSizes)))
 	}
 	g.seq++
 	flow := 0
@@ -373,11 +312,8 @@ func (g *Generator) emitOne(at units.Time) bool {
 	} else if g.cfg.Flows > 1 {
 		flow = int(g.seq) % g.cfg.Flows
 	}
-	t := g.tmpls[slot*g.flows+flow]
-	if t == nil {
-		t = g.template(slot, frameLen, flow)
-	}
-	b := g.cfg.Pool.Get(frameLen)
+	t := g.tmpls[pos][flow]
+	b := g.cfg.Pool.Get(t.Len())
 	b.SetTemplate(t)
 	b.Seq = g.seq
 	if g.cfg.ProbeEvery > 0 && at >= g.nextProbe {
@@ -399,7 +335,7 @@ func (g *Generator) emitOne(at units.Time) bool {
 // the TX credit covers. Only for g.runs traffic, where every frame but a
 // probe is the same template.
 func (g *Generator) emitRuns(at units.Time, budget int) {
-	port, frameLen := g.cfg.Port, g.cfg.Spec.FrameLen
+	port, t := g.cfg.Port, g.tmpls[0][0]
 	for budget > 0 {
 		if g.cfg.ProbeEvery > 0 && at >= g.nextProbe {
 			if !g.emitOne(at) {
@@ -414,11 +350,7 @@ func (g *Generator) emitRuns(at units.Time, budget int) {
 			}
 		}
 		n := min(budget, g.txCredit)
-		t := g.tmpls[0]
-		if t == nil {
-			t = g.template(0, frameLen, 0)
-		}
-		b := g.cfg.Pool.Get(frameLen)
+		b := g.cfg.Pool.Get(t.Len())
 		b.SetTemplate(t)
 		b.Seq = g.seq + 1
 		b.SetRun(n)

@@ -3,6 +3,8 @@ package tgen
 import (
 	"bytes"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -272,101 +274,138 @@ func freshSpec() pkt.FrameSpec {
 	}
 }
 
+// storeEntry returns spec's store entry as it stands.
+func storeEntry(spec pkt.FrameSpec) []*pkt.Template {
+	templates.Lock()
+	defer templates.Unlock()
+	return templates.m[spec]
+}
+
 // TestSingleFlowBuildsOneImage: the store builds one image per (spec,
 // frame length, flow) however many generators emit it — two generators of
-// one config hold pointer-equal templates, and a one-flow spec holds
-// exactly one image per length — and once every flow is built no slab
-// space is left over.
+// one config hold the same store slices, IMIX positions of one length
+// share one, and each length's store entry holds exactly the config's
+// flows, so a one-flow spec holds one image per length.
 func TestSingleFlowBuildsOneImage(t *testing.T) {
 	for _, tc := range []struct {
-		name        string
-		flows, lens int
-		imix        bool
+		name             string
+		flows, positions int
+		imix             bool
 	}{
 		{"fixed", 1, 1, false},
-		{"imix", 1, imixLens, true},
+		{"imix", 1, len(imixSizes), true},
 		{"round-robin-100", 100, 1, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Spec: freshSpec(), Flows: tc.flows, IMIX: tc.imix}
 			g, _ := emitted(t, cfg)
 			h, _ := emitted(t, cfg)
-			for slot, e := range g.specs {
-				if slot >= tc.lens {
-					if e != nil {
-						t.Fatalf("slot %d of %d has a store entry", slot, tc.lens)
-					}
-					continue
-				}
-				if e != h.specs[slot] || e.built != tc.flows || len(e.free) != 0 || len(e.data) != 0 {
-					t.Fatalf("slot %d: shared %v, %d templates built (want %d), %d templates and %d bytes of slab unused",
-						slot, e == h.specs[slot], e.built, tc.flows, len(e.free), len(e.data))
-				}
+			if len(g.tmpls) != tc.positions || len(h.tmpls) != tc.positions {
+				t.Fatalf("generators hold %d and %d positions, want %d", len(g.tmpls), len(h.tmpls), tc.positions)
 			}
-			for i, tm := range g.tmpls {
-				if tm == nil || tm != h.tmpls[i] {
-					t.Fatalf("template %d: %p and %p", i, tm, h.tmpls[i])
+			byLen := map[int][]*pkt.Template{}
+			for pos, tmpls := range g.tmpls {
+				if len(tmpls) != tc.flows || &tmpls[0] != &h.tmpls[pos][0] {
+					t.Fatalf("position %d: %d templates, shared slice %v", pos, len(tmpls), &tmpls[0] == &h.tmpls[pos][0])
+				}
+				frameLen := tmpls[0].Len()
+				if first, ok := byLen[frameLen]; ok && &first[0] != &tmpls[0] {
+					t.Fatalf("position %d: %d B positions hold different slices", pos, frameLen)
+				}
+				byLen[frameLen] = tmpls
+				spec := cfg.Spec
+				spec.FrameLen = frameLen
+				entry := storeEntry(spec)
+				if len(entry) != tc.flows || &entry[0] != &tmpls[0] {
+					t.Fatalf("position %d: the %d B store entry holds %d templates (want %d), shared slice %v",
+						pos, frameLen, len(entry), tc.flows, &entry[0] == &tmpls[0])
 				}
 			}
 		})
 	}
 }
 
-// TestConcurrentGeneratorsShareTemplates: generators of one spec built on
-// two goroutines at once, each taking every flow in its own order, end up
-// with pointer-equal templates, each the image FrameSpec.Template
-// serializes.
-func TestConcurrentGeneratorsShareTemplates(t *testing.T) {
-	const flows = 300
-	spec := freshSpec()
-	var got [2][]*pkt.Template
-	var wg sync.WaitGroup
-	for w := range got {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			g := NewGenerator(sim.NewScheduler(), Config{Name: "g", Spec: spec, Flows: flows})
-			for f := 0; f < flows; f++ {
-				g.template(0, spec.FrameLen, (f*(7+6*w)+w)%flows)
-			}
-			got[w] = g.tmpls
-		}(w)
-	}
-	wg.Wait()
-	for f := 0; f < flows; f++ {
-		a, b := got[0][f], got[1][f]
-		if a == nil || a != b {
-			t.Fatalf("flow %d: templates %p and %p", f, a, b)
-		}
-		if !bytes.Equal(a.Image(), spec.Template(f).Image()) {
+// checkShared fails unless every slice in got holds the templates of its
+// own length's first flows of want, pointer for pointer, and want's are
+// the images FrameSpec.Template serializes.
+func checkShared(t *testing.T, spec pkt.FrameSpec, want []*pkt.Template, got ...[]*pkt.Template) {
+	t.Helper()
+	for f, tm := range want {
+		if !bytes.Equal(tm.Image(), spec.Template(f).Image()) {
 			t.Fatalf("flow %d: stored image differs from FrameSpec.Template", f)
+		}
+	}
+	for i, s := range got {
+		for f, tm := range s {
+			if tm != want[f] {
+				t.Fatalf("slice %d (%d flows), flow %d: template %p, want %p", i, len(s), f, tm, want[f])
+			}
 		}
 	}
 }
 
+// TestConcurrentGeneratorsShareTemplates: a longer slice of the store keeps
+// the shorter one's templates as its prefix, and goroutines asking one spec
+// for 50, 100 and 300 flows, each in its own order, so that the entry grows
+// while others read it, get pointer-equal templates for every flow they
+// share, each the image FrameSpec.Template serializes.
+func TestConcurrentGeneratorsShareTemplates(t *testing.T) {
+	counts := []int{50, 100, 300}
+	spec := freshSpec()
+	var grown [][]*pkt.Template
+	for _, flows := range counts {
+		grown = append(grown, Templates(spec, flows))
+	}
+	checkShared(t, spec, Templates(spec, 300), grown...)
+
+	orders := [][]int{{50, 100, 300}, {300, 100, 50}, {100, 50, 300}, {50, 300, 100}, {100, 300, 50}, {300, 50, 100}}
+	spec = freshSpec()
+	got := make([][][]*pkt.Template, len(orders))
+	var wg sync.WaitGroup
+	for w, order := range orders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, flows := range order {
+				s := Templates(spec, flows)
+				if len(s) != flows {
+					t.Errorf("asked for %d flows, got %d", flows, len(s))
+				}
+				for _, tm := range s {
+					_ = tm.Layout() // read the slice while others grow the entry
+				}
+				got[w] = append(got[w], s)
+			}
+		}()
+	}
+	wg.Wait()
+	checkShared(t, spec, Templates(spec, 300), slices.Concat(got...)...)
+}
+
 // TestSecondGeneratorAllocatesNoTemplates: once a spec's templates are
-// built, another generator of it takes every one from the store without
-// allocating.
+// built, what NewGenerator allocates does not depend on its flows — a
+// generator of 32 768 flows allocates the bytes one of a single flow does.
 func TestSecondGeneratorAllocatesNoTemplates(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates for itself")
 	}
-	const flows = 200
+	const flows = 32768
 	spec := freshSpec()
-	take := func(g *Generator) {
-		for f := 0; f < flows; f++ {
-			g.template(0, spec.FrameLen, f)
+	Templates(spec, flows)
+	allocated := func(flows int) uint64 {
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 10; i++ {
+			s, cfg := sim.NewScheduler(), Config{Name: "g", Spec: spec, Flows: flows}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			NewGenerator(s, cfg)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
+		return least
 	}
-	take(NewGenerator(sim.NewScheduler(), Config{Name: "first", Spec: spec, Flows: flows}))
-	g := NewGenerator(sim.NewScheduler(), Config{Name: "second", Spec: spec, Flows: flows})
-	avg := testing.AllocsPerRun(10, func() {
-		clear(g.tmpls)
-		g.specs = [imixLens]*specTemplates{}
-		take(g)
-	})
-	if avg != 0 {
-		t.Fatalf("taking %d built templates allocates %.2f times", flows, avg)
+	if one, many := allocated(1), allocated(flows); many != one {
+		t.Fatalf("NewGenerator of a built spec allocates %d B at %d flows, %d B at one", many, flows, one)
 	}
 }
 

@@ -31,7 +31,7 @@ type Generator struct {
 	seq       uint64
 	nextProbe units.Time
 	nextDue   units.Time
-	tmpl      *pkt.Template           // Spec's frame image, from tgen's store on first use
+	tmpl      *pkt.Template           // Spec's frame image, from tgen's store
 	scratch   [guestGenBurst]*pkt.Buf // burst staging, reused every step
 
 	// Sent counts emitted frames.
@@ -50,6 +50,7 @@ const (
 func StartGenerator(s *sim.Scheduler, name string, g *Generator, m *cost.Meter, at units.Time) *Generator {
 	g.sched = s
 	g.meter = m
+	g.tmpl = tgen.Templates(g.Spec, 1)[0]
 	g.task = s.Register(name, g)
 	g.nextDue = at
 	g.nextProbe = at + g.ProbeEvery
@@ -61,9 +62,6 @@ func StartGenerator(s *sim.Scheduler, name string, g *Generator, m *cost.Meter, 
 // generation cost (charged whether or not the send lands — the guest core
 // did the work either way).
 func (g *Generator) makeFrame(now units.Time) *pkt.Buf {
-	if g.tmpl == nil {
-		g.tmpl = tgen.SharedTemplate(g.Spec, 0)
-	}
 	b := g.Pool.Get(g.Spec.FrameLen)
 	b.SetTemplate(g.tmpl)
 	g.seq++
