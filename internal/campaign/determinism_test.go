@@ -96,11 +96,14 @@ func TestCampaignMatchesDirectRuns(t *testing.T) {
 	}
 }
 
-// TestParallelCellsShareNoPool: cells lease their packet pools from one
-// process-wide stack, so at Workers=4 a pool one cell released serves
-// whichever cell acquires next, in whatever role. Cells of different
-// shapes, repeated and interleaved, must still give the serial Results;
-// run under -race, a pool two live cells shared would also be a race.
+// TestParallelCellsShareNoPool: cells lease their packet pools and NIC RX
+// queue backings from process-wide stacks, so at Workers=4 a pool or
+// backing one cell released serves whichever cell acquires next, in
+// whatever role. Cells of different shapes — multi-flow ones, whose RX
+// queues hold one entry per frame in flight, on OvS's 512-descriptor and
+// t4p4s's 2 048-descriptor rings among them — repeated and interleaved,
+// must still give the serial Results; run under -race, a pool or backing
+// two live cells shared would also be a race.
 func TestParallelCellsShareNoPool(t *testing.T) {
 	shapes := []core.Config{
 		{Switch: "ovs", Scenario: core.P2P, FrameLen: 64, Bidir: true, ProbeEvery: 50 * units.Microsecond},
@@ -109,6 +112,8 @@ func TestParallelCellsShareNoPool(t *testing.T) {
 		{Switch: "vale", Scenario: core.V2V, FrameLen: 64},
 		{Switch: "ovs", Scenario: core.P2P, FrameLen: 64, Flows: 256, SUTCores: 2},
 		{Switch: "fastclick", Scenario: core.Loopback, Chain: 1, FrameLen: 256},
+		{Switch: "ovs", Scenario: core.P2P, FrameLen: 64, Bidir: true, Flows: 8192, ZipfSkew: 1.1},
+		{Switch: "t4p4s", Scenario: core.P2P, FrameLen: 64, Flows: 8192, ZipfSkew: 1.1},
 	}
 	var specs []Spec
 	for rep := 0; rep < 3; rep++ {

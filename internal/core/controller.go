@@ -44,8 +44,11 @@ type ruleController struct {
 	task     *sim.Task
 	interval units.Time
 
-	seq  uint64 // next shadow-rule ordinal
-	live []switchdef.Rule
+	seq uint64 // next shadow-rule ordinal
+	// live[head], live[head+1], … (mod the window) are the n installed
+	// shadow rules, oldest first.
+	live    [shadowRuleWindow]switchdef.Rule
+	head, n int
 
 	// Installs and Revokes count completed operations; Err records the
 	// first failed one (the run reports it).
@@ -74,18 +77,20 @@ func (c *ruleController) Start(at units.Time) {
 
 // Step implements sim.Actor: one rule operation per period.
 func (c *ruleController) Step(now units.Time) (units.Time, bool) {
-	if len(c.live) < shadowRuleWindow {
+	if c.n < shadowRuleWindow {
 		r := shadowRule(c.seq)
 		c.seq++
 		if err := c.sw.Install(r); err != nil {
 			c.Err = fmt.Errorf("core: controller install: %w", err)
 			return 0, false
 		}
-		c.live = append(c.live, r)
+		c.live[(c.head+c.n)%shadowRuleWindow] = r
+		c.n++
 		c.Installs++
 	} else {
-		r := c.live[0]
-		c.live = c.live[1:]
+		r := c.live[c.head]
+		c.head = (c.head + 1) % shadowRuleWindow
+		c.n--
 		if err := c.sw.Revoke(r); err != nil {
 			c.Err = fmt.Errorf("core: controller revoke: %w", err)
 			return 0, false

@@ -1,0 +1,57 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/switches/switchdef"
+)
+
+// recorder is a Programmer that logs every operation.
+type recorder struct{ installed, revoked []switchdef.Rule }
+
+func (r *recorder) Install(rule switchdef.Rule) error {
+	r.installed = append(r.installed, rule)
+	return nil
+}
+
+func (r *recorder) Revoke(rule switchdef.Rule) error {
+	r.revoked = append(r.revoked, rule)
+	return nil
+}
+
+// TestRuleControllerRevokesOldestFirst: the controller installs a window of
+// shadow rules, then alternates revoking the oldest live rule with
+// installing the next, so that its ring of live rules wraps twice
+// and every revoke names the rule installed a window earlier.
+func TestRuleControllerRevokesOldestFirst(t *testing.T) {
+	rec := &recorder{}
+	c := newRuleController(sim.NewScheduler(), "ctl", rec, 1e6)
+	const ops = 5 * shadowRuleWindow
+	for i := 0; i < ops; i++ {
+		if _, ok := c.Step(0); !ok {
+			t.Fatalf("step %d: %v", i, c.Err)
+		}
+		// The window fills, then a revoke and an install alternate.
+		wantLive := i + 1
+		if i >= shadowRuleWindow {
+			wantLive = shadowRuleWindow - (i-shadowRuleWindow+1)%2
+		}
+		if live := len(rec.installed) - len(rec.revoked); live != wantLive {
+			t.Fatalf("step %d: %d rules live, want %d", i, live, wantLive)
+		}
+	}
+	for i, r := range rec.installed {
+		if r.Match != shadowRule(uint64(i)).Match {
+			t.Fatalf("install %d is %v, want shadow rule %d", i, r.Match.EthDst, i)
+		}
+	}
+	for i, r := range rec.revoked {
+		if r.Match != rec.installed[i].Match {
+			t.Fatalf("revoke %d is %v, want install %d's rule %v", i, r.Match.EthDst, i, rec.installed[i].Match.EthDst)
+		}
+	}
+	if c.Updates() != ops || len(rec.revoked) != (ops-shadowRuleWindow)/2 {
+		t.Fatalf("%d updates, %d revokes; want %d and %d", c.Updates(), len(rec.revoked), ops, (ops-shadowRuleWindow)/2)
+	}
+}

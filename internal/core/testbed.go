@@ -75,10 +75,10 @@ type testbed struct {
 
 	hostPool *pkt.Pool
 	genPool  *pkt.Pool // shared by every NIC generator
-	// pools are the packet pools the testbed leased, in acquisition order;
-	// close releases them for the next cell, whose same roles lease them
-	// back grown to this cell's high-water marks.
-	pools []*pkt.Pool
+	// leases are the cell's leased parts, packet pools and NIC ports, in
+	// acquisition order; close releases them for the next cell, whose same
+	// roles lease them back grown to this cell's high-water marks.
+	leases []interface{ Release() }
 	// stopCapture closes the capture file, if the cell writes one.
 	stopCapture func()
 
@@ -105,24 +105,34 @@ type endpoint struct {
 // newPool leases a packet pool for the cell; close releases it.
 func (tb *testbed) newPool(bufSize int) *pkt.Pool {
 	p := pkt.AcquirePool(bufSize)
-	tb.pools = append(tb.pools, p)
+	tb.leases = append(tb.leases, p)
+	return p
+}
+
+// newPort creates a NIC port for the cell, whose RX queue backing close
+// releases. A port leases its backing when it first queues an arrival, and
+// the SUT ports first queue in the order they were created, so releasing
+// in reverse hands each backing back to its port's role.
+func (tb *testbed) newPort(cfg nic.Config) *nic.Port {
+	p := nic.NewPort(cfg)
+	tb.leases = append(tb.leases, p)
 	return p
 }
 
 // close ends the cell once nothing reads its buffers any more: it stops
-// the capture, then releases the pools in the reverse of the order they
-// were leased, so that the next cell's host, generator and guest roles
-// each lease back the pool their role grew. It runs on the goroutine that
-// ran the simulation, so a cell abandoned on a timeout releases nothing
-// until its simulation has returned.
+// the capture, then releases the pools and ports in the reverse of the
+// order they were leased, so that the next cell's host, generator and
+// guest pools and its NIC ports each lease back what their role grew. It
+// runs on the goroutine that ran the simulation, so a cell abandoned on a
+// timeout releases nothing until its simulation has returned.
 func (tb *testbed) close() {
 	if tb.stopCapture != nil {
 		tb.stopCapture()
 	}
-	for i := len(tb.pools) - 1; i >= 0; i-- {
-		tb.pools[i].Release()
+	for i := len(tb.leases) - 1; i >= 0; i-- {
+		tb.leases[i].Release()
 	}
-	tb.pools = nil
+	tb.leases = nil
 }
 
 // build assembles the testbed for cfg.
@@ -247,12 +257,12 @@ func (tb *testbed) addPhysPair(name string) (switchdef.DevPort, *nic.Port) {
 	if tb.info.IOMode == switchdef.InterruptMode {
 		itr = valeITR
 	}
-	sutNIC := nic.NewPort(nic.Config{
+	sutNIC := tb.newPort(nic.Config{
 		Name:   "sut-" + name,
 		TxRing: tb.nicRing(), RxRing: tb.nicRing(),
 		ITR: itr,
 	})
-	genNIC := nic.NewPort(nic.Config{
+	genNIC := tb.newPort(nic.Config{
 		Name:   "gen-" + name,
 		TxRing: genRingSize, RxRing: genRingSize,
 		HWTimestamp: true,

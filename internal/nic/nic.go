@@ -27,10 +27,17 @@
 // drained. Its ring is sized so that such a poll never finds it full, so
 // the frames the sink sees are exactly those a polled consumer would have
 // received, and a frame never holds a buffer between the wire and the sink.
+//
+// A receive queue's backing array outlives the port, the way a leased
+// pkt.Pool outlives its cell: a port takes one from a process-wide stack
+// of released backings when it first queues an arrival, and Release
+// clears it and pushes it back, so the next port to queue starts with the
+// capacity the last one grew instead of regrowing from nil.
 package nic
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/cpu"
 	"repro/internal/pkt"
@@ -101,6 +108,8 @@ type Port struct {
 	// it full; rxq[rxVis:] is in flight or not yet looked at.
 	rxq                    []*pkt.Buf
 	rxHead, rxVis, rxCount int
+	// released is set by Release: the port queues nothing any more.
+	released bool
 
 	// Consumer binding: an interrupt-driven core, or the poll-mode core
 	// an arrival must wake if it sleeps through empty polls.
@@ -340,8 +349,59 @@ func (p *Port) arrive(at units.Time, b *pkt.Buf) {
 			return
 		}
 	}
+	if p.rxq == nil {
+		p.rxq = p.leaseRxq()
+	}
 	p.rxq = append(p.rxq, b)
 	p.notify(at)
+}
+
+// rxBacks is the process-wide stack of released RX queue backings, each
+// cleared and of length 0.
+var rxBacks struct {
+	sync.Mutex
+	s [][]*pkt.Buf
+}
+
+// leaseRxq takes the most recently released backing for the port's first
+// queued arrival, or nil if there is none. A released port panics: its
+// backing may already serve another port.
+func (p *Port) leaseRxq() []*pkt.Buf {
+	if p.released {
+		panic(fmt.Sprintf("nic: arrival at released port %s", p.cfg.Name))
+	}
+	rxBacks.Lock()
+	defer rxBacks.Unlock()
+	n := len(rxBacks.s)
+	if n == 0 {
+		return nil
+	}
+	q := rxBacks.s[n-1]
+	rxBacks.s[n-1] = nil
+	rxBacks.s = rxBacks.s[:n-1]
+	return q
+}
+
+// Release ends the port's lease of its RX queue backing: it clears the
+// backing up to its capacity, so that it holds no buffer of the frames
+// still queued or of compactions past, and pushes it onto the stack the
+// next port's first arrival leases from. Queued frames are forgotten, not
+// freed: their pools are released with them. A port that never queued
+// pushes nothing, and a released port panics on an arrival to queue. Ports
+// released in the reverse of the order they first queued hand each
+// backing back to the same role when the next identical cell queues in
+// that order.
+func (p *Port) Release() {
+	q := p.rxq
+	p.rxq, p.rxHead, p.rxVis, p.rxCount = nil, 0, 0, 0
+	p.released = true
+	if cap(q) == 0 {
+		return
+	}
+	clear(q[:cap(q)])
+	rxBacks.Lock()
+	rxBacks.s = append(rxBacks.s, q[:0])
+	rxBacks.Unlock()
 }
 
 // notify wakes the bound consumer for a frame hitting the PHY at time at.

@@ -585,15 +585,20 @@ func (p *refTx) send(at units.Time, l int) bool {
 func TestRxQueueMatchesTwoQueueReference(t *testing.T) {
 	for _, rxRing := range []int{1, 8, 512} {
 		for _, irq := range []bool{false, true} {
-			for seed := uint64(1); seed <= 4; seed++ {
-				name := fmt.Sprintf("ring%d/irq=%v/seed%d", rxRing, irq, seed)
-				t.Run(name, func(t *testing.T) {
-					shallowTx := seed > 2
-					st := runRxSchedule(t, rxRing, irq, seed%2 == 0, shallowTx, rngChoices{sim.NewRNG(seed)}, 4000)
-					if st.runs == 0 || st.delivered == 0 || (rxRing < 512 && st.runDrops == 0) || (shallowTx && st.runTxDrops == 0) || st.txMerges == 0 {
-						t.Fatalf("schedule exercised too little: %+v", st)
+			for _, leased := range []bool{false, true} {
+				for seed := uint64(1); seed <= 4; seed++ {
+					name := fmt.Sprintf("ring%d/irq=%v/seed%d", rxRing, irq, seed)
+					if leased {
+						name = fmt.Sprintf("ring%d/irq=%v/leased/seed%d", rxRing, irq, seed)
 					}
-				})
+					t.Run(name, func(t *testing.T) {
+						shallowTx := seed > 2
+						st := runRxSchedule(t, rxRing, irq, seed%2 == 0, shallowTx, leased, rngChoices{sim.NewRNG(seed)}, 4000)
+						if st.runs == 0 || st.delivered == 0 || (rxRing < 512 && st.runDrops == 0) || (shallowTx && st.runTxDrops == 0) || st.txMerges == 0 {
+							t.Fatalf("schedule exercised too little: %+v", st)
+						}
+					})
+				}
 			}
 		}
 	}
@@ -601,8 +606,9 @@ func TestRxQueueMatchesTwoQueueReference(t *testing.T) {
 
 // FuzzPortRuns is TestRxQueueMatchesTwoQueueReference's schedule with every
 // choice read from the fuzzer's bytes: the first picks an RX ring of 1 to 8
-// descriptors, interrupt or poll binding, descriptor delays and a deep or
-// shallow TX ring, the rest drive sends and polls until they run out.
+// descriptors, interrupt or poll binding, descriptor delays, a deep or
+// shallow TX ring and a fresh or leased RX queue, the rest drive sends and
+// polls until they run out.
 func FuzzPortRuns(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{0x17, 9, 0, 0x80, 0, 1, 0x40, 0, 7, 0xff, 3, 0x20, 0, 0x90, 2, 0x10})
@@ -620,7 +626,7 @@ func FuzzPortRuns(f *testing.F) {
 			return
 		}
 		h := data[0]
-		runRxSchedule(t, 1+int(h&7), h&8 != 0, h&16 != 0, h&32 != 0, &byteChoices{data: data[1:]}, 1000)
+		runRxSchedule(t, 1+int(h&7), h&8 != 0, h&16 != 0, h&32 != 0, h&64 != 0, &byteChoices{data: data[1:]}, 1000)
 	})
 }
 
@@ -667,8 +673,9 @@ type scheduleStats struct {
 // and refRx receives the frames it sent one by one at their completion
 // times: the TX side is held to the per-frame ring, the RX side to the
 // per-frame reference. A shallow TX ring (64 descriptors) makes the sender
-// refuse the tails of runs.
-func runRxSchedule(t testing.TB, rxRing int, irq, noLatency, shallowTx bool, c choices, steps int) scheduleStats {
+// refuse the tails of runs. A leased receiver queues into the backing
+// releaseDirtyBacking released, not into a fresh one.
+func runRxSchedule(t testing.TB, rxRing int, irq, noLatency, shallowTx, leased bool, c choices, steps int) scheduleStats {
 	cfg, txCfg := Config{RxRing: rxRing, ITR: 30 * units.Microsecond}, Config{TxRing: 4096}
 	if shallowTx {
 		txCfg.TxRing = 64
@@ -678,9 +685,21 @@ func runRxSchedule(t testing.TB, rxRing int, irq, noLatency, shallowTx bool, c c
 		// the receiver has already judged.
 		cfg.RxLatency, txCfg.TxLatency = NoLatency, NoLatency
 	}
+	var dirty []*pkt.Buf // the backing rx must lease, until it has
+	if leased {
+		dirty = releaseDirtyBacking(t)
+	}
 	tx := NewPort(txCfg)
 	rx := NewPort(cfg)
 	Connect(tx, rx)
+	if leased {
+		defer func() {
+			// Take the backing off the released stack again, whether rx
+			// leased it or not, so that schedules pile none up there.
+			rx.Release()
+			NewPort(Config{}).leaseRxq()
+		}()
+	}
 	refTx := newRefTx(tx.cfg)
 	ref := &refRx{cfg: rx.cfg, irq: irq}
 	if irq {
@@ -702,6 +721,12 @@ func runRxSchedule(t testing.TB, rxRing int, irq, noLatency, shallowTx bool, c c
 	now := units.Time(0)
 	check := func(what string) {
 		t.Helper()
+		if dirty != nil && rx.rxq != nil {
+			if &rx.rxq[:1][0] != &dirty[:1][0] {
+				t.Fatalf("t=%v %s: the first arrival queued into a backing of capacity %d, not the released one of %d", now, what, cap(rx.rxq), cap(dirty))
+			}
+			dirty = nil
+		}
 		if rx.Stats != ref.stats {
 			t.Fatalf("t=%v %s: receiver counters %+v, reference %+v", now, what, rx.Stats, ref.stats)
 		}
@@ -879,6 +904,105 @@ func runRxSchedule(t testing.TB, rxRing int, irq, noLatency, shallowTx bool, c c
 		}
 	}
 	return st
+}
+
+// releaseDirtyBacking queues 6 000 frames on a port, polls 4 000 of them,
+// so that RxBurst compacts the queue and leaves copies of the 2 000 still
+// queued beyond its length, and releases the port. It returns the port's
+// queue as it was before the release: its backing is now the top of the
+// released stack.
+func releaseDirtyBacking(t testing.TB) []*pkt.Buf {
+	t.Helper()
+	tx, rx := NewPort(Config{TxRing: 8192}), NewPort(Config{RxRing: 8192})
+	Connect(tx, rx)
+	pool := pkt.NewPool(2048)
+	for i := 0; i < 6000; i++ {
+		if !tx.SendAt(0, pool.Get(64)) {
+			t.Fatalf("frame %d refused", i)
+		}
+	}
+	if n := rx.RxBurst(tx.BusyUntil()+DefaultRxLatency, make([]*pkt.Buf, 4000)); n != 4000 {
+		t.Fatalf("polled %d frames, want 4000", n)
+	}
+	q := rx.rxq
+	if rx.rxHead != 0 || len(q) != 2000 || q[:4001][4000] != q[0] {
+		t.Fatalf("queue of %d entries from %d, entry 4000 %p: want it compacted to 2000 with a stale copy of entry 0 past its end", len(q), rx.rxHead, q[:4001][4000])
+	}
+	rx.Release()
+	return q
+}
+
+// stackDepth returns how many backings the released stack holds.
+func stackDepth() int {
+	rxBacks.Lock()
+	defer rxBacks.Unlock()
+	return len(rxBacks.s)
+}
+
+// TestRxQueueRelease: a port that never queued a frame releases nothing; a
+// released backing is cleared to its capacity; the next port to queue
+// leases it and a second one does not share it; a released port panics on
+// an arrival to queue, and releasing it again pushes nothing.
+func TestRxQueueRelease(t *testing.T) {
+	depth := stackDepth()
+	idle, sunk := NewPort(Config{}), NewPort(Config{})
+	Connect(idle, sunk)
+	sunk.BindSink(2*units.Microsecond, func(b *pkt.Buf, _ units.Time) { b.Free() })
+	idle.SendAt(0, pkt.NewPool(2048).Get(64))
+	idle.Release()
+	sunk.Release()
+	if d := stackDepth(); d != depth {
+		t.Fatalf("ports that queued nothing pushed %d backings", d-depth)
+	}
+
+	dirty := releaseDirtyBacking(t)
+	rxBacks.Lock()
+	top := rxBacks.s[len(rxBacks.s)-1]
+	rxBacks.Unlock()
+	if stackDepth() != depth+1 || len(top) != 0 || cap(top) != cap(dirty) || &top[:1][0] != &dirty[:1][0] {
+		t.Fatalf("released stack: %d backings, top of length %d and capacity %d; want %d, the released one of length 0 and capacity %d",
+			stackDepth(), len(top), cap(top), depth+1, cap(dirty))
+	}
+	for i, b := range top[:cap(top)] {
+		if b != nil {
+			t.Fatalf("released backing holds a buffer at %d", i)
+		}
+	}
+
+	pool := pkt.NewPool(2048)
+	var rx [2]*Port
+	for i := range rx {
+		tx := NewPort(Config{})
+		rx[i] = NewPort(Config{})
+		Connect(tx, rx[i])
+		tx.SendAt(0, pool.Get(64))
+	}
+	if &rx[0].rxq[:1][0] != &dirty[:1][0] {
+		t.Fatal("the first port to queue did not lease the released backing")
+	}
+	if &rx[1].rxq[:1][0] == &rx[0].rxq[:1][0] {
+		t.Fatal("two ports share one RX queue backing")
+	}
+	if n := rx[0].RxPending(units.Second); n != 1 {
+		t.Fatalf("leased queue holds %d frames, want 1", n)
+	}
+
+	leasedDepth := stackDepth()
+	rx[0].Release()
+	rx[0].Release()
+	if d := stackDepth(); d != leasedDepth+1 {
+		t.Fatalf("releasing a port twice pushed %d backings, want 1", d-leasedDepth)
+	}
+	rx[1].Release()
+	for stackDepth() > depth { // leave the stack as deep as it was
+		NewPort(Config{}).leaseRxq()
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a frame queued at a released port")
+		}
+	}()
+	rx[0].peer.SendAt(units.Second, pool.Get(64))
 }
 
 // TestNextRx: a port's idle hint is now while a frame is visible, the next
