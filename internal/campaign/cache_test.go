@@ -3,11 +3,14 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -122,6 +125,32 @@ func TestCacheMissOnCostModelVersionBump(t *testing.T) {
 	})
 	if _, ok := cache.Get(cfg); ok {
 		t.Fatal("stale cost-model version served as a hit")
+	}
+}
+
+// TestFig4aCacheKeysPinned: the digest of the fig4a campaign's sorted
+// cache keys, at the window it was recorded under on the seed engine. A
+// key covers the canonical Config and cost.ModelVersion, so a deliberate
+// recalibration re-pins it; anything else that moves it changes the cache
+// addressing. What the cells compute is pinned per cell by core's
+// TestPinnedGoldens, whose p2p-grid table is this grid.
+func TestFig4aCacheKeysPinned(t *testing.T) {
+	const want = "b8c26c28d80f66b71a9c111af59d9249cd6fece89177bdbdd94fede2012d80e4"
+	c, err := Builtin("fig4a", core.RunOpts{Duration: units.Millisecond, Warmup: 500 * units.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, len(c.Specs))
+	for i, spec := range c.Specs {
+		keys[i] = CacheKey(spec.Cfg)
+	}
+	sort.Strings(keys)
+	blob, err := json.Marshal(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := sha256.Sum256(blob); hex.EncodeToString(h[:]) != want {
+		t.Errorf("fig4a cache-key digest = %x, want %s (campaign cache addressing changed)", h, want)
 	}
 }
 

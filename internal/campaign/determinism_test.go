@@ -96,48 +96,6 @@ func TestCampaignMatchesDirectRuns(t *testing.T) {
 	}
 }
 
-// TestParallelCellsShareNoPool: cells lease their packet pools and NIC RX
-// queue backings from process-wide stacks, so at Workers=4 a pool or
-// backing one cell released serves whichever cell acquires next, in
-// whatever role. Cells of different shapes — multi-flow ones, whose RX
-// queues hold one entry per frame in flight, on OvS's 512-descriptor and
-// t4p4s's 2 048-descriptor rings among them — repeated and interleaved,
-// must still give the serial Results; run under -race, a pool or backing
-// two live cells shared would also be a race.
-func TestParallelCellsShareNoPool(t *testing.T) {
-	shapes := []core.Config{
-		{Switch: "ovs", Scenario: core.P2P, FrameLen: 64, Bidir: true, ProbeEvery: 50 * units.Microsecond},
-		{Switch: "vpp", Scenario: core.Loopback, Chain: 2, FrameLen: 64},
-		{Switch: "snabb", Scenario: core.P2V, FrameLen: 1024, Bidir: true},
-		{Switch: "vale", Scenario: core.V2V, FrameLen: 64},
-		{Switch: "ovs", Scenario: core.P2P, FrameLen: 64, Flows: 256, SUTCores: 2},
-		{Switch: "fastclick", Scenario: core.Loopback, Chain: 1, FrameLen: 256},
-		{Switch: "ovs", Scenario: core.P2P, FrameLen: 64, Bidir: true, Flows: 8192, ZipfSkew: 1.1},
-		{Switch: "t4p4s", Scenario: core.P2P, FrameLen: 64, Flows: 8192, ZipfSkew: 1.1},
-	}
-	var specs []Spec
-	for rep := 0; rep < 3; rep++ {
-		for _, cfg := range shapes {
-			cfg.Duration, cfg.Warmup = 500*units.Microsecond, 200*units.Microsecond
-			specs = append(specs, Spec{Cfg: cfg})
-		}
-	}
-	c := Campaign{Name: "leased-pools", Specs: specs}
-	serial, err := New(context.Background(), Options{Workers: 1}).Run(c)
-	if err != nil || serial.Failed != 0 {
-		t.Fatalf("serial: %v / %v", err, serial.Err())
-	}
-	parallel, err := New(context.Background(), Options{Workers: 4}).Run(c)
-	if err != nil || parallel.Failed != 0 {
-		t.Fatalf("parallel: %v / %v", err, parallel.Err())
-	}
-	for i := range serial.Outcomes {
-		if !reflect.DeepEqual(serial.Outcomes[i].Result, parallel.Outcomes[i].Result) {
-			t.Errorf("cell %d (%s): Workers=4 result differs from the serial one", i, serial.Outcomes[i].Spec.ID)
-		}
-	}
-}
-
 // growRuns numbers the runs of TestParallelCellsGrowOneTemplateEntry, so
 // each uses a frame length no earlier run built templates for.
 var growRuns atomic.Int32

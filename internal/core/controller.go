@@ -15,6 +15,10 @@ import (
 // steady-state table churn at a constant table size.
 const shadowRuleWindow = 32
 
+// dropActions is every shadow rule's action list, shared read-only: no
+// switch writes a rule's Actions (OvS copies them into its own).
+var dropActions = []switchdef.RuleAction{{Kind: switchdef.RuleDrop}}
+
 // shadowRule is the i-th rule of the controller's deterministic schedule:
 // a destination-MAC-exact drop on a locally administered address outside
 // the PortMAC space (02:00:00:00:xx:xx), so it never matches generated
@@ -29,7 +33,7 @@ func shadowRule(i uint64) switchdef.Rule {
 			Fields: switchdef.FEthDst,
 			EthDst: pkt.MAC{0x0e, 0xc4, byte(i >> 24), byte(i >> 16), byte(i >> 8), byte(i)},
 		},
-		Actions: []switchdef.RuleAction{{Kind: switchdef.RuleDrop}},
+		Actions: dropActions,
 	}
 }
 

@@ -55,3 +55,15 @@ func TestRuleControllerRevokesOldestFirst(t *testing.T) {
 		t.Fatalf("%d updates, %d revokes; want %d and %d", c.Updates(), len(rec.revoked), ops, (ops-shadowRuleWindow)/2)
 	}
 }
+
+// TestShadowRulesShareActions: every shadow rule drops through the one
+// shared action list, so installing a rule allocates no slice for it.
+func TestShadowRulesShareActions(t *testing.T) {
+	a, b := shadowRule(1), shadowRule(2)
+	if len(a.Actions) != 1 || a.Actions[0].Kind != switchdef.RuleDrop {
+		t.Fatalf("shadow rule actions %+v, want one drop", a.Actions)
+	}
+	if &a.Actions[0] != &b.Actions[0] {
+		t.Error("two shadow rules carry separate action arrays")
+	}
+}

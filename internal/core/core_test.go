@@ -53,6 +53,10 @@ func TestBESSChainCap(t *testing.T) {
 	}
 }
 
+// TestDeterminismAcrossRuns: the seed is part of what a run is a function
+// of — a different one must change something (jitter paths). That a fixed
+// seed repeats bit for bit is TestPinnedGoldens', which runs every pinned
+// cell several times in one process.
 func TestDeterminismAcrossRuns(t *testing.T) {
 	cfg := Config{Switch: "ovs", Scenario: Loopback, Chain: 2, Bidir: true,
 		ProbeEvery: 40 * units.Microsecond,
@@ -61,15 +65,6 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Steps != b.Steps || a.Gbps != b.Gbps || a.Drops != b.Drops ||
-		a.Latency.MeanUs != b.Latency.MeanUs {
-		t.Fatalf("non-deterministic: %+v vs %+v", a, b)
-	}
-	// A different seed must actually change something (jitter paths).
 	cfg.Seed = 99
 	c, err := Run(cfg)
 	if err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/cpu"
 	"repro/internal/units"
 )
 
@@ -40,7 +39,7 @@ func TestIdlePollElisionEngages(t *testing.T) {
 			t.Fatal(err)
 		}
 		hinted := 0
-		for _, c := range append(append([]*cpu.PollCore(nil), tb.sutPolls...), tb.guestCores...) {
+		for _, c := range pollCores(tb) {
 			if c.Waiter == nil {
 				continue
 			}

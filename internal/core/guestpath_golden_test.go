@@ -7,7 +7,7 @@ import "repro/internal/units"
 // switches that exercise every guest-side actor: the vhost burst
 // crossings, the guest generator and l2fwd VNF, the ptnet path, and the
 // notify-delay visibility gate. These are the guest-path counterpart of
-// the fig4a campaign golden: any change to the fast path that shifts a
+// the p2p-grid table: any change to the fast path that shifts a
 // charged cycle, a timestamp, or a drop shows up here as a digest
 // mismatch. Re-pin only with an argued equivalence (see DESIGN.md §3.3).
 // TestPinnedGoldens runs the table.

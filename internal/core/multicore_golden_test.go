@@ -5,15 +5,17 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"testing"
-
-	"repro/internal/units"
 )
 
+// resultDigest is the digest of res's JSON. It may run on any goroutine:
+// a Result JSON cannot encode (a NaN field) fails the test and digests as
+// "".
 func resultDigest(t *testing.T, res Result) string {
 	t.Helper()
 	blob, err := json.Marshal(res)
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return ""
 	}
 	h := sha256.Sum256(blob)
 	return hex.EncodeToString(h[:16])
@@ -48,25 +50,6 @@ func multiCoreGoldens() []goldenCell {
 		// single-queue port goes whole to the next core in declaration
 		// order, wrapping past the core count.
 		{Config{Switch: "vpp", Scenario: Loopback, Chain: 2, FrameLen: 64, SUTCores: 3}, "b114747b4e366a3ed24188c64b3aff16"},
-	}
-}
-
-// TestMultiCoreDigestDeterminism: a fixed seed reproduces the entire
-// multi-core Result bit for bit, demuxes, handoff rings and all.
-func TestMultiCoreDigestDeterminism(t *testing.T) {
-	cfg := Config{Switch: "vpp", Scenario: P2P, FrameLen: 64, Bidir: true, Flows: 64,
-		SUTCores: 4, Dispatch: DispatchRTC,
-		Duration: 2 * units.Millisecond, Warmup: units.Millisecond}
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if da, db := resultDigest(t, a), resultDigest(t, b); da != db {
-		t.Fatalf("non-deterministic multi-core run: %s vs %s", da, db)
 	}
 }
 

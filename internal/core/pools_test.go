@@ -134,31 +134,3 @@ func TestSecondCellLeasesRxQueue(t *testing.T) {
 		}
 	}
 }
-
-// TestGoldenDigestsIndependentOfCellOrder: leased pools carry nothing from
-// one cell into the next. In one process the golden cells give their
-// pinned digests in forward order, in reverse order, and after a
-// 32 768-flow OvS churn cell.
-func TestGoldenDigestsIndependentOfCellOrder(t *testing.T) {
-	var cells []goldenCell
-	for _, tab := range goldenTables(t) {
-		if !tab.slow || !testing.Short() {
-			cells = append(cells, tab.cells...)
-		}
-	}
-	forward := func() {
-		for i, tc := range cells {
-			runGolden(t, i, tc)
-		}
-	}
-	forward()
-	for i := len(cells) - 1; i >= 0; i-- {
-		runGolden(t, i, cells[i])
-	}
-	churn := churnCfg("ovs")
-	churn.Flows = 32768
-	if _, err := Run(churn); err != nil {
-		t.Fatal(err)
-	}
-	forward()
-}

@@ -210,7 +210,7 @@ func TestLoopbackWiringMatchesLegacy(t *testing.T) {
 // captured on the legacy wire*-function engine immediately before the
 // graph-compiler refactor: matching them proves the compiler is
 // behavior-preserving bit-for-bit, not just structurally.
-// TestPinnedGoldens runs the table (skipped under -short).
+// TestPinnedGoldens runs the table.
 func legacyEngineGoldens() []goldenCell {
 	return []goldenCell{
 		{Config{Switch: "vpp", Scenario: P2P}, "fc71da34ccde934cd9be7b23096ad4f5"},

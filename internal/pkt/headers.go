@@ -32,7 +32,6 @@ var Broadcast = MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 // EtherType values used by the testbed.
 const (
 	EtherTypeIPv4 uint16 = 0x0800
-	EtherTypeARP  uint16 = 0x0806
 	EtherTypeVLAN uint16 = 0x8100
 )
 

@@ -214,9 +214,6 @@ func (s *Scheduler) RunUntil(deadline units.Time) {
 	}
 }
 
-// Idle reports whether no task is queued.
-func (s *Scheduler) Idle() bool { return len(s.queue) == 0 }
-
 // taskHeap is an inlined 4-ary min-heap on (when, seq). Four children per
 // node halve the tree depth of the binary heap: pops — the common
 // operation under heavy same-timestamp load — trade deeper sift-downs for
