@@ -38,7 +38,7 @@ func TestRunForwardDoesNotAllocate(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := switchtest.Meter(env)
-			tmpl := runTemplates(false)[0]
+			tmpl := flowTemplate(0)
 			var out [64]*pkt.Buf
 			now, seq, forwarded := units.Time(0), uint64(1), 0
 			pass := func() {

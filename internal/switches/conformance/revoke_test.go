@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/pkt"
@@ -9,8 +10,14 @@ import (
 	"repro/internal/units"
 )
 
-// programmable are the switches whose data plane takes runtime rules.
-var programmable = []string{"fastclick", "ovs", "t4p4s", "vpp"}
+// programmable returns the registered switches whose data plane takes
+// runtime rules, in name order.
+func programmable() []string {
+	return slices.DeleteFunc(switchdef.Names(), func(name string) bool {
+		info, _ := switchdef.Lookup(name)
+		return !info.RuntimeRules
+	})
+}
 
 // steerRule is the rule that decides where a frame entering port 0 for
 // PortMAC(1) leaves: an in_port rule on the port-patching switches, the
@@ -43,21 +50,21 @@ func junkRevoke(r switchdef.Rule) switchdef.Rule {
 }
 
 // TestRevokeContract pins what Revoke answers on every programmable
-// switch, from the tables its data plane looks up: an identity is
-// effective priority plus the constrained fields, a revoke of an absent
-// identity errors, and a re-install replaces the rule in place.
+// switch the registry names, from the tables its data plane looks up: an
+// identity is effective priority plus the constrained fields, a revoke of
+// an absent identity errors, and a re-install replaces the rule in place.
 func TestRevokeContract(t *testing.T) {
-	for _, name := range programmable {
+	names := programmable()
+	if want := []string{"fastclick", "ovs", "t4p4s", "vpp"}; !slices.Equal(names, want) {
+		t.Errorf("the registry's programmable switches are %v, want %v", names, want)
+	}
+	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
-			env := switchtest.Env()
-			sw, err := switchdef.New(name, env)
+			p, err := newPass(name, script{stray: true}, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fps := switchtest.AddPorts(sw, 3)
-			if err := sw.CrossConnect(0, 1); err != nil {
-				t.Fatal(err)
-			}
+			sw, env, fps := p.sw, p.env, p.ports
 			install := func(r switchdef.Rule) {
 				t.Helper()
 				if err := sw.Install(r); err != nil {
@@ -115,6 +122,31 @@ func TestRevokeContract(t *testing.T) {
 			if len(fps[1].Out) != 0 || len(fps[2].Out) != frames {
 				t.Errorf("(e) after re-install: port 1 got %d frames, port 2 %d, want 0 and %d",
 					len(fps[1].Out), len(fps[2].Out), frames)
+			}
+		})
+	}
+}
+
+// TestRevokeByKey: Programmer identifies the rule to revoke by Key() —
+// priority and match — so a rule value carrying only the match must
+// remove the installed rule on every programmable switch: revoking the
+// full rule afterwards finds nothing.
+func TestRevokeByKey(t *testing.T) {
+	for _, name := range programmable() {
+		t.Run(name, func(t *testing.T) {
+			p, err := newPass(name, script{}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := shadowDropRule(1)
+			if err := p.sw.Install(r); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.sw.Revoke(switchdef.Rule{Match: r.Match}); err != nil {
+				t.Fatalf("Revoke by match alone: %v", err)
+			}
+			if err := p.sw.Revoke(r); err == nil {
+				t.Error("the rule survived the revoke by match alone")
 			}
 		})
 	}
