@@ -12,7 +12,9 @@ import (
 // runnableOnce names cfgs as campaign cells under prefix, each runnable
 // cell once: an experiment's grid may hold cells its switch cannot run (the
 // figure prints those as "-") and repeat cells that two curves share, while
-// a campaign measures what can be measured, exactly once.
+// a campaign measures what can be measured, exactly once. A repeat is the
+// same cache key, not the same name: AutoID leaves fields out (Containers,
+// Seed, the windows, Topology), so two distinct cells can share a name.
 func runnableOnce(prefix string, cfgs []core.Config) []Spec {
 	specs := make([]Spec, 0, len(cfgs))
 	seen := make(map[string]bool, len(cfgs))
@@ -25,12 +27,12 @@ func runnableOnce(prefix string, cfgs []core.Config) []Spec {
 				continue
 			}
 		}
-		id := prefix + "/" + AutoID(cfg)
-		if seen[id] {
+		key := CacheKey(cfg)
+		if seen[key] {
 			continue
 		}
-		seen[id] = true
-		specs = append(specs, Spec{ID: id, Cfg: cfg})
+		seen[key] = true
+		specs = append(specs, Spec{ID: prefix + "/" + AutoID(cfg), Cfg: cfg})
 	}
 	return specs
 }

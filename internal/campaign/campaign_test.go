@@ -295,3 +295,31 @@ func TestBuiltinCampaigns(t *testing.T) {
 		t.Fatal("unknown campaign resolved")
 	}
 }
+
+// TestRunnableOnceKeysOnCacheKey: runnableOnce drops a repeated cell, not
+// a cell that only shares a repeated name — AutoID leaves Containers and
+// Seed out, so each pair below is two cells under one name. (The builtin
+// campaigns' cell counts are pinned in builtinRecord above.)
+func TestRunnableOnceKeysOnCacheKey(t *testing.T) {
+	base := core.Config{Switch: "vpp", Scenario: core.Loopback, Chain: 2}
+	ct, seeded := base, base
+	ct.Containers = true
+	seeded.Seed = 7
+	for _, tc := range []struct {
+		name string
+		cfgs []core.Config
+		want int
+	}{
+		{"containers", []core.Config{base, ct}, 2},
+		{"seed", []core.Config{base, seeded}, 2},
+		{"repeat", []core.Config{base, ct, base, ct}, 2},
+	} {
+		specs := runnableOnce("x", tc.cfgs)
+		if len(specs) != tc.want {
+			t.Errorf("%s: %d cells, want %d", tc.name, len(specs), tc.want)
+		}
+		if specs[0].ID != "x/"+AutoID(base) {
+			t.Errorf("%s: first cell named %q", tc.name, specs[0].ID)
+		}
+	}
+}

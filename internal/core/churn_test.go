@@ -43,39 +43,6 @@ func churnGoldens() []goldenCell {
 	return cells
 }
 
-// TestChurnCountersAndEMCKnee: the acceptance behavior of the churn
-// family — OvS's EMC evicts past its 8192-entry capacity and throughput
-// degrades, while the update counter tracks the configured rate.
-func TestChurnCountersAndEMCKnee(t *testing.T) {
-	under := Config{Switch: "ovs", Scenario: P2P, FrameLen: 64, Flows: 2048,
-		Duration: 2 * units.Millisecond, Warmup: units.Millisecond}
-	over := under
-	over.Flows = 32768
-	ru, err := Run(under)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ro, err := Run(over)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ro.EMCEvictions == 0 {
-		t.Error("32768 flows: no EMC evictions past the 8192-entry capacity")
-	}
-	if ro.Gbps >= ru.Gbps {
-		t.Errorf("EMC overflow did not degrade throughput: %.2f (32768f) >= %.2f (2048f)", ro.Gbps, ru.Gbps)
-	}
-
-	res, err := Run(churnCfg("ovs"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 10k updates/s over a 2 ms window = 20 operations.
-	if res.RuleUpdates != 20 {
-		t.Errorf("RuleUpdates = %d, want 20 (10k ops/s over 2 ms)", res.RuleUpdates)
-	}
-}
-
 // TestChurnValidate: every churn-knob violation is reported at once
 // (errors.Join), and a non-programmable switch under rule churn fails
 // with the typed ErrNoRuntimeRules.
@@ -148,29 +115,5 @@ func TestChurnFreeCacheKeysUnchanged(t *testing.T) {
 		if strings.Contains(string(blob), field) {
 			t.Errorf("churn-free canonical config leaks %s into the cache key: %s", field, blob)
 		}
-	}
-}
-
-// TestZipfSkewShiftsLoadToHotFlows: with a heavy-tailed flow mix the OvS
-// EMC stays warm (hot flows dominate), so throughput at a flow count far
-// past EMC capacity is strictly better than under the round-robin mix.
-func TestZipfSkewShiftsLoadToHotFlows(t *testing.T) {
-	rr := Config{Switch: "ovs", Scenario: P2P, FrameLen: 64, Flows: 32768,
-		Duration: 2 * units.Millisecond, Warmup: units.Millisecond}
-	zipf := rr
-	zipf.ZipfSkew = 1.1
-	r1, err := Run(rr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Run(zipf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Gbps <= r1.Gbps {
-		t.Errorf("zipf(1.1) mix (%.2f Gbps) not above round-robin (%.2f Gbps) at 32768 flows", r2.Gbps, r1.Gbps)
-	}
-	if r2.EMCEvictions >= r1.EMCEvictions {
-		t.Errorf("zipf(1.1) evictions (%d) not below round-robin (%d)", r2.EMCEvictions, r1.EMCEvictions)
 	}
 }

@@ -7,43 +7,6 @@ import (
 	"repro/internal/units"
 )
 
-// TestBidirLatencyMergesBothDirections covers the two-histogram case: a
-// bidirectional run fills one latency histogram per measurement endpoint,
-// and Run must accumulate all of them instead of keeping the first
-// non-empty one (which silently dropped the reverse direction's samples).
-func TestBidirLatencyMergesBothDirections(t *testing.T) {
-	base := Config{
-		Switch: "vpp", Scenario: P2P,
-		Rate:       2 * units.Gbps,
-		ProbeEvery: DefaultProbeEvery,
-		Duration:   4 * units.Millisecond,
-		Warmup:     units.Millisecond,
-	}
-	uni, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bi := base
-	bi.Bidir = true
-	both, err := Run(bi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uni.Latency.N == 0 {
-		t.Fatal("unidirectional run recorded no probes")
-	}
-	// With probes injected in both directions, the merged histogram must
-	// hold roughly twice the unidirectional sample count; the old
-	// first-non-empty logic would report ~1x.
-	if both.Latency.N < uni.Latency.N*3/2 {
-		t.Fatalf("bidir latency samples = %d, want >= 1.5x the unidirectional %d (reverse direction dropped?)",
-			both.Latency.N, uni.Latency.N)
-	}
-	if both.Latency.MeanUs <= 0 {
-		t.Fatalf("bidir latency mean = %v", both.Latency)
-	}
-}
-
 // TestRunWindowsAggregateMatchesRun holds RunWindows' aggregate to Run's:
 // one window is the same measurement, and slicing the span into four
 // moves no simulated output — only Steps, because a rate-mode generator's
