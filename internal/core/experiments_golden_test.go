@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/stats"
 	"repro/internal/switches/switchdef"
+	"repro/internal/units"
 )
 
 var update = flag.Bool("update", false, "rewrite the goldens under testdata/ from the current output")
@@ -119,8 +120,11 @@ func firstDiff(got, want []byte) string {
 // TestExperimentGoldens drives every entry of the Experiments table
 // through run → text (compare off and on) → CSV on the stub runner and
 // holds the bytes to testdata/experiments.{txt,csv}, recorded through the
-// per-family functions that preceded the table. A new grid family adds its
-// sections; regenerate with -update and review the diff.
+// per-family functions that preceded the table. The text ends with an
+// == run == section: RenderResult, the `swbench run` line, over a
+// unidirectional and a bidirectional p2p cell, a probed 2-VNF loopback
+// (chain=, rtt:) and a 4-core RSS fleet (cores=). A new grid family adds
+// its sections; regenerate with -update and review the diff.
 func TestExperimentGoldens(t *testing.T) {
 	var text, csvs bytes.Buffer
 	for _, e := range Experiments {
@@ -138,6 +142,19 @@ func TestExperimentGoldens(t *testing.T) {
 			// "no CSV form" one, and which entries lack one is pinned too.
 			fmt.Fprintln(&csvs, "(no CSV form)")
 		}
+	}
+	fmt.Fprintln(&text, "== run ==")
+	for _, cfg := range []Config{
+		{Switch: "vpp", Scenario: P2P},
+		{Switch: "vpp", Scenario: P2P, Bidir: true},
+		{Switch: "vpp", Scenario: Loopback, Chain: 2, ProbeEvery: 50 * units.Microsecond},
+		{Switch: "ovs", Scenario: P2P, Bidir: true, Flows: 64, SUTCores: 4, Dispatch: DispatchRSS, RSSPolicy: RSSFlowHash},
+	} {
+		res, err := stubRun(cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		RenderResult(&text, res)
 	}
 	checkGolden(t, "experiments.txt", text.Bytes())
 	checkGolden(t, "experiments.csv", csvs.Bytes())

@@ -49,7 +49,7 @@ func checkMedianErr(t *testing.T, what string, errs []float64, ceiling float64) 
 func table3Row(t *testing.T, label string, cfg Config, check func(name string, sim, paper []float64)) []float64 {
 	t.Helper()
 	var errs []float64
-	for _, name := range allSwitches {
+	for _, name := range Switches {
 		c := latencyWindow(cfg)
 		c.Switch = name
 		pts, err := LatencyProfile(c, Table3Loads)
@@ -106,7 +106,7 @@ func TestCalibrationLatencyV2V(t *testing.T) {
 		t.Skip("slow")
 	}
 	var errs []float64
-	for _, name := range allSwitches {
+	for _, name := range Switches {
 		cfg := latencyWindow(Config{
 			Switch: name, Scenario: V2V, LatencyTopology: true,
 			Rate: units.RateForPPS(1e6, 64), ProbeEvery: DefaultProbeEvery,
@@ -120,4 +120,30 @@ func TestCalibrationLatencyV2V(t *testing.T) {
 		errs = relErrs(errs, sim, paper)
 	}
 	checkMedianErr(t, "Table 4", errs, v2vLatencyCeiling)
+}
+
+// TestPaperDataCoversAllSwitches: every switch has a Table 4 value and a
+// Table 3 p2p row, and a 4-VNF loopback row except BESS, for which the
+// paper prints "-".
+func TestPaperDataCoversAllSwitches(t *testing.T) {
+	for _, name := range Switches {
+		if _, ok := PaperTable4[name]; !ok {
+			t.Errorf("PaperTable4 missing %s", name)
+		}
+		rows, ok := PaperTable3[name]
+		if !ok {
+			t.Errorf("PaperTable3 missing %s", name)
+			continue
+		}
+		if _, ok := rows["p2p"]; !ok {
+			t.Errorf("PaperTable3[%s] missing p2p", name)
+		}
+		_, has4 := rows["4-VNF loopback"]
+		if name == "bess" && has4 {
+			t.Error("PaperTable3[bess] must not have a 4-VNF row")
+		}
+		if name != "bess" && !has4 {
+			t.Errorf("PaperTable3[%s] missing 4-VNF row", name)
+		}
+	}
 }

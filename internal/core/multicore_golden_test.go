@@ -33,6 +33,7 @@ func resultDigest(t *testing.T, res Result) string {
 func multiCoreGoldens() []goldenCell {
 	return []goldenCell{
 		{Config{Switch: "vpp", Scenario: P2P, FrameLen: 64, Bidir: true, SUTCores: 2}, "9606ad8900076a88214c1d88e8d84f19"},
+		{Config{Switch: "ovs", Scenario: P2P, FrameLen: 64, Bidir: true, SUTCores: 2}, "2278ef82d98b1f935b5b9a6c638e6e91"},
 		{Config{Switch: "ovs", Scenario: P2P, FrameLen: 64, Bidir: true, Flows: 64,
 			SUTCores: 4, Dispatch: DispatchRSS, RSSPolicy: RSSFlowHash}, "fab857c63d4e8be743e72bd24e04490c"},
 		{Config{Switch: "vpp", Scenario: P2P, FrameLen: 64, Bidir: true, Flows: 64,

@@ -9,8 +9,8 @@ import (
 // it for software switches (footnote 3): "a binary search for the NDR is
 // not suited for evaluating software solutions as it may converge to
 // unreliable points due to even a single packet drop caused at the driver
-// level". Both are provided so the critique can be demonstrated (see
-// TestNDRUnderestimatesRPlus and examples/latencystudy).
+// level". Both are provided so the critique can be demonstrated (see the
+// fn3-ndr-below-rplus-unstable claim and examples/latencystudy).
 
 // NDRResult is the outcome of a binary search for the non-drop rate.
 type NDRResult struct {

@@ -65,33 +65,6 @@ func TestFigureStructureAndRender(t *testing.T) {
 	}
 }
 
-func TestFigure5MarksBESSUnsupported(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	fig, err := FigureOn(SerialRunner{}, "5", quickOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unsupported := 0
-	for _, pt := range fig.Pts {
-		if pt.Switch == "bess" && pt.Chain > 3 {
-			if !pt.Unsupported {
-				t.Errorf("bess chain %d not marked unsupported", pt.Chain)
-			}
-			unsupported++
-		}
-	}
-	if unsupported != 6 { // chains 4,5 × 3 sizes
-		t.Fatalf("unsupported points = %d", unsupported)
-	}
-	var b bytes.Buffer
-	RenderFigure(&b, fig, false)
-	if !strings.Contains(b.String(), "-") {
-		t.Error("missing '-' markers in render")
-	}
-}
-
 func TestRenderTable3And4(t *testing.T) {
 	cells := []Table3Cell{
 		{Switch: "vpp", Scenario: "p2p", MeanUs: [3]float64{4.5, 5.9, 13.1}},
@@ -126,30 +99,6 @@ func TestRenderResultFormats(t *testing.T) {
 	for _, want := range []string{"VPP", "loopback", "chain=2", "Gbps", "rtt"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("result render missing %q: %q", want, out)
-		}
-	}
-}
-
-func TestPaperDataCoversAllSwitches(t *testing.T) {
-	for _, name := range Switches {
-		if _, ok := PaperTable4[name]; !ok {
-			t.Errorf("PaperTable4 missing %s", name)
-		}
-		rows, ok := PaperTable3[name]
-		if !ok {
-			t.Errorf("PaperTable3 missing %s", name)
-			continue
-		}
-		if _, ok := rows["p2p"]; !ok {
-			t.Errorf("PaperTable3[%s] missing p2p", name)
-		}
-		// BESS has no 4-VNF row (the paper prints "-").
-		_, has4 := rows["4-VNF loopback"]
-		if name == "bess" && has4 {
-			t.Error("PaperTable3[bess] must not have a 4-VNF row")
-		}
-		if name != "bess" && !has4 {
-			t.Errorf("PaperTable3[%s] missing 4-VNF row", name)
 		}
 	}
 }

@@ -358,7 +358,10 @@ func TestPollCoreElisionEquivalence(t *testing.T) {
 	})
 }
 
-// FuzzPollCoreElision checks the equivalence on arbitrary script seeds.
+// FuzzPollCoreElision checks the equivalence on arbitrary script seeds: a
+// poll core that sleeps through empty polls must match the same scripted
+// owner polled every iteration (random arrivals, ties, impure empty polls,
+// RunUntil cuts).
 func FuzzPollCoreElision(f *testing.F) {
 	for _, seed := range elisionSeeds {
 		f.Add(seed)

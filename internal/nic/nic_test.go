@@ -608,7 +608,10 @@ func TestRxQueueMatchesTwoQueueReference(t *testing.T) {
 // choice read from the fuzzer's bytes: the first picks an RX ring of 1 to 8
 // descriptors, interrupt or poll binding, descriptor delays, a deep or
 // shallow TX ring and a fresh or leased RX queue, the rest drive sends and
-// polls until they run out.
+// polls until they run out. A port fed runs of frames, which hands them
+// out as runs, must deliver, count, drop and wake exactly as the per-frame
+// reference fed the frames one by one, and a run its TX ring cuts must
+// book what a send per frame books.
 func FuzzPortRuns(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{0x17, 9, 0, 0x80, 0, 1, 0x40, 0, 7, 0xff, 3, 0x20, 0, 0x90, 2, 0x10})

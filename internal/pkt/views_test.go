@@ -219,11 +219,12 @@ func checkView(t *testing.T, op, j int, what string, got []byte, want []int16) {
 	}
 }
 
-// FuzzBufViews holds View(), Bytes() and AppendTo to a plain byte-slice
-// model, and Pool.Live() to the model's count, over any sequence of Get,
-// SetTemplate, SetLen, writes through Bytes(), CopyFrom, Clone, Cut,
-// SetRun, MarkProbe (software and hardware stamps), Free and Release
-// followed by AcquirePool.
+// FuzzBufViews holds Bytes() and AppendTo (what a capture records) to a
+// plain byte-slice model with each probe's stamp laid over it, View() to
+// the same model outside a lazy probe's stamp, and Pool.Live() to the
+// model's count, over any sequence of Get, SetTemplate, SetLen, writes
+// through Bytes(), CopyFrom, Clone, Cut, SetRun, MarkProbe (software and
+// hardware stamps), Free and Release followed by AcquirePool.
 func FuzzBufViews(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 16; i++ {

@@ -158,8 +158,9 @@ func TestTruncExpFallbackRate(t *testing.T) {
 	}
 }
 
-// FuzzTruncExp checks the exact draw against its reference for any
-// non-negative scale whose products fit an int64 and any 53-bit draw.
+// FuzzTruncExp checks the table-bracketed draw against its reference,
+// int64(scale·ExpFloat64()), for any non-negative scale whose products fit
+// an int64 and any 53-bit draw.
 func FuzzTruncExp(f *testing.F) {
 	for _, s := range noiseScales {
 		f.Add(s, uint64(1)<<63)

@@ -414,8 +414,10 @@ func conformRow(t *testing.T, name string, sc script) {
 }
 
 // FuzzSwitchConformance holds every switch's fast presentation to its
-// reference over a fuzzed seed and script shape; the corpus starts from
-// the script table at seed 4, one past the table's.
+// reference over a fuzzed seed and script shape: driven by the same
+// traffic script, a switch must give the same observables on
+// template-backed runs as on the traffic materialized as single frames.
+// The corpus starts from the script table at seed 4, one past the table's.
 func FuzzSwitchConformance(f *testing.F) {
 	for _, sc := range scripts {
 		f.Add(uint64(4), uint8(sc.flows), uint16(sc.maxRun-1), uint8(sc.refuse*100), sc.vhost, sc.drop, sc.stray, sc.churn)

@@ -173,6 +173,10 @@ func TestRuleLedgerMatchesReference(t *testing.T) {
 	}
 }
 
+// FuzzRuleLedger runs checkLedger on fuzzed operation sequences: on every
+// switch that takes runtime rules, any sequence of Install, replacing
+// Install and Revoke must answer each Revoke as the naive reference keyed
+// by each rule's Key() does.
 func FuzzRuleLedger(f *testing.F) {
 	for _, seed := range ledgerSeeds() {
 		f.Add(seed)

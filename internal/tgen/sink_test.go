@@ -388,9 +388,10 @@ func decodeSinkScript(data []byte) sinkScript {
 	return sc
 }
 
-// FuzzSinkDrain: any scripted mix of frames, runs, probes, polls-aligned
-// arrivals, deadline cuts and a histogram reset reads, at every cut, as the
-// polled sink gives it.
+// FuzzSinkDrain: the sink counts at arrival, and any scripted mix of
+// frames, runs, probes, polls-aligned arrivals, deadline cuts and a
+// histogram reset reads, at every cut, as polledSink (polled every
+// SinkPollInterval) gives it.
 func FuzzSinkDrain(f *testing.F) {
 	f.Add([]byte{0x02, 0, 10, 2, 4, 5, 0, 3, 4, 5, 1, 6, 0, 4, 200, 5, 2, 7, 50, 2, 0, 5, 0})
 	f.Add([]byte{0x13, 4, 63, 4, 127, 5, 1, 3, 0, 4, 255, 5, 0, 7, 255, 5, 3})
